@@ -536,7 +536,9 @@ def _potential_from_samples(field, nu, n_samples, seed, bandwidth, step,
             f"{n_samples} < {MIN_KDE_SAMPLES} samples for the KDE route")
     dim = field.dim
     bw = KDE_BANDWIDTH[dim] if bandwidth is None else float(bandwidth)
-    # namespace offset keeps this stream independent of path simulations
+    # T, the start points and every Euler increment come from this one
+    # stream; the attempt offset keys it apart from the path streams, so
+    # the estimate shares no draws with the simulated paths
     rng = _sampling.path_rng(seed, 0, attempt=1_000_003)
     T = np.minimum(rng.exponential(size=n_samples), t_cap)
     if nu.kind == "dirac":
@@ -551,7 +553,7 @@ def _potential_from_samples(field, nu, n_samples, seed, bandwidth, step,
         z = rng.standard_normal((n_samples, dim))
         samples = x0 + np.sqrt(T)[:, None] * (z @ root.T)
     else:
-        samples = _terminal_by_groups(field, x0, T, step, seed)
+        samples = _terminal_states(field, x0, T, step, rng)
     return _kde_field(samples, bw, dim, nu,
                       {"n_samples": int(n_samples), "bandwidth": bw,
                        "t_cap": float(t_cap), "seed": int(seed),
@@ -559,17 +561,23 @@ def _potential_from_samples(field, nu, n_samples, seed, bandwidth, step,
                        "step": None if field.is_constant else float(step)})
 
 
-def _terminal_by_groups(field, x0, T, step, seed):
-    """X_T per sample via the Euler scheme, grouping equal step counts so
-    per-path draws stay independent of the grouping."""
+def _terminal_states(field, x0, T, step, rng):
+    """X_T per sample by one Euler sweep over all samples.
+
+    Samples are sorted by step count, largest first, so Euler step j
+    advances the prefix of samples that still have more than j steps to
+    go; its (n_active, d) increments are the next draws of ``rng``.
+    """
     nsteps = np.maximum(1, np.round(T / step).astype(np.int64))
-    out = np.empty_like(x0)
-    for m in np.unique(nsteps):
-        sel = np.nonzero(nsteps == m)[0]
-        states = _sampling._em_batch_states(
-            field, None, float(m) * step, step, seed, sel.tolist(),
-            stride=int(m), start_override=x0[sel])
-        out[sel] = states[:, -1, :]
+    order = np.argsort(-nsteps, kind="stable")
+    # n_active[j] = number of samples with more than j steps
+    n_active = np.searchsorted(-nsteps[order], -np.arange(nsteps.max()))
+    x = x0[order]
+    for n in n_active:
+        xi = rng.standard_normal((n, field.dim))
+        x[:n] = _sampling.em_step(field, x[:n], xi, step)
+    out = np.empty_like(x)
+    out[order] = x
     return out
 
 

@@ -248,30 +248,44 @@ def _start_points(law, gens, dim):
     return x0
 
 
-def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                     attempt=0, stride=1, fd_step=1e-4, start_override=None):
-    """Euler-Maruyama batch; returns states of shape (B, T', d) at times
-    i * stride * fine_step, including both endpoints.
+def em_step(field, x, xi, fine_step, fd_step=1e-4):
+    """One Euler-Maruyama step of a non-constant field for a batch.
 
-    start_override, when given, fixes the start point of each path
-    directly (shape (B, d)) instead of drawing from the law.
+    Returns x + (div a)(x) fine_step + sqrt(2 a(x)) xi sqrt(fine_step) for
+    states x and standard normal draws xi, both of shape (B, d).  The
+    drift comes from the field's matrix_and_divergence when it has one,
+    else from central differences with step fd_step.  Rough fields raise
+    RoughFieldError: their divergence only exists as a distribution.
     """
     if field.smoothness == "rough":
         raise RoughFieldError(
             "Euler-Maruyama needs a smooth or mollified field")
+    mad = getattr(field, "matrix_and_divergence", None)
+    if mad is not None:
+        a, drift = mad(x)
+    else:
+        a = field._matrix_many(x)
+        drift = _fields.divergence(field, x, step=fd_step)
+    if field.is_diagonal:
+        diag = np.einsum("nii->ni", a)
+        noise = np.sqrt(2.0 * diag) * xi
+    else:
+        sig = _fields.sqrt_matrix_batch(2.0 * a)
+        noise = np.einsum("nij,nj->ni", sig, xi)
+    return x + (drift * fine_step + noise * np.sqrt(fine_step))
+
+
+def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
+                     attempt=0, stride=1, fd_step=1e-4):
+    """Euler-Maruyama batch; returns states of shape (B, T', d) at times
+    i * stride * fine_step, including both endpoints."""
     nsteps = _nsteps(horizon, fine_step)
     if nsteps % stride != 0:
         raise ValueError(f"stride {stride} does not divide {nsteps} steps")
     d = field.dim
     gens = [path_rng(seed, pid, attempt) for pid in path_ids]
     B = len(gens)
-    if start_override is not None:
-        x = np.array(start_override, dtype=float)
-        if x.shape != (B, d):
-            raise DimensionMismatch(
-                f"start_override shape {x.shape} != ({B}, {d})")
-    else:
-        x = _start_points(law, gens, d)
+    x = _start_points(law, gens, d)
     out = np.empty((B, nsteps // stride + 1, d))
     out[:, 0] = x
     sqdt = np.sqrt(fine_step)
@@ -295,7 +309,6 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
                 out[b, 1:] = run[stride::stride]
         return out
 
-    mad = getattr(field, "matrix_and_divergence", None)
     xi = np.empty((B, _CHUNK_STEPS, d))
     done = 0
     while done < nsteps:
@@ -303,18 +316,7 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
         for b, g in enumerate(gens):
             xi[b, :take] = g.standard_normal((take, d))
         for j in range(take):
-            if mad is not None:
-                a, drift = mad(x)
-            else:
-                a = field._matrix_many(x)
-                drift = _fields.divergence(field, x, step=fd_step)
-            if field.is_diagonal:
-                diag = np.einsum("nii->ni", a)
-                noise = np.sqrt(2.0 * diag) * xi[:, j]
-            else:
-                sig = _fields.sqrt_matrix_batch(2.0 * a)
-                noise = np.einsum("nij,nj->ni", sig, xi[:, j])
-            x = x + (drift * fine_step + noise * sqdt)
+            x = em_step(field, x, xi[:, j], fine_step, fd_step)
             i = done + j + 1
             if i % stride == 0:
                 out[:, i // stride] = x

@@ -12,10 +12,11 @@ from roughdiff.errors import (
     InsufficientSamples,
     NonDiagonalField,
     NonPositiveTime,
+    RoughFieldError,
     TailNotCovered,
     UnstableStep,
 )
-from roughdiff.fields import ExplicitField, make_field
+from roughdiff.fields import ExplicitField, make_field, mollify
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
 
@@ -293,7 +294,8 @@ class TestResolventPotential:
                                    n_samples=50_000)
 
     def test_mc_route_nonconstant_field(self):
-        # grouped Euler endpoints; coarse step keeps this a smoke check
+        # one Euler sweep over all samples; coarse step keeps this a smoke
+        # check
         field = make_field("smooth-sine", dim=1)
         U = kn.resolvent_potential("monte-carlo", sampling.dirac(np.zeros(1)),
                                    field=field, n_samples=100_000, seed=3,
@@ -315,6 +317,76 @@ class TestResolventPotential:
         assert back.route == "grid"
         xs = np.array([[0.3], [-1.2]])
         np.testing.assert_allclose(back(xs), U(xs), rtol=1e-12)
+
+
+class TestMonteCarloEuler:
+    """The monte-carlo route on non-constant fields: X_T by one Euler
+    sweep whose draws all come from the route's own stream."""
+
+    @staticmethod
+    def _mollified_checkerboard():
+        return mollify(make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0),
+                       0.1)
+
+    @staticmethod
+    def _mc(field, seed=4):
+        return kn.resolvent_potential(
+            "monte-carlo", sampling.dirac(np.zeros(1)), field=field,
+            n_samples=100_000, seed=seed, step=2.0 ** -3, t_cap=2.0)
+
+    def test_one_stream_in_its_own_namespace(self, monkeypatch):
+        calls = []
+        real = sampling.path_rng
+
+        def counting(seed, path_id, attempt=0):
+            calls.append((seed, path_id, attempt))
+            return real(seed, path_id, attempt)
+
+        monkeypatch.setattr(sampling, "path_rng", counting)
+        self._mc(self._mollified_checkerboard(), seed=4)
+        assert calls == [(4, 0, 1_000_003)]
+
+    def test_refuses_rough_field(self):
+        rough = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0)
+        with pytest.raises(RoughFieldError):
+            self._mc(rough)
+
+    def test_deterministic(self):
+        a = self._mc(self._mollified_checkerboard(), seed=9)
+        b = self._mc(self._mollified_checkerboard(), seed=9)
+        np.testing.assert_array_equal(a.values, b.values)
+
+    def test_each_sample_takes_its_step_count(self):
+        # constant a = 0.5 behind a mollifier takes the Euler route with
+        # zero drift, so X_T after m steps has variance 2 a m step exactly
+        a, step, n = 0.5, 2.0 ** -4, 100_000
+        field = mollify(make_field("constant-diagonal", values=[a]), 0.1)
+        T = np.minimum(sampling.path_rng(1, 0).exponential(size=n), 4.0)
+        x = kn._terminal_states(field, np.zeros((n, 1)), T, step,
+                                sampling.path_rng(1, 1))[:, 0]
+        m = np.maximum(1, np.round(T / step).astype(np.int64))
+        checked = 0
+        for k in np.unique(m):
+            xs = x[m == k]
+            if xs.shape[0] < 1000:
+                continue
+            want = 2.0 * a * k * step
+            se = want * np.sqrt(2.0 / (xs.shape[0] - 1))
+            assert abs(xs.var(ddof=1) - want) < 5.0 * se, k
+            checked += 1
+        assert checked >= 20
+
+    def test_matches_closed_form(self):
+        # U = (1 - a Laplacian)^-1 delta_0 = exp(-|x|/sqrt a) / (2 sqrt a)
+        a = 0.5
+        field = mollify(make_field("constant-diagonal", values=[a]), 0.1)
+        U = kn.resolvent_potential("monte-carlo", sampling.dirac(np.zeros(1)),
+                                   field=field, n_samples=200_000, seed=2,
+                                   step=2.0 ** -6, t_cap=16.0)
+        r = np.linspace(0.25, 1.5, 126)
+        xs = np.concatenate([-r[::-1], r])[:, None]
+        exact = np.exp(-np.abs(xs[:, 0]) / np.sqrt(a)) / (2.0 * np.sqrt(a))
+        assert np.max(np.abs(U(xs) - exact) / exact) < 0.07
 
 
 class TestLqNorm:
