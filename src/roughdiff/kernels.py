@@ -18,6 +18,7 @@ rough-coefficient summary of the field.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -42,6 +43,10 @@ from .fields import sqrt_matrix
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
 TAIL_T_MIN = 8.0
 MIN_KDE_SAMPLES = 100_000
+# rows per field evaluation in the Monte Carlo Euler sweep and in the
+# L^q quadrature; results do not depend on them, peak memory does
+EULER_ROW_BLOCK = 8192
+LQ_ROW_BLOCK = 128
 
 
 def _sqdist(x, y):
@@ -151,16 +156,8 @@ class GridKernel:
 
     def save(self, prefix):
         """Write <prefix>.csv (t, coordinates, value) and <prefix>.json."""
-        pts = self.points()
-        coord_names = ["x", "y"][: self.dim]
-        lines = ["t," + ",".join(coord_names) + ",value"]
-        for it, t in enumerate(self.times):
-            flat = self.values[it].ravel()
-            for p, v in zip(pts, flat):
-                coords = ",".join(repr(float(c)) for c in p)
-                lines.append(f"{float(t)!r},{coords},{float(v)!r}")
-        with open(f"{prefix}.csv", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_grid_csv(f"{prefix}.csv", self.axes,
+                        zip(self.times, self.values))
         meta = {
             "kind": "grid-kernel",
             "box": [[float(ax[0]), float(ax[-1])] for ax in self.axes],
@@ -173,6 +170,24 @@ class GridKernel:
         with open(f"{prefix}.json", "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
+
+
+def _write_grid_csv(path, axes, slices):
+    """Write a t,x[,y],value table: for each (t, values) slice, one row
+    per grid node in ij order, every float printed with repr.
+
+    Coordinates are formatted once per axis and values once per slice,
+    so the cost is a few string joins, not a Python loop per node.
+    """
+    cols = [list(map(repr, np.asarray(ax, dtype=float).tolist()))
+            for ax in axes]
+    coords = list(map(",".join, itertools.product(*cols)))
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(["x", "y"][: len(axes)]) + ",value\n")
+        for t, values in slices:
+            t = f"{float(t)!r},"
+            vals = map(repr, np.asarray(values, dtype=float).ravel().tolist())
+            fh.write("".join(f"{t}{c},{v}\n" for c, v in zip(coords, vals)))
 
 
 def _jsonable(obj):
@@ -421,15 +436,7 @@ class PotentialField:
         if self.axes is None:
             raise ValueError("only tabulated potentials serialize; "
                              "tabulate the closed form on a grid first")
-        coord_names = ["x", "y"][: self.dim]
-        lines = ["t," + ",".join(coord_names) + ",value"]
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        for p, v in zip(pts, self.values.ravel()):
-            coords = ",".join(repr(float(c)) for c in p)
-            lines.append(f"0.0,{coords},{float(v)!r}")
-        with open(f"{prefix}.csv", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_grid_csv(f"{prefix}.csv", self.axes, [(0.0, self.values)])
         meta = {
             "kind": "potential",
             "route": self.route,
@@ -575,7 +582,10 @@ def _terminal_states(field, x0, T, step, rng):
     x = x0[order]
     for n in n_active:
         xi = rng.standard_normal((n, field.dim))
-        x[:n] = _sampling.em_step(field, x[:n], xi, step)
+        # the draws stay one (n, d) block so the stream does not move
+        for i in range(0, n, EULER_ROW_BLOCK):
+            j = min(i + EULER_ROW_BLOCK, n)
+            x[i:j] = _sampling.em_step(field, x[i:j], xi[i:j], step)
     out = np.empty_like(x)
     out[order] = x
     return out
@@ -670,13 +680,18 @@ def potential_Lq_norm(U, q, box, h=0.01, envelope_M=4.0):
         raise InadmissibleExponent(
             f"q = {q} is outside the admissible range for d = {U.dim}")
     axes, _ = _axes_volumes(box, h, U.dim)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.maximum(U(pts), 0.0) ** q
-    vals = vals.reshape(tuple(a.shape[0] for a in axes))
-    for ax in reversed(axes):
-        vals = np.trapezoid(vals, ax, axis=-1)
-    box_value = float(vals)
+    head, rest = axes[0], axes[1:]
+    # each point and each row integral is computed as on the whole grid
+    block = LQ_ROW_BLOCK if rest else head.shape[0]
+    rows = []
+    for i in range(0, head.shape[0], block):
+        grids = np.meshgrid(head[i:i + block], *rest, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        vals = (np.maximum(U(pts), 0.0) ** q).reshape(grids[0].shape)
+        for ax in reversed(rest):
+            vals = np.trapezoid(vals, ax, axis=-1)
+        rows.append(vals)
+    box_value = float(np.trapezoid(np.concatenate(rows), head))
 
     R = float(min(min(abs(lo), abs(hi)) for lo, hi in
                   np.atleast_2d(np.asarray(box, dtype=float))))

@@ -1,9 +1,10 @@
-"""Golden SHA-256s of every report CSV the three demos write.
+"""Golden SHA-256s of every report CSV and artifact file the three demos
+write.
 
 The demos run in-process through ``run_scenario`` with their shipped
-configs.  A change that alters any report byte of a demo must say why and
-update the hash here.  CSV bytes hold floats printed with ``repr``, so the
-hashes also pin the NumPy build the suite runs with.
+configs.  A change that alters any report or artifact byte of a demo must
+say why and update the hash here.  CSV bytes hold floats printed with
+``repr``, so the hashes also pin the NumPy build the suite runs with.
 """
 
 import hashlib
@@ -48,6 +49,10 @@ GOLDEN = {
             "1a29537dcb4979bf40917ef85149ff184e2104d88baf0bd57a7f026f8ad4e0f5",
         "covariation.csv":
             "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
+        "kernel.csv":
+            "a4268565588d2701d2ba6bf9107fb470395ee0d6517287c1ae8debe19dd11c81",
+        "kernel.json":
+            "101d948deb63a0f2b26bd8a77b3b8858fc235cd6d1467e25638461d617af4757",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },
@@ -58,8 +63,11 @@ GOLDEN = {
 def test_demo_report_hashes(demo, tmp_path):
     manifest = run_scenario(os.path.join(DEMOS, f"{demo}.json"),
                             out_dir=tmp_path)
+    files = list(manifest.reports.values())
+    for names in manifest.artifacts.values():
+        files.extend(names)
     got = {}
-    for fname in manifest.reports.values():
+    for fname in files:
         with open(tmp_path / fname, "rb") as fh:
             got[fname] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[demo]

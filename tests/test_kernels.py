@@ -55,6 +55,26 @@ def closed_potential():
     return kn.resolvent_potential("closed-form", sampling.dirac(np.zeros(1)))
 
 
+@pytest.fixture(scope="module")
+def kde_2d():
+    field = make_field("constant-diagonal", values=[0.1, 0.05])
+    return kn.resolvent_potential("monte-carlo", sampling.dirac(np.zeros(2)),
+                                  field=field, n_samples=100_000, seed=5)
+
+
+def per_node_table(axes, slices):
+    """Reference bytes of a t,x[,y],value table, one Python step per
+    node; slices holds (t column string, values) pairs."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    lines = ["t," + ",".join(["x", "y"][: len(axes)]) + ",value"]
+    for t, values in slices:
+        for p, v in zip(pts, values.ravel()):
+            coords = ",".join(repr(float(c)) for c in p)
+            lines.append(f"{t},{coords},{float(v)!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestEnvelopes:
     def test_gaussian_ref_frozen(self):
         assert kn.gaussian_ref(1.0, 1, 1.0, [0.0], [0.0]) == 1.0
@@ -235,6 +255,28 @@ class TestGridKernelIO:
             assert fh.readline().strip() == "t,x,y,value"
 
 
+class TestTableBytes:
+    """Kernel and potential tables keep the bytes of a per-node writer."""
+
+    def test_2d_two_time_kernel(self, tmp_path):
+        field = make_field("constant-diagonal", values=[2.0, 0.5])
+        k = kn.solve_kernel_pde(field, [0.0, 0.0], (-2.0, 2.0), 0.25,
+                                times=[0.2, 0.35], dt=1e-2)
+        prefix = str(tmp_path / "kern2")
+        k.save(prefix)
+        want = per_node_table(k.axes, [(repr(float(t)), v)
+                                       for t, v in zip(k.times, k.values)])
+        with open(prefix + ".csv", "rb") as fh:
+            assert fh.read() == want
+
+    def test_2d_kde_potential(self, tmp_path, kde_2d):
+        prefix = str(tmp_path / "pot2")
+        kde_2d.save(prefix)
+        want = per_node_table(kde_2d.axes, [("0.0", kde_2d.values)])
+        with open(prefix + ".csv", "rb") as fh:
+            assert fh.read() == want
+
+
 class TestResolventPotential:
     def test_closed_form_frozen(self, closed_potential):
         assert closed_potential(np.zeros(1)) == 0.5
@@ -376,6 +418,18 @@ class TestMonteCarloEuler:
             checked += 1
         assert checked >= 20
 
+    def test_row_blocks_do_not_change_states(self, monkeypatch):
+        field = mollify(make_field("checkerboard", dim=2, lo=0.5, hi=2.0,
+                                   cell=1.0), 0.1)
+        n, step = 500, 2.0 ** -4
+        T = np.minimum(sampling.path_rng(3, 0).exponential(size=n), 4.0)
+        runs = []
+        for block in (7, n + 1):
+            monkeypatch.setattr(kn, "EULER_ROW_BLOCK", block)
+            runs.append(kn._terminal_states(field, np.zeros((n, 2)), T,
+                                            step, sampling.path_rng(3, 1)))
+        np.testing.assert_array_equal(runs[0], runs[1])
+
     def test_matches_closed_form(self):
         # U = (1 - a Laplacian)^-1 delta_0 = exp(-|x|/sqrt a) / (2 sqrt a)
         a = 0.5
@@ -396,6 +450,15 @@ class TestLqNorm:
         np.testing.assert_allclose(res.value, 0.25, rtol=0.02)
         assert res.tail_estimate < 1e-4
         np.testing.assert_allclose(res.total, 0.25, rtol=0.02)
+
+    def test_2d_row_blocks_do_not_change_value(self, monkeypatch, kde_2d):
+        # 7 does not divide the 401 rows; 402 takes them in one block
+        values = []
+        for block in (7, 402):
+            monkeypatch.setattr(kn, "LQ_ROW_BLOCK", block)
+            values.append(kn.potential_Lq_norm(kde_2d, 2.0, (-10.0, 10.0),
+                                               h=0.05).value)
+        assert values[0] == values[1] > 0.0
 
     def test_q_one_inadmissible(self, closed_potential):
         with pytest.raises(InadmissibleExponent):
