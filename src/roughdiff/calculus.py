@@ -7,19 +7,15 @@ axes; the time axis must hold 2^n + 1 dyadic samples.
 
 The quadratic-variation calibration: for the coordinate of a process with
 generator div(a grad) under a = Id, QV along dyadic grids converges to 2 S.
-The energy bracket used for comparisons therefore carries the matching
-factor, bracket = integral of 2 (grad F)^T a (grad F) (X_s) ds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, LengthMismatch, NoHessian, SingularHit
-from . import sampling as _sampling
-from .testfunctions import component_function
+from .errors import LengthMismatch
 
 
 def kahan_sum(terms, axis=-1):
@@ -106,91 +102,6 @@ def trapezoid_sum(grad_values, x_values):
     return kahan_sum(terms)
 
 
-def _check_singular(F, states):
-    """Raise SingularHit on exact hits where the gradient is undefined."""
-    if not F.grad_singular or not F.singular_points:
-        return
-    flat = states.reshape(-1, states.shape[-1])
-    for p in F.singular_points:
-        if np.any(np.all(flat == np.asarray(p), axis=-1)):
-            raise SingularHit(
-                f"a path state coincides with the singular point {p}")
-
-
-def ito_residual(F, states):
-    """Change-of-variable residual on one dyadic grid.
-
-    R = F(X_S) - F(X_0) - forward_sum - (1/2) sum_k covariation(f_k, X^k),
-    with f_k the k-th gradient component.  states: (..., 2^n + 1, d).
-    Exact hits of states on points where the gradient of F is undefined
-    raise SingularHit; non-finite gradient values do too.
-    """
-    states = np.asarray(states, dtype=float)
-    _check_dyadic(states.shape[-2], "states")
-    _check_singular(F, states)
-    g = F.gradient(states)
-    if not np.isfinite(g).all():
-        raise SingularHit(f"gradient of {F.name} not finite along the path")
-    total = F.value(states[..., -1, :]) - F.value(states[..., 0, :])
-    fwd = forward_sum(g, states)
-    halfcov = 0.0
-    for k in range(states.shape[-1]):
-        halfcov = halfcov + 0.5 * covariation(g[..., k],
-                                              states[..., k]).value
-    return total - fwd - halfcov
-
-
-def energy_bracket(path_or_states, F, field, fine_step=None):
-    """Left-Riemann integral of 2 (grad F)^T a (grad F) along the fine grid.
-
-    Accepts a Path or a raw states array (..., T, d) plus its fine step.
-    The factor 2 calibrates the bracket to dyadic quadratic variation:
-    under a = Id the coordinate QV tends to 2 S.
-    """
-    if isinstance(path_or_states, _sampling.Path):
-        states = path_or_states.states
-        fine_step = path_or_states.fine_step
-    else:
-        states = np.asarray(path_or_states, dtype=float)
-        if fine_step is None:
-            raise ValueError("fine_step required when passing raw states")
-    left = states[..., :-1, :]
-    g = F.gradient(left)
-    flat = left.reshape(-1, left.shape[-1])
-    a = field._matrix_many(flat).reshape(left.shape + (left.shape[-1],))
-    quad = np.einsum("...i,...ij,...j->...", g, a, g)
-    return kahan_sum((2.0 * fine_step) * quad)
-
-
-# ---------------------------------------------------------------- reports
-
-@dataclass
-class ConvergenceRow:
-    n: int
-    mean: float
-    stderr: float
-    count: int
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-order Monte Carlo summary of one dyadic functional."""
-
-    functional: str
-    rows: list = dc_field(default_factory=list)
-    note: str = ""
-    meta: dict = dc_field(default_factory=dict)
-
-    def means(self):
-        return np.array([r.mean for r in self.rows])
-
-    def stderrs(self):
-        return np.array([r.stderr for r in self.rows])
-
-    def orders(self):
-        return np.array([r.n for r in self.rows])
-
-
 def mean_stderr(values):
     """Compensated mean and standard error of a 1-d sample."""
     v = np.asarray(values, dtype=float)
@@ -200,152 +111,3 @@ def mean_stderr(values):
         return float(m), 0.0
     var = kahan_sum((v - m) ** 2) / (n - 1)
     return float(m), float(np.sqrt(var / n))
-
-
-def report_from_samples(functional, per_order_values, note="", meta=None):
-    """Build a ConvergenceReport from {order: per-path values}."""
-    rows = []
-    for n in sorted(per_order_values):
-        m, se = mean_stderr(per_order_values[n])
-        rows.append(ConvergenceRow(n=n, mean=m, stderr=se,
-                                   count=len(per_order_values[n])))
-    return ConvergenceReport(functional=functional, rows=rows, note=note,
-                             meta=dict(meta or {}))
-
-
-L1_NOTE = ("means are Monte Carlo L^1-style statistics; bounded values are "
-           "evidence consistent with in-probability convergence, not a proof")
-
-
-def qv_convergence_check(F, field, paths, n_range):
-    """Mean |QV_n(F(X)) - bracket| per dyadic order over a path sample.
-
-    ``paths`` is an iterable of Path objects whose fine grids refine every
-    D_n requested.
-    """
-    orders = sorted(n_range)
-    acc = {n: [] for n in orders}
-    for p in paths:
-        bracket = energy_bracket(p, F, field)
-        for n in orders:
-            vals = F.value(_sampling.restrict_to_dyadic(
-                p, _sampling.dyadic_grid(p.horizon, n)))
-            acc[n].append(abs(float(quadratic_variation(vals)) - bracket))
-    return report_from_samples("qv_vs_bracket", acc, note=L1_NOTE)
-
-
-# ---------------------------------------------------------------- bound checks
-
-@dataclass
-class BoundCheckReport:
-    """Ratio of a Monte Carlo functional to its integrability bound."""
-
-    functional: str
-    rows: list
-    denominator: float
-    passed: bool
-    note: str = ""
-
-    def ratios(self):
-        return np.array([r.mean for r in self.rows])
-
-
-def _no_growth(rows, window=3):
-    """True iff the last ``window`` rows show no growth beyond 3 stderr."""
-    tail = rows[-window:]
-    for a, b in zip(tail, tail[1:]):
-        slack = 3.0 * float(np.hypot(a.stderr, b.stderr))
-        if b.mean > a.mean + slack:
-            return False
-    return True
-
-
-def _condition_value(kind, F, potential, box, quad_h):
-    from . import integrability
-    if kind == 1:
-        res = integrability.check_condition_1(F, potential, box, quad_h)
-    else:
-        res = integrability.check_condition_2(F, potential, box, quad_h)
-    return res
-
-
-def prop1_bound_check(F, law, paths, potential, n_range, box, quad_h):
-    """E sum (delta F(X))^2 against the weighted gradient integral.
-
-    Ratio rows are numerator_n / int |grad F|^2 U; the check passes when
-    the ratio does not grow across the top three orders beyond 3 stderr.
-    Raises ConditionViolated when the integral diverges.
-    """
-    cond = _condition_value(1, F, potential, box, quad_h)
-    if not cond.finite:
-        raise ConditionViolated(
-            "int |grad F|^2 U is divergent; the bound has no content")
-    denom = cond.value
-    orders = sorted(n_range)
-    acc = {n: [] for n in orders}
-    for p in paths:
-        for n in orders:
-            vals = F.value(_sampling.restrict_to_dyadic(
-                p, _sampling.dyadic_grid(p.horizon, n)))
-            acc[n].append(float(quadratic_variation(vals)))
-    rows = []
-    for n in orders:
-        m, se = mean_stderr(np.asarray(acc[n]) / denom)
-        rows.append(ConvergenceRow(n=n, mean=m, stderr=se, count=len(acc[n])))
-    return BoundCheckReport(functional="prop1_ratio", rows=rows,
-                            denominator=denom, passed=_no_growth(rows),
-                            note=L1_NOTE)
-
-
-def cov_l1_bound_check(F, k, paths, potential, n_range, box, quad_h):
-    """E sum |delta f_k delta X^k| against (int |grad f_k|^2 U)^(1/2)."""
-    fk = component_function(F, k)
-    cond = _condition_value(1, fk, potential, box, quad_h)
-    if not cond.finite:
-        raise ConditionViolated(
-            "int |grad f_k|^2 U is divergent; the bound has no content")
-    denom = float(np.sqrt(cond.value))
-    orders = sorted(n_range)
-    acc = {n: [] for n in orders}
-    for p in paths:
-        for n in orders:
-            states = _sampling.restrict_to_dyadic(
-                p, _sampling.dyadic_grid(p.horizon, n))
-            acc[n].append(float(covariation(fk.value(states),
-                                            states[..., k]).abs_value))
-    rows = []
-    for n in orders:
-        m, se = mean_stderr(np.asarray(acc[n]) / denom)
-        rows.append(ConvergenceRow(n=n, mean=m, stderr=se, count=len(acc[n])))
-    return BoundCheckReport(functional="prop2_ratio", rows=rows,
-                            denominator=denom, passed=_no_growth(rows),
-                            note=L1_NOTE)
-
-
-def taylor_l1_bound_check(F, paths, potential, n_range, box, quad_h):
-    """E sum |F(X_{i+1}) - F(X_i) - grad F(X_i) . dX| against the
-    entrywise hessian bound  sum_{k,l} (int f_kl^2 U)^(1/2)."""
-    if F.hessian is None:
-        raise NoHessian(f"{F.name} has no second derivatives")
-    cond = _condition_value(2, F, potential, box, quad_h)
-    if not cond.finite:
-        raise ConditionViolated(
-            "a hessian-entry integral diverges; the bound has no content")
-    denom = float(np.sqrt(cond.entry_values).sum())
-    orders = sorted(n_range)
-    acc = {n: [] for n in orders}
-    for p in paths:
-        for n in orders:
-            states = _sampling.restrict_to_dyadic(
-                p, _sampling.dyadic_grid(p.horizon, n))
-            dx = np.diff(states, axis=-2)
-            rem = (F.value(states[1:]) - F.value(states[:-1])
-                   - (F.gradient(states[:-1]) * dx).sum(axis=-1))
-            acc[n].append(float(kahan_sum(np.abs(rem))))
-    rows = []
-    for n in orders:
-        m, se = mean_stderr(np.asarray(acc[n]) / denom)
-        rows.append(ConvergenceRow(n=n, mean=m, stderr=se, count=len(acc[n])))
-    return BoundCheckReport(functional="prop3_ratio", rows=rows,
-                            denominator=denom, passed=_no_growth(rows),
-                            note=L1_NOTE)

@@ -67,10 +67,6 @@ class OrderTooLarge(Error):
     """Dyadic order beyond the exactly representable range."""
 
 
-class GridFinerThanPath(Error):
-    """Restriction target grid is finer than the simulated path grid."""
-
-
 # ---------------------------------------------------------------- test functions
 
 class UnknownName(Error):

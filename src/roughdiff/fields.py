@@ -322,20 +322,28 @@ def mollify(field, eps):
 def make_field(name, **params):
     """Catalog constructor.
 
-    Known names: "identity", "constant-diagonal", "checkerboard",
-    "smooth-sine".  Raises UnknownName otherwise.
+    Known names: "identity" (dim), "constant-diagonal" (values),
+    "checkerboard" (lo, hi, cell, dim) and "smooth-sine" (dim); ``dim``
+    defaults to 1.  Every entry takes ``mollify``, a radius that smooths
+    the field (see :func:`mollify`).  Parameters are coerced to their
+    types here.  Raises UnknownName for other names and KeyError for a
+    missing required parameter.
     """
     if name == "identity":
-        return IdentityField(dim=params.get("dim", 1))
-    if name == "constant-diagonal":
-        return ConstantDiagonalField(params["values"])
-    if name == "checkerboard":
-        return CheckerboardField(
-            lo=params["lo"], hi=params["hi"],
-            cell=params.get("cell", 1.0), dim=params.get("dim", 1))
-    if name == "smooth-sine":
-        return SmoothSineField(dim=params.get("dim", 2))
-    raise UnknownName(f"no coefficient field named {name!r}")
+        f = IdentityField(dim=int(params.get("dim", 1)))
+    elif name == "constant-diagonal":
+        f = ConstantDiagonalField([float(v) for v in params["values"]])
+    elif name == "checkerboard":
+        f = CheckerboardField(
+            lo=float(params["lo"]), hi=float(params["hi"]),
+            cell=float(params.get("cell", 1.0)),
+            dim=int(params.get("dim", 1)))
+    elif name == "smooth-sine":
+        f = SmoothSineField(dim=int(params.get("dim", 1)))
+    else:
+        raise UnknownName(f"no coefficient field named {name!r}")
+    eps = params.get("mollify")
+    return f if eps is None else mollify(f, float(eps))
 
 
 # ---------------------------------------------------------------- operations

@@ -23,9 +23,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
-from scipy.special import k0
+# scipy is imported inside the functions that use it: most runs never
+# solve the kernel PDE, and loading it would add to every start-up
 
 from .errors import (
     EmptyCandidates,
@@ -235,6 +234,8 @@ def tabulate_kernel(fn, box, h, times, x0, dim=1, meta=None):
 
 def _assemble_operator(field, axes, vols, h):
     """Sparse A with (A p)_m = (1/vol_m) sum of face fluxes into node m."""
+    from scipy import sparse
+
     dim = len(axes)
     shape = tuple(ax.shape[0] for ax in axes)
     n_total = int(np.prod(shape))
@@ -282,6 +283,9 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     Output times snap to the nearest multiple of dt; the snapped values
     are what the returned GridKernel stores.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     if field.dim not in (1, 2):
         raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
     if not field.is_diagonal:
@@ -650,6 +654,8 @@ def lq_admissible(q, dim):
 def _envelope_potential(r, M, dim):
     """Pointwise upper bound on U nu(x) at distance r from the start,
     from the upper Gaussian envelope integrated against e^(-s)."""
+    from scipy.special import k0
+
     r = np.asarray(r, dtype=float)
     if dim == 1:
         return M * np.sqrt(np.pi) * np.exp(-2.0 * r / np.sqrt(M))

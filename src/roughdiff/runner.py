@@ -17,7 +17,9 @@ emitted CSVs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -31,17 +33,11 @@ from . import calculus, fields, integrability, kernels, sampling, testfunctions
 from .errors import (
     ConditionViolated,
     ConfigError,
+    Error,
     MissingReport,
     SingularHit,
     UnknownName,
 )
-
-PATH_SWEEPS = ("qv", "covariation", "forward", "trapezoid", "ito_residual",
-               "prop1", "prop2", "prop3")
-SWEEPS = PATH_SWEEPS + ("aronson", "potential")
-GRADIENT_GATED = frozenset(
-    ("qv", "covariation", "forward", "trapezoid", "prop1", "prop2"))
-HESSIAN_GATED = frozenset(("ito_residual", "prop3"))
 
 MAX_ATTEMPTS = 8
 BATCH_PATHS = 256
@@ -53,6 +49,145 @@ _TOP_KEYS = frozenset((
     "name", "field", "function", "law", "horizon", "orders", "n_paths",
     "scheme", "scheme_params", "fine_margin", "seed", "sweeps",
     "allow_unverified", "box", "quad_h", "potential", "kernel", "out_dir"))
+
+
+# ---------------------------------------------------------------- sweep table
+
+@dataclass(frozen=True)
+class PathSweep:
+    """One path sweep.  ``functional`` and ``denom`` hold ``{k}`` when the
+    sweep reports one functional per axis k.  ``value(p, k)`` reads the
+    ``needs`` pieces of one dyadic grid from ``p``; the result is divided
+    by the gate_scenario denominator ``denom`` if there is one.  ``gate``
+    is the integrability condition (1 or 2) the sweep relies on, and
+    ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
+    "no-growth" (see _no_growth)."""
+
+    name: str
+    functional: str
+    needs: tuple
+    gate: int
+    denom: str | None
+    verdict: str
+    value: object
+
+
+def _covariations(p):
+    return [calculus.covariation(p["g"][..., k], p["s"][..., k])
+            for k in range(p["s"].shape[-1])]
+
+
+def _half_covariation(p):
+    covs = p["covs"]
+    half = 0.5 * covs[0].value
+    for c in covs[1:]:
+        half = half + 0.5 * c.value
+    return half
+
+
+# shared pieces in dependency order ("halfcov" reads "covs"); the calculus
+# primitives are looked up at call time so wrappers patched into the
+# module see every call
+_PIECES = (
+    ("qv", lambda p: calculus.quadratic_variation(p["v"])),
+    ("covs", _covariations),
+    ("fwd", lambda p: calculus.forward_sum(p["g"], p["s"])),
+    ("halfcov", _half_covariation),
+)
+
+
+def _covariation_total(p, k):
+    covs = p["covs"]
+    total = covs[0].value + 0.0
+    for c in covs[1:]:
+        total = total + c.value
+    return total
+
+
+def _ito_residual(p, k):
+    """|R_n|, R_n = F(X_S) - F(X_0) - forward sum - half covariation."""
+    v = p["v"]
+    return np.abs((v[:, -1] - v[:, 0]) - p["fwd"] - p["halfcov"])
+
+
+def _taylor_remainder(p, k):
+    """sum_i |F(X_{i+1}) - F(X_i) - grad F(X_i) . dX_i|."""
+    s, v, g = p["s"], p["v"], p["g"]
+    dx = np.diff(s, axis=-2)
+    rem = v[:, 1:] - v[:, :-1] - (g[:, :-1, :] * dx).sum(axis=-1)
+    return calculus.kahan_sum(np.abs(rem))
+
+
+SWEEP_TABLE = {row.name: row for row in (
+    #         name            functional          needs
+    #         gate  denom         verdict      value
+    PathSweep("qv",           "qv",               ("qv",),
+              1,    None,         "report",    lambda p, k: p["qv"]),
+    PathSweep("covariation",  "covariation",      ("covs",),
+              1,    None,         "report",    _covariation_total),
+    PathSweep("forward",      "forward",          ("fwd",),
+              1,    None,         "report",    lambda p, k: p["fwd"]),
+    PathSweep("trapezoid",    "trapezoid",        ("covs", "fwd", "halfcov"),
+              1,    None,         "trapezoid",
+              lambda p, k: calculus.trapezoid_sum(p["g"], p["s"])),
+    PathSweep("ito_residual", "ito_residual_abs", ("covs", "fwd", "halfcov"),
+              2,    None,         "report",    _ito_residual),
+    PathSweep("prop1",        "prop1_ratio",      ("qv",),
+              1,    "prop1",      "no-growth", lambda p, k: p["qv"]),
+    PathSweep("prop2",        "prop2_ratio_k{k}", ("covs",),
+              1,    "prop2_k{k}", "no-growth",
+              lambda p, k: p["covs"][k].abs_value),
+    PathSweep("prop3",        "prop3_ratio",      (),
+              2,    "prop3",      "no-growth", _taylor_remainder),
+)}
+
+PATH_SWEEPS = tuple(SWEEP_TABLE)
+SWEEPS = PATH_SWEEPS + ("aronson", "potential")
+GRADIENT_GATED = frozenset(s for s, row in SWEEP_TABLE.items()
+                           if row.gate == 1)
+HESSIAN_GATED = frozenset(s for s, row in SWEEP_TABLE.items()
+                          if row.gate == 2)
+RATIO_SWEEPS = frozenset(s for s, row in SWEEP_TABLE.items() if row.denom)
+
+
+def grid_values(rows, states, values, grads, denoms):
+    """Per-path values of the rows' functionals on one dyadic grid.
+
+    states: (B, 2^n + 1, d); values and grads: F and grad F at those
+    states.  Every shared piece the rows need is computed once.  Returns
+    ({(sweep, functional): (B,) array}, gap), where gap is the largest
+    relative distance of the trapezoid sum from forward + half covariation
+    (0.0 without a trapezoid row).
+    """
+    p = {"s": states, "v": values, "g": grads}
+    needs = {piece for row in rows for piece in row.needs}
+    for piece, compute in _PIECES:
+        if piece in needs:
+            p[piece] = compute(p)
+    out = {}
+    gap = 0.0
+    for row in rows:
+        per_axis = "{k}" in row.functional
+        for k in range(states.shape[-1]) if per_axis else [None]:
+            val = row.value(p, k)
+            if row.denom:
+                val = val / denoms[row.denom.format(k=k)]
+            out[(row.name, row.functional.format(k=k))] = val
+        if row.verdict == "trapezoid":
+            rel = np.abs(val - p["fwd"] - p["halfcov"])
+            rel /= np.maximum(1.0, np.abs(val))
+            gap = float(rel.max())
+    return out, gap
+
+
+def _no_growth(rows, window=3):
+    """True iff the last ``window`` report rows (functional, n, mean,
+    stderr, count), in increasing n, show no growth beyond 3 stderr."""
+    tail = rows[-window:]
+    for (_, _, m0, se0, _), (_, _, m1, se1, _) in zip(tail, tail[1:]):
+        if m1 > m0 + 3.0 * float(np.hypot(se0, se1)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- canonical
@@ -86,59 +221,34 @@ def scenario_hash(spec):
 
 # ---------------------------------------------------------------- builders
 
-def _build_field(cfg):
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ConfigError("field: a section with a 'name' key is required")
-    name = cfg["name"]
+@contextlib.contextmanager
+def _section(key, name):
+    """Turn a constructor failure inside the block into a ConfigError
+    naming the config section ``key`` (``name`` is the catalog entry)."""
     try:
-        if name == "identity":
-            f = fields.make_field("identity", dim=int(cfg.get("dim", 1)))
-        elif name == "constant-diagonal":
-            f = fields.make_field("constant-diagonal",
-                                  values=[float(v) for v in cfg["values"]])
-        elif name == "checkerboard":
-            f = fields.make_field("checkerboard", lo=float(cfg["lo"]),
-                                  hi=float(cfg["hi"]),
-                                  cell=float(cfg.get("cell", 1.0)),
-                                  dim=int(cfg.get("dim", 1)))
-        elif name == "smooth-sine":
-            f = fields.make_field("smooth-sine", dim=int(cfg.get("dim", 1)))
-        else:
-            raise UnknownName(name)
-    except UnknownName:
-        raise ConfigError(f"field.name: no coefficient field named {name!r}")
+        yield
+    except UnknownName as exc:
+        raise ConfigError(f"{key}.name: {exc}")
     except KeyError as exc:
-        raise ConfigError(f"field.{exc.args[0]}: required for {name!r}")
-    eps = cfg.get("mollify")
-    if eps is not None:
-        f = fields.mollify(f, float(eps))
-    return f
+        raise ConfigError(f"{key}.{exc.args[0]}: required for {name!r}")
+    except (Error, ValueError, TypeError) as exc:
+        raise ConfigError(f"{key}: {exc}")
 
 
-def _build_function(cfg):
+def _build(key, cfg, make):
+    """Catalog entry ``make(name, **params)`` from a config section."""
     if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ConfigError("function: a section with a 'name' key is required")
-    name = cfg["name"]
-    params = {}
-    if "c" in cfg:
-        params["c"] = [float(v) for v in cfg["c"]]
-    if "alpha" in cfg:
-        params["alpha"] = float(cfg["alpha"])
-    if "dim" in cfg:
-        params["dim"] = int(cfg["dim"])
-    try:
-        return testfunctions.make_test_function(name, **params)
-    except UnknownName:
-        raise ConfigError(f"function.name: no test function named {name!r}")
-    except KeyError as exc:
-        raise ConfigError(f"function.{exc.args[0]}: required for {name!r}")
+        raise ConfigError(f"{key}: a section with a 'name' key is required")
+    params = {k: v for k, v in cfg.items() if k != "name"}
+    with _section(key, cfg["name"]):
+        return make(cfg["name"], **params)
 
 
 def _build_law(cfg):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("law: a section with a 'kind' key is required")
     kind = cfg["kind"]
-    try:
+    with _section("law", kind):
         if kind == "dirac":
             return sampling.dirac([float(v) for v in cfg["point"]])
         if kind == "mixture":
@@ -152,8 +262,6 @@ def _build_law(cfg):
             return sampling.grid_density(
                 [np.asarray(e, dtype=float) for e in edges],
                 np.asarray(cfg["values"], dtype=float))
-    except KeyError as exc:
-        raise ConfigError(f"law.{exc.args[0]}: required for {kind!r}")
     raise ConfigError(f"law.kind: unknown initial law kind {kind!r}")
 
 
@@ -245,7 +353,12 @@ def load_scenario(config, out_dir=None, seed_override=None):
     horizon = float(raw.get("horizon", 1.0))
     if horizon <= 0:
         raise ConfigError("horizon: must be > 0")
-    orders = [int(n) for n in raw.get("orders", [4, 6, 8])]
+    orders = raw.get("orders", [4, 6, 8])
+    if not isinstance(orders, (list, tuple)) or not all(
+            isinstance(n, (int, float)) and float(n).is_integer()
+            for n in orders):
+        raise ConfigError("orders: every order must be an integer")
+    orders = [int(n) for n in orders]
     if orders != sorted(set(orders)):
         raise ConfigError("orders: must be strictly increasing")
     if orders and not (0 <= orders[0] and orders[-1] <= sampling.MAX_ORDER):
@@ -271,8 +384,10 @@ def load_scenario(config, out_dir=None, seed_override=None):
     if seed < 0:
         raise ConfigError("seed: must be nonnegative")
 
-    field = _build_field(raw["field"])
-    F = _build_function(raw["function"]) if raw.get("function") else None
+    field = _build("field", raw["field"], fields.make_field)
+    F = (_build("function", raw["function"],
+                testfunctions.make_test_function)
+         if raw.get("function") else None)
     law = _build_law(raw["law"]) if raw.get("law") else None
     if needs_paths:
         if F is None:
@@ -305,6 +420,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
         raise ConfigError("kernel: section is required for the aronson sweep")
 
     potential_cfg = raw.get("potential")
+    if potential_cfg is not None and not isinstance(potential_cfg, dict):
+        raise ConfigError("potential: must be an object with a 'route' key")
     if potential_cfg is None:
         if (law is not None and law.kind == "dirac" and field.dim == 1
                 and raw["field"].get("name") == "identity"):
@@ -408,12 +525,12 @@ def gate_scenario(scn):
     denoms = {}
     if not (need1 or need2):
         return conditions, denoms, None
-    if scn.allow_unverified and not (sweeps & {"prop1", "prop2", "prop3"}):
+    if scn.allow_unverified and not (sweeps & RATIO_SWEEPS):
         return {"skipped": "allow_unverified"}, denoms, None
 
     U = resolve_potential(scn)
     box, h = scn.box, scn.quad_h
-    if need1 or "prop1" in sweeps:
+    if need1:
         c1 = integrability.check_condition_1(scn.F, U, box, h)
         conditions["condition_1"] = _ladder_payload(c1)
         if not c1.finite:
@@ -499,36 +616,12 @@ def evaluate_chunk(scn, start, stop, denoms):
     Returns {"values": {(sweep, functional, n): array}, "resamples": int,
     "trap_violation": float}.  Arrays are indexed by path_id - start.
     """
-    sweeps = [s for s in scn.sweeps if s in PATH_SWEEPS]
+    rows = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
     orders = scn.orders
     n_top = max(orders)
     stride = round(scn.horizon / scn.fine_step) // 2 ** n_top
-    F, d = scn.F, scn.field.dim
-
-    need_qv = {"qv", "prop1"} & set(sweeps)
-    need_cov = {"covariation", "trapezoid", "ito_residual", "prop2"} & set(
-        sweeps)
-    need_fwd = {"forward", "trapezoid", "ito_residual"} & set(sweeps)
-
-    keys = []
-    for n in orders:
-        if "qv" in sweeps:
-            keys.append(("qv", "qv", n))
-        if "covariation" in sweeps:
-            keys.append(("covariation", "covariation", n))
-        if "forward" in sweeps:
-            keys.append(("forward", "forward", n))
-        if "trapezoid" in sweeps:
-            keys.append(("trapezoid", "trapezoid", n))
-        if "ito_residual" in sweeps:
-            keys.append(("ito_residual", "ito_residual_abs", n))
-        if "prop1" in sweeps:
-            keys.append(("prop1", "prop1_ratio", n))
-        if "prop2" in sweeps:
-            keys.extend(("prop2", f"prop2_ratio_k{k}", n) for k in range(d))
-        if "prop3" in sweeps:
-            keys.append(("prop3", "prop3_ratio", n))
-    values = {key: np.empty(stop - start) for key in keys}
+    F = scn.F
+    values = {}
     resamples = 0
     trap_violation = 0.0
 
@@ -542,49 +635,12 @@ def evaluate_chunk(scn, start, stop, denoms):
         g = F.gradient(states)
         for n in orders:
             step = 2 ** (n_top - n)
-            s_n = states[:, ::step, :]
-            v_n = Fv[:, ::step]
-            g_n = g[:, ::step, :]
-            qv = calculus.quadratic_variation(v_n) if need_qv else None
-            covs = ([calculus.covariation(g_n[..., k], s_n[..., k])
-                     for k in range(d)] if need_cov else None)
-            fwd = calculus.forward_sum(g_n, s_n) if need_fwd else None
-            if "qv" in sweeps:
-                values[("qv", "qv", n)][sl] = qv
-            if "prop1" in sweeps:
-                values[("prop1", "prop1_ratio", n)][sl] = (
-                    qv / denoms["prop1"])
-            if "covariation" in sweeps:
-                total = covs[0].value + 0.0
-                for c in covs[1:]:
-                    total = total + c.value
-                values[("covariation", "covariation", n)][sl] = total
-            if "forward" in sweeps:
-                values[("forward", "forward", n)][sl] = fwd
-            if "prop2" in sweeps:
-                for k in range(d):
-                    values[("prop2", f"prop2_ratio_k{k}", n)][sl] = (
-                        covs[k].abs_value / denoms[f"prop2_k{k}"])
-            if "trapezoid" in sweeps or "ito_residual" in sweeps:
-                halfcov = 0.5 * covs[0].value
-                for c in covs[1:]:
-                    halfcov = halfcov + 0.5 * c.value
-            if "trapezoid" in sweeps:
-                trap = calculus.trapezoid_sum(g_n, s_n)
-                values[("trapezoid", "trapezoid", n)][sl] = trap
-                gap = np.abs(trap - fwd - halfcov)
-                gap /= np.maximum(1.0, np.abs(trap))
-                trap_violation = max(trap_violation, float(gap.max()))
-            if "ito_residual" in sweeps:
-                R = (v_n[:, -1] - v_n[:, 0]) - fwd - halfcov
-                values[("ito_residual", "ito_residual_abs", n)][sl] = (
-                    np.abs(R))
-            if "prop3" in sweeps:
-                dx = np.diff(s_n, axis=-2)
-                rem = (v_n[:, 1:] - v_n[:, :-1]
-                       - (g_n[:, :-1, :] * dx).sum(axis=-1))
-                values[("prop3", "prop3_ratio", n)][sl] = (
-                    calculus.kahan_sum(np.abs(rem)) / denoms["prop3"])
+            got, gap = grid_values(rows, states[:, ::step, :], Fv[:, ::step],
+                                   g[:, ::step, :], denoms)
+            for (sweep, functional), arr in got.items():
+                values.setdefault((sweep, functional, n),
+                                  np.empty(stop - start))[sl] = arr
+            trap_violation = max(trap_violation, gap)
     return {"values": values, "resamples": resamples,
             "trap_violation": trap_violation}
 
@@ -666,7 +722,7 @@ def read_report_csv(path):
 
 # ---------------------------------------------------------------- sweeps
 
-def _run_aronson(scn, incidents):
+def _run_aronson(scn, U, incidents):
     kcfg = scn.spec["kernel"]
     for key in ("box", "h", "dt", "times", "candidates"):
         if key not in kcfg:
@@ -715,39 +771,30 @@ def _run_potential(scn, U, incidents):
     return rows, verdict, artifacts
 
 
-def _path_sweep_reports(scn, chunks, denoms):
-    """Reduce chunk values into per-sweep CSV rows and verdicts."""
-    sweeps = [s for s in scn.sweeps if s in PATH_SWEEPS]
-    merged = {}
-    for key in chunks[0]["values"]:
-        merged[key] = np.concatenate([c["values"][key] for c in chunks])
-    trap_violation = max(c["trap_violation"] for c in chunks)
+_KERNEL_SWEEPS = {"aronson": _run_aronson, "potential": _run_potential}
 
-    per_sweep_rows = {s: [] for s in sweeps}
-    prop_rows = {}
-    for (sweep, functional, n), arr in merged.items():
+
+def _path_sweep_reports(scn, chunks):
+    """Reduce chunk values into (CSV rows, verdict, artifacts) per sweep."""
+    trap_violation = max(c["trap_violation"] for c in chunks)
+    rows = {s: [] for s in scn.sweeps if s in PATH_SWEEPS}
+    for key in chunks[0]["values"]:
+        sweep, functional, n = key
+        arr = np.concatenate([c["values"][key] for c in chunks])
         mean, se = calculus.mean_stderr(arr)
-        per_sweep_rows[sweep].append(
-            (functional, n, mean, se, arr.shape[0]))
-        if sweep in ("prop1", "prop2", "prop3"):
-            prop_rows.setdefault(functional, []).append(
-                calculus.ConvergenceRow(n=n, mean=mean, stderr=se,
-                                        count=arr.shape[0]))
-    verdicts = {}
-    for s in sweeps:
-        per_sweep_rows[s].sort(key=lambda r: (r[0], r[1]))
-        if s == "trapezoid":
-            verdicts[s] = ("PASS" if trap_violation <= TRAPEZOID_TOL
-                           else "FAIL")
-        elif s in ("prop1", "prop2", "prop3"):
-            ok = all(
-                calculus._no_growth(sorted(rows, key=lambda r: r.n))
-                for functional, rows in prop_rows.items()
-                if functional.startswith(s))
-            verdicts[s] = "PASS" if ok else "FAIL"
+        rows[sweep].append((functional, n, mean, se, arr.shape[0]))
+    out = {}
+    for s, sweep_rows in rows.items():
+        sweep_rows.sort(key=lambda r: (r[0], r[1]))
+        rule = SWEEP_TABLE[s].verdict
+        if rule == "trapezoid":
+            ok = trap_violation <= TRAPEZOID_TOL
         else:
-            verdicts[s] = "REPORT"
-    return per_sweep_rows, verdicts, trap_violation
+            ok = all(_no_growth(list(group)) for _, group in
+                     itertools.groupby(sweep_rows, key=lambda r: r[0]))
+        verdict = "REPORT" if rule == "report" else ("PASS" if ok else "FAIL")
+        out[s] = (sweep_rows, verdict, {})
+    return out
 
 
 def run_scenario(config, workers=1, out_dir=None, seed_override=None):
@@ -769,9 +816,8 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
     incidents = {"resamples": 0, "leakage_warnings": 0}
     conditions, denoms, U = gate_scenario(scn)
 
-    reports, verdicts, artifacts = {}, {}, {}
-    path_sweeps = [s for s in scn.sweeps if s in PATH_SWEEPS]
-    if path_sweeps:
+    results = {}
+    if any(s in PATH_SWEEPS for s in scn.sweeps):
         spec_json = canonical_json(scn.spec)
         n = scn.n_paths
         w = max(1, min(int(workers), n))
@@ -786,26 +832,16 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
                         for a, b in spans]
                 chunks = [f.result() for f in futs]
         incidents["resamples"] += sum(c["resamples"] for c in chunks)
-        rows_by_sweep, path_verdicts, _ = _path_sweep_reports(
-            scn, chunks, denoms)
-        for s in path_sweeps:
-            fname = f"{s}.csv"
-            write_report_csv(os.path.join(scn.out_dir, fname),
-                             rows_by_sweep[s])
-            reports[s] = fname
-        verdicts.update(path_verdicts)
+        results.update(_path_sweep_reports(scn, chunks))
+    for s, run in _KERNEL_SWEEPS.items():
+        if s in scn.sweeps:
+            results[s] = run(scn, U, incidents)
 
-    if "aronson" in scn.sweeps:
-        rows, verdict, arts = _run_aronson(scn, incidents)
-        write_report_csv(os.path.join(scn.out_dir, "aronson.csv"), rows)
-        reports["aronson"] = "aronson.csv"
-        verdicts["aronson"] = verdict
-        artifacts.update(arts)
-    if "potential" in scn.sweeps:
-        rows, verdict, arts = _run_potential(scn, U, incidents)
-        write_report_csv(os.path.join(scn.out_dir, "potential.csv"), rows)
-        reports["potential"] = "potential.csv"
-        verdicts["potential"] = verdict
+    reports, verdicts, artifacts = {}, {}, {}
+    for s, (rows, verdict, arts) in results.items():
+        reports[s] = f"{s}.csv"
+        write_report_csv(os.path.join(scn.out_dir, reports[s]), rows)
+        verdicts[s] = verdict
         artifacts.update(arts)
 
     manifest = RunManifest(

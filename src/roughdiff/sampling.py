@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    GridFinerThanPath,
     NonDiagonalField,
     OrderTooLarge,
     RoughFieldError,
@@ -33,38 +32,6 @@ from . import fields as _fields
 MAX_ORDER = 24
 _CHUNK_STEPS = 4096
 _ATTEMPT_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit constant, attempt offset
-
-
-# ---------------------------------------------------------------- dyadic grids
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    """The grid D_n = {i S / 2^n : i = 0..2^n} on [0, S]."""
-
-    n: int
-    horizon: float
-    spacing: float
-    times: np.ndarray
-
-    def __len__(self):
-        return self.times.shape[0]
-
-
-def dyadic_grid(horizon, n):
-    """Build D_n on [0, horizon].
-
-    Spacing is horizon * 2**-n; when the horizon is a power of two the
-    times are exactly representable.  Orders above 24 (or below 0) raise
-    OrderTooLarge.
-    """
-    if not (0 <= n <= MAX_ORDER):
-        raise OrderTooLarge(f"dyadic order must be in [0, {MAX_ORDER}], got {n}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    spacing = float(horizon) * 2.0 ** (-n)
-    times = np.arange(2 ** n + 1, dtype=float) * spacing
-    return DyadicGrid(n=int(n), horizon=float(horizon), spacing=spacing,
-                      times=times)
 
 
 def fine_step_for(horizon, n_max, margin=4):
@@ -206,34 +173,13 @@ def path_rng(seed, path_id, attempt=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# ---------------------------------------------------------------- paths
-
-@dataclass
-class Path:
-    """A sampled trajectory on a uniform fine grid.
-
-    ``states`` has shape (T, d) with states[i] at time i * fine_step; the
-    last time equals the horizon.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    scheme: str
-    seed: int
-    path_id: int
-    fine_step: float
-    horizon: float
-
-    @property
-    def dim(self):
-        return self.states.shape[1]
-
-
-def _nsteps(horizon, fine_step):
+def _nsteps(horizon, fine_step, stride):
     n = round(horizon / fine_step)
     if n < 1 or abs(n * fine_step - horizon) > 1e-9 * horizon:
         raise ValueError(
             f"fine step {fine_step} does not divide the horizon {horizon}")
+    if n % stride != 0:
+        raise ValueError(f"stride {stride} does not divide {n} steps")
     return int(n)
 
 
@@ -279,9 +225,7 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
                      attempt=0, stride=1, fd_step=1e-4):
     """Euler-Maruyama batch; returns states of shape (B, T', d) at times
     i * stride * fine_step, including both endpoints."""
-    nsteps = _nsteps(horizon, fine_step)
-    if nsteps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {nsteps} steps")
+    nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
     gens = [path_rng(seed, pid, attempt) for pid in path_ids]
     B = len(gens)
@@ -290,23 +234,15 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
     out[:, 0] = x
     sqdt = np.sqrt(fine_step)
 
-    if field.is_constant:
-        # constant coefficients: zero drift, one constant diffusion factor
-        if field.is_diagonal:
-            sig = np.sqrt(2.0 * field._diag_many(x[:1])[0])  # (d,)
-            mult = sig * sqdt
-            for b, g in enumerate(gens):
-                incs = g.standard_normal((nsteps, d)) * mult
-                run = np.add.accumulate(
-                    np.concatenate([x[b][None], incs], axis=0), axis=0)
-                out[b, 1:] = run[stride::stride]
-        else:
-            sig = _fields.sqrt_matrix(2.0 * field.matrix(x[0]))
-            for b, g in enumerate(gens):
-                incs = (g.standard_normal((nsteps, d)) @ sig.T) * sqdt
-                run = np.add.accumulate(
-                    np.concatenate([x[b][None], incs], axis=0), axis=0)
-                out[b, 1:] = run[stride::stride]
+    if field.is_constant and field.is_diagonal:
+        # constant diagonal coefficients: zero drift, one diffusion factor
+        sig = np.sqrt(2.0 * field._diag_many(x[:1])[0])  # (d,)
+        mult = sig * sqdt
+        for b, g in enumerate(gens):
+            incs = g.standard_normal((nsteps, d)) * mult
+            run = np.add.accumulate(
+                np.concatenate([x[b][None], incs], axis=0), axis=0)
+            out[b, 1:] = run[stride::stride]
         return out
 
     xi = np.empty((B, _CHUNK_STEPS, d))
@@ -344,9 +280,7 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     """Continuous-time lattice walk batch, recorded on the uniform grid."""
     if not field.is_diagonal:
         raise NonDiagonalField("the lattice scheme needs a diagonal field")
-    nsteps = _nsteps(horizon, fine_step)
-    if nsteps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {nsteps} steps")
+    nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
     max_rate = 2.0 * d * field.lam / h ** 2
     if max_rate * fine_step > 0.1 + 1e-12:
@@ -420,37 +354,6 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     return out
 
 
-def simulate_em(field, law, horizon, fine_step, seed, path_id, attempt=0,
-                fd_step=1e-4):
-    """Euler-Maruyama path on the uniform fine grid.
-
-    The drift is the field's divergence and the diffusion factor is
-    sqrt(2 a(X)); Gaussian increments have variance fine_step per Wiener
-    coordinate.  Rough fields are rejected (mollify them first).
-    """
-    states = _em_batch_states(field, law, horizon, fine_step, seed,
-                              [path_id], attempt=attempt, fd_step=fd_step)[0]
-    times = np.arange(states.shape[0], dtype=float) * fine_step
-    return Path(times=times, states=states, scheme="euler-maruyama",
-                seed=seed, path_id=path_id, fine_step=fine_step,
-                horizon=horizon)
-
-
-def simulate_lattice(field, law, horizon, fine_step, seed, path_id,
-                     attempt=0, h=0.05):
-    """Lattice-walk path resampled onto the uniform fine grid.
-
-    Jump rates along axis k are a_kk(x +/- h e_k / 2) / h^2 (edge-midpoint
-    conductances); holding times are exponential; between jumps the
-    recorded state carries the last position forward.
-    """
-    states = _lattice_batch_states(field, law, horizon, fine_step, seed,
-                                   [path_id], attempt=attempt, h=h)[0]
-    times = np.arange(states.shape[0], dtype=float) * fine_step
-    return Path(times=times, states=states, scheme="lattice", seed=seed,
-                path_id=path_id, fine_step=fine_step, horizon=horizon)
-
-
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
                    stride=1, attempt=0, scheme_params=None):
     """Batched states (B, T', d) for either scheme, at stride multiples."""
@@ -464,21 +367,3 @@ def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
                                      path_ids, attempt=attempt, stride=stride,
                                      h=params.get("h", 0.05))
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def restrict_to_dyadic(path, grid):
-    """States of a path at the dyadic times of ``grid``.
-
-    For each grid time the state at the nearest fine-grid time at or
-    before it is returned.  The grid must be at least two fine steps
-    coarse, else GridFinerThanPath is raised.
-    """
-    if grid.spacing < 2.0 * path.fine_step - 1e-15:
-        raise GridFinerThanPath(
-            f"dyadic spacing {grid.spacing:.3g} is finer than twice the "
-            f"path step {path.fine_step:.3g}")
-    if abs(grid.horizon - path.horizon) > 1e-12 * max(1.0, path.horizon):
-        raise ValueError("grid and path disagree on the horizon")
-    idx = np.floor(grid.times / path.fine_step + 1e-9).astype(np.int64)
-    idx = np.minimum(idx, path.states.shape[0] - 1)
-    return path.states[idx]

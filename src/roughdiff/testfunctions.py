@@ -261,19 +261,25 @@ def bump(dim=1):
 
 
 def make_test_function(name, **params):
-    """Catalog constructor; raises UnknownName for unlisted names."""
+    """Catalog constructor: "linear" (c), "quadratic" (dim), "sin1d",
+    "abs_power" (alpha), "radial_power" (alpha, dim) and "bump" (dim).
+
+    Parameters are coerced to their types here.  Raises UnknownName for
+    other names and KeyError for a missing required parameter.
+    """
     if name == "linear":
-        return linear(params["c"])
+        return linear([float(v) for v in params["c"]])
     if name == "quadratic":
-        return quadratic(dim=params.get("dim", 1))
+        return quadratic(dim=int(params.get("dim", 1)))
     if name == "sin1d":
         return sin1d()
     if name == "abs_power":
-        return abs_power(params["alpha"])
+        return abs_power(float(params["alpha"]))
     if name == "radial_power":
-        return radial_power(params["alpha"], dim=params.get("dim", 2))
+        return radial_power(float(params["alpha"]),
+                            dim=int(params.get("dim", 2)))
     if name == "bump":
-        return bump(dim=params.get("dim", 1))
+        return bump(dim=int(params.get("dim", 1)))
     raise UnknownName(f"no test function named {name!r}")
 
 

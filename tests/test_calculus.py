@@ -1,13 +1,17 @@
-"""Dyadic functionals: algebraic identities, oracles, and light MC checks."""
+"""Dyadic functionals: algebraic identities, oracles, and the engine's
+sweep rows on raw arrays and on simulated paths."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roughdiff import calculus as calc
-from roughdiff import sampling
+from roughdiff import runner, sampling
 from roughdiff.errors import (
     ConditionViolated,
     LengthMismatch,
@@ -19,16 +23,38 @@ from roughdiff.fields import make_field
 from roughdiff.testfunctions import make_test_function
 
 
-def closed_form_potential(pts):
-    # resolvent potential of a standard start at the origin, d = 1, a = Id
-    return 0.5 * np.exp(-np.abs(np.asarray(pts)[..., 0]))
-
-
 def em_paths(count, fine_step, seed, horizon=1.0, dim=1):
+    """States (count, T, dim) of identity-field EM paths from the origin,
+    path ids 0..count-1."""
     field = make_field("identity", dim=dim)
     law = sampling.dirac(np.zeros(dim))
-    return [sampling.simulate_em(field, law, horizon, fine_step, seed, i)
-            for i in range(count)]
+    return sampling.generate_batch("euler-maruyama", field, law, horizon,
+                                   fine_step, seed, list(range(count)))
+
+
+def row_values(sweep, F, states, denoms=None):
+    """The engine's per-path values of one sweep row on raw states
+    (B, 2^n + 1, d); returns ({functional: values}, trapezoid gap)."""
+    got, gap = runner.grid_values([runner.SWEEP_TABLE[sweep]], states,
+                                  F.value(states), F.gradient(states),
+                                  denoms or {})
+    return {functional: v for (_, functional), v in got.items()}, gap
+
+
+# dyadic samples: order n in [0, 8], d in {1, 2, 3}, a batch axis of 1-4
+# paths; |entries| <= 4 keeps worst-case rounding of the 2^n d products
+# below the 1e-10 trapezoid tolerance
+ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def dyadic_arrays(draw, count=1, dims=(1, 2, 3)):
+    n = draw(st.integers(0, 8))
+    d = draw(st.sampled_from(dims))
+    shape = (draw(st.integers(1, 4)), 2 ** n + 1, d)
+    return [draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+            for _ in range(count)]
 
 
 class TestKahanSum:
@@ -73,11 +99,13 @@ class TestQuadraticVariation:
 
 
 class TestCovariation:
-    def test_self_covariation_is_qv(self):
-        x = np.array([0.0, 0.5, -0.25, 1.0, 2.0])
+    @PROPERTY
+    @given(dyadic_arrays(dims=(1,)))
+    def test_self_covariation_is_qv(self, arrays):
+        x = arrays[0][..., 0]
         res = calc.covariation(x, x)
-        assert res.value == calc.quadratic_variation(x)
-        assert res.abs_value == res.value
+        np.testing.assert_array_equal(res.value, calc.quadratic_variation(x))
+        np.testing.assert_array_equal(res.abs_value, res.value)
 
     def test_frozen_signed_and_absolute(self):
         f = [0.0, 1.0, -1.0, 2.0, 0.0]
@@ -101,18 +129,17 @@ class TestForwardAndTrapezoid:
         np.testing.assert_allclose(got, c @ (x[-1] - x[0]), rtol=1e-12,
                                    atol=1e-14)
 
-    def test_trapezoid_equals_forward_plus_half_covariation(self):
-        # pure algebra: holds for arbitrary g and x samples
-        rng = np.random.default_rng(11)
-        for d in (1, 2, 3):
-            x = rng.standard_normal((4, 33, d))
-            g = rng.standard_normal((4, 33, d))
-            trap = calc.trapezoid_sum(g, x)
-            fwd = calc.forward_sum(g, x)
-            half = sum(0.5 * calc.covariation(g[..., k], x[..., k]).value
-                       for k in range(d))
-            np.testing.assert_allclose(trap, fwd + half, rtol=1e-10,
-                                       atol=1e-12)
+    @PROPERTY
+    @given(dyadic_arrays(count=2))
+    def test_trapezoid_equals_forward_plus_half_covariation(self, arrays):
+        # pure algebra, for arbitrary g and x samples; the engine's gap is
+        # |trap - fwd - half covariation| / max(1, |trap|)
+        g, x = arrays
+        got, gap = runner.grid_values([runner.SWEEP_TABLE["trapezoid"]], x,
+                                      x[..., 0], g, {})
+        assert gap <= runner.TRAPEZOID_TOL
+        np.testing.assert_array_equal(got[("trapezoid", "trapezoid")],
+                                      calc.trapezoid_sum(g, x))
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -120,25 +147,27 @@ class TestForwardAndTrapezoid:
 
 
 class TestCauchySchwarz:
-    def test_absolute_covariation_bound(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            f = np.cumsum(rng.standard_normal(65))
-            x = np.cumsum(rng.standard_normal(65))
-            res = calc.covariation(f, x)
-            bound = np.sqrt(calc.quadratic_variation(f)
-                            * calc.quadratic_variation(x))
-            assert res.abs_value <= bound * (1.0 + 1e-12)
-            assert abs(res.value) <= res.abs_value * (1.0 + 1e-12)
+    @PROPERTY
+    @given(dyadic_arrays(count=2, dims=(1,)))
+    def test_absolute_covariation_bound(self, arrays):
+        f, x = (a[..., 0] for a in arrays)
+        res = calc.covariation(f, x)
+        bound = np.sqrt(calc.quadratic_variation(f)
+                        * calc.quadratic_variation(x))
+        # the absolute slack covers products that underflow
+        assert np.all(res.abs_value <= bound * (1.0 + 1e-12) + 1e-300)
+        assert np.all(np.abs(res.value) <= res.abs_value * (1.0 + 1e-12))
 
 
 class TestItoResidual:
+    """R_n on the engine's residual row, over raw arrays."""
+
     def test_linear_residual_vanishes(self):
         rng = np.random.default_rng(5)
         states = rng.standard_normal((6, 17, 2))
         F = make_test_function("linear", c=[2.0, -1.0])
-        res = calc.ito_residual(F, states)
-        np.testing.assert_allclose(res, 0.0, atol=1e-13)
+        got, _ = row_values("ito_residual", F, states)
+        np.testing.assert_allclose(got["ito_residual_abs"], 0.0, atol=1e-13)
 
     def test_quadratic_residual_vanishes(self):
         # second-order expansion of x^2 is exact, so the residual is
@@ -146,23 +175,38 @@ class TestItoResidual:
         rng = np.random.default_rng(9)
         states = np.cumsum(rng.standard_normal((100, 129, 1)), axis=1)
         F = make_test_function("quadratic", dim=1)
-        res = calc.ito_residual(F, states)
-        assert res.shape == (100,)
-        np.testing.assert_allclose(res, 0.0, atol=1e-10)
+        got, _ = row_values("ito_residual", F, states)
+        assert got["ito_residual_abs"].shape == (100,)
+        np.testing.assert_allclose(got["ito_residual_abs"], 0.0, atol=1e-10)
+
+    @PROPERTY
+    @given(dyadic_arrays(), st.sampled_from(["linear", "quadratic"]),
+           st.lists(ENTRIES, min_size=3, max_size=3))
+    def test_residual_vanishes_for_any_path(self, arrays, name, c):
+        states = arrays[0]
+        d = states.shape[-1]
+        F = make_test_function(name, c=c[:d], dim=d)
+        got, _ = row_values("ito_residual", F, states)
+        # rounding budget of the 2^n d first- and second-order terms
+        terms = (states.shape[-2] - 1) * d
+        tol = 1e-13 * terms * (1.0 + np.abs(states).max()) ** 2
+        assert np.all(got["ito_residual_abs"] <= tol)
 
     def test_non_dyadic_length_rejected(self):
         F = make_test_function("sin1d")
         with pytest.raises(LengthMismatch):
-            calc.ito_residual(F, np.zeros((6, 1)))
+            row_values("ito_residual", F, np.zeros((1, 6, 1)))
 
     def test_exact_singular_hit(self):
+        # the engine flags (and later resamples) a path that lands exactly
+        # on a point where the gradient is undefined
         F = dataclasses.replace(make_test_function("abs_power", alpha=0.3),
                                 grad_singular=True)
         states = np.array([[0.5], [0.2], [0.0], [0.3], [0.6]])
-        with pytest.raises(SingularHit):
-            calc.ito_residual(F, states)
+        ok = runner._batch_ok(F, np.stack([states, states + 0.05]))
+        np.testing.assert_array_equal(ok, [False, True])
 
-    def test_nonfinite_gradient_raises(self):
+    def test_nonfinite_gradient_raises(self, tmp_path):
         def grad(x):
             t = np.asarray(x)[..., 0]
             return np.where(t == 0.0, np.inf, 1.0 / np.where(t == 0, 1, t)
@@ -172,36 +216,13 @@ class TestItoResidual:
             name="logabs", dim=1, regularity="H1_loc",
             value=lambda x: np.log(np.abs(np.asarray(x)[..., 0]) + 1e-300),
             gradient=grad)
-        states = np.array([[0.5], [0.2], [0.0], [0.3], [0.6]])
-        with pytest.raises(SingularHit):
-            calc.ito_residual(F, states)
-
-
-class TestEnergyBracket:
-    def test_identity_field_linear_function(self):
-        # bracket = int 2 |c|^2 ds = 2 S exactly, whatever the path
-        path = em_paths(1, 2.0 ** -8, seed=42)[0]
-        F = make_test_function("linear", c=[1.0])
-        got = calc.energy_bracket(path, F, make_field("identity", dim=1))
-        np.testing.assert_allclose(got, 2.0, rtol=1e-12)
-
-    def test_constant_diagonal_field(self):
-        path = em_paths(1, 2.0 ** -8, seed=1, dim=2)[0]
-        F = make_test_function("linear", c=[1.0, 1.0])
-        field = make_field("constant-diagonal", values=[2.0, 0.5])
-        got = calc.energy_bracket(path, F, field)
-        np.testing.assert_allclose(got, 2.0 * 2.5, rtol=1e-12)
-
-    def test_raw_states_match_path(self):
-        path = em_paths(1, 2.0 ** -8, seed=7)[0]
-        F = make_test_function("sin1d")
-        field = make_field("identity", dim=1)
-        a = calc.energy_bracket(path, F, field)
-        b = calc.energy_bracket(path.states, F, field,
-                                fine_step=path.fine_step)
-        assert a == b
-        with pytest.raises(ValueError):
-            calc.energy_bracket(path.states, F, field)
+        # every path starts at 0, where the gradient is infinite
+        scn = runner.load_scenario(
+            dict(SIN_CONFIG, sweeps=["ito_residual"], orders=[2],
+                 n_paths=1), out_dir=str(tmp_path))
+        scn = dataclasses.replace(scn, F=F)
+        with pytest.raises(SingularHit, match="resamples"):
+            runner.evaluate_chunk(scn, 0, 1, {})
 
 
 class TestReports:
@@ -213,71 +234,77 @@ class TestReports:
         m1, se1 = calc.mean_stderr([5.0])
         assert (m1, se1) == (5.0, 0.0)
 
-    def test_report_from_samples_sorted(self):
-        rep = calc.report_from_samples("demo", {8: [1.0, 2.0], 4: [3.0]})
-        assert [r.n for r in rep.rows] == [4, 8]
-        assert rep.rows[1].count == 2
-        np.testing.assert_array_equal(rep.means(), [3.0, 1.5])
 
-    def test_qv_convergence_toward_bracket(self):
-        paths = em_paths(200, 2.0 ** -12, seed=2026)
-        F = make_test_function("linear", c=[1.0])
-        rep = calc.qv_convergence_check(F, make_field("identity", dim=1),
-                                        paths, n_range=[4, 8])
-        assert [r.n for r in rep.rows] == [4, 8]
-        assert all(r.count == 200 for r in rep.rows)
-        # E|QV_n - 2S| shrinks like 2^(-n/2): about 0.56 at n=4, 0.14 at n=8
-        assert rep.rows[1].mean < 0.25
-        assert rep.rows[1].mean < 0.6 * rep.rows[0].mean
-        assert rep.note == calc.L1_NOTE
+# the prop sweeps of sin(X) for a standard start at the origin, d = 1,
+# a = Id: 100 paths at fine step 2^-10, the closed-form potential
+# U(x) = exp(-|x|) / 2
+SIN_CONFIG = {
+    "field": {"name": "identity", "dim": 1},
+    "function": {"name": "sin1d"},
+    "law": {"kind": "dirac", "point": [0.0]},
+    "horizon": 1.0,
+    "orders": [4, 6, 8],
+    "n_paths": 100,
+    "fine_margin": 2,
+    "seed": 314,
+    "sweeps": ["prop1", "prop2", "prop3"],
+}
 
 
 @pytest.fixture(scope="module")
-def paths():
-    return em_paths(100, 2.0 ** -10, seed=314)
+def sin_run(tmp_path_factory):
+    return runner.run_scenario(SIN_CONFIG,
+                               out_dir=str(tmp_path_factory.mktemp("sin")))
+
+
+@pytest.fixture(scope="module")
+def sin_denoms():
+    return runner.gate_scenario(runner.load_scenario(SIN_CONFIG))[1]
+
+
+def report(manifest, sweep):
+    return runner.read_report_csv(
+        os.path.join(manifest.out_dir, manifest.reports[sweep]))
 
 
 class TestBoundChecks:
-    def test_prop1_ratio_stable(self, paths):
-        F = make_test_function("sin1d")
-        law = sampling.dirac(np.zeros(1))
-        rep = calc.prop1_bound_check(F, law, paths, closed_form_potential,
-                                     n_range=[4, 6, 8], box=(-10.0, 10.0),
-                                     quad_h=0.01)
+    def test_prop1_ratio_stable(self, sin_run, sin_denoms):
         # int cos(x)^2 (1/2) e^(-|x|) dx = 3/5
-        np.testing.assert_allclose(rep.denominator, 0.6, atol=1e-3)
-        assert rep.passed
-        assert [r.n for r in rep.rows] == [4, 6, 8]
-        assert all(r.mean > 0 for r in rep.rows)
+        np.testing.assert_allclose(sin_denoms["prop1"], 0.6, atol=1e-3)
+        assert sin_run.verdicts["prop1"] == "PASS"
+        rows = report(sin_run, "prop1")
+        assert [r[1] for r in rows] == [4, 6, 8]
+        assert all(r[2] > 0 for r in rows)
+        # the engine's means are those of the same paths drawn directly
+        states = em_paths(100, 2.0 ** -10, seed=314)
+        for _, n, mean, se, count in rows:
+            qv = calc.quadratic_variation(
+                np.sin(states[:, ::2 ** (10 - n), 0]))
+            assert (mean, se) == calc.mean_stderr(qv / sin_denoms["prop1"])
+            assert count == 100
 
-    def test_cov_ratio_stable(self, paths):
-        F = make_test_function("sin1d")
-        rep = calc.cov_l1_bound_check(F, 0, paths, closed_form_potential,
-                                      n_range=[4, 6, 8], box=(-10.0, 10.0),
-                                      quad_h=0.01)
+    def test_cov_ratio_stable(self, sin_run, sin_denoms):
         # int sin(x)^2 (1/2) e^(-|x|) dx = 2/5
-        np.testing.assert_allclose(rep.denominator, np.sqrt(0.4), atol=1e-3)
-        assert rep.passed
+        np.testing.assert_allclose(sin_denoms["prop2_k0"], np.sqrt(0.4),
+                                   atol=1e-3)
+        assert sin_run.verdicts["prop2"] == "PASS"
 
-    def test_taylor_ratio_stable(self, paths):
-        F = make_test_function("sin1d")
-        rep = calc.taylor_l1_bound_check(F, paths, closed_form_potential,
-                                         n_range=[4, 6, 8],
-                                         box=(-10.0, 10.0), quad_h=0.01)
-        np.testing.assert_allclose(rep.denominator, np.sqrt(0.4), atol=1e-3)
-        assert rep.passed
-        assert rep.functional == "prop3_ratio"
+    def test_taylor_ratio_stable(self, sin_run, sin_denoms):
+        np.testing.assert_allclose(sin_denoms["prop3"], np.sqrt(0.4),
+                                   atol=1e-3)
+        assert sin_run.verdicts["prop3"] == "PASS"
+        assert {r[0] for r in report(sin_run, "prop3")} == {"prop3_ratio"}
 
-    def test_divergent_condition_refuses_to_run(self, paths):
-        F = make_test_function("abs_power", alpha=0.4)
-        with pytest.raises(ConditionViolated):
-            calc.taylor_l1_bound_check(F, paths, closed_form_potential,
-                                       n_range=[4, 6], box=(-10.0, 10.0),
-                                       quad_h=0.01)
+    def test_divergent_condition_refuses_to_run(self):
+        scn = runner.load_scenario(dict(
+            SIN_CONFIG, function={"name": "abs_power", "alpha": 0.4},
+            sweeps=["prop3"]))
+        with pytest.raises(ConditionViolated, match="condition 2"):
+            runner.gate_scenario(scn)
 
-    def test_taylor_requires_hessian(self, paths):
-        F = dataclasses.replace(make_test_function("sin1d"), hessian=None)
+    def test_taylor_requires_hessian(self):
+        scn = runner.load_scenario(dict(SIN_CONFIG, sweeps=["prop3"]))
+        scn = dataclasses.replace(
+            scn, F=dataclasses.replace(scn.F, hessian=None))
         with pytest.raises(NoHessian):
-            calc.taylor_l1_bound_check(F, paths, closed_form_potential,
-                                       n_range=[4, 6], box=(-10.0, 10.0),
-                                       quad_h=0.01)
+            runner.gate_scenario(scn)

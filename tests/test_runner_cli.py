@@ -9,6 +9,7 @@ and S.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -74,6 +75,41 @@ def d2_run(tmp_path_factory):
         "potential": {"route": "monte-carlo", "n_samples": 100000, "seed": 5},
     }
     return runner.run_scenario(cfg, out_dir=str(out))
+
+
+# a 2-d scenario running every path sweep, so prop2 reports one ratio per
+# axis; report SHA-256s taken before the sweeps came from one table
+D2_ALL_SWEEPS = {
+    "field": {"name": "constant-diagonal", "values": [1.5, 0.75]},
+    "function": {"name": "bump", "dim": 2},
+    "law": {"kind": "dirac", "point": [0.25, -0.125]},
+    "horizon": 0.5,
+    "orders": [2, 3, 4],
+    "n_paths": 20,
+    "fine_margin": 2,
+    "seed": 17,
+    "sweeps": ["qv", "covariation", "forward", "trapezoid", "ito_residual",
+               "prop1", "prop2", "prop3"],
+    "potential": {"route": "monte-carlo", "n_samples": 100000, "seed": 17},
+}
+D2_ALL_SWEEPS_SHA256 = {
+    "covariation.csv":
+        "61875261c628a4533ffdd8661bebc0bd64049ab0a3a0301ca408a2d198bf6b82",
+    "forward.csv":
+        "704e7dbc15b81c8e5de695998fcc9da2243ece09ec6c409f32f73ff4a5066783",
+    "ito_residual.csv":
+        "28a47ce42ba613c41b63f7daff2a6040cda05aeabeb44481501a205861a5b331",
+    "prop1.csv":
+        "a5ec705311ef8e12b344daa8ba40d9c753e505c33f7198d5937fd1cfe92abcdd",
+    "prop2.csv":
+        "bc70672e7b548fcc79bd3ade1da69b169f9ae13928d423f7019551415c2ff602",
+    "prop3.csv":
+        "69ae7401fea762c59781901b32b80f8eeb4ce944d2ff1b0f48b215cb35b87fae",
+    "qv.csv":
+        "144cf9c58f8fa6b25c15a2e9639228c3877fb4f5fea45eab43b96c44fa0e9936",
+    "trapezoid.csv":
+        "13c30151e70ea0d6cadb3abb623d7b962a6eacdb9320c8c66a640302df91b9c9",
+}
 
 
 def report(manifest, sweep):
@@ -218,6 +254,22 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="atom"):
             runner.load_scenario(cfg)
 
+    @pytest.mark.parametrize("key, over", [
+        ("field", {"field": {"name": "identity", "mollify": -0.1}}),
+        ("field", {"field": {"name": "constant-diagonal",
+                             "values": [-1.0]}}),
+        ("function", {"function": {"name": "abs_power", "alpha": 0}}),
+        ("law", {"law": {"kind": "grid-density", "edges": [0.0, 1.0, 2.0],
+                         "values": [1.0]}}),
+        ("potential", {"potential": "closed-form"}),
+        ("orders", {"orders": [4.5]}),
+    ], ids=["mollify", "diagonal", "alpha", "density-shape",
+            "potential-string", "fractional-order"])
+    def test_error_names_its_key(self, key, over):
+        with pytest.raises(ConfigError) as err:
+            runner.load_scenario(quad_config(**over))
+        assert str(err.value).startswith(key)
+
     def test_unknown_potential_route(self):
         cfg = quad_config(potential={"route": "psychic"})
         with pytest.raises(ConfigError, match="potential.route"):
@@ -246,11 +298,19 @@ class TestLoadScenario:
         assert scn.fine_step == 2.0 ** -8
 
 
+def _canonical_copy(cfg):
+    return json.loads(runner.canonical_json(cfg))
+
+
 class TestScenarioHash:
     def test_int_float_equivalence(self):
         a = runner.load_scenario(quad_config(horizon=1, seed=11))
         b = runner.load_scenario(quad_config(horizon=1.0, seed=11.0))
         assert a.hash == b.hash
+        # workers rebuild scenarios from canonical JSON, orders as floats
+        c = runner.load_scenario(_canonical_copy(quad_config(seed=11)))
+        assert c.orders == a.orders
+        assert c.hash == a.hash
 
     def test_defaults_hash_like_explicit_values(self):
         minimal = quad_config()
@@ -354,6 +414,16 @@ class TestRunScenario:
             b = open(os.path.join(quad_run_w3.out_dir, f"{sweep}.csv"),
                      "rb").read()
             assert a == b
+
+    def test_batch_size_never_changes_bytes(self, tmp_path, monkeypatch):
+        for batch in (runner.BATCH_PATHS, 7):
+            monkeypatch.setattr(runner, "BATCH_PATHS", batch)
+            out = tmp_path / f"b{batch}"
+            man = runner.run_scenario(D2_ALL_SWEEPS, out_dir=str(out))
+            got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in man.reports.values()}
+            assert got == D2_ALL_SWEEPS_SHA256
+            assert man.all_pass()
 
     def test_more_workers_than_paths(self, tmp_path):
         cfg = quad_config(n_paths=3, orders=[2], sweeps=["qv"])
@@ -646,6 +716,14 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error:" in proc.stderr
 
+    def test_construction_error_exit_two(self, tmp_path, cli):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(quad_config(
+            field={"name": "identity", "mollify": -0.1})))
+        proc = cli("run", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: field:")
+
     def test_condition_violation_exit_two(self, tmp_path, cli):
         cfg = quad_config(function={"name": "abs_power", "alpha": 0.25},
                           law={"kind": "dirac", "point": [0.1]},
@@ -696,3 +774,12 @@ class TestCli:
                           cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == os.path.abspath(roughdiff.__file__)
+
+    def test_runner_import_defers_scipy(self, tmp_path, run_python):
+        """Loading the runner pulls in no scipy; the kernel solver and
+        the 2-d envelope import it when they run."""
+        proc = run_python(
+            "-c", "import roughdiff.runner, sys; "
+                  "assert 'scipy.sparse' not in sys.modules",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Dyadic grids, initial laws, and the two path samplers."""
+"""The dyadic step budget, initial laws, and the two path samplers."""
 
 from __future__ import annotations
 
@@ -8,31 +8,30 @@ from scipy import stats
 
 from roughdiff import fields, sampling
 from roughdiff.errors import (
-    GridFinerThanPath,
     NonDiagonalField,
     OrderTooLarge,
     RoughFieldError,
 )
 
 
+def em_path(f, law, horizon, fine_step, seed, path_id):
+    """States (T, d) of one Euler-Maruyama path."""
+    return sampling.generate_batch("euler-maruyama", f, law, horizon,
+                                   fine_step, seed, [path_id])[0]
+
+
+def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
+    """States (T, d) of one lattice-walk path."""
+    return sampling.generate_batch("lattice", f, law, horizon, fine_step,
+                                   seed, [path_id],
+                                   scheme_params={"h": h})[0]
+
+
 class TestDyadicGrid:
-    def test_basic(self):
-        g = sampling.dyadic_grid(1.0, 3)
-        assert len(g) == 9
-        np.testing.assert_array_equal(g.times, np.arange(9) / 8.0)
-        assert g.spacing == 0.125
-
-    def test_exact_binary_times(self):
-        g = sampling.dyadic_grid(1.0, 20)
-        # spacing is a power of two, so i * spacing is exact
-        assert g.times[1] == 2.0 ** -20
-        assert g.times[-1] == 1.0
-        assert g.times[2 ** 19] == 0.5
-
     @pytest.mark.parametrize("n", [-1, 25, 40])
     def test_order_too_large(self, n):
         with pytest.raises(OrderTooLarge):
-            sampling.dyadic_grid(1.0, n)
+            sampling.fine_step_for(1.0, n, margin=0)
 
     def test_fine_step_default(self):
         assert sampling.fine_step_for(1.0, 10) == 2.0 ** -14
@@ -88,18 +87,18 @@ class TestDeterminism:
     def test_same_key_same_path(self):
         f = fields.IdentityField(dim=1)
         law = sampling.dirac([0.0])
-        a = sampling.simulate_em(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
-        b = sampling.simulate_em(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
-        np.testing.assert_array_equal(a.states, b.states)
+        a = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
+        b = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         f = fields.IdentityField(dim=1)
         law = sampling.dirac([0.0])
-        a = sampling.simulate_em(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
-        b = sampling.simulate_em(f, law, 1.0, 2.0 ** -8, seed=7, path_id=4)
-        c = sampling.simulate_em(f, law, 1.0, 2.0 ** -8, seed=8, path_id=3)
-        assert not np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
+        a = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
+        b = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=4)
+        c = em_path(f, law, 1.0, 2.0 ** -8, seed=8, path_id=3)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_attempts_and_large_mixed_keys_differ(self):
         # the mixed key exceeds 2^53 for attempt > 0, so this catches any
@@ -153,39 +152,38 @@ class TestEulerMaruyama:
     def test_rough_field_rejected(self):
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0)
         with pytest.raises(RoughFieldError):
-            sampling.simulate_em(f, sampling.dirac([0.0]), 1.0, 2.0 ** -8,
-                                 seed=0, path_id=0)
+            em_path(f, sampling.dirac([0.0]), 1.0, 2.0 ** -8, seed=0,
+                    path_id=0)
 
     def test_smooth_sine_runs(self):
         f = fields.make_field("smooth-sine", dim=2)
         law = sampling.dirac([0.0, 0.0])
-        p = sampling.simulate_em(f, law, 0.5, 2.0 ** -9, seed=1, path_id=0)
-        assert p.states.shape == (257, 2)
-        assert np.isfinite(p.states).all()
+        p = em_path(f, law, 0.5, 2.0 ** -9, seed=1, path_id=0)
+        assert p.shape == (257, 2)
+        assert np.isfinite(p).all()
 
     def test_mollified_checkerboard_runs(self):
         f = fields.mollify(
             fields.make_field("checkerboard", lo=0.5, hi=2.0), eps=0.1)
         law = sampling.dirac([0.25])
-        p = sampling.simulate_em(f, law, 0.25, 2.0 ** -10, seed=2, path_id=5)
-        assert np.isfinite(p.states).all()
+        p = em_path(f, law, 0.25, 2.0 ** -10, seed=2, path_id=5)
+        assert np.isfinite(p).all()
 
     def test_bad_step(self):
         f = fields.IdentityField(dim=1)
         with pytest.raises(ValueError):
-            sampling.simulate_em(f, sampling.dirac([0.0]), 1.0, 0.3,
-                                 seed=0, path_id=0)
+            em_path(f, sampling.dirac([0.0]), 1.0, 0.3, seed=0, path_id=0)
 
 
 class TestLattice:
     def test_states_on_lattice(self):
         f = fields.IdentityField(dim=1)
         law = sampling.dirac([0.3])
-        p = sampling.simulate_lattice(f, law, 1.0, 2.0 ** -12, seed=4,
-                                      path_id=0, h=0.125)
-        k = (p.states[:, 0] - 0.3) / 0.125
+        p = lattice_path(f, law, 1.0, 2.0 ** -12, seed=4, path_id=0,
+                         h=0.125)
+        k = (p[:, 0] - 0.3) / 0.125
         np.testing.assert_allclose(k, np.round(k), atol=1e-9)
-        assert p.states.shape[0] == 2 ** 12 + 1
+        assert p.shape[0] == 2 ** 12 + 1
 
     def test_nondiagonal_rejected(self):
         f = fields.ExplicitField(
@@ -193,14 +191,14 @@ class TestLattice:
                                            (pts.shape[0], 2, 2)),
             dim=2, lam=2.0)
         with pytest.raises(NonDiagonalField):
-            sampling.simulate_lattice(f, sampling.dirac([0.0, 0.0]), 1.0,
-                                      2.0 ** -12, seed=0, path_id=0)
+            lattice_path(f, sampling.dirac([0.0, 0.0]), 1.0, 2.0 ** -12,
+                         seed=0, path_id=0)
 
     def test_embedding_gate(self):
         f = fields.IdentityField(dim=1)
         with pytest.raises(ValueError):
-            sampling.simulate_lattice(f, sampling.dirac([0.0]), 1.0,
-                                      2.0 ** -6, seed=0, path_id=0, h=0.01)
+            lattice_path(f, sampling.dirac([0.0]), 1.0, 2.0 ** -6, seed=0,
+                         path_id=0, h=0.01)
 
     def test_final_marginals_match_em(self):
         # same generator, two schemes: two-sample KS at the 1% level
@@ -218,30 +216,3 @@ class TestLattice:
                 f, law, 1.0, 2.0 ** -14, 99, ids, stride=T, h=0.05)[:, -1, 0]
         assert stats.ks_2samp(em, lat).pvalue > 0.01
         assert lat.var() == pytest.approx(2.0, rel=0.1)
-
-
-class TestRestrict:
-    def test_exact_subgrid(self):
-        f = fields.IdentityField(dim=1)
-        p = sampling.simulate_em(f, sampling.dirac([0.0]), 1.0, 2.0 ** -8,
-                                 seed=9, path_id=0)
-        g = sampling.dyadic_grid(1.0, 4)
-        r = sampling.restrict_to_dyadic(p, g)
-        np.testing.assert_array_equal(r, p.states[::16])
-
-    def test_grid_finer_than_path(self):
-        f = fields.IdentityField(dim=1)
-        p = sampling.simulate_em(f, sampling.dirac([0.0]), 1.0, 2.0 ** -8,
-                                 seed=9, path_id=0)
-        with pytest.raises(GridFinerThanPath):
-            sampling.restrict_to_dyadic(p, sampling.dyadic_grid(1.0, 8))
-        # exactly two fine steps per dyadic step is allowed
-        r = sampling.restrict_to_dyadic(p, sampling.dyadic_grid(1.0, 7))
-        assert r.shape == (129, 1)
-
-    def test_horizon_mismatch(self):
-        f = fields.IdentityField(dim=1)
-        p = sampling.simulate_em(f, sampling.dirac([0.0]), 1.0, 2.0 ** -8,
-                                 seed=9, path_id=0)
-        with pytest.raises(ValueError):
-            sampling.restrict_to_dyadic(p, sampling.dyadic_grid(2.0, 4))
