@@ -22,6 +22,16 @@ def kahan_sum(terms, axis=-1):
     """Compensated sum along one axis, fixed left-to-right term order."""
     a = np.asarray(terms, dtype=float)
     a = np.moveaxis(a, axis, -1)
+    if a.ndim == 1:
+        # the same loop in Python floats: IEEE doubles like float64, so the
+        # bytes agree, without a NumPy scalar operation per term
+        s = c = 0.0
+        for v in a.tolist():
+            y = v - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        return s
     s = np.zeros(a.shape[:-1])
     c = np.zeros_like(s)
     for j in range(a.shape[-1]):

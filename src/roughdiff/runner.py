@@ -320,6 +320,14 @@ class Scenario:
                                       margin=int(self.spec["fine_margin"]))
 
 
+def _integer(key, value):
+    """``value`` as an int; integral floats such as 4.0 are accepted."""
+    if not (isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_scenario(config, out_dir=None, seed_override=None):
     """Parse, default-fill, validate, and hash a scenario config.
 
@@ -354,11 +362,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
     if horizon <= 0:
         raise ConfigError("horizon: must be > 0")
     orders = raw.get("orders", [4, 6, 8])
-    if not isinstance(orders, (list, tuple)) or not all(
-            isinstance(n, (int, float)) and float(n).is_integer()
-            for n in orders):
-        raise ConfigError("orders: every order must be an integer")
-    orders = [int(n) for n in orders]
+    if not isinstance(orders, (list, tuple)):
+        raise ConfigError("orders: must be a list of integers")
+    orders = [_integer("orders", n) for n in orders]
     if orders != sorted(set(orders)):
         raise ConfigError("orders: must be strictly increasing")
     if orders and not (0 <= orders[0] and orders[-1] <= sampling.MAX_ORDER):
@@ -366,10 +372,10 @@ def load_scenario(config, out_dir=None, seed_override=None):
             f"orders: every order must lie in [0, {sampling.MAX_ORDER}]")
     if needs_paths and not orders:
         raise ConfigError("orders: at least one dyadic order is required")
-    n_paths = int(raw.get("n_paths", 100))
+    n_paths = _integer("n_paths", raw.get("n_paths", 100))
     if n_paths < 1:
         raise ConfigError("n_paths: must be >= 1")
-    margin = int(raw.get("fine_margin", 4))
+    margin = _integer("fine_margin", raw.get("fine_margin", 4))
     if margin < 1:
         raise ConfigError("fine_margin: must be >= 1")
     if orders and orders[-1] + margin > sampling.MAX_ORDER:
@@ -379,8 +385,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
     scheme = raw.get("scheme", "euler-maruyama")
     if scheme not in ("euler-maruyama", "lattice"):
         raise ConfigError(f"scheme: unknown scheme {scheme!r}")
-    seed = int(seed_override if seed_override is not None
-               else raw.get("seed", 0))
+    seed = _integer("seed", seed_override if seed_override is not None
+                    else raw.get("seed", 0))
     if seed < 0:
         raise ConfigError("seed: must be nonnegative")
 
@@ -418,6 +424,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
     kernel_cfg = raw.get("kernel")
     if "aronson" in sweeps and kernel_cfg is None:
         raise ConfigError("kernel: section is required for the aronson sweep")
+    if kernel_cfg is not None and not isinstance(kernel_cfg, dict):
+        raise ConfigError("kernel: must be an object")
 
     potential_cfg = raw.get("potential")
     if potential_cfg is not None and not isinstance(potential_cfg, dict):
@@ -433,6 +441,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
                                           "grid"):
         raise ConfigError(
             f"potential.route: unknown route {potential_cfg.get('route')!r}")
+    if potential_cfg.get("kernel") is not None and not isinstance(
+            potential_cfg["kernel"], dict):
+        raise ConfigError("potential.kernel: must be an object")
 
     spec = {
         "field": raw["field"],

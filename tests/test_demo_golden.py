@@ -20,29 +20,29 @@ DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 GOLDEN = {
     "brownian_quadratic": {
         "covariation.csv":
-            "9ce42c8f39561ab10f15c85ef42b60008fd2932213c8997c64d4a7fafe88c480",
+            "9847641819ea54e600de19f91cb00a40baeea784b768590ab6388d7c2238b136",
         "forward.csv":
-            "537878434d09d26340604206d140db942941a02ff4d0dcc8791507a8410e6043",
+            "338e8462705e9f77f0c0b7355af6e8a52fc65cc22cf55d3bc0a124bb874491d8",
         "ito_residual.csv":
-            "fbc3933c363cd5939a3ef912133ae42cd44f532c8a356f707692b7fd0973ae60",
+            "9707565b3c71e79cf3a88a11d271f2e92153398bce9ddd0e9311f592d9be0d0e",
         "prop1.csv":
-            "d9480a034a07fcbbe98289bfaf180644f2e7db3cff9e070d2e3cbfcdd5f5b19f",
+            "4abae9ae26b061160af67b3f567bc849aeec52dbccb2e01a8f22470a0b80e95e",
         "prop2.csv":
-            "e541fd8815c065d3590f2227a7c285ca0940627177da6756e68cdda3239f157b",
+            "393eee71cf652aa1e72913f1403821d0de652e60b1b1c9390763360f3de78bea",
         "prop3.csv":
-            "e81500cbeaa34503b0a0db275ab21a5a3026cf5f311025022ee334d968f6c99d",
+            "39aa98a5c0b2377423bb03cb2a1f0a9ac5a284463fc5732e0d4c4c6aa45d2203",
         "qv.csv":
-            "99ad0b999ff55c70357fd63128a9510a332b72c95e07a262306fb56a1f6851b7",
+            "c5440df8869a999b474ed2ed66264f97f01c58a7ea7b2df13de43b145527a39e",
         "trapezoid.csv":
-            "238fd84b80f5365619b83bba77de3a66c0cfb5702d06752555fee2ae4956e57d",
+            "1cb151446966bd03faf65c0cdeb7284e333710cd37221bb661aef32fa5d87b63",
     },
     "sin_residual": {
         "ito_residual.csv":
-            "12821f6def9c30fb43be6cf2a175e02e87371a53c3369261669721eba60e6c2a",
+            "0b94d2c625de63af2f56efc151d9cbeb5e60d46577336daef3187805ea0da3c3",
         "potential.csv":
             "bb76813c932405636e5f8342e9de9bb1426e32c0e5e3283ef6da49d4bd825dc5",
         "trapezoid.csv":
-            "d3506b0bf1e9069cae211c73c14872bdf85e627cfca3520571ce4cb2becd90ae",
+            "d8f6357370c034bc641daa3b027a4365b3bd74c4ea5de92795d301e07b8eb37e",
     },
     "checkerboard_lattice": {
         "aronson.csv":

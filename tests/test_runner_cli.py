@@ -78,7 +78,8 @@ def d2_run(tmp_path_factory):
 
 
 # a 2-d scenario running every path sweep, so prop2 reports one ratio per
-# axis; report SHA-256s taken before the sweeps came from one table
+# axis; report SHA-256s pinned with one Gaussian draw per recorded step
+# on constant diagonal fields
 D2_ALL_SWEEPS = {
     "field": {"name": "constant-diagonal", "values": [1.5, 0.75]},
     "function": {"name": "bump", "dim": 2},
@@ -94,21 +95,21 @@ D2_ALL_SWEEPS = {
 }
 D2_ALL_SWEEPS_SHA256 = {
     "covariation.csv":
-        "61875261c628a4533ffdd8661bebc0bd64049ab0a3a0301ca408a2d198bf6b82",
+        "707eee52d65a9a38e94eb075312cfe42fcc98857403235ace107dc25b818bc4b",
     "forward.csv":
-        "704e7dbc15b81c8e5de695998fcc9da2243ece09ec6c409f32f73ff4a5066783",
+        "be43b7d9e38acc41625ec7442e485e1dd871fae2deb4a69b0e987ae017a2d7fd",
     "ito_residual.csv":
-        "28a47ce42ba613c41b63f7daff2a6040cda05aeabeb44481501a205861a5b331",
+        "5e048a672225eaee5513b5fc82ce16e5b86b26e91562f5fedd85386e2bf5791b",
     "prop1.csv":
-        "a5ec705311ef8e12b344daa8ba40d9c753e505c33f7198d5937fd1cfe92abcdd",
+        "d8a41ecaa1f52441a6a27faf05800e21c6e2ef1c78054cf54e1f5108c8c45af7",
     "prop2.csv":
-        "bc70672e7b548fcc79bd3ade1da69b169f9ae13928d423f7019551415c2ff602",
+        "0f4ec3a35c82a66e06ea8b9166274bf98d01afc6624855ceacabbaf8fa131c42",
     "prop3.csv":
-        "69ae7401fea762c59781901b32b80f8eeb4ce944d2ff1b0f48b215cb35b87fae",
+        "76c5b866208c19831a49a74ae0b0a66226c4c6d5d2a01f250ff77cd44fecb337",
     "qv.csv":
-        "144cf9c58f8fa6b25c15a2e9639228c3877fb4f5fea45eab43b96c44fa0e9936",
+        "751d6145a6fe358dc57d6811e036cd37b37a305cef6d82b172cc4cb1edc4eb30",
     "trapezoid.csv":
-        "13c30151e70ea0d6cadb3abb623d7b962a6eacdb9320c8c66a640302df91b9c9",
+        "a4de15c208fe28ab6491b90dc6d7cc3c7c44f90b3cea570b63af5d991f3e4898",
 }
 
 
@@ -263,8 +264,15 @@ class TestLoadScenario:
                          "values": [1.0]}}),
         ("potential", {"potential": "closed-form"}),
         ("orders", {"orders": [4.5]}),
+        ("n_paths", {"n_paths": 10.7}),
+        ("fine_margin", {"fine_margin": 2.5}),
+        ("seed", {"seed": 3.9}),
+        ("kernel", {"kernel": 5, "sweeps": ["aronson"]}),
+        ("potential.kernel", {"potential": {"route": "grid", "kernel": 5}}),
     ], ids=["mollify", "diagonal", "alpha", "density-shape",
-            "potential-string", "fractional-order"])
+            "potential-string", "fractional-order", "fractional-n-paths",
+            "fractional-margin", "fractional-seed", "kernel-number",
+            "potential-kernel-number"])
     def test_error_names_its_key(self, key, over):
         with pytest.raises(ConfigError) as err:
             runner.load_scenario(quad_config(**over))
@@ -305,8 +313,10 @@ def _canonical_copy(cfg):
 class TestScenarioHash:
     def test_int_float_equivalence(self):
         a = runner.load_scenario(quad_config(horizon=1, seed=11))
-        b = runner.load_scenario(quad_config(horizon=1.0, seed=11.0))
+        b = runner.load_scenario(quad_config(horizon=1.0, seed=11.0,
+                                             n_paths=40.0, fine_margin=2.0))
         assert a.hash == b.hash
+        assert (b.n_paths, b.seed, b.spec["fine_margin"]) == (40, 11, 2)
         # workers rebuild scenarios from canonical JSON, orders as floats
         c = runner.load_scenario(_canonical_copy(quad_config(seed=11)))
         assert c.orders == a.orders
@@ -723,6 +733,17 @@ class TestCli:
         proc = cli("run", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: field:")
+
+    @pytest.mark.parametrize("key, over", [
+        ("n_paths", {"n_paths": 10.7}),
+        ("potential.kernel", {"potential": {"route": "grid", "kernel": 5}}),
+    ])
+    def test_config_type_error_exit_two(self, tmp_path, cli, key, over):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(quad_config(**over)))
+        proc = cli("run", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {key}:")
 
     def test_condition_violation_exit_two(self, tmp_path, cli):
         cfg = quad_config(function={"name": "abs_power", "alpha": 0.25},

@@ -131,7 +131,8 @@ class TestDeterminism:
             np.testing.assert_array_equal(alone[0], together[pid])
 
     def test_stride_recording_consistent(self):
-        f = fields.IdentityField(dim=1)
+        # non-constant fields take every fine step whatever the stride
+        f = fields.make_field("smooth-sine", dim=1)
         law = sampling.dirac([0.0])
         full = sampling._em_batch_states(f, law, 1.0, 2.0 ** -8, 7, [0, 1])
         coarse = sampling._em_batch_states(f, law, 1.0, 2.0 ** -8, 7, [0, 1],
@@ -140,6 +141,27 @@ class TestDeterminism:
 
 
 class TestEulerMaruyama:
+    @pytest.mark.parametrize("stride", [1, 16])
+    def test_constant_increments_at_stride(self, stride):
+        # constant diagonal paths draw one Gaussian increment per recorded
+        # step: variance 2 a stride dt per axis, uncorrelated at lag 1
+        a = np.array([1.5, 0.75])
+        f = fields.make_field("constant-diagonal", values=a.tolist())
+        dt = 2.0 ** -10
+        states = sampling._em_batch_states(
+            f, sampling.dirac([0.5, -0.25]), 0.25, dt, 5, list(range(200)),
+            stride=stride)
+        np.testing.assert_array_equal(states[:, 0], [[0.5, -0.25]] * 200)
+        inc = np.diff(states, axis=1)
+        assert inc.shape == (200, 256 // stride, 2)
+        for k in range(2):
+            x = inc[..., k]
+            var = 2.0 * a[k] * stride * dt
+            assert abs(x.mean()) <= 5.0 * np.sqrt(var / x.size)
+            assert abs(x.var() - var) <= 5.0 * var * np.sqrt(2.0 / x.size)
+            lag = (x[:, 1:] * x[:, :-1]).mean() / var
+            assert abs(lag) <= 5.0 / np.sqrt(x[:, 1:].size)
+
     def test_brownian_moments(self):
         f = fields.IdentityField(dim=1)
         law = sampling.dirac([0.0])
