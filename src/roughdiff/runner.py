@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -322,10 +323,31 @@ class Scenario:
 
 def _integer(key, value):
     """``value`` as an int; integral floats such as 4.0 are accepted."""
-    if not (isinstance(value, int)
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
             or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{key}: must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(key, value):
+    """``value`` as a finite float; ints are accepted, strings are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            not math.isfinite(value)):
+        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: must be a list, got {value!r}")
+    return list(value)
+
+
+def _object(key, value):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object, got {value!r}")
+    return value
 
 
 def load_scenario(config, out_dir=None, seed_override=None):
@@ -351,20 +373,18 @@ def load_scenario(config, out_dir=None, seed_override=None):
     if "field" not in raw:
         raise ConfigError("field: section is required")
 
-    sweeps = list(raw.get("sweeps", []))
+    sweeps = _list("sweeps", raw.get("sweeps", []))
     for s in sweeps:
         if s not in SWEEPS:
             raise ConfigError(
                 f"sweeps: unknown sweep {s!r}; choose from {', '.join(SWEEPS)}")
     needs_paths = any(s in PATH_SWEEPS for s in sweeps)
 
-    horizon = float(raw.get("horizon", 1.0))
+    horizon = _number("horizon", raw.get("horizon", 1.0))
     if horizon <= 0:
         raise ConfigError("horizon: must be > 0")
-    orders = raw.get("orders", [4, 6, 8])
-    if not isinstance(orders, (list, tuple)):
-        raise ConfigError("orders: must be a list of integers")
-    orders = [_integer("orders", n) for n in orders]
+    orders = [_integer("orders", n)
+              for n in _list("orders", raw.get("orders", [4, 6, 8]))]
     if orders != sorted(set(orders)):
         raise ConfigError("orders: must be strictly increasing")
     if orders and not (0 <= orders[0] and orders[-1] <= sampling.MAX_ORDER):
@@ -424,8 +444,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
     kernel_cfg = raw.get("kernel")
     if "aronson" in sweeps and kernel_cfg is None:
         raise ConfigError("kernel: section is required for the aronson sweep")
-    if kernel_cfg is not None and not isinstance(kernel_cfg, dict):
-        raise ConfigError("kernel: must be an object")
+    if kernel_cfg is not None:
+        _object("kernel", kernel_cfg)
 
     potential_cfg = raw.get("potential")
     if potential_cfg is not None and not isinstance(potential_cfg, dict):
@@ -441,9 +461,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
                                           "grid"):
         raise ConfigError(
             f"potential.route: unknown route {potential_cfg.get('route')!r}")
-    if potential_cfg.get("kernel") is not None and not isinstance(
-            potential_cfg["kernel"], dict):
-        raise ConfigError("potential.kernel: must be an object")
+    if potential_cfg.get("kernel") is not None:
+        _object("potential.kernel", potential_cfg["kernel"])
 
     spec = {
         "field": raw["field"],
@@ -453,14 +472,16 @@ def load_scenario(config, out_dir=None, seed_override=None):
         "orders": orders,
         "n_paths": n_paths,
         "scheme": scheme,
-        "scheme_params": raw.get("scheme_params", {}),
+        "scheme_params": _object("scheme_params",
+                                 raw.get("scheme_params", {})),
         "fine_margin": margin,
         "seed": seed,
         "sweeps": sweeps,
         "allow_unverified": bool(raw.get("allow_unverified", False)),
         "box": raw.get("box", [-10.0, 10.0] if field.dim == 1
                        else [-25.0, 25.0]),
-        "quad_h": float(raw.get("quad_h", 0.01 if field.dim == 1 else 0.1)),
+        "quad_h": _number("quad_h", raw.get("quad_h", 0.01 if field.dim == 1
+                                            else 0.1)),
         "potential": potential_cfg,
         "kernel": kernel_cfg,
     }

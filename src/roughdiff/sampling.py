@@ -309,8 +309,10 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     alive = np.ones(B, dtype=bool)
     rows_all = np.arange(B)
     it = 0
-    shifts = np.zeros((d, d))
-    np.fill_diagonal(shifts, h / 2.0)
+    # the 2d half-step neighbours: rows +e_0, -e_0, +e_1, -e_1, ...
+    shifts = np.zeros((2 * d, 1, d))
+    shifts[0::2, 0] = np.eye(d) * (h / 2.0)
+    shifts[1::2, 0] = -np.eye(d) * (h / 2.0)
 
     while alive.any():
         if it >= expo.shape[1]:
@@ -324,10 +326,14 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
 
         idx = rows_all[alive]
         xa = x[idx]
-        rates = np.empty((idx.shape[0], 2 * d))
-        for k in range(d):
-            rates[:, 2 * k] = field._diag_many(xa + shifts[k])[:, k]
-            rates[:, 2 * k + 1] = field._diag_many(xa - shifts[k])[:, k]
+        # one field evaluation at all 2d half-step neighbours of xa; jump j
+        # moves along axis j // 2 and its rate is that diagonal entry
+        na = idx.shape[0]
+        diag = field._diag_many((xa + shifts).reshape(2 * d * na, d))
+        diag = diag.reshape(2 * d, na, d)
+        rates = np.empty((na, 2 * d))
+        for j in range(2 * d):
+            rates[:, j] = diag[j, :, j // 2]
         rates /= h ** 2
         total = rates.sum(axis=1)
         tau = expo[idx, it] / total

@@ -50,9 +50,9 @@ GOLDEN = {
         "covariation.csv":
             "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
         "kernel.csv":
-            "a4268565588d2701d2ba6bf9107fb470395ee0d6517287c1ae8debe19dd11c81",
+            "25a7249baa96f5baa3e359ad70e17225769afeec71d3e5d6e2ee3499bc5ae479",
         "kernel.json":
-            "101d948deb63a0f2b26bd8a77b3b8858fc235cd6d1467e25638461d617af4757",
+            "68d300123512f13c2aa6f4c8c24fc9397ec532e7efa7f4380639b666907a9340",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },

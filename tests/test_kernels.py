@@ -187,6 +187,60 @@ class TestSolveKernelPde:
         assert k.meta["requested_times"] == [0.10001]
 
 
+class TestSymmetricStepping:
+    """The face-flux matrix S and the one-solve Crank-Nicolson step."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1}),
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 2}),
+        ("constant-diagonal", {"values": [3.0]}),
+        ("constant-diagonal", {"values": [2.0, 0.5]}),
+    ])
+    def test_flux_matrix_symmetric_with_zero_row_sums(self, name, params):
+        field = make_field(name, **params)
+        axes, vols = kn._axes_volumes((-1.5, 1.0), 0.1, field.dim)
+        S, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
+        assert shape == (26,) * field.dim and vol.shape == (26 ** field.dim,)
+        assert (S != S.T).nnz == 0
+        scale = abs(S).max()
+        assert np.abs(S.sum(axis=1)).max() <= 1e-12 * scale
+
+    def test_matches_dense_crank_nicolson(self):
+        field = make_field("checkerboard", lo=0.5, hi=2.0, cell=0.4, dim=2)
+        box, h, dt = (-0.8, 0.8), 0.1, 2.5e-3
+        steps = [1, 7, 25, 40]
+        k = kn.solve_kernel_pde(field, [0.1, -0.2], box, h,
+                                [n * dt for n in steps], dt)
+        assert k.values.shape == (4, 17, 17)
+
+        axes, vols = kn._axes_volumes(box, h, 2)
+        S, vol, shape = kn._assemble_operator(field, axes, vols, h)
+        A = S.toarray() / vol[:, None]
+        eye = np.eye(vol.shape[0])
+        lhs, rhs = eye - (dt / 2) * A, eye + (dt / 2) * A
+        p = np.zeros(vol.shape[0])
+        src = np.ravel_multi_index((9, 6), shape)
+        p[src] = 1.0 / vol[src]
+        want = []
+        for n in range(1, steps[-1] + 1):
+            p = np.linalg.solve(lhs, rhs @ p)
+            if n in steps:
+                want.append(p.reshape(shape))
+        want = np.array(want)
+        assert np.abs(k.values - want).max() <= 1e-12 * want.max()
+        masses = (k.values.reshape(4, -1) * vol).sum(axis=1)
+        np.testing.assert_allclose(masses, 1.0, rtol=0, atol=1e-12)
+
+    def test_minimum_degree_fill(self):
+        # the rough-2d kernel grid: +-4, h 0.1, dt 5e-4; COLAMD on the
+        # unsymmetric step matrix held 387,520 L+U entries here
+        field = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
+        axes, vols = kn._axes_volumes((-4.0, 4.0), 0.1, 2)
+        S, vol, _ = kn._assemble_operator(field, axes, vols, 0.1)
+        lu = kn._factor(S, vol, 5e-4 / 2.0)
+        assert lu.L.nnz + lu.U.nnz <= 240_000
+
+
 class TestAronsonFit:
     def test_exact_kernel_fit_is_four(self, exact_tab):
         assert kn.fit_aronson_M(exact_tab, SPEC_CANDIDATES) == 4.0

@@ -269,10 +269,18 @@ class TestLoadScenario:
         ("seed", {"seed": 3.9}),
         ("kernel", {"kernel": 5, "sweeps": ["aronson"]}),
         ("potential.kernel", {"potential": {"route": "grid", "kernel": 5}}),
+        ("horizon", {"horizon": "abc"}),
+        ("quad_h", {"quad_h": [1, 2]}),
+        ("sweeps", {"sweeps": 5}),
+        ("scheme_params", {"scheme_params": 5}),
+        ("horizon", {"horizon": float("nan")}),
+        ("n_paths", {"n_paths": True}),
     ], ids=["mollify", "diagonal", "alpha", "density-shape",
             "potential-string", "fractional-order", "fractional-n-paths",
             "fractional-margin", "fractional-seed", "kernel-number",
-            "potential-kernel-number"])
+            "potential-kernel-number", "horizon-string", "quad-h-list",
+            "sweeps-number", "scheme-params-number", "horizon-nan",
+            "n-paths-bool"])
     def test_error_names_its_key(self, key, over):
         with pytest.raises(ConfigError) as err:
             runner.load_scenario(quad_config(**over))
@@ -737,6 +745,8 @@ class TestCli:
     @pytest.mark.parametrize("key, over", [
         ("n_paths", {"n_paths": 10.7}),
         ("potential.kernel", {"potential": {"route": "grid", "kernel": 5}}),
+        ("horizon", {"horizon": "abc"}),
+        ("scheme_params", {"scheme_params": 5}),
     ])
     def test_config_type_error_exit_two(self, tmp_path, cli, key, over):
         path = tmp_path / "bad.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -206,6 +208,17 @@ class TestLattice:
         k = (p[:, 0] - 0.3) / 0.125
         np.testing.assert_allclose(k, np.round(k), atol=1e-9)
         assert p.shape[0] == 2 ** 12 + 1
+
+    def test_2d_checkerboard_batch_bytes(self):
+        # SHA-256 of the states, taken before the 2d neighbour rates were
+        # evaluated in one field call; that call must not move a bit
+        f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=0.5, dim=2)
+        states = sampling._lattice_batch_states(
+            f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 17,
+            list(range(8)), stride=2 ** 5, h=0.125)
+        assert states.shape == (8, 257, 2)
+        assert hashlib.sha256(states.tobytes()).hexdigest() == (
+            "6f6ec3e3b510ff97544b69c32c4a4ac99870346c4783c06472ea644f7d1861ae")
 
     def test_nondiagonal_rejected(self):
         f = fields.ExplicitField(
