@@ -10,22 +10,11 @@ precondition errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import runner
 from .errors import ConditionViolated, ConfigError, Error
-
-
-def _raw_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON: {exc}")
 
 
 def _finish_run(manifest):
@@ -77,7 +66,7 @@ def main(argv=None):
         if args.command == "summarize":
             sys.stdout.write(runner.summarize(args.manifest))
             return 0
-        cfg = _raw_config(args.config)
+        cfg = runner.read_config(args.config)
         cfg["sweeps"] = (["aronson"] if args.command == "kernel"
                          else ["potential"])
         manifest = runner.run_scenario(cfg, out_dir=args.out_dir)

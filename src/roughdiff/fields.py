@@ -187,7 +187,7 @@ class SmoothSineField(CoefficientField):
     smoothness = "smooth"
     is_diagonal = True
 
-    def __init__(self, dim=2):
+    def __init__(self, dim=1):
         self.dim = int(dim)
         self.lam = 2.0  # values lie in [1/2, 3/2] and 3/2 <= 2
 
@@ -319,31 +319,32 @@ def mollify(field, eps):
     return MollifiedField(field, eps)
 
 
-def make_field(name, **params):
-    """Catalog constructor.
+# config parameters of each entry as runner.Key tuples, ``...`` marking a
+# required one; the constructors check the ranges they need
+_DIM = ("integer", 1, 1)
+_MOLLIFY = ("number", None)
+PARAMS = {
+    "identity": {"dim": _DIM, "mollify": _MOLLIFY},
+    "constant-diagonal": {"values": ("list", ..., None, "number"),
+                          "mollify": _MOLLIFY},
+    "checkerboard": {"lo": ("number", ...), "hi": ("number", ...),
+                     "cell": ("number", 1.0, 0.0), "dim": _DIM,
+                     "mollify": _MOLLIFY},
+    "smooth-sine": {"dim": _DIM, "mollify": _MOLLIFY},
+}
+_CATALOG = {"identity": IdentityField,
+            "constant-diagonal": ConstantDiagonalField,
+            "checkerboard": CheckerboardField,
+            "smooth-sine": SmoothSineField}
 
-    Known names: "identity" (dim), "constant-diagonal" (values),
-    "checkerboard" (lo, hi, cell, dim) and "smooth-sine" (dim); ``dim``
-    defaults to 1.  Every entry takes ``mollify``, a radius that smooths
-    the field (see :func:`mollify`).  Parameters are coerced to their
-    types here.  Raises UnknownName for other names and KeyError for a
-    missing required parameter.
-    """
-    if name == "identity":
-        f = IdentityField(dim=int(params.get("dim", 1)))
-    elif name == "constant-diagonal":
-        f = ConstantDiagonalField([float(v) for v in params["values"]])
-    elif name == "checkerboard":
-        f = CheckerboardField(
-            lo=float(params["lo"]), hi=float(params["hi"]),
-            cell=float(params.get("cell", 1.0)),
-            dim=int(params.get("dim", 1)))
-    elif name == "smooth-sine":
-        f = SmoothSineField(dim=int(params.get("dim", 1)))
-    else:
+
+def make_field(name, mollify=None, **params):
+    """The catalog entry ``name`` (see PARAMS), mollified with radius
+    ``mollify`` when given.  Raises UnknownName for other names."""
+    if name not in _CATALOG:
         raise UnknownName(f"no coefficient field named {name!r}")
-    eps = params.get("mollify")
-    return f if eps is None else mollify(f, float(eps))
+    f = _CATALOG[name](**params)
+    return f if mollify is None else MollifiedField(f, mollify)
 
 
 # ---------------------------------------------------------------- operations

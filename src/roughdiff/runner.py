@@ -17,13 +17,13 @@ emitted CSVs.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -37,7 +37,6 @@ from .errors import (
     Error,
     MissingReport,
     SingularHit,
-    UnknownName,
 )
 
 MAX_ATTEMPTS = 8
@@ -45,11 +44,6 @@ BATCH_PATHS = 256
 TRAPEZOID_TOL = 1e-10
 LEAKAGE_TOL = 1e-3
 CSV_HEADER = "functional,n,mean,stderr,count"
-
-_TOP_KEYS = frozenset((
-    "name", "field", "function", "law", "horizon", "orders", "n_paths",
-    "scheme", "scheme_params", "fine_margin", "seed", "sweeps",
-    "allow_unverified", "box", "quad_h", "potential", "kernel", "out_dir"))
 
 
 # ---------------------------------------------------------------- sweep table
@@ -220,219 +214,302 @@ def scenario_hash(spec):
     return digest[:16]
 
 
-# ---------------------------------------------------------------- builders
+# ---------------------------------------------------------------- schema
 
-@contextlib.contextmanager
-def _section(key, name):
-    """Turn a constructor failure inside the block into a ConfigError
-    naming the config section ``key`` (``name`` is the catalog entry)."""
-    try:
-        yield
-    except UnknownName as exc:
-        raise ConfigError(f"{key}.name: {exc}")
-    except KeyError as exc:
-        raise ConfigError(f"{key}.{exc.args[0]}: required for {name!r}")
-    except (Error, ValueError, TypeError) as exc:
-        raise ConfigError(f"{key}: {exc}")
+REQUIRED = ...
+
+
+# One config key; the catalogs write theirs as plain tuples.  kind:
+# integer, number, bool, enum, string, list, box or object.  default: a
+# value, REQUIRED, or a function of the section and the top level parsed
+# so far; with None the key may be left out.  bound: the least integer,
+# the number a number must exceed, or the choices of an enum.  A list
+# holds items of kind (or Key) item, or numbers and lists of them; a box
+# is a (lo, hi) pair or one per axis.  An object is parsed against table,
+# or against table[v] for v the value at the key path select (a key of
+# the section, or a top-level key).
+Key = namedtuple("Key", "kind default bound item table select",
+                 defaults=(None,) * 5)
+
+
+def _dim(top):
+    field = top["field"]
+    return field["dim"] if "dim" in field else len(field["values"])
+
+
+def _default_potential(section, top):
+    """The closed form for Brownian motion from a 1-d Dirac start, else
+    Monte Carlo seeded like the paths."""
+    law, field = top["law"], top["field"]
+    if law and law["kind"] == "dirac" and field["name"] == "identity" and (
+            field["dim"] == 1):
+        return {"route": "closed-form"}
+    return {"route": "monte-carlo", "n_samples": 200_000, "seed": top["seed"]}
+
+
+_GRID = {"box": Key("box", REQUIRED), "h": Key("number", REQUIRED, 0.0),
+         "dt": Key("number", REQUIRED, 0.0)}
+# every route: the potential sweep integrates U over box at step h
+_SWEEP = {"box": Key("box", [-10.0, 10.0]), "h": Key("number", 0.01, 0.0)}
+POTENTIAL_ROUTES = {
+    "closed-form": _SWEEP,
+    "monte-carlo": {"n_samples": Key("integer", 200_000, 1),
+                    "seed": Key("integer", lambda s, top: top["seed"], 0),
+                    "step": Key("number", 2.0 ** -9, 0.0),
+                    "t_cap": Key("number", 16.0, 0.0), **_SWEEP},
+    "grid": {"kernel": Key("object", REQUIRED, table={
+        **_GRID, "t_min": Key("number", lambda s, top: s["dt"], 0.0),
+        "t_max": Key("number", 8.0, 0.0),
+        "n_slices": Key("integer", 240, 1)}), **_SWEEP},
+}
+KERNEL = {**_GRID, "times": Key("list", REQUIRED, item=("number", None, 0.0)),
+          "candidates": Key("list", REQUIRED, item="number"),
+          "x0": Key("list", lambda s, top: [0.0] * _dim(top), item="number")}
+SCHEME_PARAMS = {"euler-maruyama": {"fd_step": Key("number", 1e-4, 0.0)},
+                 "lattice": {"h": Key("number", 0.05, 0.0)}}
+
+CONFIG_SCHEMA = {
+    "name": Key("string"),
+    "field": Key("object", REQUIRED, table=fields.PARAMS,
+                 select="field.name"),
+    "function": Key("object", table=testfunctions.PARAMS,
+                    select="function.name"),
+    "law": Key("object", table=sampling.LAWS, select="law.kind"),
+    "horizon": Key("number", 1.0, 0.0),
+    "orders": Key("list", [4, 6, 8], item=("integer", None, 0)),
+    "n_paths": Key("integer", 100, 1),
+    "scheme": Key("enum", "euler-maruyama", tuple(SCHEME_PARAMS)),
+    "scheme_params": Key("object", {}, table=SCHEME_PARAMS, select="scheme"),
+    "fine_margin": Key("integer", 4, 1),
+    "seed": Key("integer", 0, 0),
+    "sweeps": Key("list", [], item=("enum", None, SWEEPS)),
+    "allow_unverified": Key("bool", False),
+    "box": Key("box", lambda s, top: [-10.0, 10.0] if _dim(top) == 1
+               else [-25.0, 25.0]),
+    "quad_h": Key("number", lambda s, top: 0.01 if _dim(top) == 1 else 0.1,
+                  0.0),
+    "potential": Key("object", _default_potential, table=POTENTIAL_ROUTES,
+                     select="potential.route"),
+    "kernel": Key("object", table=KERNEL),
+    "out_dir": Key("string"),
+}
+
+
+def _key(spec):
+    """A Key from its tuple, or from a bare kind such as "number"."""
+    return Key(spec) if isinstance(spec, str) else Key(*spec)
+
+
+def _is_list(value):
+    return isinstance(value, (list, tuple))
+
+
+def _finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _coerce(path, k, value, top):
+    """``value`` of the key ``k`` at ``path``, checked and typed."""
+    def bad(what):
+        return ConfigError(f"{path}: must be {what}, got {value!r}")
+
+    if k.kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int) and not (
+                isinstance(value, float) and value.is_integer()):
+            raise bad("an integer")
+        if k.bound is not None and value < k.bound:
+            raise bad(f">= {k.bound}")
+        return int(value)
+    if k.kind == "number":
+        if not _finite(value):
+            raise bad("a finite number")
+        if k.bound is not None and value <= k.bound:
+            raise bad(f"> {k.bound:g}")
+        return float(value)
+    if k.kind == "bool" and not isinstance(value, bool):
+        raise bad("true or false")
+    if k.kind in ("enum", "string") and not isinstance(value, str):
+        raise bad("a string")
+    if k.kind == "enum" and value not in k.bound:
+        raise bad(f"one of {', '.join(k.bound)}")
+    if k.kind in ("bool", "enum", "string"):
+        return value
+    if k.kind == "box":
+        nested = _is_list(value) and len(value) > 0 and _is_list(value[0])
+        pairs = value if nested else [value]
+        if not all(_is_list(p) and len(p) == 2 and _finite(p[0])
+                   and _finite(p[1]) and p[0] < p[1] for p in pairs):
+            raise bad("a (lo, hi) pair with lo < hi, or one per axis")
+        box = [[float(lo), float(hi)] for lo, hi in pairs]
+        return box if nested else box[0]
+    if k.kind == "list":
+        if not _is_list(value):
+            raise bad("a list")
+        return [_coerce(path, _key(k.item) if k.item else (
+                    k if _is_list(v) else Key("number")), v, top)
+                for v in value]
+    if not isinstance(value, dict):
+        raise bad("an object")
+    return _walk(path + ".", _subtable(path, k, value, top), value, top)[0]
+
+
+def _subtable(path, k, raw, top):
+    """The table of an object section; a selector inside the section is
+    parsed first and heads the table."""
+    if k.select is None:
+        return k.table
+    owner, _, sel = k.select.rpartition(".")
+    if not owner:
+        return k.table[top[sel]]
+    choice = Key("enum", REQUIRED, tuple(k.table))
+    value = _walk(path + ".", {sel: choice}, {sel: raw.get(sel)}, top)[0]
+    return {sel: choice, **k.table[value[sel]]}
+
+
+def _walk(path, table, raw, top=None):
+    """(parsed, given) of the config section ``raw``: each key of
+    ``table`` typed, or its default where ``raw`` leaves it out or null,
+    and the values as written plus those defaults.  Raises ConfigError
+    naming the key path of an unknown, missing or mistyped key."""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{path}{key}: unknown key; expected one of "
+                              f"{', '.join(table)}")
+    out, given = {}, {}
+    top = out if top is None else top
+    for key, spec in table.items():
+        k = _key(spec)
+        value = raw.get(key)
+        if value is None:
+            value = k.default(out, top) if callable(k.default) else k.default
+            if value is REQUIRED:
+                raise ConfigError(f"{path}{key}: required")
+        given[key] = value
+        out[key] = None if value is None else _coerce(path + key, k, value,
+                                                      top)
+    return out, given
 
 
 def _build(key, cfg, make):
-    """Catalog entry ``make(name, **params)`` from a config section."""
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ConfigError(f"{key}: a section with a 'name' key is required")
-    params = {k: v for k, v in cfg.items() if k != "name"}
-    with _section(key, cfg["name"]):
-        return make(cfg["name"], **params)
+    """``make(**section)`` of the parsed catalog section cfg[key]; a
+    construction failure is a ConfigError naming ``key``."""
+    try:
+        return make(**cfg[key])
+    except (Error, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}")
 
 
-def _build_law(cfg):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("law: a section with a 'kind' key is required")
-    kind = cfg["kind"]
-    with _section("law", kind):
-        if kind == "dirac":
-            return sampling.dirac([float(v) for v in cfg["point"]])
-        if kind == "mixture":
-            comps = [sampling.dirac([float(v) for v in p])
-                     for p in cfg["points"]]
-            return sampling.mixture([float(w) for w in cfg["weights"]], comps)
-        if kind == "grid-density":
-            edges = cfg["edges"]
-            if edges and not isinstance(edges[0], (list, tuple)):
-                edges = [edges]
-            return sampling.grid_density(
-                [np.asarray(e, dtype=float) for e in edges],
-                np.asarray(cfg["values"], dtype=float))
-    raise ConfigError(f"law.kind: unknown initial law kind {kind!r}")
+def _gate_skipped(sweeps, allow_unverified):
+    """allow_unverified skips the path sweeps' gates unless a ratio sweep
+    needs the integrals they compute."""
+    return allow_unverified and not set(sweeps) & RATIO_SWEEPS
 
 
 # ---------------------------------------------------------------- scenario
 
 @dataclass
 class Scenario:
-    """A validated run description plus its resolved objects."""
+    """A validated run description plus its resolved objects: ``cfg`` is
+    the parsed config and ``spec`` the canonical form the hash reads."""
 
     spec: dict
     hash: str
+    cfg: dict
     field: object
     F: object
     law: object
     out_dir: str
 
-    @property
-    def horizon(self):
-        return self.spec["horizon"]
-
-    @property
-    def orders(self):
-        return [int(n) for n in self.spec["orders"]]
-
-    @property
-    def n_paths(self):
-        return int(self.spec["n_paths"])
-
-    @property
-    def seed(self):
-        return int(self.spec["seed"])
-
-    @property
-    def sweeps(self):
-        return list(self.spec["sweeps"])
-
-    @property
-    def scheme(self):
-        return self.spec["scheme"]
-
-    @property
-    def allow_unverified(self):
-        return bool(self.spec["allow_unverified"])
-
-    @property
-    def box(self):
-        return self.spec["box"]
-
-    @property
-    def quad_h(self):
-        return float(self.spec["quad_h"])
+    horizon = property(lambda self: self.cfg["horizon"])
+    orders = property(lambda self: self.cfg["orders"])
+    n_paths = property(lambda self: self.cfg["n_paths"])
+    seed = property(lambda self: self.cfg["seed"])
+    sweeps = property(lambda self: self.cfg["sweeps"])
+    scheme = property(lambda self: self.cfg["scheme"])
+    allow_unverified = property(lambda self: self.cfg["allow_unverified"])
+    box = property(lambda self: self.cfg["box"])
+    quad_h = property(lambda self: self.cfg["quad_h"])
 
     @property
     def fine_step(self):
         return sampling.fine_step_for(self.horizon, max(self.orders),
-                                      margin=int(self.spec["fine_margin"]))
+                                      margin=self.cfg["fine_margin"])
 
 
-def _integer(key, value):
-    """``value`` as an int; integral floats such as 4.0 are accepted."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(key, value):
-    """``value`` as a finite float; ints are accepted, strings are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            not math.isfinite(value)):
-        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _list(key, value):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: must be a list, got {value!r}")
-    return list(value)
-
-
-def _object(key, value):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: must be an object, got {value!r}")
-    return value
+def read_config(path):
+    """The JSON document in the config file ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: {path} is not valid JSON: {exc}")
 
 
 def load_scenario(config, out_dir=None, seed_override=None):
     """Parse, default-fill, validate, and hash a scenario config.
 
-    ``config`` is a path to a JSON file or an equivalent dict.  Raises
-    ConfigError naming the offending key on any validation failure.
+    ``config`` is a path to a JSON file or an equivalent dict.  One walk
+    over CONFIG_SCHEMA types every key; the rules that tie keys together
+    follow.  Raises ConfigError naming the offending key path.
     """
-    if isinstance(config, (str, os.PathLike)):
-        try:
-            with open(config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {config}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {config} is not valid JSON: {exc}")
-    elif isinstance(config, dict):
-        raw = config
-    else:
-        raise ConfigError("config must be a file path or a dict")
-    for key in sorted(set(raw) - _TOP_KEYS):
-        raise ConfigError(f"unknown config key {key!r}")
-    if "field" not in raw:
-        raise ConfigError("field: section is required")
+    raw = (read_config(config) if isinstance(config, (str, os.PathLike))
+           else config)
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be a JSON object")
+    if seed_override is not None:
+        raw = {**raw, "seed": seed_override}
+    cfg, given = _walk("", CONFIG_SCHEMA, raw)
 
-    sweeps = _list("sweeps", raw.get("sweeps", []))
-    for s in sweeps:
-        if s not in SWEEPS:
-            raise ConfigError(
-                f"sweeps: unknown sweep {s!r}; choose from {', '.join(SWEEPS)}")
-    needs_paths = any(s in PATH_SWEEPS for s in sweeps)
-
-    horizon = _number("horizon", raw.get("horizon", 1.0))
-    if horizon <= 0:
-        raise ConfigError("horizon: must be > 0")
-    orders = [_integer("orders", n)
-              for n in _list("orders", raw.get("orders", [4, 6, 8]))]
+    sweeps = set(cfg["sweeps"])
+    paths = sweeps & set(PATH_SWEEPS)
+    orders, margin = cfg["orders"], cfg["fine_margin"]
     if orders != sorted(set(orders)):
         raise ConfigError("orders: must be strictly increasing")
-    if orders and not (0 <= orders[0] and orders[-1] <= sampling.MAX_ORDER):
-        raise ConfigError(
-            f"orders: every order must lie in [0, {sampling.MAX_ORDER}]")
-    if needs_paths and not orders:
+    if paths and not orders:
         raise ConfigError("orders: at least one dyadic order is required")
-    n_paths = _integer("n_paths", raw.get("n_paths", 100))
-    if n_paths < 1:
-        raise ConfigError("n_paths: must be >= 1")
-    margin = _integer("fine_margin", raw.get("fine_margin", 4))
-    if margin < 1:
-        raise ConfigError("fine_margin: must be >= 1")
     if orders and orders[-1] + margin > sampling.MAX_ORDER:
         raise ConfigError(
             f"orders: max order {orders[-1]} + fine_margin {margin} exceeds "
             f"{sampling.MAX_ORDER}")
-    scheme = raw.get("scheme", "euler-maruyama")
-    if scheme not in ("euler-maruyama", "lattice"):
-        raise ConfigError(f"scheme: unknown scheme {scheme!r}")
-    seed = _integer("seed", seed_override if seed_override is not None
-                    else raw.get("seed", 0))
-    if seed < 0:
-        raise ConfigError("seed: must be nonnegative")
 
-    field = _build("field", raw["field"], fields.make_field)
-    F = (_build("function", raw["function"],
-                testfunctions.make_test_function)
-         if raw.get("function") else None)
-    law = _build_law(raw["law"]) if raw.get("law") else None
-    if needs_paths:
-        if F is None:
-            raise ConfigError("function: required when path sweeps are listed")
-        if law is None:
-            raise ConfigError("law: required when path sweeps are listed")
-    if F is not None and F.dim != field.dim:
-        raise ConfigError(
-            f"function: dimension {F.dim} != field dimension {field.dim}")
-    if law is not None and law.dim != field.dim:
-        raise ConfigError(
-            f"law: dimension {law.dim} != field dimension {field.dim}")
-    if needs_paths and scheme == "euler-maruyama" and (
+    spec = _canon({k: v for k, v in given.items()
+                   if k not in ("name", "out_dir")})
+    digest = scenario_hash(spec)
+    scn = Scenario(
+        spec=spec, hash=digest, cfg=cfg,
+        field=_build("field", cfg, fields.make_field),
+        F=cfg["function"] and _build("function", cfg,
+                                     testfunctions.make_test_function),
+        law=cfg["law"] and _build("law", cfg, sampling.make_law),
+        out_dir=str(out_dir or cfg["out_dir"]
+                    or os.path.join("runs", digest)))
+    field, F, law = scn.field, scn.F, scn.law
+    for key, needed, obj in (("function", paths, F),
+                             ("law", paths or "potential" in sweeps, law),
+                             ("kernel", "aronson" in sweeps, cfg["kernel"])):
+        if needed and obj is None:
+            raise ConfigError(f"{key}: section required by the listed sweeps")
+    for key, obj in (("function", F), ("law", law)):
+        if obj is not None and obj.dim != field.dim:
+            raise ConfigError(f"{key}: dimension {obj.dim} != field "
+                              f"dimension {field.dim}")
+    if paths and scn.scheme == "euler-maruyama" and (
             field.smoothness == "rough"):
         raise ConfigError(
             "scheme: euler-maruyama needs a smooth field; set field.mollify "
             "or use the lattice scheme")
-    if needs_paths and scheme == "lattice" and not field.is_diagonal:
-        raise ConfigError("scheme: the lattice scheme needs a diagonal field")
+    if paths and scn.scheme == "lattice":
+        if not field.is_diagonal:
+            raise ConfigError(
+                "scheme: the lattice scheme needs a diagonal field")
+        try:
+            sampling.lattice_jump_rate(field, cfg["scheme_params"]["h"],
+                                       scn.fine_step)
+        except ValueError as exc:
+            raise ConfigError(f"scheme_params.h: {exc}")
     if F is not None and law is not None and F.grad_singular:
         for atom in law.atoms():
             for p in F.singular_points:
@@ -440,89 +517,34 @@ def load_scenario(config, out_dir=None, seed_override=None):
                     raise ConfigError(
                         "law: an atom of the initial law sits exactly on a "
                         f"point where the gradient of {F.name} is undefined")
-
-    kernel_cfg = raw.get("kernel")
-    if "aronson" in sweeps and kernel_cfg is None:
-        raise ConfigError("kernel: section is required for the aronson sweep")
-    if kernel_cfg is not None:
-        _object("kernel", kernel_cfg)
-
-    potential_cfg = raw.get("potential")
-    if potential_cfg is not None and not isinstance(potential_cfg, dict):
-        raise ConfigError("potential: must be an object with a 'route' key")
-    if potential_cfg is None:
-        if (law is not None and law.kind == "dirac" and field.dim == 1
-                and raw["field"].get("name") == "identity"):
-            potential_cfg = {"route": "closed-form"}
-        else:
-            potential_cfg = {"route": "monte-carlo", "n_samples": 200_000,
-                             "seed": seed}
-    if potential_cfg.get("route") not in ("closed-form", "monte-carlo",
-                                          "grid"):
+    if field.smoothness == "rough" and (
+            cfg["potential"]["route"] == "monte-carlo") and (
+            "potential" in sweeps
+            or paths and not _gate_skipped(sweeps, scn.allow_unverified)):
         raise ConfigError(
-            f"potential.route: unknown route {potential_cfg.get('route')!r}")
-    if potential_cfg.get("kernel") is not None:
-        _object("potential.kernel", potential_cfg["kernel"])
-
-    spec = {
-        "field": raw["field"],
-        "function": raw.get("function"),
-        "law": raw.get("law"),
-        "horizon": horizon,
-        "orders": orders,
-        "n_paths": n_paths,
-        "scheme": scheme,
-        "scheme_params": _object("scheme_params",
-                                 raw.get("scheme_params", {})),
-        "fine_margin": margin,
-        "seed": seed,
-        "sweeps": sweeps,
-        "allow_unverified": bool(raw.get("allow_unverified", False)),
-        "box": raw.get("box", [-10.0, 10.0] if field.dim == 1
-                       else [-25.0, 25.0]),
-        "quad_h": _number("quad_h", raw.get("quad_h", 0.01 if field.dim == 1
-                                            else 0.1)),
-        "potential": potential_cfg,
-        "kernel": kernel_cfg,
-    }
-    spec = _canon(spec)
-    digest = scenario_hash(spec)
-    resolved_out = out_dir or raw.get("out_dir") or os.path.join(
-        "runs", digest)
-    return Scenario(spec=spec, hash=digest, field=field, F=F, law=law,
-                    out_dir=str(resolved_out))
+            "potential.route: monte-carlo needs a smooth or mollified field; "
+            "use route grid with a potential.kernel section")
+    return scn
 
 
 # ---------------------------------------------------------------- gating
 
 def resolve_potential(scn):
     """Build the potential U nu the scenario's checks and sweeps rely on."""
-    cfg = scn.spec["potential"]
-    route = cfg["route"]
-    try:
-        if route == "closed-form":
-            return kernels.resolvent_potential("closed-form", scn.law)
-        if route == "monte-carlo":
-            return kernels.resolvent_potential(
-                "monte-carlo", scn.law, field=scn.field,
-                n_samples=int(cfg.get("n_samples", 200_000)),
-                seed=int(cfg.get("seed", scn.seed)),
-                step=float(cfg.get("step", 2.0 ** -9)),
-                t_cap=float(cfg.get("t_cap", 16.0)))
-        kcfg = cfg.get("kernel")
-        if not kcfg:
-            raise ConfigError(
-                "potential.kernel: section required for the grid route")
-        dt = float(kcfg["dt"])
-        times = kernels.log_time_grid(float(kcfg.get("t_min", dt)),
-                                      float(kcfg.get("t_max", 8.0)),
-                                      int(kcfg.get("n_slices", 240)), dt)
-        kern = kernels.solve_kernel_pde(
-            scn.field, np.asarray(scn.law.point, dtype=float),
-            kcfg["box"], float(kcfg["h"]), times, dt)
-        return kernels.resolvent_potential(kern, scn.law)
-    except (KeyError, AttributeError) as exc:
-        raise ConfigError(f"potential: incomplete {route!r} config ({exc})")
+    cfg = scn.cfg["potential"]
+    if cfg["route"] == "closed-form":
+        return kernels.resolvent_potential("closed-form", scn.law)
+    if cfg["route"] == "monte-carlo":
+        return kernels.resolvent_potential(
+            "monte-carlo", scn.law, field=scn.field,
+            n_samples=cfg["n_samples"], seed=cfg["seed"], step=cfg["step"],
+            t_cap=cfg["t_cap"])
+    k = cfg["kernel"]
+    times = kernels.log_time_grid(k["t_min"], k["t_max"], k["n_slices"],
+                                  k["dt"])
+    kern = kernels.solve_kernel_pde(scn.field, scn.law.point, k["box"],
+                                    k["h"], times, k["dt"])
+    return kernels.resolvent_potential(kern, scn.law)
 
 
 def _ladder_payload(cond):
@@ -557,7 +579,7 @@ def gate_scenario(scn):
     denoms = {}
     if not (need1 or need2):
         return conditions, denoms, None
-    if scn.allow_unverified and not (sweeps & RATIO_SWEEPS):
+    if _gate_skipped(sweeps, scn.allow_unverified):
         return {"skipped": "allow_unverified"}, denoms, None
 
     U = resolve_potential(scn)
@@ -618,7 +640,7 @@ def _simulate_clean(scn, path_ids, stride):
     outcome depends only on that path's own history, never on how paths
     were grouped into batches or workers.
     """
-    params = scn.spec["scheme_params"]
+    params = scn.cfg["scheme_params"]
     states = sampling.generate_batch(
         scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step, scn.seed,
         path_ids, stride=stride, scheme_params=params)
@@ -755,18 +777,12 @@ def read_report_csv(path):
 # ---------------------------------------------------------------- sweeps
 
 def _run_aronson(scn, U, incidents):
-    kcfg = scn.spec["kernel"]
-    for key in ("box", "h", "dt", "times", "candidates"):
-        if key not in kcfg:
-            raise ConfigError(f"kernel.{key}: required for the aronson sweep")
-    x0 = np.asarray(kcfg.get("x0", [0.0] * scn.field.dim), dtype=float)
-    kern = kernels.solve_kernel_pde(scn.field, x0, kcfg["box"],
-                                    float(kcfg["h"]),
-                                    [float(t) for t in kcfg["times"]],
-                                    float(kcfg["dt"]))
+    k = scn.cfg["kernel"]
+    kern = kernels.solve_kernel_pde(scn.field, k["x0"], k["box"], k["h"],
+                                    k["times"], k["dt"])
     if kern.leakage > LEAKAGE_TOL:
         incidents["leakage_warnings"] += 1
-    fit = kernels.fit_aronson_M(kern, [float(c) for c in kcfg["candidates"]])
+    fit = kernels.fit_aronson_M(kern, k["candidates"])
     prefix = os.path.join(scn.out_dir, "kernel")
     kern.save(prefix)
     rows = [("aronson_fit", 0, np.nan if fit is None else fit, 0.0,
@@ -778,9 +794,7 @@ def _run_aronson(scn, U, incidents):
 def _run_potential(scn, U, incidents):
     if U is None:
         U = resolve_potential(scn)
-    cfg = scn.spec["potential"]
-    pbox = cfg.get("box", [-10.0, 10.0])
-    ph = float(cfg.get("h", 0.01))
+    pbox, ph = scn.cfg["potential"]["box"], scn.cfg["potential"]["h"]
     if U.axes is not None:
         mass = U.integral()
         count = int(np.prod([ax.shape[0] for ax in U.axes]))

@@ -26,6 +26,7 @@ from .errors import (
     NonDiagonalField,
     OrderTooLarge,
     RoughFieldError,
+    UnknownName,
 )
 from . import fields as _fields
 
@@ -92,8 +93,9 @@ def grid_density(edges, values):
     ``edges`` is one increasing edge array per axis; ``values`` holds a
     nonnegative density value per cell.  Normalization is internal.
     """
-    edges = [np.asarray(e, dtype=float) for e in
-             (edges if isinstance(edges, (list, tuple)) else [edges])]
+    if len(edges) and np.ndim(edges[0]) == 0:   # one axis, given flat
+        edges = [edges]
+    edges = [np.asarray(e, dtype=float) for e in edges]
     if len(edges) > 2:
         raise DimensionMismatch("grid densities support d <= 2")
     vals = np.asarray(values, dtype=float)
@@ -111,17 +113,39 @@ def grid_density(edges, values):
                       cell_probs=probs / probs.sum())
 
 
-def mixture(weights, components):
+def mixture(weights, points):
+    """Mixture of initial laws; a component given as a point is its Dirac."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("mixture weights must be nonnegative, not all zero")
+    components = [p if isinstance(p, InitialLaw) else dirac(p)
+                  for p in points]
     if len(components) != w.shape[0]:
         raise DimensionMismatch("one weight per component required")
     dims = {c.dim for c in components}
     if len(dims) != 1:
         raise DimensionMismatch(f"components disagree on dimension: {dims}")
-    return InitialLaw(kind="mixture", components=list(components),
+    return InitialLaw(kind="mixture", components=components,
                       mix_weights=w / w.sum())
+
+
+# config parameters of each law kind as runner.Key tuples, ``...`` marking
+# a required one; a list without an item kind holds numbers or lists
+LAWS = {
+    "dirac": {"point": ("list", ..., None, "number")},
+    "mixture": {"weights": ("list", ..., None, "number"),
+                "points": ("list", ..., None, ("list", ..., None, "number"))},
+    "grid-density": {"edges": ("list", ...), "values": ("list", ...)},
+}
+_LAW_CATALOG = {"dirac": dirac, "mixture": mixture,
+                "grid-density": grid_density}
+
+
+def make_law(kind, **params):
+    """Initial law of the ``LAWS`` kind ``kind`` from its parameters."""
+    if kind not in _LAW_CATALOG:
+        raise UnknownName(f"unknown initial law kind {kind!r}")
+    return _LAW_CATALOG[kind](**params)
 
 
 def _sample_axis(u, cum, edges):
@@ -278,6 +302,17 @@ def _fill_spans(out, rows_pos, nf, idx_excl, x_before):
     return np.maximum(nf, idx_excl)
 
 
+def lattice_jump_rate(field, h, fine_step):
+    """Largest total jump rate 2 d lam / h^2 of the walk; raises
+    ValueError unless a fine step holds at most 0.1 expected jumps."""
+    rate = 2.0 * field.dim * field.lam / h ** 2
+    if rate * fine_step > 0.1 + 1e-12:
+        raise ValueError(
+            f"embedding too coarse: max jump rate {rate:.3g} * fine step "
+            f"{fine_step:.3g} exceeds 0.1; enlarge h or refine the grid")
+    return rate
+
+
 def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
                           attempt=0, stride=1, h=0.05):
     """Continuous-time lattice walk batch, recorded on the uniform grid."""
@@ -285,11 +320,7 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
         raise NonDiagonalField("the lattice scheme needs a diagonal field")
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
-    max_rate = 2.0 * d * field.lam / h ** 2
-    if max_rate * fine_step > 0.1 + 1e-12:
-        raise ValueError(
-            f"embedding too coarse: max jump rate {max_rate:.3g} * fine step "
-            f"{fine_step:.3g} exceeds 0.1; enlarge h or refine the grid")
+    max_rate = lattice_jump_rate(field, h, fine_step)
 
     gens = [path_rng(seed, pid, attempt) for pid in path_ids]
     B = len(gens)
@@ -363,16 +394,16 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     return out
 
 
+_SAMPLERS = {"euler-maruyama": _em_batch_states,
+             "lattice": _lattice_batch_states}
+
+
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
                    stride=1, attempt=0, scheme_params=None):
-    """Batched states (B, T', d) for either scheme, at stride multiples."""
-    params = dict(scheme_params or {})
-    if scheme == "euler-maruyama":
-        return _em_batch_states(field, law, horizon, fine_step, seed,
-                                path_ids, attempt=attempt, stride=stride,
-                                fd_step=params.get("fd_step", 1e-4))
-    if scheme == "lattice":
-        return _lattice_batch_states(field, law, horizon, fine_step, seed,
-                                     path_ids, attempt=attempt, stride=stride,
-                                     h=params.get("h", 0.05))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Batched states (B, T', d) for either scheme, at stride multiples;
+    ``scheme_params`` are its keyword arguments (fd_step, or h)."""
+    if scheme not in _SAMPLERS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,
+                             attempt=attempt, stride=stride,
+                             **(scheme_params or {}))

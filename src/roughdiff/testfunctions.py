@@ -260,27 +260,30 @@ def bump(dim=1):
                         params={"dim": dim})
 
 
-def make_test_function(name, **params):
-    """Catalog constructor: "linear" (c), "quadratic" (dim), "sin1d",
-    "abs_power" (alpha), "radial_power" (alpha, dim) and "bump" (dim).
+# config parameters of each entry as runner.Key tuples, ``...`` marking a
+# required one; the constructors check the ranges they need
+_DIM = ("integer", 1, 1)
+_ALPHA = ("number", ...)
+PARAMS = {
+    "linear": {"c": ("list", ..., None, "number")},
+    "quadratic": {"dim": _DIM},
+    "sin1d": {},
+    "abs_power": {"alpha": _ALPHA},
+    "radial_power": {"alpha": _ALPHA, "dim": ("integer", 2, 1)},
+    "bump": {"dim": _DIM},
+}
+_CATALOG = {"linear": linear, "quadratic": quadratic, "sin1d": sin1d,
+            "abs_power": abs_power, "radial_power": radial_power,
+            "bump": bump}
 
-    Parameters are coerced to their types here.  Raises UnknownName for
-    other names and KeyError for a missing required parameter.
-    """
-    if name == "linear":
-        return linear([float(v) for v in params["c"]])
-    if name == "quadratic":
-        return quadratic(dim=int(params.get("dim", 1)))
-    if name == "sin1d":
-        return sin1d()
-    if name == "abs_power":
-        return abs_power(float(params["alpha"]))
-    if name == "radial_power":
-        return radial_power(float(params["alpha"]),
-                            dim=int(params.get("dim", 2)))
-    if name == "bump":
-        return bump(dim=int(params.get("dim", 1)))
-    raise UnknownName(f"no test function named {name!r}")
+
+def make_test_function(name, **params):
+    """The catalog entry ``name`` (see PARAMS) from the parameters it
+    takes; others are ignored.  Raises UnknownName for other names."""
+    if name not in _CATALOG:
+        raise UnknownName(f"no test function named {name!r}")
+    return _CATALOG[name](**{k: v for k, v in params.items()
+                             if k in PARAMS[name]})
 
 
 def scale(F, c):

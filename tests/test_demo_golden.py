@@ -1,5 +1,5 @@
 """Golden SHA-256s of every report CSV and artifact file the three demos
-write.
+write, and the scenario hashes of their configs.
 
 The demos run in-process through ``run_scenario`` with their shipped
 configs.  A change that alters any report or artifact byte of a demo must
@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from roughdiff.runner import run_scenario
+from roughdiff.runner import load_scenario, run_scenario
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "demos")
@@ -57,6 +57,20 @@ GOLDEN = {
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },
 }
+
+
+# scenario hashes of the shipped configs; a parser change must leave them
+SCENARIO_HASH = {
+    "brownian_quadratic": "379a6736d7120a0c",
+    "sin_residual": "241205d57b383595",
+    "checkerboard_lattice": "1394ac59ec72c330",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(SCENARIO_HASH))
+def test_demo_scenario_hash(demo):
+    scn = load_scenario(os.path.join(DEMOS, f"{demo}.json"))
+    assert scn.hash == SCENARIO_HASH[demo]
 
 
 @pytest.mark.parametrize("demo", sorted(GOLDEN))

@@ -113,6 +113,20 @@ D2_ALL_SWEEPS_SHA256 = {
 }
 
 
+KERNEL_CFG = {"box": [-4.0, 4.0], "h": 0.05, "dt": 5e-4, "times": [0.25],
+              "candidates": [2.0, 4.0]}
+# a lattice walk on the default h and fine_margin: 2 lam / h^2 jumps per
+# unit time times the fine step 2^-7 exceeds 0.1
+COARSE_LATTICE = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
+                  "scheme": "lattice", "orders": [2, 3], "fine_margin": 4,
+                  "sweeps": ["qv"], "allow_unverified": True}
+# a gated rough-field run: the walk embeds, and the default potential
+# route is monte-carlo, which cannot run on a rough field
+GATED_ROUGH = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
+               "scheme": "lattice", "scheme_params": {"h": 0.0625},
+               "fine_margin": 8, "sweeps": ["qv", "prop1"]}
+
+
 def report(manifest, sweep):
     return runner.read_report_csv(
         os.path.join(manifest.out_dir, manifest.reports[sweep]))
@@ -275,16 +289,54 @@ class TestLoadScenario:
         ("scheme_params", {"scheme_params": 5}),
         ("horizon", {"horizon": float("nan")}),
         ("n_paths", {"n_paths": True}),
+        ("allow_unverified", {"allow_unverified": "no"}),
+        ("field.dimm", {"field": {"name": "identity", "dimm": 2}}),
+        ("function.dimm", {"function": {"name": "quadratic", "dimm": 1}}),
+        ("potential.n_sample", {"potential": {"route": "monte-carlo",
+                                              "n_sample": 150000}}),
+        ("kernel.dtt", {"kernel": dict(KERNEL_CFG, dtt=1e-4)}),
+        ("scheme_params.fdstep", {"scheme_params": {"fdstep": 1e-3}}),
+        ("field.dim", {"field": {"name": "identity", "dim": 2.7}}),
+        ("kernel.h", {"kernel": dict(KERNEL_CFG, h="abc"),
+                      "sweeps": ["aronson"]}),
+        ("kernel.box", {"kernel": dict(KERNEL_CFG, box=5),
+                        "sweeps": ["aronson"]}),
+        ("potential.n_samples", {"potential": {"route": "monte-carlo",
+                                               "n_samples": "abc"}}),
+        ("scheme_params.h", {"scheme": "lattice",
+                             "scheme_params": {"h": "abc"}}),
+        ("box", {"box": "abc"}),
+        ("scheme_params.h", COARSE_LATTICE),
+        ("potential.route", GATED_ROUGH),
     ], ids=["mollify", "diagonal", "alpha", "density-shape",
             "potential-string", "fractional-order", "fractional-n-paths",
             "fractional-margin", "fractional-seed", "kernel-number",
             "potential-kernel-number", "horizon-string", "quad-h-list",
             "sweeps-number", "scheme-params-number", "horizon-nan",
-            "n-paths-bool"])
+            "n-paths-bool", "allow-unverified-string", "field-unknown-key",
+            "function-unknown-key", "potential-unknown-key",
+            "kernel-unknown-key", "scheme-params-unknown-key",
+            "fractional-field-dim", "kernel-h-string", "kernel-box-number",
+            "n-samples-string", "lattice-h-string", "box-string",
+            "lattice-too-coarse", "rough-monte-carlo"])
     def test_error_names_its_key(self, key, over):
         with pytest.raises(ConfigError) as err:
             runner.load_scenario(quad_config(**over))
-        assert str(err.value).startswith(key)
+        assert str(err.value).startswith(f"{key}:")
+
+    def test_rough_field_potential_points_to_grid(self):
+        with pytest.raises(ConfigError, match="route grid"):
+            runner.load_scenario(quad_config(**GATED_ROUGH))
+        # explicit monte-carlo as well, and a potential sweep alone
+        with pytest.raises(ConfigError, match="potential.route"):
+            runner.load_scenario(quad_config(**dict(
+                GATED_ROUGH, potential={"route": "monte-carlo"})))
+        with pytest.raises(ConfigError, match="potential.route"):
+            runner.load_scenario(quad_config(**dict(
+                GATED_ROUGH, sweeps=["potential"])))
+        # ungated rough runs never build the potential
+        runner.load_scenario(quad_config(**dict(
+            GATED_ROUGH, allow_unverified=True, sweeps=["qv"])))
 
     def test_unknown_potential_route(self):
         cfg = quad_config(potential={"route": "psychic"})
@@ -305,7 +357,9 @@ class TestLoadScenario:
 
     def test_monte_carlo_potential_default_for_rough_field(self):
         cfg = quad_config(field={"name": "checkerboard", "lo": 0.5,
-                                 "hi": 2.0}, scheme="lattice")
+                                 "hi": 2.0}, scheme="lattice",
+                          sweeps=["qv"], allow_unverified=True,
+                          orders=[4, 5], fine_margin=9)
         scn = runner.load_scenario(cfg)
         assert scn.spec["potential"]["route"] == "monte-carlo"
 
@@ -468,6 +522,14 @@ class TestRunScenario:
         man = runner.run_scenario(cfg, out_dir=str(tmp_path))
         for _, n, mean, se, _ in report(man, "qv"):
             assert 2.0 * 0.5 - 6 * se <= mean <= 2.0 * 2.0 + 6 * se
+
+    def test_gated_rough_field_on_grid_route(self, tmp_path):
+        cfg = quad_config(**GATED_ROUGH, potential={
+            "route": "grid",
+            "kernel": {"box": [-6.0, 6.0], "h": 0.05, "dt": 3e-4}})
+        man = runner.run_scenario(cfg, out_dir=str(tmp_path))
+        assert man.conditions["condition_1"]["finite"]
+        assert man.verdicts == {"qv": "REPORT", "prop1": "PASS"}
 
     def test_condition_1_violation(self, tmp_path, monkeypatch):
         # no catalog function fails condition 1 (gradients of |x|^(1+a)
@@ -747,6 +809,10 @@ class TestCli:
         ("potential.kernel", {"potential": {"route": "grid", "kernel": 5}}),
         ("horizon", {"horizon": "abc"}),
         ("scheme_params", {"scheme_params": 5}),
+        ("kernel.h", {"kernel": dict(KERNEL_CFG, h="abc"),
+                      "sweeps": ["aronson"]}),
+        ("allow_unverified", {"allow_unverified": "no"}),
+        ("scheme_params.h", COARSE_LATTICE),
     ])
     def test_config_type_error_exit_two(self, tmp_path, cli, key, over):
         path = tmp_path / "bad.json"
