@@ -7,7 +7,8 @@ time stepping.  The face-flux matrix S is symmetric, so each step is one
 solve with the symmetric positive definite K = V - (dt/2) S (V the node
 volumes), factored once.  Mass is then conserved exactly (in the
 trapezoid sense) up to solver roundoff, which is what the leakage field
-records.
+records.  The resolvent potential on the same grid is a single solve
+with V - S.
 
 Envelope conventions, for a kernel started at x:
 
@@ -132,9 +133,7 @@ class GridKernel:
         for ax in self.axes:
             v = np.full(ax.shape[0], self.h)
             v[0] = v[-1] = 0.5 * self.h
-            vols = np.multiply.outer(vols, v) if np.ndim(vols) else v
-        if len(self.axes) == 1:
-            vols = np.asarray(vols)
+            vols = np.multiply.outer(vols, v)
         self.masses = (self.values * vols).reshape(
             self.times.shape[0], -1).sum(axis=1)
         self.leakage = float(np.max(np.abs(1.0 - self.masses)))
@@ -147,13 +146,6 @@ class GridKernel:
         """All grid nodes, shape (N, d)."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def validate(self, tol=1e-3):
-        if np.any(self.values < -1e-12):
-            raise ValueError("kernel holds negative density values")
-        if self.leakage > tol:
-            raise ValueError(
-                f"mass deviates from 1 by {self.leakage:.3g} (> {tol:g})")
 
     def save(self, prefix):
         """Write <prefix>.csv (t, coordinates, value) and <prefix>.json."""
@@ -203,21 +195,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def load_grid_kernel(prefix):
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    h = meta["h"]
-    axes = [lo + h * np.arange(int(round((hi - lo) / h)) + 1)
-            for lo, hi in meta["box"]]
-    shape = tuple(ax.shape[0] for ax in axes)
-    times = np.asarray(meta["times"], dtype=float)
-    raw = np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=1)
-    values = raw[:, -1].reshape((times.shape[0],) + shape)
-    return GridKernel(axes=axes, h=h, times=times, values=values,
-                      source=np.asarray(meta["source"]),
-                      meta=meta.get("meta", {}))
 
 
 def tabulate_kernel(fn, box, h, times, x0, dim=1, meta=None):
@@ -290,6 +267,22 @@ def _factor(S, vol, c):
     return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def _fv_operator(field, box, h):
+    """(axes, S, vol, shape) of div(a grad) on the vertex grid of ``box``
+    at step h, for a diagonal field in d <= 2 that h resolves."""
+    if field.dim not in (1, 2):
+        raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
+    if not field.is_diagonal:
+        raise NonDiagonalField(
+            "the finite-volume solver handles diagonal fields only")
+    if field.feature_scale is not None and h > field.feature_scale / 2 + 1e-12:
+        raise GridTooCoarse(
+            f"h = {h:g} does not resolve the field's feature scale "
+            f"{field.feature_scale:g} (need h <= feature/2)")
+    axes, vols = _axes_volumes(box, h, field.dim)
+    return (axes,) + _assemble_operator(field, axes, vols, h)
+
+
 def solve_kernel_pde(field, x0, box, h, times, dt):
     """Crank-Nicolson kernel of div(a grad) from a discrete Dirac at x0.
 
@@ -302,41 +295,25 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     (I - dt/2 A)^-1 (I + dt/2 A) of A = V^-1 S equals 2 K^-1 V - I, so a
     step is one solve; K 1 = V 1 keeps sum(vol * p) fixed.
     """
-    if field.dim not in (1, 2):
-        raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
-    if not field.is_diagonal:
-        raise NonDiagonalField(
-            "the finite-volume solver handles diagonal fields only")
+    axes, S, vol, shape = _fv_operator(field, box, h)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if dt > h * h * field.lam / 4.0 + 1e-15:
         raise UnstableStep(
             f"dt = {dt:g} exceeds h^2 lambda / 4 = {h * h * field.lam / 4:g}")
-    if field.feature_scale is not None and h > field.feature_scale / 2 + 1e-12:
-        raise GridTooCoarse(
-            f"h = {h:g} does not resolve the field's feature scale "
-            f"{field.feature_scale:g} (need h <= feature/2)")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d list")
     _check_time(times)
 
-    axes, vols = _axes_volumes(box, h, field.dim)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    src_idx = []
-    for c, ax in zip(x0, axes):
-        i = int(round((c - ax[0]) / h))
-        if not 0 < i < ax.shape[0] - 1:
-            raise ValueError(f"source {c} is not interior to the box")
-        src_idx.append(i)
+    src_idx = [int(round((c - ax[0]) / h)) for c, ax in zip(x0, axes)]
+    if not all(0 < i < ax.shape[0] - 1 for i, ax in zip(src_idx, axes)):
+        raise ValueError(f"source {x0} is not interior to the box")
     source = np.array([ax[i] for ax, i in zip(axes, src_idx)])
-
-    S, vol, shape = _assemble_operator(field, axes, vols, h)
     lu = _factor(S, vol, dt / 2.0)
 
-    p = np.zeros(vol.shape[0])
-    flat_src = int(np.ravel_multi_index(src_idx, shape))
-    p[flat_src] = 1.0 / vol[flat_src]
+    p = _node_mass(_sampling.dirac(source), axes, h).ravel() / vol
 
     snap_steps = np.maximum(1, np.round(times / dt).astype(np.int64))
     if np.any(np.diff(snap_steps) <= 0):
@@ -421,8 +398,7 @@ class PotentialField:
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
-            out = self.__call__(pts[None, :])
-            return out[0]
+            return self(pts[None, :])[0]
         if self.fn is not None:
             return self.fn(pts)
         if self.dim == 1:
@@ -434,16 +410,14 @@ class PotentialField:
         """Trapezoid integral of U over a box (defaults to the stored
         grid extent)."""
         if self.axes is not None and box is None:
-            vals = self.values
-            for ax in reversed(self.axes):
-                vals = np.trapezoid(vals, ax, axis=-1)
-            return float(vals)
-        if box is None or h is None:
+            axes, vals = self.axes, self.values
+        elif box is None or h is None:
             raise ValueError("closed-form potentials need box and h")
-        axes, _ = _axes_volumes(box, h, self.dim)
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = self(pts).reshape(tuple(a.shape[0] for a in axes))
+        else:
+            axes, _ = _axes_volumes(box, h, self.dim)
+            grids = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=-1)
+            vals = self(pts).reshape(tuple(a.shape[0] for a in axes))
         for ax in reversed(axes):
             vals = np.trapezoid(vals, ax, axis=-1)
         return float(vals)
@@ -485,46 +459,75 @@ def _bilinear(axes, values, pts):
     return np.where(inside, out, 0.0)
 
 
-def load_potential(prefix):
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    h = meta["h"]
-    axes = [lo + h * np.arange(int(round((hi - lo) / h)) + 1)
-            for lo, hi in meta["box"]]
-    shape = tuple(ax.shape[0] for ax in axes)
-    raw = np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=1)
-    values = raw[:, -1].reshape(shape)
-    return PotentialField(route=meta["route"], dim=len(axes),
-                          params=meta.get("params", {}), axes=axes,
-                          values=values)
-
-
 def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
                         seed=0, bandwidth=None, step=2.0 ** -9, t_cap=16.0,
-                        envelope_M=4.0):
-    """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of three routes.
+                        envelope_M=4.0, box=None, h=None):
+    """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of four routes.
 
     source selects the route: the string "closed-form" (a = Id, d = 1,
-    Dirac start), a GridKernel (time-slice quadrature), or the string
-    "monte-carlo" (kernel-density estimate of X_T, T ~ Exponential(1),
-    which needs ``field``).
+    Dirac start), the string "grid" (one finite-volume solve of
+    (1 - L) U = nu on ``box`` at step ``h``, which needs ``field``), a
+    GridKernel (time-slice quadrature), or the string "monte-carlo"
+    (kernel-density estimate of X_T, T ~ Exponential(1), which needs
+    ``field``).
     """
     if isinstance(source, GridKernel):
         return _potential_from_kernel(source, nu, envelope_M)
+    if source == "grid":
+        return _potential_from_solve(field, nu, box, h)
     if source == "closed-form":
         if nu.kind != "dirac" or nu.dim != 1:
             raise ValueError("the closed form covers d = 1 Dirac starts")
         x0 = float(np.atleast_1d(nu.point)[0])
-
-        def fn(pts):
-            return 0.5 * np.exp(-np.abs(np.asarray(pts)[..., 0] - x0))
-
-        return PotentialField(route="closed-form", dim=1,
-                              params={"x0": x0}, fn=fn)
+        return PotentialField(
+            route="closed-form", dim=1, params={"x0": x0},
+            fn=lambda pts: 0.5 * np.exp(-np.abs(pts[..., 0] - x0)))
     if source == "monte-carlo":
         return _potential_from_samples(field, nu, n_samples, seed,
                                        bandwidth, step, t_cap)
     raise ValueError(f"unknown potential source {source!r}")
+
+
+def _potential_from_solve(field, nu, box, h):
+    """U nu on the vertex grid from one solve of (V - S) u = V p0.
+
+    With A = V^-1 S that is (1 - A) u = p0, p0 the law's mass per node
+    over the node volume.  1^T S = 0, so the mass vol . u is 1.
+    """
+    axes, S, vol, shape = _fv_operator(field, box, h)
+    lo, hi = nu.hull()
+    if np.any(lo < [ax[0] for ax in axes]) or np.any(
+            hi > [ax[-1] for ax in axes]):
+        raise ValueError(f"the initial law charges points outside {box}")
+    u = _factor(S, vol, 1.0).solve(_node_mass(nu, axes, h).ravel())
+    return PotentialField(route="grid", dim=field.dim,
+                          params={"scheme": "fv-resolvent"}, axes=axes,
+                          values=u.reshape(shape))
+
+
+def _node_mass(nu, axes, h):
+    """The mass nu puts in each node's dual cell (the node +- h/2, cut at
+    the box), on the grid's shape.
+
+    A Dirac charges its nearest node.  A grid density charges each dual
+    cell the exact overlap with each of its cells, axis by axis.
+    """
+    if nu.kind == "mixture":
+        return sum(w * _node_mass(c, axes, h)
+                   for w, c in zip(nu.mix_weights, nu.components))
+    if nu.kind == "dirac":
+        out = np.zeros(tuple(ax.shape[0] for ax in axes))
+        out[tuple(int(round((c - ax[0]) / h))
+                  for c, ax in zip(nu.point, axes))] = 1.0
+        return out
+    # share[k][i, j]: the part of cell j along axis k in dual cell i
+    share = []
+    for e, ax in zip(nu.edges, axes):
+        cuts = np.append(ax - h / 2, ax[-1] + h / 2)[:, None]
+        share.append(np.diff(np.clip((cuts - e[:-1]) / np.diff(e), 0.0, 1.0),
+                             axis=0))
+    out = share[0] @ nu.cell_probs
+    return out if len(share) == 1 else out @ share[1].T
 
 
 def _potential_from_kernel(kernel, nu, envelope_M):
@@ -625,13 +628,13 @@ def _kde_field(samples, bw, dim, nu, params):
     lo = samples.min(axis=0) - 5.0 * bw
     hi = samples.max(axis=0) + 5.0 * bw
     n = samples.shape[0]
+    kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
+    kern = np.exp(-0.5 * (kx / bw) ** 2)
+    kern /= kern.sum() * bin_h
     if dim == 1:
         edges = np.arange(lo[0], hi[0] + bin_h, bin_h)
         counts, edges = np.histogram(samples[:, 0], bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
-        kern = np.exp(-0.5 * (kx / bw) ** 2)
-        kern /= kern.sum() * bin_h
         dens = np.convolve(counts / n, kern, mode="same")
         return PotentialField(route="monte-carlo-kde", dim=1, params=params,
                               axes=[centers], values=dens)
@@ -641,9 +644,6 @@ def _kde_field(samples, bw, dim, nu, params):
                                     bins=[ex, ey])
     cx = 0.5 * (ex[:-1] + ex[1:])
     cy = 0.5 * (ey[:-1] + ey[1:])
-    kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
-    kern = np.exp(-0.5 * (kx / bw) ** 2)
-    kern /= kern.sum() * bin_h
     dens = counts / n
     dens = np.apply_along_axis(np.convolve, 0, dens, kern, mode="same")
     dens = np.apply_along_axis(np.convolve, 1, dens, kern, mode="same")

@@ -17,6 +17,7 @@ emitted CSVs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -239,7 +240,7 @@ def _dim(top):
 
 def _default_potential(section, top):
     """The closed form for Brownian motion from a 1-d Dirac start, else
-    Monte Carlo seeded like the paths."""
+    Monte Carlo seeded like the paths; the closed form fits nothing else."""
     law, field = top["law"], top["field"]
     if law and law["kind"] == "dirac" and field["name"] == "identity" and (
             field["dim"] == 1):
@@ -247,8 +248,7 @@ def _default_potential(section, top):
     return {"route": "monte-carlo", "n_samples": 200_000, "seed": top["seed"]}
 
 
-_GRID = {"box": Key("box", REQUIRED), "h": Key("number", REQUIRED, 0.0),
-         "dt": Key("number", REQUIRED, 0.0)}
+_GRID = {"box": Key("box", REQUIRED), "h": Key("number", REQUIRED, 0.0)}
 # every route: the potential sweep integrates U over box at step h
 _SWEEP = {"box": Key("box", [-10.0, 10.0]), "h": Key("number", 0.01, 0.0)}
 POTENTIAL_ROUTES = {
@@ -257,12 +257,10 @@ POTENTIAL_ROUTES = {
                     "seed": Key("integer", lambda s, top: top["seed"], 0),
                     "step": Key("number", 2.0 ** -9, 0.0),
                     "t_cap": Key("number", 16.0, 0.0), **_SWEEP},
-    "grid": {"kernel": Key("object", REQUIRED, table={
-        **_GRID, "t_min": Key("number", lambda s, top: s["dt"], 0.0),
-        "t_max": Key("number", 8.0, 0.0),
-        "n_slices": Key("integer", 240, 1)}), **_SWEEP},
+    "grid": {"kernel": Key("object", REQUIRED, table=_GRID), **_SWEEP},
 }
-KERNEL = {**_GRID, "times": Key("list", REQUIRED, item=("number", None, 0.0)),
+KERNEL = {**_GRID, "dt": Key("number", REQUIRED, 0.0),
+          "times": Key("list", REQUIRED, item=("number", None, 0.0)),
           "candidates": Key("list", REQUIRED, item="number"),
           "x0": Key("list", lambda s, top: [0.0] * _dim(top), item="number")}
 SCHEME_PARAMS = {"euler-maruyama": {"fd_step": Key("number", 1e-4, 0.0)},
@@ -338,8 +336,9 @@ def _coerce(path, k, value, top):
     if k.kind == "box":
         nested = _is_list(value) and len(value) > 0 and _is_list(value[0])
         pairs = value if nested else [value]
-        if not all(_is_list(p) and len(p) == 2 and _finite(p[0])
-                   and _finite(p[1]) and p[0] < p[1] for p in pairs):
+        if nested and len(pairs) != _dim(top) or not all(
+                _is_list(p) and len(p) == 2 and _finite(p[0])
+                and _finite(p[1]) and p[0] < p[1] for p in pairs):
             raise bad("a (lo, hi) pair with lo < hi, or one per axis")
         box = [[float(lo), float(hi)] for lo, hi in pairs]
         return box if nested else box[0]
@@ -517,13 +516,45 @@ def load_scenario(config, out_dir=None, seed_override=None):
                     raise ConfigError(
                         "law: an atom of the initial law sits exactly on a "
                         f"point where the gradient of {F.name} is undefined")
-    if field.smoothness == "rough" and (
-            cfg["potential"]["route"] == "monte-carlo") and (
-            "potential" in sweeps
-            or paths and not _gate_skipped(sweeps, scn.allow_unverified)):
-        raise ConfigError(
-            "potential.route: monte-carlo needs a smooth or mollified field; "
-            "use route grid with a potential.kernel section")
+    route = cfg["potential"]["route"]
+    if "potential" in sweeps or paths and not _gate_skipped(
+            sweeps, scn.allow_unverified):
+        unfit = {"monte-carlo": field.smoothness == "rough"
+                 and "needs a smooth or mollified field",
+                 "closed-form": _default_potential({}, cfg)["route"] != route
+                 and "fits only the 1-d identity field from a dirac law"}
+        if unfit.get(route):
+            raise ConfigError(f"potential.route: {route} {unfit[route]}; use "
+                              "route grid with a potential.kernel section")
+        if route == "grid":
+            pk, feature = cfg["potential"]["kernel"], field.feature_scale
+            lo, hi = np.reshape(pk["box"], (-1, 2)).T
+            a, b = law.hull()
+            if field.dim > 2:
+                raise ConfigError(f"potential.route: grid solves d = 1 or 2, "
+                                  f"got d = {field.dim}")
+            try:
+                kernels._axes_volumes(pk["box"], pk["h"], field.dim)
+            except ValueError as exc:
+                raise ConfigError(f"potential.kernel.h: {exc}")
+            if feature is not None and pk["h"] > feature / 2 + 1e-12:
+                raise ConfigError(
+                    f"potential.kernel.h: {pk['h']:g} does not resolve the "
+                    f"field's feature scale {feature:g} (need h <= feature/2)")
+            if np.any(a < lo) or np.any(b > hi):
+                raise ConfigError(
+                    "potential.kernel.box: must hold the support of the "
+                    f"initial law, which spans {a.tolist()} to {b.tolist()}")
+    if "aronson" in sweeps:
+        # the source must snap to an interior node of the kernel grid
+        k = cfg["kernel"]
+        lo, hi = np.reshape(k["box"], (-1, 2)).T
+        x0 = np.asarray(k["x0"])
+        if x0.shape != (field.dim,) or np.any(x0 <= lo + k["h"] / 2) or (
+                np.any(x0 >= hi - k["h"] / 2)):
+            raise ConfigError(
+                f"kernel.x0: must be a point of dimension {field.dim} at "
+                f"least kernel.h / 2 inside kernel.box, got {k['x0']}")
     return scn
 
 
@@ -532,19 +563,11 @@ def load_scenario(config, out_dir=None, seed_override=None):
 def resolve_potential(scn):
     """Build the potential U nu the scenario's checks and sweeps rely on."""
     cfg = scn.cfg["potential"]
-    if cfg["route"] == "closed-form":
-        return kernels.resolvent_potential("closed-form", scn.law)
-    if cfg["route"] == "monte-carlo":
-        return kernels.resolvent_potential(
-            "monte-carlo", scn.law, field=scn.field,
-            n_samples=cfg["n_samples"], seed=cfg["seed"], step=cfg["step"],
-            t_cap=cfg["t_cap"])
-    k = cfg["kernel"]
-    times = kernels.log_time_grid(k["t_min"], k["t_max"], k["n_slices"],
-                                  k["dt"])
-    kern = kernels.solve_kernel_pde(scn.field, scn.law.point, k["box"],
-                                    k["h"], times, k["dt"])
-    return kernels.resolvent_potential(kern, scn.law)
+    route = cfg["route"]
+    # the route's own keys; box and h of the section are the sweep's
+    kw = ({k: cfg[k] for k in ("n_samples", "seed", "step", "t_cap")}
+          if route == "monte-carlo" else cfg.get("kernel", {}))
+    return kernels.resolvent_potential(route, scn.law, field=scn.field, **kw)
 
 
 def _ladder_payload(cond):
@@ -727,18 +750,8 @@ class RunManifest:
         return all(v != "FAIL" for v in self.verdicts.values())
 
     def payload(self):
-        return {
-            "scenario_hash": self.scenario_hash,
-            "version": self.version,
-            "spec": self.spec,
-            "reports": self.reports,
-            "artifacts": self.artifacts,
-            "verdicts": self.verdicts,
-            "conditions": self.conditions,
-            "incidents": self.incidents,
-            "wall_clock_s": self.wall_clock_s,
-            "workers": self.workers,
-        }
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if k != "out_dir"}
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -801,9 +814,6 @@ def _run_potential(scn, U, incidents):
     else:
         mass = U.integral(box=pbox, h=ph)
         count = 1
-    token = U.params.get("kernel_leakage")
-    if token is not None and token > LEAKAGE_TOL:
-        incidents["leakage_warnings"] += 1
     rows = [("potential_mass", 0, mass, 0.0, count)]
     if kernels.lq_admissible(2.0, U.dim):
         l2 = kernels.potential_Lq_norm(U, 2.0, pbox, h=ph)

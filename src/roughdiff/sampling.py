@@ -70,6 +70,15 @@ class InitialLaw:
             return len(self.edges)
         return self.components[0].dim
 
+    def hull(self):
+        """(lo, hi), the corners of the least box holding the support."""
+        if self.kind == "dirac":
+            return self.point, self.point
+        if self.kind == "grid-density":
+            return tuple(np.array([e[[0, -1]] for e in self.edges]).T)
+        los, his = zip(*(c.hull() for c in self.components))
+        return np.min(los, axis=0), np.max(his, axis=0)
+
     def atoms(self):
         """All Dirac atoms the law charges (empty for continuous laws)."""
         if self.kind == "dirac":

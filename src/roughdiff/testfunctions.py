@@ -33,11 +33,6 @@ class TestFunction:
     grad_singular: bool = False   # is the gradient undefined at those points?
     params: dict = dc_field(default_factory=dict)
 
-    def hessian_or_raise(self, x):
-        if self.hessian is None:
-            raise NoHessian(f"{self.name} has no second derivatives")
-        return self.hessian(x)
-
 
 def _pts(x, dim):
     x = np.asarray(x, dtype=float)
@@ -284,20 +279,6 @@ def make_test_function(name, **params):
         raise UnknownName(f"no test function named {name!r}")
     return _CATALOG[name](**{k: v for k, v in params.items()
                              if k in PARAMS[name]})
-
-
-def scale(F, c):
-    """The function c * F, with derivatives scaled alike."""
-    c = float(c)
-    hess = None
-    if F.hessian is not None:
-        hess = lambda x, _h=F.hessian: c * _h(x)
-    return TestFunction(
-        name=f"{F.name}*{c:g}", dim=F.dim, regularity=F.regularity,
-        value=lambda x, _v=F.value: c * _v(x),
-        gradient=lambda x, _g=F.gradient: c * _g(x),
-        hessian=hess, singular_points=list(F.singular_points),
-        grad_singular=F.grad_singular, params=dict(F.params, scaled_by=c))
 
 
 def component_function(F, k):

@@ -2,7 +2,7 @@
 rejects a mistyped value and every section an unknown key, naming the key
 path; the scenario hash ignores key order and the int/float spelling of
 integer keys; a loaded spec reloads to itself; the README documents every
-key path.
+key path and names no other.
 """
 
 import json
@@ -17,6 +17,8 @@ from roughdiff.errors import ConfigError
 
 PROPERTY = settings(max_examples=60, deadline=None)
 MINIMAL = {"field": {"name": "identity"}}
+SECTION_PREFIXES = ("field.", "function.", "law.", "scheme_params.",
+                    "potential.", "kernel.")
 WRONG = {"integer": "abc", "number": "abc", "bool": "no", "enum": "no-such",
          "string": 5, "list": 5, "box": 5, "object": 5}
 
@@ -110,6 +112,10 @@ class TestEveryKey:
                             re.S | re.M).group(1)
         listed = set(re.findall(r"`([a-z_0-9.]+)`", section))
         assert _key_paths() - listed == set()
+        # and every key path it names exists, file names aside
+        named = {t for t in listed if t.startswith(SECTION_PREFIXES)
+                 and not t.endswith((".json", ".csv"))}
+        assert named - _key_paths() == set()
 
 
 # integer keys at every level, so their spelling can vary

@@ -1,10 +1,13 @@
 """Kernel solver, Gaussian envelopes, Aronson fits, and potentials."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughdiff import kernels as kn
-from roughdiff import sampling
+from roughdiff import runner, sampling
 from roughdiff.errors import (
     EmptyCandidates,
     GridTooCoarse,
@@ -138,15 +141,23 @@ class TestSolveKernelPde:
         for k in (id_kernel, cb_kernel):
             assert k.leakage < 1e-9
             assert np.all(k.values > -1e-12)
-            k.validate()
 
-    def test_validate_flags_lossy_kernel(self, id_kernel):
+    def test_validate_flags_lossy_kernel(self, id_kernel, tmp_path,
+                                         monkeypatch):
+        # the aronson sweep counts a kernel that lost mass as an incident
         bad = kn.GridKernel(axes=id_kernel.axes, h=id_kernel.h,
                             times=id_kernel.times,
                             values=0.9 * id_kernel.values,
                             source=id_kernel.source)
-        with pytest.raises(ValueError):
-            bad.validate()
+        assert bad.leakage == pytest.approx(0.1)
+        monkeypatch.setattr(runner.kernels, "solve_kernel_pde",
+                            lambda *args: bad)
+        man = runner.run_scenario(
+            {"field": {"name": "identity"}, "sweeps": ["aronson"],
+             "kernel": {"box": [-4.0, 4.0], "h": 0.01, "dt": 2.5e-5,
+                        "times": [0.1, 0.25, 1.0], "candidates": [8.0]}},
+            out_dir=str(tmp_path))
+        assert man.incidents["leakage_warnings"] == 1
 
     def test_unstable_step(self):
         field = make_field("identity", dim=1)
@@ -285,15 +296,25 @@ class TestAronsonFit:
         assert fits[0] > fits[-1]
 
 
+def read_table(prefix):
+    """The columns of <prefix>.csv and the <prefix>.json sidecar."""
+    with open(prefix + ".json") as fh:
+        meta = json.load(fh)
+    return np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1,
+                      ndmin=2).T, meta
+
+
 class TestGridKernelIO:
     def test_round_trip(self, tmp_path, id_kernel):
         prefix = str(tmp_path / "kern")
         id_kernel.save(prefix)
-        back = kn.load_grid_kernel(prefix)
-        np.testing.assert_array_equal(back.values, id_kernel.values)
-        np.testing.assert_array_equal(back.times, id_kernel.times)
-        np.testing.assert_array_equal(back.axes[0], id_kernel.axes[0])
-        assert back.leakage == id_kernel.leakage
+        (t, x, value), meta = read_table(prefix)
+        np.testing.assert_array_equal(value, id_kernel.values.ravel())
+        np.testing.assert_array_equal(
+            t, np.repeat(id_kernel.times, id_kernel.axes[0].shape[0]))
+        np.testing.assert_array_equal(x, np.tile(id_kernel.axes[0], 3))
+        assert meta["leakage"] == id_kernel.leakage
+        assert meta["times"] == id_kernel.times.tolist()
         with open(prefix + ".csv") as fh:
             assert fh.readline().strip() == "t,x,value"
 
@@ -303,8 +324,9 @@ class TestGridKernelIO:
                                 times=[0.2], dt=1e-2)
         prefix = str(tmp_path / "kern2")
         k.save(prefix)
-        back = kn.load_grid_kernel(prefix)
-        np.testing.assert_array_equal(back.values, k.values)
+        (_, x, y, value), _ = read_table(prefix)
+        np.testing.assert_array_equal(value, k.values.ravel())
+        np.testing.assert_array_equal(np.stack([x, y], axis=-1), k.points())
         with open(prefix + ".csv") as fh:
             assert fh.readline().strip() == "t,x,y,value"
 
@@ -408,11 +430,113 @@ class TestResolventPotential:
                                    sampling.dirac(np.zeros(1)))
         prefix = str(tmp_path / "pot")
         U.save(prefix)
-        back = kn.load_potential(prefix)
-        np.testing.assert_array_equal(back.values, U.values)
-        assert back.route == "grid"
-        xs = np.array([[0.3], [-1.2]])
-        np.testing.assert_allclose(back(xs), U(xs), rtol=1e-12)
+        (t, x, value), meta = read_table(prefix)
+        np.testing.assert_array_equal(value, U.values)
+        np.testing.assert_array_equal(x, U.axes[0])
+        assert not t.any()
+        assert meta["route"] == "grid"
+        assert meta["box"] == [[-8.0, 8.0]]
+        assert meta["h"] == pytest.approx(0.02)
+
+
+ID1 = make_field("identity", dim=1)
+BOX1 = (-8.0, 8.0)
+DENSITY1 = sampling.grid_density([-1.03, 0.0, 0.5, 2.01], [1.0, 3.0, 0.5])
+DENSITY2 = sampling.grid_density([[-1.03, 0.0, 0.5, 2.01], [-0.3, 0.77]],
+                                 [[1.0], [3.0], [0.5]])
+
+
+def grid_potential(nu, field=ID1, box=BOX1, h=0.05):
+    return kn.resolvent_potential("grid", nu, field=field, box=box, h=h)
+
+
+def overlap_mass(law, axes, h):
+    """Mass per node of a grid density by summing cell overlaps with the
+    dual cells, one node and one cell at a time."""
+    def lengths(ax, edges):
+        out = np.zeros((ax.shape[0], edges.shape[0] - 1))
+        for i, x in enumerate(ax):
+            a, b = max(x - h / 2, ax[0]), min(x + h / 2, ax[-1])
+            for j in range(edges.shape[0] - 1):
+                out[i, j] = max(0.0, min(b, edges[j + 1]) - max(a, edges[j]))
+        return out / np.diff(edges)
+
+    w = [lengths(ax, e) for ax, e in zip(axes, law.edges)]
+    if len(w) == 1:
+        return w[0] @ law.cell_probs
+    return w[0] @ law.cell_probs @ w[1].T
+
+
+class TestGridRoute:
+    """The grid route: one solve of (V - S) u = V p0 on the kernel grid."""
+
+    def test_identity_matches_closed_form(self, closed_potential):
+        U = grid_potential(sampling.dirac(np.zeros(1)))
+        xs = U.axes[0][:, None]
+        assert np.abs(U.values - closed_potential(xs)).max() <= 1e-3 * 0.5
+        assert abs(U.integral() - 1.0) <= 1e-12
+        assert U.route == "grid"
+
+    @pytest.mark.parametrize("nu, field, box, h", [
+        (sampling.dirac([0.5]), ID1, BOX1, 0.05),
+        (sampling.mixture([0.2, 0.8], [[-1.0], [2.5]]), ID1, BOX1, 0.05),
+        (DENSITY1, ID1, BOX1, 0.05),
+        (DENSITY2, make_field("checkerboard", dim=2, lo=0.5, hi=2.0),
+         (-6.0, 6.0), 0.1),
+    ], ids=["dirac", "mixture", "density", "density-2d-checkerboard"])
+    def test_mass_is_one(self, nu, field, box, h):
+        U = grid_potential(nu, field, box, h)
+        assert abs(U.integral() - 1.0) <= 1e-12
+        assert U.values.min() > -1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(-7.9, 7.9)),
+                    min_size=1, max_size=4))
+    def test_mixture_mass_property(self, parts):
+        weights, atoms = zip(*parts)
+        U = grid_potential(sampling.mixture(weights, [[a] for a in atoms]))
+        assert abs(U.integral() - 1.0) <= 1e-12
+
+    def test_mixture_is_linear(self):
+        weights, atoms = [0.2, 0.5, 0.3], [-3.0, 0.0, 2.5]
+        U = grid_potential(sampling.mixture(weights, [[a] for a in atoms]))
+        parts = sum(w * grid_potential(sampling.dirac([a])).values
+                    for w, a in zip(weights, atoms))
+        assert np.abs(U.values - parts).max() <= 1e-12
+
+    @pytest.mark.parametrize("law", [DENSITY1, DENSITY2], ids=["1d", "2d"])
+    def test_density_mass_is_exact_overlap(self, law):
+        axes, _ = kn._axes_volumes((-2.0, 3.0), 0.1, len(law.edges))
+        got = kn._node_mass(law, axes, 0.1)
+        np.testing.assert_allclose(got, overlap_mass(law, axes, 0.1),
+                                   rtol=0, atol=1e-15)
+
+    def test_checkerboard_matches_stepped_route(self):
+        # the time-slice quadrature of the stepped kernel, away from the
+        # source, where its coarse first slices matter, and from the box
+        # edge, where the tail beyond t = 8 it leaves out matters
+        field = make_field("checkerboard", dim=1, lo=0.5, hi=2.0)
+        dt = 1e-4
+        kern = kn.solve_kernel_pde(field, 0.0, BOX1, 0.05,
+                                   kn.log_time_grid(1e-4, 8.0, 240, dt), dt)
+        stepped = kn.resolvent_potential(kern, sampling.dirac(np.zeros(1)))
+        U = grid_potential(sampling.dirac(np.zeros(1)), field)
+        mid = (np.abs(U.axes[0]) > 0.5) & (np.abs(U.axes[0]) < 3.0)
+        rel = np.abs(U.values - stepped.values)[mid] / U.values[mid]
+        assert rel.max() < 5e-3
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="outside"):
+            grid_potential(sampling.dirac([9.0]))
+        with pytest.raises(ValueError, match="outside"):
+            grid_potential(DENSITY1, box=(-1.0, 1.0))
+        with pytest.raises(GridTooCoarse):
+            grid_potential(sampling.dirac([0.0]),
+                           make_field("checkerboard", dim=1, lo=0.5, hi=2.0),
+                           h=0.8)
+        with pytest.raises(ValueError, match="d in"):
+            grid_potential(sampling.dirac(np.zeros(3)),
+                           make_field("identity", dim=3), (-2.0, 2.0), 0.5)
 
 
 class TestMonteCarloEuler:

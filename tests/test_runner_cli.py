@@ -125,6 +125,47 @@ COARSE_LATTICE = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
 GATED_ROUGH = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
                "scheme": "lattice", "scheme_params": {"h": 0.0625},
                "fine_margin": 8, "sweeps": ["qv", "prop1"]}
+GRID = {"route": "grid", "kernel": {"box": [-6.0, 6.0], "h": 0.05}}
+MIXTURE = {"kind": "mixture", "weights": [0.25, 0.75],
+           "points": [[-1.0], [2.0]]}
+# configs whose potential or kernel cannot be built as asked; the load
+# rules name the key at fault
+LOAD_RULES = [
+    ("potential.route", {"law": MIXTURE, "sweeps": ["potential"],
+                         "potential": {"route": "closed-form"}}),
+    ("potential.route", {"field": {"name": "checkerboard", "lo": 0.5,
+                                   "hi": 2.0, "mollify": 0.1},
+                         "potential": {"route": "closed-form"}}),
+    ("potential.route", {"field": {"name": "identity", "dim": 3},
+                         "function": {"name": "quadratic", "dim": 3},
+                         "law": {"kind": "dirac", "point": [0.0] * 3},
+                         "potential": GRID}),
+    ("potential.kernel.box", {"law": {"kind": "dirac", "point": [9.0]},
+                              "potential": GRID}),
+    ("potential.kernel.box", {"law": {"kind": "grid-density",
+                                      "edges": [[5.0, 6.5, 7.0]],
+                                      "values": [1.0, 1.0]},
+                              "potential": GRID}),
+    ("potential.kernel.h", dict(GATED_ROUGH, potential={
+        "route": "grid", "kernel": {"box": [-6.0, 6.0], "h": 0.75}})),
+    ("potential.kernel.h", {"potential": {
+        "route": "grid", "kernel": {"box": [-6.0, 6.0], "h": 0.07}}}),
+    ("potential.kernel.box", {"potential": {
+        "route": "grid", "kernel": {"box": [[-6.0, 6.0]] * 2, "h": 0.05}}}),
+    ("kernel.x0", {"sweeps": ["aronson"],
+                   "kernel": dict(KERNEL_CFG, x0=[0.0, 7.0])}),
+    ("kernel.x0", {"field": {"name": "identity", "dim": 2},
+                   "function": {"name": "quadratic", "dim": 2},
+                   "law": {"kind": "dirac", "point": [0.0, 0.0]},
+                   "sweeps": ["aronson"], "kernel": dict(KERNEL_CFG,
+                                                         x0=[0.0])}),
+    ("kernel.x0", {"sweeps": ["aronson"],
+                   "kernel": dict(KERNEL_CFG, box=[-6.0, 6.0], x0=[9.0])}),
+]
+LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
+                 "grid-d3", "grid-atom-outside", "grid-density-outside",
+                 "grid-too-coarse", "grid-h-untiled", "grid-box-axes",
+                 "x0-too-long", "x0-too-short", "x0-outside"]
 
 
 def report(manifest, sweep):
@@ -306,9 +347,10 @@ class TestLoadScenario:
         ("scheme_params.h", {"scheme": "lattice",
                              "scheme_params": {"h": "abc"}}),
         ("box", {"box": "abc"}),
+        ("box", {"box": [[-10.0, 10.0]] * 2}),
         ("scheme_params.h", COARSE_LATTICE),
         ("potential.route", GATED_ROUGH),
-    ], ids=["mollify", "diagonal", "alpha", "density-shape",
+    ] + LOAD_RULES, ids=["mollify", "diagonal", "alpha", "density-shape",
             "potential-string", "fractional-order", "fractional-n-paths",
             "fractional-margin", "fractional-seed", "kernel-number",
             "potential-kernel-number", "horizon-string", "quad-h-list",
@@ -317,12 +359,39 @@ class TestLoadScenario:
             "function-unknown-key", "potential-unknown-key",
             "kernel-unknown-key", "scheme-params-unknown-key",
             "fractional-field-dim", "kernel-h-string", "kernel-box-number",
-            "n-samples-string", "lattice-h-string", "box-string",
-            "lattice-too-coarse", "rough-monte-carlo"])
+            "n-samples-string", "lattice-h-string", "box-string", "box-axes",
+            "lattice-too-coarse", "rough-monte-carlo"] + LOAD_RULE_IDS)
     def test_error_names_its_key(self, key, over):
         with pytest.raises(ConfigError) as err:
             runner.load_scenario(quad_config(**over))
         assert str(err.value).startswith(f"{key}:")
+
+    def test_closed_form_points_to_grid(self):
+        with pytest.raises(ConfigError, match="route grid"):
+            runner.load_scenario(quad_config(**LOAD_RULES[0][1]))
+        # the default route and an explicit closed form on its own case
+        for over in ({}, {"potential": {"route": "closed-form"}}):
+            scn = runner.load_scenario(quad_config(**over))
+            assert scn.cfg["potential"]["route"] == "closed-form"
+
+    @pytest.mark.parametrize("key", ["dt", "t_min", "t_max", "n_slices"])
+    def test_grid_time_stepping_keys_are_gone(self, key):
+        cfg = quad_config(potential={
+            "route": "grid", "kernel": dict(GRID["kernel"], **{key: 1.0})})
+        with pytest.raises(ConfigError) as err:
+            runner.load_scenario(cfg)
+        assert str(err.value).startswith(
+            f"potential.kernel.{key}: unknown key")
+
+    def test_x0_on_the_box_edge_node(self):
+        # x0 within kernel.h / 2 of the edge snaps to a boundary node
+        over = {"sweeps": ["aronson"],
+                "kernel": dict(KERNEL_CFG, x0=[3.98])}
+        with pytest.raises(ConfigError, match="kernel.x0"):
+            runner.load_scenario(quad_config(**over))
+        over["kernel"]["x0"] = [3.9]
+        assert runner.load_scenario(quad_config(**over)).cfg["kernel"][
+            "x0"] == [3.9]
 
     def test_rough_field_potential_points_to_grid(self):
         with pytest.raises(ConfigError, match="route grid"):
@@ -526,7 +595,7 @@ class TestRunScenario:
     def test_gated_rough_field_on_grid_route(self, tmp_path):
         cfg = quad_config(**GATED_ROUGH, potential={
             "route": "grid",
-            "kernel": {"box": [-6.0, 6.0], "h": 0.05, "dt": 3e-4}})
+            "kernel": {"box": [-6.0, 6.0], "h": 0.05}})
         man = runner.run_scenario(cfg, out_dir=str(tmp_path))
         assert man.conditions["condition_1"]["finite"]
         assert man.verdicts == {"qv": "REPORT", "prop1": "PASS"}
@@ -641,6 +710,26 @@ class TestKernelPotentialSweeps:
         assert man.verdicts["potential"] == "PASS"
         assert os.path.exists(os.path.join(man.out_dir,
                                            "potential_field.csv"))
+
+    @pytest.mark.parametrize("law", [
+        {"kind": "dirac", "point": [0.5]}, MIXTURE,
+        {"kind": "grid-density", "edges": [[-1.03, 0.0, 0.5, 2.01]],
+         "values": [1.0, 3.0, 0.5]}], ids=["dirac", "mixture", "density"])
+    def test_potential_sweep_grid(self, tmp_path, law):
+        cfg = quad_config(sweeps=["potential"], law=law, potential=GRID)
+        man = runner.run_scenario(cfg, out_dir=str(tmp_path))
+        rows = dict((r[0], r) for r in report(man, "potential"))
+        assert abs(rows["potential_mass"][2] - 1.0) <= 1e-12
+        assert rows["potential_mass"][4] == 241
+        assert man.verdicts["potential"] == "PASS"
+        assert man.incidents["leakage_warnings"] == 0
+
+    def test_potential_sweep_grid_matches_closed_form(self, tmp_path):
+        # the grid route's L2 norm lands on the closed form's 1/4
+        cfg = quad_config(sweeps=["potential"], potential=GRID)
+        man = runner.run_scenario(cfg, out_dir=str(tmp_path))
+        rows = dict((r[0], r) for r in report(man, "potential"))
+        assert abs(rows["potential_l2"][2] - 0.25) <= 5e-3
 
     def test_potential_sweep_too_few_samples(self, tmp_path):
         cfg = quad_config(sweeps=["potential"],
@@ -813,13 +902,23 @@ class TestCli:
                       "sweeps": ["aronson"]}),
         ("allow_unverified", {"allow_unverified": "no"}),
         ("scheme_params.h", COARSE_LATTICE),
-    ])
+    ] + LOAD_RULES)
     def test_config_type_error_exit_two(self, tmp_path, cli, key, over):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(quad_config(**over)))
         proc = cli("run", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"config error: {key}:")
+
+    def test_mixture_potential_on_grid_route(self, tmp_path, cli):
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(quad_config(
+            law=MIXTURE, sweeps=["potential"], potential=GRID)))
+        proc = cli("run", str(path), "--out-dir", str(tmp_path / "o"),
+                   cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert any(line.startswith("potential_mass") and
+                   line.endswith("PASS") for line in proc.stdout.splitlines())
 
     def test_condition_violation_exit_two(self, tmp_path, cli):
         cfg = quad_config(function={"name": "abs_power", "alpha": 0.25},

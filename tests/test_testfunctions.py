@@ -9,7 +9,6 @@ from roughdiff.errors import NoHessian, UnknownName
 from roughdiff.testfunctions import (
     component_function,
     make_test_function,
-    scale,
 )
 
 
@@ -177,15 +176,6 @@ class TestCatalogInterface:
         with pytest.raises(ValueError):
             F.value(np.zeros(3))
 
-    def test_scale(self):
-        F = make_test_function("sin1d")
-        G = scale(F, -2.5)
-        x = np.array([0.4])
-        assert G.value(x) == -2.5 * F.value(x)
-        np.testing.assert_array_equal(G.gradient(x), -2.5 * F.gradient(x))
-        np.testing.assert_array_equal(G.hessian(x), -2.5 * F.hessian(x))
-        assert G.params["scaled_by"] == -2.5
-
     def test_component_function(self):
         F = make_test_function("quadratic", dim=2)
         f1 = component_function(F, 1)
@@ -193,8 +183,6 @@ class TestCatalogInterface:
         assert f1.value(x) == F.gradient(x)[1]
         np.testing.assert_array_equal(f1.gradient(x), F.hessian(x)[1, :])
         assert f1.hessian is None
-        with pytest.raises(NoHessian):
-            f1.hessian_or_raise(x)
         with pytest.raises(NoHessian):
             component_function(f1, 0)
 
