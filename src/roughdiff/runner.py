@@ -38,6 +38,7 @@ from .errors import (
     Error,
     MissingReport,
     SingularHit,
+    UnstableStep,
 )
 
 MAX_ATTEMPTS = 8
@@ -545,9 +546,25 @@ def load_scenario(config, out_dir=None, seed_override=None):
                 raise ConfigError(
                     "potential.kernel.box: must hold the support of the "
                     f"initial law, which spans {a.tolist()} to {b.tolist()}")
+            # the gate integrates U over box, and U is 0 off the kernel grid
+            qlo, qhi = np.reshape(cfg["box"], (-1, 2)).T
+            gated = paths & (GRADIENT_GATED | HESSIAN_GATED) and not (
+                _gate_skipped(sweeps, scn.allow_unverified))
+            if gated and (np.any(qlo < lo) or np.any(qhi > hi)):
+                raise ConfigError(
+                    f"box: {cfg['box']} must lie inside potential.kernel.box "
+                    f"{pk['box']}, where the grid route computes U")
     if "aronson" in sweeps:
-        # the source must snap to an interior node of the kernel grid
         k = cfg["kernel"]
+        try:
+            kernels._axes_volumes(k["box"], k["h"], field.dim)
+        except ValueError as exc:
+            raise ConfigError(f"kernel.h: {exc}")
+        try:
+            kernels.check_step(k["dt"], k["h"], field.lam)
+        except UnstableStep as exc:
+            raise ConfigError(f"kernel.dt: {exc}")
+        # the source must snap to an interior node of the kernel grid
         lo, hi = np.reshape(k["box"], (-1, 2)).T
         x0 = np.asarray(k["x0"])
         if x0.shape != (field.dim,) or np.any(x0 <= lo + k["h"] / 2) or (

@@ -621,6 +621,51 @@ class TestMonteCarloEuler:
         assert np.max(np.abs(U(xs) - exact) / exact) < 0.07
 
 
+@st.composite
+def tabulated_queries(draw, dim):
+    """A tabulated potential on random uniform axes, and query axes that
+    reach past its edges and land exactly on its nodes."""
+    axes, qaxes = [], []
+    for _ in range(dim):
+        n, lo = draw(st.integers(2, 9)), draw(st.floats(-5.0, 5.0))
+        h = draw(st.floats(0.05, 2.0))
+        ax = lo + h * np.arange(n)
+        node = st.sampled_from(list(ax))
+        near = st.floats(ax[0] - 2.0 * h, ax[-1] + 2.0 * h)
+        axes.append(ax)
+        qaxes.append(np.array(draw(st.lists(st.one_of(node, near),
+                                            min_size=1, max_size=12))))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).uniform(
+        -0.5, 2.0, tuple(ax.shape[0] for ax in axes))
+    return kn.PotentialField(route="grid", dim=dim, axes=axes,
+                             values=values), qaxes
+
+
+class TestTensorGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(tabulated_queries))
+    def test_grid_equals_pointwise(self, case):
+        U, qaxes = case
+        grids = np.meshgrid(*qaxes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        assert np.array_equal(U.grid(qaxes),
+                              U(pts).reshape(grids[0].shape))
+
+    def test_closed_form_grid(self, closed_potential):
+        q = np.linspace(-3.0, 3.0, 61)
+        assert np.array_equal(closed_potential.grid([q]),
+                              closed_potential(q[:, None]))
+
+    def test_k0_reference_values(self):
+        # K0(0.1), K0(1), K0(10) to 20 digits (30-digit arithmetic)
+        ref = np.array([2.4270690247020165578, 0.42102443824070833334,
+                        1.7780062316167651811e-05])
+        got = kn._k0(np.array([0.1, 1.0, 10.0]))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        assert kn._k0(np.zeros(2)).tolist() == [np.inf, np.inf]
+
+
 class TestLqNorm:
     def test_l2_closed_form(self, closed_potential):
         res = kn.potential_Lq_norm(closed_potential, 2.0, (-10.0, 10.0),

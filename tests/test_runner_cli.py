@@ -93,6 +93,13 @@ D2_ALL_SWEEPS = {
                "prop1", "prop2", "prop3"],
     "potential": {"route": "monte-carlo", "n_samples": 100000, "seed": 17},
 }
+# d2_run's Monte Carlo potential report and the prop2 ratios it weighs
+D2_RUN_SHA256 = {
+    "potential.csv":
+        "e34ef794263e6a01a833f265feb9e308d44ee41c19f4647aa2a2dceb028343db",
+    "prop2.csv":
+        "a6ae66628fa7770c6371870af26074057c063e33b348874303b6093276dff325",
+}
 D2_ALL_SWEEPS_SHA256 = {
     "covariation.csv":
         "707eee52d65a9a38e94eb075312cfe42fcc98857403235ace107dc25b818bc4b",
@@ -161,11 +168,19 @@ LOAD_RULES = [
                                                          x0=[0.0])}),
     ("kernel.x0", {"sweeps": ["aronson"],
                    "kernel": dict(KERNEL_CFG, box=[-6.0, 6.0], x0=[9.0])}),
+    ("kernel.h", {"sweeps": ["aronson"], "kernel": dict(KERNEL_CFG, h=0.07)}),
+    ("kernel.dt", {"sweeps": ["aronson"],
+                   "kernel": dict(KERNEL_CFG, dt=0.01)}),
+    # the gate would read U = 0 beyond +-2 and halve the prop1 denominator
+    ("box", {"sweeps": ["prop1"], "potential": {
+        "route": "grid", "kernel": {"box": [-2.0, 2.0], "h": 0.05}}}),
 ]
 LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "grid-d3", "grid-atom-outside", "grid-density-outside",
                  "grid-too-coarse", "grid-h-untiled", "grid-box-axes",
-                 "x0-too-long", "x0-too-short", "x0-outside"]
+                 "x0-too-long", "x0-too-short", "x0-outside",
+                 "aronson-h-untiled", "aronson-dt-unstable",
+                 "grid-quadrature-box-outside"]
 
 
 def report(manifest, sweep):
@@ -593,9 +608,10 @@ class TestRunScenario:
             assert 2.0 * 0.5 - 6 * se <= mean <= 2.0 * 2.0 + 6 * se
 
     def test_gated_rough_field_on_grid_route(self, tmp_path):
+        # the kernel box holds the quadrature box, +-10 by default
         cfg = quad_config(**GATED_ROUGH, potential={
             "route": "grid",
-            "kernel": {"box": [-6.0, 6.0], "h": 0.05}})
+            "kernel": {"box": [-10.0, 10.0], "h": 0.05}})
         man = runner.run_scenario(cfg, out_dir=str(tmp_path))
         assert man.conditions["condition_1"]["finite"]
         assert man.verdicts == {"qv": "REPORT", "prop1": "PASS"}
@@ -761,6 +777,12 @@ class TestTwoDimensions:
         assert abs(rows["potential_mass"][2] - 1.0) <= 0.02
         assert rows["potential_l2"][2] > 0.0
         assert d2_run.verdicts["potential"] == "PASS"
+
+    def test_report_bytes_pinned(self, d2_run):
+        got = {f: hashlib.sha256(open(os.path.join(d2_run.out_dir, f),
+                                      "rb").read()).hexdigest()
+               for f in D2_RUN_SHA256}
+        assert got == D2_RUN_SHA256
 
 
 class TestReportFiles:
@@ -973,9 +995,27 @@ class TestCli:
 
     def test_runner_import_defers_scipy(self, tmp_path, run_python):
         """Loading the runner pulls in no scipy; the kernel solver and
-        the 2-d envelope import it when they run."""
+        the grid route import it when they run."""
         proc = run_python(
             "-c", "import roughdiff.runner, sys; "
                   "assert 'scipy.sparse' not in sys.modules",
             cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_2d_potential_sweep_loads_no_scipy(self, tmp_path, run_python):
+        """A 2-d Monte Carlo potential sweep, envelope tail included,
+        runs on numpy alone."""
+        cfg = {"field": {"name": "constant-diagonal", "values": [2.0, 0.5]},
+               "law": {"kind": "dirac", "point": [0.0, 0.0]},
+               "sweeps": ["potential"],
+               "potential": {"route": "monte-carlo", "n_samples": 100000}}
+        proc = run_python(
+            "-c", "import json, sys; from roughdiff import runner; "
+                  "man = runner.run_scenario(json.loads(sys.argv[1]), "
+                  "out_dir=sys.argv[2]); "
+                  "assert 'potential_l2' in open(man.out_dir + "
+                  "'/potential.csv').read(); "
+                  "assert not [m for m in sys.modules "
+                  "if m.partition('.')[0] == 'scipy'], 'scipy loaded'",
+            json.dumps(cfg), str(tmp_path / "out"), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
