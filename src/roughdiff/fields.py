@@ -15,8 +15,6 @@ shape (d,) or a stack of shape (N, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -310,15 +308,6 @@ class MollifiedField(CoefficientField):
         return a, div
 
 
-def mollify(field, eps):
-    """Smooth a field by bump convolution of radius eps.
-
-    Returns a new field; the original is untouched.  See
-    :class:`MollifiedField` for the quadrature details.
-    """
-    return MollifiedField(field, eps)
-
-
 # config parameters of each entry as runner.Key tuples, ``...`` marking a
 # required one; the constructors check the ranges they need
 _DIM = ("integer", 1, 1)
@@ -349,16 +338,13 @@ def make_field(name, mollify=None, **params):
 
 # ---------------------------------------------------------------- operations
 
-def _check_symmetric(a, tol=SYMMETRY_TOL):
-    gap = np.abs(a - np.swapaxes(a, -1, -2)).max()
-    if gap > tol:
-        raise NonSymmetricMatrix(f"matrix asymmetry {gap:.3e} exceeds {tol:.1e}")
-
-
-def sqrt_matrix_batch(a, tol=SYMMETRY_TOL):
+def sqrt_matrix_batch(a):
     """Principal square roots of a stack (N, d, d) of SPD matrices."""
     a = np.asarray(a, dtype=float)
-    _check_symmetric(a, tol)
+    gap = np.abs(a - np.swapaxes(a, -1, -2)).max()
+    if gap > SYMMETRY_TOL:
+        raise NonSymmetricMatrix(
+            f"matrix asymmetry {gap:.3e} exceeds {SYMMETRY_TOL:.1e}")
     vals, vecs = np.linalg.eigh(a)
     if vals.min() <= 0:
         raise NonPositiveDefinite(
@@ -367,7 +353,7 @@ def sqrt_matrix_batch(a, tol=SYMMETRY_TOL):
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
 
 
-def sqrt_matrix(a, tol=SYMMETRY_TOL):
+def sqrt_matrix(a):
     """Principal square root of one symmetric positive definite matrix.
 
     Computed by symmetric eigendecomposition with square-rooted
@@ -377,7 +363,7 @@ def sqrt_matrix(a, tol=SYMMETRY_TOL):
     Raises
     ------
     NonSymmetricMatrix
-        If ``a`` deviates from symmetry by more than ``tol``.
+        If ``a`` deviates from symmetry by more than SYMMETRY_TOL.
     NonPositiveDefinite
         If any eigenvalue is <= 0.
     """
@@ -385,87 +371,6 @@ def sqrt_matrix(a, tol=SYMMETRY_TOL):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     return sqrt_matrix_batch(a[None])[0]
-
-
-@dataclass
-class EllipticityReport:
-    """Outcome of a Rayleigh-quotient sweep over points and directions."""
-
-    lam: float
-    min_quotient: float
-    max_quotient: float
-    min_point: np.ndarray
-    min_direction: np.ndarray
-    max_point: np.ndarray
-    max_direction: np.ndarray
-    passed: bool
-
-
-def default_directions(dim, extra=16):
-    """Deterministic direction set: axes, sign diagonals, seeded fill."""
-    dirs = list(np.eye(dim))
-    if dim > 1:
-        for signs in np.ndindex(*((2,) * (dim - 1))):
-            v = np.ones(dim)
-            v[1:] = 1.0 - 2.0 * np.asarray(signs)
-            dirs.append(v / np.linalg.norm(v))
-    gen = np.random.Generator(np.random.Philox(key=[0xD17EC710, 0]))
-    for _ in range(extra):
-        v = gen.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            dirs.append(v / norm)
-    return np.asarray(dirs)
-
-
-def verify_ellipticity(field, points, directions=None, tol=SYMMETRY_TOL):
-    """Check the two-sided ellipticity bound on a grid of points/directions.
-
-    Evaluates xi . a(x) xi / |xi|^2 for every point and direction, records
-    the extreme quotients with their witnesses, and passes iff all
-    quotients lie inside [1/lam, lam] (with a 1e-9 relative slack for
-    rounding).  Symmetry of a(x) is asserted first.
-
-    Parameters
-    ----------
-    field : CoefficientField
-    points : array (N, d) or (d,)
-    directions : array (M, d), optional
-        Defaults to :func:`default_directions`.
-
-    Returns
-    -------
-    EllipticityReport
-    """
-    pts, _ = _as_points(points, field.dim)
-    if directions is None:
-        directions = default_directions(field.dim)
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim == 1:
-        dirs = dirs[None, :]
-    if dirs.shape[1] != field.dim:
-        raise DimensionMismatch(
-            f"directions have dimension {dirs.shape[1]}, field has {field.dim}")
-
-    a = field._matrix_many(pts)
-    _check_symmetric(a, tol)
-    quad = np.einsum("mi,nij,mj->nm", dirs, a, dirs)
-    norms = (dirs ** 2).sum(axis=1)
-    quotients = quad / norms[None, :]
-
-    flat_min = int(np.argmin(quotients))
-    flat_max = int(np.argmax(quotients))
-    i_min, j_min = np.unravel_index(flat_min, quotients.shape)
-    i_max, j_max = np.unravel_index(flat_max, quotients.shape)
-    qmin = float(quotients[i_min, j_min])
-    qmax = float(quotients[i_max, j_max])
-    slack = 1e-9
-    passed = (qmin >= 1.0 / field.lam - slack) and (qmax <= field.lam + slack)
-    return EllipticityReport(
-        lam=field.lam, min_quotient=qmin, max_quotient=qmax,
-        min_point=pts[i_min].copy(), min_direction=dirs[j_min].copy(),
-        max_point=pts[i_max].copy(), max_direction=dirs[j_max].copy(),
-        passed=passed)
 
 
 def divergence(field, x, step=1e-4):

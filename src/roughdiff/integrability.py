@@ -1,12 +1,13 @@
-"""Weighted integrability checks and discrete Sobolev norms.
+"""Weighted integrability checks.
 
 The central device is a trapezoid quadrature with local dyadic refinement:
 around a declared singular point the integration region is peeled into
 square shells whose half-size halves per level.  The partial-sum ladder
 over levels is retained; the integral is declared divergent when all
-successive shell increments keep their size (ratio above a threshold,
-default 0.99, over the refinement levels), and finite otherwise, in which
-case a geometric extrapolation of the innermost gap is added.
+successive shell increments keep their size (ratio above RATIO_THRESHOLD
+= 0.99 over the LADDER_LEVELS = 5 refinement levels), and finite
+otherwise, in which case a geometric extrapolation of the innermost gap is
+added.
 
 For an integrand behaving like r^(-s) near the singular point the shell
 increments scale like 2^(l (s - d)), so the ladder ratio separates s < d
@@ -16,8 +17,8 @@ increments scale like 2^(l (s - d)), so the ladder ratio separates s < d
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .errors import BoxTooSmall, DimensionMismatch, NoHessian
 BOUNDARY_MASS_RATIO = 1e-4
 SHELL_NODES_LONG = 65
 SHELL_NODES_SHORT = 17
+LADDER_LEVELS = 5
+RATIO_THRESHOLD = 0.99
 
 
 def _norm_box(box, dim):
@@ -66,13 +69,13 @@ def _trap_rect(fn, pairs, hs=None, counts=None):
                            count=None if counts is None else counts[i])
         axes.append(n)
         weights.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    # no meshgrid stays live while fn runs: that keeps the gate's peak
+    # RSS down on large 2-d boxes
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                   axis=-1)
     vals = np.asarray(fn(pts), dtype=float)
-    wt = np.ones(pts.shape[0])
-    for g in np.meshgrid(*weights, indexing="ij"):
-        wt = wt * g.ravel()
-    return float((vals * wt).sum()), pts, vals
+    wt = functools.reduce(np.multiply.outer, weights).ravel()
+    return float((vals * wt).sum())
 
 
 def _base_rectangles(pairs, center, r0):
@@ -135,8 +138,7 @@ class LadderResult:
     remainder: float = 0.0
 
 
-def refined_integral(fn, box, h, singular_points, dim, levels=5,
-                     ratio_threshold=0.99, refine_radius=None):
+def refined_integral(fn, box, h, singular_points, dim):
     """Trapezoid integral of a nonnegative fn with dyadic shell refinement.
 
     fn maps points (N, d) to values (N,).  At most one singular point is
@@ -161,8 +163,7 @@ def refined_integral(fn, box, h, singular_points, dim, levels=5,
     hs = [h] * dim
     base = 0.0
     for rect in _base_rectangles(pairs, center, r0):
-        v, _, _ = _trap_rect(fn, rect, hs=hs)
-        base += v
+        base += _trap_rect(fn, rect, hs=hs)
 
     if center is None:
         return LadderResult(finite=True, value=base, base=base,
@@ -171,19 +172,18 @@ def refined_integral(fn, box, h, singular_points, dim, levels=5,
     increments = []
     partials = [base]
     running = base
-    for lev in range(levels):
+    for lev in range(LADDER_LEVELS):
         s_out = r0 * 2.0 ** (-lev)
         s_in = r0 * 2.0 ** (-lev - 1)
         inc = 0.0
         for rect, counts in _shell_rectangles(center, s_in, s_out, dim):
-            v, _, _ = _trap_rect(fn, rect, counts=counts)
-            inc += v
+            inc += _trap_rect(fn, rect, counts=counts)
         increments.append(inc)
         running += inc
         partials.append(running)
     ratios = [increments[i] / increments[i - 1] if increments[i - 1] > 0
-              else 0.0 for i in range(1, levels)]
-    divergent = len(ratios) > 0 and all(r > ratio_threshold for r in ratios)
+              else 0.0 for i in range(1, LADDER_LEVELS)]
+    divergent = len(ratios) > 0 and all(r > RATIO_THRESHOLD for r in ratios)
     if divergent:
         return LadderResult(finite=False, value=None, base=base,
                             increments=increments, partial_sums=partials,
@@ -253,7 +253,7 @@ class ConditionResult:
         ]
 
 
-def check_condition_1(F, potential, box, h, levels=5, ratio_threshold=0.99):
+def check_condition_1(F, potential, box, h):
     """Quadrature verdict on the gradient condition  int |grad F|^2 U < oo.
 
     ``potential`` is any callable mapping points (N, d) to U values (N,).
@@ -265,13 +265,12 @@ def check_condition_1(F, potential, box, h, levels=5, ratio_threshold=0.99):
         g = F.gradient(pts)
         return (g ** 2).sum(axis=-1) * np.asarray(potential(pts), dtype=float)
 
-    lad = refined_integral(integrand, box, h, F.singular_points, F.dim,
-                           levels=levels, ratio_threshold=ratio_threshold)
+    lad = refined_integral(integrand, box, h, F.singular_points, F.dim)
     return ConditionResult(kind="condition_1", finite=lad.finite,
                            value=lad.value, ladder=lad)
 
 
-def check_condition_2(F, potential, box, h, levels=5, ratio_threshold=0.99):
+def check_condition_2(F, potential, box, h):
     """Quadrature verdict on the hessian condition
     int sum_{k,l} f_kl^2 U < oo, kept per entry.
 
@@ -290,9 +289,7 @@ def check_condition_2(F, potential, box, h, levels=5, ratio_threshold=0.99):
                 hkl = F.hessian(pts)[..., _k, _l]
                 return hkl ** 2 * np.asarray(potential(pts), dtype=float)
 
-            lad = refined_integral(integrand, box, h, F.singular_points,
-                                   d, levels=levels,
-                                   ratio_threshold=ratio_threshold)
+            lad = refined_integral(integrand, box, h, F.singular_points, d)
             ladders.append(lad)
             entry_finite[k, l] = lad.finite
             entry_values[k, l] = lad.value if lad.finite else np.inf
@@ -301,81 +298,3 @@ def check_condition_2(F, potential, box, h, levels=5, ratio_threshold=0.99):
     return ConditionResult(kind="condition_2", finite=finite, value=value,
                            entry_values=entry_values,
                            entry_finite=entry_finite, entry_ladders=ladders)
-
-
-@dataclass
-class SobolevResult:
-    finite: bool
-    value: float | None
-    p: float
-    order: int
-    term_finite: list = dc_field(default_factory=list)
-
-
-def sobolev_norm(F, p, order, box, h, levels=5, ratio_threshold=0.99):
-    """Discrete W^(order, p) seminorm over a box.
-
-    Sums int |d^beta F|^p over derivative multi-indices 1 <= |beta| <= order
-    (the function itself is not included) and takes the p-th root.
-    Divergence detection matches the condition checks; a divergent term
-    makes the whole norm divergent.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if order == 2 and F.hessian is None:
-        raise NoHessian(f"{F.name} has no second derivatives")
-    d = F.dim
-    total = 0.0
-    term_finite = []
-    finite = True
-    terms = [("g", k) for k in range(d)]
-    if order == 2:
-        terms += [("h", kl) for kl in
-                  combinations_with_replacement(range(d), 2)]
-    for tag, idx in terms:
-        if tag == "g":
-            def integrand(pts, _k=idx):
-                return np.abs(F.gradient(pts)[..., _k]) ** p
-        else:
-            def integrand(pts, _kl=idx):
-                return np.abs(F.hessian(pts)[..., _kl[0], _kl[1]]) ** p
-        lad = refined_integral(integrand, box, h, F.singular_points, d,
-                               levels=levels, ratio_threshold=ratio_threshold)
-        term_finite.append(lad.finite)
-        if lad.finite:
-            total += lad.value
-        else:
-            finite = False
-    value = float(total ** (1.0 / p)) if finite else None
-    return SobolevResult(finite=finite, value=value, p=p, order=order,
-                         term_finite=term_finite)
-
-
-@dataclass
-class StartpointVerdict:
-    sufficient: bool
-    p: float
-    dim: int
-    norm_finite: bool
-    reason: str
-
-
-def check_every_startpoint_condition(F, p, box=None, h=None):
-    """Sufficient condition for good behavior from every start point:
-    p > max(d, 2) together with a finite W^(1, p) seminorm on the box."""
-    if box is None:
-        box = (-3.0, 3.0)
-    if h is None:
-        h = 0.01 if F.dim == 1 else 0.05
-    exponent_ok = p > max(F.dim, 2)
-    res = sobolev_norm(F, p, 1, box, h)
-    if not exponent_ok:
-        reason = f"p = {p} does not exceed max(d, 2) = {max(F.dim, 2)}"
-    elif not res.finite:
-        reason = f"W^(1,{p}) seminorm diverges on the box"
-    else:
-        reason = f"p = {p} > max(d, 2) and the W^(1,{p}) seminorm is finite"
-    return StartpointVerdict(sufficient=exponent_ok and res.finite, p=p,
-                             dim=F.dim, norm_finite=res.finite, reason=reason)

@@ -43,6 +43,10 @@ from . import sampling as _sampling
 from .fields import sqrt_matrix
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
+# M of the upper envelope that bounds the potential's tails
+ENVELOPE_M = 4.0
+# the Aronson fit ignores kernel values at or below this floor
+SANDWICH_FLOOR = 1e-12
 TAIL_T_MIN = 8.0
 MIN_KDE_SAMPLES = 100_000
 # rows per field evaluation in the Monte Carlo Euler sweep and in the
@@ -352,13 +356,13 @@ def log_time_grid(t_min, t_max, n, dt):
 
 # ------------------------------------------------------------- Aronson fit
 
-def sandwich_holds(kernel, M, floor=1e-12):
+def sandwich_holds(kernel, M):
     """True iff both envelopes hold at every stored (t, y) with kernel
-    value above the floor."""
+    value above SANDWICH_FLOOR."""
     pts = kernel.points()
     for it, t in enumerate(kernel.times):
         v = kernel.values[it].ravel()
-        mask = v > floor
+        mask = v > SANDWICH_FLOOR
         if not mask.any():
             continue
         y = pts[mask]
@@ -372,9 +376,10 @@ def sandwich_holds(kernel, M, floor=1e-12):
     return True
 
 
-def fit_aronson_M(kernel, candidates, floor=1e-12):
+def fit_aronson_M(kernel, candidates):
     """Smallest candidate M whose two Gaussian envelopes sandwich the
-    kernel everywhere it exceeds the floor; None when no candidate does."""
+    kernel everywhere it exceeds SANDWICH_FLOOR; None when no candidate
+    does."""
     cands = list(candidates)
     if len(cands) == 0:
         raise EmptyCandidates("no candidate M values supplied")
@@ -382,7 +387,7 @@ def fit_aronson_M(kernel, candidates, floor=1e-12):
     if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
         raise ValueError("candidates must be positive and increasing")
     for M in arr:
-        if sandwich_holds(kernel, float(M), floor=floor):
+        if sandwich_holds(kernel, float(M)):
             return float(M)
     return None
 
@@ -492,8 +497,7 @@ def _bilinear_grid(axes, values, qaxes):
 
 
 def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
-                        seed=0, bandwidth=None, step=2.0 ** -9, t_cap=16.0,
-                        envelope_M=4.0, box=None, h=None):
+                        seed=0, step=2.0 ** -9, t_cap=16.0, box=None, h=None):
     """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of four routes.
 
     source selects the route: the string "closed-form" (a = Id, d = 1,
@@ -504,7 +508,7 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     ``field``).
     """
     if isinstance(source, GridKernel):
-        return _potential_from_kernel(source, nu, envelope_M)
+        return _potential_from_kernel(source, nu)
     if source == "grid":
         return _potential_from_solve(field, nu, box, h)
     if source == "closed-form":
@@ -515,8 +519,8 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
             route="closed-form", dim=1, params={"x0": x0},
             fn=lambda pts: 0.5 * np.exp(-np.abs(pts[..., 0] - x0)))
     if source == "monte-carlo":
-        return _potential_from_samples(field, nu, n_samples, seed,
-                                       bandwidth, step, t_cap)
+        return _potential_from_samples(field, nu, n_samples, seed, step,
+                                       t_cap)
     raise ValueError(f"unknown potential source {source!r}")
 
 
@@ -562,7 +566,7 @@ def _node_mass(nu, axes, h):
     return out if len(share) == 1 else out @ share[1].T
 
 
-def _potential_from_kernel(kernel, nu, envelope_M):
+def _potential_from_kernel(kernel, nu):
     t = kernel.times
     if t[-1] < TAIL_T_MIN - 1e-9:
         raise TailNotCovered(
@@ -576,7 +580,7 @@ def _potential_from_kernel(kernel, nu, envelope_M):
     w = np.exp(-t)
     integrand = kernel.values * w.reshape((-1,) + (1,) * kernel.dim)
     U = np.trapezoid(integrand, t, axis=0)
-    tail_bound = float(np.exp(-t[-1]) * envelope_M / t[-1] ** (kernel.dim / 2))
+    tail_bound = float(np.exp(-t[-1]) * ENVELOPE_M / t[-1] ** (kernel.dim / 2))
     return PotentialField(
         route="grid", dim=kernel.dim,
         params={"t_min": float(t[0]), "t_max": float(t[-1]),
@@ -585,15 +589,14 @@ def _potential_from_kernel(kernel, nu, envelope_M):
         axes=kernel.axes, values=U)
 
 
-def _potential_from_samples(field, nu, n_samples, seed, bandwidth, step,
-                            t_cap):
+def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):
     if field is None:
         raise ValueError("the monte-carlo route needs the coefficient field")
     if n_samples < MIN_KDE_SAMPLES:
         raise InsufficientSamples(
             f"{n_samples} < {MIN_KDE_SAMPLES} samples for the KDE route")
     dim = field.dim
-    bw = KDE_BANDWIDTH[dim] if bandwidth is None else float(bandwidth)
+    bw = KDE_BANDWIDTH[dim]
     # T, the start points and every Euler increment come from this one
     # stream; the attempt offset keys it apart from the path streams, so
     # the estimate shares no draws with the simulated paths
@@ -612,7 +615,7 @@ def _potential_from_samples(field, nu, n_samples, seed, bandwidth, step,
         samples = x0 + np.sqrt(T)[:, None] * (z @ root.T)
     else:
         samples = _terminal_states(field, x0, T, step, rng)
-    return _kde_field(samples, bw, dim, nu,
+    return _kde_field(samples, bw, dim,
                       {"n_samples": int(n_samples), "bandwidth": bw,
                        "t_cap": float(t_cap), "seed": int(seed),
                        "exact_time": bool(field.is_constant),
@@ -645,7 +648,7 @@ def _terminal_states(field, x0, T, step, rng):
 KDE_MAX_HALFWIDTH = 24.0
 
 
-def _kde_field(samples, bw, dim, nu, params):
+def _kde_field(samples, bw, dim, params):
     """Bin the samples, then convolve with a Gaussian of width bw; the
     result is tabulated on the fine bin grid.
 
@@ -663,24 +666,14 @@ def _kde_field(samples, bw, dim, nu, params):
     kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
     kern = np.exp(-0.5 * (kx / bw) ** 2)
     kern /= kern.sum() * bin_h
-    if dim == 1:
-        edges = np.arange(lo[0], hi[0] + bin_h, bin_h)
-        counts, edges = np.histogram(samples[:, 0], bins=edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.convolve(counts / n, kern, mode="same")
-        return PotentialField(route="monte-carlo-kde", dim=1, params=params,
-                              axes=[centers], values=dens)
-    ex = np.arange(lo[0], hi[0] + bin_h, bin_h)
-    ey = np.arange(lo[1], hi[1] + bin_h, bin_h)
-    counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1],
-                                    bins=[ex, ey])
-    cx = 0.5 * (ex[:-1] + ex[1:])
-    cy = 0.5 * (ey[:-1] + ey[1:])
+    counts, edges = np.histogramdd(
+        samples, bins=[np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)])
     dens = counts / n
-    dens = np.apply_along_axis(np.convolve, 0, dens, kern, mode="same")
-    dens = np.apply_along_axis(np.convolve, 1, dens, kern, mode="same")
-    return PotentialField(route="monte-carlo-kde", dim=2, params=params,
-                          axes=[cx, cy], values=dens)
+    for k in range(dim):
+        dens = np.apply_along_axis(np.convolve, k, dens, kern, mode="same")
+    return PotentialField(route="monte-carlo-kde", dim=dim, params=params,
+                          axes=[0.5 * (e[:-1] + e[1:]) for e in edges],
+                          values=dens)
 
 
 # ------------------------------------------------------------- L^q norms
@@ -714,8 +707,9 @@ def _k0(z):
 
 
 def _envelope_potential(r, M, dim):
-    """Pointwise upper bound on U nu(x) at distance r from the start,
-    from the upper Gaussian envelope integrated against e^(-s)."""
+    """Pointwise upper bound on U nu(x) at distance r from the hull of
+    nu's support, from the upper Gaussian envelope integrated against
+    e^(-s)."""
     r = np.asarray(r, dtype=float)
     if dim == 1:
         return M * np.sqrt(np.pi) * np.exp(-2.0 * r / np.sqrt(M))
@@ -735,11 +729,16 @@ class LqNormResult:
         return self.value + self.tail_estimate
 
 
-def potential_Lq_norm(U, q, box, h=0.01, envelope_M=4.0):
-    """Trapezoid integral of U^q over the box plus an envelope tail bound.
+def potential_Lq_norm(U, nu, q, box, h=0.01):
+    """Trapezoid integral of U^q, for U = U nu, over the box plus an
+    envelope tail bound.
 
-    The tail integrates the Lemma-style upper envelope (constant
-    envelope_M) radially beyond the box's inscribed radius.
+    Off the box every point is at least R from the hull of nu's support,
+    R the gap from the hull to the nearest box face, and U there is at
+    most the upper envelope (M = ENVELOPE_M) at that distance.  The tail
+    integrates its q-th power over the points at distance r >= R from the
+    hull: 2 of them per r in d = 1, a curve of length 2 pi r + P in d = 2
+    (Steiner's formula, P the hull's perimeter, 0 for a Dirac).
     """
     q = float(q)
     if not lq_admissible(q, U.dim):
@@ -757,15 +756,21 @@ def potential_Lq_norm(U, q, box, h=0.01, envelope_M=4.0):
         rows.append(vals)
     box_value = float(np.trapezoid(np.concatenate(rows), head))
 
-    R = float(min(min(abs(lo), abs(hi)) for lo, hi in
-                  np.atleast_2d(np.asarray(box, dtype=float))))
+    lo, hi = np.reshape(np.asarray(box, dtype=float), (-1, 2)).T
+    a, b = nu.hull()
+    R = float(min(np.min(a - lo), np.min(hi - b)))
+    if not R > 0.0:
+        raise ValueError(f"the box {box} does not hold the initial law's "
+                         "support in its interior")
+    M = ENVELOPE_M
     if U.dim == 1:
         # closed form: 2 int_R^inf (M sqrt(pi))^q e^(-2 q r / sqrt M) dr
-        amp = (envelope_M * np.sqrt(np.pi)) ** q
-        tail = 2.0 * amp * np.sqrt(envelope_M) / (2.0 * q) * np.exp(
-            -2.0 * q * R / np.sqrt(envelope_M))
+        amp = (M * np.sqrt(np.pi)) ** q
+        tail = 2.0 * amp * np.sqrt(M) / (2.0 * q) * np.exp(
+            -2.0 * q * R / np.sqrt(M))
     else:
         r = R * np.exp(np.linspace(0.0, 4.0, 400))
-        env = _envelope_potential(r, envelope_M, 2) ** q
-        tail = float(np.trapezoid(env * 2.0 * np.pi * r, r))
+        env = _envelope_potential(r, M, 2) ** q
+        perimeter = 2.0 * float(np.sum(b - a))
+        tail = float(np.trapezoid(env * (2.0 * np.pi * r + perimeter), r))
     return LqNormResult(q=q, value=box_value, tail_estimate=float(tail))

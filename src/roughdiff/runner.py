@@ -554,6 +554,15 @@ def load_scenario(config, out_dir=None, seed_override=None):
                 raise ConfigError(
                     f"box: {cfg['box']} must lie inside potential.kernel.box "
                     f"{pk['box']}, where the grid route computes U")
+    if "potential" in sweeps:
+        # the L^2 tail is measured from the law's hull to the box faces
+        lo, hi = np.reshape(cfg["potential"]["box"], (-1, 2)).T
+        a, b = law.hull()
+        if np.any(a <= lo) or np.any(b >= hi):
+            raise ConfigError(
+                f"potential.box: {cfg['potential']['box']} must hold the "
+                f"support of the initial law, which spans {a.tolist()} to "
+                f"{b.tolist()}, in its interior")
     if "aronson" in sweeps:
         k = cfg["kernel"]
         try:
@@ -833,7 +842,7 @@ def _run_potential(scn, U, incidents):
         count = 1
     rows = [("potential_mass", 0, mass, 0.0, count)]
     if kernels.lq_admissible(2.0, U.dim):
-        l2 = kernels.potential_Lq_norm(U, 2.0, pbox, h=ph)
+        l2 = kernels.potential_Lq_norm(U, scn.law, 2.0, pbox, h=ph)
         rows.append(("potential_l2", 0, l2.total, 0.0, count))
     artifacts = {}
     if U.axes is not None:

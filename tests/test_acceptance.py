@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from roughdiff import calculus, integrability, kernels, sampling
-from roughdiff.fields import make_field, mollify
+from roughdiff.fields import MollifiedField, make_field
 from roughdiff.testfunctions import component_function, make_test_function
 
 HORIZON = 1.0
@@ -178,7 +178,8 @@ def test_c4_resolvent_potential_two_routes(potentials):
     for label, U in (("grid", grid), ("monte-carlo", mc)):
         sup = float((np.abs(U(pts) - exact) / exact).max())
         mass = U.integral()
-        l2 = kernels.potential_Lq_norm(U, 2.0, (-10.0, 10.0), h=0.01).total
+        l2 = kernels.potential_Lq_norm(U, sampling.dirac([0.0]), 2.0,
+                                      (-10.0, 10.0), h=0.01).total
         ok &= sup <= 0.05 and abs(mass - 1.0) <= 0.02
         ok &= abs(l2 - 0.25) <= 0.02 * 0.25
         details.append(f"{label}: sup {sup:.4f}, mass {mass:.4f}, "
@@ -311,7 +312,7 @@ def checkerboard_paths():
     out = {}
     for tag, field, scheme, params, seed in (
             ("lattice", rough, "lattice", {"h": 0.0625}, 808),
-            ("euler", mollify(rough, 0.1), "euler-maruyama", None, 809)):
+            ("euler", MollifiedField(rough, 0.1), "euler-maruyama", None, 809)):
         terms, qvs = [], []
         for states in _batched_states(field, law, seed=seed, n_paths=2000,
                                       n_top=8, margin=6, batch=500,

@@ -1,12 +1,9 @@
-"""Refined quadrature, integrability verdicts, and Sobolev norms."""
-
-import dataclasses
+"""Refined quadrature and integrability verdicts."""
 
 import numpy as np
 import pytest
 
 from roughdiff import integrability as ig
-from roughdiff import testfunctions
 from roughdiff.errors import BoxTooSmall, DimensionMismatch, NoHessian
 from roughdiff.testfunctions import component_function, make_test_function
 
@@ -191,87 +188,3 @@ class TestConditionChecks:
                             "remainder", "finite"}
         assert lad["finite"] is True
         assert len(lad["increments"]) == 5
-
-
-class TestSobolevNorm:
-    def test_linear_closed_form(self):
-        F = make_test_function("linear", c=[3.0])
-        res = ig.sobolev_norm(F, 2, 1, (-1.0, 1.0), 0.01)
-        assert res.finite
-        np.testing.assert_allclose(res.value, np.sqrt(18.0), rtol=1e-9)
-
-    def test_sin_second_order(self):
-        # int cos^2 + int sin^2 over [-pi, pi] is 2 pi
-        F = make_test_function("sin1d")
-        res = ig.sobolev_norm(F, 2, 2, (-np.pi, np.pi), 0.01)
-        assert res.finite
-        np.testing.assert_allclose(res.value, np.sqrt(2.0 * np.pi), rtol=1e-4)
-
-    def test_abs_power_second_order_divergence(self):
-        F = make_test_function("abs_power", alpha=0.25)
-        res = ig.sobolev_norm(F, 3, 2, (-2.0, 2.0), 0.01)
-        assert not res.finite
-        assert res.value is None
-        assert res.term_finite == [True, False]
-
-    def test_abs_power_first_order_finite(self):
-        F = make_test_function("abs_power", alpha=0.25)
-        res = ig.sobolev_norm(F, 3, 1, (-2.0, 2.0), 0.01)
-        assert res.finite
-
-    def test_validation(self):
-        F = make_test_function("sin1d")
-        with pytest.raises(ValueError):
-            ig.sobolev_norm(F, 0.5, 1, (-1.0, 1.0), 0.01)
-        with pytest.raises(ValueError):
-            ig.sobolev_norm(F, 2, 3, (-1.0, 1.0), 0.01)
-        stripped = dataclasses.replace(F, hessian=None)
-        with pytest.raises(NoHessian):
-            ig.sobolev_norm(stripped, 2, 2, (-1.0, 1.0), 0.01)
-
-    def test_mixed_derivative_counted_once(self):
-        # F(x) = x1 x2: gradient (x2, x1), single mixed second derivative 1
-        F = testfunctions.TestFunction(
-            name="xy", dim=2, regularity="C2",
-            value=lambda x: np.asarray(x)[..., 0] * np.asarray(x)[..., 1],
-            gradient=lambda x: np.stack([np.asarray(x)[..., 1],
-                                         np.asarray(x)[..., 0]], axis=-1),
-            hessian=lambda x: np.broadcast_to(
-                np.array([[0.0, 1.0], [1.0, 0.0]]),
-                np.asarray(x).shape + (2,)).copy())
-        res = ig.sobolev_norm(F, 2, 2, (0.0, 1.0), 0.02)
-        # order 1 terms: int x2^2 + int x1^2 = 2/3; order 2: one unit entry
-        np.testing.assert_allclose(res.value, np.sqrt(2.0 / 3.0 + 1.0),
-                                   rtol=1e-3)
-
-
-class TestStartpointCondition:
-    def test_bump_2d_with_large_p(self):
-        F = make_test_function("bump", dim=2)
-        v = ig.check_every_startpoint_condition(F, 3)
-        assert v.sufficient
-        assert v.norm_finite
-
-    def test_exponent_must_exceed_dim_and_two(self):
-        F = make_test_function("abs_power", alpha=0.75)
-        v = ig.check_every_startpoint_condition(F, 2)
-        assert not v.sufficient
-        assert "max(d, 2)" in v.reason
-        assert ig.check_every_startpoint_condition(F, 4).sufficient
-
-    def test_divergent_norm_blocks_verdict(self):
-        def grad(x):
-            t = np.asarray(x)[..., 0]
-            r = np.abs(t)
-            with np.errstate(divide="ignore"):
-                g = np.where(r < 1.0, r ** -0.9, 0.0)
-            return g[..., None]
-
-        F = testfunctions.TestFunction(
-            name="steep", dim=1, regularity="H1_loc",
-            value=lambda x: np.abs(np.asarray(x)[..., 0]) ** 0.1,
-            gradient=grad, singular_points=[np.zeros(1)])
-        v = ig.check_every_startpoint_condition(F, 4)
-        assert not v.sufficient
-        assert not v.norm_finite
-        assert "diverges" in v.reason

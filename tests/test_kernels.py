@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from roughdiff import kernels as kn
 from roughdiff import runner, sampling
@@ -19,9 +20,11 @@ from roughdiff.errors import (
     TailNotCovered,
     UnstableStep,
 )
-from roughdiff.fields import ExplicitField, make_field, mollify
+from roughdiff.fields import ExplicitField, make_field
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
+DIRAC_1D = sampling.dirac(np.zeros(1))
+DIRAC_2D = sampling.dirac(np.zeros(2))
 
 
 @pytest.fixture(scope="module")
@@ -545,8 +548,8 @@ class TestMonteCarloEuler:
 
     @staticmethod
     def _mollified_checkerboard():
-        return mollify(make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0),
-                       0.1)
+        return make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0,
+                          mollify=0.1)
 
     @staticmethod
     def _mc(field, seed=4):
@@ -580,7 +583,7 @@ class TestMonteCarloEuler:
         # constant a = 0.5 behind a mollifier takes the Euler route with
         # zero drift, so X_T after m steps has variance 2 a m step exactly
         a, step, n = 0.5, 2.0 ** -4, 100_000
-        field = mollify(make_field("constant-diagonal", values=[a]), 0.1)
+        field = make_field("constant-diagonal", values=[a], mollify=0.1)
         T = np.minimum(sampling.path_rng(1, 0).exponential(size=n), 4.0)
         x = kn._terminal_states(field, np.zeros((n, 1)), T, step,
                                 sampling.path_rng(1, 1))[:, 0]
@@ -597,8 +600,8 @@ class TestMonteCarloEuler:
         assert checked >= 20
 
     def test_row_blocks_do_not_change_states(self, monkeypatch):
-        field = mollify(make_field("checkerboard", dim=2, lo=0.5, hi=2.0,
-                                   cell=1.0), 0.1)
+        field = make_field("checkerboard", dim=2, lo=0.5, hi=2.0, cell=1.0,
+                           mollify=0.1)
         n, step = 500, 2.0 ** -4
         T = np.minimum(sampling.path_rng(3, 0).exponential(size=n), 4.0)
         runs = []
@@ -611,7 +614,7 @@ class TestMonteCarloEuler:
     def test_matches_closed_form(self):
         # U = (1 - a Laplacian)^-1 delta_0 = exp(-|x|/sqrt a) / (2 sqrt a)
         a = 0.5
-        field = mollify(make_field("constant-diagonal", values=[a]), 0.1)
+        field = make_field("constant-diagonal", values=[a], mollify=0.1)
         U = kn.resolvent_potential("monte-carlo", sampling.dirac(np.zeros(1)),
                                    field=field, n_samples=200_000, seed=2,
                                    step=2.0 ** -6, t_cap=16.0)
@@ -668,8 +671,8 @@ class TestTensorGrid:
 
 class TestLqNorm:
     def test_l2_closed_form(self, closed_potential):
-        res = kn.potential_Lq_norm(closed_potential, 2.0, (-10.0, 10.0),
-                                   h=0.01)
+        res = kn.potential_Lq_norm(closed_potential, DIRAC_1D, 2.0,
+                                   (-10.0, 10.0), h=0.01)
         np.testing.assert_allclose(res.value, 0.25, rtol=0.02)
         assert res.tail_estimate < 1e-4
         np.testing.assert_allclose(res.total, 0.25, rtol=0.02)
@@ -679,19 +682,50 @@ class TestLqNorm:
         values = []
         for block in (7, 402):
             monkeypatch.setattr(kn, "LQ_ROW_BLOCK", block)
-            values.append(kn.potential_Lq_norm(kde_2d, 2.0, (-10.0, 10.0),
-                                               h=0.05).value)
+            values.append(kn.potential_Lq_norm(kde_2d, DIRAC_2D, 2.0,
+                                               (-10.0, 10.0), h=0.05).value)
         assert values[0] == values[1] > 0.0
+
+    @pytest.mark.parametrize("nu, R, perimeter", [
+        (sampling.dirac([3.0]), 7.0, 0.0),
+        (sampling.dirac([3.0, 0.0]), 7.0, 0.0),
+        (sampling.mixture([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]]), 9.0, 4.0),
+    ], ids=["dirac-1d", "dirac-2d", "mixture-2d"])
+    def test_tail_measured_from_the_hull(self, nu, R, perimeter):
+        # off the box every point is at least R from the law's hull; the
+        # points at distance r from it number 2 in d = 1 and fill a curve
+        # of length 2 pi r + perimeter in d = 2
+        dim = nu.dim
+        zero = kn.PotentialField(route="closed-form", dim=dim,
+                                 fn=lambda pts: np.zeros(pts.shape[0]))
+        res = kn.potential_Lq_norm(zero, nu, 2.0, (-10.0, 10.0), h=0.05)
+        M = kn.ENVELOPE_M
+        if dim == 1:
+            env = lambda r: 2.0 * (M * np.sqrt(np.pi)
+                                   * np.exp(-2.0 * r / np.sqrt(M))) ** 2
+        else:
+            env = lambda r: (2.0 * M * special.k0(2.0 * r / np.sqrt(M))) ** 2 \
+                * (2.0 * np.pi * r + perimeter)
+        want = integrate.quad(env, R, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        assert res.value == 0.0
+        # the 2-d trapezoid on a convex integrand errs upward, by 0.2%
+        assert want * (1.0 - 1e-9) <= res.tail_estimate <= want * 1.005
+
+    def test_box_must_hold_the_law(self, closed_potential):
+        with pytest.raises(ValueError, match="interior"):
+            kn.potential_Lq_norm(closed_potential, DIRAC_1D, 2.0, (0.0, 10.0))
 
     def test_q_one_inadmissible(self, closed_potential):
         with pytest.raises(InadmissibleExponent):
-            kn.potential_Lq_norm(closed_potential, 1.0, (-10.0, 10.0))
+            kn.potential_Lq_norm(closed_potential, DIRAC_1D, 1.0,
+                                 (-10.0, 10.0))
 
     def test_d3_upper_limit_inadmissible(self):
         dummy = kn.PotentialField(route="closed-form", dim=3,
                                   fn=lambda pts: np.zeros(pts.shape[0]))
         with pytest.raises(InadmissibleExponent):
-            kn.potential_Lq_norm(dummy, 3.0, (-1.0, 1.0))
+            kn.potential_Lq_norm(dummy, sampling.dirac(np.zeros(3)), 3.0,
+                                 (-1.0, 1.0))
 
     def test_admissible_range(self):
         assert kn.lq_admissible(2.0, 1)

@@ -174,13 +174,21 @@ LOAD_RULES = [
     # the gate would read U = 0 beyond +-2 and halve the prop1 denominator
     ("box", {"sweeps": ["prop1"], "potential": {
         "route": "grid", "kernel": {"box": [-2.0, 2.0], "h": 0.05}}}),
+    # the start on a face of potential.box leaves the L^2 tail no room
+    ("potential.box", {"field": {"name": "identity", "dim": 2},
+                       "function": {"name": "quadratic", "dim": 2},
+                       "law": {"kind": "dirac", "point": [0.0, 0.0]},
+                       "sweeps": ["potential"],
+                       "potential": {"route": "grid", "box": [0.0, 10.0],
+                                     "kernel": {"box": [-6.0, 6.0],
+                                                "h": 0.1}}}),
 ]
 LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "grid-d3", "grid-atom-outside", "grid-density-outside",
                  "grid-too-coarse", "grid-h-untiled", "grid-box-axes",
                  "x0-too-long", "x0-too-short", "x0-outside",
                  "aronson-h-untiled", "aronson-dt-unstable",
-                 "grid-quadrature-box-outside"]
+                 "grid-quadrature-box-outside", "potential-box-on-the-law"]
 
 
 def report(manifest, sweep):

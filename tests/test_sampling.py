@@ -114,8 +114,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(base, again)
 
     def test_batch_independent_of_grouping(self):
-        f = fields.mollify(
-            fields.make_field("checkerboard", lo=0.5, hi=2.0), eps=0.1)
+        f = fields.make_field("checkerboard", lo=0.5, hi=2.0, mollify=0.1)
         law = sampling.dirac([0.0])
         args = (f, law, 1.0, 2.0 ** -8, 7)
         together = sampling._em_batch_states(*args, [0, 1, 2])
@@ -187,8 +186,7 @@ class TestEulerMaruyama:
         assert np.isfinite(p).all()
 
     def test_mollified_checkerboard_runs(self):
-        f = fields.mollify(
-            fields.make_field("checkerboard", lo=0.5, hi=2.0), eps=0.1)
+        f = fields.make_field("checkerboard", lo=0.5, hi=2.0, mollify=0.1)
         law = sampling.dirac([0.25])
         p = em_path(f, law, 0.25, 2.0 ** -10, seed=2, path_id=5)
         assert np.isfinite(p).all()
