@@ -41,6 +41,10 @@ class UnstableStep(Error):
     """Time step violates the stability gate of the kernel solver."""
 
 
+class KrylovNotConverged(Error):
+    """The kernel solver's Lanczos recurrence ran out of steps."""
+
+
 class EmptyCandidates(Error):
     """Aronson fit called with an empty candidate ladder."""
 

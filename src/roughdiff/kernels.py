@@ -2,11 +2,13 @@
 
 The PDE route discretizes div(a grad) with a conservative finite-volume
 scheme on a vertex-centered uniform grid: conductances sit at edge
-midpoints, boundary faces carry zero flux, and Crank-Nicolson does the
-time stepping.  The face-flux matrix S is symmetric, so each step is one
-solve with the symmetric positive definite K = V - (dt/2) S (V the node
-volumes), factored once.  Mass is then conserved exactly (in the
-trapezoid sense) up to solver roundoff, which is what the leakage field
+midpoints, boundary faces carry zero flux, and time is Crank-Nicolson.
+The face-flux matrix S is symmetric, so with V the node volumes the
+generator V^-1 S is similar to the symmetric B = V^-1/2 S V^-1/2, and n
+Crank-Nicolson steps are a function of B.  One Lanczos recurrence on B
+evaluates that function for every output time at once, with sparse
+matvecs and no factorization.  Mass is conserved (in the trapezoid
+sense) to the Krylov tolerance, which is what the leakage field
 records.  The resolvent potential on the same grid is a single solve
 with V - S.
 
@@ -34,6 +36,7 @@ from .errors import (
     GridTooCoarse,
     InadmissibleExponent,
     InsufficientSamples,
+    KrylovNotConverged,
     NonDiagonalField,
     NonPositiveTime,
     TailNotCovered,
@@ -53,6 +56,11 @@ MIN_KDE_SAMPLES = 100_000
 # L^q quadrature; results do not depend on them, peak memory does
 EULER_ROW_BLOCK = 8192
 LQ_ROW_BLOCK = 128
+# the kernel's Lanczos recurrence stops once the last Krylov coefficient of
+# every output time is at most this fraction of its largest one, and gives
+# up after KRYLOV_MAX_PER_NODE steps per grid node
+KRYLOV_TOL = 1e-13
+KRYLOV_MAX_PER_NODE = 4
 
 
 def _sqdist(x, y):
@@ -260,14 +268,14 @@ def _assemble_operator(field, axes, vols, h):
     return S, vol.ravel(), shape
 
 
-def _factor(S, vol, c):
-    """SuperLU factor of K = diag(vol) - c S, which is symmetric positive
-    definite for c > 0.  The minimum-degree ordering of the symmetric
-    pattern holds 40-45% fewer L+U entries than COLAMD on 2-d grids."""
+def _factor(S, vol):
+    """SuperLU factor of the symmetric positive definite V - S, V =
+    diag(vol).  The minimum-degree ordering of the symmetric pattern holds
+    40-45% fewer L+U entries than COLAMD on 2-d grids."""
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    K = sparse.diags(vol) - c * S
+    K = sparse.diags(vol) - S
     return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -302,9 +310,10 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     Output times snap to the nearest multiple of dt; the snapped values
     are what the returned GridKernel stores.
 
-    With V = diag(vol) and K = V - (dt/2) S, the Crank-Nicolson map
-    (I - dt/2 A)^-1 (I + dt/2 A) of A = V^-1 S equals 2 K^-1 V - I, so a
-    step is one solve; K 1 = V 1 keeps sum(vol * p) fixed.
+    n steps of size dt map p0 to r(dt A)^n p0, with A = V^-1 S and the
+    Crank-Nicolson factor r(z) = (1 + z/2) / (1 - z/2).  _lanczos_cn
+    evaluates every snapped step count from one Krylov basis, so the cost
+    grows with the Krylov dimension, not with t_max / dt.
     """
     axes, S, vol, shape = _fv_operator(field, box, h)
     if dt <= 0:
@@ -320,27 +329,87 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     if not all(0 < i < ax.shape[0] - 1 for i, ax in zip(src_idx, axes)):
         raise ValueError(f"source {x0} is not interior to the box")
     source = np.array([ax[i] for ax, i in zip(axes, src_idx)])
-    lu = _factor(S, vol, dt / 2.0)
-
-    p = _node_mass(_sampling.dirac(source), axes, h).ravel() / vol
 
     snap_steps = np.maximum(1, np.round(times / dt).astype(np.int64))
     if np.any(np.diff(snap_steps) <= 0):
         raise ValueError("output times collide after snapping to dt")
-    snapped = snap_steps * dt
 
-    out = np.empty((times.shape[0],) + shape)
-    want = {int(s): i for i, s in enumerate(snap_steps)}
-    for step in range(1, int(snap_steps[-1]) + 1):
-        p = 2.0 * lu.solve(vol * p) - p
-        if step in want:
-            out[want[step]] = p.reshape(shape)
-    kern = GridKernel(axes=axes, h=h, times=snapped, values=out,
+    p0 = _node_mass(_sampling.dirac(source), axes, h).ravel() / vol
+    out = _lanczos_cn(S, vol, p0, dt, snap_steps)
+    return GridKernel(axes=axes, h=h, times=snap_steps * dt,
+                      values=out.reshape((times.shape[0],) + shape),
                       source=source,
                       meta={"scheme": "crank-nicolson-fv", "dt": dt,
                             "requested_times": [float(t) for t in times],
                             "field": getattr(field, "name", None)})
-    return kern
+
+
+def _lanczos_cn(S, vol, p0, dt, steps):
+    """r(dt A)^n p0 for each n in ``steps``, one row each: n Crank-Nicolson
+    steps, r(z) = (1 + z/2) / (1 - z/2) and A = V^-1 S.
+
+    That is V^-1/2 f(B) w with f = r(dt .)^n, B = V^-1/2 S V^-1/2 and
+    w = V^1/2 p0.  B V^1/2 1 = 0 and f(0) = 1, so the mean of p0 is kept
+    as it is and Lanczos runs on the rest of w: B Q = Q T + beta q e^T
+    gives f(B) w ~ |w| Q f(T) e1 from the Ritz pairs of the tridiagonal T.
+
+    There is no reorthogonalisation, and the basis is never stored.  A
+    first pass finds T.  Each time m has grown by a quarter it stops if
+    the last coefficient of f(T) e1 is at most KRYLOV_TOL of its largest
+    for every n; it also stops where beta underflows, at an invariant
+    subspace.  A second pass rebuilds the same vectors from T and sums
+    them into the output.
+
+    The recurrence sums with numpy rather than BLAS dot products, so its
+    bits do not depend on the BLAS thread count.  The Ritz pairs come
+    from LAPACK's divide and conquer, whose threaded matrix products can
+    change the last digits of kernels with m past a few hundred.
+    """
+    from scipy import sparse
+    from scipy.linalg import eigh_tridiagonal
+
+    root = np.sqrt(vol)
+    B = (sparse.diags(1.0 / root) @ S @ sparse.diags(1.0 / root)).tocsr()
+    mean = np.sum(vol * p0) / np.sum(vol)
+    w = root * (p0 - mean)
+    norm = np.sqrt(np.sum(w * w))
+    steps = np.asarray(steps)[:, None]
+
+    alpha, beta = [], []
+    limit = KRYLOV_MAX_PER_NODE * vol.shape[0]
+    check = 8
+    q, q_prev, b = w / norm, 0.0, 0.0
+    while True:
+        v = B @ q - b * q_prev
+        alpha.append(np.sum(q * v))
+        v -= alpha[-1] * q
+        b = np.sqrt(np.sum(v * v))
+        m = len(alpha)
+        invariant = b < np.finfo(float).tiny
+        if m >= check or invariant:
+            theta, Y = eigh_tridiagonal(alpha, beta)
+            z = 0.5 * dt * theta
+            coef = ((1.0 + z) / (1.0 - z)) ** steps * Y[0] @ Y.T
+            if invariant or np.all(np.abs(coef[:, -1]) <= KRYLOV_TOL
+                                   * np.abs(coef).max(axis=1)):
+                break
+            if m >= limit:
+                raise KrylovNotConverged(
+                    f"the Lanczos kernel did not converge in {m} steps on "
+                    f"{vol.shape[0]} nodes")
+            check = min(limit, m + max(1, m // 4))
+        beta.append(b)
+        q, q_prev = v / b, q
+
+    out = np.zeros((steps.shape[0], w.shape[0]))
+    q, q_prev = w / norm, 0.0
+    for j in range(m):
+        out += coef[:, j, None] * q
+        if j + 1 < m:
+            v = B @ q - (beta[j - 1] if j else 0.0) * q_prev
+            v -= alpha[j] * q
+            q, q_prev = v / beta[j], q
+    return mean + out * (norm / root)
 
 
 def log_time_grid(t_min, t_max, n, dt):
@@ -535,7 +604,7 @@ def _potential_from_solve(field, nu, box, h):
     if np.any(lo < [ax[0] for ax in axes]) or np.any(
             hi > [ax[-1] for ax in axes]):
         raise ValueError(f"the initial law charges points outside {box}")
-    u = _factor(S, vol, 1.0).solve(_node_mass(nu, axes, h).ravel())
+    u = _factor(S, vol).solve(_node_mass(nu, axes, h).ravel())
     return PotentialField(route="grid", dim=field.dim,
                           params={"scheme": "fv-resolvent"}, axes=axes,
                           values=u.reshape(shape))

@@ -400,6 +400,20 @@ def _build(key, cfg, make):
         raise ConfigError(f"{key}: {exc}")
 
 
+def _check_grid(key, grid, field):
+    """The load rules of a finite-volume grid section ``key``: its h
+    tiles its box and resolves the field's feature scale."""
+    try:
+        kernels._axes_volumes(grid["box"], grid["h"], field.dim)
+    except ValueError as exc:
+        raise ConfigError(f"{key}.h: {exc}")
+    feature = field.feature_scale
+    if feature is not None and grid["h"] > feature / 2 + 1e-12:
+        raise ConfigError(
+            f"{key}.h: {grid['h']:g} does not resolve the field's feature "
+            f"scale {feature:g} (need h <= feature/2)")
+
+
 def _gate_skipped(sweeps, allow_unverified):
     """allow_unverified skips the path sweeps' gates unless a ratio sweep
     needs the integrals they compute."""
@@ -527,21 +541,16 @@ def load_scenario(config, out_dir=None, seed_override=None):
         if unfit.get(route):
             raise ConfigError(f"potential.route: {route} {unfit[route]}; use "
                               "route grid with a potential.kernel section")
+        # the grid solve, the Monte Carlo bandwidths, the quadrature and
+        # the L^q tail all stop at d = 2
+        if field.dim > 2:
+            raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
+                              f"got d = {field.dim}")
         if route == "grid":
-            pk, feature = cfg["potential"]["kernel"], field.feature_scale
+            pk = cfg["potential"]["kernel"]
+            _check_grid("potential.kernel", pk, field)
             lo, hi = np.reshape(pk["box"], (-1, 2)).T
             a, b = law.hull()
-            if field.dim > 2:
-                raise ConfigError(f"potential.route: grid solves d = 1 or 2, "
-                                  f"got d = {field.dim}")
-            try:
-                kernels._axes_volumes(pk["box"], pk["h"], field.dim)
-            except ValueError as exc:
-                raise ConfigError(f"potential.kernel.h: {exc}")
-            if feature is not None and pk["h"] > feature / 2 + 1e-12:
-                raise ConfigError(
-                    f"potential.kernel.h: {pk['h']:g} does not resolve the "
-                    f"field's feature scale {feature:g} (need h <= feature/2)")
             if np.any(a < lo) or np.any(b > hi):
                 raise ConfigError(
                     "potential.kernel.box: must hold the support of the "
@@ -565,10 +574,10 @@ def load_scenario(config, out_dir=None, seed_override=None):
                 f"{b.tolist()}, in its interior")
     if "aronson" in sweeps:
         k = cfg["kernel"]
-        try:
-            kernels._axes_volumes(k["box"], k["h"], field.dim)
-        except ValueError as exc:
-            raise ConfigError(f"kernel.h: {exc}")
+        if field.dim > 2:
+            raise ConfigError(f"field.dim: the aronson kernel solves d = 1 "
+                              f"or 2, got d = {field.dim}")
+        _check_grid("kernel", k, field)
         try:
             kernels.check_step(k["dt"], k["h"], field.lam)
         except UnstableStep as exc:

@@ -118,7 +118,8 @@ class TestEveryKey:
         assert named - _key_paths() == set()
 
 
-# integer keys at every level, so their spelling can vary
+# integer keys at every level, so their spelling can vary; the gated
+# Monte Carlo potential covers d = 1 and 2
 def _config(dim, orders, n_paths, seed, margin, n_samples, pseed):
     return {
         "name": "prop",
@@ -138,7 +139,7 @@ def _config(dim, orders, n_paths, seed, margin, n_samples, pseed):
 
 
 CONFIGS = st.builds(
-    _config, st.integers(1, 3),
+    _config, st.integers(1, 2),
     st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(
         sorted),
     st.integers(1, 10 ** 6), st.integers(0, 2 ** 53), st.integers(1, 8),

@@ -50,9 +50,9 @@ GOLDEN = {
         "covariation.csv":
             "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
         "kernel.csv":
-            "25a7249baa96f5baa3e359ad70e17225769afeec71d3e5d6e2ee3499bc5ae479",
+            "1c4cf5419394f709250491ea61cc571a0035c7db1a2f47f8fa2569743f1b7a09",
         "kernel.json":
-            "68d300123512f13c2aa6f4c8c24fc9397ec532e7efa7f4380639b666907a9340",
+            "173e319e75371042d99330e417b3f31a3accb3f61220081ee35c64d94faaf72c",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },

@@ -14,6 +14,7 @@ from roughdiff.errors import (
     GridTooCoarse,
     InadmissibleExponent,
     InsufficientSamples,
+    KrylovNotConverged,
     NonDiagonalField,
     NonPositiveTime,
     RoughFieldError,
@@ -201,8 +202,78 @@ class TestSolveKernelPde:
         assert k.meta["requested_times"] == [0.10001]
 
 
+def stepped_cn(field, source, box, h, times, dt):
+    """The Crank-Nicolson table the slow way, the reference for the
+    Lanczos evaluation: one SuperLU solve with V - (dt/2) S per step, from
+    the Dirac at the node ``source``."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    axes, S, vol, shape = kn._fv_operator(field, box, h)
+    lu = splu((sparse.diags(vol) - (dt / 2.0) * S).tocsc())
+    src = np.ravel_multi_index(
+        tuple(int(round((c - ax[0]) / h)) for c, ax in zip(source, axes)),
+        shape)
+    p = np.zeros(vol.shape[0])
+    p[src] = 1.0 / vol[src]
+    want = {int(n): i for i, n in enumerate(
+        np.maximum(1, np.round(np.asarray(times) / dt).astype(np.int64)))}
+    out = np.empty((len(want), vol.shape[0]))
+    for n in range(1, max(want) + 1):
+        p = 2.0 * lu.solve(vol * p) - p
+        if n in want:
+            out[want[n]] = p
+    return out.reshape((len(want),) + shape)
+
+
+CHECKERBOARD = {"lo": 0.5, "hi": 2.0, "cell": 1.0}
+# (field, source, box, h, times, dt); dt None sits on the check_step bound
+LANCZOS_CASES = {
+    "rough-2d": (make_field("checkerboard", dim=2, **CHECKERBOARD),
+                 [0.0, 0.0], (-4.0, 4.0), 0.1, [0.25, 0.5], 5e-4),
+    "demo-1d": (make_field("checkerboard", **CHECKERBOARD), [0.0],
+                (-6.0, 6.0), 0.05, [0.25, 0.5], 3e-4),
+    "c4-log-times": (make_field("identity", dim=1), [0.0], (-8.0, 8.0),
+                     0.02, kn.log_time_grid(1e-4, 8.0, 240, 1e-4), 1e-4),
+    "dt-at-bound": (make_field("checkerboard", **CHECKERBOARD), [0.5],
+                    (-6.0, 6.0), 0.05, [0.01, 0.3, 2.0], None),
+}
+
+
+class TestLanczosCrankNicolson:
+    """One Lanczos recurrence gives the stepped Crank-Nicolson table."""
+
+    @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+    def test_matches_stepped_table(self, case):
+        field, source, box, h, times, dt = LANCZOS_CASES[case]
+        if dt is None:
+            dt = h * h * field.lam / 4.0
+        k = kn.solve_kernel_pde(field, source, box, h, times, dt)
+        want = stepped_cn(field, source, box, h, times, dt)
+        assert k.values.shape == want.shape
+        assert np.abs(k.values - want).max() <= 1e-11 * np.abs(want).max()
+        np.testing.assert_allclose(k.masses, 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_flux_stops_at_the_invariant_subspace(self):
+        # S = 0: beta underflows at once and every slice is p0
+        from scipy import sparse
+
+        vol = np.array([0.5, 1.0, 1.0, 1.0, 0.5])
+        p0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        out = kn._lanczos_cn(sparse.csr_matrix((5, 5)), vol, p0, 0.1,
+                             [1, 10])
+        np.testing.assert_allclose(out, [p0, p0], rtol=0, atol=1e-15)
+
+    def test_gives_up_after_a_multiple_of_the_nodes(self, monkeypatch):
+        field, source, box, h, times, dt = LANCZOS_CASES["demo-1d"]
+        monkeypatch.setattr(kn, "KRYLOV_MAX_PER_NODE", 0.1)
+        with pytest.raises(KrylovNotConverged):
+            kn.solve_kernel_pde(field, source, box, h, times, dt)
+
+
 class TestSymmetricStepping:
-    """The face-flux matrix S and the one-solve Crank-Nicolson step."""
+    """The face-flux matrix S, the Crank-Nicolson table against dense
+    stepping, and the resolvent factor."""
 
     @pytest.mark.parametrize("name, params", [
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1}),
@@ -246,12 +317,13 @@ class TestSymmetricStepping:
         np.testing.assert_allclose(masses, 1.0, rtol=0, atol=1e-12)
 
     def test_minimum_degree_fill(self):
-        # the rough-2d kernel grid: +-4, h 0.1, dt 5e-4; COLAMD on the
-        # unsymmetric step matrix held 387,520 L+U entries here
+        # the resolvent matrix V - S on the rough-2d kernel grid (+-4,
+        # h 0.1): 228,920 L+U entries under minimum degree, 387,520 under
+        # COLAMD
         field = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
         axes, vols = kn._axes_volumes((-4.0, 4.0), 0.1, 2)
         S, vol, _ = kn._assemble_operator(field, axes, vols, 0.1)
-        lu = kn._factor(S, vol, 5e-4 / 2.0)
+        lu = kn._factor(S, vol)
         assert lu.L.nnz + lu.U.nnz <= 240_000
 
 

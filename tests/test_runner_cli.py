@@ -133,6 +133,9 @@ GATED_ROUGH = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
                "scheme": "lattice", "scheme_params": {"h": 0.0625},
                "fine_margin": 8, "sweeps": ["qv", "prop1"]}
 GRID = {"route": "grid", "kernel": {"box": [-6.0, 6.0], "h": 0.05}}
+D3 = {"field": {"name": "identity", "dim": 3},
+      "function": {"name": "quadratic", "dim": 3},
+      "law": {"kind": "dirac", "point": [0.0] * 3}}
 MIXTURE = {"kind": "mixture", "weights": [0.25, 0.75],
            "points": [[-1.0], [2.0]]}
 # configs whose potential or kernel cannot be built as asked; the load
@@ -143,10 +146,7 @@ LOAD_RULES = [
     ("potential.route", {"field": {"name": "checkerboard", "lo": 0.5,
                                    "hi": 2.0, "mollify": 0.1},
                          "potential": {"route": "closed-form"}}),
-    ("potential.route", {"field": {"name": "identity", "dim": 3},
-                         "function": {"name": "quadratic", "dim": 3},
-                         "law": {"kind": "dirac", "point": [0.0] * 3},
-                         "potential": GRID}),
+    ("potential.route", dict(D3, potential=GRID)),
     ("potential.kernel.box", {"law": {"kind": "dirac", "point": [9.0]},
                               "potential": GRID}),
     ("potential.kernel.box", {"law": {"kind": "grid-density",
@@ -182,13 +182,24 @@ LOAD_RULES = [
                        "potential": {"route": "grid", "box": [0.0, 10.0],
                                      "kernel": {"box": [-6.0, 6.0],
                                                 "h": 0.1}}}),
+    # every potential route and the kernel solver stop at d = 2, and the
+    # kernel's h must resolve the checkerboard cell
+    ("potential.route", dict(D3, sweeps=["potential"], potential={
+        "route": "monte-carlo", "n_samples": 100_000})),
+    ("potential.route", dict(D3, potential={"route": "monte-carlo"})),
+    ("field.dim", dict(D3, sweeps=["aronson"],
+                       kernel=dict(KERNEL_CFG, x0=[0.0] * 3))),
+    ("kernel.h", {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
+                  "sweeps": ["aronson"], "kernel": dict(KERNEL_CFG, h=0.8)}),
 ]
 LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "grid-d3", "grid-atom-outside", "grid-density-outside",
                  "grid-too-coarse", "grid-h-untiled", "grid-box-axes",
                  "x0-too-long", "x0-too-short", "x0-outside",
                  "aronson-h-untiled", "aronson-dt-unstable",
-                 "grid-quadrature-box-outside", "potential-box-on-the-law"]
+                 "grid-quadrature-box-outside", "potential-box-on-the-law",
+                 "monte-carlo-d3", "monte-carlo-d3-gated", "aronson-d3",
+                 "aronson-too-coarse"]
 
 
 def report(manifest, sweep):
