@@ -91,6 +91,10 @@ class CoefficientField:
         a = self._matrix_many(pts)
         return np.einsum("nii->ni", a)
 
+    def matrix_and_divergence(self, pts):
+        """a and div a at the points (N, d), for the Euler-Maruyama step."""
+        return self._matrix_many(pts), divergence(self, pts)
+
     def __call__(self, x):
         return self.matrix(x)
 

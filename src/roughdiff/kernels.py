@@ -279,19 +279,29 @@ def _factor(S, vol):
     return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _fv_operator(field, box, h):
-    """(axes, S, vol, shape) of div(a grad) on the vertex grid of ``box``
-    at step h, for a diagonal field in d <= 2 that h resolves."""
+def check_fv_field(field):
+    """Raise unless the field is diagonal and in d = 1 or 2."""
     if field.dim not in (1, 2):
         raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
     if not field.is_diagonal:
         raise NonDiagonalField(
             "the finite-volume solver handles diagonal fields only")
+
+
+def fv_grid(field, box, h):
+    """(axes, vols) of the finite-volume grid of ``box`` at step h, which
+    must tile the box and resolve the field's feature scale."""
+    check_fv_field(field)
     if field.feature_scale is not None and h > field.feature_scale / 2 + 1e-12:
         raise GridTooCoarse(
             f"h = {h:g} does not resolve the field's feature scale "
             f"{field.feature_scale:g} (need h <= feature/2)")
-    axes, vols = _axes_volumes(box, h, field.dim)
+    return _axes_volumes(box, h, field.dim)
+
+
+def _fv_operator(field, box, h):
+    """(axes, S, vol, shape) of div(a grad) on fv_grid(field, box, h)."""
+    axes, vols = fv_grid(field, box, h)
     return (axes,) + _assemble_operator(field, axes, vols, h)
 
 
@@ -300,6 +310,34 @@ def check_step(dt, h, lam):
     if dt > h * h * lam / 4.0 + 1e-15:
         raise UnstableStep(
             f"dt = {dt:g} exceeds h^2 lambda / 4 = {h * h * lam / 4:g}")
+
+
+def snap_times(times, dt):
+    """Step counts of the output times at step dt > 0: the times must be
+    positive and strictly increasing, and stay distinct once snapped to
+    the nearest multiple of dt (at least one step)."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a strictly increasing 1-d list")
+    _check_time(times)
+    steps = np.maximum(1, np.round(times / dt).astype(np.int64))
+    if np.any(np.diff(steps) <= 0):
+        raise ValueError("output times collide after snapping to dt")
+    return steps
+
+
+def source_node(axes, h, x0):
+    """The grid node x0 snaps to, which must be interior; x0 needs one
+    coordinate per axis."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    idx = [int(round((c - ax[0]) / h)) for c, ax in zip(x0, axes)]
+    if x0.shape != (len(axes),) or not all(
+            0 < i < ax.shape[0] - 1 for i, ax in zip(idx, axes)):
+        raise ValueError(f"source {x0.tolist()} is not a point of dimension "
+                         f"{len(axes)} that snaps to an interior node")
+    return np.array([ax[i] for ax, i in zip(axes, idx)])
 
 
 def solve_kernel_pde(field, x0, box, h, times, dt):
@@ -316,28 +354,14 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     grows with the Krylov dimension, not with t_max / dt.
     """
     axes, S, vol, shape = _fv_operator(field, box, h)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     check_step(dt, h, field.lam)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d list")
-    _check_time(times)
-
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    src_idx = [int(round((c - ax[0]) / h)) for c, ax in zip(x0, axes)]
-    if not all(0 < i < ax.shape[0] - 1 for i, ax in zip(src_idx, axes)):
-        raise ValueError(f"source {x0} is not interior to the box")
-    source = np.array([ax[i] for ax, i in zip(axes, src_idx)])
-
-    snap_steps = np.maximum(1, np.round(times / dt).astype(np.int64))
-    if np.any(np.diff(snap_steps) <= 0):
-        raise ValueError("output times collide after snapping to dt")
+    steps = snap_times(times, dt)
+    source = source_node(axes, h, x0)
 
     p0 = _node_mass(_sampling.dirac(source), axes, h).ravel() / vol
-    out = _lanczos_cn(S, vol, p0, dt, snap_steps)
-    return GridKernel(axes=axes, h=h, times=snap_steps * dt,
-                      values=out.reshape((times.shape[0],) + shape),
+    out = _lanczos_cn(S, vol, p0, dt, steps)
+    return GridKernel(axes=axes, h=h, times=steps * dt,
+                      values=out.reshape((len(steps),) + shape),
                       source=source,
                       meta={"scheme": "crank-nicolson-fv", "dt": dt,
                             "requested_times": [float(t) for t in times],
@@ -445,17 +469,22 @@ def sandwich_holds(kernel, M):
     return True
 
 
+def check_candidates(candidates):
+    """The candidate M values as an array; raises unless there is at
+    least one and they are positive and increasing."""
+    arr = np.asarray(list(candidates), dtype=float)
+    if arr.size == 0:
+        raise EmptyCandidates("no candidate M values supplied")
+    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
+        raise ValueError("candidates must be positive and increasing")
+    return arr
+
+
 def fit_aronson_M(kernel, candidates):
     """Smallest candidate M whose two Gaussian envelopes sandwich the
     kernel everywhere it exceeds SANDWICH_FLOOR; None when no candidate
     does."""
-    cands = list(candidates)
-    if len(cands) == 0:
-        raise EmptyCandidates("no candidate M values supplied")
-    arr = np.asarray(cands, dtype=float)
-    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise ValueError("candidates must be positive and increasing")
-    for M in arr:
+    for M in check_candidates(candidates):
         if sandwich_holds(kernel, float(M)):
             return float(M)
     return None
@@ -599,15 +628,26 @@ def _potential_from_solve(field, nu, box, h):
     With A = V^-1 S that is (1 - A) u = p0, p0 the law's mass per node
     over the node volume.  1^T S = 0, so the mass vol . u is 1.
     """
+    hull_gap(nu, box)
     axes, S, vol, shape = _fv_operator(field, box, h)
-    lo, hi = nu.hull()
-    if np.any(lo < [ax[0] for ax in axes]) or np.any(
-            hi > [ax[-1] for ax in axes]):
-        raise ValueError(f"the initial law charges points outside {box}")
     u = _factor(S, vol).solve(_node_mass(nu, axes, h).ravel())
     return PotentialField(route="grid", dim=field.dim,
                           params={"scheme": "fv-resolvent"}, axes=axes,
                           values=u.reshape(shape))
+
+
+def hull_gap(nu, box, interior=False):
+    """The least distance from the hull of nu's support to a face of box;
+    raises ValueError when the hull reaches outside the box or, with
+    ``interior``, touches a face."""
+    lo, hi = np.reshape(np.asarray(box, dtype=float), (-1, 2)).T
+    a, b = nu.hull()
+    gap = float(min(np.min(a - lo), np.min(hi - b)))
+    if gap < 0.0 or interior and not gap > 0.0:
+        where = "interior of the box" if interior else "box"
+        raise ValueError(f"the initial law's support, {a.tolist()} to "
+                         f"{b.tolist()}, reaches outside the {where} {box}")
+    return gap
 
 
 def _node_mass(nu, axes, h):
@@ -813,6 +853,7 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
     if not lq_admissible(q, U.dim):
         raise InadmissibleExponent(
             f"q = {q} is outside the admissible range for d = {U.dim}")
+    R = hull_gap(nu, box, interior=True)
     axes, _ = _axes_volumes(box, h, U.dim)
     head, rest = axes[0], axes[1:]
     # each point and each row integral is computed as on the whole grid
@@ -825,12 +866,6 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
         rows.append(vals)
     box_value = float(np.trapezoid(np.concatenate(rows), head))
 
-    lo, hi = np.reshape(np.asarray(box, dtype=float), (-1, 2)).T
-    a, b = nu.hull()
-    R = float(min(np.min(a - lo), np.min(hi - b)))
-    if not R > 0.0:
-        raise ValueError(f"the box {box} does not hold the initial law's "
-                         "support in its interior")
     M = ENVELOPE_M
     if U.dim == 1:
         # closed form: 2 int_R^inf (M sqrt(pi))^q e^(-2 q r / sqrt M) dr
@@ -840,6 +875,7 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
     else:
         r = R * np.exp(np.linspace(0.0, 4.0, 400))
         env = _envelope_potential(r, M, 2) ** q
+        a, b = nu.hull()
         perimeter = 2.0 * float(np.sum(b - a))
         tail = float(np.trapezoid(env * (2.0 * np.pi * r + perimeter), r))
     return LqNormResult(q=q, value=box_value, tail_estimate=float(tail))

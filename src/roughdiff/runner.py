@@ -38,7 +38,6 @@ from .errors import (
     Error,
     MissingReport,
     SingularHit,
-    UnstableStep,
 )
 
 MAX_ATTEMPTS = 8
@@ -254,7 +253,8 @@ _GRID = {"box": Key("box", REQUIRED), "h": Key("number", REQUIRED, 0.0)}
 _SWEEP = {"box": Key("box", [-10.0, 10.0]), "h": Key("number", 0.01, 0.0)}
 POTENTIAL_ROUTES = {
     "closed-form": _SWEEP,
-    "monte-carlo": {"n_samples": Key("integer", 200_000, 1),
+    "monte-carlo": {"n_samples": Key("integer", 200_000,
+                                     kernels.MIN_KDE_SAMPLES),
                     "seed": Key("integer", lambda s, top: top["seed"], 0),
                     "step": Key("number", 2.0 ** -9, 0.0),
                     "t_cap": Key("number", 16.0, 0.0), **_SWEEP},
@@ -264,7 +264,7 @@ KERNEL = {**_GRID, "dt": Key("number", REQUIRED, 0.0),
           "times": Key("list", REQUIRED, item=("number", None, 0.0)),
           "candidates": Key("list", REQUIRED, item="number"),
           "x0": Key("list", lambda s, top: [0.0] * _dim(top), item="number")}
-SCHEME_PARAMS = {"euler-maruyama": {"fd_step": Key("number", 1e-4, 0.0)},
+SCHEME_PARAMS = {"euler-maruyama": {},
                  "lattice": {"h": Key("number", 0.05, 0.0)}}
 
 CONFIG_SCHEMA = {
@@ -374,8 +374,9 @@ def _walk(path, table, raw, top=None):
     naming the key path of an unknown, missing or mistyped key."""
     for key in raw:
         if key not in table:
-            raise ConfigError(f"{path}{key}: unknown key; expected one of "
-                              f"{', '.join(table)}")
+            raise ConfigError(f"{path}{key}: unknown key; " + (
+                f"expected one of {', '.join(table)}" if table
+                else "the section takes no keys"))
     out, given = {}, {}
     top = out if top is None else top
     for key, spec in table.items():
@@ -391,27 +392,13 @@ def _walk(path, table, raw, top=None):
     return out, given
 
 
-def _build(key, cfg, make):
-    """``make(**section)`` of the parsed catalog section cfg[key]; a
-    construction failure is a ConfigError naming ``key``."""
+def _checked(key, fn, *args, **kw):
+    """fn(*args, **kw) for a builder or check of the config key ``key``;
+    an Error or ValueError it raises becomes a ConfigError naming key."""
     try:
-        return make(**cfg[key])
+        return fn(*args, **kw)
     except (Error, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}")
-
-
-def _check_grid(key, grid, field):
-    """The load rules of a finite-volume grid section ``key``: its h
-    tiles its box and resolves the field's feature scale."""
-    try:
-        kernels._axes_volumes(grid["box"], grid["h"], field.dim)
-    except ValueError as exc:
-        raise ConfigError(f"{key}.h: {exc}")
-    feature = field.feature_scale
-    if feature is not None and grid["h"] > feature / 2 + 1e-12:
-        raise ConfigError(
-            f"{key}.h: {grid['h']:g} does not resolve the field's feature "
-            f"scale {feature:g} (need h <= feature/2)")
 
 
 def _gate_skipped(sweeps, allow_unverified):
@@ -479,25 +466,24 @@ def load_scenario(config, out_dir=None, seed_override=None):
 
     sweeps = set(cfg["sweeps"])
     paths = sweeps & set(PATH_SWEEPS)
-    orders, margin = cfg["orders"], cfg["fine_margin"]
+    orders = cfg["orders"]
     if orders != sorted(set(orders)):
         raise ConfigError("orders: must be strictly increasing")
     if paths and not orders:
         raise ConfigError("orders: at least one dyadic order is required")
-    if orders and orders[-1] + margin > sampling.MAX_ORDER:
-        raise ConfigError(
-            f"orders: max order {orders[-1]} + fine_margin {margin} exceeds "
-            f"{sampling.MAX_ORDER}")
+    if orders:
+        _checked("orders", sampling.fine_step_for, cfg["horizon"],
+                 orders[-1], cfg["fine_margin"])
 
     spec = _canon({k: v for k, v in given.items()
                    if k not in ("name", "out_dir")})
     digest = scenario_hash(spec)
     scn = Scenario(
         spec=spec, hash=digest, cfg=cfg,
-        field=_build("field", cfg, fields.make_field),
-        F=cfg["function"] and _build("function", cfg,
-                                     testfunctions.make_test_function),
-        law=cfg["law"] and _build("law", cfg, sampling.make_law),
+        field=_checked("field", fields.make_field, **cfg["field"]),
+        F=cfg["function"] and _checked(
+            "function", testfunctions.make_test_function, **cfg["function"]),
+        law=cfg["law"] and _checked("law", sampling.make_law, **cfg["law"]),
         out_dir=str(out_dir or cfg["out_dir"]
                     or os.path.join("runs", digest)))
     field, F, law = scn.field, scn.F, scn.law
@@ -519,11 +505,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
         if not field.is_diagonal:
             raise ConfigError(
                 "scheme: the lattice scheme needs a diagonal field")
-        try:
-            sampling.lattice_jump_rate(field, cfg["scheme_params"]["h"],
-                                       scn.fine_step)
-        except ValueError as exc:
-            raise ConfigError(f"scheme_params.h: {exc}")
+        _checked("scheme_params.h", sampling.lattice_jump_rate, field,
+                 cfg["scheme_params"]["h"], scn.fine_step)
     if F is not None and law is not None and F.grad_singular:
         for atom in law.atoms():
             for p in F.singular_points:
@@ -548,14 +531,11 @@ def load_scenario(config, out_dir=None, seed_override=None):
                               f"got d = {field.dim}")
         if route == "grid":
             pk = cfg["potential"]["kernel"]
-            _check_grid("potential.kernel", pk, field)
-            lo, hi = np.reshape(pk["box"], (-1, 2)).T
-            a, b = law.hull()
-            if np.any(a < lo) or np.any(b > hi):
-                raise ConfigError(
-                    "potential.kernel.box: must hold the support of the "
-                    f"initial law, which spans {a.tolist()} to {b.tolist()}")
+            _checked("potential.kernel.h", kernels.fv_grid, field, pk["box"],
+                     pk["h"])
+            _checked("potential.kernel.box", kernels.hull_gap, law, pk["box"])
             # the gate integrates U over box, and U is 0 off the kernel grid
+            lo, hi = np.reshape(pk["box"], (-1, 2)).T
             qlo, qhi = np.reshape(cfg["box"], (-1, 2)).T
             gated = paths & (GRADIENT_GATED | HESSIAN_GATED) and not (
                 _gate_skipped(sweeps, scn.allow_unverified))
@@ -565,31 +545,18 @@ def load_scenario(config, out_dir=None, seed_override=None):
                     f"{pk['box']}, where the grid route computes U")
     if "potential" in sweeps:
         # the L^2 tail is measured from the law's hull to the box faces
-        lo, hi = np.reshape(cfg["potential"]["box"], (-1, 2)).T
-        a, b = law.hull()
-        if np.any(a <= lo) or np.any(b >= hi):
-            raise ConfigError(
-                f"potential.box: {cfg['potential']['box']} must hold the "
-                f"support of the initial law, which spans {a.tolist()} to "
-                f"{b.tolist()}, in its interior")
+        _checked("potential.box", kernels.hull_gap, law,
+                 cfg["potential"]["box"], interior=True)
     if "aronson" in sweeps:
         k = cfg["kernel"]
-        if field.dim > 2:
-            raise ConfigError(f"field.dim: the aronson kernel solves d = 1 "
-                              f"or 2, got d = {field.dim}")
-        _check_grid("kernel", k, field)
-        try:
-            kernels.check_step(k["dt"], k["h"], field.lam)
-        except UnstableStep as exc:
-            raise ConfigError(f"kernel.dt: {exc}")
-        # the source must snap to an interior node of the kernel grid
-        lo, hi = np.reshape(k["box"], (-1, 2)).T
-        x0 = np.asarray(k["x0"])
-        if x0.shape != (field.dim,) or np.any(x0 <= lo + k["h"] / 2) or (
-                np.any(x0 >= hi - k["h"] / 2)):
-            raise ConfigError(
-                f"kernel.x0: must be a point of dimension {field.dim} at "
-                f"least kernel.h / 2 inside kernel.box, got {k['x0']}")
+        _checked("field.dim", kernels.check_fv_field, field)
+        axes, _ = _checked("kernel.h", kernels.fv_grid, field, k["box"],
+                           k["h"])
+        _checked("kernel.dt", kernels.check_step, k["dt"], k["h"], field.lam)
+        _checked("kernel.x0", kernels.source_node, axes, k["h"], k["x0"])
+        _checked("kernel.times", kernels.snap_times, k["times"], k["dt"])
+        _checked("kernel.candidates", kernels.check_candidates,
+                 k["candidates"])
     return scn
 
 
@@ -849,10 +816,9 @@ def _run_potential(scn, U, incidents):
     else:
         mass = U.integral(box=pbox, h=ph)
         count = 1
-    rows = [("potential_mass", 0, mass, 0.0, count)]
-    if kernels.lq_admissible(2.0, U.dim):
-        l2 = kernels.potential_Lq_norm(U, scn.law, 2.0, pbox, h=ph)
-        rows.append(("potential_l2", 0, l2.total, 0.0, count))
+    l2 = kernels.potential_Lq_norm(U, scn.law, 2.0, pbox, h=ph)
+    rows = [("potential_mass", 0, mass, 0.0, count),
+            ("potential_l2", 0, l2.total, 0.0, count)]
     artifacts = {}
     if U.axes is not None:
         U.save(os.path.join(scn.out_dir, "potential_field"))

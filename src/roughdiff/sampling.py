@@ -45,7 +45,7 @@ def fine_step_for(horizon, n_max, margin=4):
     """
     if not (0 <= n_max + margin <= MAX_ORDER):
         raise OrderTooLarge(
-            f"n_max + margin = {n_max + margin} outside [0, {MAX_ORDER}]")
+            f"order {n_max} + fine_margin {margin} outside [0, {MAX_ORDER}]")
     return float(horizon) * 2.0 ** (-(n_max + margin))
 
 
@@ -233,24 +233,18 @@ def _start_points(law, gens, dim):
     return x0
 
 
-def em_step(field, x, xi, fine_step, fd_step=1e-4):
+def em_step(field, x, xi, fine_step):
     """One Euler-Maruyama step of a non-constant field for a batch.
 
     Returns x + (div a)(x) fine_step + sqrt(2 a(x)) xi sqrt(fine_step) for
-    states x and standard normal draws xi, both of shape (B, d).  The
-    drift comes from the field's matrix_and_divergence when it has one,
-    else from central differences with step fd_step.  Rough fields raise
-    RoughFieldError: their divergence only exists as a distribution.
+    states x and standard normal draws xi, both of shape (B, d).  Rough
+    fields raise RoughFieldError: their divergence only exists as a
+    distribution.
     """
     if field.smoothness == "rough":
         raise RoughFieldError(
             "Euler-Maruyama needs a smooth or mollified field")
-    mad = getattr(field, "matrix_and_divergence", None)
-    if mad is not None:
-        a, drift = mad(x)
-    else:
-        a = field._matrix_many(x)
-        drift = _fields.divergence(field, x, step=fd_step)
+    a, drift = field.matrix_and_divergence(x)
     if field.is_diagonal:
         diag = np.einsum("nii->ni", a)
         noise = np.sqrt(2.0 * diag) * xi
@@ -261,7 +255,7 @@ def em_step(field, x, xi, fine_step, fd_step=1e-4):
 
 
 def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                     attempt=0, stride=1, fd_step=1e-4):
+                     attempt=0, stride=1):
     """Euler-Maruyama batch; returns states of shape (B, T', d) at times
     i * stride * fine_step, including both endpoints."""
     nsteps = _nsteps(horizon, fine_step, stride)
@@ -288,7 +282,7 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
         for b, g in enumerate(gens):
             xi[b, :take] = g.standard_normal((take, d))
         for j in range(take):
-            x = em_step(field, x, xi[:, j], fine_step, fd_step)
+            x = em_step(field, x, xi[:, j], fine_step)
             i = done + j + 1
             if i % stride == 0:
                 out[:, i // stride] = x
@@ -410,7 +404,7 @@ _SAMPLERS = {"euler-maruyama": _em_batch_states,
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
                    stride=1, attempt=0, scheme_params=None):
     """Batched states (B, T', d) for either scheme, at stride multiples;
-    ``scheme_params`` are its keyword arguments (fd_step, or h)."""
+    ``scheme_params`` are its keyword arguments (h of the lattice)."""
     if scheme not in _SAMPLERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,

@@ -273,12 +273,11 @@ _CATALOG = {"linear": linear, "quadratic": quadratic, "sin1d": sin1d,
 
 
 def make_test_function(name, **params):
-    """The catalog entry ``name`` (see PARAMS) from the parameters it
-    takes; others are ignored.  Raises UnknownName for other names."""
+    """The catalog entry ``name`` (see PARAMS) from its parameters.
+    Raises UnknownName for other names."""
     if name not in _CATALOG:
         raise UnknownName(f"no test function named {name!r}")
-    return _CATALOG[name](**{k: v for k, v in params.items()
-                             if k in PARAMS[name]})
+    return _CATALOG[name](**params)
 
 
 def component_function(F, k):

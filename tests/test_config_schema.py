@@ -12,7 +12,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughdiff import runner
+from roughdiff import kernels, runner
 from roughdiff.errors import ConfigError
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -143,7 +143,7 @@ CONFIGS = st.builds(
     st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(
         sorted),
     st.integers(1, 10 ** 6), st.integers(0, 2 ** 53), st.integers(1, 8),
-    st.integers(1, 10 ** 7), st.integers(0, 2 ** 53))
+    st.integers(kernels.MIN_KDE_SAMPLES, 10 ** 7), st.integers(0, 2 ** 53))
 
 
 def _respell(obj, rnd):

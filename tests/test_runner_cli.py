@@ -18,10 +18,10 @@ import pytest
 
 import roughdiff
 from roughdiff import runner, testfunctions
+from roughdiff.cli import main as cli_main
 from roughdiff.errors import (
     ConditionViolated,
     ConfigError,
-    InsufficientSamples,
     MissingReport,
     SingularHit,
 )
@@ -191,6 +191,18 @@ LOAD_RULES = [
                        kernel=dict(KERNEL_CFG, x0=[0.0] * 3))),
     ("kernel.h", {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
                   "sweeps": ["aronson"], "kernel": dict(KERNEL_CFG, h=0.8)}),
+    # the kernel solver's time and candidate rules, and the Monte Carlo
+    # route's sample floor, hold at load
+    ("kernel.times", {"sweeps": ["aronson"],
+                      "kernel": dict(KERNEL_CFG, times=[0.5, 0.25])}),
+    ("kernel.times", {"sweeps": ["aronson"], "kernel": dict(
+        KERNEL_CFG, h=0.1, dt=1e-3, times=[0.25, 0.2501])}),
+    ("kernel.candidates", {"sweeps": ["aronson"],
+                           "kernel": dict(KERNEL_CFG, candidates=[8, 4])}),
+    ("kernel.candidates", {"sweeps": ["aronson"],
+                           "kernel": dict(KERNEL_CFG, candidates=[])}),
+    ("potential.n_samples", {"potential": {"route": "monte-carlo",
+                                           "n_samples": 5000}}),
 ]
 LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "grid-d3", "grid-atom-outside", "grid-density-outside",
@@ -199,7 +211,9 @@ LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "aronson-h-untiled", "aronson-dt-unstable",
                  "grid-quadrature-box-outside", "potential-box-on-the-law",
                  "monte-carlo-d3", "monte-carlo-d3-gated", "aronson-d3",
-                 "aronson-too-coarse"]
+                 "aronson-too-coarse", "times-decreasing", "times-collide",
+                 "candidates-decreasing", "candidates-empty",
+                 "n-samples-below-kde-floor"]
 
 
 def report(manifest, sweep):
@@ -770,8 +784,9 @@ class TestKernelPotentialSweeps:
         cfg = quad_config(sweeps=["potential"],
                           potential={"route": "monte-carlo",
                                      "n_samples": 50000})
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ConfigError, match="^potential.n_samples: "):
             runner.run_scenario(cfg, out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
 
 
 class TestTwoDimensions:
@@ -950,6 +965,16 @@ class TestCli:
         proc = cli("run", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("key, over", LOAD_RULES, ids=LOAD_RULE_IDS)
+    def test_load_rule_exit_two_in_process(self, tmp_path, capsys, key,
+                                           over):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(quad_config(**over)))
+        assert cli_main(["run", str(path), "--out-dir",
+                         str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+        assert not (tmp_path / "o").exists()
 
     def test_mixture_potential_on_grid_route(self, tmp_path, cli):
         path = tmp_path / "mix.json"

@@ -167,6 +167,10 @@ class TestCatalogInterface:
         with pytest.raises(UnknownName):
             make_test_function("sombrero")
 
+    def test_unknown_parameter(self):
+        with pytest.raises(TypeError):
+            make_test_function("quadratic", dimm=2)
+
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             make_test_function("abs_power", alpha=0.0)
