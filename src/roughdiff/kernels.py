@@ -3,14 +3,15 @@
 The PDE route discretizes div(a grad) with a conservative finite-volume
 scheme on a vertex-centered uniform grid: conductances sit at edge
 midpoints, boundary faces carry zero flux, and time is Crank-Nicolson.
-The face-flux matrix S is symmetric, so with V the node volumes the
-generator V^-1 S is similar to the symmetric B = V^-1/2 S V^-1/2, and n
-Crank-Nicolson steps are a function of B.  One Lanczos recurrence on B
-evaluates that function for every output time at once, with sparse
-matvecs and no factorization.  Mass is conserved (in the trapezoid
-sense) to the Krylov tolerance, which is what the leakage field
-records.  The resolvent potential on the same grid is a single solve
-with V - S.
+The per-axis face couplings are the one description of the operator.
+The face-flux operator S they define is symmetric, so with V the node
+volumes the generator V^-1 S is similar to the symmetric
+B = V^-1/2 S V^-1/2, and n Crank-Nicolson steps are a function of B.
+One Lanczos recurrence on B evaluates that function for every output
+time at once, applying B as a numpy stencil, with no factorization.
+Mass is conserved (in the trapezoid sense) to the Krylov tolerance,
+which is what the leakage field records.  The resolvent potential on
+the same grid is a single sparse solve with V - S.
 
 Envelope conventions, for a kernel started at x:
 
@@ -28,8 +29,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-# scipy is imported inside the functions that use it: most runs never
-# solve the kernel PDE, and loading it would add to every start-up
+# scipy is imported only inside the sparse solve of the grid potential
+# route (_flux_matrix, _factor): loading it would add to every start-up
 
 from .errors import (
     EmptyCandidates,
@@ -43,7 +44,7 @@ from .errors import (
     UnstableStep,
 )
 from . import sampling as _sampling
-from .fields import sqrt_matrix
+from .fields import IdentityField, sqrt_matrix
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
 # M of the upper envelope that bounds the potential's tails
@@ -224,19 +225,19 @@ def tabulate_kernel(fn, box, h, times, x0, dim=1, meta=None):
 
 
 def _assemble_operator(field, axes, vols, h):
-    """Face-flux matrix S, with (S p)_m the sum of fluxes into node m, and
-    the flat node volumes vol; the generator is diag(1/vol) S.
+    """The finite-volume operator as its face couplings: (couplings, vol,
+    shape), with vol the flat node volumes.
 
-    S is symmetric and its rows sum to zero.
+    couplings[k] has the grid shape less one node along axis k: its entry
+    at node i is the conductance of the face between node i and node
+    i + e_k, times the face's transverse volume, over h.  The face-flux
+    operator S sums into each node the fluxes c (p_n - p_m) across its
+    faces, so it is symmetric, its rows sum to zero, and the generator is
+    diag(1/vol) S.
     """
-    from scipy import sparse
-
     dim = len(axes)
-    shape = tuple(ax.shape[0] for ax in axes)
-    n_total = int(np.prod(shape))
     vol = vols[0] if dim == 1 else np.multiply.outer(vols[0], vols[1])
-
-    rows, cols, vals = [], [], []
+    couplings = []
     for k in range(dim):
         # faces along axis k between node index i and i+1
         face_axes = [ax.copy() for ax in axes]
@@ -253,30 +254,78 @@ def _assemble_operator(field, axes, vols, h):
             w = np.broadcast_to(
                 vols[j] if k == 0 else vols[j][:, None],
                 cond.shape)
-        coupling = (cond * w / h).ravel()
+        couplings.append(cond * w / h)
+    return couplings, vol.ravel(), vol.shape
 
-        idx = np.arange(n_total).reshape(shape)
-        m = (idx.take(range(shape[k] - 1), axis=k)).ravel()
-        n = (idx.take(range(1, shape[k]), axis=k)).ravel()
+
+def _faces(k, dim):
+    """Index tuples of the nodes below and above each face along axis k."""
+    head = (slice(None),) * k
+    return head + (slice(None, -1),), head + (slice(1, None),)
+
+
+def _flux_matrix(couplings, shape):
+    """S as a scipy CSR matrix."""
+    from scipy import sparse
+
+    n_total = int(np.prod(shape))
+    idx = np.arange(n_total).reshape(shape)
+    rows, cols, vals = [], [], []
+    for k, c in enumerate(couplings):
+        lo, hi = _faces(k, len(shape))
+        m, n, c = idx[lo].ravel(), idx[hi].ravel(), c.ravel()
         rows += [m, n, m, n]
         cols += [n, m, m, n]
-        vals += [coupling, coupling, -coupling, -coupling]
-
-    S = sparse.coo_matrix(
+        vals += [c, c, -c, -c]
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_total, n_total)).tocsr()
-    return S, vol.ravel(), shape
 
 
-def _factor(S, vol):
+def _factor(couplings, vol, shape):
     """SuperLU factor of the symmetric positive definite V - S, V =
     diag(vol).  The minimum-degree ordering of the symmetric pattern holds
     40-45% fewer L+U entries than COLAMD on 2-d grids."""
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    K = sparse.diags(vol) - S
+    K = sparse.diags(vol) - _flux_matrix(couplings, shape)
     return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _stencil(couplings, vol, shape):
+    """The map q -> B q on flat vectors, B = V^-1/2 S V^-1/2, in numpy.
+
+    Each node sums its row of B in column order: its lower neighbours
+    (axis 0 first), itself, then its upper neighbours (axis 0 last).  The
+    entry of row m and column n is (r_m c) r_n with r = V^-1/2, and the
+    diagonal sums its faces axis by axis, upper face first.  So B q rounds
+    as the sparse product does: the face-scatter form r S (r q), each
+    flux added to one node and taken from the other, rounds each node's
+    sum differently and lost 1.2e-11 of the mass on the 801-node 1-d
+    identity kernel, against 9e-14 in this order.
+    """
+    r = (1.0 / np.sqrt(vol)).reshape(shape)
+    diag = np.zeros(shape)
+    lower, upper = [], []
+    for k, c in enumerate(couplings):
+        lo, hi = _faces(k, len(shape))
+        diag[lo] -= c
+        diag[hi] -= c
+        lower.append((hi, r[hi] * c * r[lo], lo))
+        upper.insert(0, (lo, r[lo] * c * r[hi], hi))
+    diag = r * diag * r
+
+    def apply(q):
+        q = q.reshape(shape)
+        out = np.zeros(shape)
+        for dst, b, src in lower:
+            out[dst] += b * q[src]
+        out += diag * q
+        for dst, b, src in upper:
+            out[dst] += b * q[src]
+        return out.ravel()
+    return apply
 
 
 def check_fv_field(field):
@@ -299,17 +348,16 @@ def fv_grid(field, box, h):
     return _axes_volumes(box, h, field.dim)
 
 
-def _fv_operator(field, box, h):
-    """(axes, S, vol, shape) of div(a grad) on fv_grid(field, box, h)."""
-    axes, vols = fv_grid(field, box, h)
-    return (axes,) + _assemble_operator(field, axes, vols, h)
-
-
 def check_step(dt, h, lam):
     """Raise UnstableStep unless dt <= h^2 lambda / 4."""
     if dt > h * h * lam / 4.0 + 1e-15:
         raise UnstableStep(
             f"dt = {dt:g} exceeds h^2 lambda / 4 = {h * h * lam / 4:g}")
+
+
+def _snap(times, dt):
+    """The nearest multiple of dt to each time, in steps, at least one."""
+    return np.maximum(1, np.round(times / dt).astype(np.int64))
 
 
 def snap_times(times, dt):
@@ -322,7 +370,7 @@ def snap_times(times, dt):
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d list")
     _check_time(times)
-    steps = np.maximum(1, np.round(times / dt).astype(np.int64))
+    steps = _snap(times, dt)
     if np.any(np.diff(steps) <= 0):
         raise ValueError("output times collide after snapping to dt")
     return steps
@@ -353,13 +401,14 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     evaluates every snapped step count from one Krylov basis, so the cost
     grows with the Krylov dimension, not with t_max / dt.
     """
-    axes, S, vol, shape = _fv_operator(field, box, h)
+    axes, vols = fv_grid(field, box, h)
     check_step(dt, h, field.lam)
     steps = snap_times(times, dt)
     source = source_node(axes, h, x0)
 
+    couplings, vol, shape = _assemble_operator(field, axes, vols, h)
     p0 = _node_mass(_sampling.dirac(source), axes, h).ravel() / vol
-    out = _lanczos_cn(S, vol, p0, dt, steps)
+    out = _lanczos_cn(couplings, vol, shape, p0, dt, steps)
     return GridKernel(axes=axes, h=h, times=steps * dt,
                       values=out.reshape((len(steps),) + shape),
                       source=source,
@@ -368,7 +417,7 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
                             "field": getattr(field, "name", None)})
 
 
-def _lanczos_cn(S, vol, p0, dt, steps):
+def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
     """r(dt A)^n p0 for each n in ``steps``, one row each: n Crank-Nicolson
     steps, r(z) = (1 + z/2) / (1 - z/2) and A = V^-1 S.
 
@@ -384,16 +433,15 @@ def _lanczos_cn(S, vol, p0, dt, steps):
     subspace.  A second pass rebuilds the same vectors from T and sums
     them into the output.
 
-    The recurrence sums with numpy rather than BLAS dot products, so its
-    bits do not depend on the BLAS thread count.  The Ritz pairs come
-    from LAPACK's divide and conquer, whose threaded matrix products can
-    change the last digits of kernels with m past a few hundred.
+    B is applied as the numpy stencil of the couplings, and the
+    recurrence sums with numpy rather than BLAS dot products, so its bits
+    do not depend on the BLAS thread count.  The Ritz pairs come from
+    numpy's eigh of the dense m x m tridiagonal T (LAPACK's syevd), whose
+    threaded matrix products can change the last digits of kernels with m
+    past a few hundred.
     """
-    from scipy import sparse
-    from scipy.linalg import eigh_tridiagonal
-
+    B = _stencil(couplings, vol, shape)
     root = np.sqrt(vol)
-    B = (sparse.diags(1.0 / root) @ S @ sparse.diags(1.0 / root)).tocsr()
     mean = np.sum(vol * p0) / np.sum(vol)
     w = root * (p0 - mean)
     norm = np.sqrt(np.sum(w * w))
@@ -404,14 +452,15 @@ def _lanczos_cn(S, vol, p0, dt, steps):
     check = 8
     q, q_prev, b = w / norm, 0.0, 0.0
     while True:
-        v = B @ q - b * q_prev
+        v = B(q) - b * q_prev
         alpha.append(np.sum(q * v))
         v -= alpha[-1] * q
         b = np.sqrt(np.sum(v * v))
         m = len(alpha)
         invariant = b < np.finfo(float).tiny
         if m >= check or invariant:
-            theta, Y = eigh_tridiagonal(alpha, beta)
+            # eigh reads the lower triangle
+            theta, Y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
             z = 0.5 * dt * theta
             coef = ((1.0 + z) / (1.0 - z)) ** steps * Y[0] @ Y.T
             if invariant or np.all(np.abs(coef[:, -1]) <= KRYLOV_TOL
@@ -430,7 +479,7 @@ def _lanczos_cn(S, vol, p0, dt, steps):
     for j in range(m):
         out += coef[:, j, None] * q
         if j + 1 < m:
-            v = B @ q - (beta[j - 1] if j else 0.0) * q_prev
+            v = B(q) - (beta[j - 1] if j else 0.0) * q_prev
             v -= alpha[j] * q
             q, q_prev = v / beta[j], q
     return mean + out * (norm / root)
@@ -443,7 +492,7 @@ def log_time_grid(t_min, t_max, n, dt):
     will feed the resolvent quadrature: dense near 0, sparse at the tail.
     """
     raw = np.geomspace(max(t_min, dt), t_max, n)
-    steps = np.unique(np.maximum(1, np.round(raw / dt).astype(np.int64)))
+    steps = np.unique(_snap(raw, dt))
     return steps * dt
 
 
@@ -598,9 +647,10 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
                         seed=0, step=2.0 ** -9, t_cap=16.0, box=None, h=None):
     """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of four routes.
 
-    source selects the route: the string "closed-form" (a = Id, d = 1,
-    Dirac start), the string "grid" (one finite-volume solve of
-    (1 - L) U = nu on ``box`` at step ``h``, which needs ``field``), a
+    source selects the route: the string "closed-form" (``field`` the
+    identity in d = 1, Dirac start), the string "grid" (one finite-volume
+    solve of (1 - L) U = nu on ``box`` at step ``h``, which needs
+    ``field``), a
     GridKernel (time-slice quadrature), or the string "monte-carlo"
     (kernel-density estimate of X_T, T ~ Exponential(1), which needs
     ``field``).
@@ -610,8 +660,7 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     if source == "grid":
         return _potential_from_solve(field, nu, box, h)
     if source == "closed-form":
-        if nu.kind != "dirac" or nu.dim != 1:
-            raise ValueError("the closed form covers d = 1 Dirac starts")
+        check_closed_form(field, nu)
         x0 = float(np.atleast_1d(nu.point)[0])
         return PotentialField(
             route="closed-form", dim=1, params={"x0": x0},
@@ -622,6 +671,16 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     raise ValueError(f"unknown potential source {source!r}")
 
 
+def check_closed_form(field, nu):
+    """Raise unless the closed form covers the case: the identity field
+    (mollified or not) in d = 1, from a Dirac start."""
+    base = getattr(field, "base", field)
+    if not (isinstance(base, IdentityField) and base.dim == nu.dim == 1
+            and nu.kind == "dirac"):
+        raise ValueError("the closed form fits only the 1-d identity field "
+                         "from a dirac law; route grid covers the others")
+
+
 def _potential_from_solve(field, nu, box, h):
     """U nu on the vertex grid from one solve of (V - S) u = V p0.
 
@@ -629,8 +688,9 @@ def _potential_from_solve(field, nu, box, h):
     over the node volume.  1^T S = 0, so the mass vol . u is 1.
     """
     hull_gap(nu, box)
-    axes, S, vol, shape = _fv_operator(field, box, h)
-    u = _factor(S, vol).solve(_node_mass(nu, axes, h).ravel())
+    axes, vols = fv_grid(field, box, h)
+    couplings, vol, shape = _assemble_operator(field, axes, vols, h)
+    u = _factor(couplings, vol, shape).solve(_node_mass(nu, axes, h).ravel())
     return PotentialField(route="grid", dim=field.dim,
                           params={"scheme": "fv-resolvent"}, axes=axes,
                           values=u.reshape(shape))

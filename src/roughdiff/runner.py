@@ -239,8 +239,9 @@ def _dim(top):
 
 
 def _default_potential(section, top):
-    """The closed form for Brownian motion from a 1-d Dirac start, else
-    Monte Carlo seeded like the paths; the closed form fits nothing else."""
+    """The closed form for Brownian motion from a 1-d Dirac start, the
+    case kernels.check_closed_form admits, else Monte Carlo seeded like
+    the paths."""
     law, field = top["law"], top["field"]
     if law and law["kind"] == "dirac" and field["name"] == "identity" and (
             field["dim"] == 1):
@@ -496,15 +497,10 @@ def load_scenario(config, out_dir=None, seed_override=None):
         if obj is not None and obj.dim != field.dim:
             raise ConfigError(f"{key}: dimension {obj.dim} != field "
                               f"dimension {field.dim}")
-    if paths and scn.scheme == "euler-maruyama" and (
-            field.smoothness == "rough"):
-        raise ConfigError(
-            "scheme: euler-maruyama needs a smooth field; set field.mollify "
-            "or use the lattice scheme")
+    if paths and scn.scheme == "euler-maruyama":
+        _checked("scheme", sampling.check_em_field, field)
     if paths and scn.scheme == "lattice":
-        if not field.is_diagonal:
-            raise ConfigError(
-                "scheme: the lattice scheme needs a diagonal field")
+        _checked("scheme", sampling.check_lattice_field, field)
         _checked("scheme_params.h", sampling.lattice_jump_rate, field,
                  cfg["scheme_params"]["h"], scn.fine_step)
     if F is not None and law is not None and F.grad_singular:
@@ -517,13 +513,10 @@ def load_scenario(config, out_dir=None, seed_override=None):
     route = cfg["potential"]["route"]
     if "potential" in sweeps or paths and not _gate_skipped(
             sweeps, scn.allow_unverified):
-        unfit = {"monte-carlo": field.smoothness == "rough"
-                 and "needs a smooth or mollified field",
-                 "closed-form": _default_potential({}, cfg)["route"] != route
-                 and "fits only the 1-d identity field from a dirac law"}
-        if unfit.get(route):
-            raise ConfigError(f"potential.route: {route} {unfit[route]}; use "
-                              "route grid with a potential.kernel section")
+        if route == "monte-carlo":
+            _checked("potential.route", sampling.check_em_field, field)
+        if route == "closed-form":
+            _checked("potential.route", kernels.check_closed_form, field, law)
         # the grid solve, the Monte Carlo bandwidths, the quadrature and
         # the L^q tail all stop at d = 2
         if field.dim > 2:

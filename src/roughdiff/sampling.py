@@ -233,17 +233,24 @@ def _start_points(law, gens, dim):
     return x0
 
 
+def check_em_field(field):
+    """Raise RoughFieldError on a rough field: its divergence, the
+    Euler-Maruyama drift, only exists as a distribution."""
+    if field.smoothness == "rough":
+        raise RoughFieldError(
+            "Euler-Maruyama needs a smooth or mollified field; set "
+            "field.mollify, or use the lattice scheme for paths and route "
+            "grid for the potential")
+
+
 def em_step(field, x, xi, fine_step):
     """One Euler-Maruyama step of a non-constant field for a batch.
 
     Returns x + (div a)(x) fine_step + sqrt(2 a(x)) xi sqrt(fine_step) for
-    states x and standard normal draws xi, both of shape (B, d).  Rough
-    fields raise RoughFieldError: their divergence only exists as a
-    distribution.
+    states x and standard normal draws xi, both of shape (B, d), on a
+    field check_em_field admits.
     """
-    if field.smoothness == "rough":
-        raise RoughFieldError(
-            "Euler-Maruyama needs a smooth or mollified field")
+    check_em_field(field)
     a, drift = field.matrix_and_divergence(x)
     if field.is_diagonal:
         diag = np.einsum("nii->ni", a)
@@ -305,6 +312,12 @@ def _fill_spans(out, rows_pos, nf, idx_excl, x_before):
     return np.maximum(nf, idx_excl)
 
 
+def check_lattice_field(field):
+    """Raise NonDiagonalField unless the walk can jump along the axes."""
+    if not field.is_diagonal:
+        raise NonDiagonalField("the lattice scheme needs a diagonal field")
+
+
 def lattice_jump_rate(field, h, fine_step):
     """Largest total jump rate 2 d lam / h^2 of the walk; raises
     ValueError unless a fine step holds at most 0.1 expected jumps."""
@@ -319,8 +332,7 @@ def lattice_jump_rate(field, h, fine_step):
 def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
                           attempt=0, stride=1, h=0.05):
     """Continuous-time lattice walk batch, recorded on the uniform grid."""
-    if not field.is_diagonal:
-        raise NonDiagonalField("the lattice scheme needs a diagonal field")
+    check_lattice_field(field)
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
     max_rate = lattice_jump_rate(field, h, fine_step)

@@ -155,8 +155,8 @@ def test_c3_kernel_solver_accuracy(identity_kernel):
 def potentials():
     """Closed form, grid route, and Monte Carlo route for U delta_0."""
     nu = sampling.dirac([0.0])
-    closed = kernels.resolvent_potential("closed-form", nu)
     field = make_field("identity", dim=1)
+    closed = kernels.resolvent_potential("closed-form", nu, field=field)
     dt = 1e-4
     times = kernels.log_time_grid(1e-4, 8.0, 240, dt)
     kern = kernels.solve_kernel_pde(field, 0.0, (-8.0, 8.0), 0.02, times, dt)
@@ -193,7 +193,8 @@ def test_c4_resolvent_potential_two_routes(potentials):
 def test_c5_integrability_verdicts():
     """check_condition_2 calls the divergence for |x|^(1+a) exactly when
     a <= 1/2 under the double-exponential potential."""
-    U = kernels.resolvent_potential("closed-form", sampling.dirac([0.0]))
+    U = kernels.resolvent_potential("closed-form", sampling.dirac([0.0]),
+                                    field=make_field("identity", dim=1))
     expected = {0.25: False, 0.4: False, 0.6: True, 0.75: True}
     got = {}
     for alpha, want in expected.items():
@@ -246,7 +247,8 @@ def residual_stats():
                     rem = np.diff(v_n, axis=-1) - g_n[:, :-1, 0] * dx
                     taylor_sin[n].append(calculus.kahan_sum(np.abs(rem)))
 
-    U = kernels.resolvent_potential("closed-form", law)
+    U = kernels.resolvent_potential("closed-form", law,
+                                    field=make_field("identity", dim=1))
     box, h = (-10.0, 10.0), 0.01
     c1 = integrability.check_condition_1(F_sin, U, box, h)
     c1_f0 = integrability.check_condition_1(f0, U, box, h)

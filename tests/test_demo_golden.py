@@ -50,9 +50,9 @@ GOLDEN = {
         "covariation.csv":
             "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
         "kernel.csv":
-            "1c4cf5419394f709250491ea61cc571a0035c7db1a2f47f8fa2569743f1b7a09",
+            "6d224e989ff89c5b73d96f5de600e0e88aa029768ed5f034b859e88778efc801",
         "kernel.json":
-            "173e319e75371042d99330e417b3f31a3accb3f61220081ee35c64d94faaf72c",
+            "06e47545eef8ca643fe4a4f5ac5a7d4b541ea63a92407d17145ad4fe1641d256",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },

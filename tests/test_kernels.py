@@ -59,7 +59,8 @@ def potential_kernel():
 
 @pytest.fixture(scope="module")
 def closed_potential():
-    return kn.resolvent_potential("closed-form", sampling.dirac(np.zeros(1)))
+    return kn.resolvent_potential("closed-form", sampling.dirac(np.zeros(1)),
+                                  field=make_field("identity", dim=1))
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,16 @@ class TestSolveKernelPde:
             kn.solve_kernel_pde(field, 0.0, (-4.0, 4.0), 0.01, [-0.5],
                                 dt=2.5e-5)
 
+    def test_times_checked_before_assembly(self, monkeypatch):
+        def assemble(*args):
+            raise AssertionError("assembled before the time check")
+
+        monkeypatch.setattr(kn, "_assemble_operator", assemble)
+        field = make_field("identity", dim=1)
+        with pytest.raises(ValueError, match="collide"):
+            kn.solve_kernel_pde(field, 0.0, (-4.0, 4.0), 0.1, [0.25, 0.2501],
+                                dt=1e-3)
+
     def test_times_snap_to_steps(self):
         field = make_field("identity", dim=1)
         k = kn.solve_kernel_pde(field, 0.0, (-2.0, 2.0), 0.05, [0.10001],
@@ -209,7 +220,9 @@ def stepped_cn(field, source, box, h, times, dt):
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    axes, S, vol, shape = kn._fv_operator(field, box, h)
+    axes, vols = kn.fv_grid(field, box, h)
+    couplings, vol, shape = kn._assemble_operator(field, axes, vols, h)
+    S = kn._flux_matrix(couplings, shape)
     lu = splu((sparse.diags(vol) - (dt / 2.0) * S).tocsc())
     src = np.ravel_multi_index(
         tuple(int(round((c - ax[0]) / h)) for c, ax in zip(source, axes)),
@@ -256,12 +269,9 @@ class TestLanczosCrankNicolson:
 
     def test_zero_flux_stops_at_the_invariant_subspace(self):
         # S = 0: beta underflows at once and every slice is p0
-        from scipy import sparse
-
         vol = np.array([0.5, 1.0, 1.0, 1.0, 0.5])
         p0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        out = kn._lanczos_cn(sparse.csr_matrix((5, 5)), vol, p0, 0.1,
-                             [1, 10])
+        out = kn._lanczos_cn([np.zeros(4)], vol, (5,), p0, 0.1, [1, 10])
         np.testing.assert_allclose(out, [p0, p0], rtol=0, atol=1e-15)
 
     def test_gives_up_after_a_multiple_of_the_nodes(self, monkeypatch):
@@ -272,8 +282,9 @@ class TestLanczosCrankNicolson:
 
 
 class TestSymmetricStepping:
-    """The face-flux matrix S, the Crank-Nicolson table against dense
-    stepping, and the resolvent factor."""
+    """The face couplings as the sparse S and as the stencil of B, the
+    Crank-Nicolson table against dense stepping, and the resolvent
+    factor."""
 
     @pytest.mark.parametrize("name, params", [
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1}),
@@ -284,11 +295,34 @@ class TestSymmetricStepping:
     def test_flux_matrix_symmetric_with_zero_row_sums(self, name, params):
         field = make_field(name, **params)
         axes, vols = kn._axes_volumes((-1.5, 1.0), 0.1, field.dim)
-        S, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
+        couplings, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
         assert shape == (26,) * field.dim and vol.shape == (26 ** field.dim,)
+        S = kn._flux_matrix(couplings, shape)
         assert (S != S.T).nnz == 0
         scale = abs(S).max()
         assert np.abs(S.sum(axis=1)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, params, box", [
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1},
+         (-1.5, 1.0)),
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 2},
+         (-1.5, 1.0)),
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.4, "dim": 2},
+         [[-0.8, 0.8], [-1.2, 0.6]]),
+    ])
+    def test_stencil_is_the_sparse_matrix(self, name, params, box):
+        field = make_field(name, **params)
+        axes, vols = kn._axes_volumes(box, 0.1, field.dim)
+        couplings, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
+        r = 1.0 / np.sqrt(vol)
+        B = r[:, None] * kn._flux_matrix(couplings, shape).toarray() * r
+        stencil = kn._stencil(couplings, vol, shape)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            q = rng.standard_normal(vol.shape[0])
+            want = B @ q
+            scale = np.abs(B).max() * np.abs(q).max()
+            assert np.abs(stencil(q) - want).max() <= 1e-14 * scale
 
     def test_matches_dense_crank_nicolson(self):
         field = make_field("checkerboard", lo=0.5, hi=2.0, cell=0.4, dim=2)
@@ -299,8 +333,8 @@ class TestSymmetricStepping:
         assert k.values.shape == (4, 17, 17)
 
         axes, vols = kn._axes_volumes(box, h, 2)
-        S, vol, shape = kn._assemble_operator(field, axes, vols, h)
-        A = S.toarray() / vol[:, None]
+        couplings, vol, shape = kn._assemble_operator(field, axes, vols, h)
+        A = kn._flux_matrix(couplings, shape).toarray() / vol[:, None]
         eye = np.eye(vol.shape[0])
         lhs, rhs = eye - (dt / 2) * A, eye + (dt / 2) * A
         p = np.zeros(vol.shape[0])
@@ -322,8 +356,7 @@ class TestSymmetricStepping:
         # COLAMD
         field = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
         axes, vols = kn._axes_volumes((-4.0, 4.0), 0.1, 2)
-        S, vol, _ = kn._assemble_operator(field, axes, vols, 0.1)
-        lu = kn._factor(S, vol)
+        lu = kn._factor(*kn._assemble_operator(field, axes, vols, 0.1))
         assert lu.L.nnz + lu.U.nnz <= 240_000
 
 
@@ -437,7 +470,8 @@ class TestResolventPotential:
     def test_closed_form_requires_1d_dirac(self):
         with pytest.raises(ValueError):
             kn.resolvent_potential("closed-form",
-                                   sampling.dirac(np.zeros(2)))
+                                   sampling.dirac(np.zeros(2)),
+                                   field=make_field("identity", dim=1))
 
     def test_grid_route_matches_closed_form(self, potential_kernel,
                                             closed_potential):

@@ -1038,11 +1038,29 @@ class TestCli:
         assert proc.stdout.strip() == os.path.abspath(roughdiff.__file__)
 
     def test_runner_import_defers_scipy(self, tmp_path, run_python):
-        """Loading the runner pulls in no scipy; the kernel solver and
-        the grid route import it when they run."""
+        """Loading the runner pulls in no scipy; the grid potential route
+        imports it when it runs."""
         proc = run_python(
             "-c", "import roughdiff.runner, sys; "
                   "assert 'scipy.sparse' not in sys.modules",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_aronson_sweep_loads_no_scipy(self, tmp_path, run_python):
+        """The checkerboard_lattice demo, aronson sweep included, and
+        ``roughdiff kernel`` run on numpy alone."""
+        demo = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "demos", "checkerboard_lattice.json")
+        proc = run_python(
+            "-c", "import sys; from roughdiff import cli, runner; "
+                  "man = runner.run_scenario(sys.argv[1], "
+                  "out_dir=sys.argv[2]); "
+                  "assert 'kernel.csv' in man.artifacts['kernel']; "
+                  "assert cli.main(['kernel', sys.argv[1], '--out-dir', "
+                  "sys.argv[3]]) == 0; "
+                  "assert not [m for m in sys.modules "
+                  "if m.partition('.')[0] == 'scipy'], 'scipy loaded'",
+            demo, str(tmp_path / "demo"), str(tmp_path / "kernel"),
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
 
