@@ -25,7 +25,6 @@ import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -877,6 +876,8 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
         if len(spans) == 1:
             chunks = [evaluate_chunk(scn, 0, n, denoms)]
         else:
+            # a one-worker run never loads the multiprocessing machinery
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=len(spans)) as pool:
                 futs = [pool.submit(_chunk_entry, spec_json, a, b, denoms)
                         for a, b in spans]

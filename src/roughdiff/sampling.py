@@ -7,7 +7,11 @@ Two schemes approximate the process generated by L = div(a grad):
 * a continuous-time lattice walk on x0 + h Z^d with edge-midpoint
   conductances a_kk(x +/- h e_k / 2) / h^2, for diagonal fields of any
   roughness, resampled onto the same uniform fine grid by carrying the last
-  position forward.
+  position forward.  The walk runs in look-ahead windows: each round
+  guesses every live path's next jumps from its last known rates, checks
+  them with one field call at all the guessed positions, and keeps the
+  jumps up to the first wrong guess.  The states are those of the
+  one-jump-at-a-time walk, bit for bit, whatever the window size.
 
 Randomness is counter-based: every path owns the Philox stream keyed by
 (seed, path_id), so path i is a bitwise-deterministic function of
@@ -33,6 +37,7 @@ from . import fields as _fields
 MAX_ORDER = 24
 _CHUNK_STEPS = 4096
 _ATTEMPT_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit constant, attempt offset
+_LOOKAHEAD = 12  # lattice jumps per window; 8-16 measured fastest
 
 
 def fine_step_for(horizon, n_max, margin=4):
@@ -297,21 +302,6 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
     return out
 
 
-def _fill_spans(out, rows_pos, nf, idx_excl, x_before):
-    """Write x_before into out[b, nf[b]:idx_excl[b]] for every path b."""
-    count = idx_excl - nf
-    count = np.where(count > 0, count, 0)
-    total = int(count.sum())
-    if total == 0:
-        return nf
-    rows = np.repeat(rows_pos, count)
-    starts = np.repeat(nf, count)
-    seg0 = np.concatenate([[0], np.cumsum(count)[:-1]])
-    within = np.arange(total) - np.repeat(seg0, count)
-    out[rows, starts + within] = x_before[rows]
-    return np.maximum(nf, idx_excl)
-
-
 def check_lattice_field(field):
     """Raise NonDiagonalField unless the walk can jump along the axes."""
     if not field.is_diagonal:
@@ -331,7 +321,20 @@ def lattice_jump_rate(field, h, fine_step):
 
 def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
                           attempt=0, stride=1, h=0.05):
-    """Continuous-time lattice walk batch, recorded on the uniform grid."""
+    """Continuous-time lattice walk batch, recorded on the uniform grid.
+
+    Each round moves every live path by a window of up to ``_LOOKAHEAD``
+    jumps.  A path reads its next exponentials and uniforms from its own
+    columns and guesses the window's choices from the rates at its last
+    pre-jump position (equal rates at the start), which fixes the window's
+    pre-jump positions; one field call gives the true rates at all of
+    them.  The jumps up to and including the first whose true choice
+    differs from the guess, or whose arrival passes the horizon, are kept
+    and their output slots written.  A kept jump sees the position, rates,
+    time and choice of the one-jump-at-a-time walk through the same
+    floating-point operations, so the states do not depend on the window
+    size, and a window of 1 is that walk.
+    """
     check_lattice_field(field)
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
@@ -344,24 +347,33 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     T = nsteps // stride + 1
     out = np.empty((B, T, d))
 
-    # pre-drawn randomness blocks, one column consumed per iteration
+    # pre-drawn randomness blocks; column j of a path drives its jump j
     mean_jumps = max_rate * horizon
     block = max(64, int(mean_jumps * 1.25 + 8.0 * np.sqrt(mean_jumps) + 16))
     expo = np.empty((B, 0))
     unif = np.empty((B, 0))
 
+    K = _LOOKAHEAD
+    window = np.arange(K)
+    # the live paths: their rows of out and their state
+    ids = np.arange(B)
     t = np.zeros(B)
-    nf = np.zeros(B, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
-    rows_all = np.arange(B)
-    it = 0
+    nf = np.zeros(B, dtype=np.int64)      # first output slot not written
+    used = np.zeros(B, dtype=np.int64)    # jumps taken, columns consumed
+    guess = np.ones((B, 2 * d))           # rates the choices are guessed from
+    flat_out = out.reshape(B * T, d)
     # the 2d half-step neighbours: rows +e_0, -e_0, +e_1, -e_1, ...
-    shifts = np.zeros((2 * d, 1, d))
-    shifts[0::2, 0] = np.eye(d) * (h / 2.0)
-    shifts[1::2, 0] = -np.eye(d) * (h / 2.0)
+    shifts = np.zeros((2 * d, 1, 1, d))
+    shifts[0::2, 0, 0] = np.eye(d) * (h / 2.0)
+    shifts[1::2, 0, 0] = -np.eye(d) * (h / 2.0)
+    # the step of choice m, in the same order; x + -0.0 is x, even for -0.0
+    moves = np.full((2 * d, d), -0.0)
+    moves[0::2][np.eye(d, dtype=bool)] = h
+    moves[1::2][np.eye(d, dtype=bool)] = -h
 
-    while alive.any():
-        if it >= expo.shape[1]:
+    while ids.size:
+        n = ids.size
+        while used.max() + K > expo.shape[1]:
             new_e = np.empty((B, block))
             new_u = np.empty((B, block))
             for b, g in enumerate(gens):
@@ -369,43 +381,65 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
                 new_u[b] = g.random(block)
             expo = np.concatenate([expo, new_e], axis=1)
             unif = np.concatenate([unif, new_u], axis=1)
+        rows, cols = ids[:, None], used[:, None] + window
+        unif_w = unif[rows, cols]
 
-        idx = rows_all[alive]
-        xa = x[idx]
-        # one field evaluation at all 2d half-step neighbours of xa; jump j
-        # moves along axis j // 2 and its rate is that diagonal entry
-        na = idx.shape[0]
-        diag = field._diag_many((xa + shifts).reshape(2 * d * na, d))
-        diag = diag.reshape(2 * d, na, d)
-        rates = np.empty((na, 2 * d))
+        # guessed choices, and the pre-jump positions they lead through
+        gsum = np.cumsum(guess, axis=1)
+        ug = unif_w * gsum[:, -1:]
+        mg = sum(ug >= gsum[:, j, None] for j in range(2 * d - 1))
+        pre = np.add.accumulate(
+            np.concatenate([x[:, None], moves[mg[:, :-1]]], axis=1), axis=1)
+
+        # one field evaluation at the 2d half-step neighbours of every
+        # position; jump j moves along axis j // 2 and its rate is that
+        # diagonal entry
+        diag = field._diag_many((pre + shifts).reshape(2 * d * n * K, d))
+        diag = diag.reshape(2 * d, n, K, d)
+        rates = np.empty((n, K, 2 * d))
         for j in range(2 * d):
-            rates[:, j] = diag[j, :, j // 2]
+            rates[..., j] = diag[j, ..., j // 2]
         rates /= h ** 2
-        total = rates.sum(axis=1)
-        tau = expo[idx, it] / total
-        t_new = t[idx] + tau
+        total = rates.sum(axis=-1)
+        arrive = np.add.accumulate(np.concatenate(
+            [t[:, None], expo[rows, cols] / total], axis=1), axis=1)[:, 1:]
+        crossed = arrive > horizon
+        csum = np.cumsum(rates, axis=-1)
+        u = unif_w * total
+        m = np.minimum(sum(u >= csum[..., j] for j in range(2 * d)), 2 * d - 1)
 
-        crossed = t_new > horizon
-        # record the pre-jump position on every output slot before t_new
-        idx_excl = np.ceil(np.minimum(t_new, horizon + dt_out) / dt_out)
+        # keep the jumps up to the first wrong guess or horizon crossing
+        stop = crossed | (m != mg)
+        stop[:, -1] = True
+        r = np.arange(n)
+        last = stop.argmax(axis=1)
+
+        # record the pre-jump position on every output slot before the
+        # arrival: slot s takes that of the first kept jump with idx_excl > s
+        idx_excl = np.ceil(np.minimum(arrive, horizon + dt_out) / dt_out)
         idx_excl = np.minimum(idx_excl.astype(np.int64), T)
         idx_excl[crossed] = T
-        nf[idx] = _fill_spans(out, idx, nf[idx], idx_excl, x)
+        end = idx_excl[r, last]
+        count = end - nf
+        if count.any():
+            # ids increase, so the keys are sorted and slot s of a path,
+            # flat index ids * T + s, finds the first of that path's jumps
+            base = ids * T
+            key = np.minimum(idx_excl, end[:, None]) + base[:, None]
+            slot = np.repeat(base + nf - (np.cumsum(count) - count),
+                             count) + np.arange(count.sum())
+            k = np.searchsorted(key.ravel(), slot, side="right")
+            flat_out[slot] = pre.reshape(n * K, d)[k]
 
-        # take the jump for paths still inside the horizon
-        take = ~crossed
-        if take.any():
-            sub = idx[take]
-            csum = np.cumsum(rates[take], axis=1)
-            u = unif[sub, it] * total[take]
-            m = (u[:, None] >= csum).sum(axis=1)
-            m = np.minimum(m, 2 * d - 1)
-            axis = m // 2
-            sign = np.where(m % 2 == 0, 1.0, -1.0)
-            x[sub, axis] += sign * h
-        t[idx] = t_new
-        alive[idx[crossed]] = False
-        it += 1
+        # take the last kept jump for paths still inside the horizon
+        go = ~crossed[r, last]
+        r, last = r[go], last[go]
+        x = pre[r, last] + moves[m[r, last]]
+        t = arrive[r, last]
+        nf = end[r]
+        used = used[r] + last + 1
+        guess = rates[r, last]
+        ids = ids[r]
     return out
 
 

@@ -1046,6 +1046,16 @@ class TestCli:
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_defers_process_pool(self, tmp_path, run_python):
+        """Loading the package pulls in no multiprocessing; only a run with
+        more than one worker chunk starts a process pool."""
+        proc = run_python(
+            "-c", "import roughdiff, roughdiff.cli, sys; "
+                  "assert 'multiprocessing' not in sys.modules; "
+                  "assert 'concurrent.futures.process' not in sys.modules",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
     def test_aronson_sweep_loads_no_scipy(self, tmp_path, run_python):
         """The checkerboard_lattice demo, aronson sweep included, and
         ``roughdiff kernel`` run on numpy alone."""

@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from roughdiff import fields, sampling
@@ -27,6 +28,70 @@ def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
     return sampling.generate_batch("lattice", f, law, horizon, fine_step,
                                    seed, [path_id],
                                    scheme_params={"h": h})[0]
+
+
+def _walk(field, law, horizon=1.0, fine_step=2.0 ** -12, seed=3,
+          path_ids=range(6), stride=16, h=0.125, attempt=0):
+    return sampling._lattice_batch_states(
+        field, law, horizon, fine_step, seed, list(path_ids),
+        attempt=attempt, stride=stride, h=h)
+
+
+_CB = {"lo": 0.5, "hi": 2.0}
+# lattice walks whose bytes are pinned; each accepts seed and path_ids
+WALKS = {
+    "1d-checkerboard": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.25, **_CB),
+        sampling.dirac([0.1]), stride=1, **kw),
+    "3d-checkerboard": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.5, dim=3, **_CB),
+        sampling.dirac([0.1, -0.2, 0.3]), fine_step=2.0 ** -13, stride=32,
+        **kw),
+    "4d-smooth-sine": lambda **kw: _walk(
+        fields.make_field("smooth-sine", dim=4),
+        sampling.dirac([0.2, 0.0, 0.0, -0.1]), h=0.25, **kw),
+    "2d-grid-density": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
+        sampling.grid_density([np.linspace(-1.0, 1.0, 5),
+                               np.linspace(-0.5, 0.5, 3)],
+                              [[1.0, 2.0], [0.5, 1.0], [3.0, 1.0],
+                               [1.0, 0.25]]),
+        fine_step=2.0 ** -13, stride=32, **kw),
+    "1d-mollified": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.25, mollify=0.1, **_CB),
+        sampling.dirac([0.0]), **kw),
+    # few expected jumps, so the 64-column minimum block is the block and
+    # a wide window reads past it
+    "horizon-4": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=1.5, **_CB),
+        sampling.dirac([0.25]), horizon=4.0, fine_step=2.0 ** -8, h=1.0,
+        **kw),
+    "signed-zero-start": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
+        sampling.dirac([-0.0, 0.3]), fine_step=2.0 ** -13, stride=32, **kw),
+    "attempt-2": lambda **kw: _walk(
+        fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
+        sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13, stride=32,
+        attempt=2, **kw),
+}
+WALK_SHA256 = {
+    "1d-checkerboard":
+        "e2b2580a8d2be1322913724908f6db4c920a45c2ab55784fbec3980c562a421f",
+    "1d-mollified":
+        "f9e31d7ccd65ca899848905a8c94a870e7ce6e741aaab55275114857aa4de2c7",
+    "2d-grid-density":
+        "acc516f31032cdf6a1a94892b8a0ba729d9eba5b542844e6d0f7acc5d8a91144",
+    "3d-checkerboard":
+        "629b463e07e5f7c702be5068175397294d9aa6998d6f53152bdcfb6b98d47d84",
+    "4d-smooth-sine":
+        "abd4d492db95a344f3eda57da2794f383579246c86a2c1610cbe16b72c814354",
+    "attempt-2":
+        "43869631b1c7e088a50f699a31736987b8755387a87293b4f1f41fa39adb4fa2",
+    "signed-zero-start":
+        "80d1084cea9296a299b119095609dccd83df59f57e8a91993e0c5d658ff6ba2c",
+    "horizon-4":
+        "533ea82674df12db6b7808111b263f976ee147b1c3935e43ddb495a223d7307b",
+}
 
 
 class TestDyadicGrid:
@@ -217,6 +282,29 @@ class TestLattice:
         assert states.shape == (8, 257, 2)
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
             "6f6ec3e3b510ff97544b69c32c4a4ac99870346c4783c06472ea644f7d1861ae")
+
+    @pytest.mark.parametrize("case", sorted(WALKS))
+    def test_walk_bytes(self, case, monkeypatch):
+        # SHA-256 of the states, taken before the walk moved in look-ahead
+        # windows; no window size may move a bit
+        for window in (sampling._LOOKAHEAD, 1, 64):
+            monkeypatch.setattr(sampling, "_LOOKAHEAD", window)
+            assert hashlib.sha256(WALKS[case]().tobytes()).hexdigest() == (
+                WALK_SHA256[case]), window
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.sampled_from(sorted(WALKS)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           ids=st.lists(st.integers(0, 40), min_size=1, max_size=5,
+                        unique=True))
+    def test_states_independent_of_window(self, case, seed, ids):
+        def walk(k):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampling, "_LOOKAHEAD", k)
+                return WALKS[case](seed=seed, path_ids=ids)
+        one = walk(1)
+        for k in (2, 5, 64):
+            np.testing.assert_array_equal(walk(k), one)
 
     def test_nondiagonal_rejected(self):
         f = fields.ExplicitField(
