@@ -11,12 +11,8 @@ class Error(Exception):
 
 # ---------------------------------------------------------------- fields
 
-class NonSymmetricMatrix(Error):
-    """A coefficient matrix failed the symmetry check."""
-
-
 class NonPositiveDefinite(Error):
-    """A matrix that must be symmetric positive definite is not."""
+    """A coefficient value that must be positive is not."""
 
 
 class DimensionMismatch(Error):
@@ -59,10 +55,6 @@ class InsufficientSamples(Error):
 
 class InadmissibleExponent(Error):
     """L^q exponent outside the admissible range for this dimension."""
-
-
-class NonDiagonalField(Error):
-    """Operation supports diagonal coefficient matrices only."""
 
 
 # ---------------------------------------------------------------- sampling

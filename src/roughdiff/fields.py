@@ -1,16 +1,17 @@
 """Uniformly elliptic coefficient fields a(x) and operations on them.
 
-A field assigns to every point x a symmetric matrix a(x) with
+A field assigns to every point x a diagonal matrix a(x) = diag(a_11(x),
+..., a_dd(x)) and is given by that diagonal; each entry satisfies
 
-    (1/lam) |xi|^2  <=  xi . a(x) xi  <=  lam |xi|^2,
+    1/lam  <=  a_ii(x)  <=  lam,
 
 for a single ellipticity constant lam >= 1.  Fields carry a smoothness tag:
 "smooth" fields admit pointwise derivatives, "rough" fields (piecewise
 constant) do not, and "mollified" fields are smoothed versions of rough ones
 obtained by convolution against a compactly supported bump.
 
-All evaluation is batched: ``field.matrix(points)`` accepts a single point of
-shape (d,) or a stack of shape (N, d).
+All evaluation is batched: ``field.diagonal(points)`` accepts a single point
+of shape (d,) or a stack of shape (N, d) and returns the same shape.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NonDiagonalField,
     NonPositiveDefinite,
-    NonSymmetricMatrix,
     RoughFieldError,
     UnknownName,
 )
-
-SYMMETRY_TOL = 1e-12
 
 
 def _as_points(x, dim):
@@ -44,21 +41,21 @@ def _as_points(x, dim):
 
 
 class CoefficientField:
-    """Base class for coefficient fields.
+    """Base class for coefficient fields; subclasses define ``_diag_many``,
+    the diagonal of a at points (N, d) as an (N, d) array.
 
     Attributes
     ----------
     dim : int
         Space dimension d.
     lam : float
-        Ellipticity constant, >= 1.
+        Ellipticity constant, >= 1: every diagonal entry lies in
+        [1/lam, lam].
     smoothness : str
         One of "smooth", "rough", "mollified".
     feature_scale : float or None
         Size of the finest spatial feature (cell size for checkerboards),
         None when the field has no small-scale structure.
-    is_diagonal : bool
-        True when a(x) is diagonal for every x.
     is_constant : bool
         True when a(x) does not depend on x.
     """
@@ -67,55 +64,32 @@ class CoefficientField:
     lam = 1.0
     smoothness = "smooth"
     feature_scale = None
-    is_diagonal = False
     is_constant = False
 
-    def _matrix_many(self, pts):
+    def _diag_many(self, pts):
         raise NotImplementedError
 
-    def matrix(self, x):
-        """Evaluate a(x); (d,) -> (d, d) and (N, d) -> (N, d, d)."""
-        pts, single = _as_points(x, self.dim)
-        out = self._matrix_many(pts)
-        return out[0] if single else out
-
     def diagonal(self, x):
-        """Diagonal entries of a(x); (N, d) -> (N, d)."""
-        if not self.is_diagonal:
-            raise NonDiagonalField(f"{type(self).__name__} is not diagonal")
+        """Diagonal entries of a(x); (d,) -> (d,) and (N, d) -> (N, d)."""
         pts, single = _as_points(x, self.dim)
         out = self._diag_many(pts)
         return out[0] if single else out
 
-    def _diag_many(self, pts):
-        a = self._matrix_many(pts)
-        return np.einsum("nii->ni", a)
-
     def matrix_and_divergence(self, pts):
-        """a and div a at the points (N, d), for the Euler-Maruyama step."""
-        return self._matrix_many(pts), divergence(self, pts)
-
-    def __call__(self, x):
-        return self.matrix(x)
+        """The diagonal of a and div a at the points (N, d), both (N, d),
+        for the Euler-Maruyama step."""
+        return self._diag_many(pts), divergence(self, pts)
 
 
 class IdentityField(CoefficientField):
     """a(x) = Id."""
 
     smoothness = "smooth"
-    is_diagonal = True
     is_constant = True
 
     def __init__(self, dim=1):
         self.dim = int(dim)
         self.lam = 1.0
-
-    def _matrix_many(self, pts):
-        n = pts.shape[0]
-        out = np.zeros((n, self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = 1.0
-        return out
 
     def _diag_many(self, pts):
         return np.ones_like(pts)
@@ -125,7 +99,6 @@ class ConstantDiagonalField(CoefficientField):
     """a(x) = diag(values), constant in x."""
 
     smoothness = "smooth"
-    is_diagonal = True
     is_constant = True
 
     def __init__(self, values):
@@ -135,12 +108,6 @@ class ConstantDiagonalField(CoefficientField):
         self.values = vals
         self.dim = vals.shape[0]
         self.lam = float(max(vals.max(), 1.0 / vals.min(), 1.0))
-
-    def _matrix_many(self, pts):
-        out = np.zeros((pts.shape[0], self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = self.values
-        return out
 
     def _diag_many(self, pts):
         return np.broadcast_to(self.values, pts.shape).copy()
@@ -155,7 +122,6 @@ class CheckerboardField(CoefficientField):
     """
 
     smoothness = "rough"
-    is_diagonal = True
 
     def __init__(self, lo, hi, cell=1.0, dim=1):
         if not (0 < lo <= hi):
@@ -169,15 +135,10 @@ class CheckerboardField(CoefficientField):
 
     def scalar(self, pts):
         """Scalar value of the field at each point, shape (N,)."""
-        k = np.floor(pts / self.cell).astype(np.int64).sum(axis=1)
-        return np.where(k % 2 == 0, self.hi, self.lo)
-
-    def _matrix_many(self, pts):
-        s = self.scalar(pts)
-        out = np.zeros((pts.shape[0], self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = s[:, None]
-        return out
+        # a sum over the index columns and a bit test: .sum(axis=1) over
+        # the short inner axis and an integer % 2 are many times slower
+        k = sum(np.floor(pts / self.cell).astype(np.int64).T)
+        return np.where((k & 1) == 0, self.hi, self.lo)
 
     def _diag_many(self, pts):
         return np.repeat(self.scalar(pts)[:, None], self.dim, axis=1)
@@ -187,7 +148,6 @@ class SmoothSineField(CoefficientField):
     """a(x) = (1 + 0.5 sin(x_1)) Id, a smooth non-constant diagonal field."""
 
     smoothness = "smooth"
-    is_diagonal = True
 
     def __init__(self, dim=1):
         self.dim = int(dim)
@@ -196,47 +156,33 @@ class SmoothSineField(CoefficientField):
     def scalar(self, pts):
         return 1.0 + 0.5 * np.sin(pts[:, 0])
 
-    def _matrix_many(self, pts):
-        s = self.scalar(pts)
-        out = np.zeros((pts.shape[0], self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = s[:, None]
-        return out
-
     def _diag_many(self, pts):
         return np.repeat(self.scalar(pts)[:, None], self.dim, axis=1)
 
     def divergence_many(self, pts):
-        # row divergence of s(x1) Id is (s'(x1), 0, ..., 0)
+        # the divergence of s(x1) Id is (s'(x1), 0, ..., 0)
         out = np.zeros_like(pts)
         out[:, 0] = 0.5 * np.cos(pts[:, 0])
         return out
 
 
 class ExplicitField(CoefficientField):
-    """Field defined by a user callable mapping (N, d) points to matrices.
+    """Field defined by a user callable mapping (N, d) points to diagonals.
 
-    The callable may return shape (N, d, d), or (N,) / (N, 1) for a scalar
+    The callable may return shape (N, d), or (N,) / (N, 1) for a scalar
     field interpreted as s(x) Id.  Smoothness and the ellipticity constant
     are declared by the caller and trusted.
     """
 
-    def __init__(self, fn, dim, lam, smoothness="smooth", is_diagonal=False):
+    def __init__(self, fn, dim, lam, smoothness="smooth"):
         self.fn = fn
         self.dim = int(dim)
         self.lam = float(lam)
         self.smoothness = smoothness
-        self.is_diagonal = bool(is_diagonal)
 
-    def _matrix_many(self, pts):
+    def _diag_many(self, pts):
         raw = np.asarray(self.fn(pts), dtype=float)
-        if raw.ndim == 3:
-            return raw
-        s = raw.reshape(pts.shape[0])
-        out = np.zeros((pts.shape[0], self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = s[:, None]
-        return out
+        return np.broadcast_to(raw.reshape(pts.shape[0], -1), pts.shape)
 
 
 def _bump(u2):
@@ -250,8 +196,8 @@ class MollifiedField(CoefficientField):
     The convolution integral is approximated by a fixed tensor quadrature,
     six Gauss-Legendre nodes per axis, with the bump profile folded into the
     weights and the total weight normalized to one.  Constants are therefore
-    reproduced exactly and the ellipticity interval is preserved (the value
-    is a convex combination of base values).
+    reproduced exactly and the ellipticity interval is preserved (each
+    diagonal entry is a convex combination of base values).
 
     The divergence is exposed through the identity d(a * phi) = a * (d phi):
     the same nodes are reused with derivative-kernel weights.  Differencing
@@ -270,7 +216,6 @@ class MollifiedField(CoefficientField):
         self.dim = base.dim
         self.lam = base.lam
         self.feature_scale = base.feature_scale
-        self.is_diagonal = base.is_diagonal
 
         x, w = np.polynomial.legendre.leggauss(6)
         x = 0.5 * (x - x[::-1])   # enforce exact +/- symmetry
@@ -290,25 +235,25 @@ class MollifiedField(CoefficientField):
         self.dweights = wtens[:, None] * dphi / (self.eps * z)  # (K, d)
 
     def _shifted_values(self, pts):
-        """Base-field matrices at all quadrature shifts, (N, K, d, d)."""
+        """Base-field diagonals at all quadrature shifts, (N, K, d)."""
         n, k = pts.shape[0], self.nodes.shape[0]
         shifted = pts[:, None, :] - self.eps * self.nodes[None, :, :]
-        vals = self.base._matrix_many(shifted.reshape(n * k, self.dim))
-        return vals.reshape(n, k, self.dim, self.dim)
+        vals = self.base._diag_many(shifted.reshape(n * k, self.dim))
+        return vals.reshape(n, k, self.dim)
 
-    def _matrix_many(self, pts):
+    def _diag_many(self, pts):
         vals = self._shifted_values(pts)
-        return np.einsum("k,nkij->nij", self.weights, vals)
+        return np.einsum("k,nki->ni", self.weights, vals)
 
     def divergence_many(self, pts):
         vals = self._shifted_values(pts)
-        return np.einsum("kp,nkpq->nq", self.dweights, vals)
+        return np.einsum("kp,nkp->np", self.dweights, vals)
 
     def matrix_and_divergence(self, pts):
-        """Both a(x) and div a(x) from one sweep over the base field."""
+        """Both diag a(x) and div a(x) from one sweep over the base field."""
         vals = self._shifted_values(pts)
-        a = np.einsum("k,nkij->nij", self.weights, vals)
-        div = np.einsum("kp,nkpq->nq", self.dweights, vals)
+        a = np.einsum("k,nki->ni", self.weights, vals)
+        div = np.einsum("kp,nkp->np", self.dweights, vals)
         return a, div
 
 
@@ -342,43 +287,8 @@ def make_field(name, mollify=None, **params):
 
 # ---------------------------------------------------------------- operations
 
-def sqrt_matrix_batch(a):
-    """Principal square roots of a stack (N, d, d) of SPD matrices."""
-    a = np.asarray(a, dtype=float)
-    gap = np.abs(a - np.swapaxes(a, -1, -2)).max()
-    if gap > SYMMETRY_TOL:
-        raise NonSymmetricMatrix(
-            f"matrix asymmetry {gap:.3e} exceeds {SYMMETRY_TOL:.1e}")
-    vals, vecs = np.linalg.eigh(a)
-    if vals.min() <= 0:
-        raise NonPositiveDefinite(
-            f"smallest eigenvalue {vals.min():.3e} is not positive")
-    root = np.sqrt(vals)
-    return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
-
-
-def sqrt_matrix(a):
-    """Principal square root of one symmetric positive definite matrix.
-
-    Computed by symmetric eigendecomposition with square-rooted
-    eigenvalues, so the result is itself symmetric positive definite and
-    squares back to the input to machine precision.
-
-    Raises
-    ------
-    NonSymmetricMatrix
-        If ``a`` deviates from symmetry by more than SYMMETRY_TOL.
-    NonPositiveDefinite
-        If any eigenvalue is <= 0.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    return sqrt_matrix_batch(a[None])[0]
-
-
 def divergence(field, x, step=1e-4):
-    """Row divergence of the field, (div a)_j = sum_i d_i a_ij.
+    """Divergence of the field, (div a)_i = d_i a_ii.
 
     Smooth fields are differenced centrally with the given step; mollified
     fields answer through their derivative-kernel quadrature.  Rough fields
@@ -399,7 +309,7 @@ def divergence(field, x, step=1e-4):
     for i in range(d):
         shift = np.zeros(d)
         shift[i] = step
-        hi = field._matrix_many(pts + shift)
-        lo = field._matrix_many(pts - shift)
-        out += (hi[:, i, :] - lo[:, i, :]) / (2.0 * step)
+        hi = field._diag_many(pts + shift)
+        lo = field._diag_many(pts - shift)
+        out[:, i] = (hi[:, i] - lo[:, i]) / (2.0 * step)
     return out[0] if single else out

@@ -38,13 +38,12 @@ from .errors import (
     InadmissibleExponent,
     InsufficientSamples,
     KrylovNotConverged,
-    NonDiagonalField,
     NonPositiveTime,
     TailNotCovered,
     UnstableStep,
 )
 from . import sampling as _sampling
-from .fields import IdentityField, sqrt_matrix
+from .fields import IdentityField
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
 # M of the upper envelope that bounds the potential's tails
@@ -329,12 +328,9 @@ def _stencil(couplings, vol, shape):
 
 
 def check_fv_field(field):
-    """Raise unless the field is diagonal and in d = 1 or 2."""
+    """Raise unless the field is in d = 1 or 2."""
     if field.dim not in (1, 2):
         raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
-    if not field.is_diagonal:
-        raise NonDiagonalField(
-            "the finite-volume solver handles diagonal fields only")
 
 
 def fv_grid(field, box, h):
@@ -392,9 +388,8 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
     """Crank-Nicolson kernel of div(a grad) from a discrete Dirac at x0.
 
     Zero-flux box boundary; conductances are the diagonal of a at edge
-    midpoints (off-diagonal coefficients are out of scope for the solver).
-    Output times snap to the nearest multiple of dt; the snapped values
-    are what the returned GridKernel stores.
+    midpoints.  Output times snap to the nearest multiple of dt; the
+    snapped values are what the returned GridKernel stores.
 
     n steps of size dt map p0 to r(dt A)^n p0, with A = V^-1 S and the
     Crank-Nicolson factor r(z) = (1 + z/2) / (1 - z/2).  _lanczos_cn
@@ -778,10 +773,9 @@ def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):
                        for _ in range(n_samples)])
     if field.is_constant:
         # the SDE solution is Gaussian given T: exact sampling, no grid
-        a0 = field.matrix(np.zeros(dim))
-        root = sqrt_matrix(2.0 * a0)
+        root = np.sqrt(2.0 * field.diagonal(np.zeros(dim)))
         z = rng.standard_normal((n_samples, dim))
-        samples = x0 + np.sqrt(T)[:, None] * (z @ root.T)
+        samples = x0 + np.sqrt(T)[:, None] * (z * root)
     else:
         samples = _terminal_states(field, x0, T, step, rng)
     return _kde_field(samples, bw, dim,

@@ -499,7 +499,6 @@ def load_scenario(config, out_dir=None, seed_override=None):
     if paths and scn.scheme == "euler-maruyama":
         _checked("scheme", sampling.check_em_field, field)
     if paths and scn.scheme == "lattice":
-        _checked("scheme", sampling.check_lattice_field, field)
         _checked("scheme_params.h", sampling.lattice_jump_rate, field,
                  cfg["scheme_params"]["h"], scn.fine_step)
     if F is not None and law is not None and F.grad_singular:

@@ -5,8 +5,8 @@ Two schemes approximate the process generated by L = div(a grad):
 * Euler-Maruyama on a uniform fine grid, dX = (div a)(X) dt + sqrt(2 a)(X) dW,
   for smooth or mollified fields;
 * a continuous-time lattice walk on x0 + h Z^d with edge-midpoint
-  conductances a_kk(x +/- h e_k / 2) / h^2, for diagonal fields of any
-  roughness, resampled onto the same uniform fine grid by carrying the last
+  conductances a_kk(x +/- h e_k / 2) / h^2, for fields of any roughness,
+  resampled onto the same uniform fine grid by carrying the last
   position forward.  The walk runs in look-ahead windows: each round
   guesses every live path's next jumps from its last known rates, checks
   them with one field call at all the guessed positions, and keeps the
@@ -27,12 +27,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NonDiagonalField,
     OrderTooLarge,
     RoughFieldError,
     UnknownName,
 )
-from . import fields as _fields
 
 MAX_ORDER = 24
 _CHUNK_STEPS = 4096
@@ -44,7 +42,7 @@ def fine_step_for(horizon, n_max, margin=4):
     """Simulation step ``margin`` dyadic levels below the finest grid.
 
     Non-constant Euler-Maruyama fields and the lattice walk take every
-    fine step.  Constant diagonal Euler-Maruyama paths have independent
+    fine step.  Constant-field Euler-Maruyama paths have independent
     Gaussian increments and no drift, so they draw one increment per
     recorded step and the margin costs them nothing.
     """
@@ -253,16 +251,12 @@ def em_step(field, x, xi, fine_step):
 
     Returns x + (div a)(x) fine_step + sqrt(2 a(x)) xi sqrt(fine_step) for
     states x and standard normal draws xi, both of shape (B, d), on a
-    field check_em_field admits.
+    field check_em_field admits; sqrt(2 a) is taken entrywise on the
+    diagonal.
     """
     check_em_field(field)
-    a, drift = field.matrix_and_divergence(x)
-    if field.is_diagonal:
-        diag = np.einsum("nii->ni", a)
-        noise = np.sqrt(2.0 * diag) * xi
-    else:
-        sig = _fields.sqrt_matrix_batch(2.0 * a)
-        noise = np.einsum("nij,nj->ni", sig, xi)
+    diag, drift = field.matrix_and_divergence(x)
+    noise = np.sqrt(2.0 * diag) * xi
     return x + (drift * fine_step + noise * np.sqrt(fine_step))
 
 
@@ -278,8 +272,8 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
     out = np.empty((B, nsteps // stride + 1, d))
     out[:, 0] = x
 
-    if field.is_constant and field.is_diagonal:
-        # constant diagonal coefficients: zero drift and independent
+    if field.is_constant:
+        # constant coefficients: zero drift and independent
         # Gaussian increments, so one draw per recorded step is exact in law
         sig = np.sqrt(2.0 * field._diag_many(x[:1])[0])  # (d,)
         for b, g in enumerate(gens):
@@ -300,12 +294,6 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
                 out[:, i // stride] = x
         done += take
     return out
-
-
-def check_lattice_field(field):
-    """Raise NonDiagonalField unless the walk can jump along the axes."""
-    if not field.is_diagonal:
-        raise NonDiagonalField("the lattice scheme needs a diagonal field")
 
 
 def lattice_jump_rate(field, h, fine_step):
@@ -335,7 +323,6 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     floating-point operations, so the states do not depend on the window
     size, and a window of 1 is that walk.
     """
-    check_lattice_field(field)
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
     max_rate = lattice_jump_rate(field, h, fine_step)

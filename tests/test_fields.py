@@ -1,4 +1,4 @@
-"""Coefficient fields: matrix roots, ellipticity, mollification."""
+"""Coefficient fields: ellipticity, mollification, divergence."""
 
 from __future__ import annotations
 
@@ -8,57 +8,16 @@ import pytest
 from roughdiff import fields
 from roughdiff.errors import (
     DimensionMismatch,
-    NonPositiveDefinite,
-    NonSymmetricMatrix,
     RoughFieldError,
     UnknownName,
 )
-
-# Hand-derived principal root of [[2, 1], [1, 2]] (eigenpairs (1, 3) with
-# eigenvectors (1, -1)/sqrt2 and (1, 1)/sqrt2):
-ROOT_2112 = np.array([
-    [(np.sqrt(3) + 1) / 2, (np.sqrt(3) - 1) / 2],
-    [(np.sqrt(3) - 1) / 2, (np.sqrt(3) + 1) / 2],
-])
 
 
 def step_field():
     """1D rough field: a(x) = 1 for x < 0, 2 for x >= 0."""
     return fields.ExplicitField(
         fn=lambda pts: np.where(pts[:, 0] < 0, 1.0, 2.0),
-        dim=1, lam=2.0, smoothness="rough", is_diagonal=True)
-
-
-class TestSqrtMatrix:
-    def test_frozen_2x2(self):
-        s = fields.sqrt_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(s, ROOT_2112, atol=1e-14)
-
-    def test_identity(self):
-        np.testing.assert_array_equal(fields.sqrt_matrix(np.eye(3)), np.eye(3))
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_square_back_random_spd(self, dim):
-        gen = np.random.Generator(np.random.Philox(key=[11, dim]))
-        for _ in range(50):
-            b = gen.standard_normal((dim, dim))
-            a = b @ b.T + dim * np.eye(dim)
-            s = fields.sqrt_matrix(a)
-            np.testing.assert_allclose(s @ s, a, atol=1e-12 * dim)
-            np.testing.assert_allclose(s, s.T, atol=1e-13)
-            assert np.linalg.eigvalsh(s).min() > 0
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NonSymmetricMatrix):
-            fields.sqrt_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NonPositiveDefinite):
-            fields.sqrt_matrix(np.array([[1.0, 0.0], [0.0, -0.5]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionMismatch):
-            fields.sqrt_matrix(np.ones((2, 3)))
+        dim=1, lam=2.0, smoothness="rough")
 
 
 # parameters for every catalog entry, in d = 1 and d = 2
@@ -74,21 +33,19 @@ CATALOG_CASES = {
 @pytest.mark.parametrize("mollify", [None, 0.1], ids=["plain", "mollified"])
 @pytest.mark.parametrize("name", sorted(fields.PARAMS))
 def test_catalog_symmetric_within_lambda(name, mollify):
-    """a(x) is symmetric with its eigenvalues in [1/lam, lam] on a point
-    grid, for every catalog entry, plain and mollified, and the grid
-    comes within 1% of one of the bounds: lam is the least such constant."""
+    """Every diagonal entry of a(x) lies in [1/lam, lam] on a point grid,
+    for every catalog entry, plain and mollified, and the grid comes
+    within 1% of one of the bounds: lam is the least such constant."""
     for params in CATALOG_CASES[name]:
         f = fields.make_field(name, mollify=mollify, **params)
         g = np.linspace(-3.3, 3.3, 41 if f.dim == 1 else 13)
         pts = np.stack(np.meshgrid(*[g] * f.dim, indexing="ij"),
                        -1).reshape(-1, f.dim)
-        a = f.matrix(pts)
-        np.testing.assert_array_equal(a, np.swapaxes(a, -1, -2))
-        eig = np.linalg.eigvalsh(a)
-        assert eig.min() >= (1.0 - 1e-12) / f.lam
-        assert eig.max() <= (1.0 + 1e-12) * f.lam
-        assert max(eig.max(), 1.0 / eig.min()) == pytest.approx(f.lam,
-                                                                rel=0.01)
+        a = f.diagonal(pts)
+        assert a.shape == pts.shape
+        assert a.min() >= (1.0 - 1e-12) / f.lam
+        assert a.max() <= (1.0 + 1e-12) * f.lam
+        assert max(a.max(), 1.0 / a.min()) == pytest.approx(f.lam, rel=0.01)
 
 
 class TestCatalog:
@@ -110,46 +67,47 @@ class TestCatalog:
 
     def test_shapes_single_vs_batch(self):
         f = fields.make_field("smooth-sine", dim=2)
-        one = f.matrix(np.array([0.3, -1.0]))
-        many = f.matrix(np.array([[0.3, -1.0], [0.0, 0.0]]))
-        assert one.shape == (2, 2)
-        assert many.shape == (2, 2, 2)
+        one = f.diagonal(np.array([0.3, -1.0]))
+        many = f.diagonal(np.array([[0.3, -1.0], [0.0, 0.0], [1.0, 2.0]]))
+        assert one.shape == (2,)
+        assert many.shape == (3, 2)
         np.testing.assert_array_equal(one, many[0])
 
     def test_dimension_mismatch(self):
         f = fields.IdentityField(dim=2)
         with pytest.raises(DimensionMismatch):
-            f.matrix(np.zeros(3))
+            f.diagonal(np.zeros(3))
 
 
 class TestMollify:
     def test_step_midpoint_value(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
-        val = m.matrix(np.array([0.0]))[0, 0]
+        val = m.diagonal(np.array([0.0]))[0]
         assert val == pytest.approx(1.5, abs=1e-3)
 
     def test_step_away_from_jump(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
-        assert m.matrix(np.array([-0.25]))[0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert m.matrix(np.array([0.25]))[0, 0] == pytest.approx(2.0, abs=1e-14)
+        left, right = m.diagonal(np.array([[-0.25], [0.25]]))[:, 0]
+        assert left == pytest.approx(1.0, abs=1e-14)
+        assert right == pytest.approx(2.0, abs=1e-14)
 
     def test_constant_preserved_exactly(self):
         base = fields.ConstantDiagonalField([1.7])
         m = fields.MollifiedField(base, eps=0.3)
         x = np.linspace(-2, 2, 9)[:, None]
-        np.testing.assert_array_equal(m.matrix(x)[:, 0, 0], np.full(9, 1.7))
+        np.testing.assert_array_equal(m.diagonal(x)[:, 0], np.full(9, 1.7))
 
     def test_monotone_transition(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
         x = np.linspace(-0.15, 0.15, 61)[:, None]
-        vals = m.matrix(x)[:, 0, 0]
+        vals = m.diagonal(x)[:, 0]
         assert np.all(np.diff(vals) >= -1e-14)
 
     def test_mollify_2d_constant(self):
         base = fields.ConstantDiagonalField([2.0, 0.5])
         m = fields.MollifiedField(base, eps=0.2)
         np.testing.assert_allclose(
-            m.matrix(np.array([0.4, -0.1])), np.diag([2.0, 0.5]), atol=1e-14)
+            m.diagonal(np.array([0.4, -0.1])), [2.0, 0.5], atol=1e-14)
 
 
 class TestDivergence:
@@ -157,7 +115,7 @@ class TestDivergence:
         # a(x) = 1 + x^2 has div a = 2x; central differences are exact here
         f = fields.ExplicitField(
             fn=lambda pts: 1.0 + pts[:, 0] ** 2, dim=1, lam=10.0,
-            smoothness="smooth", is_diagonal=True)
+            smoothness="smooth")
         val = fields.divergence(f, np.array([1.0]), step=1e-4)
         assert val[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -165,7 +123,7 @@ class TestDivergence:
         f = fields.make_field("smooth-sine", dim=2)
         g = fields.ExplicitField(
             fn=lambda pts: 1.0 + 0.5 * np.sin(pts[:, 0]), dim=2, lam=2.0,
-            smoothness="smooth", is_diagonal=True)
+            smoothness="smooth")
         pts = np.array([[0.3, 1.0], [-1.2, 0.0], [2.0, -2.0]])
         np.testing.assert_allclose(
             fields.divergence(f, pts), fields.divergence(g, pts, step=1e-5),
@@ -179,7 +137,7 @@ class TestDivergence:
         # the derivative-kernel quadrature reproduces affine slopes exactly
         f = fields.ExplicitField(
             fn=lambda pts: 2.0 + 0.5 * pts[:, 0], dim=1, lam=4.0,
-            smoothness="rough", is_diagonal=True)
+            smoothness="rough")
         m = fields.MollifiedField(f, eps=0.1)
         x = np.array([[0.0], [0.7], [-1.3]])
         np.testing.assert_allclose(fields.divergence(m, x)[:, 0], 0.5,

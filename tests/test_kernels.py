@@ -1,5 +1,6 @@
 """Kernel solver, Gaussian envelopes, Aronson fits, and potentials."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,13 +16,12 @@ from roughdiff.errors import (
     InadmissibleExponent,
     InsufficientSamples,
     KrylovNotConverged,
-    NonDiagonalField,
     NonPositiveTime,
     RoughFieldError,
     TailNotCovered,
     UnstableStep,
 )
-from roughdiff.fields import ExplicitField, make_field
+from roughdiff.fields import make_field
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
 DIRAC_1D = sampling.dirac(np.zeros(1))
@@ -175,13 +175,6 @@ class TestSolveKernelPde:
         with pytest.raises(GridTooCoarse):
             kn.solve_kernel_pde(field, 0.0, (-4.0, 4.0), 0.8, [0.5],
                                 dt=1e-4)
-
-    def test_non_diagonal_rejected(self):
-        off = np.array([[1.0, 0.3], [0.3, 1.0]])
-        field = ExplicitField(lambda x: off, dim=2, lam=2.0)
-        with pytest.raises(NonDiagonalField):
-            kn.solve_kernel_pde(field, [0.0, 0.0], (-2.0, 2.0), 0.1, [0.5],
-                                dt=1e-3)
 
     def test_bad_inputs(self):
         field = make_field("identity", dim=1)
@@ -679,6 +672,14 @@ class TestMonteCarloEuler:
         rough = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0)
         with pytest.raises(RoughFieldError):
             self._mc(rough)
+
+    def test_table_bytes(self):
+        # SHA-256 of the tabulated potential, taken while fields were still
+        # evaluated as (N, d, d) matrices; the Euler sweep reads diagonals
+        U = self._mc(self._mollified_checkerboard(), seed=4)
+        digest = hashlib.sha256(U.axes[0].tobytes() + U.values.tobytes())
+        assert digest.hexdigest() == (
+            "c18b9d666f7b58c0ebdf74a419ac39e2db7fabaf178ead9c36dc562c145304a6")
 
     def test_deterministic(self):
         a = self._mc(self._mollified_checkerboard(), seed=9)

@@ -11,7 +11,6 @@ from scipy import stats
 
 from roughdiff import fields, sampling
 from roughdiff.errors import (
-    NonDiagonalField,
     OrderTooLarge,
     RoughFieldError,
 )
@@ -91,6 +90,29 @@ WALK_SHA256 = {
         "80d1084cea9296a299b119095609dccd83df59f57e8a91993e0c5d658ff6ba2c",
     "horizon-4":
         "533ea82674df12db6b7808111b263f976ee147b1c3935e43ddb495a223d7307b",
+}
+
+# Euler-Maruyama batches whose bytes are pinned; every step goes through
+# em_step, so the drift and the noise of non-constant fields are covered
+EM_BATCHES = {
+    "1d-mollified-checkerboard": (
+        fields.make_field("checkerboard", cell=0.25, mollify=0.1, **_CB),
+        sampling.dirac([0.1])),
+    "2d-mollified-checkerboard": (
+        fields.make_field("checkerboard", cell=0.5, dim=2, mollify=0.1,
+                          **_CB),
+        sampling.dirac([0.1, -0.2])),
+    "2d-smooth-sine": (
+        fields.make_field("smooth-sine", dim=2),
+        sampling.dirac([0.2, -0.1])),
+}
+EM_SHA256 = {
+    "1d-mollified-checkerboard":
+        "c9ca2dbe7e00f5e1eff0d142d03aa09f177558e21268b71a63e8b53acccc35de",
+    "2d-mollified-checkerboard":
+        "3c80f010223980406ad4492c98db47db8e996fee74eea73ffe2493d87393aee5",
+    "2d-smooth-sine":
+        "87f9f4f8a718378cab93caf7284b199e9e5b52a1d85b64022b3b6e035378c9ef",
 }
 
 
@@ -261,6 +283,18 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError):
             em_path(f, sampling.dirac([0.0]), 1.0, 0.3, seed=0, path_id=0)
 
+    @pytest.mark.parametrize("case", sorted(EM_BATCHES))
+    def test_em_bytes(self, case):
+        # SHA-256 of the states, taken while fields were still evaluated
+        # as (N, d, d) matrices; their diagonals must not move a bit
+        f, law = EM_BATCHES[case]
+        states = sampling.generate_batch("euler-maruyama", f, law, 0.5,
+                                         2.0 ** -9, 11, list(range(4)),
+                                         stride=8)
+        assert states.shape == (4, 33, f.dim)
+        assert hashlib.sha256(states.tobytes()).hexdigest() == (
+            EM_SHA256[case])
+
 
 class TestLattice:
     def test_states_on_lattice(self):
@@ -305,15 +339,6 @@ class TestLattice:
         one = walk(1)
         for k in (2, 5, 64):
             np.testing.assert_array_equal(walk(k), one)
-
-    def test_nondiagonal_rejected(self):
-        f = fields.ExplicitField(
-            fn=lambda pts: np.broadcast_to(np.array([[1.0, 0.2], [0.2, 1.0]]),
-                                           (pts.shape[0], 2, 2)),
-            dim=2, lam=2.0)
-        with pytest.raises(NonDiagonalField):
-            lattice_path(f, sampling.dirac([0.0, 0.0]), 1.0, 2.0 ** -12,
-                         seed=0, path_id=0)
 
     def test_embedding_gate(self):
         f = fields.IdentityField(dim=1)
