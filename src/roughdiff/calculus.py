@@ -18,10 +18,9 @@ import numpy as np
 from .errors import LengthMismatch
 
 
-def kahan_sum(terms, axis=-1):
-    """Compensated sum along one axis, fixed left-to-right term order."""
+def kahan_sum(terms):
+    """Compensated sum along the last axis, fixed left-to-right term order."""
     a = np.asarray(terms, dtype=float)
-    a = np.moveaxis(a, axis, -1)
     if a.ndim == 1:
         # the same loop in Python floats: IEEE doubles like float64, so the
         # bytes agree, without a NumPy scalar operation per term

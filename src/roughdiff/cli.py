@@ -67,8 +67,9 @@ def main(argv=None):
             sys.stdout.write(runner.summarize(args.manifest))
             return 0
         cfg = runner.read_config(args.config)
-        cfg["sweeps"] = (["aronson"] if args.command == "kernel"
-                         else ["potential"])
+        if isinstance(cfg, dict):  # the loader rejects anything else
+            cfg["sweeps"] = (["aronson"] if args.command == "kernel"
+                             else ["potential"])
         manifest = runner.run_scenario(cfg, out_dir=args.out_dir)
         return _finish_run(manifest)
     except ConfigError as exc:

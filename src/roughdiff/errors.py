@@ -84,7 +84,7 @@ class LengthMismatch(Error):
 
 
 class SingularHit(Error):
-    """A path state landed exactly on a singular point."""
+    """F or its gradient is not finite on a path."""
 
 
 class ConditionViolated(Error):

@@ -141,7 +141,9 @@ class CheckerboardField(CoefficientField):
         return np.where((k & 1) == 0, self.hi, self.lo)
 
     def _diag_many(self, pts):
-        return np.repeat(self.scalar(pts)[:, None], self.dim, axis=1)
+        # a contiguous copy: MollifiedField's einsum sums in an order set
+        # by its operands' strides, and a zero-stride view moves its bytes
+        return np.stack([self.scalar(pts)] * self.dim, axis=1)
 
 
 class SmoothSineField(CoefficientField):
@@ -157,7 +159,7 @@ class SmoothSineField(CoefficientField):
         return 1.0 + 0.5 * np.sin(pts[:, 0])
 
     def _diag_many(self, pts):
-        return np.repeat(self.scalar(pts)[:, None], self.dim, axis=1)
+        return np.stack([self.scalar(pts)] * self.dim, axis=1)
 
     def divergence_many(self, pts):
         # the divergence of s(x1) Id is (s'(x1), 0, ..., 0)

@@ -39,7 +39,6 @@ from .errors import (
     SingularHit,
 )
 
-MAX_ATTEMPTS = 8
 BATCH_PATHS = 256
 TRAPEZOID_TOL = 1e-10
 LEAKAGE_TOL = 1e-3
@@ -501,13 +500,6 @@ def load_scenario(config, out_dir=None, seed_override=None):
     if paths and scn.scheme == "lattice":
         _checked("scheme_params.h", sampling.lattice_jump_rate, field,
                  cfg["scheme_params"]["h"], scn.fine_step)
-    if F is not None and law is not None and F.grad_singular:
-        for atom in law.atoms():
-            for p in F.singular_points:
-                if np.array_equal(atom, np.asarray(p, dtype=float)):
-                    raise ConfigError(
-                        "law: an atom of the initial law sits exactly on a "
-                        f"point where the gradient of {F.name} is undefined")
     route = cfg["potential"]["route"]
     if "potential" in sweeps or paths and not _gate_skipped(
             sweeps, scn.allow_unverified):
@@ -636,55 +628,13 @@ def gate_scenario(scn):
 
 # ---------------------------------------------------------------- evaluation
 
-def _batch_ok(F, states):
-    """Per-path flag: values and gradients finite, no exact singular hit."""
-    B = states.shape[0]
-    ok = np.isfinite(F.value(states)).all(axis=-1)
-    ok &= np.isfinite(F.gradient(states).reshape(B, -1)).all(axis=-1)
-    if F.grad_singular and F.singular_points:
-        for p in F.singular_points:
-            hit = np.any(np.all(states == np.asarray(p, dtype=float),
-                                axis=-1), axis=-1)
-            ok &= ~hit
-    return ok
-
-
-def _simulate_clean(scn, path_ids, stride):
-    """Batch states at the finest dyadic grid, resampling singular hits.
-
-    Each offending path is redrawn from its attempt-shifted stream so the
-    outcome depends only on that path's own history, never on how paths
-    were grouped into batches or workers.
-    """
-    params = scn.cfg["scheme_params"]
-    states = sampling.generate_batch(
-        scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step, scn.seed,
-        path_ids, stride=stride, scheme_params=params)
-    resamples = 0
-    ok = _batch_ok(scn.F, states)
-    for b in np.flatnonzero(~ok):
-        pid = path_ids[b]
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            redo = sampling.generate_batch(
-                scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step,
-                scn.seed, [pid], stride=stride, attempt=attempt,
-                scheme_params=params)
-            resamples += 1
-            if _batch_ok(scn.F, redo)[0]:
-                states[b] = redo[0]
-                break
-        else:
-            raise SingularHit(
-                f"path {pid} still hits singular values of {scn.F.name} "
-                f"after {MAX_ATTEMPTS} resamples")
-    return states, resamples
-
-
 def evaluate_chunk(scn, start, stop, denoms):
     """Per-path functional values for path_ids in [start, stop).
 
-    Returns {"values": {(sweep, functional, n): array}, "resamples": int,
-    "trap_violation": float}.  Arrays are indexed by path_id - start.
+    Returns {"values": {(sweep, functional, n): array}, "trap_violation":
+    float}.  Arrays are indexed by path_id - start.  Raises SingularHit
+    naming the first path whose F or grad F is not finite at a recorded
+    state.
     """
     rows = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
     orders = scn.orders
@@ -692,17 +642,23 @@ def evaluate_chunk(scn, start, stop, denoms):
     stride = round(scn.horizon / scn.fine_step) // 2 ** n_top
     F = scn.F
     values = {}
-    resamples = 0
     trap_violation = 0.0
 
     for b0 in range(start, stop, BATCH_PATHS):
         b1 = min(b0 + BATCH_PATHS, stop)
-        ids = list(range(b0, b1))
-        states, r = _simulate_clean(scn, ids, stride)
-        resamples += r
+        states = sampling.generate_batch(
+            scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step,
+            scn.seed, range(b0, b1), stride=stride,
+            scheme_params=scn.cfg["scheme_params"])
         sl = slice(b0 - start, b1 - start)
         Fv = F.value(states)
         g = F.gradient(states)
+        bad = ~(np.isfinite(Fv).all(axis=-1)
+                & np.isfinite(g).all(axis=(-2, -1)))
+        if bad.any():
+            raise SingularHit(
+                f"path {b0 + int(np.argmax(bad))}: {F.name} or its gradient "
+                "is not finite at a recorded state")
         for n in orders:
             step = 2 ** (n_top - n)
             got, gap = grid_values(rows, states[:, ::step, :], Fv[:, ::step],
@@ -711,8 +667,7 @@ def evaluate_chunk(scn, start, stop, denoms):
                 values.setdefault((sweep, functional, n),
                                   np.empty(stop - start))[sl] = arr
             trap_violation = max(trap_violation, gap)
-    return {"values": values, "resamples": resamples,
-            "trap_violation": trap_violation}
+    return {"values": values, "trap_violation": trap_violation}
 
 
 def _chunk_entry(spec_json, start, stop, denoms):
@@ -848,20 +803,13 @@ def _path_sweep_reports(scn, chunks):
 def run_scenario(config, workers=1, out_dir=None, seed_override=None):
     """Execute a scenario end to end and write its artifacts.
 
-    ``config`` is a JSON file path, an equivalent dict, or an already
-    loaded Scenario.  Returns the RunManifest (also saved as
-    manifest.json in the output directory).
+    ``config`` is a JSON file path or an equivalent dict.  Returns the
+    RunManifest (also saved as manifest.json in the output directory).
     """
     t0 = time.monotonic()
-    if isinstance(config, Scenario):
-        scn = config
-        if out_dir is not None:
-            scn.out_dir = str(out_dir)
-    else:
-        scn = load_scenario(config, out_dir=out_dir,
-                            seed_override=seed_override)
+    scn = load_scenario(config, out_dir=out_dir, seed_override=seed_override)
     os.makedirs(scn.out_dir, exist_ok=True)
-    incidents = {"resamples": 0, "leakage_warnings": 0}
+    incidents = {"leakage_warnings": 0}
     conditions, denoms, U = gate_scenario(scn)
 
     results = {}
@@ -881,7 +829,6 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
                 futs = [pool.submit(_chunk_entry, spec_json, a, b, denoms)
                         for a, b in spans]
                 chunks = [f.result() for f in futs]
-        incidents["resamples"] += sum(c["resamples"] for c in chunks)
         results.update(_path_sweep_reports(scn, chunks))
     for s, run in _KERNEL_SWEEPS.items():
         if s in scn.sweeps:
@@ -910,14 +857,18 @@ def summarize(manifest):
     """Fixed-width text table of every report a manifest points to.
 
     ``manifest`` is a manifest.json path or a RunManifest.  Raises
-    MissingReport when a listed report file is gone.
+    MissingReport when the manifest file or a listed report file is gone
+    or unreadable.
     """
     if isinstance(manifest, RunManifest):
         data = manifest.payload()
         base = manifest.out_dir
     else:
-        with open(manifest) as fh:
-            data = json.load(fh)
+        try:
+            with open(manifest) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise MissingReport(f"manifest {manifest} is unreadable: {exc}")
         base = os.path.dirname(os.path.abspath(manifest))
     lines = [f"{'functional':<22}{'n':>4}  {'mean':>14}  {'stderr':>14}"
              f"  {'count':>7}  verdict"]

@@ -82,17 +82,6 @@ class InitialLaw:
         los, his = zip(*(c.hull() for c in self.components))
         return np.min(los, axis=0), np.max(his, axis=0)
 
-    def atoms(self):
-        """All Dirac atoms the law charges (empty for continuous laws)."""
-        if self.kind == "dirac":
-            return [self.point]
-        if self.kind == "mixture":
-            out = []
-            for c in self.components:
-                out.extend(c.atoms())
-            return out
-        return []
-
 
 def dirac(point):
     pt = np.atleast_1d(np.asarray(point, dtype=float))
@@ -261,12 +250,12 @@ def em_step(field, x, xi, fine_step):
 
 
 def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                     attempt=0, stride=1):
+                     stride=1):
     """Euler-Maruyama batch; returns states of shape (B, T', d) at times
     i * stride * fine_step, including both endpoints."""
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
-    gens = [path_rng(seed, pid, attempt) for pid in path_ids]
+    gens = [path_rng(seed, pid) for pid in path_ids]
     B = len(gens)
     x = _start_points(law, gens, d)
     out = np.empty((B, nsteps // stride + 1, d))
@@ -308,7 +297,7 @@ def lattice_jump_rate(field, h, fine_step):
 
 
 def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                          attempt=0, stride=1, h=0.05):
+                          stride=1, h=0.05):
     """Continuous-time lattice walk batch, recorded on the uniform grid.
 
     Each round moves every live path by a window of up to ``_LOOKAHEAD``
@@ -327,7 +316,7 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     d = field.dim
     max_rate = lattice_jump_rate(field, h, fine_step)
 
-    gens = [path_rng(seed, pid, attempt) for pid in path_ids]
+    gens = [path_rng(seed, pid) for pid in path_ids]
     B = len(gens)
     x = _start_points(law, gens, d)
     dt_out = fine_step * stride
@@ -435,11 +424,10 @@ _SAMPLERS = {"euler-maruyama": _em_batch_states,
 
 
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
-                   stride=1, attempt=0, scheme_params=None):
+                   stride=1, scheme_params=None):
     """Batched states (B, T', d) for either scheme, at stride multiples;
     ``scheme_params`` are its keyword arguments (h of the lattice)."""
     if scheme not in _SAMPLERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,
-                             attempt=attempt, stride=stride,
-                             **(scheme_params or {}))
+                             stride=stride, **(scheme_params or {}))

@@ -4,8 +4,7 @@ Every entry evaluates in batch: ``value`` maps (..., d) arrays of points to
 (...) values, ``gradient`` to (..., d), ``hessian`` to (..., d, d).  Entries
 whose second derivatives blow up somewhere (the |x|^(1+alpha) family) still
 provide the a.e.-defined hessian and declare the bad points in
-``singular_points``; quadratures refine around those and path functionals
-check for exact hits.
+``singular_points``; quadratures refine around those.
 
 The ``regularity`` tag records local Sobolev membership: "C2", "H2_loc"
 (second derivatives square integrable near the singular point), or "H1_loc"
@@ -30,7 +29,6 @@ class TestFunction:
     gradient: callable
     hessian: callable | None = None
     singular_points: list = dc_field(default_factory=list)
-    grad_singular: bool = False   # is the gradient undefined at those points?
     params: dict = dc_field(default_factory=dict)
 
 
@@ -168,7 +166,7 @@ def abs_power(alpha):
     reg = "H2_loc" if a > 0.5 else "H1_loc"
     return TestFunction(name="abs_power", dim=1, regularity=reg, value=value,
                         gradient=gradient, hessian=hessian,
-                        singular_points=[np.zeros(1)], grad_singular=False,
+                        singular_points=[np.zeros(1)],
                         params={"alpha": a})
 
 
@@ -216,7 +214,7 @@ def radial_power(alpha, dim=2):
     reg = "H2_loc" if a > 0.5 else "H1_loc"
     return TestFunction(name="radial_power", dim=dim, regularity=reg,
                         value=value, gradient=gradient, hessian=hessian,
-                        singular_points=[np.zeros(dim)], grad_singular=False,
+                        singular_points=[np.zeros(dim)],
                         params={"alpha": a, "dim": dim})
 
 
@@ -293,5 +291,4 @@ def component_function(F, k):
         value=lambda x, _g=F.gradient: _g(x)[..., k],
         gradient=lambda x, _h=F.hessian: _h(x)[..., k, :],
         hessian=None, singular_points=list(F.singular_points),
-        grad_singular=F.grad_singular,
         params=dict(F.params, component=k))

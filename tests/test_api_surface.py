@@ -1,9 +1,11 @@
 """Every public definition in the package is used by the package itself.
 
 A public module-level function or class that nothing in ``src/`` reads
-outside its own definition is API that only tests call.  Such code is
-deleted and its tests are ported to the engine; the exceptions are the
-reference implementations the tests compare the engine against.
+outside its own definition is API that only tests call, and so is a
+public method whose name nothing in ``src/`` reads outside the method's
+own body.  Such code is deleted and its tests are ported to the engine;
+the exceptions are the reference implementations the tests compare the
+engine against.
 """
 
 import ast
@@ -19,12 +21,13 @@ REFERENCE_IMPLEMENTATIONS = {
 
 
 class _Reads(ast.NodeVisitor):
-    """(top-level definition or None, name) for every name a module reads,
-    as a bare name or as an attribute; a function's own arguments shadow
-    the module's names inside it."""
+    """(top-level definition or None, "Class.method" or None, name) for
+    every name a module reads, as a bare name or as an attribute; a
+    function's own arguments shadow the module's names inside it."""
 
     def __init__(self):
         self.owner = None
+        self.method = None
         self.shadow = frozenset()
         self.reads = set()
 
@@ -33,6 +36,17 @@ class _Reads(ast.NodeVisitor):
             public = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             self.owner = stmt.name if public else None
             self.visit(stmt)
+
+    def visit_ClassDef(self, node):
+        if self.method is not None or self.owner != node.name:
+            return self.generic_visit(node)
+        for child in (*node.decorator_list, *node.bases, *node.keywords):
+            self.visit(child)
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                self.method = f"{node.name}.{stmt.name}"
+            self.visit(stmt)
+            self.method = None
 
     def _scoped(self, node):
         outer = self.shadow
@@ -46,11 +60,20 @@ class _Reads(ast.NodeVisitor):
 
     def visit_Name(self, node):
         if node.id not in self.shadow:
-            self.reads.add((self.owner, node.id))
+            self.reads.add((self.owner, self.method, node.id))
 
     def visit_Attribute(self, node):
-        self.reads.add((self.owner, node.attr))
+        self.reads.add((self.owner, self.method, node.attr))
         self.generic_visit(node)
+
+
+def _parsed(src):
+    """(module name, tree, reads) for every module in ``src``."""
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visitor = _Reads()
+        visitor.visit(tree)
+        yield path.stem, tree, visitor.reads
 
 
 def unused_public_definitions(src=SRC):
@@ -61,17 +84,14 @@ def unused_public_definitions(src=SRC):
     unused function calls is unused too.
     """
     public, reads = {}, set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        public.update({node.name: path.stem for node in tree.body
+    for module, tree, module_reads in _parsed(src):
+        public.update({node.name: module for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        and not node.name.startswith("_")})
-        visitor = _Reads()
-        visitor.visit(tree)
-        reads |= visitor.reads
+        reads |= module_reads
     dead = set()
     while True:
-        used = {name for owner, name in reads
+        used = {name for owner, _, name in reads
                 if owner != name and owner not in dead}
         now = {name for name in public
                if name not in used and name not in REFERENCE_IMPLEMENTATIONS}
@@ -80,8 +100,28 @@ def unused_public_definitions(src=SRC):
         dead = now
 
 
+def unused_public_methods(src=SRC):
+    """Public methods of the module-level classes in ``src`` whose name no
+    code in ``src`` reads outside the method's own body; a recursive call
+    does not count as a use."""
+    methods, reads = [], set()
+    for module, tree, module_reads in _parsed(src):
+        methods += [(module, cls.name, node.name)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for node in cls.body if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")]
+        reads |= module_reads
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in methods
+                  if not any(n == name and m != f"{cls}.{name}"
+                             for _, m, n in reads))
+
+
 def test_no_public_definition_is_test_only():
     assert unused_public_definitions() == []
+
+
+def test_no_public_method_is_test_only():
+    assert unused_public_methods() == []
 
 
 def test_reference_implementations_exist():
@@ -102,3 +142,15 @@ def test_guard_sees_chains_and_shadowed_names(tmp_path):
         "VALUE = build()\n")
     assert unused_public_definitions(tmp_path) == [
         "mod.helper", "mod.only_tests", "mod.wrap"]
+
+
+def test_guard_sees_methods_and_recursion(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Law:\n"
+        "    def hull(self):\n        return self\n\n"
+        "    def atoms(self):\n        return [c.atoms() for c in self]\n\n"
+        "    def _private(self):\n        return 0\n\n\n"
+        "def use(law):\n    return law.hull()\n\n\n"
+        "VALUE = use(Law())\n")
+    assert unused_public_methods(tmp_path) == ["mod.Law.atoms"]
+    assert unused_public_definitions(tmp_path) == []

@@ -343,21 +343,6 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="kernel"):
             runner.load_scenario(cfg)
 
-    def test_atom_on_gradient_singularity(self, monkeypatch):
-        # no catalog function has an undefined gradient, so flip the flag
-        # on one to reach the guard
-        real = testfunctions.make_test_function
-
-        def singular(name, **kw):
-            return dataclasses.replace(real(name, **kw), grad_singular=True)
-
-        monkeypatch.setattr(runner.testfunctions, "make_test_function",
-                            singular)
-        cfg = quad_config(function={"name": "abs_power", "alpha": 0.75},
-                          sweeps=["qv"])
-        with pytest.raises(ConfigError, match="atom"):
-            runner.load_scenario(cfg)
-
     @pytest.mark.parametrize("key, over", [
         ("field", {"field": {"name": "identity", "mollify": -0.1}}),
         ("field", {"field": {"name": "constant-diagonal",
@@ -564,9 +549,6 @@ class TestRunScenario:
         assert "ratios" in conds["condition_1"]["ladders"][0]
         assert conds["condition_1"]["value"] > 0.0
 
-    def test_no_resamples_on_clean_run(self, quad_run):
-        assert quad_run.incidents["resamples"] == 0
-
     def test_covariation_tracks_oracle(self, quad_run):
         rows = report(quad_run, "covariation")
         for _, n, mean, se, count in rows:
@@ -690,18 +672,6 @@ class TestRunScenario:
                           sweeps=["prop3"], allow_unverified=True)
         with pytest.raises(ConditionViolated, match="condition 2"):
             runner.run_scenario(cfg, out_dir=str(tmp_path))
-
-    def test_singular_start_exhausts_resamples(self, tmp_path):
-        scn = runner.load_scenario(
-            quad_config(function={"name": "sin1d"}, sweeps=["qv"],
-                        orders=[1], fine_margin=1, n_paths=2),
-            out_dir=str(tmp_path))
-        bad = dataclasses.replace(
-            testfunctions.make_test_function("abs_power", alpha=0.75),
-            grad_singular=True)
-        scn = dataclasses.replace(scn, F=bad)
-        with pytest.raises(SingularHit, match="resamples"):
-            runner.run_scenario(scn)
 
 
 class TestKernelPotentialSweeps:
@@ -1002,6 +972,41 @@ class TestCli:
         proc = cli("run", str(tmp_path / "nope.json"), cwd=tmp_path)
         assert proc.returncode == 2
         assert "config error:" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["kernel", "potential"])
+    def test_non_object_config_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli_main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config: must be a JSON object\n")
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_summarize_unreadable_manifest_exit_two(self, tmp_path, capsys,
+                                                    text):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(MissingReport, match=f"manifest {path} "):
+            runner.summarize(str(path))
+        assert cli_main(["summarize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {path} ") and (
+            err.count("\n") == 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_function_exit_two(self, tmp_path, capsys):
+        # F = c x overflows at the start point; nothing redraws the path
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(quad_config(
+            function={"name": "linear", "c": [1e308]},
+            law={"kind": "dirac", "point": [2.0]}, sweeps=["qv"],
+            allow_unverified=True, n_paths=3, orders=[2])))
+        with pytest.raises(SingularHit, match="path 0: linear"):
+            runner.run_scenario(str(path), out_dir=str(tmp_path / "o"))
+        assert cli_main(["run", str(path), "--out-dir",
+                         str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: path 0: linear ")
 
     def test_kernel_subcommand(self, tmp_path, cli):
         cfg = {

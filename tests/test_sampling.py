@@ -30,10 +30,10 @@ def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
 
 
 def _walk(field, law, horizon=1.0, fine_step=2.0 ** -12, seed=3,
-          path_ids=range(6), stride=16, h=0.125, attempt=0):
+          path_ids=range(6), stride=16, h=0.125):
     return sampling._lattice_batch_states(
-        field, law, horizon, fine_step, seed, list(path_ids),
-        attempt=attempt, stride=stride, h=h)
+        field, law, horizon, fine_step, seed, list(path_ids), stride=stride,
+        h=h)
 
 
 _CB = {"lo": 0.5, "hi": 2.0}
@@ -68,10 +68,11 @@ WALKS = {
     "signed-zero-start": lambda **kw: _walk(
         fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
         sampling.dirac([-0.0, 0.3]), fine_step=2.0 ** -13, stride=32, **kw),
-    "attempt-2": lambda **kw: _walk(
+    # the Philox key path_rng(seed, pid, attempt=2) reads, above 2^63
+    "attempt-2": lambda seed=3, **kw: _walk(
         fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
         sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13, stride=32,
-        attempt=2, **kw),
+        seed=(seed + 2 * sampling._ATTEMPT_STRIDE) % 2 ** 64, **kw),
 }
 WALK_SHA256 = {
     "1d-checkerboard":
@@ -134,7 +135,6 @@ class TestInitialLaws:
         rng = sampling.path_rng(0, 0)
         np.testing.assert_array_equal(sampling.sample_initial(law, rng),
                                       [1.0, -2.0])
-        assert law.atoms()[0].tolist() == [1.0, -2.0]
 
     def test_mixture_of_diracs(self):
         law = sampling.mixture([0.5, 0.5],
@@ -144,7 +144,6 @@ class TestInitialLaws:
                           for _ in range(2000)])
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert abs(draws.mean()) < 0.05
-        assert len(law.atoms()) == 2
 
     def test_grid_density_1d_uniform(self):
         law = sampling.grid_density([np.linspace(0, 1, 11)], np.ones(10))

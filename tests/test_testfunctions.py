@@ -4,12 +4,33 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughdiff.errors import NoHessian, UnknownName
 from roughdiff.testfunctions import (
+    PARAMS,
     component_function,
     make_test_function,
 )
+
+
+# normal floats or 0, so every singular point of the catalog is drawn often
+COORD = st.one_of(st.just(0.0),
+                  st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def catalog_entry(draw):
+    """(F, d) for a catalog entry with parameters from its config range:
+    d from 1 to 3, alpha in (0, 4], linear.c within +-1e3."""
+    name = draw(st.sampled_from(sorted(PARAMS)))
+    d = 1 if name in ("sin1d", "abs_power") else draw(st.integers(1, 3))
+    params = {k: v for k, v in (
+        ("dim", d),
+        ("alpha", draw(st.floats(0.0, 4.0, exclude_min=True))),
+        ("c", draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))),
+    ) if k in PARAMS[name]}
+    return make_test_function(name, **params), d
 
 
 def num_grad(value, x, h=1e-6):
@@ -141,6 +162,18 @@ class TestSingularBehavior:
         np.testing.assert_array_equal(G.gradient(np.zeros(2)), [0.0, 0.0])
         assert np.isfinite(G.value(np.zeros(2)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(entry=catalog_entry(), data=st.data())
+    def test_catalog_gradients_finite(self, entry, data):
+        # every catalog gradient is defined everywhere, so no path state
+        # can make the engine's finiteness check fire
+        F, d = entry
+        pts = np.array(data.draw(st.lists(
+            st.lists(COORD, min_size=d, max_size=d), min_size=1,
+            max_size=8)))
+        assert np.isfinite(F.value(pts)).all()
+        assert np.isfinite(F.gradient(pts)).all()
+
     def test_hessian_blows_up_at_origin(self):
         F = make_test_function("abs_power", alpha=0.5)
         assert np.isinf(F.hessian(np.zeros(1))[0, 0])
@@ -158,7 +191,6 @@ class TestSingularBehavior:
         F = make_test_function("abs_power", alpha=0.5)
         assert len(F.singular_points) == 1
         np.testing.assert_array_equal(F.singular_points[0], np.zeros(1))
-        assert F.grad_singular is False
         assert make_test_function("sin1d").singular_points == []
 
 
