@@ -13,12 +13,17 @@ For an integrand behaving like r^(-s) near the singular point the shell
 increments scale like 2^(l (s - d)), so the ladder ratio separates s < d
 (ratios well below 1) from s >= d (ratios at or above 1); the threshold
 0.99 puts the logarithmic borderline case on the divergent side.
+
+Condition 1 integrates |grad F|^2 U.  Condition 2 integrates, in one pass
+over the same nodes, |grad f_k|^2 U for each weak derivative f_k = d_k F
+(prop2's denominators) and each entry f_kl^2 U (prop3's); every row keeps
+its own ladder and verdict.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -60,7 +65,8 @@ def _axis_nodes(lo, hi, h=None, count=None):
 
 
 def _trap_rect(fn, pairs, hs=None, counts=None):
-    """Composite tensor trapezoid of fn over a rectangle."""
+    """Composite tensor trapezoid over a rectangle of each row of fn, which
+    maps points (N, d) to values (P, N); returns the P sums."""
     axes = []
     weights = []
     for i, (lo, hi) in enumerate(pairs):
@@ -75,7 +81,9 @@ def _trap_rect(fn, pairs, hs=None, counts=None):
                    axis=-1)
     vals = np.asarray(fn(pts), dtype=float)
     wt = functools.reduce(np.multiply.outer, weights).ravel()
-    return float((vals * wt).sum())
+    # one contiguous 1-d sum per row keeps numpy's pairwise blocking, so a
+    # row sums to the same bits as it would alone
+    return np.array([row.sum() for row in np.ascontiguousarray(vals * wt)])
 
 
 def _base_rectangles(pairs, center, r0):
@@ -144,6 +152,13 @@ def refined_integral(fn, box, h, singular_points, dim):
     fn maps points (N, d) to values (N,).  At most one singular point is
     supported (that is all the catalog ever declares).
     """
+    return _refined_rows(lambda pts: np.asarray(fn(pts))[None], box, h,
+                         singular_points, dim)[0]
+
+
+def _refined_rows(fn, box, h, singular_points, dim):
+    """refined_integral of every row of fn, which maps points (N, d) to
+    values (P, N), on one set of nodes; one LadderResult per row."""
     pairs = _norm_box(box, dim)
     sing = [np.atleast_1d(np.asarray(p, dtype=float))
             for p in (singular_points or [])]
@@ -163,26 +178,30 @@ def refined_integral(fn, box, h, singular_points, dim):
     hs = [h] * dim
     base = 0.0
     for rect in _base_rectangles(pairs, center, r0):
-        base += _trap_rect(fn, rect, hs=hs)
-
-    if center is None:
-        return LadderResult(finite=True, value=base, base=base,
-                            partial_sums=[base])
+        base = base + _trap_rect(fn, rect, hs=hs)
 
     increments = []
-    partials = [base]
-    running = base
-    for lev in range(LADDER_LEVELS):
+    for lev in range(LADDER_LEVELS if center is not None else 0):
         s_out = r0 * 2.0 ** (-lev)
         s_in = r0 * 2.0 ** (-lev - 1)
         inc = 0.0
         for rect, counts in _shell_rectangles(center, s_in, s_out, dim):
-            inc += _trap_rect(fn, rect, counts=counts)
+            inc = inc + _trap_rect(fn, rect, counts=counts)
         increments.append(inc)
+    return [_ladder(b, [float(inc[p]) for inc in increments])
+            for p, b in enumerate(base.tolist())]
+
+
+def _ladder(base, increments):
+    """The verdict on one row's shell increments below its base value
+    (none without a singular point)."""
+    partials = [base]
+    running = base
+    for inc in increments:
         running += inc
         partials.append(running)
     ratios = [increments[i] / increments[i - 1] if increments[i - 1] > 0
-              else 0.0 for i in range(1, LADDER_LEVELS)]
+              else 0.0 for i in range(1, len(increments))]
     divergent = len(ratios) > 0 and all(r > RATIO_THRESHOLD for r in ratios)
     if divergent:
         return LadderResult(finite=False, value=None, base=base,
@@ -241,16 +260,24 @@ class ConditionResult:
     entry_values: np.ndarray | None = None
     entry_finite: np.ndarray | None = None
     entry_ladders: list | None = None
+    components: list | None = None
 
-    def ladder_dict(self):
-        src = [self.ladder] if self.ladder is not None else (
-            self.entry_ladders or [])
-        return [
-            {"base": l.base, "increments": list(l.increments),
-             "partial_sums": list(l.partial_sums), "ratios": list(l.ratios),
-             "remainder": l.remainder, "finite": l.finite}
-            for l in src if l is not None
-        ]
+    def payload(self):
+        """The verdict as manifest evidence: every ladder without its
+        value, and the per-entry verdicts of condition 2."""
+        lads = [self.ladder] if self.ladder is not None else self.entry_ladders
+        out = {"finite": self.finite,
+               "value": None if self.value is None else float(self.value),
+               "ladders": [{k: v for k, v in asdict(l).items()
+                            if k != "value"} for l in lads]}
+        if self.entry_finite is not None:
+            out["entry_finite"] = self.entry_finite.ravel().tolist()
+        return out
+
+
+def _condition_1(lad):
+    return ConditionResult(kind="condition_1", finite=lad.finite,
+                           value=lad.value, ladder=lad)
 
 
 def check_condition_1(F, potential, box, h):
@@ -265,14 +292,15 @@ def check_condition_1(F, potential, box, h):
         g = F.gradient(pts)
         return (g ** 2).sum(axis=-1) * np.asarray(potential(pts), dtype=float)
 
-    lad = refined_integral(integrand, box, h, F.singular_points, F.dim)
-    return ConditionResult(kind="condition_1", finite=lad.finite,
-                           value=lad.value, ladder=lad)
+    return _condition_1(refined_integral(integrand, box, h, F.singular_points,
+                                         F.dim))
 
 
 def check_condition_2(F, potential, box, h):
-    """Quadrature verdict on the hessian condition
-    int sum_{k,l} f_kl^2 U < oo, kept per entry.
+    """Quadrature verdicts on the weak derivatives f_k = d_k F, in one pass:
+    int sum_{k,l} f_kl^2 U < oo kept per entry (prop3's denominator), and
+    in ``components`` the condition-1 result int |grad f_k|^2 U of each
+    f_k (prop2's), from one hessian and one U call per node.
 
     Raises NoHessian when F provides no second derivatives at all.
     """
@@ -280,21 +308,23 @@ def check_condition_2(F, potential, box, h):
         raise NoHessian(f"{F.name} has no second derivatives")
     _check_box_mass(potential, box, h, F.dim)
     d = F.dim
-    entry_values = np.zeros((d, d))
-    entry_finite = np.ones((d, d), dtype=bool)
-    ladders = []
-    for k in range(d):
-        for l in range(d):
-            def integrand(pts, _k=k, _l=l):
-                hkl = F.hessian(pts)[..., _k, _l]
-                return hkl ** 2 * np.asarray(potential(pts), dtype=float)
 
-            lad = refined_integral(integrand, box, h, F.singular_points, d)
-            ladders.append(lad)
-            entry_finite[k, l] = lad.finite
-            entry_values[k, l] = lad.value if lad.finite else np.inf
+    def integrand(pts):
+        hess = F.hessian(pts)
+        rows = [(hess[..., k, :] ** 2).sum(-1) for k in range(d)]
+        rows += [hess[..., k, l] ** 2 for k in range(d) for l in range(d)]
+        stacked = np.stack(rows)
+        stacked *= np.asarray(potential(pts), dtype=float)
+        return stacked
+
+    lads = _refined_rows(integrand, box, h, F.singular_points, d)
+    ladders = lads[d:]
+    entry_finite = np.array([l.finite for l in ladders]).reshape(d, d)
+    entry_values = np.array([l.value if l.finite else np.inf
+                             for l in ladders]).reshape(d, d)
     finite = bool(entry_finite.all())
     value = float(entry_values.sum()) if finite else None
     return ConditionResult(kind="condition_2", finite=finite, value=value,
                            entry_values=entry_values,
-                           entry_finite=entry_finite, entry_ladders=ladders)
+                           entry_finite=entry_finite, entry_ladders=ladders,
+                           components=[_condition_1(l) for l in lads[:d]])

@@ -137,10 +137,6 @@ SWEEP_TABLE = {row.name: row for row in (
 
 PATH_SWEEPS = tuple(SWEEP_TABLE)
 SWEEPS = PATH_SWEEPS + ("aronson", "potential")
-GRADIENT_GATED = frozenset(s for s, row in SWEEP_TABLE.items()
-                           if row.gate == 1)
-HESSIAN_GATED = frozenset(s for s, row in SWEEP_TABLE.items()
-                          if row.gate == 2)
 RATIO_SWEEPS = frozenset(s for s, row in SWEEP_TABLE.items() if row.denom)
 
 
@@ -520,9 +516,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
             # the gate integrates U over box, and U is 0 off the kernel grid
             lo, hi = np.reshape(pk["box"], (-1, 2)).T
             qlo, qhi = np.reshape(cfg["box"], (-1, 2)).T
-            gated = paths & (GRADIENT_GATED | HESSIAN_GATED) and not (
-                _gate_skipped(sweeps, scn.allow_unverified))
-            if gated and (np.any(qlo < lo) or np.any(qhi > hi)):
+            if (paths and not _gate_skipped(sweeps, scn.allow_unverified)
+                    and (np.any(qlo < lo) or np.any(qhi > hi))):
                 raise ConfigError(
                     f"box: {cfg['box']} must lie inside potential.kernel.box "
                     f"{pk['box']}, where the grid route computes U")
@@ -555,73 +550,53 @@ def resolve_potential(scn):
     return kernels.resolvent_potential(route, scn.law, field=scn.field, **kw)
 
 
-def _ladder_payload(cond):
-    out = {"finite": cond.finite,
-           "value": None if cond.value is None else float(cond.value),
-           "ladders": cond.ladder_dict()}
-    if cond.entry_finite is not None:
-        out["entry_finite"] = cond.entry_finite.astype(bool).ravel().tolist()
-    return out
-
-
-def _violated(which, detail, payload):
-    exc = ConditionViolated(
-        f"condition {which} diverges: {detail}; shell-increment ratios stay "
-        "above the geometric threshold (evidence ladder attached)")
-    exc.evidence = payload
-    return exc
-
-
 def gate_scenario(scn):
-    """Integrability checks before simulation.
-
-    Returns (conditions, denominators, U).  Raises ConditionViolated with
-    the evidence ladder attached when a gated sweep's condition diverges;
-    allow_unverified skips the gates but never the ratio denominators the
-    prop sweeps intrinsically need.
+    """Integrability checks before simulation; returns (conditions,
+    denominators, U).  Condition 2 also yields prop2's integrals.  A
+    divergent condition raises ConditionViolated with its evidence ladder
+    attached unless allow_unverified is set and no requested sweep divides
+    by its integral.
     """
     sweeps = set(scn.sweeps) & set(PATH_SWEEPS)
-    need1 = bool(sweeps & GRADIENT_GATED)
-    need2 = bool(sweeps & HESSIAN_GATED)
-    conditions = {}
-    denoms = {}
-    if not (need1 or need2):
-        return conditions, denoms, None
+    if not sweeps:
+        return {}, {}, None
     if _gate_skipped(sweeps, scn.allow_unverified):
-        return {"skipped": "allow_unverified"}, denoms, None
+        return {"skipped": "allow_unverified"}, {}, None
 
     U = resolve_potential(scn)
-    box, h = scn.box, scn.quad_h
-    if need1:
-        c1 = integrability.check_condition_1(scn.F, U, box, h)
-        conditions["condition_1"] = _ladder_payload(c1)
-        if not c1.finite:
-            if "prop1" in sweeps or not scn.allow_unverified:
-                raise _violated(
-                    1, f"int |grad {scn.F.name}|^2 U is not integrable",
-                    conditions["condition_1"])
-        else:
+    F, box, h = scn.F, scn.box, scn.quad_h
+    gates = {SWEEP_TABLE[s].gate for s in sweeps}
+    conditions = {}
+    denoms = {}
+
+    def passed(which, key, cond, divisor, detail):
+        # divisor: the sweep that divides by the integral
+        conditions[key] = cond.payload()
+        if not cond.finite and (divisor in sweeps
+                                or not scn.allow_unverified):
+            exc = ConditionViolated(
+                f"condition {which} diverges: {detail}; shell-increment "
+                "ratios stay above the geometric threshold (evidence ladder "
+                "attached)")
+            exc.evidence = conditions[key]
+            raise exc
+        return cond.finite
+
+    if 1 in gates:
+        c1 = integrability.check_condition_1(F, U, box, h)
+        if passed(1, "condition_1", c1, "prop1",
+                  f"int |grad {F.name}|^2 U is not integrable"):
             denoms["prop1"] = float(c1.value)
-    if "prop2" in sweeps:
-        for k in range(scn.field.dim):
-            fk = testfunctions.component_function(scn.F, k)
-            ck = integrability.check_condition_1(fk, U, box, h)
-            conditions[f"condition_1_d{k}"] = _ladder_payload(ck)
-            if not ck.finite:
-                raise _violated(
-                    1, f"int |grad {fk.name}|^2 U is not integrable",
-                    conditions[f"condition_1_d{k}"])
+    if "prop2" in sweeps or 2 in gates:
+        c2 = integrability.check_condition_2(F, U, box, h)
+        for k, ck in enumerate(c2.components if "prop2" in sweeps else ()):
+            passed(1, f"condition_1_d{k}", ck, "prop2",
+                   f"int |grad {F.name}.d{k}|^2 U is not integrable")
             denoms[f"prop2_k{k}"] = float(np.sqrt(ck.value))
-    if need2:
-        c2 = integrability.check_condition_2(scn.F, U, box, h)
-        conditions["condition_2"] = _ladder_payload(c2)
-        if not c2.finite:
-            if "prop3" in sweeps or not scn.allow_unverified:
-                raise _violated(
-                    2,
-                    f"a squared second derivative of {scn.F.name} weighted "
-                    "by U is not integrable", conditions["condition_2"])
-        else:
+        if 2 in gates and passed(
+                2, "condition_2", c2, "prop3",
+                f"a squared second derivative of {F.name} weighted by U is "
+                "not integrable"):
             denoms["prop3"] = float(np.sqrt(c2.entry_values).sum())
     return conditions, denoms, U
 
@@ -721,17 +696,20 @@ def write_report_csv(path, rows):
 
 
 def read_report_csv(path):
-    if not os.path.exists(path):
-        raise MissingReport(f"report file {path} is missing")
+    """Rows (functional, n, mean, stderr, count) of a report file.  Raises
+    MissingReport naming the file when it is missing or malformed."""
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise MissingReport(f"{path} has unexpected header {header!r}")
-        for line in fh:
-            functional, n, mean, se, count = line.strip().split(",")
-            rows.append((functional, int(n), float(mean), float(se),
-                         int(count)))
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected header {header!r}")
+            for line in fh:
+                functional, n, mean, se, count = line.strip().split(",")
+                rows.append((functional, int(n), float(mean), float(se),
+                             int(count)))
+    except (OSError, ValueError) as exc:
+        raise MissingReport(f"report file {path} is unreadable: {exc}")
     return rows
 
 
@@ -869,6 +847,12 @@ def summarize(manifest):
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise MissingReport(f"manifest {manifest} is unreadable: {exc}")
+        if not (isinstance(data, dict)
+                and isinstance(data.get("verdicts"), dict)
+                and isinstance(data.get("reports"), dict)
+                and all(isinstance(f, str) for f in data["reports"].values())):
+            raise MissingReport(f"manifest {manifest} is unreadable: not an "
+                                "object with reports and verdicts objects")
         base = os.path.dirname(os.path.abspath(manifest))
     lines = [f"{'functional':<22}{'n':>4}  {'mean':>14}  {'stderr':>14}"
              f"  {'count':>7}  verdict"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import NoHessian, UnknownName
+from .errors import UnknownName
 
 
 @dataclass
@@ -276,19 +276,3 @@ def make_test_function(name, **params):
     if name not in _CATALOG:
         raise UnknownName(f"no test function named {name!r}")
     return _CATALOG[name](**params)
-
-
-def component_function(F, k):
-    """The k-th gradient component f_k = d_k F as a scalar function.
-
-    Its gradient is the k-th hessian row of F; it has no hessian of its
-    own.  Requires F to provide second derivatives.
-    """
-    if F.hessian is None:
-        raise NoHessian(f"{F.name} has no second derivatives")
-    return TestFunction(
-        name=f"{F.name}.d{k}", dim=F.dim, regularity=F.regularity,
-        value=lambda x, _g=F.gradient: _g(x)[..., k],
-        gradient=lambda x, _h=F.hessian: _h(x)[..., k, :],
-        hessian=None, singular_points=list(F.singular_points),
-        params=dict(F.params, component=k))

@@ -1,11 +1,13 @@
 """Refined quadrature and integrability verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from roughdiff import integrability as ig
 from roughdiff.errors import BoxTooSmall, DimensionMismatch, NoHessian
-from roughdiff.testfunctions import component_function, make_test_function
+from roughdiff.testfunctions import make_test_function
 
 
 def closed_form_potential(pts):
@@ -166,7 +168,8 @@ class TestConditionChecks:
         assert res.finite
 
     def test_no_hessian(self):
-        F = component_function(make_test_function("quadratic", dim=1), 0)
+        F = dataclasses.replace(make_test_function("quadratic", dim=1),
+                                hessian=None)
         with pytest.raises(NoHessian):
             ig.check_condition_2(F, closed_form_potential,
                                  (-10.0, 10.0), 0.01)
@@ -181,10 +184,52 @@ class TestConditionChecks:
         F = make_test_function("abs_power", alpha=0.75)
         res = ig.check_condition_2(F, closed_form_potential,
                                    (-10.0, 10.0), 0.01)
-        entries = res.ladder_dict()
+        entries = res.payload()["ladders"]
         assert len(entries) == 1
         lad = entries[0]
         assert set(lad) == {"base", "increments", "partial_sums", "ratios",
                             "remainder", "finite"}
         assert lad["finite"] is True
         assert len(lad["increments"]) == 5
+
+
+class TestOnePass:
+    """check_condition_2 integrates |grad f_k|^2 U and every f_kl^2 U as
+    rows of one stacked integrand.  Each row must equal its lone integral
+    bit for bit: a transposed (P, N) product summed along its strided axis
+    skips numpy's pairwise blocking and moves the prop2 and prop3
+    denominators by an ulp, which the pinned report bytes of
+    D2_ALL_SWEEPS in test_runner_cli.py also catch."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.finite == want.finite
+        assert got.value == want.value
+        assert got.base == want.base
+        assert got.increments == want.increments
+        assert got.ratios == want.ratios
+
+    @pytest.mark.parametrize("name,params,weight,box,h", [
+        ("abs_power", {"alpha": 0.75}, closed_form_potential,
+         (-10.0, 10.0), 0.01),
+        ("radial_power", {"alpha": 0.75, "dim": 2}, gauss_weight_2d,
+         (-4.0, 4.0), 0.05),
+    ], ids=["abs_power", "radial_power"])
+    def test_rows_match_lone_integrals(self, name, params, weight, box, h):
+        F = make_test_function(name, **params)
+        res = ig.check_condition_2(F, weight, box, h)
+
+        def lone(row):
+            return ig.refined_integral(
+                lambda p: row(F.hessian(p)) * weight(p), box, h,
+                F.singular_points, F.dim)
+
+        assert len(res.components) == F.dim
+        for k, comp in enumerate(res.components):
+            assert comp.kind == "condition_1"
+            self._same(comp.ladder,
+                       lone(lambda H: (H[..., k, :] ** 2).sum(-1)))
+        for i, lad in enumerate(res.entry_ladders):
+            k, l = divmod(i, F.dim)
+            self._same(lad, lone(lambda H: H[..., k, l] ** 2))
+        assert res.components[0].ladder.increments

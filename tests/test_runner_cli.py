@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import roughdiff
-from roughdiff import runner, testfunctions
+from roughdiff import integrability, runner
 from roughdiff.cli import main as cli_main
 from roughdiff.errors import (
     ConditionViolated,
@@ -100,6 +100,12 @@ D2_RUN_SHA256 = {
     "prop2.csv":
         "a6ae66628fa7770c6371870af26074057c063e33b348874303b6093276dff325",
 }
+# SHA-256 of json.dumps(man.conditions, sort_keys=True): every evidence
+# ladder of the gate, bit for bit
+D2_ALL_SWEEPS_CONDITIONS_SHA256 = (
+    "53094055c88c85deb000eda045f685aa75982179e9cdc185a870c629895f7db5")
+ABS_POWER_CONDITIONS_SHA256 = (
+    "18873ede163ce49bd9c47e51f21a6084ef91c6805471c209063e2bc2518056f0")
 D2_ALL_SWEEPS_SHA256 = {
     "covariation.csv":
         "707eee52d65a9a38e94eb075312cfe42fcc98857403235ace107dc25b818bc4b",
@@ -673,6 +679,40 @@ class TestRunScenario:
         with pytest.raises(ConditionViolated, match="condition 2"):
             runner.run_scenario(cfg, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("cfg,digest", [
+        (D2_ALL_SWEEPS, D2_ALL_SWEEPS_CONDITIONS_SHA256),
+        # |x|^(7/4) is singular at 0, so its ladders carry shell increments
+        (quad_config(function={"name": "abs_power", "alpha": 0.75}),
+         ABS_POWER_CONDITIONS_SHA256),
+    ], ids=["d2-all-sweeps", "abs-power"])
+    def test_condition_ladders_pinned(self, tmp_path, cfg, digest):
+        man = runner.run_scenario(cfg, out_dir=str(tmp_path))
+        got = hashlib.sha256(json.dumps(man.conditions, sort_keys=True)
+                             .encode()).hexdigest()
+        assert got == digest
+
+    def test_gate_evaluates_potential_once_per_condition(self, monkeypatch):
+        # condition 2 yields prop2's per-axis integrals from its own pass,
+        # so U sees each node at most twice, once per condition (a pass
+        # per axis and per hessian entry would make seven in 2-d)
+        points = []
+        resolve = runner.resolve_potential
+
+        def counting(scn):
+            U = resolve(scn)
+            return lambda pts: (points.append(len(pts)), U(pts))[1]
+
+        monkeypatch.setattr(runner, "resolve_potential", counting)
+        scn = runner.load_scenario(D2_ALL_SWEEPS)
+        _, _, U = runner.gate_scenario(scn)
+        seen = sum(points)
+        points.clear()
+        # one box-mass check and one quadrature pass
+        integrability._check_box_mass(U, scn.box, scn.quad_h, 2)
+        integrability.refined_integral(U, scn.box, scn.quad_h,
+                                       scn.F.singular_points, 2)
+        assert 0 < seen <= 2 * sum(points)
+
 
 class TestKernelPotentialSweeps:
     def test_aronson_sweep(self, tmp_path):
@@ -981,7 +1021,8 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: config: must be a JSON object\n")
 
-    @pytest.mark.parametrize("text", [None, "{not json"])
+    # valid JSON that is not a manifest object, too
+    @pytest.mark.parametrize("text", [None, "{not json", "[1]", "{}"])
     def test_summarize_unreadable_manifest_exit_two(self, tmp_path, capsys,
                                                     text):
         path = tmp_path / "manifest.json"
@@ -992,6 +1033,21 @@ class TestCli:
         assert cli_main(["summarize", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest {path} ") and (
+            err.count("\n") == 1)
+
+    def test_summarize_short_report_row_exit_two(self, tmp_path, capsys):
+        man = runner.run_scenario(quad_config(sweeps=["qv"], n_paths=5,
+                                              orders=[2]),
+                                  out_dir=str(tmp_path))
+        report_path = os.path.join(man.out_dir, "qv.csv")
+        with open(report_path, "a") as fh:
+            fh.write("qv,2,1.0\n")
+        path = os.path.join(man.out_dir, "manifest.json")
+        with pytest.raises(MissingReport, match=f"report file {report_path} "):
+            runner.summarize(path)
+        assert cli_main(["summarize", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report file {report_path} ") and (
             err.count("\n") == 1)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -1,17 +1,11 @@
 """Derivative consistency and catalog behavior of the test functions."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughdiff.errors import NoHessian, UnknownName
-from roughdiff.testfunctions import (
-    PARAMS,
-    component_function,
-    make_test_function,
-)
+from roughdiff.errors import UnknownName
+from roughdiff.testfunctions import PARAMS, make_test_function
 
 
 # normal floats or 0, so every singular point of the catalog is drawn often
@@ -211,19 +205,3 @@ class TestCatalogInterface:
         F = make_test_function("quadratic", dim=2)
         with pytest.raises(ValueError):
             F.value(np.zeros(3))
-
-    def test_component_function(self):
-        F = make_test_function("quadratic", dim=2)
-        f1 = component_function(F, 1)
-        x = np.array([0.7, -0.3])
-        assert f1.value(x) == F.gradient(x)[1]
-        np.testing.assert_array_equal(f1.gradient(x), F.hessian(x)[1, :])
-        assert f1.hessian is None
-        with pytest.raises(NoHessian):
-            component_function(f1, 0)
-
-    def test_component_requires_hessian(self):
-        F = make_test_function("sin1d")
-        stripped = dataclasses.replace(F, hessian=None)
-        with pytest.raises(NoHessian):
-            component_function(stripped, 0)
