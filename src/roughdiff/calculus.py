@@ -1,9 +1,17 @@
 """Dyadic-grid functionals of sampled paths.
 
 All sums are compensated (Kahan) and run in a fixed term order, so results
-are bitwise reproducible and independent of how paths were batched.  Every
-operation accepts a single sample (time axis only) or a batch with leading
-axes; the time axis must hold 2^n + 1 dyadic samples.
+are bitwise reproducible and independent of how paths were batched.  The
+engine computes every functional of one dyadic grid in one pass,
+:func:`grid_sums`: it walks the grid's increments in time-major blocks of
+rows, writes each requested term of a block into one buffer, and runs one
+compensated loop over the buffer's rows in time order.  Every term is
+elementwise, so the bytes depend neither on the block size nor on the
+batch size.  The lone functionals :func:`quadratic_variation`,
+:func:`covariation`, :func:`forward_sum` and :func:`trapezoid_sum` are the
+references the tests hold that pass to, bit for bit; each accepts a single
+sample (time axis only) or a batch with leading axes.  A time axis must
+hold 2^n + 1 dyadic samples.
 
 The quadratic-variation calibration: for the coordinate of a process with
 generator div(a grad) under a = Id, QV along dyadic grids converges to 2 S.
@@ -16,6 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
+
+# increments per time-major block of grid_sums; bytes do not depend on it
+_BLOCK_ROWS = 64
+
+
+def _kahan_rows(blocks, shape):
+    """Compensated sum of every row of every block, in order: the one
+    compensated loop.  ``blocks`` yields arrays whose rows have ``shape``."""
+    s = np.zeros(shape)
+    c = np.zeros_like(s)
+    for block in blocks:
+        for row in block:
+            y = row - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+    return s
 
 
 def kahan_sum(terms):
@@ -31,13 +56,7 @@ def kahan_sum(terms):
             c = (t - s) - y
             s = t
         return s
-    s = np.zeros(a.shape[:-1])
-    c = np.zeros_like(s)
-    for j in range(a.shape[-1]):
-        y = a[..., j] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
+    s = _kahan_rows([np.moveaxis(a, -1, 0)], a.shape[:-1])
     return s if s.ndim else float(s)
 
 
@@ -47,6 +66,80 @@ def _check_dyadic(length, what="values"):
         raise LengthMismatch(
             f"{what} must hold 2^n + 1 dyadic samples, got {length}")
     return m
+
+
+# the terms grid_sums knows, in buffer order; the per-axis ones have one
+# row per axis
+_TERMS = ("qv", "cov", "cov_abs", "fwd", "trap", "taylor")
+_PER_AXIS = ("cov", "cov_abs")
+
+
+def grid_sums(states, values, grads, terms):
+    """Compensated sums over one dyadic grid of the requested ``terms``.
+
+    states and grads: (B, 2^n + 1, d); values: (B, 2^n + 1), F and grad F
+    at the states.  The terms of increment i, with dF = F_{i+1} - F_i,
+    dx = x_{i+1} - x_i and g = grad F:
+
+      "qv"       dF^2                         (quadratic_variation of F)
+      "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
+      "cov_abs"  |dg_k dx_k|                  (its abs_value)
+      "fwd"      g_i . dx                     (forward_sum)
+      "trap"     (g_i + g_{i+1})/2 . dx       (trapezoid_sum)
+      "taylor"   |dF - g_i . dx|              (the Taylor remainder)
+
+    Returns {term: (B,) sums, or (d, B) for "cov" and "cov_abs"}, equal bit
+    for bit to the lone references named above.  The d-axis sums run over
+    the last axis of time-major (rows, B, d) blocks, the order NumPy gives
+    the references' (B, rows, d) products.
+    """
+    x = np.asarray(states, dtype=float)
+    v = np.asarray(values, dtype=float)
+    g = np.asarray(grads, dtype=float)
+    m = _check_dyadic(x.shape[-2], "states")
+    b, d = x.shape[0], x.shape[-1]
+    # each term's index into a buffer row: a slice of d rows for the
+    # per-axis terms, one row otherwise
+    slots, width = {}, 0
+    for term in _TERMS:
+        if term in _PER_AXIS and term in terms:
+            slots[term] = slice(width, width + d)
+            width += d
+        elif term in terms:
+            slots[term] = width
+            width += 1
+    buf = np.empty((min(_BLOCK_ROWS, m), width, b))
+
+    def blocks():
+        for i0 in range(0, m, _BLOCK_ROWS):
+            i1 = min(i0 + _BLOCK_ROWS, m)
+            out = buf[:i1 - i0]
+            vt = np.ascontiguousarray(v[:, i0:i1 + 1].T)
+            xt = np.ascontiguousarray(x[:, i0:i1 + 1].transpose(1, 0, 2))
+            gt = np.ascontiguousarray(g[:, i0:i1 + 1].transpose(1, 0, 2))
+            dv = vt[1:] - vt[:-1]
+            dx = xt[1:] - xt[:-1]
+            if "qv" in slots:
+                np.multiply(dv, dv, out=out[:, slots["qv"]])
+            if "cov" in slots or "cov_abs" in slots:
+                prod = ((gt[1:] - gt[:-1]) * dx).transpose(0, 2, 1)
+                if "cov" in slots:
+                    out[:, slots["cov"]] = prod
+                if "cov_abs" in slots:
+                    np.abs(prod, out=out[:, slots["cov_abs"]])
+            if "fwd" in slots or "taylor" in slots:
+                gdx = (gt[:-1] * dx).sum(axis=-1)
+                if "fwd" in slots:
+                    out[:, slots["fwd"]] = gdx
+                if "taylor" in slots:
+                    np.abs(dv - gdx, out=out[:, slots["taylor"]])
+            if "trap" in slots:
+                mid = 0.5 * (gt[:-1] + gt[1:])
+                out[:, slots["trap"]] = (mid * dx).sum(axis=-1)
+            yield out
+
+    s = _kahan_rows(blocks(), (width, b))
+    return {term: s[slot] for term, slot in slots.items()}
 
 
 def quadratic_variation(values):
@@ -112,11 +205,15 @@ def trapezoid_sum(grad_values, x_values):
 
 
 def mean_stderr(values):
-    """Compensated mean and standard error of a 1-d sample."""
+    """Compensated mean and standard error of the samples along the last
+    axis: two floats for a 1-d sample, two arrays over the leading axes of
+    a stacked one."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
+    n = v.shape[-1]
     m = kahan_sum(v) / n
     if n < 2:
-        return float(m), 0.0
-    var = kahan_sum((v - m) ** 2) / (n - 1)
-    return float(m), float(np.sqrt(var / n))
+        se = np.zeros_like(m)
+    else:
+        var = kahan_sum((v - np.expand_dims(m, -1)) ** 2) / (n - 1)
+        se = np.sqrt(var / n)
+    return (float(m), float(se)) if v.ndim == 1 else (m, se)

@@ -143,7 +143,7 @@ class CheckerboardField(CoefficientField):
     def _diag_many(self, pts):
         # a contiguous copy: MollifiedField's einsum sums in an order set
         # by its operands' strides, and a zero-stride view moves its bytes
-        return np.stack([self.scalar(pts)] * self.dim, axis=1)
+        return np.column_stack([self.scalar(pts)] * self.dim)
 
 
 class SmoothSineField(CoefficientField):
@@ -159,7 +159,7 @@ class SmoothSineField(CoefficientField):
         return 1.0 + 0.5 * np.sin(pts[:, 0])
 
     def _diag_many(self, pts):
-        return np.stack([self.scalar(pts)] * self.dim, axis=1)
+        return np.column_stack([self.scalar(pts)] * self.dim)
 
     def divergence_many(self, pts):
         # the divergence of s(x1) Id is (s'(x1), 0, ..., 0)

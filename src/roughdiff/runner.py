@@ -51,9 +51,10 @@ CSV_HEADER = "functional,n,mean,stderr,count"
 class PathSweep:
     """One path sweep.  ``functional`` and ``denom`` hold ``{k}`` when the
     sweep reports one functional per axis k.  ``value(p, k)`` reads the
-    ``needs`` pieces of one dyadic grid from ``p``; the result is divided
-    by the gate_scenario denominator ``denom`` if there is one.  ``gate``
-    is the integrability condition (1 or 2) the sweep relies on, and
+    sums of the ``needs`` terms of one dyadic grid (see calculus.grid_sums)
+    from ``p``, and ``p["v"]``, the values of F; the result is divided by
+    the gate_scenario denominator ``denom`` if there is one.  ``gate`` is
+    the integrability condition (1 or 2) the sweep relies on, and
     ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
     "no-growth" (see _no_growth)."""
 
@@ -66,50 +67,26 @@ class PathSweep:
     value: object
 
 
-def _covariations(p):
-    return [calculus.covariation(p["g"][..., k], p["s"][..., k])
-            for k in range(p["s"].shape[-1])]
-
-
 def _half_covariation(p):
-    covs = p["covs"]
-    half = 0.5 * covs[0].value
-    for c in covs[1:]:
-        half = half + 0.5 * c.value
+    cov = p["cov"]
+    half = 0.5 * cov[0]
+    for c in cov[1:]:
+        half = half + 0.5 * c
     return half
 
 
-# shared pieces in dependency order ("halfcov" reads "covs"); the calculus
-# primitives are looked up at call time so wrappers patched into the
-# module see every call
-_PIECES = (
-    ("qv", lambda p: calculus.quadratic_variation(p["v"])),
-    ("covs", _covariations),
-    ("fwd", lambda p: calculus.forward_sum(p["g"], p["s"])),
-    ("halfcov", _half_covariation),
-)
-
-
 def _covariation_total(p, k):
-    covs = p["covs"]
-    total = covs[0].value + 0.0
-    for c in covs[1:]:
-        total = total + c.value
+    cov = p["cov"]
+    total = cov[0] + 0.0
+    for c in cov[1:]:
+        total = total + c
     return total
 
 
 def _ito_residual(p, k):
     """|R_n|, R_n = F(X_S) - F(X_0) - forward sum - half covariation."""
     v = p["v"]
-    return np.abs((v[:, -1] - v[:, 0]) - p["fwd"] - p["halfcov"])
-
-
-def _taylor_remainder(p, k):
-    """sum_i |F(X_{i+1}) - F(X_i) - grad F(X_i) . dX_i|."""
-    s, v, g = p["s"], p["v"], p["g"]
-    dx = np.diff(s, axis=-2)
-    rem = v[:, 1:] - v[:, :-1] - (g[:, :-1, :] * dx).sum(axis=-1)
-    return calculus.kahan_sum(np.abs(rem))
+    return np.abs((v[:, -1] - v[:, 0]) - p["fwd"] - _half_covariation(p))
 
 
 SWEEP_TABLE = {row.name: row for row in (
@@ -117,22 +94,21 @@ SWEEP_TABLE = {row.name: row for row in (
     #         gate  denom         verdict      value
     PathSweep("qv",           "qv",               ("qv",),
               1,    None,         "report",    lambda p, k: p["qv"]),
-    PathSweep("covariation",  "covariation",      ("covs",),
+    PathSweep("covariation",  "covariation",      ("cov",),
               1,    None,         "report",    _covariation_total),
     PathSweep("forward",      "forward",          ("fwd",),
               1,    None,         "report",    lambda p, k: p["fwd"]),
-    PathSweep("trapezoid",    "trapezoid",        ("covs", "fwd", "halfcov"),
-              1,    None,         "trapezoid",
-              lambda p, k: calculus.trapezoid_sum(p["g"], p["s"])),
-    PathSweep("ito_residual", "ito_residual_abs", ("covs", "fwd", "halfcov"),
+    PathSweep("trapezoid",    "trapezoid",        ("trap", "fwd", "cov"),
+              1,    None,         "trapezoid", lambda p, k: p["trap"]),
+    PathSweep("ito_residual", "ito_residual_abs", ("fwd", "cov"),
               2,    None,         "report",    _ito_residual),
     PathSweep("prop1",        "prop1_ratio",      ("qv",),
               1,    "prop1",      "no-growth", lambda p, k: p["qv"]),
-    PathSweep("prop2",        "prop2_ratio_k{k}", ("covs",),
+    PathSweep("prop2",        "prop2_ratio_k{k}", ("cov_abs",),
               1,    "prop2_k{k}", "no-growth",
-              lambda p, k: p["covs"][k].abs_value),
-    PathSweep("prop3",        "prop3_ratio",      (),
-              2,    "prop3",      "no-growth", _taylor_remainder),
+              lambda p, k: p["cov_abs"][k]),
+    PathSweep("prop3",        "prop3_ratio",      ("taylor",),
+              2,    "prop3",      "no-growth", lambda p, k: p["taylor"]),
 )}
 
 PATH_SWEEPS = tuple(SWEEP_TABLE)
@@ -144,16 +120,14 @@ def grid_values(rows, states, values, grads, denoms):
     """Per-path values of the rows' functionals on one dyadic grid.
 
     states: (B, 2^n + 1, d); values and grads: F and grad F at those
-    states.  Every shared piece the rows need is computed once.  Returns
-    ({(sweep, functional): (B,) array}, gap), where gap is the largest
-    relative distance of the trapezoid sum from forward + half covariation
-    (0.0 without a trapezoid row).
+    states.  Every term the rows need is summed in one compensated pass.
+    Returns ({(sweep, functional): (B,) array}, gap), where gap is the
+    largest relative distance of the trapezoid sum from forward + half
+    covariation (0.0 without a trapezoid row).
     """
-    p = {"s": states, "v": values, "g": grads}
-    needs = {piece for row in rows for piece in row.needs}
-    for piece, compute in _PIECES:
-        if piece in needs:
-            p[piece] = compute(p)
+    p = calculus.grid_sums(states, values, grads,
+                           {term for row in rows for term in row.needs})
+    p["v"] = values
     out = {}
     gap = 0.0
     for row in rows:
@@ -164,7 +138,7 @@ def grid_values(rows, states, values, grads, denoms):
                 val = val / denoms[row.denom.format(k=k)]
             out[(row.name, row.functional.format(k=k))] = val
         if row.verdict == "trapezoid":
-            rel = np.abs(val - p["fwd"] - p["halfcov"])
+            rel = np.abs(val - p["fwd"] - _half_covariation(p))
             rel /= np.maximum(1.0, np.abs(val))
             gap = float(rel.max())
     return out, gap
@@ -759,11 +733,13 @@ def _path_sweep_reports(scn, chunks):
     """Reduce chunk values into (CSV rows, verdict, artifacts) per sweep."""
     trap_violation = max(c["trap_violation"] for c in chunks)
     rows = {s: [] for s in scn.sweeps if s in PATH_SWEEPS}
-    for key in chunks[0]["values"]:
-        sweep, functional, n = key
-        arr = np.concatenate([c["values"][key] for c in chunks])
-        mean, se = calculus.mean_stderr(arr)
-        rows[sweep].append((functional, n, mean, se, arr.shape[0]))
+    keys = list(chunks[0]["values"])
+    stacked = np.stack([np.concatenate([c["values"][key] for c in chunks])
+                        for key in keys])
+    means, ses = calculus.mean_stderr(stacked)
+    for (sweep, functional, n), mean, se in zip(keys, means, ses):
+        rows[sweep].append((functional, n, float(mean), float(se),
+                            stacked.shape[1]))
     out = {}
     for s, sweep_rows in rows.items():
         sweep_rows.sort(key=lambda r: (r[0], r[1]))

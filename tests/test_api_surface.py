@@ -15,8 +15,9 @@ import roughdiff
 
 SRC = pathlib.Path(roughdiff.__file__).parent
 REFERENCE_IMPLEMENTATIONS = {
-    "ExplicitField", "aronson_lower", "exact_brownian_kernel",
-    "gaussian_ref", "log_time_grid", "tabulate_kernel",
+    "CovariationResult", "ExplicitField", "aronson_lower", "covariation",
+    "exact_brownian_kernel", "forward_sum", "gaussian_ref", "log_time_grid",
+    "quadratic_variation", "tabulate_kernel", "trapezoid_sum",
 }
 
 

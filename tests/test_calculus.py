@@ -158,6 +158,93 @@ class TestForwardAndTrapezoid:
             calc.forward_sum(np.zeros((5, 1)), np.zeros((5, 2)))
 
 
+@st.composite
+def grid_batches(draw):
+    """(states, values, grads) of 1-4 paths on D_n, n in [0, 10], d in
+    {1, 2, 3}: entries over twenty orders of magnitude, with some signed
+    zeros, from a drawn seed."""
+    n = draw(st.integers(0, 10))
+    d = draw(st.sampled_from([1, 2, 3]))
+    b = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sample(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-10, 10, shape)
+        a[rng.random(shape) < 0.05] = -0.0
+        return a
+
+    return (np.cumsum(sample(b, 2 ** n + 1, d), axis=1),
+            sample(b, 2 ** n + 1), sample(b, 2 ** n + 1, d))
+
+
+def same_bytes(a, b):
+    """Equal shapes and bytes: == that also tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def lone_references(states, values, grads):
+    """Every grid_sums term from the lone functionals."""
+    covs = [calc.covariation(grads[..., k], states[..., k])
+            for k in range(states.shape[-1])]
+    dx = np.diff(states, axis=-2)
+    rem = values[:, 1:] - values[:, :-1] - (grads[:, :-1] * dx).sum(axis=-1)
+    return {"qv": calc.quadratic_variation(values),
+            "cov": [c.value for c in covs],
+            "cov_abs": [c.abs_value for c in covs],
+            "fwd": calc.forward_sum(grads, states),
+            "trap": calc.trapezoid_sum(grads, states),
+            "taylor": calc.kahan_sum(np.abs(rem))}
+
+
+class TestOnePass:
+    """grid_sums and the engine's sweep rows against the lone references,
+    bit for bit, at every block size."""
+
+    @PROPERTY
+    @given(grid_batches())
+    def test_pass_matches_lone_references(self, batch):
+        states, values, grads = batch
+        ref = lone_references(states, values, grads)
+        rows = list(runner.SWEEP_TABLE.values())
+        denoms = dict.fromkeys(
+            ["prop1", "prop3"] + [f"prop2_k{k}"
+                                  for k in range(states.shape[-1])], 1.0)
+        for block in (1, 3, 64, 1024):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(calc, "_BLOCK_ROWS", block)
+                sums = calc.grid_sums(states, values, grads, set(ref))
+                got, _ = runner.grid_values(rows, states, values, grads,
+                                            denoms)
+            for term, want in ref.items():
+                assert same_bytes(sums[term], want), (term, block)
+            assert same_bytes(got[("qv", "qv")], ref["qv"])
+            assert same_bytes(got[("forward", "forward")], ref["fwd"])
+            assert same_bytes(got[("trapezoid", "trapezoid")], ref["trap"])
+            assert same_bytes(got[("prop3", "prop3_ratio")], ref["taylor"])
+            for k, abs_k in enumerate(ref["cov_abs"]):
+                assert same_bytes(got[("prop2", f"prop2_ratio_k{k}")],
+                                  abs_k)
+
+    def test_one_compensated_loop_per_grid(self, monkeypatch):
+        loops = []
+        kahan_rows = calc._kahan_rows
+
+        def counted(blocks, shape):
+            loops.append(shape)
+            return kahan_rows(blocks, shape)
+
+        monkeypatch.setattr(calc, "_kahan_rows", counted)
+        monkeypatch.setattr(runner, "BATCH_PATHS", 16)
+        scn = runner.load_scenario(dict(SIN_CONFIG, n_paths=40,
+                                        sweeps=list(runner.PATH_SWEEPS)))
+        denoms = runner.gate_scenario(scn)[1]
+        loops.clear()
+        runner.evaluate_chunk(scn, 0, 40, denoms)
+        # three batches of one grid per order
+        assert len(loops) == 3 * len(scn.orders)
+
+
 def qv_root(v):
     """Square root of the QV of v along the last axis.  The QV is taken on
     v times the power of two that lifts its largest increment to [1, 2),
@@ -252,6 +339,15 @@ class TestReports:
             se, np.std([1, 2, 3, 4], ddof=1) / 2.0, rtol=1e-12)
         m1, se1 = calc.mean_stderr([5.0])
         assert (m1, se1) == (5.0, 0.0)
+
+    @PROPERTY
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4),
+                                            st.integers(1, 40)),
+                      elements=st.floats(-1e6, 1e6)))
+    def test_stacked_rows_match_lone_samples(self, v):
+        means, ses = calc.mean_stderr(v)
+        for row, m, se in zip(v, means, ses):
+            assert same_bytes([m, se], calc.mean_stderr(row))
 
 
 # the prop sweeps of sin(X) for a standard start at the origin, d = 1,

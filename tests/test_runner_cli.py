@@ -126,6 +126,41 @@ D2_ALL_SWEEPS_SHA256 = {
 }
 
 
+# a 1-d scenario running every path sweep up to order 9, so the finest
+# grids span several blocks of the one compensated pass; report SHA-256s
+# taken before the sweeps' sums were fused into that pass
+D1_ALL_SWEEPS = {
+    "field": {"name": "identity", "dim": 1},
+    "function": {"name": "quadratic", "dim": 1},
+    "law": {"kind": "dirac", "point": [0.5]},
+    "horizon": 1.0,
+    "orders": [2, 5, 8, 9],
+    "n_paths": 300,
+    "fine_margin": 2,
+    "seed": 23,
+    "sweeps": ["qv", "covariation", "forward", "trapezoid", "ito_residual",
+               "prop1", "prop2", "prop3"],
+}
+D1_ALL_SWEEPS_SHA256 = {
+    "covariation.csv":
+        "8afe886420c64540bed35e990197711b8ceb7171d4510a66094882c0b40130c4",
+    "forward.csv":
+        "22802b3341ae2d4cbc2beeb5b58f3ae096249b1be30f8f762f19f47c7c07a762",
+    "ito_residual.csv":
+        "a5066a3314cc360a0cb133cd10d6492ebab3ef3a0cee515510d400a93c24f0f7",
+    "prop1.csv":
+        "b8d79af3c15e10766bbe16fd250bf34a08c466a64c3fe08ca57c16cbaec95585",
+    "prop2.csv":
+        "f55179e6e7d3dd731d74647afdffc184bc22013d57d32f2f1407890bbaea1086",
+    "prop3.csv":
+        "bfeb5ccf98262035453c7e8d2ca3c2ee7228d2ecabc36d928a4bcee639a74d26",
+    "qv.csv":
+        "d4d9c7ca0a042a6f61089bfcfd5df67d4372dc204dc8e5f6fa7aca0c6420a5f5",
+    "trapezoid.csv":
+        "609d8af1d8527328eed2f027701db50f3c271d5a6f3a81cb64bc517aac10415f",
+}
+
+
 KERNEL_CFG = {"box": [-4.0, 4.0], "h": 0.05, "dt": 5e-4, "times": [0.25],
               "candidates": [2.0, 4.0]}
 # a lattice walk on the default h and fine_margin: 2 lam / h^2 jumps per
@@ -601,6 +636,15 @@ class TestRunScenario:
                    for f in man.reports.values()}
             assert got == D2_ALL_SWEEPS_SHA256
             assert man.all_pass()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_d1_all_sweeps_pinned(self, tmp_path, workers):
+        man = runner.run_scenario(D1_ALL_SWEEPS, workers=workers,
+                                  out_dir=str(tmp_path))
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in man.reports.values()}
+        assert got == D1_ALL_SWEEPS_SHA256
+        assert man.all_pass()
 
     def test_more_workers_than_paths(self, tmp_path):
         cfg = quad_config(n_paths=3, orders=[2], sweeps=["qv"])
