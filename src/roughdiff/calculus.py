@@ -46,16 +46,6 @@ def _kahan_rows(blocks, shape):
 def kahan_sum(terms):
     """Compensated sum along the last axis, fixed left-to-right term order."""
     a = np.asarray(terms, dtype=float)
-    if a.ndim == 1:
-        # the same loop in Python floats: IEEE doubles like float64, so the
-        # bytes agree, without a NumPy scalar operation per term
-        s = c = 0.0
-        for v in a.tolist():
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        return s
     s = _kahan_rows([np.moveaxis(a, -1, 0)], a.shape[:-1])
     return s if s.ndim else float(s)
 

@@ -10,39 +10,24 @@ for a single ellipticity constant lam >= 1.  Fields carry a smoothness tag:
 constant) do not, and "mollified" fields are smoothed versions of rough ones
 obtained by convolution against a compactly supported bump.
 
-All evaluation is batched: ``field.diagonal(points)`` accepts a single point
-of shape (d,) or a stack of shape (N, d) and returns the same shape.
+A field is evaluated on a stack of points (N, d) in two ways:
+``field._diag_many(points)`` returns the diagonal of a, and every field
+that takes an Euler-Maruyama step (non-constant and not rough) states its
+drift exactly in ``field.matrix_and_divergence(points)``, which returns the
+same diagonal together with div a, both (N, d).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonPositiveDefinite,
-    RoughFieldError,
-    UnknownName,
-)
-
-
-def _as_points(x, dim):
-    """Return (points (N, d), was_single) from a (d,) or (N, d) input."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        if pts.shape[0] != dim:
-            raise DimensionMismatch(
-                f"point has dimension {pts.shape[0]}, field has {dim}")
-        return pts[None, :], True
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise DimensionMismatch(
-            f"expected points of shape (N, {dim}), got {pts.shape}")
-    return pts, False
+from .errors import NonPositiveDefinite, UnknownName
 
 
 class CoefficientField:
     """Base class for coefficient fields; subclasses define ``_diag_many``,
-    the diagonal of a at points (N, d) as an (N, d) array.
+    the diagonal of a at points (N, d) as an (N, d) array, and those that
+    take an Euler-Maruyama step also ``matrix_and_divergence``.
 
     Attributes
     ----------
@@ -68,17 +53,6 @@ class CoefficientField:
 
     def _diag_many(self, pts):
         raise NotImplementedError
-
-    def diagonal(self, x):
-        """Diagonal entries of a(x); (d,) -> (d,) and (N, d) -> (N, d)."""
-        pts, single = _as_points(x, self.dim)
-        out = self._diag_many(pts)
-        return out[0] if single else out
-
-    def matrix_and_divergence(self, pts):
-        """The diagonal of a and div a at the points (N, d), both (N, d),
-        for the Euler-Maruyama step."""
-        return self._diag_many(pts), divergence(self, pts)
 
 
 class IdentityField(CoefficientField):
@@ -161,30 +135,11 @@ class SmoothSineField(CoefficientField):
     def _diag_many(self, pts):
         return np.column_stack([self.scalar(pts)] * self.dim)
 
-    def divergence_many(self, pts):
-        # the divergence of s(x1) Id is (s'(x1), 0, ..., 0)
-        out = np.zeros_like(pts)
-        out[:, 0] = 0.5 * np.cos(pts[:, 0])
-        return out
-
-
-class ExplicitField(CoefficientField):
-    """Field defined by a user callable mapping (N, d) points to diagonals.
-
-    The callable may return shape (N, d), or (N,) / (N, 1) for a scalar
-    field interpreted as s(x) Id.  Smoothness and the ellipticity constant
-    are declared by the caller and trusted.
-    """
-
-    def __init__(self, fn, dim, lam, smoothness="smooth"):
-        self.fn = fn
-        self.dim = int(dim)
-        self.lam = float(lam)
-        self.smoothness = smoothness
-
-    def _diag_many(self, pts):
-        raw = np.asarray(self.fn(pts), dtype=float)
-        return np.broadcast_to(raw.reshape(pts.shape[0], -1), pts.shape)
+    def matrix_and_divergence(self, pts):
+        """diag a(x) and div a(x) = (s'(x_1), 0, ..., 0), both (N, d)."""
+        div = np.zeros_like(pts)
+        div[:, 0] = 0.5 * np.cos(pts[:, 0])
+        return self._diag_many(pts), div
 
 
 def _bump(u2):
@@ -201,11 +156,11 @@ class MollifiedField(CoefficientField):
     reproduced exactly and the ellipticity interval is preserved (each
     diagonal entry is a convex combination of base values).
 
-    The divergence is exposed through the identity d(a * phi) = a * (d phi):
-    the same nodes are reused with derivative-kernel weights.  Differencing
-    the quadrature-approximated convolution instead would be ill-posed (it
-    is piecewise constant in x), which is why the field publishes
-    ``divergence_many`` directly.
+    The divergence comes from the identity d(a * phi) = a * (d phi): the
+    same nodes are reused with derivative-kernel weights, and
+    ``matrix_and_divergence`` returns both sums from one sweep over the
+    base field.  Differencing the quadrature-approximated convolution
+    instead would be ill-posed (it is piecewise constant in x).
     """
 
     smoothness = "mollified"
@@ -247,10 +202,6 @@ class MollifiedField(CoefficientField):
         vals = self._shifted_values(pts)
         return np.einsum("k,nki->ni", self.weights, vals)
 
-    def divergence_many(self, pts):
-        vals = self._shifted_values(pts)
-        return np.einsum("kp,nkp->np", self.dweights, vals)
-
     def matrix_and_divergence(self, pts):
         """Both diag a(x) and div a(x) from one sweep over the base field."""
         vals = self._shifted_values(pts)
@@ -285,33 +236,3 @@ def make_field(name, mollify=None, **params):
         raise UnknownName(f"no coefficient field named {name!r}")
     f = _CATALOG[name](**params)
     return f if mollify is None else MollifiedField(f, mollify)
-
-
-# ---------------------------------------------------------------- operations
-
-def divergence(field, x, step=1e-4):
-    """Divergence of the field, (div a)_i = d_i a_ii.
-
-    Smooth fields are differenced centrally with the given step; mollified
-    fields answer through their derivative-kernel quadrature.  Rough fields
-    raise RoughFieldError: their divergence only exists as a distribution.
-
-    Accepts a single point (d,) or a stack (N, d) and matches the shape on
-    output.
-    """
-    pts, single = _as_points(x, field.dim)
-    if hasattr(field, "divergence_many"):
-        out = field.divergence_many(pts)
-        return out[0] if single else out
-    if field.smoothness == "rough":
-        raise RoughFieldError(
-            "central differences need a smooth field; mollify it first")
-    d = field.dim
-    out = np.zeros_like(pts)
-    for i in range(d):
-        shift = np.zeros(d)
-        shift[i] = step
-        hi = field._diag_many(pts + shift)
-        lo = field._diag_many(pts - shift)
-        out[:, i] = (hi[:, i] - lo[:, i]) / (2.0 * step)
-    return out[0] if single else out

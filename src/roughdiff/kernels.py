@@ -773,7 +773,7 @@ def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):
                        for _ in range(n_samples)])
     if field.is_constant:
         # the SDE solution is Gaussian given T: exact sampling, no grid
-        root = np.sqrt(2.0 * field.diagonal(np.zeros(dim)))
+        root = np.sqrt(2.0 * field._diag_many(np.zeros((1, dim)))[0])
         z = rng.standard_normal((n_samples, dim))
         samples = x0 + np.sqrt(T)[:, None] * (z * root)
     else:
@@ -869,16 +869,11 @@ def _k0(z):
     return np.where(z > 0.0, k, np.inf)
 
 
-def _envelope_potential(r, M, dim):
-    """Pointwise upper bound on U nu(x) at distance r from the hull of
-    nu's support, from the upper Gaussian envelope integrated against
-    e^(-s)."""
-    r = np.asarray(r, dtype=float)
-    if dim == 1:
-        return M * np.sqrt(np.pi) * np.exp(-2.0 * r / np.sqrt(M))
-    if dim == 2:
-        return 2.0 * M * _k0(2.0 * r / np.sqrt(M))
-    raise ValueError("envelope tails cover d in {1, 2}")
+def _envelope_potential(r, M):
+    """Pointwise upper bound on U nu(x) in d = 2 at distance r from the
+    hull of nu's support, from the upper Gaussian envelope integrated
+    against e^(-s)."""
+    return 2.0 * M * _k0(2.0 * r / np.sqrt(M))
 
 
 @dataclass
@@ -928,7 +923,7 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
             -2.0 * q * R / np.sqrt(M))
     else:
         r = R * np.exp(np.linspace(0.0, 4.0, 400))
-        env = _envelope_potential(r, M, 2) ** q
+        env = _envelope_potential(r, M) ** q
         a, b = nu.hull()
         perimeter = 2.0 * float(np.sum(b - a))
         tail = float(np.trapezoid(env * (2.0 * np.pi * r + perimeter), r))

@@ -15,7 +15,7 @@ import roughdiff
 
 SRC = pathlib.Path(roughdiff.__file__).parent
 REFERENCE_IMPLEMENTATIONS = {
-    "CovariationResult", "ExplicitField", "aronson_lower", "covariation",
+    "CovariationResult", "aronson_lower", "covariation",
     "exact_brownian_kernel", "forward_sum", "gaussian_ref", "log_time_grid",
     "quadratic_variation", "tabulate_kernel", "trapezoid_sum",
 }

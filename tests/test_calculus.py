@@ -84,9 +84,9 @@ class TestKahanSum:
                       elements=st.floats(allow_nan=False,
                                          allow_infinity=False)))
     def test_one_dim_loop_matches_batch_loop(self, v):
-        # 1-d input runs in Python floats, batched input in float64 arrays
-        one = calc.kahan_sum(v)
+        # a 1-d sum and a one-row batch run the same compensated loop
         with np.errstate(over="ignore", invalid="ignore"):
+            one = calc.kahan_sum(v)
             batch = calc.kahan_sum(v[None, :])[0]
         assert np.float64(one).tobytes() == batch.tobytes()
 

@@ -5,19 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from roughdiff import fields
-from roughdiff.errors import (
-    DimensionMismatch,
-    RoughFieldError,
-    UnknownName,
-)
+from roughdiff import fields, sampling
+from roughdiff.errors import RoughFieldError, UnknownName
 
 
 def step_field():
-    """1D rough field: a(x) = 1 for x < 0, 2 for x >= 0."""
-    return fields.ExplicitField(
-        fn=lambda pts: np.where(pts[:, 0] < 0, 1.0, 2.0),
-        dim=1, lam=2.0, smoothness="rough")
+    """1D rough field: a(x) = 1 for x in [-10, 0), 2 for x in [0, 10)."""
+    return fields.make_field("checkerboard", lo=1.0, hi=2.0, cell=10.0)
+
+
+class AffineField(fields.CoefficientField):
+    """1D a(x) = 2 + x / 2, a base to mollify; in [1/4, 4] for |x| < 3."""
+    lam = 4.0
+
+    def _diag_many(self, pts):
+        return 2.0 + 0.5 * pts
 
 
 # parameters for every catalog entry, in d = 1 and d = 2
@@ -41,7 +43,7 @@ def test_catalog_symmetric_within_lambda(name, mollify):
         g = np.linspace(-3.3, 3.3, 41 if f.dim == 1 else 13)
         pts = np.stack(np.meshgrid(*[g] * f.dim, indexing="ij"),
                        -1).reshape(-1, f.dim)
-        a = f.diagonal(pts)
+        a = f._diag_many(pts)
         assert a.shape == pts.shape
         assert a.min() >= (1.0 - 1e-12) / f.lam
         assert a.max() <= (1.0 + 1e-12) * f.lam
@@ -65,29 +67,16 @@ class TestCatalog:
         x = np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5]])
         np.testing.assert_array_equal(f.scalar(x), [2.0, 0.5, 2.0])
 
-    def test_shapes_single_vs_batch(self):
-        f = fields.make_field("smooth-sine", dim=2)
-        one = f.diagonal(np.array([0.3, -1.0]))
-        many = f.diagonal(np.array([[0.3, -1.0], [0.0, 0.0], [1.0, 2.0]]))
-        assert one.shape == (2,)
-        assert many.shape == (3, 2)
-        np.testing.assert_array_equal(one, many[0])
-
-    def test_dimension_mismatch(self):
-        f = fields.IdentityField(dim=2)
-        with pytest.raises(DimensionMismatch):
-            f.diagonal(np.zeros(3))
-
 
 class TestMollify:
     def test_step_midpoint_value(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
-        val = m.diagonal(np.array([0.0]))[0]
+        val = m._diag_many(np.array([[0.0]]))[0, 0]
         assert val == pytest.approx(1.5, abs=1e-3)
 
     def test_step_away_from_jump(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
-        left, right = m.diagonal(np.array([[-0.25], [0.25]]))[:, 0]
+        left, right = m._diag_many(np.array([[-0.25], [0.25]]))[:, 0]
         assert left == pytest.approx(1.0, abs=1e-14)
         assert right == pytest.approx(2.0, abs=1e-14)
 
@@ -95,63 +84,85 @@ class TestMollify:
         base = fields.ConstantDiagonalField([1.7])
         m = fields.MollifiedField(base, eps=0.3)
         x = np.linspace(-2, 2, 9)[:, None]
-        np.testing.assert_array_equal(m.diagonal(x)[:, 0], np.full(9, 1.7))
+        np.testing.assert_array_equal(m._diag_many(x)[:, 0], np.full(9, 1.7))
 
     def test_monotone_transition(self):
         m = fields.MollifiedField(step_field(), eps=0.1)
         x = np.linspace(-0.15, 0.15, 61)[:, None]
-        vals = m.diagonal(x)[:, 0]
+        vals = m._diag_many(x)[:, 0]
         assert np.all(np.diff(vals) >= -1e-14)
 
     def test_mollify_2d_constant(self):
         base = fields.ConstantDiagonalField([2.0, 0.5])
         m = fields.MollifiedField(base, eps=0.2)
         np.testing.assert_allclose(
-            m.diagonal(np.array([0.4, -0.1])), [2.0, 0.5], atol=1e-14)
+            m._diag_many(np.array([[0.4, -0.1]]))[0], [2.0, 0.5], atol=1e-14)
 
 
 class TestDivergence:
-    def test_quadratic_frozen(self):
-        # a(x) = 1 + x^2 has div a = 2x; central differences are exact here
-        f = fields.ExplicitField(
-            fn=lambda pts: 1.0 + pts[:, 0] ** 2, dim=1, lam=10.0,
-            smoothness="smooth")
-        val = fields.divergence(f, np.array([1.0]), step=1e-4)
-        assert val[0] == pytest.approx(2.0, abs=1e-6)
-
     def test_smooth_sine_analytic_vs_differences(self):
-        f = fields.make_field("smooth-sine", dim=2)
-        g = fields.ExplicitField(
-            fn=lambda pts: 1.0 + 0.5 * np.sin(pts[:, 0]), dim=2, lam=2.0,
-            smoothness="smooth")
-        pts = np.array([[0.3, 1.0], [-1.2, 0.0], [2.0, -2.0]])
-        np.testing.assert_allclose(
-            fields.divergence(f, pts), fields.divergence(g, pts, step=1e-5),
-            atol=1e-8)
+        # the stated drift against central differences of the diagonal
+        step = 1e-5
+        for dim in (1, 2):
+            f = fields.make_field("smooth-sine", dim=dim)
+            pts = np.array([[0.3, 1.0], [-1.2, 0.0], [2.0, -2.0]])[:, :dim]
+            diff = np.empty_like(pts)
+            for i in range(dim):
+                shift = np.zeros(dim)
+                shift[i] = step
+                hi = f._diag_many(pts + shift)[:, i]
+                lo = f._diag_many(pts - shift)[:, i]
+                diff[:, i] = (hi - lo) / (2.0 * step)
+            np.testing.assert_allclose(f.matrix_and_divergence(pts)[1], diff,
+                                       atol=1e-8)
 
     def test_rough_field_rejected(self):
+        # a rough field's drift is a distribution: Euler-Maruyama refuses it
         with pytest.raises(RoughFieldError):
-            fields.divergence(step_field(), np.array([0.0]))
+            sampling.em_step(step_field(), np.zeros((1, 1)), np.zeros((1, 1)),
+                             2.0 ** -8)
 
     def test_mollified_affine_derivative_exact(self):
         # the derivative-kernel quadrature reproduces affine slopes exactly
-        f = fields.ExplicitField(
-            fn=lambda pts: 2.0 + 0.5 * pts[:, 0], dim=1, lam=4.0,
-            smoothness="rough")
-        m = fields.MollifiedField(f, eps=0.1)
+        m = fields.MollifiedField(AffineField(), eps=0.1)
         x = np.array([[0.0], [0.7], [-1.3]])
-        np.testing.assert_allclose(fields.divergence(m, x)[:, 0], 0.5,
+        np.testing.assert_allclose(m.matrix_and_divergence(x)[1][:, 0], 0.5,
                                    atol=1e-12)
 
     def test_mollified_constant_divergence_zero(self):
         m = fields.MollifiedField(fields.ConstantDiagonalField([1.3]), eps=0.2)
         np.testing.assert_allclose(
-            fields.divergence(m, np.array([[0.1]])), 0.0, atol=1e-15)
+            m.matrix_and_divergence(np.array([[0.1]]))[1], 0.0, atol=1e-15)
 
     def test_mollified_step_divergence_bounded(self):
         # drift stays O(jump/eps); no 1/h blow-up anywhere near the interface
         m = fields.MollifiedField(step_field(), eps=0.1)
         x = np.linspace(-0.2, 0.2, 401)[:, None]
-        d = fields.divergence(m, x)[:, 0]
+        d = m.matrix_and_divergence(x)[1][:, 0]
         assert d.max() <= 1.0 / 0.1 * 1.0 * 2.0   # ~2 * jump / eps
         assert d.min() >= -1e-12
+
+
+def _drift_cases():
+    """Every field that states a drift: smooth-sine and each entry
+    mollified, in d = 1 and d = 2."""
+    for name in sorted(fields.PARAMS):
+        for mollify in ([None, 0.1] if name == "smooth-sine" else [0.1]):
+            kind = "plain" if mollify is None else "mollified"
+            for d, params in enumerate(CATALOG_CASES[name], 1):
+                yield pytest.param(name, mollify, params,
+                                   id=f"{name}-{kind}-{d}d")
+
+
+@pytest.mark.parametrize("name, mollify, params", _drift_cases())
+def test_drift_diagonal_is_the_diagonal(name, mollify, params):
+    """The diagonal matrix_and_divergence returns next to the drift is
+    _diag_many's, byte for byte: the Euler-Maruyama noise, the lattice walk
+    and the kernel solver read the same a."""
+    f = fields.make_field(name, mollify=mollify, **params)
+    g = np.linspace(-2.7, 2.9, 23 if f.dim == 1 else 9)
+    pts = np.stack(np.meshgrid(*[g] * f.dim, indexing="ij"),
+                   -1).reshape(-1, f.dim)
+    diag, drift = f.matrix_and_divergence(pts)
+    assert drift.shape == pts.shape
+    assert diag.tobytes() == f._diag_many(pts).tobytes()
