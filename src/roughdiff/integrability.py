@@ -14,10 +14,17 @@ increments scale like 2^(l (s - d)), so the ladder ratio separates s < d
 (ratios well below 1) from s >= d (ratios at or above 1); the threshold
 0.99 puts the logarithmic borderline case on the divergent side.
 
+U is a kernels.PotentialField.  Each rectangle evaluates the derivative
+rows of F and U only on U's window (PotentialField.window): a tabulated
+U is 0 off its table's axes, so the weighted rows are 0 there too.  The
+products are zero-filled to the rectangle's full node set before the
+weighted sums, so every sum has the bits of an evaluation at all nodes.
+
 Condition 1 integrates |grad F|^2 U.  Condition 2 integrates, in one pass
 over the same nodes, |grad f_k|^2 U for each weak derivative f_k = d_k F
 (prop2's denominators) and each entry f_kl^2 U (prop3's); every row keeps
-its own ladder and verdict.
+its own ladder and verdict.  check_box_mass, run once per gate, checks
+that the box captures U.
 """
 
 from __future__ import annotations
@@ -64,9 +71,11 @@ def _axis_nodes(lo, hi, h=None, count=None):
     return nodes, w
 
 
-def _trap_rect(fn, pairs, hs=None, counts=None):
-    """Composite tensor trapezoid over a rectangle of each row of fn, which
-    maps points (N, d) to values (P, N); returns the P sums."""
+def _trap_rect(rows, U, pairs, hs=None, counts=None):
+    """Composite tensor trapezoid over a rectangle of each row of
+    rows(pts) * U(pts), rows mapping points (N, d) to values (P, N);
+    returns the P sums.  rows and U run on U's window of the rectangle's
+    nodes only, and the products are 0 on the other nodes."""
     axes = []
     weights = []
     for i, (lo, hi) in enumerate(pairs):
@@ -75,15 +84,22 @@ def _trap_rect(fn, pairs, hs=None, counts=None):
                            count=None if counts is None else counts[i])
         axes.append(n)
         weights.append(w)
-    # no meshgrid stays live while fn runs: that keeps the gate's peak
+    win = tuple(U.window(axes))
+    sub = [ax[w] for ax, w in zip(axes, win)]
+    # no meshgrid stays live while rows runs: that keeps the gate's peak
     # RSS down on large 2-d boxes
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+    pts = np.stack([g.ravel() for g in np.meshgrid(*sub, indexing="ij")],
                    axis=-1)
-    vals = np.asarray(fn(pts), dtype=float)
-    wt = functools.reduce(np.multiply.outer, weights).ravel()
-    # one contiguous 1-d sum per row keeps numpy's pairwise blocking, so a
-    # row sums to the same bits as it would alone
-    return np.array([row.sum() for row in np.ascontiguousarray(vals * wt)])
+    part = np.asarray(rows(pts), dtype=float) * U(pts)
+    wt = functools.reduce(np.multiply.outer, weights)
+    full = np.zeros(wt.shape)
+    sums = []
+    for row in part.reshape(len(part), *(ax.shape[0] for ax in sub)):
+        full[win] = row
+        # one contiguous 1-d sum over every node keeps numpy's pairwise
+        # blocking, so a row sums to the same bits as it would alone
+        sums.append((full * wt).ravel().sum())
+    return np.array(sums)
 
 
 def _base_rectangles(pairs, center, r0):
@@ -146,18 +162,20 @@ class LadderResult:
     remainder: float = 0.0
 
 
-def refined_integral(fn, box, h, singular_points, dim):
-    """Trapezoid integral of a nonnegative fn with dyadic shell refinement.
+def refined_integral(fn, U, box, h, singular_points, dim):
+    """Trapezoid integral of fn U, fn nonnegative, with dyadic shell
+    refinement.
 
-    fn maps points (N, d) to values (N,).  At most one singular point is
-    supported (that is all the catalog ever declares).
+    fn maps points (N, d) to values (N,), and U is a PotentialField.  At
+    most one singular point is supported (that is all the catalog ever
+    declares).
     """
-    return _refined_rows(lambda pts: np.asarray(fn(pts))[None], box, h,
+    return _refined_rows(lambda pts: np.asarray(fn(pts))[None], U, box, h,
                          singular_points, dim)[0]
 
 
-def _refined_rows(fn, box, h, singular_points, dim):
-    """refined_integral of every row of fn, which maps points (N, d) to
+def _refined_rows(rows, U, box, h, singular_points, dim):
+    """refined_integral of every row of rows, which maps points (N, d) to
     values (P, N), on one set of nodes; one LadderResult per row."""
     pairs = _norm_box(box, dim)
     sing = [np.atleast_1d(np.asarray(p, dtype=float))
@@ -178,7 +196,7 @@ def _refined_rows(fn, box, h, singular_points, dim):
     hs = [h] * dim
     base = 0.0
     for rect in _base_rectangles(pairs, center, r0):
-        base = base + _trap_rect(fn, rect, hs=hs)
+        base = base + _trap_rect(rows, U, rect, hs=hs)
 
     increments = []
     for lev in range(LADDER_LEVELS if center is not None else 0):
@@ -186,7 +204,7 @@ def _refined_rows(fn, box, h, singular_points, dim):
         s_in = r0 * 2.0 ** (-lev - 1)
         inc = 0.0
         for rect, counts in _shell_rectangles(center, s_in, s_out, dim):
-            inc = inc + _trap_rect(fn, rect, counts=counts)
+            inc = inc + _trap_rect(rows, U, rect, counts=counts)
         increments.append(inc)
     return [_ladder(b, [float(inc[p]) for inc in increments])
             for p, b in enumerate(base.tolist())]
@@ -217,9 +235,10 @@ def _ladder(base, increments):
                         ratios=ratios, remainder=remainder)
 
 
-def _check_box_mass(potential, box, h, dim):
+def check_box_mass(U, box, h, dim):
     """The box must capture the weight: boundary values of U small
-    relative to its maximum inside."""
+    relative to its maximum inside.  Raises BoxTooSmall when the box
+    visibly truncates U."""
     pairs = _norm_box(box, dim)
     if dim == 1:
         boundary = np.array([[pairs[0][0]], [pairs[0][1]]])
@@ -238,8 +257,8 @@ def _check_box_mass(potential, box, h, dim):
         g1, g2 = np.meshgrid(np.linspace(lo1, hi1, 65),
                              np.linspace(lo2, hi2, 65), indexing="ij")
         inner = np.stack([g1.ravel(), g2.ravel()], -1)
-    u_b = float(np.max(potential(boundary)))
-    u_in = float(np.max(potential(inner)))
+    u_b = float(np.max(U(boundary)))
+    u_in = float(np.max(U(inner)))
     if u_in <= 0:
         raise BoxTooSmall("the potential vanishes on the whole box")
     if u_b > BOUNDARY_MASS_RATIO * u_in:
@@ -280,44 +299,38 @@ def _condition_1(lad):
                            value=lad.value, ladder=lad)
 
 
-def check_condition_1(F, potential, box, h):
+def check_condition_1(F, U, box, h):
     """Quadrature verdict on the gradient condition  int |grad F|^2 U < oo.
 
-    ``potential`` is any callable mapping points (N, d) to U values (N,).
-    Raises BoxTooSmall when the box visibly truncates U.
+    ``U`` is a PotentialField; grad F and U are evaluated on its window
+    only.  The box is not checked here: see check_box_mass.
     """
-    _check_box_mass(potential, box, h, F.dim)
-
-    def integrand(pts):
-        g = F.gradient(pts)
-        return (g ** 2).sum(axis=-1) * np.asarray(potential(pts), dtype=float)
-
-    return _condition_1(refined_integral(integrand, box, h, F.singular_points,
-                                         F.dim))
+    return _condition_1(refined_integral(
+        lambda pts: (F.gradient(pts) ** 2).sum(axis=-1), U, box, h,
+        F.singular_points, F.dim))
 
 
-def check_condition_2(F, potential, box, h):
+def check_condition_2(F, U, box, h):
     """Quadrature verdicts on the weak derivatives f_k = d_k F, in one pass:
     int sum_{k,l} f_kl^2 U < oo kept per entry (prop3's denominator), and
     in ``components`` the condition-1 result int |grad f_k|^2 U of each
-    f_k (prop2's), from one hessian and one U call per node.
+    f_k (prop2's), from one hessian and one U call per node of U's window.
 
-    Raises NoHessian when F provides no second derivatives at all.
+    ``U`` is a PotentialField; the box is not checked here (see
+    check_box_mass).  Raises NoHessian when F provides no second
+    derivatives at all.
     """
     if F.hessian is None:
         raise NoHessian(f"{F.name} has no second derivatives")
-    _check_box_mass(potential, box, h, F.dim)
     d = F.dim
 
-    def integrand(pts):
+    def rows(pts):
         hess = F.hessian(pts)
-        rows = [(hess[..., k, :] ** 2).sum(-1) for k in range(d)]
-        rows += [hess[..., k, l] ** 2 for k in range(d) for l in range(d)]
-        stacked = np.stack(rows)
-        stacked *= np.asarray(potential(pts), dtype=float)
-        return stacked
+        out = [(hess[..., k, :] ** 2).sum(-1) for k in range(d)]
+        out += [hess[..., k, l] ** 2 for k in range(d) for l in range(d)]
+        return np.stack(out)
 
-    lads = _refined_rows(integrand, box, h, F.singular_points, d)
+    lads = _refined_rows(rows, U, box, h, F.singular_points, d)
     ladders = lads[d:]
     entry_finite = np.array([l.finite for l in ladders]).reshape(d, d)
     entry_values = np.array([l.value if l.finite else np.inf

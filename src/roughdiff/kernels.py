@@ -181,18 +181,27 @@ def _write_grid_csv(path, axes, slices):
     """Write a t,x[,y],value table: for each (t, values) slice, one row
     per grid node in ij order, every float printed with repr.
 
-    Coordinates are formatted once per axis and values once per slice,
-    so the cost is a few string joins, not a Python loop per node.
+    Coordinates are formatted once per axis, and the table is written
+    one line along the last axis at a time (in 2-d the nodes that share
+    their x, in 1-d the whole slice), each line one string join and one
+    write: neither the coordinate list nor the table is ever held whole
+    as strings.
     """
     cols = [list(map(repr, np.asarray(ax, dtype=float).tolist()))
             for ax in axes]
-    coords = list(map(",".join, itertools.product(*cols)))
+    lines = ["".join(f"{c}," for c in lead)
+             for lead in itertools.product(*cols[:-1])]
+    last = cols[-1]
     with open(path, "w") as fh:
         fh.write("t," + ",".join(["x", "y"][: len(axes)]) + ",value\n")
         for t, values in slices:
             t = f"{float(t)!r},"
-            vals = map(repr, np.asarray(values, dtype=float).ravel().tolist())
-            fh.write("".join(f"{t}{c},{v}\n" for c, v in zip(coords, vals)))
+            rows = np.asarray(values, dtype=float).reshape(len(lines), -1)
+            for lead, row in zip(lines, rows):
+                lead = t + lead
+                vals = map(repr, row.tolist())
+                fh.write("".join(f"{lead}{c},{v}\n"
+                                 for c, v in zip(last, vals)))
 
 
 def _jsonable(obj):
@@ -558,6 +567,17 @@ class PotentialField:
                              left=0.0, right=0.0)
         return _bilinear(self.axes, self.values, pts)
 
+    def window(self, qaxes):
+        """For each ascending query axis, the slice of its nodes where U
+        may be nonzero: the nodes q with ax[0] <= q <= ax[-1] of the
+        table's axis on a tabulated U, which is 0 off its axes; every node
+        on a closed form."""
+        if self.fn is not None:
+            return [slice(0, len(q)) for q in qaxes]
+        return [slice(int(np.searchsorted(q, ax[0], side="left")),
+                      int(np.searchsorted(q, ax[-1], side="right")))
+                for ax, q in zip(self.axes, qaxes)]
+
     def grid(self, qaxes):
         """U on the tensor grid of the query axes, shape (len(q) for q in
         qaxes): bit for bit what U of the meshgrid points gives, without
@@ -905,15 +925,22 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
     R = hull_gap(nu, box, interior=True)
     axes, _ = _axes_volumes(box, h, U.dim)
     head, rest = axes[0], axes[1:]
-    # each point and each row integral is computed as on the whole grid
+    # U is evaluated on its window only and zero-filled to the full
+    # width, so each point and each row integral is computed as on the
+    # whole grid; rows off the window integrate to 0
+    win = U.window(axes)
+    cols = (slice(None), *win[1:])
+    inner = [ax[w] for ax, w in zip(rest, win[1:])]
     block = LQ_ROW_BLOCK if rest else head.shape[0]
-    rows = []
-    for i in range(0, head.shape[0], block):
-        vals = np.maximum(U.grid([head[i:i + block], *rest]), 0.0) ** q
+    rows = np.zeros(head.shape[0])
+    for i in range(win[0].start, win[0].stop, block):
+        j = min(i + block, win[0].stop)
+        vals = np.zeros((j - i, *(ax.shape[0] for ax in rest)))
+        vals[cols] = np.maximum(U.grid([head[i:j], *inner]), 0.0) ** q
         for ax in reversed(rest):
             vals = np.trapezoid(vals, ax, axis=-1)
-        rows.append(vals)
-    box_value = float(np.trapezoid(np.concatenate(rows), head))
+        rows[i:j] = vals
+    box_value = float(np.trapezoid(rows, head))
 
     M = ENVELOPE_M
     if U.dim == 1:

@@ -526,8 +526,9 @@ def resolve_potential(scn):
 
 def gate_scenario(scn):
     """Integrability checks before simulation; returns (conditions,
-    denominators, U).  Condition 2 also yields prop2's integrals.  A
-    divergent condition raises ConditionViolated with its evidence ladder
+    denominators, U).  The box mass is checked once, then each requested
+    condition; condition 2 also yields prop2's integrals.  A divergent
+    condition raises ConditionViolated with its evidence ladder
     attached unless allow_unverified is set and no requested sweep divides
     by its integral.
     """
@@ -539,6 +540,7 @@ def gate_scenario(scn):
 
     U = resolve_potential(scn)
     F, box, h = scn.F, scn.box, scn.quad_h
+    integrability.check_box_mass(U, box, h, F.dim)
     gates = {SWEEP_TABLE[s].gate for s in sweeps}
     conditions = {}
     denoms = {}

@@ -1,22 +1,28 @@
 """Refined quadrature and integrability verdicts."""
 
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughdiff import integrability as ig
 from roughdiff.errors import BoxTooSmall, DimensionMismatch, NoHessian
+from roughdiff.kernels import PotentialField
 from roughdiff.testfunctions import make_test_function
 
 
-def closed_form_potential(pts):
-    return 0.5 * np.exp(-np.abs(np.asarray(pts)[..., 0]))
+def closed_form(dim, fn):
+    return PotentialField(route="closed-form", dim=dim, fn=fn)
 
 
-def gauss_weight_2d(pts):
-    pts = np.asarray(pts)
-    return np.exp(-(pts ** 2).sum(axis=-1))
+closed_form_potential = closed_form(
+    1, lambda pts: 0.5 * np.exp(-np.abs(pts[..., 0])))
+gauss_weight_2d = closed_form(2, lambda pts: np.exp(-(pts ** 2).sum(axis=-1)))
+UNIT = {dim: closed_form(dim, lambda pts: np.ones(pts.shape[0]))
+        for dim in (1, 2)}
 
 
 class TestBoxNormalization:
@@ -39,14 +45,14 @@ class TestBoxNormalization:
 class TestRefinedIntegral:
     def test_smooth_1d(self):
         res = ig.refined_integral(lambda p: np.sin(p[..., 0]) ** 2,
-                                  (0.0, np.pi), 0.01, [], 1)
+                                  UNIT[1], (0.0, np.pi), 0.01, [], 1)
         assert res.finite
         np.testing.assert_allclose(res.value, np.pi / 2, rtol=1e-6)
         assert res.ratios == [] and res.increments == []
 
     def test_smooth_2d(self):
         res = ig.refined_integral(lambda p: (p ** 2).sum(axis=-1),
-                                  (0.0, 1.0), 0.02, [], 2)
+                                  UNIT[2], (0.0, 1.0), 0.02, [], 2)
         assert res.finite
         np.testing.assert_allclose(res.value, 2.0 / 3.0, rtol=1e-3)
 
@@ -56,7 +62,8 @@ class TestRefinedIntegral:
         def f(p):
             return np.abs(p[..., 0]) ** -0.5
 
-        res = ig.refined_integral(f, (-1.0, 1.0), 0.01, [np.zeros(1)], 1)
+        res = ig.refined_integral(f, UNIT[1], (-1.0, 1.0), 0.01,
+                                  [np.zeros(1)], 1)
         assert res.finite
         np.testing.assert_allclose(res.value, 4.0, rtol=1e-2)
         assert res.remainder > 0
@@ -68,7 +75,8 @@ class TestRefinedIntegral:
         def f(p, _s=power):
             return np.abs(p[..., 0]) ** -_s
 
-        res = ig.refined_integral(f, (-1.0, 1.0), 0.01, [np.zeros(1)], 1)
+        res = ig.refined_integral(f, UNIT[1], (-1.0, 1.0), 0.01,
+                                  [np.zeros(1)], 1)
         assert not res.finite
         assert res.value is None
         assert all(r > 0.99 for r in res.ratios)
@@ -79,7 +87,8 @@ class TestRefinedIntegral:
             r = np.sqrt((p ** 2).sum(axis=-1))
             return 1.0 / np.where(r > 0, r, 1.0)
 
-        res = ig.refined_integral(f, (-1.0, 1.0), 0.02, [np.zeros(2)], 2)
+        res = ig.refined_integral(f, UNIT[2], (-1.0, 1.0), 0.02,
+                                  [np.zeros(2)], 2)
         assert res.finite
         np.testing.assert_allclose(res.value, 8.0 * np.log(1.0 + np.sqrt(2)),
                                    rtol=1e-2)
@@ -89,14 +98,16 @@ class TestRefinedIntegral:
             r2 = (p ** 2).sum(axis=-1)
             return 1.0 / np.where(r2 > 0, r2, 1.0)
 
-        res = ig.refined_integral(f, (-1.0, 1.0), 0.02, [np.zeros(2)], 2)
+        res = ig.refined_integral(f, UNIT[2], (-1.0, 1.0), 0.02,
+                                  [np.zeros(2)], 2)
         assert not res.finite
 
     def test_singular_point_outside_box_ignored(self):
         def f(p):
             return np.abs(p[..., 0]) ** -0.5
 
-        res = ig.refined_integral(f, (0.5, 2.0), 0.01, [np.zeros(1)], 1)
+        res = ig.refined_integral(f, UNIT[1], (0.5, 2.0), 0.01,
+                                  [np.zeros(1)], 1)
         assert res.finite
         np.testing.assert_allclose(res.value, 2.0 * (2.0 ** 0.5 - 0.5 ** 0.5),
                                    rtol=1e-4)
@@ -104,14 +115,16 @@ class TestRefinedIntegral:
 
     def test_two_singular_points_unsupported(self):
         with pytest.raises(ValueError):
-            ig.refined_integral(lambda p: p[..., 0] * 0 + 1.0, (-1.0, 1.0),
-                                0.01, [np.zeros(1), np.ones(1) * 0.5], 1)
+            ig.refined_integral(lambda p: p[..., 0] * 0 + 1.0, UNIT[1],
+                                (-1.0, 1.0), 0.01,
+                                [np.zeros(1), np.ones(1) * 0.5], 1)
 
     def test_partial_sums_track_increments(self):
         def f(p):
             return np.abs(p[..., 0]) ** -0.5
 
-        res = ig.refined_integral(f, (-1.0, 1.0), 0.01, [np.zeros(1)], 1)
+        res = ig.refined_integral(f, UNIT[1], (-1.0, 1.0), 0.01,
+                                  [np.zeros(1)], 1)
         assert len(res.increments) == 5
         assert len(res.ratios) == 4
         assert len(res.partial_sums) == 6
@@ -175,10 +188,12 @@ class TestConditionChecks:
                                  (-10.0, 10.0), 0.01)
 
     def test_box_too_small(self):
-        F = make_test_function("quadratic", dim=1)
-        with pytest.raises(BoxTooSmall):
-            ig.check_condition_1(F, closed_form_potential, (-3.0, 3.0), 0.01)
-        ig.check_condition_1(F, closed_form_potential, (-10.0, 10.0), 0.01)
+        with pytest.raises(BoxTooSmall, match="enlarge"):
+            ig.check_box_mass(closed_form_potential, (-3.0, 3.0), 0.01, 1)
+        ig.check_box_mass(closed_form_potential, (-10.0, 10.0), 0.01, 1)
+        with pytest.raises(BoxTooSmall, match="vanishes"):
+            ig.check_box_mass(closed_form(2, lambda p: np.zeros(len(p))),
+                              (-1.0, 1.0), 0.1, 2)
 
     def test_ladder_dict_round_trip(self):
         F = make_test_function("abs_power", alpha=0.75)
@@ -221,7 +236,7 @@ class TestOnePass:
 
         def lone(row):
             return ig.refined_integral(
-                lambda p: row(F.hessian(p)) * weight(p), box, h,
+                lambda p: row(F.hessian(p)), weight, box, h,
                 F.singular_points, F.dim)
 
         assert len(res.components) == F.dim
@@ -233,3 +248,87 @@ class TestOnePass:
             k, l = divmod(i, F.dim)
             self._same(lad, lone(lambda H: H[..., k, l] ** 2))
         assert res.components[0].ladder.increments
+
+
+def full_grid_trap_rect(rows, U, pairs, hs=None, counts=None):
+    """The quadrature before windows, kept as the reference: rows times U
+    at every node of the rectangle, each weighted row summed alone."""
+    axes, weights = zip(*(ig._axis_nodes(lo, hi,
+                                         h=None if hs is None else hs[i],
+                                         count=None if counts is None
+                                         else counts[i])
+                          for i, (lo, hi) in enumerate(pairs)))
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                   axis=-1)
+    vals = np.asarray(rows(pts), dtype=float) * U(pts)
+    wt = functools.reduce(np.multiply.outer, weights).ravel()
+    return np.array([row.sum() for row in np.ascontiguousarray(vals * wt)])
+
+
+# each placement of a table axis against the quadrature box (-2, 2):
+# (lowest first node, highest first node)
+PLACEMENTS = {"inside": (-1.9, 0.0), "straddle": (-3.5, -2.1),
+              "miss": (2.05, 4.0)}
+GATED = {1: [("abs_power", {"alpha": 0.75}), ("abs_power", {"alpha": 0.4}),
+             ("quadratic", {"dim": 1}), ("bump", {"dim": 1})],
+         2: [("radial_power", {"alpha": 0.75}), ("quadratic", {"dim": 2}),
+             ("bump", {"dim": 2})]}
+
+
+@st.composite
+def tabulated_potential(draw, dim, placement):
+    """A nonnegative tabulated U on uniform axes placed against the box
+    (-2, 2); a "miss" axis leaves the window empty."""
+    lo_min, lo_max = PLACEMENTS[placement]
+    axes = []
+    for _ in range(dim):
+        h = draw(st.floats(0.1, 0.6))
+        n = draw(st.integers(2, 12))
+        lo = draw(st.floats(lo_min, lo_max))
+        if placement == "inside":
+            n = min(n, int(1.9 / h))
+        elif placement == "straddle":
+            n = max(n, int((-1.9 - lo) / h) + 2)
+        axes.append(lo + h * np.arange(n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).uniform(
+        0.0, 2.0, tuple(ax.shape[0] for ax in axes))
+    return PotentialField(route="grid", dim=dim, axes=axes, values=values)
+
+
+class TestWindow:
+    """The gate evaluates F's rows and U only where a tabulated U can be
+    nonzero; every ladder keeps the bits of the full-grid quadrature."""
+
+    @staticmethod
+    def _ladders(F, U, box, h):
+        c1 = ig.check_condition_1(F, U, box, h)
+        c2 = ig.check_condition_2(F, U, box, h)
+        lads = [c1.ladder, *c2.entry_ladders,
+                *(c.ladder for c in c2.components)]
+        return [dataclasses.asdict(l) for l in lads]
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_ladders_equal_full_grid(self, dim, placement, data):
+        U = data.draw(tabulated_potential(dim, placement))
+        name, params = data.draw(st.sampled_from(GATED[dim]))
+        F = make_test_function(name, **params)
+        box, h = (-2.0, 2.0), (0.01 if dim == 1 else 0.05)
+        got = self._ladders(F, U, box, h)
+        with mock.patch.object(ig, "_trap_rect", full_grid_trap_rect):
+            want = self._ladders(F, U, box, h)
+        assert got == want
+        if placement == "miss":
+            assert all(l["base"] == 0.0 for l in got)
+
+    def test_window_of_a_table(self):
+        U = PotentialField(route="grid", dim=2,
+                           axes=[np.array([-1.0, 0.0, 1.0]),
+                                 np.array([5.0, 6.0])],
+                           values=np.ones((3, 2)))
+        q = np.linspace(-2.0, 2.0, 9)
+        assert U.window([q, q]) == [slice(2, 7), slice(9, 9)]
+        assert UNIT[2].window([q, q[:4]]) == [slice(0, 9), slice(0, 4)]

@@ -1,11 +1,15 @@
 """Kernel solver, Gaussian envelopes, Aronson fits, and potentials."""
 
 import hashlib
+import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
 from roughdiff import kernels as kn
@@ -432,8 +436,47 @@ class TestGridKernelIO:
             assert fh.readline().strip() == "t,x,y,value"
 
 
+def one_string_table(path, axes, slices):
+    """The grid writer that built every slice as one string, kept as the
+    reference for the line-at-a-time _write_grid_csv."""
+    cols = [list(map(repr, np.asarray(ax, dtype=float).tolist()))
+            for ax in axes]
+    coords = list(map(",".join, itertools.product(*cols)))
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(["x", "y"][: len(axes)]) + ",value\n")
+        for t, values in slices:
+            t = f"{float(t)!r},"
+            vals = map(repr, np.asarray(values, dtype=float).ravel().tolist())
+            fh.write("".join(f"{t}{c},{v}\n" for c, v in zip(coords, vals)))
+
+
+@st.composite
+def grid_tables(draw):
+    """Axes of 1 or 2 dimensions and one to three (t, values) slices."""
+    dim = draw(st.sampled_from([1, 2]))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    axes = [np.array(draw(st.lists(finite, min_size=1, max_size=7)))
+            for _ in range(dim)]
+    shape = tuple(ax.shape[0] for ax in axes)
+    slices = draw(st.lists(st.tuples(
+        finite, hnp.arrays(float, shape, elements=st.floats(width=64))),
+        min_size=1, max_size=3))
+    return axes, slices
+
+
 class TestTableBytes:
     """Kernel and potential tables keep the bytes of a per-node writer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_tables())
+    def test_lines_equal_one_string(self, table):
+        axes, slices = table
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = (os.path.join(tmp, n) for n in ("got", "want"))
+            kn._write_grid_csv(got, axes, slices)
+            one_string_table(want, axes, slices)
+            with open(got, "rb") as g, open(want, "rb") as w:
+                assert g.read() == w.read()
 
     def test_2d_two_time_kernel(self, tmp_path):
         field = make_field("constant-diagonal", values=[2.0, 0.5])
@@ -776,7 +819,64 @@ class TestTensorGrid:
         assert kn._k0(np.zeros(2)).tolist() == [np.inf, np.inf]
 
 
+def full_width_box_value(U, q, box, h):
+    """The L^q box quadrature before windows, kept as the reference: U on
+    every node, LQ_ROW_BLOCK rows at a time."""
+    axes, _ = kn._axes_volumes(box, h, U.dim)
+    head, rest = axes[0], axes[1:]
+    block = kn.LQ_ROW_BLOCK if rest else head.shape[0]
+    rows = []
+    for i in range(0, head.shape[0], block):
+        vals = np.maximum(U.grid([head[i:i + block], *rest]), 0.0) ** q
+        for ax in reversed(rest):
+            vals = np.trapezoid(vals, ax, axis=-1)
+        rows.append(vals)
+    return float(np.trapezoid(np.concatenate(rows), head))
+
+
+# a table axis against the box (-3, 3): (lowest, highest first node)
+LQ_PLACEMENTS = {"inside": (-2.9, 0.0), "straddle": (-5.0, -3.1),
+                 "covers": (-6.0, -3.5), "miss": (3.05, 5.0)}
+
+
+@st.composite
+def placed_table(draw, dim, placement):
+    """A tabulated U of either sign on uniform axes placed against the
+    box (-3, 3); a "miss" axis leaves the window empty."""
+    lo_min, lo_max = LQ_PLACEMENTS[placement]
+    axes = []
+    for _ in range(dim):
+        h = draw(st.floats(0.1, 1.0))
+        n = draw(st.integers(2, 15))
+        lo = draw(st.floats(lo_min, lo_max))
+        if placement == "inside":
+            n = min(n, int(2.9 / h))
+        elif placement == "straddle":
+            n = max(n, int((-2.9 - lo) / h) + 2)
+        elif placement == "covers":
+            n = max(n, int((3.5 - lo) / h) + 2)
+        axes.append(lo + h * np.arange(n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).uniform(
+        -0.5, 2.0, tuple(ax.shape[0] for ax in axes))
+    return kn.PotentialField(route="grid", dim=dim, axes=axes, values=values)
+
+
 class TestLqNorm:
+    @pytest.mark.parametrize("placement", sorted(LQ_PLACEMENTS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_window_equals_full_width(self, dim, placement, data):
+        U = data.draw(placed_table(dim, placement))
+        q = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+        box, h = (-3.0, 3.0), (0.01 if dim == 1 else 0.02)
+        nu = DIRAC_1D if dim == 1 else DIRAC_2D
+        got = kn.potential_Lq_norm(U, nu, q, box, h=h).value
+        assert got == full_width_box_value(U, q, box, h)
+        if placement == "miss":
+            assert got == 0.0
+
     def test_l2_closed_form(self, closed_potential):
         res = kn.potential_Lq_norm(closed_potential, DIRAC_1D, 2.0,
                                    (-10.0, 10.0), h=0.01)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import roughdiff
-from roughdiff import integrability, runner
+from roughdiff import integrability, kernels, runner
 from roughdiff.cli import main as cli_main
 from roughdiff.errors import (
     ConditionViolated,
@@ -735,27 +735,39 @@ class TestRunScenario:
                              .encode()).hexdigest()
         assert got == digest
 
-    def test_gate_evaluates_potential_once_per_condition(self, monkeypatch):
-        # condition 2 yields prop2's per-axis integrals from its own pass,
-        # so U sees each node at most twice, once per condition (a pass
-        # per axis and per hessian entry would make seven in 2-d)
+    def test_gate_evaluates_potential_on_its_window(self, monkeypatch):
+        # U is sampled once for the box mass, then once per condition at
+        # the nodes of its window only: condition 2 yields prop2's per-axis
+        # integrals from its own pass, and off the Monte Carlo table U is 0
         points = []
-        resolve = runner.resolve_potential
+        call = kernels.PotentialField.__call__
 
-        def counting(scn):
-            U = resolve(scn)
-            return lambda pts: (points.append(len(pts)), U(pts))[1]
+        def counting(self, pts):
+            points.append(len(pts))
+            return call(self, pts)
 
-        monkeypatch.setattr(runner, "resolve_potential", counting)
+        monkeypatch.setattr(kernels.PotentialField, "__call__", counting)
         scn = runner.load_scenario(D2_ALL_SWEEPS)
         _, _, U = runner.gate_scenario(scn)
         seen = sum(points)
-        points.clear()
-        # one box-mass check and one quadrature pass
-        integrability._check_box_mass(U, scn.box, scn.quad_h, 2)
-        integrability.refined_integral(U, scn.box, scn.quad_h,
-                                       scn.F.singular_points, 2)
-        assert 0 < seen <= 2 * sum(points)
+
+        def count(fn, *args):
+            points.clear()
+            fn(*args)
+            return sum(points)
+
+        def one_pass(potential):
+            return count(integrability.refined_integral,
+                         lambda p: np.ones(len(p)), potential, scn.box,
+                         scn.quad_h, scn.F.singular_points, 2)
+
+        mass = count(integrability.check_box_mass, U, scn.box, scn.quad_h, 2)
+        window = one_pass(U)
+        # the same U on a closed form has every node in its window
+        full_box = one_pass(kernels.PotentialField(
+            route="closed-form", dim=2, fn=lambda p: call(U, p)))
+        assert 0 < window < full_box
+        assert mass + window <= seen <= mass + 2 * window < full_box
 
 
 class TestKernelPotentialSweeps:
