@@ -15,6 +15,10 @@ A field is evaluated on a stack of points (N, d) in two ways:
 that takes an Euler-Maruyama step (non-constant and not rough) states its
 drift exactly in ``field.matrix_and_divergence(points)``, which returns the
 same diagonal together with div a, both (N, d).
+
+A mollified field sums its base over a fixed quadrature of shifts.  Over a
+checkerboard in d <= 2 every shift sees hi or lo by a parity, so both sums
+are tabulated once per parity pattern and a point reads one table row.
 """
 
 from __future__ import annotations
@@ -142,6 +146,13 @@ class SmoothSineField(CoefficientField):
         return self._diag_many(pts), div
 
 
+def _convolve(weights, vals):
+    """sum_k weights[k] vals[:, k], (M, d), for weights (K,) or (K, d) and
+    base diagonals at the quadrature shifts, (M, K, d).  einsum sums each
+    row from that row's values alone, so its bits do not depend on M."""
+    return np.einsum("k...,nk...->n...", weights, vals)
+
+
 def _bump(u2):
     """Bump profile (1 - |u|^2)^2 on the unit ball, 0 outside; u2 = |u|^2."""
     return np.clip(1.0 - u2, 0.0, None) ** 2
@@ -161,6 +172,16 @@ class MollifiedField(CoefficientField):
     ``matrix_and_divergence`` returns both sums from one sweep over the
     base field.  Differencing the quadrature-approximated convolution
     instead would be ill-posed (it is piecewise constant in x).
+
+    A checkerboard base in d <= 2 is read from a table.  Its value at the
+    shift x - eps u of node u = (u_j1, ..., u_jd) is hi or lo by the parity
+    of sum_i floor((x_i - eps u_ji) / cell), the XOR of one bit per axis
+    and node coordinate.  The six bits of each axis form a 6-bit code, so
+    the quadrature sees one of 64^d patterns.  Both sums are taken once
+    per pattern at construction, through the same ``_convolve``, and a
+    point costs 6 d floors and a row lookup, with the quadrature's bits.
+    Other bases, and d >= 3, where the (64^d, 6^d, d) build array would
+    take 1.4 GB, sum the base values at every shift.
     """
 
     smoothness = "mollified"
@@ -190,6 +211,38 @@ class MollifiedField(CoefficientField):
         # derivative kernel: d_i phi(u) = -4 u_i (1 - |u|^2)_+
         dphi = -4.0 * nodes * np.clip(1.0 - u2, 0.0, None)[:, None]
         self.dweights = wtens[:, None] * dphi / (self.eps * z)  # (K, d)
+        self._tables = None
+        if isinstance(base, CheckerboardField) and self.dim <= 2:
+            self._shifts = (self.eps * x)[:, None]
+            # a code holds the bit of axis i and node coordinate j at
+            # 6 (d - 1 - i) + j
+            self._place = 1 << (6 * np.arange(self.dim - 1, -1, -1)[:, None]
+                                + np.arange(6)).ravel()
+            self._tables = self._parity_tables()
+
+    def _parity_tables(self):
+        """Both sums for every parity pattern, each (64^d, d)."""
+        d = self.dim
+        codes = np.arange(64 ** d)[:, None]
+        odd = np.zeros((64 ** d, 6 ** d), dtype=bool)
+        # node k = (j_1, ..., j_d) reads bit j_i of axis i's code
+        for bit in np.meshgrid(*self._place.reshape(d, 6), indexing="ij"):
+            odd ^= (codes & bit.ravel()) != 0
+        vals = np.where(odd, self.base.lo, self.base.hi)
+        # the contiguous (P, K, d) stack CheckerboardField._diag_many gives
+        vals = np.repeat(vals[:, :, None], d, axis=2)
+        return _convolve(self.weights, vals), _convolve(self.dweights, vals)
+
+    def _codes(self, pts):
+        """Each point's row in the parity tables, (N,)."""
+        # (d, 6, N), so each ufunc runs along the points; the cells are
+        # the ones CheckerboardField.scalar finds at x - eps u, bit for bit
+        cells = pts.T[:, None, :] - self._shifts
+        np.divide(cells, self.base.cell, out=cells)
+        np.floor(cells, out=cells)
+        bits = cells.astype(np.int64)
+        bits &= 1
+        return self._place @ bits.reshape(6 * self.dim, -1)
 
     def _shifted_values(self, pts):
         """Base-field diagonals at all quadrature shifts, (N, K, d)."""
@@ -199,15 +252,18 @@ class MollifiedField(CoefficientField):
         return vals.reshape(n, k, self.dim)
 
     def _diag_many(self, pts):
-        vals = self._shifted_values(pts)
-        return np.einsum("k,nki->ni", self.weights, vals)
+        if self._tables is not None:
+            return self._tables[0].take(self._codes(pts), axis=0)
+        return _convolve(self.weights, self._shifted_values(pts))
 
     def matrix_and_divergence(self, pts):
         """Both diag a(x) and div a(x) from one sweep over the base field."""
+        if self._tables is not None:
+            code = self._codes(pts)
+            a, div = self._tables
+            return a.take(code, axis=0), div.take(code, axis=0)
         vals = self._shifted_values(pts)
-        a = np.einsum("k,nki->ni", self.weights, vals)
-        div = np.einsum("kp,nkp->np", self.dweights, vals)
-        return a, div
+        return _convolve(self.weights, vals), _convolve(self.dweights, vals)
 
 
 # config parameters of each entry as runner.Key tuples, ``...`` marking a

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughdiff import fields, sampling
 from roughdiff.errors import RoughFieldError, UnknownName
@@ -166,3 +170,86 @@ def test_drift_diagonal_is_the_diagonal(name, mollify, params):
     diag, drift = f.matrix_and_divergence(pts)
     assert drift.shape == pts.shape
     assert diag.tobytes() == f._diag_many(pts).tobytes()
+
+
+@st.composite
+def mollified_checkerboards(draw):
+    """A mollified checkerboard in d = 1 or 2 with lo <= hi, a radius eps
+    that is often at least cell / 2, so one axis's six shifts cross
+    several cell edges, and N points that mix random coordinates of both
+    signs, +-0.0 and exact shifted edges k cell + eps u_j."""
+    dim = draw(st.sampled_from([1, 2]))
+    lo, hi = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=2,
+                                  max_size=2)))
+    cell = draw(st.floats(0.01, 3.0))
+    eps = cell * draw(st.one_of(st.floats(0.5, 4.0), st.floats(0.01, 0.5)))
+    field = fields.make_field("checkerboard", lo=lo, hi=hi, cell=cell,
+                              dim=dim, mollify=eps)
+    n = draw(st.sampled_from([1, 7, 8193]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.unique(field.nodes)
+    choices = np.stack([
+        rng.uniform(-8.0 * cell, 8.0 * cell, (n, dim)),
+        rng.integers(-8, 8, (n, dim)) * cell + eps * rng.choice(u, (n, dim)),
+        rng.choice([0.0, -0.0], (n, dim))])
+    pts = np.take_along_axis(choices, rng.integers(0, 3, (1, n, dim)), 0)[0]
+    return field, pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(mollified_checkerboards())
+def test_parity_table_is_the_quadrature(case):
+    """A mollified checkerboard read from its parity tables gives the bits
+    of the quadrature over the base field at every shift."""
+    field, pts = case
+    assert field._tables is not None
+    table = field._diag_many(pts), *field.matrix_and_divergence(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_tables", None)
+        quad = field._diag_many(pts), *field.matrix_and_divergence(pts)
+    for got, want in zip(table, quad):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("base, quadrature", [
+    (fields.CheckerboardField(0.5, 2.0, dim=1), False),
+    (fields.CheckerboardField(0.5, 2.0, dim=2), False),
+    (fields.CheckerboardField(0.5, 2.0, dim=3), True),
+    (fields.SmoothSineField(dim=1), True),
+    (fields.ConstantDiagonalField([2.0, 0.5]), True),
+], ids=["checkerboard-1d", "checkerboard-2d", "checkerboard-3d",
+        "smooth-sine", "constant"])
+def test_only_low_dimensional_checkerboards_use_a_table(
+        base, quadrature, monkeypatch):
+    """Other bases, and checkerboards in d >= 3, evaluate the base at
+    every quadrature shift; the table path never calls the base."""
+    calls = []
+    real = type(base)._diag_many
+
+    def counted(self, pts):
+        calls.append(pts.shape[0])
+        return real(self, pts)
+
+    monkeypatch.setattr(type(base), "_diag_many", counted)
+    m = fields.MollifiedField(base, eps=0.1)
+    pts = np.zeros((3, base.dim))
+    m._diag_many(pts)
+    m.matrix_and_divergence(pts)
+    assert len(calls) == (2 if quadrature else 0)
+
+
+def test_3d_mollified_checkerboard_bytes():
+    """A 3-d mollified checkerboard builds no (64^3, 216, 3) table, and
+    its values keep their bytes (SHA-256 taken before the parity tables
+    were added)."""
+    start = time.perf_counter()
+    f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=0.5, dim=3,
+                          mollify=0.3)
+    assert time.perf_counter() - start < 0.5
+    g = np.linspace(-1.3, 1.7, 7)
+    pts = np.stack(np.meshgrid(g, g - 0.25, g + 0.5, indexing="ij"),
+                   -1).reshape(-1, 3)
+    diag, drift = f.matrix_and_divergence(pts)
+    assert diag.tobytes() == f._diag_many(pts).tobytes()
+    assert hashlib.sha256(diag.tobytes() + drift.tobytes()).hexdigest() == (
+        "598f03d9be3da7f88f1347de01d3720d8723fe0b8c93777046afe3091b4d3de9")

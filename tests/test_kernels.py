@@ -670,6 +670,22 @@ class TestGridRoute:
         rel = np.abs(U.values - stepped.values)[mid] / U.values[mid]
         assert rel.max() < 5e-3
 
+    def test_mollified_checkerboard_bytes(self):
+        # SHA-256s taken before the mollified checkerboard was read from
+        # its parity tables; the solver reads a at every face midpoint
+        field = make_field("checkerboard", dim=2, lo=0.5, hi=2.0, cell=1.0,
+                           mollify=0.1)
+        U = grid_potential(DIRAC_2D, field, (-3.0, 3.0), 0.1)
+        digest = hashlib.sha256(b"".join(ax.tobytes() for ax in U.axes)
+                                + U.values.tobytes())
+        assert digest.hexdigest() == (
+            "2dad7841f10176d59bf32221ab0b9c16260e5f77c17d2d5ad5e93f1d0b229252")
+        k = kn.solve_kernel_pde(field, [0.0, 0.0], (-3.0, 3.0), 0.1,
+                                times=[0.1, 0.4], dt=2e-3)
+        digest = hashlib.sha256(k.times.tobytes() + k.values.tobytes())
+        assert digest.hexdigest() == (
+            "40b7b2447911e6268af6bb1da7b391cbf1b97f042160818082213427c41c8e2c")
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="outside"):
             grid_potential(sampling.dirac([9.0]))
