@@ -24,7 +24,6 @@ rough-coefficient summary of the field.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -160,48 +159,37 @@ class GridKernel:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def save(self, prefix):
-        """Write <prefix>.csv (t, coordinates, value) and <prefix>.json."""
-        _write_grid_csv(f"{prefix}.csv", self.axes,
-                        zip(self.times, self.values))
-        meta = {
+        """Write <prefix>.csv, one line per time (and in 2-d per x), and
+        the <prefix>.json sidecar."""
+        _save_table(prefix, self.axes, self.values, {
             "kind": "grid-kernel",
-            "box": [[float(ax[0]), float(ax[-1])] for ax in self.axes],
             "h": float(self.h),
             "times": [float(t) for t in self.times],
             "source": [float(c) for c in self.source],
             "leakage": float(self.leakage),
             "meta": _jsonable(self.meta),
-        }
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
 
 
-def _write_grid_csv(path, axes, slices):
-    """Write a t,x[,y],value table: for each (t, values) slice, one row
-    per grid node in ij order, every float printed with repr.
+def _save_table(prefix, axes, values, meta):
+    """Write a value table as <prefix>.csv and its <prefix>.json sidecar.
 
-    Coordinates are formatted once per axis, and the table is written
-    one line along the last axis at a time (in 2-d the nodes that share
-    their x, in 1-d the whole slice), each line one string join and one
-    write: neither the coordinate list nor the table is ever held whole
-    as strings.
+    The CSV has no header and one line per index of the leading axes of
+    values (a kernel's times, then x in 2-d; a potential's x in 2-d), which
+    holds the values along the last axis, each printed with repr.  Each
+    line is written as soon as it is built, so the table is never held
+    whole as strings.  The sidecar is meta plus the box and the exact
+    axes, whose JSON floats are repr and so give the axes back bit for bit.
     """
-    cols = [list(map(repr, np.asarray(ax, dtype=float).tolist()))
-            for ax in axes]
-    lines = ["".join(f"{c}," for c in lead)
-             for lead in itertools.product(*cols[:-1])]
-    last = cols[-1]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(["x", "y"][: len(axes)]) + ",value\n")
-        for t, values in slices:
-            t = f"{float(t)!r},"
-            rows = np.asarray(values, dtype=float).reshape(len(lines), -1)
-            for lead, row in zip(lines, rows):
-                lead = t + lead
-                vals = map(repr, row.tolist())
-                fh.write("".join(f"{lead}{c},{v}\n"
-                                 for c, v in zip(last, vals)))
+    values = np.asarray(values, dtype=float)
+    with open(f"{prefix}.csv", "w") as fh:
+        for row in values.reshape(-1, values.shape[-1]):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    axes = [np.asarray(ax, dtype=float).tolist() for ax in axes]
+    meta = dict(meta, box=[[ax[0], ax[-1]] for ax in axes], axes=axes)
+    with open(f"{prefix}.json", "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _jsonable(obj):
@@ -607,21 +595,17 @@ class PotentialField:
         return float(vals)
 
     def save(self, prefix):
+        """Write <prefix>.csv, the grid of values (one line per x in 2-d),
+        and the <prefix>.json sidecar."""
         if self.axes is None:
             raise ValueError("only tabulated potentials serialize; "
                              "tabulate the closed form on a grid first")
-        _write_grid_csv(f"{prefix}.csv", self.axes, [(0.0, self.values)])
-        meta = {
+        _save_table(prefix, self.axes, self.values, {
             "kind": "potential",
             "route": self.route,
-            "box": [[float(ax[0]), float(ax[-1])] for ax in self.axes],
             "h": float(self.axes[0][1] - self.axes[0][0]),
-            "time_column": "unused",
             "params": _jsonable(self.params),
-        }
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
 
 
 def _axis_cells(ax, q):

@@ -8,8 +8,10 @@ say why and update the hash here.  CSV bytes hold floats printed with
 """
 
 import hashlib
+import json
 import os
 
+import numpy as np
 import pytest
 
 from roughdiff.runner import load_scenario, run_scenario
@@ -50,13 +52,21 @@ GOLDEN = {
         "covariation.csv":
             "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
         "kernel.csv":
-            "6d224e989ff89c5b73d96f5de600e0e88aa029768ed5f034b859e88778efc801",
+            "eb017ca147de96722fe91b358b0f4abe5bbe4d2256469230d0e89fc5d4b8a58f",
         "kernel.json":
-            "06e47545eef8ca643fe4a4f5ac5a7d4b541ea63a92407d17145ad4fe1641d256",
+            "cdd26a3c89b45db4278d03e1a468d10f460cf064a0b2d4f8ef28250165cee6c6",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },
 }
+
+
+# SHA-256 of the float64 bytes of the checkerboard_lattice kernel's axis,
+# times and values, in that order, as read back from kernel.csv and
+# kernel.json; taken when tables were long t,x,value files, so it shows
+# that the value-matrix layout moved no table value
+CHECKERBOARD_KERNEL_SHA256 = (
+    "5937540676e16e4912685377f3bb65f62e6d49bd71d7a71bc3564bef231ab27a")
 
 
 # scenario hashes of the shipped configs; a parser change must leave them
@@ -85,3 +95,17 @@ def test_demo_report_hashes(demo, tmp_path):
         with open(tmp_path / fname, "rb") as fh:
             got[fname] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[demo]
+
+
+def test_demo_kernel_values(tmp_path):
+    run_scenario(os.path.join(DEMOS, "checkerboard_lattice.json"),
+                 out_dir=tmp_path)
+    with open(tmp_path / "kernel.json") as fh:
+        meta = json.load(fh)
+    (axis,) = meta["axes"]
+    values = np.loadtxt(tmp_path / "kernel.csv", delimiter=",", ndmin=2)
+    assert values.shape == (len(meta["times"]), len(axis))
+    digest = hashlib.sha256()
+    for arr in (axis, meta["times"], values):
+        digest.update(np.asarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == CHECKERBOARD_KERNEL_SHA256

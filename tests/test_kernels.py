@@ -1,7 +1,6 @@
 """Kernel solver, Gaussian envelopes, Aronson fits, and potentials."""
 
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -72,19 +71,6 @@ def kde_2d():
     field = make_field("constant-diagonal", values=[0.1, 0.05])
     return kn.resolvent_potential("monte-carlo", sampling.dirac(np.zeros(2)),
                                   field=field, n_samples=100_000, seed=5)
-
-
-def per_node_table(axes, slices):
-    """Reference bytes of a t,x[,y],value table, one Python step per
-    node; slices holds (t column string, values) pairs."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    lines = ["t," + ",".join(["x", "y"][: len(axes)]) + ",value"]
-    for t, values in slices:
-        for p, v in zip(pts, values.ravel()):
-            coords = ",".join(repr(float(c)) for c in p)
-            lines.append(f"{t},{coords},{float(v)!r}")
-    return ("\n".join(lines) + "\n").encode()
 
 
 class TestEnvelopes:
@@ -402,26 +388,52 @@ class TestAronsonFit:
 
 
 def read_table(prefix):
-    """The columns of <prefix>.csv and the <prefix>.json sidecar."""
+    """The values of <prefix>.csv shaped by the times and axes of the
+    <prefix>.json sidecar, and the sidecar; the file must hold one line
+    per index of the leading axes."""
     with open(prefix + ".json") as fh:
         meta = json.load(fh)
-    return np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1,
-                      ndmin=2).T, meta
+    shape = [len(meta["times"])] if "times" in meta else []
+    shape += [len(ax) for ax in meta["axes"]]
+    values = np.loadtxt(prefix + ".csv", delimiter=",", ndmin=2)
+    assert values.shape == (int(np.prod(shape[:-1])), shape[-1])
+    return values.reshape(shape), meta
+
+
+def assert_bits(got, want):
+    """got and want have the same shape and the same float64 bytes: -0.0
+    is not 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_round_trip(prefix, values, axes, times=None):
+    """<prefix> gives back values, and its sidecar axes (and times), bit
+    for bit."""
+    got, meta = read_table(prefix)
+    assert_bits(got, values)
+    assert len(meta["axes"]) == len(axes)
+    for ax, want in zip(meta["axes"], axes):
+        assert_bits(ax, want)
+    if times is not None:
+        assert_bits(meta["times"], times)
+    return meta
 
 
 class TestGridKernelIO:
     def test_round_trip(self, tmp_path, id_kernel):
         prefix = str(tmp_path / "kern")
         id_kernel.save(prefix)
-        (t, x, value), meta = read_table(prefix)
-        np.testing.assert_array_equal(value, id_kernel.values.ravel())
-        np.testing.assert_array_equal(
-            t, np.repeat(id_kernel.times, id_kernel.axes[0].shape[0]))
-        np.testing.assert_array_equal(x, np.tile(id_kernel.axes[0], 3))
+        meta = assert_round_trip(prefix, id_kernel.values, id_kernel.axes,
+                                 id_kernel.times)
+        assert meta["kind"] == "grid-kernel"
         assert meta["leakage"] == id_kernel.leakage
-        assert meta["times"] == id_kernel.times.tolist()
+        assert meta["box"] == [[-4.0, 4.0]]
+        assert meta["h"] == 0.01
+        assert meta["source"] == [0.0]
         with open(prefix + ".csv") as fh:
-            assert fh.readline().strip() == "t,x,value"
+            assert len(fh.readlines()) == 3
 
     def test_2d_round_trip(self, tmp_path):
         field = make_field("constant-diagonal", values=[2.0, 0.5])
@@ -429,54 +441,69 @@ class TestGridKernelIO:
                                 times=[0.2], dt=1e-2)
         prefix = str(tmp_path / "kern2")
         k.save(prefix)
-        (_, x, y, value), _ = read_table(prefix)
-        np.testing.assert_array_equal(value, k.values.ravel())
-        np.testing.assert_array_equal(np.stack([x, y], axis=-1), k.points())
+        meta = assert_round_trip(prefix, k.values, k.axes, k.times)
+        assert meta["box"] == [[-2.0, 2.0], [-2.0, 2.0]]
+        assert meta["source"] == [0.0, 0.0]
         with open(prefix + ".csv") as fh:
-            assert fh.readline().strip() == "t,x,y,value"
+            assert len(fh.readlines()) == 17
 
 
-def one_string_table(path, axes, slices):
-    """The grid writer that built every slice as one string, kept as the
-    reference for the line-at-a-time _write_grid_csv."""
-    cols = [list(map(repr, np.asarray(ax, dtype=float).tolist()))
-            for ax in axes]
-    coords = list(map(",".join, itertools.product(*cols)))
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(["x", "y"][: len(axes)]) + ",value\n")
-        for t, values in slices:
-            t = f"{float(t)!r},"
-            vals = map(repr, np.asarray(values, dtype=float).ravel().tolist())
-            fh.write("".join(f"{t}{c},{v}\n" for c, v in zip(coords, vals)))
+def one_string_table(values):
+    """The bytes of a value table built as one string, one Python step per
+    value and one line per index of the leading axes: the reference for
+    the line-at-a-time _save_table."""
+    values = np.asarray(values, dtype=float)
+    lines = [",".join(repr(float(v)) for v in values[lead]) + "\n"
+             for lead in np.ndindex(values.shape[:-1])]
+    return "".join(lines).encode()
+
+
+# every float64 class the repr of a table cell must keep apart
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                  float("inf"), float("-inf"), float("nan")]
 
 
 @st.composite
 def grid_tables(draw):
-    """Axes of 1 or 2 dimensions and one to three (t, values) slices."""
+    """Axes of 1 or 2 dimensions and a potential grid or one to three time
+    slices of values on them."""
     dim = draw(st.sampled_from([1, 2]))
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     axes = [np.array(draw(st.lists(finite, min_size=1, max_size=7)))
             for _ in range(dim)]
     shape = tuple(ax.shape[0] for ax in axes)
-    slices = draw(st.lists(st.tuples(
-        finite, hnp.arrays(float, shape, elements=st.floats(width=64))),
-        min_size=1, max_size=3))
-    return axes, slices
+    n_times = draw(st.sampled_from([None, 1, 2, 3]))
+    if n_times is not None:
+        shape = (n_times,) + shape
+    cells = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64))
+    return axes, draw(hnp.arrays(float, shape, elements=cells))
 
 
 class TestTableBytes:
-    """Kernel and potential tables keep the bytes of a per-node writer."""
+    """Kernel and potential tables are value matrices with their axes in
+    the sidecar."""
 
     @settings(max_examples=80, deadline=None)
     @given(grid_tables())
     def test_lines_equal_one_string(self, table):
-        axes, slices = table
+        axes, values = table
+        meta = {"kind": "test", "h": 0.5}
+        if values.ndim > len(axes):
+            meta["times"] = [0.5 * (i + 1) for i in range(len(values))]
         with tempfile.TemporaryDirectory() as tmp:
-            got, want = (os.path.join(tmp, n) for n in ("got", "want"))
-            kn._write_grid_csv(got, axes, slices)
-            one_string_table(want, axes, slices)
-            with open(got, "rb") as g, open(want, "rb") as w:
-                assert g.read() == w.read()
+            prefix = os.path.join(tmp, "table")
+            kn._save_table(prefix, axes, values, meta)
+            with open(prefix + ".csv", "rb") as fh:
+                assert fh.read() == one_string_table(values)
+            lists = [ax.tolist() for ax in axes]
+            want = dict(meta, box=[[ax[0], ax[-1]] for ax in lists],
+                        axes=lists)
+            with open(prefix + ".json") as fh:
+                assert fh.read() == json.dumps(want, sort_keys=True,
+                                               indent=2) + "\n"
+            # every nan reads back as the one nan that repr spells
+            got, _ = read_table(prefix)
+            assert_bits(got, np.where(np.isnan(values), np.nan, values))
 
     def test_2d_two_time_kernel(self, tmp_path):
         field = make_field("constant-diagonal", values=[2.0, 0.5])
@@ -484,17 +511,18 @@ class TestTableBytes:
                                 times=[0.2, 0.35], dt=1e-2)
         prefix = str(tmp_path / "kern2")
         k.save(prefix)
-        want = per_node_table(k.axes, [(repr(float(t)), v)
-                                       for t, v in zip(k.times, k.values)])
         with open(prefix + ".csv", "rb") as fh:
-            assert fh.read() == want
+            assert fh.read() == one_string_table(k.values)
+        assert_round_trip(prefix, k.values, k.axes, k.times)
 
     def test_2d_kde_potential(self, tmp_path, kde_2d):
+        # the KDE axes are bin centres, which (lo, h, n) would not rebuild
         prefix = str(tmp_path / "pot2")
         kde_2d.save(prefix)
-        want = per_node_table(kde_2d.axes, [("0.0", kde_2d.values)])
         with open(prefix + ".csv", "rb") as fh:
-            assert fh.read() == want
+            assert fh.read() == one_string_table(kde_2d.values)
+        meta = assert_round_trip(prefix, kde_2d.values, kde_2d.axes)
+        assert meta["route"] == "monte-carlo-kde"
 
 
 class TestResolventPotential:
@@ -575,13 +603,14 @@ class TestResolventPotential:
                                    sampling.dirac(np.zeros(1)))
         prefix = str(tmp_path / "pot")
         U.save(prefix)
-        (t, x, value), meta = read_table(prefix)
-        np.testing.assert_array_equal(value, U.values)
-        np.testing.assert_array_equal(x, U.axes[0])
-        assert not t.any()
+        meta = assert_round_trip(prefix, U.values, U.axes)
+        assert meta["kind"] == "potential"
         assert meta["route"] == "grid"
         assert meta["box"] == [[-8.0, 8.0]]
         assert meta["h"] == pytest.approx(0.02)
+        assert "times" not in meta and "time_column" not in meta
+        with open(prefix + ".csv") as fh:
+            assert len(fh.readlines()) == 1
 
 
 ID1 = make_field("identity", dim=1)

@@ -59,22 +59,24 @@ def quad_run_w3(tmp_path_factory):
     return runner.run_scenario(quad_config(), workers=3, out_dir=str(out))
 
 
+D2_RUN = {
+    "field": {"name": "constant-diagonal", "values": [2.0, 0.5]},
+    "function": {"name": "quadratic", "dim": 2},
+    "law": {"kind": "dirac", "point": [0.0, 0.0]},
+    "horizon": 1.0,
+    "orders": [3, 4, 5],
+    "n_paths": 300,
+    "fine_margin": 2,
+    "seed": 5,
+    "sweeps": ["covariation", "prop2", "potential"],
+    "potential": {"route": "monte-carlo", "n_samples": 100000, "seed": 5},
+}
+
+
 @pytest.fixture(scope="module")
 def d2_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("d2")
-    cfg = {
-        "field": {"name": "constant-diagonal", "values": [2.0, 0.5]},
-        "function": {"name": "quadratic", "dim": 2},
-        "law": {"kind": "dirac", "point": [0.0, 0.0]},
-        "horizon": 1.0,
-        "orders": [3, 4, 5],
-        "n_paths": 300,
-        "fine_margin": 2,
-        "seed": 5,
-        "sweeps": ["covariation", "prop2", "potential"],
-        "potential": {"route": "monte-carlo", "n_samples": 100000, "seed": 5},
-    }
-    return runner.run_scenario(cfg, out_dir=str(out))
+    return runner.run_scenario(D2_RUN, out_dir=str(out))
 
 
 # a 2-d scenario running every path sweep, so prop2 reports one ratio per
@@ -883,6 +885,20 @@ class TestTwoDimensions:
                                       "rb").read()).hexdigest()
                for f in D2_RUN_SHA256}
         assert got == D2_RUN_SHA256
+
+    def test_potential_field_table(self, d2_run):
+        # the value matrix, shaped by its sidecar's axes, is U bit for bit
+        assert d2_run.artifacts == {"potential_field": [
+            "potential_field.csv", "potential_field.json"]}
+        prefix = os.path.join(d2_run.out_dir, "potential_field")
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        values = np.loadtxt(prefix + ".csv", delimiter=",", ndmin=2)
+        U = runner.resolve_potential(runner.load_scenario(D2_RUN))
+        assert values.shape == U.values.shape
+        assert values.tobytes() == U.values.tobytes()
+        assert [np.array(ax).tobytes() for ax in meta["axes"]] == [
+            ax.tobytes() for ax in U.axes]
 
 
 class TestReportFiles:
