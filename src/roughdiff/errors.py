@@ -45,10 +45,6 @@ class EmptyCandidates(Error):
     """Aronson fit called with an empty candidate ladder."""
 
 
-class TailNotCovered(Error):
-    """Kernel time slices do not reach far enough for the potential tail."""
-
-
 class InsufficientSamples(Error):
     """Monte Carlo potential route called with too few samples."""
 
@@ -67,10 +63,6 @@ class OrderTooLarge(Error):
 
 class UnknownName(Error):
     """Catalog lookup with a name that is not in the catalog."""
-
-
-class NoHessian(Error):
-    """Second derivatives requested from a function that has none."""
 
 
 class BoxTooSmall(Error):

@@ -24,7 +24,8 @@ Condition 1 integrates |grad F|^2 U.  Condition 2 integrates, in one pass
 over the same nodes, |grad f_k|^2 U for each weak derivative f_k = d_k F
 (prop2's denominators) and each entry f_kl^2 U (prop3's); every row keeps
 its own ladder and verdict.  check_box_mass, run once per gate, checks
-that the box captures U.
+that the box captures U; it reads U once, on one tensor grid over the
+box (PotentialField.grid), and takes the boundary from that grid's faces.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BoxTooSmall, DimensionMismatch, NoHessian
+from .errors import BoxTooSmall, DimensionMismatch
 
 BOUNDARY_MASS_RATIO = 1e-4
 SHELL_NODES_LONG = 65
@@ -238,27 +239,18 @@ def _ladder(base, increments):
 def check_box_mass(U, box, h, dim):
     """The box must capture the weight: boundary values of U small
     relative to its maximum inside.  Raises BoxTooSmall when the box
-    visibly truncates U."""
+    visibly truncates U.
+
+    U is read once, on one tensor grid over the box: nodes at most h
+    apart in 1-d, 65 per axis in 2-d; u_b is its maximum on the faces."""
     pairs = _norm_box(box, dim)
-    if dim == 1:
-        boundary = np.array([[pairs[0][0]], [pairs[0][1]]])
-        inner = np.linspace(pairs[0][0], pairs[0][1],
-                            max(2, int(np.ceil((pairs[0][1] - pairs[0][0])
-                                               / h)) + 1))[:, None]
-    else:
-        (lo1, hi1), (lo2, hi2) = pairs
-        e1 = np.linspace(lo1, hi1, 65)
-        e2 = np.linspace(lo2, hi2, 65)
-        edges = [np.stack([e1, np.full(65, lo2)], -1),
-                 np.stack([e1, np.full(65, hi2)], -1),
-                 np.stack([np.full(65, lo1), e2], -1),
-                 np.stack([np.full(65, hi1), e2], -1)]
-        boundary = np.concatenate(edges)
-        g1, g2 = np.meshgrid(np.linspace(lo1, hi1, 65),
-                             np.linspace(lo2, hi2, 65), indexing="ij")
-        inner = np.stack([g1.ravel(), g2.ravel()], -1)
-    u_b = float(np.max(U(boundary)))
-    u_in = float(np.max(U(inner)))
+    counts = ([int(np.ceil((hi - lo) / h)) + 1 for lo, hi in pairs]
+              if dim == 1 else [65] * dim)
+    vals = U.grid([np.linspace(lo, hi, n)
+                   for (lo, hi), n in zip(pairs, counts)])
+    u_in = float(vals.max())
+    u_b = float(np.max([np.take(vals, [0, -1], axis=k).max()
+                        for k in range(dim)]))
     if u_in <= 0:
         raise BoxTooSmall("the potential vanishes on the whole box")
     if u_b > BOUNDARY_MASS_RATIO * u_in:
@@ -317,11 +309,8 @@ def check_condition_2(F, U, box, h):
     f_k (prop2's), from one hessian and one U call per node of U's window.
 
     ``U`` is a PotentialField; the box is not checked here (see
-    check_box_mass).  Raises NoHessian when F provides no second
-    derivatives at all.
+    check_box_mass).
     """
-    if F.hessian is None:
-        raise NoHessian(f"{F.name} has no second derivatives")
     d = F.dim
 
     def rows(pts):

@@ -38,7 +38,6 @@ from .errors import (
     InsufficientSamples,
     KrylovNotConverged,
     NonPositiveTime,
-    TailNotCovered,
     UnstableStep,
 )
 from . import sampling as _sampling
@@ -49,7 +48,6 @@ KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
 ENVELOPE_M = 4.0
 # the Aronson fit ignores kernel values at or below this floor
 SANDWICH_FLOOR = 1e-12
-TAIL_T_MIN = 8.0
 MIN_KDE_SAMPLES = 100_000
 # rows per field evaluation in the Monte Carlo Euler sweep and in the
 # L^q quadrature; results do not depend on them, peak memory does
@@ -348,11 +346,6 @@ def check_step(dt, h, lam):
             f"dt = {dt:g} exceeds h^2 lambda / 4 = {h * h * lam / 4:g}")
 
 
-def _snap(times, dt):
-    """The nearest multiple of dt to each time, in steps, at least one."""
-    return np.maximum(1, np.round(times / dt).astype(np.int64))
-
-
 def snap_times(times, dt):
     """Step counts of the output times at step dt > 0: the times must be
     positive and strictly increasing, and stay distinct once snapped to
@@ -363,7 +356,7 @@ def snap_times(times, dt):
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d list")
     _check_time(times)
-    steps = _snap(times, dt)
+    steps = np.maximum(1, np.round(times / dt).astype(np.int64))
     if np.any(np.diff(steps) <= 0):
         raise ValueError("output times collide after snapping to dt")
     return steps
@@ -475,17 +468,6 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
             v -= alpha[j] * q
             q, q_prev = v / beta[j], q
     return mean + out * (norm / root)
-
-
-def log_time_grid(t_min, t_max, n, dt):
-    """Log-spaced output times snapped to multiples of dt, deduplicated.
-
-    Suitable as the ``times`` list of solve_kernel_pde when the kernel
-    will feed the resolvent quadrature: dense near 0, sparse at the tail.
-    """
-    raw = np.geomspace(max(t_min, dt), t_max, n)
-    steps = np.unique(_snap(raw, dt))
-    return steps * dt
 
 
 # ------------------------------------------------------------- Aronson fit
@@ -644,18 +626,14 @@ def _bilinear_grid(axes, values, qaxes):
 
 def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
                         seed=0, step=2.0 ** -9, t_cap=16.0, box=None, h=None):
-    """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of four routes.
+    """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of three routes.
 
-    source selects the route: the string "closed-form" (``field`` the
-    identity in d = 1, Dirac start), the string "grid" (one finite-volume
-    solve of (1 - L) U = nu on ``box`` at step ``h``, which needs
-    ``field``), a
-    GridKernel (time-slice quadrature), or the string "monte-carlo"
+    source selects the route: "closed-form" (``field`` the identity in
+    d = 1, Dirac start), "grid" (one finite-volume solve of (1 - L) U = nu
+    on ``box`` at step ``h``, which needs ``field``), or "monte-carlo"
     (kernel-density estimate of X_T, T ~ Exponential(1), which needs
     ``field``).
     """
-    if isinstance(source, GridKernel):
-        return _potential_from_kernel(source, nu)
     if source == "grid":
         return _potential_from_solve(field, nu, box, h)
     if source == "closed-form":
@@ -732,29 +710,6 @@ def _node_mass(nu, axes, h):
                              axis=0))
     out = share[0] @ nu.cell_probs
     return out if len(share) == 1 else out @ share[1].T
-
-
-def _potential_from_kernel(kernel, nu):
-    t = kernel.times
-    if t[-1] < TAIL_T_MIN - 1e-9:
-        raise TailNotCovered(
-            f"kernel times reach {t[-1]:g} < {TAIL_T_MIN:g}; the e^(-s) "
-            "tail is not negligible there")
-    if nu is not None and nu.kind == "dirac":
-        if np.max(np.abs(np.atleast_1d(nu.point) - kernel.source)) > \
-                kernel.h + 1e-12:
-            raise ValueError("kernel was solved from a different start "
-                             "point than nu")
-    w = np.exp(-t)
-    integrand = kernel.values * w.reshape((-1,) + (1,) * kernel.dim)
-    U = np.trapezoid(integrand, t, axis=0)
-    tail_bound = float(np.exp(-t[-1]) * ENVELOPE_M / t[-1] ** (kernel.dim / 2))
-    return PotentialField(
-        route="grid", dim=kernel.dim,
-        params={"t_min": float(t[0]), "t_max": float(t[-1]),
-                "n_slices": int(t.shape[0]), "tail_bound": tail_bound,
-                "kernel_leakage": float(kernel.leakage)},
-        axes=kernel.axes, values=U)
 
 
 def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):

@@ -27,7 +27,7 @@ class TestFunction:
     regularity: str
     value: callable
     gradient: callable
-    hessian: callable | None = None
+    hessian: callable
     singular_points: list = dc_field(default_factory=list)
     params: dict = dc_field(default_factory=dict)
 

@@ -157,17 +157,15 @@ def potentials():
     nu = sampling.dirac([0.0])
     field = make_field("identity", dim=1)
     closed = kernels.resolvent_potential("closed-form", nu, field=field)
-    dt = 1e-4
-    times = kernels.log_time_grid(1e-4, 8.0, 240, dt)
-    kern = kernels.solve_kernel_pde(field, 0.0, (-8.0, 8.0), 0.02, times, dt)
-    grid = kernels.resolvent_potential(kern, nu)
+    grid = kernels.resolvent_potential("grid", nu, field=field,
+                                       box=(-8.0, 8.0), h=0.02)
     mc = kernels.resolvent_potential("monte-carlo", nu, field=field,
                                      n_samples=400_000, seed=2)
     return closed, grid, mc
 
 
 def test_c4_resolvent_potential_two_routes(potentials):
-    """Both the kernel-quadrature and Monte Carlo potentials agree with
+    """Both the grid solve and Monte Carlo potentials agree with
     (1/2) exp(-|x|) to 5 percent sup on [-2, 2], carry unit mass to
     2 percent, and have squared L2 norm 0.25 to 2 percent."""
     closed, grid, mc = potentials

@@ -16,7 +16,7 @@ import roughdiff
 SRC = pathlib.Path(roughdiff.__file__).parent
 REFERENCE_IMPLEMENTATIONS = {
     "CovariationResult", "aronson_lower", "covariation",
-    "exact_brownian_kernel", "forward_sum", "gaussian_ref", "log_time_grid",
+    "exact_brownian_kernel", "forward_sum", "gaussian_ref",
     "quadratic_variation", "tabulate_kernel", "trapezoid_sum",
 }
 
@@ -117,12 +117,33 @@ def unused_public_methods(src=SRC):
                              for _, m, n in reads))
 
 
+def unconstructed_errors(src=SRC):
+    """Classes of ``src``'s errors module, other than the base Error, that
+    no code in ``src`` calls by name: an exception whose last raise site
+    is gone."""
+    called, classes = set(), []
+    for module, tree, _ in _parsed(src):
+        if module == "errors":
+            classes = [node.name for node in tree.body
+                       if isinstance(node, ast.ClassDef)]
+        called |= {node.func.id if isinstance(node.func, ast.Name)
+                   else node.func.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, (ast.Name, ast.Attribute))}
+    return sorted(name for name in classes
+                  if name != "Error" and name not in called)
+
+
 def test_no_public_definition_is_test_only():
     assert unused_public_definitions() == []
 
 
 def test_no_public_method_is_test_only():
     assert unused_public_methods() == []
+
+
+def test_every_error_is_raised():
+    assert unconstructed_errors() == []
 
 
 def test_reference_implementations_exist():
@@ -155,3 +176,21 @@ def test_guard_sees_methods_and_recursion(tmp_path):
         "VALUE = use(Law())\n")
     assert unused_public_methods(tmp_path) == ["mod.Law.atoms"]
     assert unused_public_definitions(tmp_path) == []
+
+
+def test_guard_sees_unraised_errors(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Error(Exception):\n    pass\n\n\n"
+        "class Raised(Error):\n    pass\n\n\n"
+        "class Qualified(Error):\n    pass\n\n\n"
+        "class Named(Error):\n    pass\n\n\n"
+        "class Orphan(Error):\n    pass\n")
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\n"
+        "from .errors import Named, Orphan, Raised\n\n\n"
+        "def check(x):\n"
+        "    if x:\n        raise Raised(x)\n"
+        "    if x is None:\n        raise errors.Qualified()\n"
+        "    return isinstance(x, (Named, Orphan))\n\n\n"
+        "def build():\n    return Named('unused')\n")
+    assert unconstructed_errors(tmp_path) == ["Orphan"]

@@ -15,7 +15,6 @@ from roughdiff import runner, sampling
 from roughdiff.errors import (
     ConditionViolated,
     LengthMismatch,
-    NoHessian,
     SingularHit,
 )
 from roughdiff import testfunctions
@@ -321,7 +320,8 @@ class TestItoResidual:
         F = testfunctions.TestFunction(
             name="logabs", dim=1, regularity="H1_loc",
             value=lambda x: np.log(np.abs(np.asarray(x)[..., 0]) + 1e-300),
-            gradient=grad)
+            gradient=grad,
+            hessian=lambda x: -grad(x)[..., None] ** 2)
         # every path starts at 0, where the gradient is infinite
         scn = runner.load_scenario(
             dict(SIN_CONFIG, sweeps=["ito_residual"], orders=[2],
@@ -416,11 +416,4 @@ class TestBoundChecks:
             SIN_CONFIG, function={"name": "abs_power", "alpha": 0.4},
             sweeps=["prop3"]))
         with pytest.raises(ConditionViolated, match="condition 2"):
-            runner.gate_scenario(scn)
-
-    def test_taylor_requires_hessian(self):
-        scn = runner.load_scenario(dict(SIN_CONFIG, sweeps=["prop3"]))
-        scn = dataclasses.replace(
-            scn, F=dataclasses.replace(scn.F, hessian=None))
-        with pytest.raises(NoHessian):
             runner.gate_scenario(scn)

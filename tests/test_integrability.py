@@ -7,9 +7,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roughdiff import integrability as ig
-from roughdiff.errors import BoxTooSmall, DimensionMismatch, NoHessian
+from roughdiff import kernels, sampling
+from roughdiff.errors import BoxTooSmall, DimensionMismatch
+from roughdiff.fields import make_field
 from roughdiff.kernels import PotentialField
 from roughdiff.testfunctions import make_test_function
 
@@ -180,13 +183,6 @@ class TestConditionChecks:
                                    (-10.0, 10.0), 0.01)
         assert res.finite
 
-    def test_no_hessian(self):
-        F = dataclasses.replace(make_test_function("quadratic", dim=1),
-                                hessian=None)
-        with pytest.raises(NoHessian):
-            ig.check_condition_2(F, closed_form_potential,
-                                 (-10.0, 10.0), 0.01)
-
     def test_box_too_small(self):
         with pytest.raises(BoxTooSmall, match="enlarge"):
             ig.check_box_mass(closed_form_potential, (-3.0, 3.0), 0.01, 1)
@@ -332,3 +328,83 @@ class TestWindow:
         q = np.linspace(-2.0, 2.0, 9)
         assert U.window([q, q]) == [slice(2, 7), slice(9, 9)]
         assert UNIT[2].window([q, q[:4]]) == [slice(0, 9), slice(0, 4)]
+
+
+def point_list_box_mass(U, box, h, dim):
+    """check_box_mass before the tensor grid, kept as the reference: U at
+    a list of boundary points and, apart, at a list of inner points."""
+    pairs = ig._norm_box(box, dim)
+    if dim == 1:
+        boundary = np.array([[pairs[0][0]], [pairs[0][1]]])
+        inner = np.linspace(pairs[0][0], pairs[0][1],
+                            max(2, int(np.ceil((pairs[0][1] - pairs[0][0])
+                                               / h)) + 1))[:, None]
+    else:
+        (lo1, hi1), (lo2, hi2) = pairs
+        e1 = np.linspace(lo1, hi1, 65)
+        e2 = np.linspace(lo2, hi2, 65)
+        edges = [np.stack([e1, np.full(65, lo2)], -1),
+                 np.stack([e1, np.full(65, hi2)], -1),
+                 np.stack([np.full(65, lo1), e2], -1),
+                 np.stack([np.full(65, hi1), e2], -1)]
+        boundary = np.concatenate(edges)
+        g1, g2 = np.meshgrid(np.linspace(lo1, hi1, 65),
+                             np.linspace(lo2, hi2, 65), indexing="ij")
+        inner = np.stack([g1.ravel(), g2.ravel()], -1)
+    u_b = float(np.max(U(boundary)))
+    u_in = float(np.max(U(inner)))
+    if u_in <= 0:
+        raise BoxTooSmall("the potential vanishes on the whole box")
+    if u_b > ig.BOUNDARY_MASS_RATIO * u_in:
+        raise BoxTooSmall(
+            f"potential at the box boundary ({u_b:.3g}) exceeds "
+            f"{ig.BOUNDARY_MASS_RATIO:g} of its interior maximum "
+            f"({u_in:.3g}); enlarge the box")
+
+
+def box_mass_outcome(check, U, box, h, dim):
+    """None when ``check`` passes, else its BoxTooSmall message."""
+    try:
+        check(U, box, h, dim)
+    except BoxTooSmall as exc:
+        return str(exc)
+    return None
+
+
+@functools.cache
+def solved_potential_2d():
+    return kernels.resolvent_potential(
+        "grid", sampling.dirac(np.zeros(2)),
+        field=make_field("identity", dim=2), box=(-3.0, 3.0), h=0.1)
+
+
+class TestBoxMass:
+    """check_box_mass reads U on one tensor grid and decides as the point
+    lists did, with the same message, on closed forms and tables."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_grid_equals_point_lists(self, data):
+        dim = data.draw(st.sampled_from([1, 2]))
+        kind = data.draw(st.sampled_from(["closed", "table", "solve"]
+                                         if dim == 2 else ["closed", "table"]))
+        if kind == "closed":
+            U = closed_form_potential if dim == 1 else gauss_weight_2d
+        elif kind == "table":
+            U = data.draw(tabulated_potential(
+                dim, data.draw(st.sampled_from(sorted(PLACEMENTS)))))
+        else:
+            U = solved_potential_2d()
+        # boxes inside, straddling or missing U's table or bulk
+        span = 12.0 if kind == "closed" else 4.0
+        lo = data.draw(hnp.arrays(float, dim,
+                                  elements=st.floats(-span, 2.0)))
+        width = data.draw(hnp.arrays(float, dim,
+                                     elements=st.floats(0.05, 2 * span)))
+        box = np.stack([lo, lo + width], axis=-1)
+        h = data.draw(st.floats(0.01, 0.37))
+        ratio = data.draw(st.sampled_from([1e-4, 0.01, 0.5, 1.0]))
+        with mock.patch.object(ig, "BOUNDARY_MASS_RATIO", ratio):
+            got = box_mass_outcome(ig.check_box_mass, U, box, h, dim)
+            want = box_mass_outcome(point_list_box_mass, U, box, h, dim)
+        assert got == want

@@ -21,12 +21,15 @@ from roughdiff.errors import (
     KrylovNotConverged,
     NonPositiveTime,
     RoughFieldError,
-    TailNotCovered,
     UnstableStep,
 )
 from roughdiff.fields import make_field
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
+# 240 log-spaced times from 1e-4 to 8, snapped to steps of 1e-4 (at least
+# one) and deduplicated: dense near 0 for the e^(-s) quadrature of a kernel
+LOG_TIMES = np.unique(np.maximum(1, np.round(
+    np.geomspace(1e-4, 8.0, 240) / 1e-4).astype(np.int64))) * 1e-4
 DIRAC_1D = sampling.dirac(np.zeros(1))
 DIRAC_2D = sampling.dirac(np.zeros(2))
 
@@ -53,11 +56,10 @@ def exact_tab():
 
 
 @pytest.fixture(scope="module")
-def potential_kernel():
-    field = make_field("identity", dim=1)
-    dt = 1e-4
-    times = kn.log_time_grid(1e-4, 8.0, 240, dt)
-    return kn.solve_kernel_pde(field, 0.0, (-8.0, 8.0), 0.02, times, dt)
+def solved_potential():
+    return kn.resolvent_potential("grid", sampling.dirac(np.zeros(1)),
+                                  field=make_field("identity", dim=1),
+                                  box=(-8.0, 8.0), h=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +232,7 @@ LANCZOS_CASES = {
     "demo-1d": (make_field("checkerboard", **CHECKERBOARD), [0.0],
                 (-6.0, 6.0), 0.05, [0.25, 0.5], 3e-4),
     "c4-log-times": (make_field("identity", dim=1), [0.0], (-8.0, 8.0),
-                     0.02, kn.log_time_grid(1e-4, 8.0, 240, 1e-4), 1e-4),
+                     0.02, LOG_TIMES, 1e-4),
     "dt-at-bound": (make_field("checkerboard", **CHECKERBOARD), [0.5],
                     (-6.0, 6.0), 0.05, [0.01, 0.3, 2.0], None),
 }
@@ -537,28 +539,15 @@ class TestResolventPotential:
                                    sampling.dirac(np.zeros(2)),
                                    field=make_field("identity", dim=1))
 
-    def test_grid_route_matches_closed_form(self, potential_kernel,
+    def test_grid_route_matches_closed_form(self, solved_potential,
                                             closed_potential):
-        U = kn.resolvent_potential(potential_kernel,
-                                   sampling.dirac(np.zeros(1)))
+        U = solved_potential
         xs = np.linspace(-2.0, 2.0, 401)[:, None]
         rel = np.abs(U(xs) - closed_potential(xs)) / closed_potential(xs)
         assert rel.max() < 0.05
         np.testing.assert_allclose(U.integral(), 1.0, atol=0.02)
-        assert U.params["tail_bound"] < 1e-3
-
-    def test_grid_route_needs_long_horizon(self):
-        field = make_field("identity", dim=1)
-        short = kn.solve_kernel_pde(field, 0.0, (-4.0, 4.0), 0.02,
-                                    kn.log_time_grid(1e-3, 4.0, 40, 1e-4),
-                                    dt=1e-4)
-        with pytest.raises(TailNotCovered):
-            kn.resolvent_potential(short, sampling.dirac(np.zeros(1)))
-
-    def test_grid_route_checks_start_point(self, potential_kernel):
-        with pytest.raises(ValueError):
-            kn.resolvent_potential(potential_kernel,
-                                   sampling.dirac(np.ones(1)))
+        # the solve conserves mass: 1^T S = 0
+        assert abs(U.integral() - 1.0) <= 1e-12
 
     def test_mc_route_matches_closed_form(self, closed_potential):
         field = make_field("identity", dim=1)
@@ -594,13 +583,15 @@ class TestResolventPotential:
         np.testing.assert_allclose(U.integral(), 1.0, atol=0.02)
         assert np.all(U.values >= 0.0)
 
-    def test_unknown_source(self):
+    def test_unknown_source(self, id_kernel):
         with pytest.raises(ValueError):
             kn.resolvent_potential("toaster", sampling.dirac(np.zeros(1)))
+        # a kernel is not a source: U is one solve, route "grid"
+        with pytest.raises(ValueError, match="unknown potential source"):
+            kn.resolvent_potential(id_kernel, sampling.dirac(np.zeros(1)))
 
-    def test_potential_round_trip(self, tmp_path, potential_kernel):
-        U = kn.resolvent_potential(potential_kernel,
-                                   sampling.dirac(np.zeros(1)))
+    def test_potential_round_trip(self, tmp_path, solved_potential):
+        U = solved_potential
         prefix = str(tmp_path / "pot")
         U.save(prefix)
         meta = assert_round_trip(prefix, U.values, U.axes)
@@ -686,17 +677,17 @@ class TestGridRoute:
                                    rtol=0, atol=1e-15)
 
     def test_checkerboard_matches_stepped_route(self):
-        # the time-slice quadrature of the stepped kernel, away from the
-        # source, where its coarse first slices matter, and from the box
+        # U = int e^(-s) p_s ds: the solve against the e^(-s)-weighted
+        # trapezoid over the stepped kernel's slices, away from the
+        # source, where the coarse first slices matter, and from the box
         # edge, where the tail beyond t = 8 it leaves out matters
         field = make_field("checkerboard", dim=1, lo=0.5, hi=2.0)
-        dt = 1e-4
-        kern = kn.solve_kernel_pde(field, 0.0, BOX1, 0.05,
-                                   kn.log_time_grid(1e-4, 8.0, 240, dt), dt)
-        stepped = kn.resolvent_potential(kern, sampling.dirac(np.zeros(1)))
+        kern = kn.solve_kernel_pde(field, 0.0, BOX1, 0.05, LOG_TIMES, 1e-4)
+        stepped = np.trapezoid(kern.values * np.exp(-kern.times)[:, None],
+                               kern.times, axis=0)
         U = grid_potential(sampling.dirac(np.zeros(1)), field)
         mid = (np.abs(U.axes[0]) > 0.5) & (np.abs(U.axes[0]) < 3.0)
-        rel = np.abs(U.values - stepped.values)[mid] / U.values[mid]
+        rel = np.abs(U.values - stepped)[mid] / U.values[mid]
         assert rel.max() < 5e-3
 
     def test_mollified_checkerboard_bytes(self):
@@ -986,14 +977,3 @@ class TestLqNorm:
         assert not kn.lq_admissible(1.0, 1)
         assert not kn.lq_admissible(3.0, 3)
         assert not kn.lq_admissible(0.5, 2)
-
-
-class TestTimeGrid:
-    def test_log_time_grid(self):
-        dt = 1e-4
-        times = kn.log_time_grid(1e-4, 8.0, 240, dt)
-        assert times[0] >= dt
-        assert times[-1] == pytest.approx(8.0, abs=dt)
-        steps = np.round(times / dt)
-        np.testing.assert_allclose(times, steps * dt, rtol=1e-12)
-        assert np.all(np.diff(times) > 0)

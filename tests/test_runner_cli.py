@@ -11,6 +11,7 @@ and S.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -738,17 +739,24 @@ class TestRunScenario:
         assert got == digest
 
     def test_gate_evaluates_potential_on_its_window(self, monkeypatch):
-        # U is sampled once for the box mass, then once per condition at
-        # the nodes of its window only: condition 2 yields prop2's per-axis
-        # integrals from its own pass, and off the Monte Carlo table U is 0
+        # U is sampled once for the box mass, on one 65 x 65 grid, then
+        # once per condition at the nodes of its window only: condition 2
+        # yields prop2's per-axis integrals from its own pass, and off the
+        # Monte Carlo table U is 0
         points = []
         call = kernels.PotentialField.__call__
+        grid = kernels.PotentialField.grid
 
         def counting(self, pts):
             points.append(len(pts))
             return call(self, pts)
 
+        def counting_grid(self, qaxes):
+            points.append(math.prod(len(q) for q in qaxes))
+            return grid(self, qaxes)
+
         monkeypatch.setattr(kernels.PotentialField, "__call__", counting)
+        monkeypatch.setattr(kernels.PotentialField, "grid", counting_grid)
         scn = runner.load_scenario(D2_ALL_SWEEPS)
         _, _, U = runner.gate_scenario(scn)
         seen = sum(points)
@@ -764,6 +772,7 @@ class TestRunScenario:
                          scn.quad_h, scn.F.singular_points, 2)
 
         mass = count(integrability.check_box_mass, U, scn.box, scn.quad_h, 2)
+        assert mass == 65 * 65
         window = one_pass(U)
         # the same U on a closed form has every node in its window
         full_box = one_pass(kernels.PotentialField(
