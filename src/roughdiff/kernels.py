@@ -51,8 +51,8 @@ SANDWICH_FLOOR = 1e-12
 MIN_KDE_SAMPLES = 100_000
 # rows per field evaluation in the Monte Carlo Euler sweep and in the
 # L^q quadrature; results do not depend on them, peak memory does
-EULER_ROW_BLOCK = 8192
-LQ_ROW_BLOCK = 128
+EULER_ROW_BLOCK = 2048
+LQ_ROW_BLOCK = 32
 # the kernel's Lanczos recurrence stops once the last Krylov coefficient of
 # every output time is at most this fraction of its largest one, and gives
 # up after KRYLOV_MAX_PER_NODE steps per grid node
@@ -724,75 +724,100 @@ def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):
     # stream; the attempt offset keys it apart from the path streams, so
     # the estimate shares no draws with the simulated paths
     rng = _sampling.path_rng(seed, 0, attempt=1_000_003)
-    T = np.minimum(rng.exponential(size=n_samples), t_cap)
-    if nu.kind == "dirac":
-        x0 = np.tile(np.atleast_1d(nu.point), (n_samples, 1)).astype(float)
-    else:
-        x0 = np.stack([_sampling.sample_initial(nu, rng)
-                       for _ in range(n_samples)])
-    if field.is_constant:
-        # the SDE solution is Gaussian given T: exact sampling, no grid
-        root = np.sqrt(2.0 * field._diag_many(np.zeros((1, dim)))[0])
-        z = rng.standard_normal((n_samples, dim))
-        samples = x0 + np.sqrt(T)[:, None] * (z * root)
-    else:
-        samples = _terminal_states(field, x0, T, step, rng)
-    return _kde_field(samples, bw, dim,
+    # the states are passed on without a name, so _kde_field holds the
+    # only reference and frees them once binned
+    return _kde_field(_terminal_states(field, nu, n_samples, t_cap, step,
+                                       rng), bw, dim,
                       {"n_samples": int(n_samples), "bandwidth": bw,
                        "t_cap": float(t_cap), "seed": int(seed),
                        "exact_time": bool(field.is_constant),
                        "step": None if field.is_constant else float(step)})
 
 
-def _terminal_states(field, x0, T, step, rng):
-    """X_T per sample by one Euler sweep over all samples.
+def _terminal_states(field, nu, n, t_cap, step, rng):
+    """X_T of n samples, T ~ Exponential(1) capped at t_cap and X_0 ~ nu,
+    drawn in that order from ``rng``, followed by the increments.
 
-    Samples are sorted by step count, largest first, so Euler step j
-    advances the prefix of samples that still have more than j steps to
-    go; its (n_active, d) increments are the next draws of ``rng``.
+    On a constant field X_T is Gaussian given T and drawn exactly, in
+    sample order.  Otherwise one Euler sweep over all samples gives it in
+    step order: most steps first, ties in sample order.  Samples are
+    sorted by step count, so Euler step j advances the prefix of samples
+    that still have more than j steps to go; its (n_active, d) increments
+    are the next draws of ``rng``.
     """
-    nsteps = np.maximum(1, np.round(T / step).astype(np.int64))
-    order = np.argsort(-nsteps, kind="stable")
-    # n_active[j] = number of samples with more than j steps
-    n_active = np.searchsorted(-nsteps[order], -np.arange(nsteps.max()))
+    T = rng.exponential(size=n)
+    np.minimum(T, t_cap, out=T)
+    if nu.kind == "dirac":
+        x0 = np.tile(np.asarray(nu.point, dtype=float), (n, 1))
+    else:
+        x0 = np.stack([_sampling.sample_initial(nu, rng) for _ in range(n)])
+    if field.is_constant:
+        # x0 + sqrt(T) (z sqrt(2 a)), formed in z
+        z = rng.standard_normal((n, field.dim))
+        z *= np.sqrt(2.0 * field._diag_many(np.zeros((1, field.dim)))[0])
+        z *= np.sqrt(T, out=T)[:, None]
+        z += x0
+        return z
+    # minus the step counts, so a stable sort puts the most steps first
+    neg = np.divide(T, -step)
+    np.minimum(np.round(neg, out=neg), -1.0, out=neg)
+    del T
+    order = np.argsort(neg, kind="stable")
     x = x0[order]
-    for n in n_active:
-        xi = rng.standard_normal((n, field.dim))
-        # the draws stay one (n, d) block so the stream does not move
-        for i in range(0, n, EULER_ROW_BLOCK):
-            j = min(i + EULER_ROW_BLOCK, n)
+    del x0
+    # n_active[j] = number of samples with more than j steps
+    n_active = np.searchsorted(neg[order], -np.arange(-neg.min()))
+    del neg, order
+    xi = np.empty_like(x)
+    for m in n_active:
+        # the draws stay one (m, d) block so the stream does not move
+        rng.standard_normal(out=xi[:m])
+        for i in range(0, m, EULER_ROW_BLOCK):
+            j = min(i + EULER_ROW_BLOCK, m)
             x[i:j] = _sampling.em_step(field, x[i:j], xi[i:j], step)
-    out = np.empty_like(x)
-    out[order] = x
-    return out
+    return x
 
 
 KDE_MAX_HALFWIDTH = 24.0
+
+
+def _median(samples):
+    """np.median(samples, axis=0) bit for bit, by its own partition and
+    mean, without the NaN check that imports numpy.ma."""
+    k = range((samples.shape[0] - 1) // 2, samples.shape[0] // 2 + 1)
+    return np.partition(samples, [*k, -1], axis=0)[k.start:k.stop].mean(
+        axis=0)
 
 
 def _kde_field(samples, bw, dim, params):
     """Bin the samples, then convolve with a Gaussian of width bw; the
     result is tabulated on the fine bin grid.
 
-    Rare far-out samples are folded into the edge bins so the tabulated
-    grid stays bounded; the potential out there is below e^(-24) of its
-    peak, so the relocated mass is invisible at Monte Carlo accuracy.
+    Rare far-out samples are folded into the edge bins (``samples`` is
+    clipped in place, and released once binned) so the tabulated grid
+    stays bounded; the potential out there is below e^(-24) of its peak,
+    so the relocated mass is invisible at Monte Carlo accuracy.
     """
     bin_h = bw / 10.0 if dim == 1 else bw / 5.0
-    center = np.median(samples, axis=0)
-    samples = np.clip(samples, center - KDE_MAX_HALFWIDTH,
-                      center + KDE_MAX_HALFWIDTH)
+    center = _median(samples)
+    np.clip(samples, center - KDE_MAX_HALFWIDTH, center + KDE_MAX_HALFWIDTH,
+            out=samples)
     lo = samples.min(axis=0) - 5.0 * bw
     hi = samples.max(axis=0) + 5.0 * bw
-    n = samples.shape[0]
     kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
     kern = np.exp(-0.5 * (kx / bw) ** 2)
     kern /= kern.sum() * bin_h
-    counts, edges = np.histogramdd(
+    dens, edges = np.histogramdd(
         samples, bins=[np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)])
-    dens = counts / n
+    dens /= samples.shape[0]
+    del samples
     for k in range(dim):
-        dens = np.apply_along_axis(np.convolve, k, dens, kern, mode="same")
+        # each line along axis k convolved into one preallocated output
+        lines, out = np.moveaxis(dens, k, -1), np.empty(dens.shape)
+        conv = np.moveaxis(out, k, -1)
+        for i in np.ndindex(lines.shape[:-1]):
+            conv[i] = np.convolve(lines[i], kern, mode="same")
+        dens = out
     return PotentialField(route="monte-carlo-kde", dim=dim, params=params,
                           axes=[0.5 * (e[:-1] + e[1:]) for e in edges],
                           values=dens)

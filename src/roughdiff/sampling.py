@@ -33,7 +33,10 @@ from .errors import (
 )
 
 MAX_ORDER = 24
-_CHUNK_STEPS = 4096
+# Euler-Maruyama steps of noise drawn per path at a time: a (B, 512, d)
+# block; each path reads its own stream in order, so states do not depend
+# on it
+_CHUNK_STEPS = 512
 _ATTEMPT_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit constant, attempt offset
 _LOOKAHEAD = 12  # lattice jumps per window; 8-16 measured fastest
 
@@ -275,7 +278,7 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
     while done < nsteps:
         take = min(_CHUNK_STEPS, nsteps - done)
         for b, g in enumerate(gens):
-            xi[b, :take] = g.standard_normal((take, d))
+            g.standard_normal(out=xi[b, :take])
         for j in range(take):
             x = em_step(field, x, xi[:, j], fine_step)
             i = done + j + 1
@@ -326,8 +329,7 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     # pre-drawn randomness blocks; column j of a path drives its jump j
     mean_jumps = max_rate * horizon
     block = max(64, int(mean_jumps * 1.25 + 8.0 * np.sqrt(mean_jumps) + 16))
-    expo = np.empty((B, 0))
-    unif = np.empty((B, 0))
+    expo = unif = np.empty((B, 0))
 
     K = _LOOKAHEAD
     window = np.arange(K)
@@ -353,10 +355,12 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
             new_e = np.empty((B, block))
             new_u = np.empty((B, block))
             for b, g in enumerate(gens):
-                new_e[b] = g.standard_exponential(block)
-                new_u[b] = g.random(block)
-            expo = np.concatenate([expo, new_e], axis=1)
-            unif = np.concatenate([unif, new_u], axis=1)
+                g.standard_exponential(out=new_e[b])
+                g.random(out=new_u[b])
+            if expo.shape[1]:
+                new_e = np.concatenate([expo, new_e], axis=1)
+                new_u = np.concatenate([unif, new_u], axis=1)
+            expo, unif = new_e, new_u
         rows, cols = ids[:, None], used[:, None] + window
         unif_w = unif[rows, cols]
 

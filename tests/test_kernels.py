@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
@@ -770,10 +770,12 @@ class TestMonteCarloEuler:
         # zero drift, so X_T after m steps has variance 2 a m step exactly
         a, step, n = 0.5, 2.0 ** -4, 100_000
         field = make_field("constant-diagonal", values=[a], mollify=0.1)
-        T = np.minimum(sampling.path_rng(1, 0).exponential(size=n), 4.0)
-        x = kn._terminal_states(field, np.zeros((n, 1)), T, step,
+        x = kn._terminal_states(field, DIRAC_1D, n, 4.0, step,
                                 sampling.path_rng(1, 1))[:, 0]
-        m = np.maximum(1, np.round(T / step).astype(np.int64))
+        # T is the stream's first n draws, and the states come in step
+        # order, most steps first
+        T = np.minimum(sampling.path_rng(1, 1).exponential(size=n), 4.0)
+        m = -np.sort(-np.maximum(1, np.round(T / step).astype(np.int64)))
         checked = 0
         for k in np.unique(m):
             xs = x[m == k]
@@ -789,12 +791,11 @@ class TestMonteCarloEuler:
         field = make_field("checkerboard", dim=2, lo=0.5, hi=2.0, cell=1.0,
                            mollify=0.1)
         n, step = 500, 2.0 ** -4
-        T = np.minimum(sampling.path_rng(3, 0).exponential(size=n), 4.0)
         runs = []
         for block in (7, n + 1):
             monkeypatch.setattr(kn, "EULER_ROW_BLOCK", block)
-            runs.append(kn._terminal_states(field, np.zeros((n, 2)), T,
-                                            step, sampling.path_rng(3, 1)))
+            runs.append(kn._terminal_states(field, DIRAC_2D, n, 4.0, step,
+                                            sampling.path_rng(3, 1)))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_matches_closed_form(self):
@@ -808,6 +809,52 @@ class TestMonteCarloEuler:
         xs = np.concatenate([-r[::-1], r])[:, None]
         exact = np.exp(-np.abs(xs[:, 0]) / np.sqrt(a)) / (2.0 * np.sqrt(a))
         assert np.max(np.abs(U(xs) - exact) / exact) < 0.07
+
+
+@st.composite
+def sample_columns(draw):
+    """(n, d) samples, n from 1, d in {1, 2}, rich in ties and in +-0."""
+    n, d = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2]))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    return np.array(draw(st.lists(value, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+
+
+# a 1-d mollified checkerboard config whose one sweep needs the
+# monte-carlo potential
+TINY_MC_RUN = {
+    "field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0, "cell": 1.0,
+              "mollify": 0.1},
+    "function": {"name": "quadratic", "dim": 1},
+    "law": {"kind": "dirac", "point": [0.0]},
+    "horizon": 1.0, "orders": [2, 3], "n_paths": 8, "seed": 1,
+    "sweeps": ["potential"], "box": [-25.0, 25.0],
+    "potential": {"route": "monte-carlo", "n_samples": 100_000,
+                  "step": 0.125, "t_cap": 2.0},
+}
+
+
+class TestKdeCentre:
+    @settings(max_examples=200, deadline=None)
+    @given(sample_columns())
+    @example(np.array([[-0.0]]))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.array([[1.5], [-0.0], [0.0], [1.5]]))
+    def test_equals_numpy_median(self, samples):
+        assert kn._median(samples).tobytes() == (
+            np.median(samples, axis=0).tobytes())
+
+    def test_run_leaves_numpy_ma_unimported(self, run_python, tmp_path):
+        code = ("import json, sys\n"
+                "from roughdiff import runner\n"
+                "runner.run_scenario(json.loads(sys.argv[1]),"
+                " out_dir=sys.argv[2])\n"
+                "print('numpy.ma' in sys.modules)\n")
+        res = run_python("-c", code, json.dumps(TINY_MC_RUN),
+                         str(tmp_path / "out"), cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split()[-1] == "False"
 
 
 @st.composite

@@ -294,6 +294,20 @@ class TestEulerMaruyama:
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
             EM_SHA256[case])
 
+    @pytest.mark.parametrize("case", sorted(EM_BATCHES))
+    def test_states_independent_of_chunk(self, case, monkeypatch):
+        # each path reads its own stream in order, so the length of the
+        # noise block moves no state; no chunk above 1 divides the 1,100
+        # steps, and 5 paths are not a power of two
+        f, law = EM_BATCHES[case]
+        runs = []
+        for chunk in (1, 7, sampling._CHUNK_STEPS, 4096):
+            monkeypatch.setattr(sampling, "_CHUNK_STEPS", chunk)
+            runs.append(sampling._em_batch_states(
+                f, law, 1100 * 2.0 ** -11, 2.0 ** -11, 11, list(range(5)),
+                stride=4).tobytes())
+        assert runs[1:] == runs[:-1]
+
 
 class TestLattice:
     def test_states_on_lattice(self):
