@@ -158,6 +158,19 @@ def _bump(u2):
     return np.clip(1.0 - u2, 0.0, None) ** 2
 
 
+def _leggauss6():
+    """The nodes and weights of numpy.polynomial.legendre.leggauss(6),
+    written out exactly symmetric: importing numpy.polynomial would add
+    about 4 ms to each run with a mollified field."""
+    x = np.array([-0.9324695142031519, -0.6612093864662645,
+                  -0.2386191860831969, 0.2386191860831969,
+                  0.6612093864662645, 0.9324695142031519])
+    w = np.array([0.17132449237917027, 0.3607615730481387,
+                  0.46791393457269104, 0.46791393457269104,
+                  0.3607615730481387, 0.17132449237917027])
+    return x, w
+
+
 class MollifiedField(CoefficientField):
     """Convolution of a base field against a normalized bump of radius eps.
 
@@ -195,9 +208,7 @@ class MollifiedField(CoefficientField):
         self.lam = base.lam
         self.feature_scale = base.feature_scale
 
-        x, w = np.polynomial.legendre.leggauss(6)
-        x = 0.5 * (x - x[::-1])   # enforce exact +/- symmetry
-        w = 0.5 * (w + w[::-1])
+        x, w = _leggauss6()
         grids = np.meshgrid(*([x] * self.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)  # (K, d)
         wtens = np.ones(nodes.shape[0])

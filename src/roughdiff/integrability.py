@@ -2,7 +2,7 @@
 
 The central device is a trapezoid quadrature with local dyadic refinement:
 around a declared singular point the integration region is peeled into
-square shells whose half-size halves per level.  The partial-sum ladder
+cubic shells whose half-size halves per level.  The partial-sum ladder
 over levels is retained; the integral is declared divergent when all
 successive shell increments keep their size (ratio above RATIO_THRESHOLD
 = 0.99 over the LADDER_LEVELS = 5 refinement levels), and finite
@@ -103,51 +103,27 @@ def _trap_rect(rows, U, pairs, hs=None, counts=None):
     return np.array(sums)
 
 
-def _base_rectangles(pairs, center, r0):
-    """The box minus the central square of half-size r0, as rectangles."""
-    if center is None:
-        return [pairs]
-    d = len(pairs)
-    c = np.asarray(center, dtype=float)
-    rects = []
-    if d == 1:
-        lo, hi = pairs[0]
-        if c[0] - r0 > lo:
-            rects.append([(lo, c[0] - r0)])
-        if c[0] + r0 < hi:
-            rects.append([(c[0] + r0, hi)])
-        return rects
-    (lo1, hi1), (lo2, hi2) = pairs
-    if c[0] - r0 > lo1:
-        rects.append([(lo1, c[0] - r0), (lo2, hi2)])
-    if c[0] + r0 < hi1:
-        rects.append([(c[0] + r0, hi1), (lo2, hi2)])
-    if c[1] + r0 < hi2:
-        rects.append([(c[0] - r0, c[0] + r0), (c[1] + r0, hi2)])
-    if c[1] - r0 > lo2:
-        rects.append([(c[0] - r0, c[0] + r0), (lo2, c[1] - r0)])
-    return rects
+def _slabs(box, center, r, axes):
+    """The box minus the cube of half-size r at center, which lies inside
+    it, as rectangles with shell node counts attached.
 
-
-def _shell_rectangles(center, s_in, s_out, dim):
-    """Square annulus between half-sizes s_in < s_out, as rectangles with
-    (long, short) node counts attached."""
-    c = np.asarray(center, dtype=float)
-    if dim == 1:
-        return [
-            ([(c[0] - s_out, c[0] - s_in)], (SHELL_NODES_LONG,)),
-            ([(c[0] + s_in, c[0] + s_out)], (SHELL_NODES_LONG,)),
-        ]
-    return [
-        ([(c[0] - s_out, c[0] + s_out), (c[1] + s_in, c[1] + s_out)],
-         (SHELL_NODES_LONG, SHELL_NODES_SHORT)),
-        ([(c[0] - s_out, c[0] + s_out), (c[1] - s_out, c[1] - s_in)],
-         (SHELL_NODES_LONG, SHELL_NODES_SHORT)),
-        ([(c[0] - s_out, c[0] - s_in), (c[1] - s_in, c[1] + s_in)],
-         (SHELL_NODES_SHORT, SHELL_NODES_LONG)),
-        ([(c[0] + s_in, c[0] + s_out), (c[1] - s_in, c[1] + s_in)],
-         (SHELL_NODES_SHORT, SHELL_NODES_LONG)),
-    ]
+    Along each of ``axes`` in turn the slab below the cube and the slab
+    above it are cut off, and the axis is clipped to the cube for the
+    later cuts; axis 0 lists the slab below first, the other axes the
+    slab above.  A slab takes SHELL_NODES_LONG nodes per axis, and
+    SHELL_NODES_SHORT across its cut when d > 1.
+    """
+    rect = list(box)
+    for k in axes:
+        inner = (center[k] - r, center[k] + r)
+        sides = [(rect[k][0], inner[0]), (inner[1], rect[k][1])]
+        counts = [SHELL_NODES_LONG] * len(rect)
+        if len(rect) > 1:
+            counts[k] = SHELL_NODES_SHORT
+        for lo, hi in sides if k == 0 else sides[::-1]:
+            if lo < hi:
+                yield rect[:k] + [(lo, hi)] + rect[k + 1:], tuple(counts)
+        rect[k] = inner
 
 
 @dataclass
@@ -196,7 +172,9 @@ def _refined_rows(rows, U, box, h, singular_points, dim):
 
     hs = [h] * dim
     base = 0.0
-    for rect in _base_rectangles(pairs, center, r0):
+    rects = ([(pairs, None)] if center is None
+             else _slabs(pairs, center, r0, range(dim)))
+    for rect, _ in rects:
         base = base + _trap_rect(rows, U, rect, hs=hs)
 
     increments = []
@@ -204,7 +182,8 @@ def _refined_rows(rows, U, box, h, singular_points, dim):
         s_out = r0 * 2.0 ** (-lev)
         s_in = r0 * 2.0 ** (-lev - 1)
         inc = 0.0
-        for rect, counts in _shell_rectangles(center, s_in, s_out, dim):
+        shell = [(c - s_out, c + s_out) for c in center]
+        for rect, counts in _slabs(shell, center, s_in, range(dim)[::-1]):
             inc = inc + _trap_rect(rows, U, rect, counts=counts)
         increments.append(inc)
     return [_ladder(b, [float(inc[p]) for inc in increments])

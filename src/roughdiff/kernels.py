@@ -24,6 +24,7 @@ rough-coefficient summary of the field.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -138,11 +139,9 @@ class GridKernel:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.source = np.atleast_1d(np.asarray(self.source, dtype=float))
-        vols = 1.0
-        for ax in self.axes:
-            v = np.full(ax.shape[0], self.h)
-            v[0] = v[-1] = 0.5 * self.h
-            vols = np.multiply.outer(vols, v)
+        _, vols = _axes_volumes([(ax[0], ax[-1]) for ax in self.axes],
+                                self.h, self.dim)
+        vols = functools.reduce(np.multiply.outer, vols)
         self.masses = (self.values * vols).reshape(
             self.times.shape[0], -1).sum(axis=1)
         self.leakage = float(np.max(np.abs(1.0 - self.masses)))
@@ -229,10 +228,9 @@ def _assemble_operator(field, axes, vols, h):
     faces, so it is symmetric, its rows sum to zero, and the generator is
     diag(1/vol) S.
     """
-    dim = len(axes)
-    vol = vols[0] if dim == 1 else np.multiply.outer(vols[0], vols[1])
+    vol = functools.reduce(np.multiply.outer, vols)
     couplings = []
-    for k in range(dim):
+    for k in range(len(axes)):
         # faces along axis k between node index i and i+1
         face_axes = [ax.copy() for ax in axes]
         face_axes[k] = 0.5 * (axes[k][:-1] + axes[k][1:])
@@ -240,14 +238,9 @@ def _assemble_operator(field, axes, vols, h):
         fpts = np.stack([g.ravel() for g in grids], axis=-1)
         cond = field._diag_many(fpts)[:, k].reshape(
             tuple(ax.shape[0] for ax in face_axes))
-        # transverse 1-d volume factor
-        if dim == 1:
-            w = np.ones_like(cond)
-        else:
-            j = 1 - k
-            w = np.broadcast_to(
-                vols[j] if k == 0 else vols[j][:, None],
-                cond.shape)
+        # transverse volume: the other axes' node volumes, 1 along axis k
+        w = functools.reduce(np.multiply.outer, [
+            np.ones(1) if j == k else v for j, v in enumerate(vols)])
         couplings.append(cond * w / h)
     return couplings, vol.ravel(), vol.shape
 
@@ -702,14 +695,15 @@ def _node_mass(nu, axes, h):
         out[tuple(int(round((c - ax[0]) / h))
                   for c, ax in zip(nu.point, axes))] = 1.0
         return out
-    # share[k][i, j]: the part of cell j along axis k in dual cell i
-    share = []
-    for e, ax in zip(nu.edges, axes):
+    # share[i, j]: the part of cell j along axis k in dual cell i; axis k
+    # of out goes from cells to dual cells, as share @ out does on axis 0
+    out = nu.cell_probs
+    for k, (e, ax) in enumerate(zip(nu.edges, axes)):
         cuts = np.append(ax - h / 2, ax[-1] + h / 2)[:, None]
-        share.append(np.diff(np.clip((cuts - e[:-1]) / np.diff(e), 0.0, 1.0),
-                             axis=0))
-    out = share[0] @ nu.cell_probs
-    return out if len(share) == 1 else out @ share[1].T
+        share = np.diff(np.clip((cuts - e[:-1]) / np.diff(e), 0.0, 1.0),
+                        axis=0)
+        out = np.moveaxis(np.tensordot(share, out, axes=(1, k)), 0, k)
+    return out
 
 
 def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):

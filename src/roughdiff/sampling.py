@@ -21,6 +21,7 @@ are batched or distributed over workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -109,10 +110,7 @@ def grid_density(edges, values):
             f"density shape {vals.shape} does not match cells {expected}")
     if np.any(vals < 0) or vals.sum() <= 0:
         raise ValueError("density values must be nonnegative, not all zero")
-    vols = np.diff(edges[0])
-    if len(edges) == 2:
-        vols = vols[:, None] * np.diff(edges[1])[None, :]
-    probs = vals * vols
+    probs = vals * functools.reduce(np.multiply.outer, map(np.diff, edges))
     return InitialLaw(kind="grid-density", edges=edges,
                       cell_probs=probs / probs.sum())
 

@@ -5,10 +5,6 @@ Every entry evaluates in batch: ``value`` maps (..., d) arrays of points to
 whose second derivatives blow up somewhere (the |x|^(1+alpha) family) still
 provide the a.e.-defined hessian and declare the bad points in
 ``singular_points``; quadratures refine around those.
-
-The ``regularity`` tag records local Sobolev membership: "C2", "H2_loc"
-(second derivatives square integrable near the singular point), or "H1_loc"
-(they are not).
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from .errors import UnknownName
 class TestFunction:
     name: str
     dim: int
-    regularity: str
     value: callable
     gradient: callable
     hessian: callable
@@ -87,7 +82,7 @@ def linear(c):
         x = _pts(x, d)
         return np.zeros(x.shape + (d,))
 
-    return TestFunction(name="linear", dim=d, regularity="C2", value=value,
+    return TestFunction(name="linear", dim=d, value=value,
                         gradient=gradient, hessian=hessian,
                         params={"c": c.tolist()})
 
@@ -108,7 +103,7 @@ def quadratic(dim=1):
         out[..., idx, idx] = 2.0
         return out
 
-    return TestFunction(name="quadratic", dim=dim, regularity="C2",
+    return TestFunction(name="quadratic", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,
                         params={"dim": dim})
 
@@ -125,7 +120,7 @@ def sin1d():
     def hessian(x):
         return -np.sin(_pts(x, 1))[..., None]
 
-    return TestFunction(name="sin1d", dim=1, regularity="C2", value=value,
+    return TestFunction(name="sin1d", dim=1, value=value,
                         gradient=gradient, hessian=hessian)
 
 
@@ -163,8 +158,7 @@ def abs_power(alpha):
              + r ** (1.0 + a) * _cutoff_d2(r))
         return h[..., None, None]
 
-    reg = "H2_loc" if a > 0.5 else "H1_loc"
-    return TestFunction(name="abs_power", dim=1, regularity=reg, value=value,
+    return TestFunction(name="abs_power", dim=1, value=value,
                         gradient=gradient, hessian=hessian,
                         singular_points=[np.zeros(1)],
                         params={"alpha": a})
@@ -211,8 +205,7 @@ def radial_power(alpha, dim=2):
         return (g2[..., None, None] * outer
                 + g1_over_r[..., None, None] * (eye - outer))
 
-    reg = "H2_loc" if a > 0.5 else "H1_loc"
-    return TestFunction(name="radial_power", dim=dim, regularity=reg,
+    return TestFunction(name="radial_power", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,
                         singular_points=[np.zeros(dim)],
                         params={"alpha": a, "dim": dim})
@@ -248,7 +241,7 @@ def bump(dim=1):
         eye[..., idx, idx] = 1.0
         return c1[..., None, None] * outer + c2[..., None, None] * eye
 
-    return TestFunction(name="bump", dim=dim, regularity="C2", value=value,
+    return TestFunction(name="bump", dim=dim, value=value,
                         gradient=gradient, hessian=hessian,
                         params={"dim": dim})
 

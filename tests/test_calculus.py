@@ -318,7 +318,7 @@ class TestItoResidual:
                             )[..., None]
 
         F = testfunctions.TestFunction(
-            name="logabs", dim=1, regularity="H1_loc",
+            name="logabs", dim=1,
             value=lambda x: np.log(np.abs(np.asarray(x)[..., 0]) + 1e-300),
             gradient=grad,
             hessian=lambda x: -grad(x)[..., None] ** 2)

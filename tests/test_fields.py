@@ -238,6 +238,15 @@ def test_only_low_dimensional_checkerboards_use_a_table(
     assert len(calls) == (2 if quadrature else 0)
 
 
+def test_written_out_gauss_legendre_rule():
+    """The mollifier's nodes and weights are leggauss(6) made exactly
+    symmetric, as the quadrature computed them before, bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(6)
+    nodes, weights = fields._leggauss6()
+    assert nodes.tobytes() == (0.5 * (x - x[::-1])).tobytes()
+    assert weights.tobytes() == (0.5 * (w + w[::-1])).tobytes()
+
+
 def test_3d_mollified_checkerboard_bytes():
     """A 3-d mollified checkerboard builds no (64^3, 216, 3) table, and
     its values keep their bytes (SHA-256 taken before the parity tables

@@ -408,3 +408,116 @@ class TestBoxMass:
             got = box_mass_outcome(ig.check_box_mass, U, box, h, dim)
             want = box_mass_outcome(point_list_box_mass, U, box, h, dim)
         assert got == want
+
+
+def base_rectangles(pairs, center, r0):
+    """The gate's base rectangles as written out for d = 1 and 2 before
+    the slab generator, kept as the reference."""
+    c = np.asarray(center, dtype=float)
+    rects = []
+    if len(pairs) == 1:
+        lo, hi = pairs[0]
+        if c[0] - r0 > lo:
+            rects.append([(lo, c[0] - r0)])
+        if c[0] + r0 < hi:
+            rects.append([(c[0] + r0, hi)])
+        return rects
+    (lo1, hi1), (lo2, hi2) = pairs
+    if c[0] - r0 > lo1:
+        rects.append([(lo1, c[0] - r0), (lo2, hi2)])
+    if c[0] + r0 < hi1:
+        rects.append([(c[0] + r0, hi1), (lo2, hi2)])
+    if c[1] + r0 < hi2:
+        rects.append([(c[0] - r0, c[0] + r0), (c[1] + r0, hi2)])
+    if c[1] - r0 > lo2:
+        rects.append([(c[0] - r0, c[0] + r0), (lo2, c[1] - r0)])
+    return rects
+
+
+def shell_rectangles(center, s_in, s_out, dim):
+    """The gate's shell rectangles and node counts as written out for
+    d = 1 and 2 before the slab generator, kept as the reference."""
+    c = np.asarray(center, dtype=float)
+    long, short = ig.SHELL_NODES_LONG, ig.SHELL_NODES_SHORT
+    if dim == 1:
+        return [([(c[0] - s_out, c[0] - s_in)], (long,)),
+                ([(c[0] + s_in, c[0] + s_out)], (long,))]
+    return [
+        ([(c[0] - s_out, c[0] + s_out), (c[1] + s_in, c[1] + s_out)],
+         (long, short)),
+        ([(c[0] - s_out, c[0] + s_out), (c[1] - s_out, c[1] - s_in)],
+         (long, short)),
+        ([(c[0] - s_out, c[0] - s_in), (c[1] - s_in, c[1] + s_in)],
+         (short, long)),
+        ([(c[0] + s_in, c[0] + s_out), (c[1] - s_in, c[1] + s_in)],
+         (short, long)),
+    ]
+
+
+def overlap(a, b):
+    """The volume two rectangles share."""
+    return np.prod([max(0.0, min(ha, hb) - max(la, lb))
+                    for (la, ha), (lb, hb) in zip(a, b)])
+
+
+def volume(rect):
+    return np.prod([hi - lo for lo, hi in rect])
+
+
+class TestSlabs:
+    """One slab generator cuts the gate's base region and every shell, in
+    the order and with the node counts of the d = 1, 2 rectangle lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_rectangle_lists(self, data):
+        dim = data.draw(st.sampled_from([1, 2]))
+        lo = data.draw(hnp.arrays(float, dim, elements=st.floats(-8.0, 2.0)))
+        width = data.draw(hnp.arrays(float, dim,
+                                     elements=st.floats(0.01, 10.0)))
+        pairs = ig._norm_box(np.stack([lo, lo + width], axis=-1), dim)
+        # centres inside, on and (the cube reaching out) near the faces
+        frac = data.draw(hnp.arrays(float, dim, elements=st.floats(0.0, 1.0)))
+        center = lo + frac * width
+        r0 = data.draw(st.floats(0.0, 3.0))
+        got = [rect for rect, _ in ig._slabs(pairs, center, r0, range(dim))]
+        assert got == base_rectangles(pairs, center, r0)
+
+        lev = data.draw(st.integers(0, ig.LADDER_LEVELS - 1))
+        r0 = data.draw(st.floats(1e-3, 0.25))
+        s_out, s_in = r0 * 2.0 ** (-lev), r0 * 2.0 ** (-lev - 1)
+        shell = [(c - s_out, c + s_out) for c in center]
+        got = list(ig._slabs(shell, center, s_in, range(dim)[::-1]))
+        assert got == shell_rectangles(center, s_in, s_out, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_3d_slabs_tile_the_region(self, data):
+        lo = data.draw(hnp.arrays(float, 3, elements=st.floats(-8.0, 2.0)))
+        width = data.draw(hnp.arrays(float, 3, elements=st.floats(0.5, 10.0)))
+        frac = data.draw(hnp.arrays(float, 3, elements=st.floats(0.1, 0.9)))
+        pairs = ig._norm_box(np.stack([lo, lo + width], axis=-1), 3)
+        center = lo + frac * width
+        # the cube inside the box, as _refined_rows places it
+        gap = min(min(c - a, b - c) for c, (a, b) in zip(center, pairs))
+        r = data.draw(st.floats(0.01, 0.25)) * gap
+        shell = [(c - 2 * r, c + 2 * r) for c in center]
+        cube = [(c - r, c + r) for c in center]
+        for box, axes in [(pairs, range(3)), (shell, range(3)[::-1])]:
+            slabs = list(ig._slabs(box, center, r, axes))
+            assert len(slabs) == 6
+            rects = [rect for rect, _ in slabs] + [cube]
+            scale = volume(box)
+            for i, a in enumerate(rects):
+                for b in rects[:i]:
+                    assert overlap(a, b) <= 1e-12 * scale
+            np.testing.assert_allclose(
+                sum(volume(rect) for rect, _ in slabs),
+                volume(box) - (2 * r) ** 3, rtol=1e-12)
+        # a shell slab is thinnest across its cut, which takes the short
+        # node count
+        for rect, counts in ig._slabs(shell, center, r, range(3)[::-1]):
+            thin = np.argmin([b - a for a, b in rect])
+            assert counts == tuple(
+                ig.SHELL_NODES_SHORT if k == thin else ig.SHELL_NODES_LONG
+                for k in range(3))

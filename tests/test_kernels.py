@@ -274,6 +274,7 @@ class TestSymmetricStepping:
     @pytest.mark.parametrize("name, params", [
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1}),
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 2}),
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 3}),
         ("constant-diagonal", {"values": [3.0]}),
         ("constant-diagonal", {"values": [2.0, 0.5]}),
     ])
@@ -294,6 +295,8 @@ class TestSymmetricStepping:
          (-1.5, 1.0)),
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.4, "dim": 2},
          [[-0.8, 0.8], [-1.2, 0.6]]),
+        ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.4, "dim": 3},
+         [[-0.5, 0.5], [-0.6, 0.3], [-0.4, 0.4]]),
     ])
     def test_stencil_is_the_sparse_matrix(self, name, params, box):
         field = make_field(name, **params)
@@ -855,6 +858,21 @@ class TestKdeCentre:
                          str(tmp_path / "out"), cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split()[-1] == "False"
+
+
+def test_mollified_run_leaves_numpy_polynomial_unimported(run_python,
+                                                          tmp_path):
+    """The mollifier's Gauss-Legendre rule is written out, so a run on a
+    mollified field does not import numpy.polynomial."""
+    code = ("import json, sys\n"
+            "from roughdiff import runner\n"
+            "runner.run_scenario(json.loads(sys.argv[1]),"
+            " out_dir=sys.argv[2])\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    res = run_python("-c", code, json.dumps(TINY_MC_RUN),
+                     str(tmp_path / "out"), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == "False"
 
 
 @st.composite

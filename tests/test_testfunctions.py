@@ -173,14 +173,6 @@ class TestSingularBehavior:
         assert np.isinf(F.hessian(np.zeros(1))[0, 0])
         assert np.isfinite(F.hessian(np.array([1e-4]))[0, 0])
 
-    @pytest.mark.parametrize("alpha,tag", [
-        (0.25, "H1_loc"), (0.5, "H1_loc"), (0.6, "H2_loc"), (0.75, "H2_loc"),
-    ])
-    def test_regularity_tags(self, alpha, tag):
-        assert make_test_function("abs_power", alpha=alpha).regularity == tag
-        assert make_test_function("radial_power", alpha=alpha,
-                                  dim=2).regularity == tag
-
     def test_singular_point_lists(self):
         F = make_test_function("abs_power", alpha=0.5)
         assert len(F.singular_points) == 1
