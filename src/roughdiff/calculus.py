@@ -3,11 +3,15 @@
 All sums are compensated (Kahan) and run in a fixed term order, so results
 are bitwise reproducible and independent of how paths were batched.  The
 engine computes every functional of one dyadic grid in one pass,
-:func:`grid_sums`: it walks the grid's increments in time-major blocks of
-rows, writes each requested term of a block into one buffer, and runs one
-compensated loop over the buffer's rows in time order.  Every term is
-elementwise, so the bytes depend neither on the block size nor on the
-batch size.  The lone functionals :func:`quadratic_variation`,
+:func:`grid_sums`: it takes the states and the test function F, walks the
+grid's increments in time-major blocks of rows, evaluates F and grad F on
+each block, writes each requested term of the block into one buffer, and
+runs one compensated loop over the buffer's rows in time order.  F must be
+pointwise over leading axes, as every catalog entry is: its value at a
+state depends on that state alone, so a block's values are those of the
+whole grid.  Every term is elementwise, so the bytes depend neither on the
+block size nor on the batch size, and a path batch never holds F or grad F
+beyond one block.  The lone functionals :func:`quadratic_variation`,
 :func:`covariation`, :func:`forward_sum` and :func:`trapezoid_sum` are the
 references the tests hold that pass to, bit for bit; each accepts a single
 sample (time axis only) or a batch with leading axes.  A time axis must
@@ -64,12 +68,14 @@ _TERMS = ("qv", "cov", "cov_abs", "fwd", "trap", "taylor")
 _PER_AXIS = ("cov", "cov_abs")
 
 
-def grid_sums(states, values, grads, terms):
+def grid_sums(states, F, terms):
     """Compensated sums over one dyadic grid of the requested ``terms``.
 
-    states and grads: (B, 2^n + 1, d); values: (B, 2^n + 1), F and grad F
-    at the states.  The terms of increment i, with dF = F_{i+1} - F_i,
-    dx = x_{i+1} - x_i and g = grad F:
+    states: (B, 2^n + 1, d); F: a test function whose ``value`` and
+    ``gradient`` are pointwise over leading axes.  F and g = grad F are
+    evaluated block by block on contiguous time-major copies of the states.
+    The terms of increment i, with dF = F_{i+1} - F_i and
+    dx = x_{i+1} - x_i:
 
       "qv"       dF^2                         (quadratic_variation of F)
       "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
@@ -79,13 +85,12 @@ def grid_sums(states, values, grads, terms):
       "taylor"   |dF - g_i . dx|              (the Taylor remainder)
 
     Returns {term: (B,) sums, or (d, B) for "cov" and "cov_abs"}, equal bit
-    for bit to the lone references named above.  The d-axis sums run over
-    the last axis of time-major (rows, B, d) blocks, the order NumPy gives
-    the references' (B, rows, d) products.
+    for bit to the lone references named above on F and g at the states,
+    and "finite": (B,) True where F and g are finite at every state.  The
+    d-axis sums run over the last axis of time-major (rows, B, d) blocks,
+    the order NumPy gives the references' (B, rows, d) products.
     """
     x = np.asarray(states, dtype=float)
-    v = np.asarray(values, dtype=float)
-    g = np.asarray(grads, dtype=float)
     m = _check_dyadic(x.shape[-2], "states")
     b, d = x.shape[0], x.shape[-1]
     # each term's index into a buffer row: a slice of d rows for the
@@ -99,14 +104,17 @@ def grid_sums(states, values, grads, terms):
             slots[term] = width
             width += 1
     buf = np.empty((min(_BLOCK_ROWS, m), width, b))
+    finite = np.ones(b, dtype=bool)
 
     def blocks():
         for i0 in range(0, m, _BLOCK_ROWS):
             i1 = min(i0 + _BLOCK_ROWS, m)
             out = buf[:i1 - i0]
-            vt = np.ascontiguousarray(v[:, i0:i1 + 1].T)
             xt = np.ascontiguousarray(x[:, i0:i1 + 1].transpose(1, 0, 2))
-            gt = np.ascontiguousarray(g[:, i0:i1 + 1].transpose(1, 0, 2))
+            vt = F.value(xt)
+            gt = F.gradient(xt)
+            np.logical_and(finite, np.isfinite(vt).all(axis=0)
+                           & np.isfinite(gt).all(axis=(0, 2)), out=finite)
             dv = vt[1:] - vt[:-1]
             dx = xt[1:] - xt[:-1]
             if "qv" in slots:
@@ -128,8 +136,13 @@ def grid_sums(states, values, grads, terms):
                 out[:, slots["trap"]] = (mid * dx).sum(axis=-1)
             yield out
 
-    s = _kahan_rows(blocks(), (width, b))
-    return {term: s[slot] for term, slot in slots.items()}
+    # a path whose F or g is not finite somewhere is reported by
+    # "finite", not by a warning from its sums
+    with np.errstate(invalid="ignore"):
+        s = _kahan_rows(blocks(), (width, b))
+    sums = {term: s[slot] for term, slot in slots.items()}
+    sums["finite"] = finite
+    return sums
 
 
 def quadratic_variation(values):

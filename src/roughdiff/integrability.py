@@ -97,9 +97,11 @@ def _trap_rect(rows, U, pairs, hs=None, counts=None):
     sums = []
     for row in part.reshape(len(part), *(ax.shape[0] for ax in sub)):
         full[win] = row
-        # one contiguous 1-d sum over every node keeps numpy's pairwise
-        # blocking, so a row sums to the same bits as it would alone
-        sums.append((full * wt).ravel().sum())
+        # in place: off the window full stays 0; one contiguous 1-d sum
+        # over every node keeps numpy's pairwise blocking, so a row sums
+        # to the same bits as it would alone
+        full *= wt
+        sums.append(full.ravel().sum())
     return np.array(sums)
 
 

@@ -52,10 +52,10 @@ class PathSweep:
     """One path sweep.  ``functional`` and ``denom`` hold ``{k}`` when the
     sweep reports one functional per axis k.  ``value(p, k)`` reads the
     sums of the ``needs`` terms of one dyadic grid (see calculus.grid_sums)
-    from ``p``, and ``p["v"]``, the values of F; the result is divided by
-    the gate_scenario denominator ``denom`` if there is one.  ``gate`` is
-    the integrability condition (1 or 2) the sweep relies on, and
-    ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
+    from ``p``, and ``p["v"]``, F at the grid's two endpoints; the result
+    is divided by the gate_scenario denominator ``denom`` if there is one.
+    ``gate`` is the integrability condition (1 or 2) the sweep relies on,
+    and ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
     "no-growth" (see _no_growth)."""
 
     name: str
@@ -116,18 +116,20 @@ SWEEPS = PATH_SWEEPS + ("aronson", "potential")
 RATIO_SWEEPS = frozenset(s for s, row in SWEEP_TABLE.items() if row.denom)
 
 
-def grid_values(rows, states, values, grads, denoms):
+def grid_values(rows, states, F, denoms):
     """Per-path values of the rows' functionals on one dyadic grid.
 
-    states: (B, 2^n + 1, d); values and grads: F and grad F at those
-    states.  Every term the rows need is summed in one compensated pass.
-    Returns ({(sweep, functional): (B,) array}, gap), where gap is the
-    largest relative distance of the trapezoid sum from forward + half
-    covariation (0.0 without a trapezoid row).
+    states: (B, 2^n + 1, d); F: the test function, evaluated block by
+    block inside the one compensated pass (see calculus.grid_sums) that
+    sums every term the rows need.  ``p["v"]`` holds F at the grid's two
+    endpoints.  Returns ({(sweep, functional): (B,) array}, gap, finite),
+    where gap is the largest relative distance of the trapezoid sum from
+    forward + half covariation (0.0 without a trapezoid row) and finite is
+    (B,) True where F and grad F are finite at every state.
     """
-    p = calculus.grid_sums(states, values, grads,
+    p = calculus.grid_sums(states, F,
                            {term for row in rows for term in row.needs})
-    p["v"] = values
+    p["v"] = F.value(states[:, [0, -1]])
     out = {}
     gap = 0.0
     for row in rows:
@@ -141,7 +143,7 @@ def grid_values(rows, states, values, grads, denoms):
             rel = np.abs(val - p["fwd"] - _half_covariation(p))
             rel /= np.maximum(1.0, np.abs(val))
             gap = float(rel.max())
-    return out, gap
+    return out, gap, p["finite"]
 
 
 def _no_growth(rows, window=3):
@@ -582,10 +584,12 @@ def gate_scenario(scn):
 def evaluate_chunk(scn, start, stop, denoms):
     """Per-path functional values for path_ids in [start, stop).
 
-    Returns {"values": {(sweep, functional, n): array}, "trap_violation":
-    float}.  Arrays are indexed by path_id - start.  Raises SingularHit
-    naming the first path whose F or grad F is not finite at a recorded
-    state.
+    Paths are drawn BATCH_PATHS at a time; a batch's working set is its
+    states, since grid_values evaluates F block by block, and each batch
+    is released before the next is drawn.  Returns {"values": {(sweep,
+    functional, n): array}, "trap_violation": float}.  Arrays are indexed
+    by path_id - start.  Raises SingularHit naming the first path whose F
+    or grad F is not finite at a recorded state.
     """
     rows = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
     orders = scn.orders
@@ -602,22 +606,20 @@ def evaluate_chunk(scn, start, stop, denoms):
             scn.seed, range(b0, b1), stride=stride,
             scheme_params=scn.cfg["scheme_params"])
         sl = slice(b0 - start, b1 - start)
-        Fv = F.value(states)
-        g = F.gradient(states)
-        bad = ~(np.isfinite(Fv).all(axis=-1)
-                & np.isfinite(g).all(axis=(-2, -1)))
-        if bad.any():
-            raise SingularHit(
-                f"path {b0 + int(np.argmax(bad))}: {F.name} or its gradient "
-                "is not finite at a recorded state")
-        for n in orders:
+        # the top order first: its grid holds every recorded state
+        for n in reversed(orders):
             step = 2 ** (n_top - n)
-            got, gap = grid_values(rows, states[:, ::step, :], Fv[:, ::step],
-                                   g[:, ::step, :], denoms)
+            got, gap, finite = grid_values(rows, states[:, ::step, :], F,
+                                           denoms)
+            if not finite.all():
+                raise SingularHit(
+                    f"path {b0 + int(np.argmax(~finite))}: {F.name} or its "
+                    "gradient is not finite at a recorded state")
             for (sweep, functional), arr in got.items():
                 values.setdefault((sweep, functional, n),
                                   np.empty(stop - start))[sl] = arr
             trap_violation = max(trap_violation, gap)
+        del states
     return {"values": values, "trap_violation": trap_violation}
 
 

@@ -1,7 +1,9 @@
 """Catalog of test functions F with pointwise derivatives.
 
 Every entry evaluates in batch: ``value`` maps (..., d) arrays of points to
-(...) values, ``gradient`` to (..., d), ``hessian`` to (..., d, d).  Entries
+(...) values, ``gradient`` to (..., d), ``hessian`` to (..., d, d), each
+pointwise over the leading axes, which calculus.grid_sums relies on when it
+evaluates F one block of path states at a time.  Entries
 whose second derivatives blow up somewhere (the |x|^(1+alpha) family) still
 provide the a.e.-defined hessian and declare the bad points in
 ``singular_points``; quadratures refine around those.

@@ -35,10 +35,28 @@ def em_paths(count, fine_step, seed, stride, horizon=1.0, dim=1):
 def row_values(sweep, F, states, denoms=None):
     """The engine's per-path values of one sweep row on raw states
     (B, 2^n + 1, d); returns ({functional: values}, trapezoid gap)."""
-    got, gap = runner.grid_values([runner.SWEEP_TABLE[sweep]], states,
-                                  F.value(states), F.gradient(states),
-                                  denoms or {})
+    got, gap, _ = runner.grid_values([runner.SWEEP_TABLE[sweep]], states, F,
+                                     denoms or {})
     return {functional: v for (_, functional), v in got.items()}, gap
+
+
+def pointwise(states, values, grads):
+    """A test function that is pointwise over leading axes and an
+    arbitrary map of the states: it takes each state, by its bytes, to its
+    entry of ``values`` (B, T) and ``grads`` (B, T, d), the last one drawn
+    at a repeated state."""
+    d = states.shape[-1]
+    table = {p.tobytes(): (v, g) for p, v, g in zip(
+        states.reshape(-1, d), values.ravel(), grads.reshape(-1, d))}
+
+    def look(x, i):
+        x = np.asarray(x, dtype=float)
+        got = [table[p.tobytes()][i] for p in x.reshape(-1, d)]
+        return np.array(got).reshape(x.shape[:-1] + np.shape(got[0]))
+
+    return testfunctions.TestFunction(
+        name="pointwise", dim=d, value=lambda x: look(x, 0),
+        gradient=lambda x: look(x, 1), hessian=None)
 
 
 # dyadic samples: order n in [0, 8], d in {1, 2, 3}, a batch axis of 1-4
@@ -146,11 +164,12 @@ class TestForwardAndTrapezoid:
         # pure algebra, for arbitrary g and x samples; the engine's gap is
         # |trap - fwd - half covariation| / max(1, |trap|)
         g, x = arrays
-        got, gap = runner.grid_values([runner.SWEEP_TABLE["trapezoid"]], x,
-                                      x[..., 0], g, {})
+        F = pointwise(x, x[..., 0], g)
+        got, gap, _ = runner.grid_values([runner.SWEEP_TABLE["trapezoid"]],
+                                         x, F, {})
         assert gap <= runner.TRAPEZOID_TOL
         np.testing.assert_array_equal(got[("trapezoid", "trapezoid")],
-                                      calc.trapezoid_sum(g, x))
+                                      calc.trapezoid_sum(F.gradient(x), x))
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -159,9 +178,9 @@ class TestForwardAndTrapezoid:
 
 @st.composite
 def grid_batches(draw):
-    """(states, values, grads) of 1-4 paths on D_n, n in [0, 10], d in
-    {1, 2, 3}: entries over twenty orders of magnitude, with some signed
-    zeros, from a drawn seed."""
+    """(states, F) of 1-4 paths on D_n, n in [0, 10], d in {1, 2, 3}, F
+    pointwise: states, values and gradients over twenty orders of
+    magnitude, with some signed zeros, from a drawn seed."""
     n = draw(st.integers(0, 10))
     d = draw(st.sampled_from([1, 2, 3]))
     b = draw(st.integers(1, 4))
@@ -172,8 +191,9 @@ def grid_batches(draw):
         a[rng.random(shape) < 0.05] = -0.0
         return a
 
-    return (np.cumsum(sample(b, 2 ** n + 1, d), axis=1),
-            sample(b, 2 ** n + 1), sample(b, 2 ** n + 1, d))
+    states = np.cumsum(sample(b, 2 ** n + 1, d), axis=1)
+    return states, pointwise(states, sample(b, 2 ** n + 1),
+                             sample(b, 2 ** n + 1, d))
 
 
 def same_bytes(a, b):
@@ -203,8 +223,8 @@ class TestOnePass:
     @PROPERTY
     @given(grid_batches())
     def test_pass_matches_lone_references(self, batch):
-        states, values, grads = batch
-        ref = lone_references(states, values, grads)
+        states, F = batch
+        ref = lone_references(states, F.value(states), F.gradient(states))
         rows = list(runner.SWEEP_TABLE.values())
         denoms = dict.fromkeys(
             ["prop1", "prop3"] + [f"prop2_k{k}"
@@ -212,11 +232,11 @@ class TestOnePass:
         for block in (1, 3, 64, 1024):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(calc, "_BLOCK_ROWS", block)
-                sums = calc.grid_sums(states, values, grads, set(ref))
-                got, _ = runner.grid_values(rows, states, values, grads,
-                                            denoms)
+                sums = calc.grid_sums(states, F, set(ref))
+                got, _, finite = runner.grid_values(rows, states, F, denoms)
             for term, want in ref.items():
                 assert same_bytes(sums[term], want), (term, block)
+            assert sums["finite"].all() and finite.all()
             assert same_bytes(got[("qv", "qv")], ref["qv"])
             assert same_bytes(got[("forward", "forward")], ref["fwd"])
             assert same_bytes(got[("trapezoid", "trapezoid")], ref["trap"])
@@ -329,6 +349,30 @@ class TestItoResidual:
         scn = dataclasses.replace(scn, F=F)
         with pytest.raises(SingularHit, match="path 0: logabs"):
             runner.evaluate_chunk(scn, 0, 1, {})
+
+    def test_nonfinite_state_named_over_every_order(self, monkeypatch):
+        # path 1's gradient is infinite only at fine index 1, which order
+        # 1 skips; path 2's at t = 0, which every order holds; the error
+        # names path 1, the first path over all recorded states
+        scn = runner.load_scenario(dict(
+            SIN_CONFIG, law={"kind": "grid-density", "edges": [-1.0, 1.0],
+                             "values": [1.0]},
+            sweeps=["qv"], orders=[1, 2], n_paths=3))
+        drawn, generate = [], sampling.generate_batch
+        monkeypatch.setattr(sampling, "generate_batch",
+                            lambda *a, **kw: drawn.append(
+                                generate(*a, **kw)) or drawn[-1])
+        runner.evaluate_chunk(scn, 0, 3, {})
+        bad = {drawn[0][1, 1].tobytes(), drawn[0][2, 0].tobytes()}
+
+        def grad(x):
+            x = np.asarray(x, dtype=float)
+            hit = [p.tobytes() in bad for p in x.reshape(-1, 1)]
+            return np.where(np.reshape(hit, x.shape), np.inf, np.cos(x))
+
+        F = dataclasses.replace(scn.F, gradient=grad)
+        with pytest.raises(SingularHit, match="path 1: sin1d"):
+            runner.evaluate_chunk(dataclasses.replace(scn, F=F), 0, 3, {})
 
 
 class TestReports:

@@ -1,4 +1,5 @@
-"""Memory budgets of the Monte Carlo potential and the lattice walk.
+"""Memory budgets of the Monte Carlo potential, the lattice walk and the
+path sweeps.
 
 numpy reports every array allocation to tracemalloc, so the traced peak
 of a call is deterministic.  Each budget is a few copies of the call's
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from roughdiff import kernels as kn
-from roughdiff import sampling
+from roughdiff import runner, sampling
 from roughdiff.fields import make_field
 
 
@@ -118,3 +119,49 @@ class TestLatticeBudget:
         hold_per_generator(monkeypatch, self.block())
         out, peak = self.walk_peak()
         assert peak > self.budget(out)
+
+
+class TestEvaluateBudget:
+    """The path sweeps hold one batch of states at a time: F and grad F
+    live one block of rows at a time, and a batch is released before the
+    next one is drawn."""
+
+    B, N_TOP, D = 16, 10, 2
+    CONFIG = {
+        "field": {"name": "identity", "dim": D},
+        "function": {"name": "quadratic", "dim": D},
+        "law": {"kind": "dirac", "point": [0.0] * D},
+        "horizon": 1.0,
+        "orders": [4, 6, 8, N_TOP],
+        "n_paths": 3 * B,
+        "seed": 11,
+        "sweeps": list(runner.PATH_SWEEPS),
+    }
+
+    def chunk_peak(self, monkeypatch, extra=False):
+        monkeypatch.setattr(runner, "BATCH_PATHS", self.B)
+        scn = runner.load_scenario(self.CONFIG)
+        denoms = dict.fromkeys(
+            ["prop1", "prop3"] + [f"prop2_k{k}" for k in range(self.D)], 1.0)
+
+        def call():
+            held = np.ones(self.batch_shape()) if extra else None
+            return runner.evaluate_chunk(scn, 0, 3 * self.B, denoms), held
+        return traced_peak(call)[1]
+
+    def batch_shape(self):
+        return (self.B, 2 ** self.N_TOP + 1, self.D)
+
+    def budget(self):
+        """Two and a half batches of states: the batch itself, and either
+        the sampler's ufunc buffers (192 KiB) or the pass's 64-row
+        blocks, each under one batch at this size."""
+        return 2.5 * np.prod(self.batch_shape()) * 8
+
+    def test_within_budget(self, monkeypatch):
+        assert self.chunk_peak(monkeypatch) <= self.budget()
+
+    def test_one_extra_batch_exceeds_it(self, monkeypatch):
+        # one more (B, T, d) array, held for the whole call, as keeping a
+        # batch's F and grad F or its states while the next is drawn costs
+        assert self.chunk_peak(monkeypatch, extra=True) > self.budget()
