@@ -49,10 +49,6 @@ class InsufficientSamples(Error):
     """Monte Carlo potential route called with too few samples."""
 
 
-class InadmissibleExponent(Error):
-    """L^q exponent outside the admissible range for this dimension."""
-
-
 # ---------------------------------------------------------------- sampling
 
 class OrderTooLarge(Error):

@@ -33,9 +33,9 @@ import numpy as np
 # route (_flux_matrix, _factor): loading it would add to every start-up
 
 from .errors import (
+    DimensionMismatch,
     EmptyCandidates,
     GridTooCoarse,
-    InadmissibleExponent,
     InsufficientSamples,
     KrylovNotConverged,
     NonPositiveTime,
@@ -51,7 +51,7 @@ ENVELOPE_M = 4.0
 SANDWICH_FLOOR = 1e-12
 MIN_KDE_SAMPLES = 100_000
 # rows per field evaluation in the Monte Carlo Euler sweep and in the
-# L^q quadrature; results do not depend on them, peak memory does
+# L^2 quadrature; results do not depend on them, peak memory does
 EULER_ROW_BLOCK = 2048
 LQ_ROW_BLOCK = 32
 # the kernel's Lanczos recurrence stops once the last Krylov coefficient of
@@ -90,14 +90,6 @@ def aronson_lower(M, dim, t, x, y):
     return np.exp(-M * _sqdist(x, y) / t) / (M * t ** (dim / 2.0))
 
 
-def exact_brownian_kernel(dim, t, x, y):
-    """Transition density of the generator Laplacian: a Gaussian with
-    per-coordinate variance 2t."""
-    t = _check_time(t)
-    return (4.0 * np.pi * t) ** (-dim / 2.0) * np.exp(-_sqdist(x, y)
-                                                      / (4.0 * t))
-
-
 # ------------------------------------------------------------- grid kernel
 
 def _axes_volumes(box, h, dim):
@@ -133,8 +125,8 @@ class GridKernel:
     values: np.ndarray
     source: np.ndarray
     meta: dict = dc_field(default_factory=dict)
-    masses: np.ndarray = None
-    leakage: float = None
+    masses: np.ndarray = dc_field(init=False)
+    leakage: float = dc_field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -201,20 +193,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def tabulate_kernel(fn, box, h, times, x0, dim=1, meta=None):
-    """GridKernel with values fn(t, points) on the vertex grid; fn must
-    map (t, (N, d)) to (N,) densities."""
-    axes, _ = _axes_volumes(box, h, dim)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    shape = tuple(ax.shape[0] for ax in axes)
-    times = np.asarray(times, dtype=float)
-    values = np.stack([np.asarray(fn(t, pts)).reshape(shape) for t in times])
-    return GridKernel(axes=axes, h=h, times=times, values=values,
-                      source=np.atleast_1d(np.asarray(x0, dtype=float)),
-                      meta=dict(meta or {}))
 
 
 def _assemble_operator(field, axes, vols, h):
@@ -391,8 +369,7 @@ def solve_kernel_pde(field, x0, box, h, times, dt):
                       values=out.reshape((len(steps),) + shape),
                       source=source,
                       meta={"scheme": "crank-nicolson-fv", "dt": dt,
-                            "requested_times": [float(t) for t in times],
-                            "field": getattr(field, "name", None)})
+                            "requested_times": [float(t) for t in times]})
 
 
 def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
@@ -520,9 +497,13 @@ class PotentialField:
     values: np.ndarray = None
 
     def __call__(self, pts):
+        """U at points of shape (..., d), pointwise over the leading
+        axes."""
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return self(pts[None, :])[0]
+        if pts.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                f"points must end in an axis of length {self.dim}, got "
+                f"shape {pts.shape}")
         if self.fn is not None:
             return self.fn(pts)
         if self.dim == 1:
@@ -752,6 +733,7 @@ def _terminal_states(field, nu, n, t_cap, step, rng):
         z *= np.sqrt(T, out=T)[:, None]
         z += x0
         return z
+    _sampling.check_em_field(field)
     # minus the step counts, so a stable sort puts the most steps first
     neg = np.divide(T, -step)
     np.minimum(np.round(neg, out=neg), -1.0, out=neg)
@@ -817,17 +799,7 @@ def _kde_field(samples, bw, dim, params):
                           values=dens)
 
 
-# ------------------------------------------------------------- L^q norms
-
-def lq_admissible(q, dim):
-    """The admissible exponent range: q > 1 always, and q < d/(d-2) when
-    d > 2."""
-    if q <= 1.0:
-        return False
-    if dim > 2 and q >= dim / (dim - 2.0):
-        return False
-    return True
-
+# ------------------------------------------------------------- L^2 norm
 
 # trapezoid rule for K0(z) = e^-z int_0^inf exp(-z (cosh t - 1)) dt, with
 # cosh t - 1 = 2 sinh^2(t/2) so no digits cancel: the integrand is
@@ -854,32 +826,18 @@ def _envelope_potential(r, M):
     return 2.0 * M * _k0(2.0 * r / np.sqrt(M))
 
 
-@dataclass
-class LqNormResult:
-    q: float
-    value: float
-    tail_estimate: float
-
-    @property
-    def total(self):
-        return self.value + self.tail_estimate
-
-
-def potential_Lq_norm(U, nu, q, box, h=0.01):
-    """Trapezoid integral of U^q, for U = U nu, over the box plus an
-    envelope tail bound.
+def potential_Lq_norm(U, nu, box, h=0.01):
+    """The squared L^2 norm of U = U nu as (box value, tail bound): the
+    trapezoid integral of U^2 over the box, and an envelope bound on the
+    integral off it.
 
     Off the box every point is at least R from the hull of nu's support,
     R the gap from the hull to the nearest box face, and U there is at
     most the upper envelope (M = ENVELOPE_M) at that distance.  The tail
-    integrates its q-th power over the points at distance r >= R from the
+    integrates its square over the points at distance r >= R from the
     hull: 2 of them per r in d = 1, a curve of length 2 pi r + P in d = 2
     (Steiner's formula, P the hull's perimeter, 0 for a Dirac).
     """
-    q = float(q)
-    if not lq_admissible(q, U.dim):
-        raise InadmissibleExponent(
-            f"q = {q} is outside the admissible range for d = {U.dim}")
     R = hull_gap(nu, box, interior=True)
     axes, _ = _axes_volumes(box, h, U.dim)
     head, rest = axes[0], axes[1:]
@@ -894,7 +852,7 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
     for i in range(win[0].start, win[0].stop, block):
         j = min(i + block, win[0].stop)
         vals = np.zeros((j - i, *(ax.shape[0] for ax in rest)))
-        vals[cols] = np.maximum(U.grid([head[i:j], *inner]), 0.0) ** q
+        vals[cols] = np.maximum(U.grid([head[i:j], *inner]), 0.0) ** 2.0
         for ax in reversed(rest):
             vals = np.trapezoid(vals, ax, axis=-1)
         rows[i:j] = vals
@@ -902,14 +860,13 @@ def potential_Lq_norm(U, nu, q, box, h=0.01):
 
     M = ENVELOPE_M
     if U.dim == 1:
-        # closed form: 2 int_R^inf (M sqrt(pi))^q e^(-2 q r / sqrt M) dr
-        amp = (M * np.sqrt(np.pi)) ** q
-        tail = 2.0 * amp * np.sqrt(M) / (2.0 * q) * np.exp(
-            -2.0 * q * R / np.sqrt(M))
+        # closed form: 2 int_R^inf (M sqrt(pi))^2 e^(-4 r / sqrt M) dr
+        amp = (M * np.sqrt(np.pi)) ** 2.0
+        tail = 2.0 * amp * np.sqrt(M) / 4.0 * np.exp(-4.0 * R / np.sqrt(M))
     else:
         r = R * np.exp(np.linspace(0.0, 4.0, 400))
-        env = _envelope_potential(r, M) ** q
+        env = _envelope_potential(r, M) ** 2.0
         a, b = nu.hull()
         perimeter = 2.0 * float(np.sum(b - a))
         tail = float(np.trapezoid(env * (2.0 * np.pi * r + perimeter), r))
-    return LqNormResult(q=q, value=box_value, tail_estimate=float(tail))
+    return box_value, float(tail)

@@ -480,7 +480,7 @@ def load_scenario(config, out_dir=None, seed_override=None):
         if route == "closed-form":
             _checked("potential.route", kernels.check_closed_form, field, law)
         # the grid solve, the Monte Carlo bandwidths, the quadrature and
-        # the L^q tail all stop at d = 2
+        # the L^2 tail all stop at d = 2
         if field.dim > 2:
             raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
                               f"got d = {field.dim}")
@@ -718,9 +718,9 @@ def _run_potential(scn, U, incidents):
     else:
         mass = U.integral(box=pbox, h=ph)
         count = 1
-    l2 = kernels.potential_Lq_norm(U, scn.law, 2.0, pbox, h=ph)
+    box_l2, tail_l2 = kernels.potential_Lq_norm(U, scn.law, pbox, h=ph)
     rows = [("potential_mass", 0, mass, 0.0, count),
-            ("potential_l2", 0, l2.total, 0.0, count)]
+            ("potential_l2", 0, box_l2 + tail_l2, 0.0, count)]
     artifacts = {}
     if U.axes is not None:
         U.save(os.path.join(scn.out_dir, "potential_field"))

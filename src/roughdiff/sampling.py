@@ -241,10 +241,9 @@ def em_step(field, x, xi, fine_step):
 
     Returns x + (div a)(x) fine_step + sqrt(2 a(x)) xi sqrt(fine_step) for
     states x and standard normal draws xi, both of shape (B, d), on a
-    field check_em_field admits; sqrt(2 a) is taken entrywise on the
-    diagonal.
+    field check_em_field admits, which the caller checks once per sweep;
+    sqrt(2 a) is taken entrywise on the diagonal.
     """
-    check_em_field(field)
     diag, drift = field.matrix_and_divergence(x)
     noise = np.sqrt(2.0 * diag) * xi
     return x + (drift * fine_step + noise * np.sqrt(fine_step))
@@ -254,6 +253,7 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
                      stride=1):
     """Euler-Maruyama batch; returns states of shape (B, T', d) at times
     i * stride * fine_step, including both endpoints."""
+    check_em_field(field)
     nsteps = _nsteps(horizon, fine_step, stride)
     d = field.dim
     gens = [path_rng(seed, pid) for pid in path_ids]
@@ -266,9 +266,12 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
         # constant coefficients: zero drift and independent
         # Gaussian increments, so one draw per recorded step is exact in law
         sig = np.sqrt(2.0 * field._diag_many(x[:1])[0])  # (d,)
+        scale = sig * np.sqrt(stride * fine_step)
         for b, g in enumerate(gens):
+            # scaled row by row: a contiguous (T', d) row by a (d,) vector
+            # needs no buffers, where the whole strided batch takes three
             g.standard_normal(out=out[b, 1:])
-        out[:, 1:] *= sig * np.sqrt(stride * fine_step)
+            out[b, 1:] *= scale
         return np.add.accumulate(out, axis=1, out=out)
 
     xi = np.empty((B, _CHUNK_STEPS, d))

@@ -54,7 +54,7 @@ GOLDEN = {
         "kernel.csv":
             "eb017ca147de96722fe91b358b0f4abe5bbe4d2256469230d0e89fc5d4b8a58f",
         "kernel.json":
-            "cdd26a3c89b45db4278d03e1a468d10f460cf064a0b2d4f8ef28250165cee6c6",
+            "389665d98026f160aec184384cc7b0ce1df101c0f0b363abdefdbac6b3f54d93",
         "qv.csv":
             "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
     },

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughdiff import fields, sampling
+from roughdiff import fields, kernels, sampling
 from roughdiff.errors import RoughFieldError, UnknownName
 
 
@@ -121,10 +121,15 @@ class TestDivergence:
                                        atol=1e-8)
 
     def test_rough_field_rejected(self):
-        # a rough field's drift is a distribution: Euler-Maruyama refuses it
+        # a rough field's drift is a distribution: both Euler-Maruyama
+        # samplers refuse it at entry, before any step
+        law = sampling.dirac([0.0])
         with pytest.raises(RoughFieldError):
-            sampling.em_step(step_field(), np.zeros((1, 1)), np.zeros((1, 1)),
-                             2.0 ** -8)
+            sampling._em_batch_states(step_field(), law, 1.0, 2.0 ** -8, 0,
+                                      [0])
+        with pytest.raises(RoughFieldError):
+            kernels._terminal_states(step_field(), law, 10, 16.0, 2.0 ** -8,
+                                     np.random.default_rng(0))
 
     def test_mollified_affine_derivative_exact(self):
         # the derivative-kernel quadrature reproduces affine slopes exactly

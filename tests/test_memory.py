@@ -121,6 +121,31 @@ class TestLatticeBudget:
         assert peak > self.budget(out)
 
 
+class TestEulerBatchBudget:
+    """A constant-field Euler-Maruyama batch holds its states and little
+    else: each path's row is scaled where it is drawn."""
+
+    FIELD = make_field("identity", dim=2)
+    B = 16
+
+    def batch_peak(self):
+        return traced_peak(lambda: sampling._em_batch_states(
+            self.FIELD, sampling.dirac([0.0, 0.0]), 1.0, 2.0 ** -10, 11,
+            list(range(self.B))))
+
+    def test_within_budget(self):
+        out, peak = self.batch_peak()
+        assert peak <= 1.25 * out.nbytes
+
+    def test_one_extra_batch_exceeds_it(self, monkeypatch):
+        # one more path's worth of states per generator, held for the
+        # whole call: one batch more in all
+        out, _ = self.batch_peak()
+        hold_per_generator(monkeypatch, out[0].size)
+        _, peak = self.batch_peak()
+        assert peak > 1.25 * out.nbytes
+
+
 class TestEvaluateBudget:
     """The path sweeps hold one batch of states at a time: F and grad F
     live one block of rows at a time, and a batch is released before the
@@ -153,9 +178,8 @@ class TestEvaluateBudget:
         return (self.B, 2 ** self.N_TOP + 1, self.D)
 
     def budget(self):
-        """Two and a half batches of states: the batch itself, and either
-        the sampler's ufunc buffers (192 KiB) or the pass's 64-row
-        blocks, each under one batch at this size."""
+        """Two and a half batches of states: the batch itself and the
+        pass's 64-row blocks, under one batch at this size."""
         return 2.5 * np.prod(self.batch_shape()) * 8
 
     def test_within_budget(self, monkeypatch):
