@@ -1,9 +1,12 @@
-"""Exact references the kernel tests compare the engine against.
+"""Exact references the kernel tests compare the engine against, and the
+byte digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
 file name does not match ``test_*.py``, so pytest imports it only where a
 test module does.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -29,3 +32,11 @@ def tabulate_kernel(fn, box, h, times, x0, dim=1):
     values = np.stack([np.asarray(fn(t, pts)).reshape(shape) for t in times])
     return kernels.GridKernel(axes=axes, h=h, times=times, values=values,
                               source=x0)
+
+
+def pin_digest(arr):
+    """First 16 hex digits of the SHA-256 of the array's float bytes, every
+    NaN written as numpy's own: only a NaN's payload is left unpinned."""
+    arr = np.asarray(arr, dtype=float)
+    return hashlib.sha256(np.where(np.isnan(arr), np.nan, arr).tobytes()
+                          ).hexdigest()[:16]

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from roughdiff import fields, kernels, sampling
 from roughdiff.errors import RoughFieldError, UnknownName
 
+from reference import pin_digest
+
 
 def step_field():
     """1D rough field: a(x) = 1 for x in [-10, 0), 2 for x in [0, 10)."""
@@ -52,6 +54,79 @@ def test_catalog_symmetric_within_lambda(name, mollify):
         assert a.min() >= (1.0 - 1e-12) / f.lam
         assert a.max() <= (1.0 + 1e-12) * f.lam
         assert max(a.max(), 1.0 / a.min()) == pytest.approx(f.lam, rel=0.01)
+
+
+# per coordinate: signed zeros, the checkerboard's cell edges at 0 and
+# +-1 and points within the mollifier's radius 0.1 of them, and points
+# off them
+PIN_AXIS = np.array([-0.0, 0.0, 0.05, -0.05, 0.3, -0.95, 1.0, -1.0, 1.04,
+                     2.5, -3.3])
+
+
+def field_digests(name, mollify, params):
+    """Digests of _diag_many, and of matrix_and_divergence where the field
+    states a drift, on the tensor grid of PIN_AXIS."""
+    f = fields.make_field(name, mollify=mollify, **params)
+    grids = np.meshgrid(*[PIN_AXIS] * f.dim, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    out = [pin_digest(f._diag_many(pts))]
+    if hasattr(f, "matrix_and_divergence"):
+        out += map(pin_digest, f.matrix_and_divergence(pts))
+    return tuple(out)
+
+
+def _pin_cases():
+    """Every catalog case, plain and mollified, and the 3-d checkerboard,
+    whose mollification sums the base at every shift."""
+    cases = {name: CATALOG_CASES[name] for name in sorted(fields.PARAMS)}
+    cases["checkerboard"] += ({"lo": 0.5, "hi": 2.0, "dim": 3},)
+    for name, all_params in cases.items():
+        for params in all_params:
+            for mollify in (None, 0.1):
+                kind = "plain" if mollify is None else "mollified"
+                d = params.get("dim", len(params.get("values", [0])))
+                yield f"{name}-{kind}-{d}d", (name, mollify, params)
+
+
+PIN_CASES = dict(_pin_cases())
+# field bytes of every catalog entry, taken before the identity became
+# the constant diagonal of ones
+FIELD_PINS = {
+    "checkerboard-mollified-1d": ("1f3de3dbe19a4cc7", "1f3de3dbe19a4cc7",
+                                  "cc1f4d8a95d21b8b"),
+    "checkerboard-mollified-2d": ("f1ad1398c8440577", "f1ad1398c8440577",
+                                  "61df61a9ba5b7db4"),
+    "checkerboard-mollified-3d": ("d3d478595c6823aa", "d3d478595c6823aa",
+                                  "bf2949f31e524c90"),
+    "checkerboard-plain-1d": ("14683593da5f8417",),
+    "checkerboard-plain-2d": ("8e58c0c29809f0c8",),
+    "checkerboard-plain-3d": ("5dc9069e7a0e7735",),
+    "constant-diagonal-mollified-1d": ("91e8b382892ace1d", "91e8b382892ace1d",
+                                       "48b47c4df7aed14e"),
+    "constant-diagonal-mollified-2d": ("f3fa9660f1a11ce8", "f3fa9660f1a11ce8",
+                                       "37b42934becb688d"),
+    "constant-diagonal-plain-1d": ("91e8b382892ace1d",),
+    "constant-diagonal-plain-2d": ("f751299a4c535e8f",),
+    "identity-mollified-1d": ("29f6db545d43579d", "29f6db545d43579d",
+                              "40fff2a35ac3e5d0"),
+    "identity-mollified-2d": ("b7b673b5db77e129", "b7b673b5db77e129",
+                              "85c946d1e1c780a0"),
+    "identity-plain-1d": ("29f6db545d43579d",),
+    "identity-plain-2d": ("05aea69cdc71c93f",),
+    "smooth-sine-mollified-1d": ("89b630c1f2719b02", "89b630c1f2719b02",
+                                 "639e33700511a9b0"),
+    "smooth-sine-mollified-2d": ("8b502fd0de9a17fd", "8b502fd0de9a17fd",
+                                 "4a2a4327e0d140d8"),
+    "smooth-sine-plain-1d": ("bc39f67cfff112f0", "bc39f67cfff112f0",
+                             "793049069d051bb6"),
+    "smooth-sine-plain-2d": ("7a58b53b5e2d417e", "7a58b53b5e2d417e",
+                             "0eed03cadd3d57a3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_catalog_bytes_pinned(case):
+    assert field_digests(*PIN_CASES[case]) == FIELD_PINS[case]
 
 
 class TestCatalog:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from roughdiff.errors import UnknownName
 from roughdiff.testfunctions import PARAMS, make_test_function
 
+from reference import pin_digest
+
 
 # normal floats or 0, so every singular point of the catalog is drawn often
 COORD = st.one_of(st.just(0.0),
@@ -197,3 +199,92 @@ class TestCatalogInterface:
         F = make_test_function("quadratic", dim=2)
         with pytest.raises(ValueError):
             F.value(np.zeros(3))
+
+
+# every catalog entry at the parameters the pins read; the alphas put
+# the |x|^(1+alpha) family below, at and above the H^2_loc threshold 1/2
+# and at alpha = 1, where r^(alpha - 1) is 0^0
+PIN_ENTRIES = {
+    "linear-1d": ("linear", {"c": [1.5]}),
+    "linear-2d": ("linear", {"c": [1.5, -0.5]}),
+    "quadratic-1d": ("quadratic", {"dim": 1}),
+    "quadratic-2d": ("quadratic", {"dim": 2}),
+    "quadratic-3d": ("quadratic", {"dim": 3}),
+    "sin1d": ("sin1d", {}),
+    "abs_power-0.25": ("abs_power", {"alpha": 0.25}),
+    "abs_power-0.5": ("abs_power", {"alpha": 0.5}),
+    "abs_power-1": ("abs_power", {"alpha": 1.0}),
+    "abs_power-1.5": ("abs_power", {"alpha": 1.5}),
+    "radial_power-0.75-1d": ("radial_power", {"alpha": 0.75, "dim": 1}),
+    "radial_power-0.75-2d": ("radial_power", {"alpha": 0.75, "dim": 2}),
+    "radial_power-1-2d": ("radial_power", {"alpha": 1.0, "dim": 2}),
+    "radial_power-0.25-3d": ("radial_power", {"alpha": 0.25, "dim": 3}),
+    "bump-1d": ("bump", {"dim": 1}),
+    "bump-2d": ("bump", {"dim": 2}),
+    "bump-3d": ("bump", {"dim": 3}),
+}
+# per coordinate: signed zeros (the singular point), a tiny and a small
+# offset, the cutoff's ends at 1 and 2 from either side, and points inside
+# the unit ball and off the cutoff's support
+PIN_AXIS = np.array([-0.0, 0.0, 1e-300, -1e-8, 0.3, -0.7, 1.0, -1.0,
+                     np.nextafter(1.0, 2.0), 1.5, -1.999, 2.0, -2.5, 3.3])
+
+
+def pin_points(dim):
+    """The tensor grid of PIN_AXIS in d dimensions, (N, d)."""
+    grids = np.meshgrid(*[PIN_AXIS] * dim, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def catalog_digests(name, params):
+    """(value, gradient, hessian) digests of an entry on pin_points."""
+    F = make_test_function(name, **params)
+    x = pin_points(F.dim)
+    with np.errstate(all="ignore"):
+        return tuple(pin_digest(fn(x))
+                     for fn in (F.value, F.gradient, F.hessian))
+
+
+# value, gradient and hessian bytes of every entry, taken before the
+# |x|^(1+alpha) entries shared one radial profile
+CATALOG_PINS = {
+    "abs_power-0.25": ("9623c13248463a43", "ea7da3143d84d604",
+                       "576e12ebed6df495"),
+    "abs_power-0.5": ("ab69f7f6468c84c5", "94caeb3b04cb1027",
+                      "0fc079f50f751f78"),
+    "abs_power-1": ("c770978c6b2e1d1c", "a43295d9b4abb81e",
+                    "31d873cea8a59b21"),
+    "abs_power-1.5": ("86ec0d5b0504a10f", "57fb21d95ee140de",
+                      "c92253120e52fbda"),
+    "bump-1d": ("6551a3f996038e50", "f5e80f129d81a5de",
+                "2d97b4d98cf2c7e7"),
+    "bump-2d": ("dae1682fbf5fdaef", "9b04d75ef61effa6",
+                "fa47b2fc5441a859"),
+    "bump-3d": ("4145861f1d94c9b0", "9c143e53bab60cfb",
+                "d380c477c8a0f2f8"),
+    "linear-1d": ("49f7a5c068354460", "e49f43ed34f1fd4d",
+                  "b5fdab78d8947eac"),
+    "linear-2d": ("156b821f0fa577ce", "7a2a6c6759e12f2b",
+                  "27e252c16d2f3c86"),
+    "quadratic-1d": ("1f258dd74795bfa1", "f2278702d71b8e0a",
+                     "bcc1df8eea677dd0"),
+    "quadratic-2d": ("b325c43a84d1e29a", "118ac395f59bda2a",
+                     "d167c9a7a4708e41"),
+    "quadratic-3d": ("1ae304123d831321", "eadd9e5fac002457",
+                     "08519e977fdcac50"),
+    "radial_power-0.25-3d": ("be3eb4ffab078d0b", "ded7818dfc07cd62",
+                             "038dfbcd32dbc168"),
+    "radial_power-0.75-1d": ("329e41db075f9d93", "9ffc3ccb29d0273a",
+                             "3cd8aa0562239c28"),
+    "radial_power-0.75-2d": ("68e073fc0fd9ee04", "6edb23951450a8eb",
+                             "e55cf12286ad5f2b"),
+    "radial_power-1-2d": ("0395bd16deaa3d21", "03c98238fcb286ed",
+                          "8207a4efff13fde7"),
+    "sin1d": ("e703a90fb9f9486b", "7a02dc4d7049a4e8",
+              "7c36cb7219f2e6d9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_ENTRIES))
+def test_catalog_bytes_pinned(case):
+    assert catalog_digests(*PIN_ENTRIES[case]) == CATALOG_PINS[case]
