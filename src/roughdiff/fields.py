@@ -10,6 +10,10 @@ for a single ellipticity constant lam >= 1.  Fields carry a smoothness tag:
 constant) do not, and "mollified" fields are smoothed versions of rough ones
 obtained by convolution against a compactly supported bump.
 
+The catalog's identity is the constant diagonal of ones, and the
+checkerboard and smooth-sine fields are scalar, a(x) = s(x) Id: they
+state s and share the diagonal built from it.
+
 A field is evaluated on a stack of points (N, d) in two ways:
 ``field._diag_many(points)`` returns the diagonal of a, and every field
 that takes an Euler-Maruyama step (non-constant and not rough) states its
@@ -30,8 +34,9 @@ from .errors import NonPositiveDefinite, UnknownName
 
 class CoefficientField:
     """Base class for coefficient fields; subclasses define ``_diag_many``,
-    the diagonal of a at points (N, d) as an (N, d) array, and those that
-    take an Euler-Maruyama step also ``matrix_and_divergence``.
+    the diagonal of a at points (N, d) as an (N, d) array, or, for a
+    scalar field a(x) = s(x) Id, ``scalar``, s at each point as (N,), and
+    those that take an Euler-Maruyama step also ``matrix_and_divergence``.
 
     Attributes
     ----------
@@ -56,21 +61,9 @@ class CoefficientField:
     is_constant = False
 
     def _diag_many(self, pts):
-        raise NotImplementedError
-
-
-class IdentityField(CoefficientField):
-    """a(x) = Id."""
-
-    smoothness = "smooth"
-    is_constant = True
-
-    def __init__(self, dim=1):
-        self.dim = int(dim)
-        self.lam = 1.0
-
-    def _diag_many(self, pts):
-        return np.ones_like(pts)
+        # a contiguous copy: MollifiedField's einsum sums in an order set
+        # by its operands' strides, and a zero-stride view moves its bytes
+        return np.column_stack([self.scalar(pts)] * self.dim)
 
 
 class ConstantDiagonalField(CoefficientField):
@@ -118,11 +111,6 @@ class CheckerboardField(CoefficientField):
         k = sum(np.floor(pts / self.cell).astype(np.int64).T)
         return np.where((k & 1) == 0, self.hi, self.lo)
 
-    def _diag_many(self, pts):
-        # a contiguous copy: MollifiedField's einsum sums in an order set
-        # by its operands' strides, and a zero-stride view moves its bytes
-        return np.column_stack([self.scalar(pts)] * self.dim)
-
 
 class SmoothSineField(CoefficientField):
     """a(x) = (1 + 0.5 sin(x_1)) Id, a smooth non-constant diagonal field."""
@@ -135,9 +123,6 @@ class SmoothSineField(CoefficientField):
 
     def scalar(self, pts):
         return 1.0 + 0.5 * np.sin(pts[:, 0])
-
-    def _diag_many(self, pts):
-        return np.column_stack([self.scalar(pts)] * self.dim)
 
     def matrix_and_divergence(self, pts):
         """diag a(x) and div a(x) = (s'(x_1), 0, ..., 0), both (N, d)."""
@@ -290,7 +275,7 @@ PARAMS = {
                      "mollify": _MOLLIFY},
     "smooth-sine": {"dim": _DIM, "mollify": _MOLLIFY},
 }
-_CATALOG = {"identity": IdentityField,
+_CATALOG = {"identity": lambda dim=1: ConstantDiagonalField(np.ones(dim)),
             "constant-diagonal": ConstantDiagonalField,
             "checkerboard": CheckerboardField,
             "smooth-sine": SmoothSineField}

@@ -9,9 +9,12 @@ volumes the generator V^-1 S is similar to the symmetric
 B = V^-1/2 S V^-1/2, and n Crank-Nicolson steps are a function of B.
 One Lanczos recurrence on B evaluates that function for every output
 time at once, applying B as a numpy stencil, with no factorization.
+The grid, the operator and the solver are written over the grid's axes
+and run in any dimension d.
 Mass is conserved (in the trapezoid sense) to the Krylov tolerance,
 which is what the leakage field records.  The resolvent potential on
-the same grid is a single sparse solve with V - S.
+the same grid is a single sparse solve with V - S; on a constant 1-d
+field from a Dirac it also has a closed form.
 
 Envelope conventions, for a kernel started at x:
 
@@ -42,7 +45,6 @@ from .errors import (
     UnstableStep,
 )
 from . import sampling as _sampling
-from .fields import IdentityField
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
 # M of the upper envelope that bounds the potential's tails
@@ -148,15 +150,15 @@ class GridKernel:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def save(self, prefix):
-        """Write <prefix>.csv, one line per time (and in 2-d per x), and
-        the <prefix>.json sidecar."""
+        """Write <prefix>.csv, one line per time (and in d >= 2 per index
+        of every axis but the last), and the <prefix>.json sidecar."""
         _save_table(prefix, self.axes, self.values, {
             "kind": "grid-kernel",
             "h": float(self.h),
             "times": [float(t) for t in self.times],
             "source": [float(c) for c in self.source],
             "leakage": float(self.leakage),
-            "meta": _jsonable(self.meta),
+            "meta": self.meta,
         })
 
 
@@ -179,20 +181,6 @@ def _save_table(prefix, axes, values, meta):
     with open(f"{prefix}.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _assemble_operator(field, axes, vols, h):
@@ -223,7 +211,7 @@ def _assemble_operator(field, axes, vols, h):
     return couplings, vol.ravel(), vol.shape
 
 
-def _faces(k, dim):
+def _faces(k):
     """Index tuples of the nodes below and above each face along axis k."""
     head = (slice(None),) * k
     return head + (slice(None, -1),), head + (slice(1, None),)
@@ -237,7 +225,7 @@ def _flux_matrix(couplings, shape):
     idx = np.arange(n_total).reshape(shape)
     rows, cols, vals = [], [], []
     for k, c in enumerate(couplings):
-        lo, hi = _faces(k, len(shape))
+        lo, hi = _faces(k)
         m, n, c = idx[lo].ravel(), idx[hi].ravel(), c.ravel()
         rows += [m, n, m, n]
         cols += [n, m, m, n]
@@ -274,7 +262,7 @@ def _stencil(couplings, vol, shape):
     diag = np.zeros(shape)
     lower, upper = [], []
     for k, c in enumerate(couplings):
-        lo, hi = _faces(k, len(shape))
+        lo, hi = _faces(k)
         diag[lo] -= c
         diag[hi] -= c
         lower.append((hi, r[hi] * c * r[lo], lo))
@@ -293,16 +281,9 @@ def _stencil(couplings, vol, shape):
     return apply
 
 
-def check_fv_field(field):
-    """Raise unless the field is in d = 1 or 2."""
-    if field.dim not in (1, 2):
-        raise ValueError(f"PDE solve supports d in {{1, 2}}, got {field.dim}")
-
-
 def fv_grid(field, box, h):
     """(axes, vols) of the finite-volume grid of ``box`` at step h, which
     must tile the box and resolve the field's feature scale."""
-    check_fv_field(field)
     if field.feature_scale is not None and h > field.feature_scale / 2 + 1e-12:
         raise GridTooCoarse(
             f"h = {h:g} does not resolve the field's feature scale "
@@ -384,8 +365,11 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
     There is no reorthogonalisation, and the basis is never stored.  A
     first pass finds T.  Each time m has grown by a quarter it stops if
     the last coefficient of f(T) e1 is at most KRYLOV_TOL of its largest
-    for every n; it also stops where beta underflows, at an invariant
-    subspace.  A second pass rebuilds the same vectors from T and sums
+    for every n.  Where every coefficient of some n underflows, as for
+    late times at the first checks, whose Ritz values are far from 0, it
+    also needs the largest Ritz value to have moved by at most KRYLOV_TOL
+    of itself since the previous check.  It stops where beta underflows,
+    at an invariant subspace.  A second pass rebuilds the same vectors from T and sums
     them into the output.
 
     B is applied as the numpy stencil of the couplings, and the
@@ -404,7 +388,7 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
 
     alpha, beta = [], []
     limit = KRYLOV_MAX_PER_NODE * vol.shape[0]
-    check = 8
+    check, top = 8, np.nan
     q, q_prev, b = w / norm, 0.0, 0.0
     while True:
         v = B(q) - b * q_prev
@@ -418,8 +402,14 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
             theta, Y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
             z = 0.5 * dt * theta
             coef = ((1.0 + z) / (1.0 - z)) ** steps * Y[0] @ Y.T
-            if invariant or np.all(np.abs(coef[:, -1]) <= KRYLOV_TOL
-                                   * np.abs(coef).max(axis=1)):
+            scale = np.abs(coef).max(axis=1)
+            converged = np.all(np.abs(coef[:, -1]) <= KRYLOV_TOL * scale)
+            # a time whose coefficients all underflow reads as converged,
+            # so it waits until the Ritz value nearest 0, which sets its
+            # decay, has settled since the last check
+            settled = abs(theta[-1] - top) <= KRYLOV_TOL * abs(theta[-1])
+            top = theta[-1]
+            if invariant or converged and (settled or np.all(scale > 0.0)):
                 break
             if m >= limit:
                 raise KrylovNotConverged(
@@ -560,7 +550,7 @@ class PotentialField:
             "kind": "potential",
             "route": self.route,
             "h": float(self.axes[0][1] - self.axes[0][0]),
-            "params": _jsonable(self.params),
+            "params": self.params,
         })
 
 
@@ -602,20 +592,22 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
                         seed=0, step=2.0 ** -9, t_cap=16.0, box=None, h=None):
     """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of three routes.
 
-    source selects the route: "closed-form" (``field`` the identity in
-    d = 1, Dirac start), "grid" (one finite-volume solve of (1 - L) U = nu
-    on ``box`` at step ``h``, which needs ``field``), or "monte-carlo"
-    (kernel-density estimate of X_T, T ~ Exponential(1), which needs
-    ``field``).
+    source selects the route: "closed-form" (``field`` a constant a in
+    d = 1, mollified or not, Dirac start), "grid" (one finite-volume solve
+    of (1 - L) U = nu on ``box`` at step ``h``, which needs ``field``), or
+    "monte-carlo" (kernel-density estimate of X_T, T ~ Exponential(1),
+    which needs ``field``).
     """
     if source == "grid":
         return _potential_from_solve(field, nu, box, h)
     if source == "closed-form":
-        check_closed_form(field, nu)
+        # (1 - a d^2/dx^2) U = delta_x0: U = e^(-|x - x0| / s) / (2 s),
+        # s = sqrt(a); at a = 1 every operation by s is exact
+        s = np.sqrt(check_closed_form(field, nu))
         x0 = float(np.atleast_1d(nu.point)[0])
         return PotentialField(
             route="closed-form", dim=1, params={"x0": x0},
-            fn=lambda pts: 0.5 * np.exp(-np.abs(pts[..., 0] - x0)))
+            fn=lambda pts: np.exp(-np.abs(pts[..., 0] - x0) / s) / (2.0 * s))
     if source == "monte-carlo":
         return _potential_from_samples(field, nu, n_samples, seed, step,
                                        t_cap)
@@ -623,13 +615,15 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
 
 
 def check_closed_form(field, nu):
-    """Raise unless the closed form covers the case: the identity field
-    (mollified or not) in d = 1, from a Dirac start."""
+    """The constant a when the closed form covers the case: a constant
+    field (mollified or not) in d = 1, from a Dirac start; raises
+    otherwise."""
     base = getattr(field, "base", field)
-    if not (isinstance(base, IdentityField) and base.dim == nu.dim == 1
+    if not (base.is_constant and base.dim == nu.dim == 1
             and nu.kind == "dirac"):
-        raise ValueError("the closed form fits only the 1-d identity field "
+        raise ValueError("the closed form fits only a 1-d constant field "
                          "from a dirac law; route grid covers the others")
+    return base.values[0]
 
 
 def _potential_from_solve(field, nu, box, h):
@@ -666,7 +660,11 @@ def _node_mass(nu, axes, h):
     the box), on the grid's shape.
 
     A Dirac charges its nearest node.  A grid density charges each dual
-    cell the exact overlap with each of its cells, axis by axis.
+    cell the exact overlap with each of its cells, axis by axis: along
+    axis k, the difference of the mass below the two cuts of the dual
+    cell, the cells' cumulative sum read linearly inside a cell.  Sums
+    and differences, with no BLAS product, so the bits do not depend on
+    the BLAS thread count.
     """
     if nu.kind == "mixture":
         return sum(w * _node_mass(c, axes, h)
@@ -676,14 +674,20 @@ def _node_mass(nu, axes, h):
         out[tuple(int(round((c - ax[0]) / h))
                   for c, ax in zip(nu.point, axes))] = 1.0
         return out
-    # share[i, j]: the part of cell j along axis k in dual cell i; axis k
-    # of out goes from cells to dual cells, as share @ out does on axis 0
     out = nu.cell_probs
     for k, (e, ax) in enumerate(zip(nu.edges, axes)):
-        cuts = np.append(ax - h / 2, ax[-1] + h / 2)[:, None]
-        share = np.diff(np.clip((cuts - e[:-1]) / np.diff(e), 0.0, 1.0),
-                        axis=0)
-        out = np.moveaxis(np.tensordot(share, out, axes=(1, k)), 0, k)
+        cuts = np.append(ax - h / 2, ax[-1] + h / 2)
+        # the cell j each cut falls in (the first or last off the edges)
+        # and the part of it below the cut
+        j = np.clip(np.searchsorted(e, cuts, side="right") - 1, 0,
+                    e.shape[0] - 2)
+        frac = np.clip((cuts - e[j]) / (e[j + 1] - e[j]), 0.0, 1.0)
+        shape = [1] * out.ndim
+        shape[k] = -1
+        # below[j]: the mass of the cells before cell j
+        below = np.insert(np.cumsum(out, axis=k), 0, 0.0, axis=k)
+        out = np.diff(below.take(j, axis=k) + frac.reshape(shape)
+                      * out.take(j, axis=k), axis=k)
     return out
 
 

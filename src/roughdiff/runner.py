@@ -479,8 +479,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
             _checked("potential.route", sampling.check_em_field, field)
         if route == "closed-form":
             _checked("potential.route", kernels.check_closed_form, field, law)
-        # the grid solve, the Monte Carlo bandwidths, the quadrature and
-        # the L^2 tail all stop at d = 2
+        # a tabulated U (read bilinearly), the Monte Carlo bandwidths, the
+        # quadrature and the L^2 tail all stop at d = 2
         if field.dim > 2:
             raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
                               f"got d = {field.dim}")
@@ -503,7 +503,6 @@ def load_scenario(config, out_dir=None, seed_override=None):
                  cfg["potential"]["box"], interior=True)
     if "aronson" in sweeps:
         k = cfg["kernel"]
-        _checked("field.dim", kernels.check_fv_field, field)
         axes, _ = _checked("kernel.h", kernels.fv_grid, field, k["box"],
                            k["h"])
         _checked("kernel.dt", kernels.check_step, k["dt"], k["h"], field.lam)

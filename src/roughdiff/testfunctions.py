@@ -6,7 +6,9 @@ pointwise over the leading axes, which calculus.grid_sums relies on when it
 evaluates F one block of path states at a time.  Entries
 whose second derivatives blow up somewhere (the |x|^(1+alpha) family) still
 provide the a.e.-defined hessian and declare the bad points in
-``singular_points``; quadratures refine around those.
+``singular_points``; quadratures refine around those.  That family,
+abs_power in d = 1 and radial_power in any d, reads one radial profile
+r^(1+alpha) psi(r) and its two r-derivatives.
 """
 
 from __future__ import annotations
@@ -68,6 +70,38 @@ def _cutoff_d2(r):
     return np.where((r > 1.0) & (r < 2.0), _smoothstep_d2(2.0 - r), 0.0)
 
 
+def _power_profile(alpha):
+    """phi(r) = r^(1+alpha) psi(r), psi the cutoff, and its first two
+    derivatives in r, as three functions of r >= 0, for alpha > 0; phi''
+    is inf at r = 0 for alpha < 1."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    a = float(alpha)
+
+    def phi(r):
+        return r ** (1.0 + a) * _cutoff(r)
+
+    def d1(r):
+        return (1.0 + a) * r ** a * _cutoff(r) + r ** (1.0 + a) * _cutoff_d1(r)
+
+    def d2(r):
+        with np.errstate(divide="ignore"):
+            core = (1.0 + a) * a * r ** (a - 1.0)
+        return (core * _cutoff(r)
+                + 2.0 * (1.0 + a) * r ** a * _cutoff_d1(r)
+                + r ** (1.0 + a) * _cutoff_d2(r))
+
+    return phi, d1, d2
+
+
+def _eye(x):
+    """The d x d identity at each point of x, shape x.shape + (d,)."""
+    out = np.zeros(x.shape + x.shape[-1:])
+    idx = np.arange(x.shape[-1])
+    out[..., idx, idx] = 1.0
+    return out
+
+
 def linear(c):
     """F(x) = c . x."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -99,11 +133,7 @@ def quadratic(dim=1):
         return 2.0 * _pts(x, dim)
 
     def hessian(x):
-        x = _pts(x, dim)
-        out = np.zeros(x.shape + (dim,))
-        idx = np.arange(dim)
-        out[..., idx, idx] = 2.0
-        return out
+        return 2.0 * _eye(_pts(x, dim))
 
     return TestFunction(name="quadratic", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,
@@ -134,60 +164,39 @@ def abs_power(alpha):
     alpha > 0; the second derivative behaves like |x|^(alpha-1) there, so
     it is locally square integrable iff alpha > 1/2.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    a = float(alpha)
+    phi, d1, d2 = _power_profile(alpha)
 
     def value(x):
-        t = _pts(x, 1)[..., 0]
-        r = np.abs(t)
-        return r ** (1.0 + a) * _cutoff(r)
+        return phi(np.abs(_pts(x, 1)[..., 0]))
 
     def gradient(x):
         t = _pts(x, 1)[..., 0]
-        r = np.abs(t)
-        s = np.sign(t)
-        g = (1.0 + a) * r ** a * _cutoff(r) + r ** (1.0 + a) * _cutoff_d1(r)
-        return (g * s)[..., None]
+        return (d1(np.abs(t)) * np.sign(t))[..., None]
 
     def hessian(x):
-        t = _pts(x, 1)[..., 0]
-        r = np.abs(t)
-        with np.errstate(divide="ignore"):
-            core = (1.0 + a) * a * r ** (a - 1.0)
-        h = (core * _cutoff(r)
-             + 2.0 * (1.0 + a) * r ** a * _cutoff_d1(r)
-             + r ** (1.0 + a) * _cutoff_d2(r))
-        return h[..., None, None]
+        return d2(np.abs(_pts(x, 1)[..., 0]))[..., None, None]
 
     return TestFunction(name="abs_power", dim=1, value=value,
                         gradient=gradient, hessian=hessian,
                         singular_points=[np.zeros(1)],
-                        params={"alpha": a})
+                        params={"alpha": float(alpha)})
 
 
 def radial_power(alpha, dim=2):
     """F(x) = |x|^(1+alpha) psi(|x|) in d dimensions."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    a = float(alpha)
+    phi, d1, d2 = _power_profile(alpha)
 
     def _r(x):
         return np.sqrt((x ** 2).sum(axis=-1))
 
     def value(x):
-        r = _r(_pts(x, dim))
-        return r ** (1.0 + a) * _cutoff(r)
-
-    def _g1(r):
-        # dF/dr
-        return (1.0 + a) * r ** a * _cutoff(r) + r ** (1.0 + a) * _cutoff_d1(r)
+        return phi(_r(_pts(x, dim)))
 
     def gradient(x):
         x = _pts(x, dim)
         r = _r(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(r > 0, _g1(r) / np.where(r > 0, r, 1.0), 0.0)
+            scale = np.where(r > 0, d1(r) / np.where(r > 0, r, 1.0), 0.0)
         return scale[..., None] * x
 
     def hessian(x):
@@ -195,22 +204,16 @@ def radial_power(alpha, dim=2):
         r = _r(x)
         safe = np.where(r > 0, r, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g2 = ((1.0 + a) * a * r ** (a - 1.0) * _cutoff(r)
-                  + 2.0 * (1.0 + a) * r ** a * _cutoff_d1(r)
-                  + r ** (1.0 + a) * _cutoff_d2(r))
-            g1_over_r = _g1(r) / safe
+            g2, g1_over_r = d2(r), d1(r) / safe
         xhat = x / safe[..., None]
         outer = xhat[..., :, None] * xhat[..., None, :]
-        eye = np.zeros(x.shape + (dim,))
-        idx = np.arange(dim)
-        eye[..., idx, idx] = 1.0
         return (g2[..., None, None] * outer
-                + g1_over_r[..., None, None] * (eye - outer))
+                + g1_over_r[..., None, None] * (_eye(x) - outer))
 
     return TestFunction(name="radial_power", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,
                         singular_points=[np.zeros(dim)],
-                        params={"alpha": a, "dim": dim})
+                        params={"alpha": float(alpha), "dim": dim})
 
 
 def bump(dim=1):
@@ -238,10 +241,7 @@ def bump(dim=1):
         c1 = np.where(inside, f * (4.0 / u ** 4 - 8.0 / u ** 3), 0.0)
         c2 = np.where(inside, -2.0 * f / u ** 2, 0.0)
         outer = x[..., :, None] * x[..., None, :]
-        eye = np.zeros(x.shape + (dim,))
-        idx = np.arange(dim)
-        eye[..., idx, idx] = 1.0
-        return c1[..., None, None] * outer + c2[..., None, None] * eye
+        return c1[..., None, None] * outer + c2[..., None, None] * _eye(x)
 
     return TestFunction(name="bump", dim=dim, value=value,
                         gradient=gradient, hessian=hessian,

@@ -136,6 +136,21 @@ class TestSolveKernelPde:
             rel /= exact[mask]
             assert rel.max() < 0.02, f"t={t}: {rel.max():.3%}"
 
+    def test_3d_identity_matches_exact(self):
+        # the operator, stencil and source snapping take any d; at h = 0.25
+        # the worst relative error within |x| <= 2 is 2.34% at t = 0.5 and
+        # 1.17% at t = 1 (it halves as t doubles), so 3% is the bound
+        field = make_field("identity", dim=3)
+        k = kn.solve_kernel_pde(field, [0.0] * 3, (-5.0, 5.0), 0.25,
+                                times=[0.5, 1.0], dt=0.25 ** 2 / 4.0)
+        pts = k.points()
+        mask = (pts ** 2).sum(axis=1) <= 4.0
+        for it, t in enumerate(k.times):
+            exact = exact_brownian_kernel(3, t, np.zeros(3), pts)[mask]
+            rel = np.abs(k.values[it].ravel()[mask] - exact) / exact
+            assert rel.max() < 0.03, f"t={t}: {rel.max():.3%}"
+        assert k.leakage < 1e-12
+
     def test_even_kernel(self, id_kernel):
         for sl in id_kernel.values:
             assert np.abs(sl - sl[::-1]).max() < 1e-10
@@ -257,6 +272,19 @@ class TestLanczosCrankNicolson:
         assert k.values.shape == want.shape
         assert np.abs(k.values - want).max() <= 1e-11 * np.abs(want).max()
         np.testing.assert_allclose(k.masses, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h, t", [(0.01, 1.0), (0.01, 4.0), (0.02, 4.0)])
+    def test_late_single_time_matches_a_solve_with_an_early_one(self, h, t):
+        # with t alone, the first checks' Ritz values all lie far from 0
+        # and every coefficient of f(T) e1 underflows; that must not read
+        # as converged (it gave a flat kernel, off by half its peak)
+        field = make_field("checkerboard", **CHECKERBOARD)
+        dt = h * h * field.lam / 4.0
+        alone = kn.solve_kernel_pde(field, 0.0, (-6.0, 6.0), h, [t], dt)
+        pair = kn.solve_kernel_pde(field, 0.0, (-6.0, 6.0), h, [0.05, t], dt)
+        want = pair.values[-1]
+        assert np.abs(alone.values[0] - want).max() <= (
+            kn.KRYLOV_TOL * want.max())
 
     def test_zero_flux_stops_at_the_invariant_subspace(self):
         # S = 0: beta underflows at once and every slice is p0
@@ -564,6 +592,27 @@ class TestResolventPotential:
                                    sampling.dirac(np.zeros(2)),
                                    field=make_field("identity", dim=1))
 
+    @pytest.mark.parametrize("mollify", [None, 0.1],
+                             ids=["plain", "mollified"])
+    def test_closed_form_of_a_constant_field(self, mollify):
+        # (1 - a d^2/dx^2) U = delta_x0 at a = 2: the grid solve agrees as
+        # it does at a = 1; a rough field has no closed form
+        field = make_field("constant-diagonal", values=[2.0],
+                           mollify=mollify)
+        nu = sampling.dirac([0.5])
+        U = kn.resolvent_potential("closed-form", nu, field=field)
+        xs = np.linspace(-1.5, 2.5, 401)[:, None]
+        s = np.sqrt(2.0)
+        np.testing.assert_allclose(
+            U(xs), np.exp(-np.abs(xs[:, 0] - 0.5) / s) / (2.0 * s),
+            rtol=1e-15)
+        G = grid_potential(nu, make_field("constant-diagonal", values=[2.0]),
+                           h=0.02)
+        assert (np.abs(G(xs) - U(xs)) / U(xs)).max() < 0.05
+        with pytest.raises(ValueError, match="constant"):
+            kn.resolvent_potential("closed-form", nu, field=make_field(
+                "checkerboard", lo=0.5, hi=2.0, mollify=0.1))
+
     def test_grid_route_matches_closed_form(self, solved_potential,
                                             closed_potential):
         U = solved_potential
@@ -673,7 +722,10 @@ class TestGridRoute:
         (DENSITY1, ID1, BOX1, 0.05),
         (DENSITY2, make_field("checkerboard", dim=2, lo=0.5, hi=2.0),
          (-6.0, 6.0), 0.1),
-    ], ids=["dirac", "mixture", "density", "density-2d-checkerboard"])
+        (sampling.dirac(np.zeros(3)), make_field("identity", dim=3),
+         (-2.0, 2.0), 0.5),
+    ], ids=["dirac", "mixture", "density", "density-2d-checkerboard",
+            "dirac-3d"])
     def test_mass_is_one(self, nu, field, box, h):
         U = grid_potential(nu, field, box, h)
         assert abs(U.integral() - 1.0) <= 1e-12
@@ -700,6 +752,29 @@ class TestGridRoute:
         got = kn._node_mass(law, axes, 0.1)
         np.testing.assert_allclose(got, overlap_mass(law, axes, 0.1),
                                    rtol=0, atol=1e-15)
+
+    def test_density_mass_bytes_at_any_blas_thread_count(self, run_python,
+                                                         tmp_path):
+        # a 400 x 400-cell density on +-4 at h = 0.01: one BLAS product per
+        # axis gave different bytes under one and two threads
+        script = (
+            "import os, sys; "
+            "os.environ.update(dict.fromkeys(('OPENBLAS_NUM_THREADS', "
+            "'OMP_NUM_THREADS', 'MKL_NUM_THREADS'), sys.argv[1])); "
+            "import hashlib, numpy as np; "
+            "from roughdiff import kernels, sampling; "
+            "e = np.linspace(-3.9, 3.9, 401); "
+            "law = sampling.grid_density("
+            "[e, e], np.random.default_rng(0).random((400, 400))); "
+            "axes, _ = kernels._axes_volumes((-4.0, 4.0), 0.01, 2); "
+            "print(hashlib.sha256(kernels._node_mass("
+            "law, axes, 0.01).tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            proc = run_python("-c", script, threads, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
     def test_checkerboard_matches_stepped_route(self):
         # U = int e^(-s) p_s ds: the solve against the e^(-s)-weighted
@@ -740,9 +815,6 @@ class TestGridRoute:
             grid_potential(sampling.dirac([0.0]),
                            make_field("checkerboard", dim=1, lo=0.5, hi=2.0),
                            h=0.8)
-        with pytest.raises(ValueError, match="d in"):
-            grid_potential(sampling.dirac(np.zeros(3)),
-                           make_field("identity", dim=3), (-2.0, 2.0), 0.5)
 
 
 class TestMonteCarloEuler:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import roughdiff
-from roughdiff import integrability, kernels, runner
+from roughdiff import fields, integrability, kernels, runner
 from roughdiff.cli import main as cli_main
 from roughdiff.errors import (
     ConditionViolated,
@@ -226,13 +226,14 @@ LOAD_RULES = [
                        "potential": {"route": "grid", "box": [0.0, 10.0],
                                      "kernel": {"box": [-6.0, 6.0],
                                                 "h": 0.1}}}),
-    # every potential route and the kernel solver stop at d = 2, and the
-    # kernel's h must resolve the checkerboard cell
+    # every potential route stops at d = 2, while the kernel solver takes
+    # any d and checks a 3-d x0 like any other; the kernel's h must
+    # resolve the checkerboard cell
     ("potential.route", dict(D3, sweeps=["potential"], potential={
         "route": "monte-carlo", "n_samples": 100_000})),
     ("potential.route", dict(D3, potential={"route": "monte-carlo"})),
-    ("field.dim", dict(D3, sweeps=["aronson"],
-                       kernel=dict(KERNEL_CFG, x0=[0.0] * 3))),
+    ("kernel.x0", dict(D3, sweeps=["aronson"],
+                       kernel=dict(KERNEL_CFG, x0=[0.0] * 2))),
     ("kernel.h", {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
                   "sweeps": ["aronson"], "kernel": dict(KERNEL_CFG, h=0.8)}),
     # the kernel solver's time and candidate rules, and the Monte Carlo
@@ -254,7 +255,7 @@ LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "x0-too-long", "x0-too-short", "x0-outside",
                  "aronson-h-untiled", "aronson-dt-unstable",
                  "grid-quadrature-box-outside", "potential-box-on-the-law",
-                 "monte-carlo-d3", "monte-carlo-d3-gated", "aronson-d3",
+                 "monte-carlo-d3", "monte-carlo-d3-gated", "x0-too-short-d3",
                  "aronson-too-coarse", "times-decreasing", "times-collide",
                  "candidates-decreasing", "candidates-empty",
                  "n-samples-below-kde-floor"]
@@ -450,6 +451,11 @@ class TestLoadScenario:
         for over in ({}, {"potential": {"route": "closed-form"}}):
             scn = runner.load_scenario(quad_config(**over))
             assert scn.cfg["potential"]["route"] == "closed-form"
+        # which is any 1-d constant field
+        scn = runner.load_scenario(quad_config(
+            field={"name": "constant-diagonal", "values": [2.0]},
+            potential={"route": "closed-form"}))
+        assert scn.cfg["potential"]["route"] == "closed-form"
 
     @pytest.mark.parametrize("key", ["dt", "t_min", "t_max", "n_slices"])
     def test_grid_time_stepping_keys_are_gone(self, key):
@@ -1159,6 +1165,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "aronson_fit" in proc.stdout
         assert (tmp_path / "k" / "kernel.csv").exists()
+
+    def test_kernel_subcommand_late_time_alone(self, tmp_path):
+        # one late time, dt on the check_step bound: the written kernel is
+        # the last row of a solve that also asks for an early time, not
+        # the flat table of coefficients that all underflow
+        kernel = {"box": [-6.0, 6.0], "h": 0.02, "dt": 2e-4, "times": [4.0],
+                  "candidates": [2.0, 4.0, 8.0]}
+        field = {"name": "checkerboard", "lo": 0.5, "hi": 2.0}
+        path = tmp_path / "kern.json"
+        path.write_text(json.dumps({"field": field, "kernel": kernel}))
+        assert cli_main(["kernel", str(path), "--out-dir",
+                         str(tmp_path / "k")]) == 0
+        got = np.loadtxt(tmp_path / "k" / "kernel.csv", delimiter=",")
+        want = kernels.solve_kernel_pde(
+            fields.make_field(**field), [0.0], kernel["box"], kernel["h"],
+            [0.05, 4.0], kernel["dt"]).values[-1]
+        assert np.ptp(got) > 0.1
+        assert np.abs(got - want).max() <= kernels.KRYLOV_TOL * want.max()
 
     def test_potential_subcommand(self, tmp_path, cli):
         cfg = {

@@ -173,14 +173,14 @@ class TestInitialLaws:
 
 class TestDeterminism:
     def test_same_key_same_path(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
         a = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
         b = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
         a = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=3)
         b = em_path(f, law, 1.0, 2.0 ** -8, seed=7, path_id=4)
@@ -250,7 +250,7 @@ class TestEulerMaruyama:
             assert abs(lag) <= 5.0 / np.sqrt(x[:, 1:].size)
 
     def test_brownian_moments(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
         states = sampling._em_batch_states(f, law, 1.0, 2.0 ** -10, 21,
                                            list(range(2000)), stride=1024)
@@ -278,7 +278,7 @@ class TestEulerMaruyama:
         assert np.isfinite(p).all()
 
     def test_bad_step(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         with pytest.raises(ValueError):
             em_path(f, sampling.dirac([0.0]), 1.0, 0.3, seed=0, path_id=0)
 
@@ -311,7 +311,7 @@ class TestEulerMaruyama:
 
 class TestLattice:
     def test_states_on_lattice(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.3])
         p = lattice_path(f, law, 1.0, 2.0 ** -12, seed=4, path_id=0,
                          h=0.125)
@@ -354,14 +354,14 @@ class TestLattice:
             np.testing.assert_array_equal(walk(k), one)
 
     def test_embedding_gate(self):
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         with pytest.raises(ValueError):
             lattice_path(f, sampling.dirac([0.0]), 1.0, 2.0 ** -6, seed=0,
                          path_id=0, h=0.01)
 
     def test_final_marginals_match_em(self):
         # same generator, two schemes: two-sample KS at the 1% level
-        f = fields.IdentityField(dim=1)
+        f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
         n = 10 ** 4
         T = 2 ** 14
