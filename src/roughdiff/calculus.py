@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import Error
 
 # increments per time-major block of grid_sums; bytes do not depend on it
 _BLOCK_ROWS = 64
@@ -57,8 +57,7 @@ def kahan_sum(terms):
 def _check_dyadic(length, what="values"):
     m = length - 1
     if m < 1 or (m & (m - 1)) != 0:
-        raise LengthMismatch(
-            f"{what} must hold 2^n + 1 dyadic samples, got {length}")
+        raise Error(f"{what} must hold 2^n + 1 dyadic samples, got {length}")
     return m
 
 
@@ -174,8 +173,7 @@ def covariation(f_values, x_values):
     x = np.asarray(x_values, dtype=float)
     _check_dyadic(f.shape[-1])
     if f.shape[-1] != x.shape[-1]:
-        raise LengthMismatch(
-            f"sample lengths differ: {f.shape[-1]} vs {x.shape[-1]}")
+        raise Error(f"sample lengths differ: {f.shape[-1]} vs {x.shape[-1]}")
     prod = np.diff(f, axis=-1) * np.diff(x, axis=-1)
     return CovariationResult(value=kahan_sum(prod),
                              abs_value=kahan_sum(np.abs(prod)))
@@ -190,7 +188,7 @@ def forward_sum(grad_values, x_values):
     x = np.asarray(x_values, dtype=float)
     _check_dyadic(g.shape[-2], "grad samples")
     if g.shape != x.shape:
-        raise LengthMismatch(f"shape mismatch: {g.shape} vs {x.shape}")
+        raise Error(f"shape mismatch: {g.shape} vs {x.shape}")
     terms = (g[..., :-1, :] * np.diff(x, axis=-2)).sum(axis=-1)
     return kahan_sum(terms)
 
@@ -201,7 +199,7 @@ def trapezoid_sum(grad_values, x_values):
     x = np.asarray(x_values, dtype=float)
     _check_dyadic(g.shape[-2], "grad samples")
     if g.shape != x.shape:
-        raise LengthMismatch(f"shape mismatch: {g.shape} vs {x.shape}")
+        raise Error(f"shape mismatch: {g.shape} vs {x.shape}")
     mid = 0.5 * (g[..., :-1, :] + g[..., 1:, :])
     terms = (mid * np.diff(x, axis=-2)).sum(axis=-1)
     return kahan_sum(terms)

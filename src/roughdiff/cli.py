@@ -3,8 +3,8 @@
 Subcommands: ``run`` executes every sweep of a scenario config,
 ``summarize`` prints the table for an existing manifest, ``kernel`` and
 ``potential`` run just that part of a config.  Exit status: 0 when every
-gated check passes, 1 when a verdict is FAIL, 2 on configuration or
-precondition errors.
+gated check passes, 1 when a verdict is FAIL, 2 when the package refuses
+the config or a precondition (an ``errors.Error``), with one stderr line.
 """
 
 from __future__ import annotations

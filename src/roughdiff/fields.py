@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, UnknownName
+from .errors import Error
 
 
 class CoefficientField:
@@ -75,7 +75,7 @@ class ConstantDiagonalField(CoefficientField):
     def __init__(self, values):
         vals = np.atleast_1d(np.asarray(values, dtype=float))
         if np.any(vals <= 0):
-            raise NonPositiveDefinite(f"diagonal values must be > 0: {vals}")
+            raise Error(f"diagonal values must be > 0: {vals}")
         self.values = vals
         self.dim = vals.shape[0]
         self.lam = float(max(vals.max(), 1.0 / vals.min(), 1.0))
@@ -96,7 +96,7 @@ class CheckerboardField(CoefficientField):
 
     def __init__(self, lo, hi, cell=1.0, dim=1):
         if not (0 < lo <= hi):
-            raise NonPositiveDefinite(f"need 0 < lo <= hi, got {lo}, {hi}")
+            raise Error(f"need 0 < lo <= hi, got {lo}, {hi}")
         self.lo = float(lo)
         self.hi = float(hi)
         self.cell = float(cell)
@@ -186,7 +186,7 @@ class MollifiedField(CoefficientField):
 
     def __init__(self, base, eps):
         if eps <= 0:
-            raise ValueError(f"mollification radius must be > 0, got {eps}")
+            raise Error(f"mollification radius must be > 0, got {eps}")
         self.base = base
         self.eps = float(eps)
         self.dim = base.dim
@@ -283,8 +283,8 @@ _CATALOG = {"identity": lambda dim=1: ConstantDiagonalField(np.ones(dim)),
 
 def make_field(name, mollify=None, **params):
     """The catalog entry ``name`` (see PARAMS), mollified with radius
-    ``mollify`` when given.  Raises UnknownName for other names."""
+    ``mollify`` when given.  Raises Error for other names."""
     if name not in _CATALOG:
-        raise UnknownName(f"no coefficient field named {name!r}")
+        raise Error(f"no coefficient field named {name!r}")
     f = _CATALOG[name](**params)
     return f if mollify is None else MollifiedField(f, mollify)

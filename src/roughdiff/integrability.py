@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BoxTooSmall, DimensionMismatch
+from .errors import Error
 
 BOUNDARY_MASS_RATIO = 1e-4
 SHELL_NODES_LONG = 65
@@ -49,16 +49,16 @@ def _norm_box(box, dim):
     arr = np.asarray(box, dtype=float)
     if arr.ndim == 1:
         if arr.shape != (2,):
-            raise DimensionMismatch(f"box must be (lo, hi) pairs, got {box}")
+            raise Error(f"box must be (lo, hi) pairs, got {box}")
         pairs = [tuple(arr)] * dim
     else:
         if arr.shape != (dim, 2):
-            raise DimensionMismatch(
+            raise Error(
                 f"box must have one (lo, hi) per axis, got shape {arr.shape}")
         pairs = [tuple(row) for row in arr]
     for lo, hi in pairs:
         if not hi > lo:
-            raise DimensionMismatch(f"degenerate box axis ({lo}, {hi})")
+            raise Error(f"degenerate box axis ({lo}, {hi})")
     return pairs
 
 
@@ -162,8 +162,7 @@ def _refined_rows(rows, U, box, h, singular_points, dim):
     sing = [p for p in sing
             if all(lo < p[i] < hi for i, (lo, hi) in enumerate(pairs))]
     if len(sing) > 1:
-        raise ValueError("at most one singular point inside the box is "
-                         "supported")
+        raise Error("at most one singular point inside the box is supported")
     center = sing[0] if sing else None
 
     r0 = 0.0
@@ -219,8 +218,8 @@ def _ladder(base, increments):
 
 def check_box_mass(U, box, h, dim):
     """The box must capture the weight: boundary values of U small
-    relative to its maximum inside.  Raises BoxTooSmall when the box
-    visibly truncates U.
+    relative to its maximum inside.  Raises Error when the box visibly
+    truncates U.
 
     U is read once, on one tensor grid over the box: nodes at most h
     apart in 1-d, 65 per axis in 2-d; u_b is its maximum on the faces."""
@@ -233,9 +232,9 @@ def check_box_mass(U, box, h, dim):
     u_b = float(np.max([np.take(vals, [0, -1], axis=k).max()
                         for k in range(dim)]))
     if u_in <= 0:
-        raise BoxTooSmall("the potential vanishes on the whole box")
+        raise Error("the potential vanishes on the whole box")
     if u_b > BOUNDARY_MASS_RATIO * u_in:
-        raise BoxTooSmall(
+        raise Error(
             f"potential at the box boundary ({u_b:.3g}) exceeds "
             f"{BOUNDARY_MASS_RATIO:g} of its interior maximum ({u_in:.3g}); "
             "enlarge the box")

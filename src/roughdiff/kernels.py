@@ -35,15 +35,7 @@ import numpy as np
 # scipy is imported only inside the sparse solve of the grid potential
 # route (_flux_matrix, _factor): loading it would add to every start-up
 
-from .errors import (
-    DimensionMismatch,
-    EmptyCandidates,
-    GridTooCoarse,
-    InsufficientSamples,
-    KrylovNotConverged,
-    NonPositiveTime,
-    UnstableStep,
-)
+from .errors import Error
 from . import sampling as _sampling
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
@@ -72,14 +64,14 @@ def _sqdist(x, y):
 def _check_time(t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
-        raise NonPositiveTime(f"time must be > 0, got {t}")
+        raise Error(f"time must be > 0, got {t}")
     return t
 
 
 def gaussian_ref(M, dim, t, x, y):
     """Upper Gaussian envelope (M/t^(d/2)) exp(-|y-x|^2/(M t))."""
     if M <= 0:
-        raise ValueError(f"M must be > 0, got {M}")
+        raise Error(f"M must be > 0, got {M}")
     t = _check_time(t)
     return (M / t ** (dim / 2.0)) * np.exp(-_sqdist(x, y) / (M * t))
 
@@ -87,7 +79,7 @@ def gaussian_ref(M, dim, t, x, y):
 def aronson_lower(M, dim, t, x, y):
     """Lower Gaussian envelope (1/(M t^(d/2))) exp(-M |y-x|^2/t)."""
     if M <= 0:
-        raise ValueError(f"M must be > 0, got {M}")
+        raise Error(f"M must be > 0, got {M}")
     t = _check_time(t)
     return np.exp(-M * _sqdist(x, y) / t) / (M * t ** (dim / 2.0))
 
@@ -104,7 +96,7 @@ def _axes_volumes(box, h, dim):
     for lo, hi in box:
         n = int(round((hi - lo) / h))
         if n < 4 or abs(lo + n * h - hi) > 1e-9 * max(1.0, abs(hi)):
-            raise ValueError(f"h = {h} does not tile the box ({lo}, {hi})")
+            raise Error(f"h = {h} does not tile the box ({lo}, {hi})")
         ax = lo + h * np.arange(n + 1)
         v = np.full(n + 1, h)
         v[0] = v[-1] = 0.5 * h
@@ -285,16 +277,16 @@ def fv_grid(field, box, h):
     """(axes, vols) of the finite-volume grid of ``box`` at step h, which
     must tile the box and resolve the field's feature scale."""
     if field.feature_scale is not None and h > field.feature_scale / 2 + 1e-12:
-        raise GridTooCoarse(
+        raise Error(
             f"h = {h:g} does not resolve the field's feature scale "
             f"{field.feature_scale:g} (need h <= feature/2)")
     return _axes_volumes(box, h, field.dim)
 
 
 def check_step(dt, h, lam):
-    """Raise UnstableStep unless dt <= h^2 lambda / 4."""
+    """Raise Error unless dt <= h^2 lambda / 4."""
     if dt > h * h * lam / 4.0 + 1e-15:
-        raise UnstableStep(
+        raise Error(
             f"dt = {dt:g} exceeds h^2 lambda / 4 = {h * h * lam / 4:g}")
 
 
@@ -303,14 +295,14 @@ def snap_times(times, dt):
     positive and strictly increasing, and stay distinct once snapped to
     the nearest multiple of dt (at least one step)."""
     if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+        raise Error(f"dt must be > 0, got {dt}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d list")
+        raise Error("times must be a strictly increasing 1-d list")
     _check_time(times)
     steps = np.maximum(1, np.round(times / dt).astype(np.int64))
     if np.any(np.diff(steps) <= 0):
-        raise ValueError("output times collide after snapping to dt")
+        raise Error("output times collide after snapping to dt")
     return steps
 
 
@@ -321,8 +313,8 @@ def source_node(axes, h, x0):
     idx = [int(round((c - ax[0]) / h)) for c, ax in zip(x0, axes)]
     if x0.shape != (len(axes),) or not all(
             0 < i < ax.shape[0] - 1 for i, ax in zip(idx, axes)):
-        raise ValueError(f"source {x0.tolist()} is not a point of dimension "
-                         f"{len(axes)} that snaps to an interior node")
+        raise Error(f"source {x0.tolist()} is not a point of dimension "
+                    f"{len(axes)} that snaps to an interior node")
     return np.array([ax[i] for ax, i in zip(axes, idx)])
 
 
@@ -412,7 +404,7 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
             if invariant or converged and (settled or np.all(scale > 0.0)):
                 break
             if m >= limit:
-                raise KrylovNotConverged(
+                raise Error(
                     f"the Lanczos kernel did not converge in {m} steps on "
                     f"{vol.shape[0]} nodes")
             check = min(limit, m + max(1, m // 4))
@@ -457,9 +449,9 @@ def check_candidates(candidates):
     least one and they are positive and increasing."""
     arr = np.asarray(list(candidates), dtype=float)
     if arr.size == 0:
-        raise EmptyCandidates("no candidate M values supplied")
+        raise Error("no candidate M values supplied")
     if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise ValueError("candidates must be positive and increasing")
+        raise Error("candidates must be positive and increasing")
     return arr
 
 
@@ -491,7 +483,7 @@ class PotentialField:
         axes."""
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1] != self.dim:
-            raise DimensionMismatch(
+            raise Error(
                 f"points must end in an axis of length {self.dim}, got "
                 f"shape {pts.shape}")
         if self.fn is not None:
@@ -532,7 +524,7 @@ class PotentialField:
         if self.axes is not None and box is None:
             axes, vals = self.axes, self.values
         elif box is None or h is None:
-            raise ValueError("closed-form potentials need box and h")
+            raise Error("closed-form potentials need box and h")
         else:
             axes, _ = _axes_volumes(box, h, self.dim)
             vals = self.grid(axes)
@@ -544,8 +536,8 @@ class PotentialField:
         """Write <prefix>.csv, the grid of values (one line per x in 2-d),
         and the <prefix>.json sidecar."""
         if self.axes is None:
-            raise ValueError("only tabulated potentials serialize; "
-                             "tabulate the closed form on a grid first")
+            raise Error("only tabulated potentials serialize; "
+                        "tabulate the closed form on a grid first")
         _save_table(prefix, self.axes, self.values, {
             "kind": "potential",
             "route": self.route,
@@ -611,7 +603,7 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     if source == "monte-carlo":
         return _potential_from_samples(field, nu, n_samples, seed, step,
                                        t_cap)
-    raise ValueError(f"unknown potential source {source!r}")
+    raise Error(f"unknown potential source {source!r}")
 
 
 def check_closed_form(field, nu):
@@ -621,8 +613,8 @@ def check_closed_form(field, nu):
     base = getattr(field, "base", field)
     if not (base.is_constant and base.dim == nu.dim == 1
             and nu.kind == "dirac"):
-        raise ValueError("the closed form fits only a 1-d constant field "
-                         "from a dirac law; route grid covers the others")
+        raise Error("the closed form fits only a 1-d constant field "
+                    "from a dirac law; route grid covers the others")
     return base.values[0]
 
 
@@ -643,15 +635,15 @@ def _potential_from_solve(field, nu, box, h):
 
 def hull_gap(nu, box, interior=False):
     """The least distance from the hull of nu's support to a face of box;
-    raises ValueError when the hull reaches outside the box or, with
+    raises Error when the hull reaches outside the box or, with
     ``interior``, touches a face."""
     lo, hi = np.reshape(np.asarray(box, dtype=float), (-1, 2)).T
     a, b = nu.hull()
     gap = float(min(np.min(a - lo), np.min(hi - b)))
     if gap < 0.0 or interior and not gap > 0.0:
         where = "interior of the box" if interior else "box"
-        raise ValueError(f"the initial law's support, {a.tolist()} to "
-                         f"{b.tolist()}, reaches outside the {where} {box}")
+        raise Error(f"the initial law's support, {a.tolist()} to "
+                    f"{b.tolist()}, reaches outside the {where} {box}")
     return gap
 
 
@@ -693,9 +685,9 @@ def _node_mass(nu, axes, h):
 
 def _potential_from_samples(field, nu, n_samples, seed, step, t_cap):
     if field is None:
-        raise ValueError("the monte-carlo route needs the coefficient field")
+        raise Error("the monte-carlo route needs the coefficient field")
     if n_samples < MIN_KDE_SAMPLES:
-        raise InsufficientSamples(
+        raise Error(
             f"{n_samples} < {MIN_KDE_SAMPLES} samples for the KDE route")
     dim = field.dim
     bw = KDE_BANDWIDTH[dim]

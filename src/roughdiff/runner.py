@@ -31,13 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import calculus, fields, integrability, kernels, sampling, testfunctions
-from .errors import (
-    ConditionViolated,
-    ConfigError,
-    Error,
-    MissingReport,
-    SingularHit,
-)
+from .errors import ConditionViolated, ConfigError, Error
 
 BATCH_PATHS = 256
 TRAPEZOID_TOL = 1e-10
@@ -365,10 +359,10 @@ def _walk(path, table, raw, top=None):
 
 def _checked(key, fn, *args, **kw):
     """fn(*args, **kw) for a builder or check of the config key ``key``;
-    an Error or ValueError it raises becomes a ConfigError naming key."""
+    a ValueError it raises (Error is one) becomes a ConfigError naming key."""
     try:
         return fn(*args, **kw)
-    except (Error, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}: {exc}")
 
 
@@ -501,6 +495,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
         # the L^2 tail is measured from the law's hull to the box faces
         _checked("potential.box", kernels.hull_gap, law,
                  cfg["potential"]["box"], interior=True)
+        # the sweep integrates U on the vertex grid of box at step h
+        _checked("potential.h", kernels._axes_volumes,
+                 cfg["potential"]["box"], cfg["potential"]["h"], field.dim)
     if "aronson" in sweeps:
         k = cfg["kernel"]
         axes, _ = _checked("kernel.h", kernels.fv_grid, field, k["box"],
@@ -587,7 +584,7 @@ def evaluate_chunk(scn, start, stop, denoms):
     states, since grid_values evaluates F block by block, and each batch
     is released before the next is drawn.  Returns {"values": {(sweep,
     functional, n): array}, "trap_violation": float}.  Arrays are indexed
-    by path_id - start.  Raises SingularHit naming the first path whose F
+    by path_id - start.  Raises Error naming the first path whose F
     or grad F is not finite at a recorded state.
     """
     rows = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
@@ -611,7 +608,7 @@ def evaluate_chunk(scn, start, stop, denoms):
             got, gap, finite = grid_values(rows, states[:, ::step, :], F,
                                            denoms)
             if not finite.all():
-                raise SingularHit(
+                raise Error(
                     f"path {b0 + int(np.argmax(~finite))}: {F.name} or its "
                     "gradient is not finite at a recorded state")
             for (sweep, functional), arr in got.items():
@@ -674,19 +671,19 @@ def write_report_csv(path, rows):
 
 def read_report_csv(path):
     """Rows (functional, n, mean, stderr, count) of a report file.  Raises
-    MissingReport naming the file when it is missing or malformed."""
+    Error naming the file when it is missing or malformed."""
     rows = []
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != CSV_HEADER:
-                raise ValueError(f"unexpected header {header!r}")
+                raise Error(f"unexpected header {header!r}")
             for line in fh:
                 functional, n, mean, se, count = line.strip().split(",")
                 rows.append((functional, int(n), float(mean), float(se),
                              int(count)))
     except (OSError, ValueError) as exc:
-        raise MissingReport(f"report file {path} is unreadable: {exc}")
+        raise Error(f"report file {path} is unreadable: {exc}")
     return rows
 
 
@@ -813,9 +810,8 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
 def summarize(manifest):
     """Fixed-width text table of every report a manifest points to.
 
-    ``manifest`` is a manifest.json path or a RunManifest.  Raises
-    MissingReport when the manifest file or a listed report file is gone
-    or unreadable.
+    ``manifest`` is a manifest.json path or a RunManifest.  Raises Error
+    when the manifest file or a listed report file is gone or unreadable.
     """
     if isinstance(manifest, RunManifest):
         data = manifest.payload()
@@ -825,13 +821,13 @@ def summarize(manifest):
             with open(manifest) as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise MissingReport(f"manifest {manifest} is unreadable: {exc}")
+            raise Error(f"manifest {manifest} is unreadable: {exc}")
         if not (isinstance(data, dict)
                 and isinstance(data.get("verdicts"), dict)
                 and isinstance(data.get("reports"), dict)
                 and all(isinstance(f, str) for f in data["reports"].values())):
-            raise MissingReport(f"manifest {manifest} is unreadable: not an "
-                                "object with reports and verdicts objects")
+            raise Error(f"manifest {manifest} is unreadable: not an "
+                        "object with reports and verdicts objects")
         base = os.path.dirname(os.path.abspath(manifest))
     lines = [f"{'functional':<22}{'n':>4}  {'mean':>14}  {'stderr':>14}"
              f"  {'count':>7}  verdict"]

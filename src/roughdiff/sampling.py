@@ -26,12 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    OrderTooLarge,
-    RoughFieldError,
-    UnknownName,
-)
+from .errors import Error
 
 MAX_ORDER = 24
 # Euler-Maruyama steps of noise drawn per path at a time: a (B, 512, d)
@@ -51,7 +46,7 @@ def fine_step_for(horizon, n_max, margin=4):
     recorded step and the margin costs them nothing.
     """
     if not (0 <= n_max + margin <= MAX_ORDER):
-        raise OrderTooLarge(
+        raise Error(
             f"order {n_max} + fine_margin {margin} outside [0, {MAX_ORDER}]")
     return float(horizon) * 2.0 ** (-(n_max + margin))
 
@@ -95,21 +90,24 @@ def dirac(point):
 def grid_density(edges, values):
     """Piecewise-constant density on a rectilinear grid (d <= 2).
 
-    ``edges`` is one increasing edge array per axis; ``values`` holds a
-    nonnegative density value per cell.  Normalization is internal.
+    ``edges`` is one strictly increasing edge array per axis; ``values``
+    holds a nonnegative density value per cell.  Normalization is
+    internal.
     """
     if len(edges) and np.ndim(edges[0]) == 0:   # one axis, given flat
         edges = [edges]
     edges = [np.asarray(e, dtype=float) for e in edges]
     if len(edges) > 2:
-        raise DimensionMismatch("grid densities support d <= 2")
+        raise Error("grid densities support d <= 2")
+    if not all(np.all(np.diff(e) > 0) for e in edges):
+        raise Error("edges must be strictly increasing on every axis")
     vals = np.asarray(values, dtype=float)
     expected = tuple(e.shape[0] - 1 for e in edges)
     if vals.shape != expected:
-        raise DimensionMismatch(
+        raise Error(
             f"density shape {vals.shape} does not match cells {expected}")
     if np.any(vals < 0) or vals.sum() <= 0:
-        raise ValueError("density values must be nonnegative, not all zero")
+        raise Error("density values must be nonnegative, not all zero")
     probs = vals * functools.reduce(np.multiply.outer, map(np.diff, edges))
     return InitialLaw(kind="grid-density", edges=edges,
                       cell_probs=probs / probs.sum())
@@ -119,14 +117,14 @@ def mixture(weights, points):
     """Mixture of initial laws; a component given as a point is its Dirac."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("mixture weights must be nonnegative, not all zero")
+        raise Error("mixture weights must be nonnegative, not all zero")
     components = [p if isinstance(p, InitialLaw) else dirac(p)
                   for p in points]
     if len(components) != w.shape[0]:
-        raise DimensionMismatch("one weight per component required")
+        raise Error("one weight per component required")
     dims = {c.dim for c in components}
     if len(dims) != 1:
-        raise DimensionMismatch(f"components disagree on dimension: {dims}")
+        raise Error(f"components disagree on dimension: {dims}")
     return InitialLaw(kind="mixture", components=components,
                       mix_weights=w / w.sum())
 
@@ -146,7 +144,7 @@ _LAW_CATALOG = {"dirac": dirac, "mixture": mixture,
 def make_law(kind, **params):
     """Initial law of the ``LAWS`` kind ``kind`` from its parameters."""
     if kind not in _LAW_CATALOG:
-        raise UnknownName(f"unknown initial law kind {kind!r}")
+        raise Error(f"unknown initial law kind {kind!r}")
     return _LAW_CATALOG[kind](**params)
 
 
@@ -184,7 +182,7 @@ def sample_initial(law, rng):
         cum2 = np.cumsum(cond / cond.sum())
         x2 = _sample_axis(u2, cum2, law.edges[1])
         return np.array([x1, x2])
-    raise ValueError(f"unknown initial law kind {law.kind!r}")
+    raise Error(f"unknown initial law kind {law.kind!r}")
 
 
 # ---------------------------------------------------------------- rng plumbing
@@ -197,7 +195,7 @@ def path_rng(seed, path_id, attempt=0):
     independent across paths regardless of evaluation order.
     """
     if seed < 0 or path_id < 0:
-        raise ValueError("seed and path_id must be nonnegative")
+        raise Error("seed and path_id must be nonnegative")
     hi = (int(seed) + int(attempt) * _ATTEMPT_STRIDE) % (1 << 64)
     # the key must be an explicit uint64 array: a plain int list would be
     # inferred as float64 above 2^63 and silently drop the low key bits
@@ -208,10 +206,10 @@ def path_rng(seed, path_id, attempt=0):
 def _nsteps(horizon, fine_step, stride):
     n = round(horizon / fine_step)
     if n < 1 or abs(n * fine_step - horizon) > 1e-9 * horizon:
-        raise ValueError(
+        raise Error(
             f"fine step {fine_step} does not divide the horizon {horizon}")
     if n % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {n} steps")
+        raise Error(f"stride {stride} does not divide {n} steps")
     return int(n)
 
 
@@ -220,17 +218,17 @@ def _start_points(law, gens, dim):
     for b, g in enumerate(gens):
         pt = sample_initial(law, g)
         if pt.shape[0] != dim:
-            raise DimensionMismatch(
+            raise Error(
                 f"initial law dimension {pt.shape[0]} != field dimension {dim}")
         x0[b] = pt
     return x0
 
 
 def check_em_field(field):
-    """Raise RoughFieldError on a rough field: its divergence, the
+    """Raise Error on a rough field: its divergence, the
     Euler-Maruyama drift, only exists as a distribution."""
     if field.smoothness == "rough":
-        raise RoughFieldError(
+        raise Error(
             "Euler-Maruyama needs a smooth or mollified field; set "
             "field.mollify, or use the lattice scheme for paths and route "
             "grid for the potential")
@@ -291,10 +289,10 @@ def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
 
 def lattice_jump_rate(field, h, fine_step):
     """Largest total jump rate 2 d lam / h^2 of the walk; raises
-    ValueError unless a fine step holds at most 0.1 expected jumps."""
+    Error unless a fine step holds at most 0.1 expected jumps."""
     rate = 2.0 * field.dim * field.lam / h ** 2
     if rate * fine_step > 0.1 + 1e-12:
-        raise ValueError(
+        raise Error(
             f"embedding too coarse: max jump rate {rate:.3g} * fine step "
             f"{fine_step:.3g} exceeds 0.1; enlarge h or refine the grid")
     return rate
@@ -433,6 +431,6 @@ def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
     """Batched states (B, T', d) for either scheme, at stride multiples;
     ``scheme_params`` are its keyword arguments (h of the lattice)."""
     if scheme not in _SAMPLERS:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise Error(f"unknown scheme {scheme!r}")
     return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,
                              stride=stride, **(scheme_params or {}))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import UnknownName
+from .errors import Error
 
 
 @dataclass
@@ -34,7 +34,7 @@ class TestFunction:
 def _pts(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
-        raise ValueError(f"points must end in axis of length {dim}")
+        raise Error(f"points must end in axis of length {dim}")
     return x
 
 
@@ -75,7 +75,7 @@ def _power_profile(alpha):
     derivatives in r, as three functions of r >= 0, for alpha > 0; phi''
     is inf at r = 0 for alpha < 1."""
     if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+        raise Error(f"alpha must be > 0, got {alpha}")
     a = float(alpha)
 
     def phi(r):
@@ -267,7 +267,7 @@ _CATALOG = {"linear": linear, "quadratic": quadratic, "sin1d": sin1d,
 
 def make_test_function(name, **params):
     """The catalog entry ``name`` (see PARAMS) from its parameters.
-    Raises UnknownName for other names."""
+    Raises Error for other names."""
     if name not in _CATALOG:
-        raise UnknownName(f"no test function named {name!r}")
+        raise Error(f"no test function named {name!r}")
     return _CATALOG[name](**params)

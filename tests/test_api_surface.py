@@ -6,9 +6,15 @@ public method whose name nothing in ``src/`` reads outside the method's
 own body.  Such code is deleted and its tests are ported to the engine;
 the exceptions are the reference implementations the tests compare the
 engine against.
+
+Refusals take one type: no ``raise`` in ``src/`` builds a Python builtin
+exception, and every class of the errors module other than its base
+Error is both raised and named by an ``except`` clause, since a subclass
+nothing tells apart from Error is one more name for the same refusal.
 """
 
 import ast
+import builtins
 import pathlib
 
 import roughdiff
@@ -120,21 +126,57 @@ def unused_public_methods(src=SRC):
                              for _, m, n in reads))
 
 
-def unconstructed_errors(src=SRC):
+def _name(node):
+    """The name a Name or Attribute node reads, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _errors_not_named(src, names_in):
     """Classes of ``src``'s errors module, other than the base Error, that
-    no code in ``src`` calls by name: an exception whose last raise site
-    is gone."""
-    called, classes = set(), []
+    ``names_in(tree)`` yields for no module of ``src``."""
+    named, classes = set(), []
     for module, tree, _ in _parsed(src):
         if module == "errors":
             classes = [node.name for node in tree.body
                        if isinstance(node, ast.ClassDef)]
-        called |= {node.func.id if isinstance(node.func, ast.Name)
-                   else node.func.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Call)
-                   and isinstance(node.func, (ast.Name, ast.Attribute))}
+        named |= set(names_in(tree))
     return sorted(name for name in classes
-                  if name != "Error" and name not in called)
+                  if name != "Error" and name not in named)
+
+
+def unconstructed_errors(src=SRC):
+    """Error classes no code in ``src`` calls by name: an exception whose
+    last raise site is gone."""
+    return _errors_not_named(src, lambda tree: (
+        _name(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)))
+
+
+def uncaught_errors(src=SRC):
+    """Error classes no ``except`` clause in ``src`` names, alone or in a
+    tuple: a subclass that no code tells apart from Error."""
+    def caught(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                yield from map(_name, getattr(node.type, "elts",
+                                              [node.type]))
+    return _errors_not_named(src, caught)
+
+
+def builtin_raises(src=SRC):
+    """"module:line Name" of every ``raise`` in ``src`` that builds a
+    Python builtin exception, called or bare, in place of an errors
+    class."""
+    found = []
+    for module, tree, _ in _parsed(src):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            name = getattr(getattr(node.exc, "func", node.exc), "id", "")
+            cls = getattr(builtins, name, None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.append((module, node.lineno, name))
+    return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
 
 
 def test_no_public_definition_is_test_only():
@@ -147,6 +189,14 @@ def test_no_public_method_is_test_only():
 
 def test_every_error_is_raised():
     assert unconstructed_errors() == []
+
+
+def test_every_error_is_caught():
+    assert uncaught_errors() == []
+
+
+def test_no_raise_builds_a_builtin_exception():
+    assert builtin_raises() == []
 
 
 def test_reference_implementations_exist():
@@ -205,3 +255,35 @@ def test_guard_sees_unraised_errors(tmp_path):
         "    return isinstance(x, (Named, Orphan))\n\n\n"
         "def build():\n    return Named('unused')\n")
     assert unconstructed_errors(tmp_path) == ["Orphan"]
+
+
+def test_guard_sees_uncaught_errors(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Error(ValueError):\n    pass\n\n\n"
+        "class Caught(Error):\n    pass\n\n\n"
+        "class InTuple(Error):\n    pass\n\n\n"
+        "class Qualified(Error):\n    pass\n\n\n"
+        "class Raised(Error):\n    pass\n")
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\n"
+        "from .errors import Caught, InTuple, Raised\n\n\n"
+        "def run(fn):\n"
+        "    try:\n        return fn()\n"
+        "    except Caught:\n        return 1\n"
+        "    except (OSError, InTuple):\n        return 2\n"
+        "    except errors.Qualified:\n        raise Raised()\n"
+        "    except:\n        return 3\n")
+    assert uncaught_errors(tmp_path) == ["Raised"]
+
+
+def test_guard_sees_builtin_raises(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .errors import Error\n\n\n"
+        "def check(x, exc):\n"
+        "    if x is None:\n        raise ValueError('none')\n"
+        "    if x < 0:\n        raise KeyError\n"
+        "    if x > 9:\n        raise Error('big')\n"
+        "    if x > 8:\n        raise exc\n"
+        "    try:\n        return 1 / x\n"
+        "    except ZeroDivisionError:\n        raise\n")
+    assert builtin_raises(tmp_path) == ["mod:6 ValueError", "mod:8 KeyError"]

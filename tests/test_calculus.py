@@ -12,11 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from roughdiff import calculus as calc
 from roughdiff import runner, sampling
-from roughdiff.errors import (
-    ConditionViolated,
-    LengthMismatch,
-    SingularHit,
-)
+from roughdiff.errors import ConditionViolated, Error
 from roughdiff import testfunctions
 from roughdiff.fields import make_field
 from roughdiff.testfunctions import make_test_function
@@ -120,7 +116,7 @@ class TestQuadraticVariation:
 
     @pytest.mark.parametrize("length", [1, 4, 6, 12])
     def test_rejects_non_dyadic_lengths(self, length):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match=r"must hold 2\^n \+ 1 dyadic samples"):
             calc.quadratic_variation(np.zeros(length))
 
     def test_two_points_are_a_valid_order_zero_grid(self):
@@ -144,7 +140,7 @@ class TestCovariation:
         assert res.abs_value == 12.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match="sample lengths differ: 5 vs 9"):
             calc.covariation(np.zeros(5), np.zeros(9))
 
 
@@ -172,7 +168,7 @@ class TestForwardAndTrapezoid:
                                       calc.trapezoid_sum(F.gradient(x), x))
 
     def test_shape_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match=r"shape mismatch: \(5, 1\) vs"):
             calc.forward_sum(np.zeros((5, 1)), np.zeros((5, 2)))
 
 
@@ -328,7 +324,7 @@ class TestItoResidual:
 
     def test_non_dyadic_length_rejected(self):
         F = make_test_function("sin1d")
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match=r"must hold 2\^n \+ 1 dyadic samples"):
             row_values("ito_residual", F, np.zeros((1, 6, 1)))
 
     def test_nonfinite_gradient_raises(self, tmp_path):
@@ -347,7 +343,7 @@ class TestItoResidual:
             dict(SIN_CONFIG, sweeps=["ito_residual"], orders=[2],
                  n_paths=1), out_dir=str(tmp_path))
         scn = dataclasses.replace(scn, F=F)
-        with pytest.raises(SingularHit, match="path 0: logabs"):
+        with pytest.raises(Error, match="path 0: logabs"):
             runner.evaluate_chunk(scn, 0, 1, {})
 
     def test_nonfinite_state_named_over_every_order(self, monkeypatch):
@@ -371,7 +367,7 @@ class TestItoResidual:
             return np.where(np.reshape(hit, x.shape), np.inf, np.cos(x))
 
         F = dataclasses.replace(scn.F, gradient=grad)
-        with pytest.raises(SingularHit, match="path 1: sin1d"):
+        with pytest.raises(Error, match="path 1: sin1d"):
             runner.evaluate_chunk(dataclasses.replace(scn, F=F), 0, 3, {})
 
 

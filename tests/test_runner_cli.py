@@ -20,12 +20,7 @@ import pytest
 import roughdiff
 from roughdiff import fields, integrability, kernels, runner
 from roughdiff.cli import main as cli_main
-from roughdiff.errors import (
-    ConditionViolated,
-    ConfigError,
-    MissingReport,
-    SingularHit,
-)
+from roughdiff.errors import ConditionViolated, ConfigError, Error
 
 
 def quad_config(**over):
@@ -248,6 +243,9 @@ LOAD_RULES = [
                            "kernel": dict(KERNEL_CFG, candidates=[])}),
     ("potential.n_samples", {"potential": {"route": "monte-carlo",
                                            "n_samples": 5000}}),
+    # the potential sweep integrates U on the vertex grid of potential.box
+    ("potential.h", {"sweeps": ["potential"],
+                     "potential": {"route": "closed-form", "h": 0.3}}),
 ]
 LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "grid-d3", "grid-atom-outside", "grid-density-outside",
@@ -258,7 +256,7 @@ LOAD_RULE_IDS = ["closed-form-mixture", "closed-form-mollified",
                  "monte-carlo-d3", "monte-carlo-d3-gated", "x0-too-short-d3",
                  "aronson-too-coarse", "times-decreasing", "times-collide",
                  "candidates-decreasing", "candidates-empty",
-                 "n-samples-below-kde-floor"]
+                 "n-samples-below-kde-floor", "potential-h-untiled"]
 
 
 def report(manifest, sweep):
@@ -395,6 +393,8 @@ class TestLoadScenario:
         ("function", {"function": {"name": "abs_power", "alpha": 0}}),
         ("law", {"law": {"kind": "grid-density", "edges": [0.0, 1.0, 2.0],
                          "values": [1.0]}}),
+        ("law", {"law": {"kind": "grid-density", "edges": [1.0, 0.0, -1.0],
+                         "values": [1.0, 1.0]}}),
         ("potential", {"potential": "closed-form"}),
         ("orders", {"orders": [4.5]}),
         ("n_paths", {"n_paths": 10.7}),
@@ -429,6 +429,7 @@ class TestLoadScenario:
         ("scheme_params.h", COARSE_LATTICE),
         ("potential.route", GATED_ROUGH),
     ] + LOAD_RULES, ids=["mollify", "diagonal", "alpha", "density-shape",
+            "edges-decreasing",
             "potential-string", "fractional-order", "fractional-n-paths",
             "fractional-margin", "fractional-seed", "kernel-number",
             "potential-kernel-number", "horizon-string", "quad-h-list",
@@ -927,13 +928,13 @@ class TestReportFiles:
         assert back[1][0] == "qv" and np.isnan(back[1][2])
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingReport):
+        with pytest.raises(Error, match="absent.csv is unreadable"):
             runner.read_report_csv(tmp_path / "absent.csv")
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(MissingReport, match="header"):
+        with pytest.raises(Error, match="unexpected header"):
             runner.read_report_csv(path)
 
     def test_summarize_matches_from_path_and_object(self, quad_run):
@@ -960,7 +961,7 @@ class TestReportFiles:
         cfg = quad_config(sweeps=["qv"], n_paths=5, orders=[2])
         man = runner.run_scenario(cfg, out_dir=str(tmp_path))
         os.remove(os.path.join(man.out_dir, "qv.csv"))
-        with pytest.raises(MissingReport):
+        with pytest.raises(Error, match="report file .* is unreadable"):
             runner.summarize(os.path.join(man.out_dir, "manifest.json"))
 
     def test_summarize_empty_manifest(self, tmp_path):
@@ -1100,6 +1101,17 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error:" in proc.stderr
 
+    @pytest.mark.parametrize("command, h", [("run", 0.3),
+                                            ("potential", 15.0)])
+    def test_untiled_potential_h_exit_two(self, tmp_path, cli, command, h):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(quad_config(
+            sweeps=["potential"], potential={"route": "closed-form", "h": h})))
+        proc = cli(command, str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: potential.h: h = {h} does not "
+                               "tile the box (-10.0, 10.0)\n")
+
     @pytest.mark.parametrize("command", ["kernel", "potential"])
     def test_non_object_config_exit_two(self, tmp_path, capsys, command):
         path = tmp_path / "list.json"
@@ -1115,7 +1127,7 @@ class TestCli:
         path = tmp_path / "manifest.json"
         if text is not None:
             path.write_text(text)
-        with pytest.raises(MissingReport, match=f"manifest {path} "):
+        with pytest.raises(Error, match=f"manifest {path} "):
             runner.summarize(str(path))
         assert cli_main(["summarize", str(path)]) == 2
         err = capsys.readouterr().err
@@ -1130,7 +1142,7 @@ class TestCli:
         with open(report_path, "a") as fh:
             fh.write("qv,2,1.0\n")
         path = os.path.join(man.out_dir, "manifest.json")
-        with pytest.raises(MissingReport, match=f"report file {report_path} "):
+        with pytest.raises(Error, match=f"report file {report_path} "):
             runner.summarize(path)
         assert cli_main(["summarize", path]) == 2
         err = capsys.readouterr().err
@@ -1145,7 +1157,7 @@ class TestCli:
             function={"name": "linear", "c": [1e308]},
             law={"kind": "dirac", "point": [2.0]}, sweeps=["qv"],
             allow_unverified=True, n_paths=3, orders=[2])))
-        with pytest.raises(SingularHit, match="path 0: linear"):
+        with pytest.raises(Error, match="path 0: linear"):
             runner.run_scenario(str(path), out_dir=str(tmp_path / "o"))
         assert cli_main(["run", str(path), "--out-dir",
                          str(tmp_path / "o")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughdiff.errors import UnknownName
+from roughdiff.errors import Error
 from roughdiff.testfunctions import PARAMS, make_test_function
 
 from reference import pin_digest
@@ -184,7 +184,7 @@ class TestSingularBehavior:
 
 class TestCatalogInterface:
     def test_unknown_name(self):
-        with pytest.raises(UnknownName):
+        with pytest.raises(Error, match="no test function named 'sombrero'"):
             make_test_function("sombrero")
 
     def test_unknown_parameter(self):
