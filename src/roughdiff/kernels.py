@@ -13,8 +13,9 @@ The grid, the operator and the solver are written over the grid's axes
 and run in any dimension d.
 Mass is conserved (in the trapezoid sense) to the Krylov tolerance,
 which is what the leakage field records.  The resolvent potential on
-the same grid is a single sparse solve with V - S; on a constant 1-d
-field from a Dirac it also has a closed form.
+the same grid solves (V - S) u = m by conjugate gradients on I - B,
+with the same stencil; on a constant 1-d field from a Dirac it also has
+a closed form.  The package needs numpy alone.
 
 Envelope conventions, for a kernel started at x:
 
@@ -28,12 +29,11 @@ rough-coefficient summary of the field.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-# scipy is imported only inside the sparse solve of the grid potential
-# route (_flux_matrix, _factor): loading it would add to every start-up
 
 from .errors import Error
 from . import sampling as _sampling
@@ -49,9 +49,12 @@ MIN_KDE_SAMPLES = 100_000
 EULER_ROW_BLOCK = 2048
 LQ_ROW_BLOCK = 32
 # the kernel's Lanczos recurrence stops once the last Krylov coefficient of
-# every output time is at most this fraction of its largest one, and gives
-# up after KRYLOV_MAX_PER_NODE steps per grid node
+# every output time is at most this fraction of its largest one, the grid
+# potential's conjugate gradients once the residual is at most CG_TOL of
+# the right-hand side; both give up after KRYLOV_MAX_PER_NODE steps per
+# grid node
 KRYLOV_TOL = 1e-13
+CG_TOL = 1e-14
 KRYLOV_MAX_PER_NODE = 4
 
 
@@ -209,43 +212,15 @@ def _faces(k):
     return head + (slice(None, -1),), head + (slice(1, None),)
 
 
-def _flux_matrix(couplings, shape):
-    """S as a scipy CSR matrix."""
-    from scipy import sparse
-
-    n_total = int(np.prod(shape))
-    idx = np.arange(n_total).reshape(shape)
-    rows, cols, vals = [], [], []
-    for k, c in enumerate(couplings):
-        lo, hi = _faces(k)
-        m, n, c = idx[lo].ravel(), idx[hi].ravel(), c.ravel()
-        rows += [m, n, m, n]
-        cols += [n, m, m, n]
-        vals += [c, c, -c, -c]
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_total, n_total)).tocsr()
-
-
-def _factor(couplings, vol, shape):
-    """SuperLU factor of the symmetric positive definite V - S, V =
-    diag(vol).  The minimum-degree ordering of the symmetric pattern holds
-    40-45% fewer L+U entries than COLAMD on 2-d grids."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    K = sparse.diags(vol) - _flux_matrix(couplings, shape)
-    return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
 def _stencil(couplings, vol, shape):
-    """The map q -> B q on flat vectors, B = V^-1/2 S V^-1/2, in numpy.
+    """(apply, diag): the map q -> B q on flat vectors, B = V^-1/2 S V^-1/2,
+    in numpy, and the flat diagonal of B.
 
     Each node sums its row of B in column order: its lower neighbours
     (axis 0 first), itself, then its upper neighbours (axis 0 last).  The
     entry of row m and column n is (r_m c) r_n with r = V^-1/2, and the
     diagonal sums its faces axis by axis, upper face first.  So B q rounds
-    as the sparse product does: the face-scatter form r S (r q), each
+    as a CSR product of B does: the face-scatter form r S (r q), each
     flux added to one node and taken from the other, rounds each node's
     sum differently and lost 1.2e-11 of the mass on the 801-node 1-d
     identity kernel, against 9e-14 in this order.
@@ -270,7 +245,7 @@ def _stencil(couplings, vol, shape):
         for dst, b, src in upper:
             out[dst] += b * q[src]
         return out.ravel()
-    return apply
+    return apply, diag.ravel()
 
 
 def fv_grid(field, box, h):
@@ -371,7 +346,7 @@ def _lanczos_cn(couplings, vol, shape, p0, dt, steps):
     threaded matrix products can change the last digits of kernels with m
     past a few hundred.
     """
-    B = _stencil(couplings, vol, shape)
+    B, _ = _stencil(couplings, vol, shape)
     root = np.sqrt(vol)
     mean = np.sum(vol * p0) / np.sum(vol)
     w = root * (p0 - mean)
@@ -585,8 +560,8 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     """U nu(x) = integral of e^(-s) nu_s(x) ds, by one of three routes.
 
     source selects the route: "closed-form" (``field`` a constant a in
-    d = 1, mollified or not, Dirac start), "grid" (one finite-volume solve
-    of (1 - L) U = nu on ``box`` at step ``h``, which needs ``field``), or
+    d = 1, mollified or not, Dirac start), "grid" (the finite-volume
+    (1 - L) U = nu solved on ``box`` at step ``h``, which needs ``field``), or
     "monte-carlo" (kernel-density estimate of X_T, T ~ Exponential(1),
     which needs ``field``).
     """
@@ -619,18 +594,41 @@ def check_closed_form(field, nu):
 
 
 def _potential_from_solve(field, nu, box, h):
-    """U nu on the vertex grid from one solve of (V - S) u = V p0.
+    """U nu on the vertex grid from the solve of (V - S) u = m, m the law's
+    mass per node, by Jacobi-preconditioned conjugate gradients.
 
-    With A = V^-1 S that is (1 - A) u = p0, p0 the law's mass per node
-    over the node volume.  1^T S = 0, so the mass vol . u is 1.
+    With A = V^-1 S that is (1 - A) u = m / V, and 1^T S = 0, so the mass
+    vol . u is 1 up to the residual.  The solve runs on the symmetric
+    (I - B) w = V^-1/2 m, u = V^-1/2 w, whose eigenvalues are at least 1:
+    B applied as the kernel's stencil, the preconditioner 1 - diag(B), and
+    numpy sums for the inner products, so the bits do not depend on the
+    BLAS thread count.  It stops at a residual of CG_TOL of V^-1/2 m and
+    gives up after KRYLOV_MAX_PER_NODE steps per node.
     """
     hull_gap(nu, box)
     axes, vols = fv_grid(field, box, h)
     couplings, vol, shape = _assemble_operator(field, axes, vols, h)
-    u = _factor(couplings, vol, shape).solve(_node_mass(nu, axes, h).ravel())
-    return PotentialField(route="grid", dim=field.dim,
-                          params={"scheme": "fv-resolvent"}, axes=axes,
-                          values=u.reshape(shape))
+    B, diag = _stencil(couplings, vol, shape)
+    root, jacobi = np.sqrt(vol), 1.0 - diag
+    r = _node_mass(nu, axes, h).ravel() / root
+    stop = CG_TOL * np.sqrt(np.sum(r * r))
+    w, z = np.zeros_like(r), r / jacobi
+    p, rz = z, np.sum(r * z)
+    for k in itertools.count(1):
+        Ap = p - B(p)
+        a = rz / np.sum(p * Ap)
+        w += a * p
+        r -= a * Ap
+        if np.sqrt(np.sum(r * r)) <= stop:
+            return PotentialField(route="grid", dim=field.dim,
+                                  params={"scheme": "fv-resolvent"},
+                                  axes=axes, values=(w / root).reshape(shape))
+        if k >= KRYLOV_MAX_PER_NODE * vol.shape[0]:
+            raise Error(f"the grid potential did not converge in {k} "
+                        f"conjugate-gradient steps on {vol.shape[0]} nodes")
+        z = r / jacobi
+        rz, rz_prev = np.sum(r * z), rz
+        p = z + (rz / rz_prev) * p
 
 
 def hull_gap(nu, box, interior=False):

@@ -203,12 +203,12 @@ def _dim(top):
 
 
 def _default_potential(section, top):
-    """The closed form for Brownian motion from a 1-d Dirac start, the
-    case kernels.check_closed_form admits, else Monte Carlo seeded like
-    the paths."""
+    """The closed form for a constant 1-d field, mollified or not, from a
+    Dirac start, the case kernels.check_closed_form admits, else Monte
+    Carlo seeded like the paths."""
     law, field = top["law"], top["field"]
-    if law and law["kind"] == "dirac" and field["name"] == "identity" and (
-            field["dim"] == 1):
+    if law and law["kind"] == "dirac" and field["name"] in (
+            "identity", "constant-diagonal") and _dim(top) == 1:
         return {"route": "closed-form"}
     return {"route": "monte-carlo", "n_samples": 200_000, "seed": top["seed"]}
 

@@ -1,5 +1,6 @@
-"""Exact references the kernel tests compare the engine against, and the
-byte digest the catalog pins read.
+"""Exact references the kernel tests compare the engine against, the
+sparse finite-volume operator with its SuperLU solves, and the byte
+digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
 file name does not match ``test_*.py``, so pytest imports it only where a
@@ -9,6 +10,8 @@ test module does.
 import hashlib
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from roughdiff import kernels
 
@@ -32,6 +35,35 @@ def tabulate_kernel(fn, box, h, times, x0, dim=1):
     values = np.stack([np.asarray(fn(t, pts)).reshape(shape) for t in times])
     return kernels.GridKernel(axes=axes, h=h, times=times, values=values,
                               source=x0)
+
+
+def flux_matrix(couplings, shape):
+    """The face-flux operator S of kernels._assemble_operator's couplings
+    as a scipy CSR matrix: each face between nodes m and n adds c to
+    entries (m, n) and (n, m) and takes c from (m, m) and (n, n)."""
+    n_total = int(np.prod(shape))
+    idx = np.arange(n_total).reshape(shape)
+    rows, cols, vals = [], [], []
+    for k, c in enumerate(couplings):
+        lo, hi = kernels._faces(k)
+        m, n, c = idx[lo].ravel(), idx[hi].ravel(), c.ravel()
+        rows += [m, n, m, n]
+        cols += [n, m, m, n]
+        vals += [c, c, -c, -c]
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_total, n_total)).tocsr()
+
+
+def superlu_potential(field, nu, box, h):
+    """The grid potential's node values by one SuperLU solve of
+    (V - S) u = m, m the law's mass per node: the direct solve the
+    conjugate gradients of the grid route are checked against."""
+    axes, vols = kernels.fv_grid(field, box, h)
+    couplings, vol, shape = kernels._assemble_operator(field, axes, vols, h)
+    K = sparse.diags(vol) - flux_matrix(couplings, shape)
+    lu = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(kernels._node_mass(nu, axes, h).ravel()).reshape(shape)
 
 
 def pin_digest(arr):

@@ -11,6 +11,9 @@ Refusals take one type: no ``raise`` in ``src/`` builds a Python builtin
 exception, and every class of the errors module other than its base
 Error is both raised and named by an ``except`` clause, since a subclass
 nothing tells apart from Error is one more name for the same refusal.
+
+The package runs on numpy alone: no module in ``src/`` imports scipy, at
+the top or inside a function; only the tests' references use it.
 """
 
 import ast
@@ -179,6 +182,23 @@ def builtin_raises(src=SRC):
     return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
 
 
+def scipy_imports(src=SRC):
+    """"module:line" of every import statement in ``src`` that loads scipy
+    or one of its submodules."""
+    found = []
+    for module, tree, _ in _parsed(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
 def test_no_public_definition_is_test_only():
     assert unused_public_definitions() == []
 
@@ -197,6 +217,10 @@ def test_every_error_is_caught():
 
 def test_no_raise_builds_a_builtin_exception():
     assert builtin_raises() == []
+
+
+def test_no_module_imports_scipy():
+    assert scipy_imports() == []
 
 
 def test_reference_implementations_exist():
@@ -287,3 +311,16 @@ def test_guard_sees_builtin_raises(tmp_path):
         "    try:\n        return 1 / x\n"
         "    except ZeroDivisionError:\n        raise\n")
     assert builtin_raises(tmp_path) == ["mod:6 ValueError", "mod:8 KeyError"]
+
+
+def test_guard_sees_scipy_imports(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np, scipy\n"
+        "from . import scipy_free\n"
+        "from .scipy import local\n"
+        "import scipyish\n\n\n"
+        "def solve(x):\n"
+        "    from scipy.sparse.linalg import splu\n"
+        "    import scipy.sparse as sp\n"
+        "    return splu, sp\n")
+    assert scipy_imports(tmp_path) == ["mod:1", "mod:8", "mod:9"]

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import integrate, special
+from scipy import integrate, sparse, special
+from scipy.sparse.linalg import splu
 
 from roughdiff import kernels as kn
 from roughdiff import runner, sampling
 from roughdiff.errors import Error
 from roughdiff.fields import make_field
 
-from reference import exact_brownian_kernel, tabulate_kernel
+from reference import (exact_brownian_kernel, flux_matrix, superlu_potential,
+                       tabulate_kernel)
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
 # 240 log-spaced times from 1e-4 to 8, snapped to steps of 1e-4 (at least
@@ -214,12 +216,9 @@ def stepped_cn(field, source, box, h, times, dt):
     """The Crank-Nicolson table the slow way, the reference for the
     Lanczos evaluation: one SuperLU solve with V - (dt/2) S per step, from
     the Dirac at the node ``source``."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     axes, vols = kn.fv_grid(field, box, h)
     couplings, vol, shape = kn._assemble_operator(field, axes, vols, h)
-    S = kn._flux_matrix(couplings, shape)
+    S = flux_matrix(couplings, shape)
     lu = splu((sparse.diags(vol) - (dt / 2.0) * S).tocsc())
     src = np.ravel_multi_index(
         tuple(int(round((c - ax[0]) / h)) for c, ax in zip(source, axes)),
@@ -292,9 +291,9 @@ class TestLanczosCrankNicolson:
 
 
 class TestSymmetricStepping:
-    """The face couplings as the sparse S and as the stencil of B, the
-    Crank-Nicolson table against dense stepping, and the resolvent
-    factor."""
+    """The face couplings as the sparse S of the tests' reference and as
+    the stencil of B, and the Crank-Nicolson table against dense
+    stepping."""
 
     @pytest.mark.parametrize("name, params", [
         ("checkerboard", {"lo": 0.5, "hi": 2.0, "cell": 0.5, "dim": 1}),
@@ -308,7 +307,7 @@ class TestSymmetricStepping:
         axes, vols = kn._axes_volumes((-1.5, 1.0), 0.1, field.dim)
         couplings, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
         assert shape == (26,) * field.dim and vol.shape == (26 ** field.dim,)
-        S = kn._flux_matrix(couplings, shape)
+        S = flux_matrix(couplings, shape)
         assert (S != S.T).nnz == 0
         scale = abs(S).max()
         assert np.abs(S.sum(axis=1)).max() <= 1e-12 * scale
@@ -328,8 +327,9 @@ class TestSymmetricStepping:
         axes, vols = kn._axes_volumes(box, 0.1, field.dim)
         couplings, vol, shape = kn._assemble_operator(field, axes, vols, 0.1)
         r = 1.0 / np.sqrt(vol)
-        B = r[:, None] * kn._flux_matrix(couplings, shape).toarray() * r
-        stencil = kn._stencil(couplings, vol, shape)
+        B = r[:, None] * flux_matrix(couplings, shape).toarray() * r
+        stencil, diag = kn._stencil(couplings, vol, shape)
+        assert np.abs(diag - np.diag(B)).max() <= 1e-15 * np.abs(B).max()
         rng = np.random.default_rng(7)
         for _ in range(5):
             q = rng.standard_normal(vol.shape[0])
@@ -347,7 +347,7 @@ class TestSymmetricStepping:
 
         axes, vols = kn._axes_volumes(box, h, 2)
         couplings, vol, shape = kn._assemble_operator(field, axes, vols, h)
-        A = kn._flux_matrix(couplings, shape).toarray() / vol[:, None]
+        A = flux_matrix(couplings, shape).toarray() / vol[:, None]
         eye = np.eye(vol.shape[0])
         lhs, rhs = eye - (dt / 2) * A, eye + (dt / 2) * A
         p = np.zeros(vol.shape[0])
@@ -362,15 +362,6 @@ class TestSymmetricStepping:
         assert np.abs(k.values - want).max() <= 1e-12 * want.max()
         masses = (k.values.reshape(4, -1) * vol).sum(axis=1)
         np.testing.assert_allclose(masses, 1.0, rtol=0, atol=1e-12)
-
-    def test_minimum_degree_fill(self):
-        # the resolvent matrix V - S on the rough-2d kernel grid (+-4,
-        # h 0.1): 228,920 L+U entries under minimum degree, 387,520 under
-        # COLAMD
-        field = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
-        axes, vols = kn._axes_volumes((-4.0, 4.0), 0.1, 2)
-        lu = kn._factor(*kn._assemble_operator(field, axes, vols, 0.1))
-        assert lu.L.nnz + lu.U.nnz <= 240_000
 
 
 class TestAronsonFit:
@@ -697,8 +688,38 @@ def overlap_mass(law, axes, h):
     return w[0] @ law.cell_probs @ w[1].T
 
 
+# (law, field, box, h) of grid potentials checked against SuperLU
+SUPERLU_CASES = {
+    "identity-1d": (DIRAC_1D, ID1, BOX1, 0.02),
+    "checkerboard-1d": (DIRAC_1D, make_field("checkerboard", **CHECKERBOARD),
+                        (-6.0, 6.0), 0.05),
+    "checkerboard-2d": (DIRAC_2D, make_field("checkerboard", dim=2,
+                                             **CHECKERBOARD), (-4.0, 4.0), 0.1),
+    "density-2d-checkerboard": (DENSITY2, make_field(
+        "checkerboard", dim=2, **CHECKERBOARD), (-6.0, 6.0), 0.1),
+    "checkerboard-3d": (sampling.dirac(np.zeros(3)), make_field(
+        "checkerboard", dim=3, **CHECKERBOARD), (-8.0, 8.0), 0.5),
+}
+
+
 class TestGridRoute:
     """The grid route: one solve of (V - S) u = V p0 on the kernel grid."""
+
+    @pytest.mark.parametrize("case", sorted(SUPERLU_CASES))
+    def test_matches_superlu(self, case):
+        # conjugate gradients against the direct solve of the same system
+        nu, field, box, h = SUPERLU_CASES[case]
+        U = grid_potential(nu, field, box, h)
+        want = superlu_potential(field, nu, box, h)
+        assert np.abs(U.values - want).max() <= 1e-12 * want.max()
+        assert abs(U.integral() - 1.0) <= 1e-12
+
+    def test_gives_up_after_a_multiple_of_the_nodes(self, monkeypatch):
+        _, field, box, h = SUPERLU_CASES["checkerboard-1d"]
+        monkeypatch.setattr(kn, "KRYLOV_MAX_PER_NODE", 0.01)
+        with pytest.raises(Error, match="did not converge in 3 "
+                           "conjugate-gradient steps on 241 nodes"):
+            grid_potential(DIRAC_1D, field, box, h)
 
     def test_identity_matches_closed_form(self, closed_potential):
         U = grid_potential(sampling.dirac(np.zeros(1)))
@@ -747,7 +768,9 @@ class TestGridRoute:
     def test_density_mass_bytes_at_any_blas_thread_count(self, run_python,
                                                          tmp_path):
         # a 400 x 400-cell density on +-4 at h = 0.01: one BLAS product per
-        # axis gave different bytes under one and two threads
+        # axis gave different bytes under one and two threads; and a 2-d
+        # checkerboard grid potential, whose conjugate gradients sum with
+        # numpy rather than BLAS
         script = (
             "import os, sys; "
             "os.environ.update(dict.fromkeys(('OPENBLAS_NUM_THREADS', "
@@ -759,12 +782,18 @@ class TestGridRoute:
             "[e, e], np.random.default_rng(0).random((400, 400))); "
             "axes, _ = kernels._axes_volumes((-4.0, 4.0), 0.01, 2); "
             "print(hashlib.sha256(kernels._node_mass("
-            "law, axes, 0.01).tobytes()).hexdigest())")
+            "law, axes, 0.01).tobytes()).hexdigest()); "
+            "from roughdiff.fields import make_field; "
+            "U = kernels.resolvent_potential('grid', sampling.dirac("
+            "[0.0, 0.0]), field=make_field('checkerboard', dim=2, lo=0.5, "
+            "hi=2.0), box=(-4.0, 4.0), h=0.1); "
+            "print(hashlib.sha256(U.values.tobytes()).hexdigest())")
         digests = set()
         for threads in ("1", "2"):
             proc = run_python("-c", script, threads, cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
-            digests.add(proc.stdout.strip())
+            assert len(proc.stdout.split()) == 2
+            digests.add(proc.stdout)
         assert len(digests) == 1
 
     def test_checkerboard_matches_stepped_route(self):
@@ -783,14 +812,16 @@ class TestGridRoute:
 
     def test_mollified_checkerboard_bytes(self):
         # SHA-256s taken before the mollified checkerboard was read from
-        # its parity tables; the solver reads a at every face midpoint
+        # its parity tables; the solver reads a at every face midpoint.  The
+        # potential's was re-taken when conjugate gradients replaced the
+        # SuperLU solve, which moved it by round-off
         field = make_field("checkerboard", dim=2, lo=0.5, hi=2.0, cell=1.0,
                            mollify=0.1)
         U = grid_potential(DIRAC_2D, field, (-3.0, 3.0), 0.1)
         digest = hashlib.sha256(b"".join(ax.tobytes() for ax in U.axes)
                                 + U.values.tobytes())
         assert digest.hexdigest() == (
-            "2dad7841f10176d59bf32221ab0b9c16260e5f77c17d2d5ad5e93f1d0b229252")
+            "645e578e27f0a23c977745c739eae2e958da3002e8ce8cb8a4175062f33b9f35")
         k = kn.solve_kernel_pde(field, [0.0, 0.0], (-3.0, 3.0), 0.1,
                                 times=[0.1, 0.4], dt=2e-3)
         digest = hashlib.sha256(k.times.tobytes() + k.values.tobytes())

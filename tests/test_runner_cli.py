@@ -458,6 +458,24 @@ class TestLoadScenario:
             potential={"route": "closed-form"}))
         assert scn.cfg["potential"]["route"] == "closed-form"
 
+    @pytest.mark.parametrize("mollify", [None, 0.1],
+                             ids=["plain", "mollified"])
+    def test_constant_1d_field_defaults_to_closed_form(self, mollify):
+        # the default is the closed form wherever check_closed_form admits
+        # the config, not 200,000 Monte Carlo samples
+        field = {"name": "constant-diagonal", "values": [2.0],
+                 "mollify": mollify}
+        scn = runner.load_scenario(quad_config(field=field))
+        assert scn.cfg["potential"] == {"route": "closed-form",
+                                        "box": [-10.0, 10.0], "h": 0.01}
+        # a 2-d constant field or a law other than a Dirac has none
+        for over in ({"field": dict(field, values=[2.0, 0.5]),
+                      "law": {"kind": "dirac", "point": [0.0, 0.0]},
+                      "function": {"name": "quadratic", "dim": 2}},
+                     {"field": field, "law": MIXTURE}):
+            scn = runner.load_scenario(quad_config(**over))
+            assert scn.cfg["potential"]["route"] == "monte-carlo"
+
     @pytest.mark.parametrize("key", ["dt", "t_min", "t_max", "n_slices"])
     def test_grid_time_stepping_keys_are_gone(self, key):
         cfg = quad_config(potential={
@@ -1216,8 +1234,8 @@ class TestCli:
         assert proc.stdout.strip() == os.path.abspath(roughdiff.__file__)
 
     def test_runner_import_defers_scipy(self, tmp_path, run_python):
-        """Loading the runner pulls in no scipy; the grid potential route
-        imports it when it runs."""
+        """Loading the runner pulls in no scipy, which no route of the
+        package imports."""
         proc = run_python(
             "-c", "import roughdiff.runner, sys; "
                   "assert 'scipy.sparse' not in sys.modules",
