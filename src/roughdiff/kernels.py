@@ -571,7 +571,7 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
         # (1 - a d^2/dx^2) U = delta_x0: U = e^(-|x - x0| / s) / (2 s),
         # s = sqrt(a); at a = 1 every operation by s is exact
         s = np.sqrt(check_closed_form(field, nu))
-        x0 = float(np.atleast_1d(nu.point)[0])
+        x0 = float(nu.points[0, 0])
         return PotentialField(
             route="closed-form", dim=1, params={"x0": x0},
             fn=lambda pts: np.exp(-np.abs(pts[..., 0] - x0) / s) / (2.0 * s))
@@ -649,20 +649,18 @@ def _node_mass(nu, axes, h):
     """The mass nu puts in each node's dual cell (the node +- h/2, cut at
     the box), on the grid's shape.
 
-    A Dirac charges its nearest node.  A grid density charges each dual
-    cell the exact overlap with each of its cells, axis by axis: along
-    axis k, the difference of the mass below the two cuts of the dual
-    cell, the cells' cumulative sum read linearly inside a cell.  Sums
-    and differences, with no BLAS product, so the bits do not depend on
-    the BLAS thread count.
+    Each atom adds its weight to its nearest node.  A grid density
+    charges each dual cell the exact overlap with each of its cells, axis
+    by axis: along axis k, the difference of the mass below the two cuts
+    of the dual cell, the cells' cumulative sum read linearly inside a
+    cell.  Sums and differences, with no BLAS product, so the bits do not
+    depend on the BLAS thread count.
     """
-    if nu.kind == "mixture":
-        return sum(w * _node_mass(c, axes, h)
-                   for w, c in zip(nu.mix_weights, nu.components))
-    if nu.kind == "dirac":
+    if nu.kind != "grid-density":
         out = np.zeros(tuple(ax.shape[0] for ax in axes))
-        out[tuple(int(round((c - ax[0]) / h))
-                  for c, ax in zip(nu.point, axes))] = 1.0
+        for pt, w in zip(nu.points, nu.weights):
+            out[tuple(int(round((c - ax[0]) / h))
+                      for c, ax in zip(pt, axes))] += w
         return out
     out = nu.cell_probs
     for k, (e, ax) in enumerate(zip(nu.edges, axes)):
@@ -716,10 +714,7 @@ def _terminal_states(field, nu, n, t_cap, step, rng):
     """
     T = rng.exponential(size=n)
     np.minimum(T, t_cap, out=T)
-    if nu.kind == "dirac":
-        x0 = np.tile(np.asarray(nu.point, dtype=float), (n, 1))
-    else:
-        x0 = np.stack([_sampling.sample_initial(nu, rng) for _ in range(n)])
+    x0 = _sampling.sample_initial(nu, rng, n)
     if field.is_constant:
         # x0 + sqrt(T) (z sqrt(2 a)), formed in z
         z = rng.standard_normal((n, field.dim))

@@ -16,13 +16,13 @@ Two schemes approximate the process generated by L = div(a grad):
 Randomness is counter-based: every path owns the Philox stream keyed by
 (seed, path_id), so path i is a bitwise-deterministic function of
 (scheme, field, law, horizon, fine step, seed, path_id) no matter how paths
-are batched or distributed over workers.
+are batched or distributed over workers, its start included.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,40 +55,35 @@ def fine_step_for(horizon, n_max, margin=4):
 
 @dataclass
 class InitialLaw:
-    """Initial distribution: a point mass, a grid density, or a mixture."""
+    """Initial distribution: atoms ``points`` (K, d) with ``weights`` (K,),
+    or a density, ``cell_probs`` per cell of the grid with ``edges``."""
 
     kind: str
-    point: np.ndarray | None = None
-    edges: list | None = None          # cell edges per axis (grid-density)
+    points: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    edges: list | None = None
     cell_probs: np.ndarray | None = None
-    components: list | None = dc_field(default=None)
-    mix_weights: np.ndarray | None = None
 
     @property
     def dim(self):
-        if self.kind == "dirac":
-            return self.point.shape[0]
         if self.kind == "grid-density":
             return len(self.edges)
-        return self.components[0].dim
+        return self.points.shape[1]
 
     def hull(self):
         """(lo, hi), the corners of the least box holding the support."""
-        if self.kind == "dirac":
-            return self.point, self.point
         if self.kind == "grid-density":
             return tuple(np.array([e[[0, -1]] for e in self.edges]).T)
-        los, his = zip(*(c.hull() for c in self.components))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        return self.points.min(axis=0), self.points.max(axis=0)
 
 
 def dirac(point):
     pt = np.atleast_1d(np.asarray(point, dtype=float))
-    return InitialLaw(kind="dirac", point=pt)
+    return InitialLaw(kind="dirac", points=pt[None], weights=np.ones(1))
 
 
 def grid_density(edges, values):
-    """Piecewise-constant density on a rectilinear grid (d <= 2).
+    """Piecewise-constant density on a rectilinear grid in any d.
 
     ``edges`` is one strictly increasing edge array per axis; ``values``
     holds a nonnegative density value per cell.  Normalization is
@@ -97,8 +92,6 @@ def grid_density(edges, values):
     if len(edges) and np.ndim(edges[0]) == 0:   # one axis, given flat
         edges = [edges]
     edges = [np.asarray(e, dtype=float) for e in edges]
-    if len(edges) > 2:
-        raise Error("grid densities support d <= 2")
     if not all(np.all(np.diff(e) > 0) for e in edges):
         raise Error("edges must be strictly increasing on every axis")
     vals = np.asarray(values, dtype=float)
@@ -114,19 +107,18 @@ def grid_density(edges, values):
 
 
 def mixture(weights, points):
-    """Mixture of initial laws; a component given as a point is its Dirac."""
+    """Mixture of the Diracs at ``points`` with the given weights."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or w.sum() <= 0:
         raise Error("mixture weights must be nonnegative, not all zero")
-    components = [p if isinstance(p, InitialLaw) else dirac(p)
-                  for p in points]
-    if len(components) != w.shape[0]:
-        raise Error("one weight per component required")
-    dims = {c.dim for c in components}
+    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    if len(pts) != w.shape[0]:
+        raise Error("one weight per point required")
+    dims = {p.shape[0] for p in pts}
     if len(dims) != 1:
-        raise Error(f"components disagree on dimension: {dims}")
-    return InitialLaw(kind="mixture", components=components,
-                      mix_weights=w / w.sum())
+        raise Error(f"points disagree on dimension: {dims}")
+    return InitialLaw(kind="mixture", points=np.array(pts),
+                      weights=w / w.sum())
 
 
 # config parameters of each law kind as runner.Key tuples, ``...`` marking
@@ -148,41 +140,51 @@ def make_law(kind, **params):
     return _LAW_CATALOG[kind](**params)
 
 
-def _sample_axis(u, cum, edges):
-    """Inverse CDF within a piecewise-constant axis."""
-    k = int(np.searchsorted(cum, u, side="right"))
-    k = min(k, cum.shape[0] - 1)
-    lo = cum[k - 1] if k > 0 else 0.0
-    p = cum[k] - lo
-    frac = (u - lo) / p if p > 0 else 0.0
-    return edges[k] + frac * (edges[k + 1] - edges[k])
-
-
-def sample_initial(law, rng):
-    """Draw one starting point from the law using the given generator."""
+def sample_initial(law, rng, n):
+    """n starting points, (n, d), drawn from the law with ``rng``: none
+    for a Dirac, else ``_uniforms`` per point, in point order."""
     if law.kind == "dirac":
-        return law.point.copy()
+        return np.repeat(law.points, n, axis=0)
+    return _invert(law, rng.random((n, _uniforms(law))))
+
+
+def _uniforms(law):
+    return 1 if law.kind == "mixture" else law.dim
+
+
+def _invert(law, u):
+    """The points of a mixture or a density at uniforms u, (n, m): the
+    first atom whose cumulative weight exceeds u, or, axis by axis, the
+    inverse CDF, linear in a cell, of the marginal on the slab the earlier
+    axes chose, divided by the slab's total on every axis but the first;
+    the cell's mass is that marginal entry on every axis but the last,
+    and the cumulative difference on the last."""
     if law.kind == "mixture":
-        u = rng.random()
-        k = int(np.searchsorted(np.cumsum(law.mix_weights), u, side="right"))
-        k = min(k, len(law.components) - 1)
-        return sample_initial(law.components[k], rng)
-    if law.kind == "grid-density":
-        if len(law.edges) == 1:
-            cum = np.cumsum(law.cell_probs)
-            return np.array([_sample_axis(rng.random(), cum, law.edges[0])])
-        marg = law.cell_probs.sum(axis=1)
-        u1, u2 = rng.random(), rng.random()
-        cum1 = np.cumsum(marg)
-        i = min(int(np.searchsorted(cum1, u1, side="right")), marg.shape[0] - 1)
-        x1_lo = cum1[i - 1] if i > 0 else 0.0
-        frac = (u1 - x1_lo) / marg[i] if marg[i] > 0 else 0.0
-        x1 = law.edges[0][i] + frac * (law.edges[0][i + 1] - law.edges[0][i])
-        cond = law.cell_probs[i]
-        cum2 = np.cumsum(cond / cond.sum())
-        x2 = _sample_axis(u2, cum2, law.edges[1])
-        return np.array([x1, x2])
-    raise Error(f"unknown initial law kind {law.kind!r}")
+        k = np.searchsorted(np.cumsum(law.weights), u[:, 0], side="right")
+        return law.points[np.minimum(k, law.weights.shape[0] - 1)]
+    n, d = u.shape
+    x = np.empty((n, d))
+    slab = np.zeros(n, dtype=np.intp)   # flat index of the earlier cells
+    for k, e in enumerate(law.edges):
+        c = e.shape[0] - 1
+        # one row per slab: the marginal of axis k on it
+        marg = law.cell_probs.sum(axis=tuple(range(k + 1, d))).reshape(-1, c)
+        if k:
+            total = marg.sum(axis=1, keepdims=True)
+            marg = np.divide(marg, total, out=np.zeros_like(marg),
+                             where=total > 0)
+        cum = np.cumsum(marg, axis=1)
+        # the cell: how many of the slab's sums are <= u, in one search of
+        # exact (row, sum) pairs, which complex numbers order lexicographically
+        keys = (np.arange(cum.shape[0])[:, None] + 1j * cum).ravel()
+        j = np.searchsorted(keys, slab + 1j * u[:, k], side="right")
+        j = np.minimum(j - slab * c, c - 1)
+        lo = np.where(j > 0, cum[slab, j - 1], 0.0)
+        p = cum[slab, j] - lo if k == d - 1 else marg[slab, j]
+        frac = np.divide(u[:, k] - lo, p, out=np.zeros(n), where=p > 0)
+        x[:, k] = e[j] + frac * (e[j + 1] - e[j])
+        slab = slab * c + j
+    return x
 
 
 # ---------------------------------------------------------------- rng plumbing
@@ -214,14 +216,13 @@ def _nsteps(horizon, fine_step, stride):
 
 
 def _start_points(law, gens, dim):
-    x0 = np.empty((len(gens), dim))
-    for b, g in enumerate(gens):
-        pt = sample_initial(law, g)
-        if pt.shape[0] != dim:
-            raise Error(
-                f"initial law dimension {pt.shape[0]} != field dimension {dim}")
-        x0[b] = pt
-    return x0
+    """Each path's start, drawn from its own stream; a Dirac draws none."""
+    if law.dim != dim:
+        raise Error(
+            f"initial law dimension {law.dim} != field dimension {dim}")
+    if law.kind == "dirac":
+        return sample_initial(law, None, len(gens))
+    return _invert(law, np.stack([g.random(_uniforms(law)) for g in gens]))
 
 
 def check_em_field(field):

@@ -183,7 +183,8 @@ def abs_power(alpha):
 
 
 def radial_power(alpha, dim=2):
-    """F(x) = |x|^(1+alpha) psi(|x|) in d dimensions."""
+    """F(x) = |x|^(1+alpha) psi(|x|) in d dimensions; its hessian at the
+    origin is phi''(0) I, as abs_power's (+inf for alpha < 1)."""
     phi, d1, d2 = _power_profile(alpha)
 
     def _r(x):
@@ -203,12 +204,15 @@ def radial_power(alpha, dim=2):
         x = _pts(x, dim)
         r = _r(x)
         safe = np.where(r > 0, r, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g2, g1_over_r = d2(r), d1(r) / safe
+        g2, eye = d2(r), _eye(x)
         xhat = x / safe[..., None]
         outer = xhat[..., :, None] * xhat[..., None, :]
-        return (g2[..., None, None] * outer
-                + g1_over_r[..., None, None] * (_eye(x) - outer))
+        with np.errstate(invalid="ignore"):
+            out = (g2[..., None, None] * outer
+                   + (d1(r) / safe)[..., None, None] * (eye - outer))
+        origin = r == 0   # phi''(0) I, zero off the diagonal
+        out[origin] = np.where(eye[origin] > 0, g2[origin, None, None], 0.0)
+        return out
 
     return TestFunction(name="radial_power", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,

@@ -1,5 +1,6 @@
 """Exact references the kernel tests compare the engine against, the
-sparse finite-volume operator with its SuperLU solves, and the byte
+sparse finite-volume operator with its SuperLU solves, the one-point
+initial-law sampler the vectorized draw is pinned to, and the byte
 digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
@@ -64,6 +65,42 @@ def superlu_potential(field, nu, box, h):
     K = sparse.diags(vol) - flux_matrix(couplings, shape)
     lu = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
     return lu.solve(kernels._node_mass(nu, axes, h).ravel()).reshape(shape)
+
+
+def _sample_axis(u, cum, edges):
+    """Inverse CDF within a piecewise-constant axis."""
+    k = int(np.searchsorted(cum, u, side="right"))
+    k = min(k, cum.shape[0] - 1)
+    lo = cum[k - 1] if k > 0 else 0.0
+    p = cum[k] - lo
+    frac = (u - lo) / p if p > 0 else 0.0
+    return edges[k] + frac * (edges[k + 1] - edges[k])
+
+
+def sample_initial(law, rng):
+    """One starting point from a Dirac, a mixture or a grid density in
+    d <= 2, drawn from the generator one uniform at a time."""
+    if law.kind == "dirac":
+        return law.points[0].copy()
+    if law.kind == "mixture":
+        u = rng.random()
+        k = int(np.searchsorted(np.cumsum(law.weights), u, side="right"))
+        k = min(k, law.weights.shape[0] - 1)
+        return law.points[k].copy()
+    if len(law.edges) == 1:
+        cum = np.cumsum(law.cell_probs)
+        return np.array([_sample_axis(rng.random(), cum, law.edges[0])])
+    marg = law.cell_probs.sum(axis=1)
+    u1, u2 = rng.random(), rng.random()
+    cum1 = np.cumsum(marg)
+    i = min(int(np.searchsorted(cum1, u1, side="right")), marg.shape[0] - 1)
+    x1_lo = cum1[i - 1] if i > 0 else 0.0
+    frac = (u1 - x1_lo) / marg[i] if marg[i] > 0 else 0.0
+    x1 = law.edges[0][i] + frac * (law.edges[0][i + 1] - law.edges[0][i])
+    cond = law.cell_probs[i]
+    cum2 = np.cumsum(cond / cond.sum())
+    x2 = _sample_axis(u2, cum2, law.edges[1])
+    return np.array([x1, x2])
 
 
 def pin_digest(arr):

@@ -665,6 +665,9 @@ BOX1 = (-8.0, 8.0)
 DENSITY1 = sampling.grid_density([-1.03, 0.0, 0.5, 2.01], [1.0, 3.0, 0.5])
 DENSITY2 = sampling.grid_density([[-1.03, 0.0, 0.5, 2.01], [-0.3, 0.77]],
                                  [[1.0], [3.0], [0.5]])
+DENSITY3 = sampling.grid_density(
+    [[-1.03, 0.0, 0.5], [-0.3, 0.77], [-0.6, 0.1, 0.35, 0.9]],
+    [[[1.0, 2.0, 0.5]], [[3.0, 0.0, 1.5]]])
 
 
 def grid_potential(nu, field=ID1, box=BOX1, h=0.05):
@@ -698,7 +701,7 @@ SUPERLU_CASES = {
     "density-2d-checkerboard": (DENSITY2, make_field(
         "checkerboard", dim=2, **CHECKERBOARD), (-6.0, 6.0), 0.1),
     "checkerboard-3d": (sampling.dirac(np.zeros(3)), make_field(
-        "checkerboard", dim=3, **CHECKERBOARD), (-8.0, 8.0), 0.5),
+        "checkerboard", dim=3, **CHECKERBOARD), (-4.0, 4.0), 0.5),
 }
 
 
@@ -736,8 +739,10 @@ class TestGridRoute:
          (-6.0, 6.0), 0.1),
         (sampling.dirac(np.zeros(3)), make_field("identity", dim=3),
          (-2.0, 2.0), 0.5),
+        (DENSITY3, make_field("checkerboard", dim=3, lo=0.5, hi=2.0),
+         (-2.0, 2.0), 0.25),
     ], ids=["dirac", "mixture", "density", "density-2d-checkerboard",
-            "dirac-3d"])
+            "dirac-3d", "density-3d-checkerboard"])
     def test_mass_is_one(self, nu, field, box, h):
         U = grid_potential(nu, field, box, h)
         assert abs(U.integral() - 1.0) <= 1e-12

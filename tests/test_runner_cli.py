@@ -1050,6 +1050,28 @@ class TestCli:
         assert proc.returncode == 1
         assert "FAIL: aronson" in proc.stdout
 
+    def test_3d_density_lattice_exit_zero(self, tmp_path, cli):
+        # a grid density in d = 3 starts lattice walks on a 3-d checkerboard
+        cfg = {
+            "field": {"name": "checkerboard", "dim": 3, "lo": 0.5,
+                      "hi": 2.0, "cell": 1.0},
+            "function": {"name": "quadratic", "dim": 3},
+            "law": {"kind": "grid-density",
+                    "edges": [[-0.5, 0.0, 0.5], [-0.5, 0.5],
+                              [-0.25, 0.25, 0.75]],
+                    "values": [[[1.0, 2.0]], [[3.0, 0.5]]]},
+            "horizon": 0.25, "orders": [2, 3], "n_paths": 8,
+            "fine_margin": 6, "scheme": "lattice",
+            "scheme_params": {"h": 0.25}, "seed": 5,
+            "allow_unverified": True, "sweeps": ["qv"],
+        }
+        path = tmp_path / "density3d.json"
+        path.write_text(json.dumps(cfg))
+        proc = cli("run", str(path), "--out-dir", str(tmp_path / "o"),
+                   cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "o" / "qv.csv").read_text().splitlines()) == 3
+
     def test_config_error_exit_two(self, tmp_path, cli):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(quad_config(n_paths=0)))

@@ -12,6 +12,8 @@ from scipy import stats
 from roughdiff import fields, sampling
 from roughdiff.errors import Error
 
+from reference import sample_initial as one_point_draw
+
 
 def em_path(f, law, horizon, fine_step, seed, path_id):
     """States (T, d) of one Euler-Maruyama path."""
@@ -126,27 +128,44 @@ class TestDyadicGrid:
             sampling.fine_step_for(1.0, 24)
 
 
+# laws whose vectorized draw is pinned to the one-point reference
+DRAW_LAWS = {
+    "dirac": sampling.dirac([1.0, -2.0]),
+    "mixture": sampling.mixture([0.2, 0.5, 0.3],
+                                [[-1.0, 0.5], [2.0, 0.0], [0.25, -3.0]]),
+    "one-atom-mixture": sampling.mixture([2.0], [[0.5]]),
+    "density-1d": sampling.grid_density(
+        np.linspace(-1.0, 2.0, 21),
+        np.random.default_rng(1).random(20) * (np.arange(20) % 5 > 0)),
+    "density-2d": sampling.grid_density(
+        [np.linspace(-1.0, 1.0, 14), [-0.5, 0.0, 0.25, 1.5]],
+        np.random.default_rng(2).random((13, 3)) * [1.0, 0.0, 1.0]),
+    "density-2d-fine": sampling.grid_density(
+        [np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 3.0, 38)],
+        np.random.default_rng(3).random((40, 37))
+        * (np.arange(37) % 6 > 0) * (np.arange(40) % 7 > 0)[:, None]),
+}
+
+
 class TestInitialLaws:
     def test_dirac(self):
         law = sampling.dirac([1.0, -2.0])
         rng = sampling.path_rng(0, 0)
-        np.testing.assert_array_equal(sampling.sample_initial(law, rng),
-                                      [1.0, -2.0])
+        np.testing.assert_array_equal(sampling.sample_initial(law, rng, 3),
+                                      [[1.0, -2.0]] * 3)
+        # a Dirac reads nothing from the stream
+        assert rng.random() == sampling.path_rng(0, 0).random()
 
     def test_mixture_of_diracs(self):
-        law = sampling.mixture([0.5, 0.5],
-                               [sampling.dirac([-1.0]), sampling.dirac([1.0])])
-        rng = sampling.path_rng(3, 1)
-        draws = np.array([sampling.sample_initial(law, rng)[0]
-                          for _ in range(2000)])
+        law = sampling.mixture([0.5, 0.5], [[-1.0], [1.0]])
+        draws = sampling.sample_initial(law, sampling.path_rng(3, 1), 2000)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert abs(draws.mean()) < 0.05
 
     def test_grid_density_1d_uniform(self):
         law = sampling.grid_density([np.linspace(0, 1, 11)], np.ones(10))
-        rng = sampling.path_rng(5, 0)
-        draws = np.array([sampling.sample_initial(law, rng)[0]
-                          for _ in range(3000)])
+        draws = sampling.sample_initial(law, sampling.path_rng(5, 0),
+                                        3000)[:, 0]
         assert draws.min() >= 0 and draws.max() <= 1
         assert stats.kstest(draws, "uniform").pvalue > 0.01
 
@@ -155,13 +174,47 @@ class TestInitialLaws:
         vals = np.ones((4, 4))
         vals[0, 0] = 9.0  # weight mass toward the corner cell
         law = sampling.grid_density(edges, vals)
-        rng = sampling.path_rng(11, 0)
-        pts = np.array([sampling.sample_initial(law, rng)
-                        for _ in range(4000)])
+        pts = sampling.sample_initial(law, sampling.path_rng(11, 0), 4000)
         assert pts[:, 0].min() >= -1 and pts[:, 0].max() <= 1
         assert pts[:, 1].min() >= 0 and pts[:, 1].max() <= 2
         corner = (pts[:, 0] < -0.5) & (pts[:, 1] < 0.5)
         assert corner.mean() == pytest.approx(9.0 / 24.0, abs=0.04)
+
+    def test_grid_density_3d_cell_frequencies(self):
+        edges = [[0.0, 1.0, 3.0], [-1.0, 0.0, 0.5, 1.0], [2.0, 2.5, 4.0]]
+        vals = np.random.default_rng(7).random((2, 3, 2))
+        vals[1, 2, 0] = 0.0
+        law = sampling.grid_density(edges, vals)
+        n = 60_000
+        pts = sampling.sample_initial(law, sampling.path_rng(13, 0), n)
+        cells = [np.searchsorted(e, pts[:, k], side="right") - 1
+                 for k, e in enumerate(edges)]
+        counts = np.zeros(vals.shape)
+        np.add.at(counts, tuple(cells), 1.0)
+        p = law.cell_probs
+        assert counts[1, 2, 0] == 0
+        assert np.all(np.abs(counts / n - p) <= 5.0 * np.sqrt(p / n))
+
+    @pytest.mark.parametrize("case", sorted(DRAW_LAWS))
+    def test_draw_matches_one_point_reference(self, case):
+        # n points in one call are the n one-point draws, in order, bit for
+        # bit, and leave the stream where the n draws leave it
+        law, n = DRAW_LAWS[case], 500
+        rng, ref = sampling.path_rng(17, 4), sampling.path_rng(17, 4)
+        got = sampling.sample_initial(law, rng, n)
+        want = np.array([one_point_draw(law, ref) for _ in range(n)])
+        assert got.shape == (n, law.dim)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("case", sorted(DRAW_LAWS))
+    def test_path_starts_match_one_point_reference(self, case):
+        # each path's start is the first draw of its own stream
+        law, ids = DRAW_LAWS[case], range(40)
+        got = sampling._start_points(
+            law, [sampling.path_rng(9, i) for i in ids], law.dim)
+        want = [one_point_draw(law, sampling.path_rng(9, i)) for i in ids]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
