@@ -5,8 +5,9 @@ are bitwise reproducible and independent of how paths were batched.  The
 engine computes every functional of one dyadic grid in one pass,
 :func:`grid_sums`: it takes the states and the test function F, walks the
 grid's increments in time-major blocks of rows, evaluates F and grad F on
-each block, writes each requested term of the block into one buffer, and
-runs one compensated loop over the buffer's rows in time order.  F must be
+each block, writes every term of the block into one buffer, and runs one
+compensated loop over the buffer's rows in time order.  The result is one
+fixed record per grid, whatever the caller reports from it.  F must be
 pointwise over leading axes, as every catalog entry is: its value at a
 state depends on that state alone, so a block's values are those of the
 whole grid.  Every term is elementwise, so the bytes depend neither on the
@@ -61,14 +62,8 @@ def _check_dyadic(length, what="values"):
     return m
 
 
-# the terms grid_sums knows, in buffer order; the per-axis ones have one
-# row per axis
-_TERMS = ("qv", "cov", "cov_abs", "fwd", "trap", "taylor")
-_PER_AXIS = ("cov", "cov_abs")
-
-
-def grid_sums(states, F, terms):
-    """Compensated sums over one dyadic grid of the requested ``terms``.
+def grid_sums(states, F):
+    """Compensated sums of every term over one dyadic grid.
 
     states: (B, 2^n + 1, d); F: a test function whose ``value`` and
     ``gradient`` are pointwise over leading axes.  F and g = grad F are
@@ -77,33 +72,27 @@ def grid_sums(states, F, terms):
     dx = x_{i+1} - x_i:
 
       "qv"       dF^2                         (quadratic_variation of F)
-      "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
-      "cov_abs"  |dg_k dx_k|                  (its abs_value)
       "fwd"      g_i . dx                     (forward_sum)
       "trap"     (g_i + g_{i+1})/2 . dx       (trapezoid_sum)
       "taylor"   |dF - g_i . dx|              (the Taylor remainder)
+      "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
+      "cov_abs"  |dg_k dx_k|                  (its abs_value)
 
-    Returns {term: (B,) sums, or (d, B) for "cov" and "cov_abs"}, equal bit
-    for bit to the lone references named above on F and g at the states,
-    and "finite": (B,) True where F and g are finite at every state.  The
-    d-axis sums run over the last axis of time-major (rows, B, d) blocks,
-    the order NumPy gives the references' (B, rows, d) products.
+    Returns the grid's record: {term: (B,) sums, or (d, B) for "cov" and
+    "cov_abs"}, equal bit for bit to the lone references named above on F
+    and g at the states; "v": (2, B) F at the grid's first and last states,
+    read from the pass's first and last blocks; and "finite": (B,) True
+    where F and g are finite at every state.  The d-axis sums run over the
+    last axis of time-major (rows, B, d) blocks, the order NumPy gives the
+    references' (B, rows, d) products.
     """
     x = np.asarray(states, dtype=float)
     m = _check_dyadic(x.shape[-2], "states")
     b, d = x.shape[0], x.shape[-1]
-    # each term's index into a buffer row: a slice of d rows for the
-    # per-axis terms, one row otherwise
-    slots, width = {}, 0
-    for term in _TERMS:
-        if term in _PER_AXIS and term in terms:
-            slots[term] = slice(width, width + d)
-            width += d
-        elif term in terms:
-            slots[term] = width
-            width += 1
-    buf = np.empty((min(_BLOCK_ROWS, m), width, b))
+    # buffer rows: qv, fwd, trap, taylor, then d rows of cov and of cov_abs
+    buf = np.empty((min(_BLOCK_ROWS, m), 4 + 2 * d, b))
     finite = np.ones(b, dtype=bool)
+    ends = [None, None]
 
     def blocks():
         for i0 in range(0, m, _BLOCK_ROWS):
@@ -114,34 +103,29 @@ def grid_sums(states, F, terms):
             gt = F.gradient(xt)
             np.logical_and(finite, np.isfinite(vt).all(axis=0)
                            & np.isfinite(gt).all(axis=(0, 2)), out=finite)
+            if i0 == 0:
+                ends[0] = vt[0]
+            ends[1] = vt[-1]
             dv = vt[1:] - vt[:-1]
             dx = xt[1:] - xt[:-1]
-            if "qv" in slots:
-                np.multiply(dv, dv, out=out[:, slots["qv"]])
-            if "cov" in slots or "cov_abs" in slots:
-                prod = ((gt[1:] - gt[:-1]) * dx).transpose(0, 2, 1)
-                if "cov" in slots:
-                    out[:, slots["cov"]] = prod
-                if "cov_abs" in slots:
-                    np.abs(prod, out=out[:, slots["cov_abs"]])
-            if "fwd" in slots or "taylor" in slots:
-                gdx = (gt[:-1] * dx).sum(axis=-1)
-                if "fwd" in slots:
-                    out[:, slots["fwd"]] = gdx
-                if "taylor" in slots:
-                    np.abs(dv - gdx, out=out[:, slots["taylor"]])
-            if "trap" in slots:
-                mid = 0.5 * (gt[:-1] + gt[1:])
-                out[:, slots["trap"]] = (mid * dx).sum(axis=-1)
+            np.multiply(dv, dv, out=out[:, 0])
+            gdx = (gt[:-1] * dx).sum(axis=-1)
+            out[:, 1] = gdx
+            mid = 0.5 * (gt[:-1] + gt[1:])
+            out[:, 2] = (mid * dx).sum(axis=-1)
+            np.abs(dv - gdx, out=out[:, 3])
+            prod = ((gt[1:] - gt[:-1]) * dx).transpose(0, 2, 1)
+            out[:, 4:4 + d] = prod
+            np.abs(prod, out=out[:, 4 + d:])
             yield out
 
     # a path whose F or g is not finite somewhere is reported by
     # "finite", not by a warning from its sums
     with np.errstate(invalid="ignore"):
-        s = _kahan_rows(blocks(), (width, b))
-    sums = {term: s[slot] for term, slot in slots.items()}
-    sums["finite"] = finite
-    return sums
+        s = _kahan_rows(blocks(), (4 + 2 * d, b))
+    return {"qv": s[0], "fwd": s[1], "trap": s[2], "taylor": s[3],
+            "cov": s[4:4 + d], "cov_abs": s[4 + d:], "v": np.stack(ends),
+            "finite": finite}
 
 
 def quadratic_variation(values):

@@ -8,11 +8,14 @@ equal configs share a hash.  Integrability gates run before any path is
 simulated: a scenario whose test function fails its condition against the
 initial law's potential dies in seconds, not minutes.
 
-Per-path functional values are a bitwise-deterministic function of
-(scenario, path_id): workers receive contiguous path_id chunks, results
-are reassembled in path_id order, and every reduction is a fixed-order
-compensated sum, so the worker count can never change a byte of the
-emitted CSVs.
+Per-path sums are a bitwise-deterministic function of (scenario,
+path_id): workers receive contiguous path_id chunks and return one fixed
+record of sums per dyadic grid (calculus.grid_sums), whatever sweeps are
+listed.  The reduction joins the records in path_id order, then applies
+the sweep table, the gate's denominators and the trapezoid gap once over
+every path.  Each of these is elementwise per path, and every reduction
+is a fixed-order compensated sum, so neither the worker count nor the
+companion sweeps can change a byte of the emitted CSVs.
 """
 
 from __future__ import annotations
@@ -44,17 +47,15 @@ CSV_HEADER = "functional,n,mean,stderr,count"
 @dataclass(frozen=True)
 class PathSweep:
     """One path sweep.  ``functional`` and ``denom`` hold ``{k}`` when the
-    sweep reports one functional per axis k.  ``value(p, k)`` reads the
-    sums of the ``needs`` terms of one dyadic grid (see calculus.grid_sums)
-    from ``p``, and ``p["v"]``, F at the grid's two endpoints; the result
-    is divided by the gate_scenario denominator ``denom`` if there is one.
+    sweep reports one functional per axis k.  ``value(p, k)`` reads one
+    dyadic grid's record ``p`` (see calculus.grid_sums); the result is
+    divided by the gate_scenario denominator ``denom`` if there is one.
     ``gate`` is the integrability condition (1 or 2) the sweep relies on,
     and ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
     "no-growth" (see _no_growth)."""
 
     name: str
     functional: str
-    needs: tuple
     gate: int
     denom: str | None
     verdict: str
@@ -80,29 +81,28 @@ def _covariation_total(p, k):
 def _ito_residual(p, k):
     """|R_n|, R_n = F(X_S) - F(X_0) - forward sum - half covariation."""
     v = p["v"]
-    return np.abs((v[:, -1] - v[:, 0]) - p["fwd"] - _half_covariation(p))
+    return np.abs((v[1] - v[0]) - p["fwd"] - _half_covariation(p))
 
 
 SWEEP_TABLE = {row.name: row for row in (
-    #         name            functional          needs
-    #         gate  denom         verdict      value
-    PathSweep("qv",           "qv",               ("qv",),
-              1,    None,         "report",    lambda p, k: p["qv"]),
-    PathSweep("covariation",  "covariation",      ("cov",),
-              1,    None,         "report",    _covariation_total),
-    PathSweep("forward",      "forward",          ("fwd",),
-              1,    None,         "report",    lambda p, k: p["fwd"]),
-    PathSweep("trapezoid",    "trapezoid",        ("trap", "fwd", "cov"),
-              1,    None,         "trapezoid", lambda p, k: p["trap"]),
-    PathSweep("ito_residual", "ito_residual_abs", ("fwd", "cov"),
-              2,    None,         "report",    _ito_residual),
-    PathSweep("prop1",        "prop1_ratio",      ("qv",),
-              1,    "prop1",      "no-growth", lambda p, k: p["qv"]),
-    PathSweep("prop2",        "prop2_ratio_k{k}", ("cov_abs",),
-              1,    "prop2_k{k}", "no-growth",
-              lambda p, k: p["cov_abs"][k]),
-    PathSweep("prop3",        "prop3_ratio",      ("taylor",),
-              2,    "prop3",      "no-growth", lambda p, k: p["taylor"]),
+    #         name            functional          gate  denom
+    #         verdict      value
+    PathSweep("qv",           "qv",               1,    None,
+              "report",    lambda p, k: p["qv"]),
+    PathSweep("covariation",  "covariation",      1,    None,
+              "report",    _covariation_total),
+    PathSweep("forward",      "forward",          1,    None,
+              "report",    lambda p, k: p["fwd"]),
+    PathSweep("trapezoid",    "trapezoid",        1,    None,
+              "trapezoid", lambda p, k: p["trap"]),
+    PathSweep("ito_residual", "ito_residual_abs", 2,    None,
+              "report",    _ito_residual),
+    PathSweep("prop1",        "prop1_ratio",      1,    "prop1",
+              "no-growth", lambda p, k: p["qv"]),
+    PathSweep("prop2",        "prop2_ratio_k{k}", 1,    "prop2_k{k}",
+              "no-growth", lambda p, k: p["cov_abs"][k]),
+    PathSweep("prop3",        "prop3_ratio",      2,    "prop3",
+              "no-growth", lambda p, k: p["taylor"]),
 )}
 
 PATH_SWEEPS = tuple(SWEEP_TABLE)
@@ -110,34 +110,26 @@ SWEEPS = PATH_SWEEPS + ("aronson", "potential")
 RATIO_SWEEPS = frozenset(s for s, row in SWEEP_TABLE.items() if row.denom)
 
 
-def grid_values(rows, states, F, denoms):
+def sweep_values(rows, p, denoms):
     """Per-path values of the rows' functionals on one dyadic grid.
 
-    states: (B, 2^n + 1, d); F: the test function, evaluated block by
-    block inside the one compensated pass (see calculus.grid_sums) that
-    sums every term the rows need.  ``p["v"]`` holds F at the grid's two
-    endpoints.  Returns ({(sweep, functional): (B,) array}, gap, finite),
-    where gap is the largest relative distance of the trapezoid sum from
-    forward + half covariation (0.0 without a trapezoid row) and finite is
-    (B,) True where F and grad F are finite at every state.
+    p: the grid's record (see calculus.grid_sums) over B paths; denoms:
+    the gate_scenario denominators.  Returns ({(sweep, functional): (B,)
+    array}, gap), where gap is the largest relative distance of the
+    trapezoid sum from forward + half covariation.  Every value is
+    elementwise per path, so the bits do not depend on B.
     """
-    p = calculus.grid_sums(states, F,
-                           {term for row in rows for term in row.needs})
-    p["v"] = F.value(states[:, [0, -1]])
     out = {}
-    gap = 0.0
     for row in rows:
         per_axis = "{k}" in row.functional
-        for k in range(states.shape[-1]) if per_axis else [None]:
+        for k in range(len(p["cov"])) if per_axis else [None]:
             val = row.value(p, k)
             if row.denom:
                 val = val / denoms[row.denom.format(k=k)]
             out[(row.name, row.functional.format(k=k))] = val
-        if row.verdict == "trapezoid":
-            rel = np.abs(val - p["fwd"] - _half_covariation(p))
-            rel /= np.maximum(1.0, np.abs(val))
-            gap = float(rel.max())
-    return out, gap, p["finite"]
+    rel = np.abs(p["trap"] - p["fwd"] - _half_covariation(p))
+    rel /= np.maximum(1.0, np.abs(p["trap"]))
+    return out, float(rel.max())
 
 
 def _no_growth(rows, window=3):
@@ -430,6 +422,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
     cfg, given = _walk("", CONFIG_SCHEMA, raw)
 
     sweeps = set(cfg["sweeps"])
+    if len(sweeps) != len(cfg["sweeps"]):
+        twice = sorted(s for s in sweeps if cfg["sweeps"].count(s) > 1)
+        raise ConfigError(f"sweeps: {', '.join(twice)} listed more than once")
     paths = sweeps & set(PATH_SWEEPS)
     orders = cfg["orders"]
     if orders != sorted(set(orders)):
@@ -577,23 +572,27 @@ def gate_scenario(scn):
 
 # ---------------------------------------------------------------- evaluation
 
-def evaluate_chunk(scn, start, stop, denoms):
-    """Per-path functional values for path_ids in [start, stop).
+def _joined(records):
+    """One grid_sums record over the paths of ``records``, in order."""
+    return {key: np.concatenate([r[key] for r in records], axis=-1)
+            for key in records[0]}
+
+
+def evaluate_chunk(scn, start, stop):
+    """The grid_sums record of each order's grid for path_ids in
+    [start, stop).
 
     Paths are drawn BATCH_PATHS at a time; a batch's working set is its
-    states, since grid_values evaluates F block by block, and each batch
-    is released before the next is drawn.  Returns {"values": {(sweep,
-    functional, n): array}, "trap_violation": float}.  Arrays are indexed
-    by path_id - start.  Raises Error naming the first path whose F
-    or grad F is not finite at a recorded state.
+    states, since grid_sums evaluates F block by block, and each batch is
+    released before the next is drawn.  Returns {n: record}, each array's
+    last axis indexed by path_id - start.  Raises Error naming the first
+    path whose F or grad F is not finite at a recorded state.
     """
-    rows = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
     orders = scn.orders
     n_top = max(orders)
     stride = round(scn.horizon / scn.fine_step) // 2 ** n_top
     F = scn.F
-    values = {}
-    trap_violation = 0.0
+    records = {n: [] for n in orders}
 
     for b0 in range(start, stop, BATCH_PATHS):
         b1 = min(b0 + BATCH_PATHS, stop)
@@ -601,28 +600,22 @@ def evaluate_chunk(scn, start, stop, denoms):
             scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step,
             scn.seed, range(b0, b1), stride=stride,
             scheme_params=scn.cfg["scheme_params"])
-        sl = slice(b0 - start, b1 - start)
         # the top order first: its grid holds every recorded state
         for n in reversed(orders):
-            step = 2 ** (n_top - n)
-            got, gap, finite = grid_values(rows, states[:, ::step, :], F,
-                                           denoms)
-            if not finite.all():
+            p = calculus.grid_sums(states[:, ::2 ** (n_top - n), :], F)
+            if not p["finite"].all():
                 raise Error(
-                    f"path {b0 + int(np.argmax(~finite))}: {F.name} or its "
-                    "gradient is not finite at a recorded state")
-            for (sweep, functional), arr in got.items():
-                values.setdefault((sweep, functional, n),
-                                  np.empty(stop - start))[sl] = arr
-            trap_violation = max(trap_violation, gap)
+                    f"path {b0 + int(np.argmax(~p['finite']))}: {F.name} or "
+                    "its gradient is not finite at a recorded state")
+            records[n].append(p)
         del states
-    return {"values": values, "trap_violation": trap_violation}
+    return {n: _joined(parts) for n, parts in records.items()}
 
 
-def _chunk_entry(spec_json, start, stop, denoms):
+def _chunk_entry(spec_json, start, stop):
     """Worker entry point; rebuilds the scenario from its canonical JSON."""
     scn = load_scenario(json.loads(spec_json))
-    return evaluate_chunk(scn, start, stop, denoms)
+    return evaluate_chunk(scn, start, stop)
 
 
 # ---------------------------------------------------------------- manifest
@@ -729,15 +722,22 @@ def _run_potential(scn, U, incidents):
 _KERNEL_SWEEPS = {"aronson": _run_aronson, "potential": _run_potential}
 
 
-def _path_sweep_reports(scn, chunks):
-    """Reduce chunk values into (CSV rows, verdict, artifacts) per sweep."""
-    trap_violation = max(c["trap_violation"] for c in chunks)
+def _path_sweep_reports(scn, chunks, denoms):
+    """Reduce the chunks' records into (CSV rows, verdict, artifacts) per
+    sweep: the sweep table, the denominators and the trapezoid gap apply
+    once, over every path of each order."""
+    table = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
+    values, trap_violation = {}, 0.0
+    for n in scn.orders:
+        got, gap = sweep_values(table, _joined([c[n] for c in chunks]),
+                                denoms)
+        for (sweep, functional), arr in got.items():
+            values[(sweep, functional, n)] = arr
+        trap_violation = max(trap_violation, gap)
     rows = {s: [] for s in scn.sweeps if s in PATH_SWEEPS}
-    keys = list(chunks[0]["values"])
-    stacked = np.stack([np.concatenate([c["values"][key] for c in chunks])
-                        for key in keys])
+    stacked = np.stack(list(values.values()))
     means, ses = calculus.mean_stderr(stacked)
-    for (sweep, functional, n), mean, se in zip(keys, means, ses):
+    for (sweep, functional, n), mean, se in zip(values, means, ses):
         rows[sweep].append((functional, n, float(mean), float(se),
                             stacked.shape[1]))
     out = {}
@@ -761,29 +761,34 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
     RunManifest (also saved as manifest.json in the output directory).
     """
     t0 = time.monotonic()
+    if int(workers) < 1:
+        raise Error(f"workers: must be >= 1, got {workers}")
     scn = load_scenario(config, out_dir=out_dir, seed_override=seed_override)
     os.makedirs(scn.out_dir, exist_ok=True)
     incidents = {"leakage_warnings": 0}
     conditions, denoms, U = gate_scenario(scn)
 
     results = {}
+    # the manifest's workers: the path chunks that ran
+    chunked = 1
     if any(s in PATH_SWEEPS for s in scn.sweeps):
         spec_json = canonical_json(scn.spec)
         n = scn.n_paths
-        w = max(1, min(int(workers), n))
+        w = min(int(workers), n)
         bounds = np.linspace(0, n, w + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:])
                  if b > a]
-        if len(spans) == 1:
-            chunks = [evaluate_chunk(scn, 0, n, denoms)]
+        chunked = len(spans)
+        if chunked == 1:
+            chunks = [evaluate_chunk(scn, 0, n)]
         else:
             # a one-worker run never loads the multiprocessing machinery
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-                futs = [pool.submit(_chunk_entry, spec_json, a, b, denoms)
+            with ProcessPoolExecutor(max_workers=chunked) as pool:
+                futs = [pool.submit(_chunk_entry, spec_json, a, b)
                         for a, b in spans]
                 chunks = [f.result() for f in futs]
-        results.update(_path_sweep_reports(scn, chunks))
+        results.update(_path_sweep_reports(scn, chunks, denoms))
     for s, run in _KERNEL_SWEEPS.items():
         if s in scn.sweeps:
             results[s] = run(scn, U, incidents)
@@ -800,7 +805,7 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
         spec=scn.spec, reports=reports, artifacts=artifacts,
         verdicts=verdicts, conditions=conditions, incidents=incidents,
         wall_clock_s=round(time.monotonic() - t0, 3),
-        workers=int(workers))
+        workers=chunked)
     manifest.save(os.path.join(scn.out_dir, "manifest.json"))
     return manifest
 

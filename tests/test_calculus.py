@@ -31,8 +31,8 @@ def em_paths(count, fine_step, seed, stride, horizon=1.0, dim=1):
 def row_values(sweep, F, states, denoms=None):
     """The engine's per-path values of one sweep row on raw states
     (B, 2^n + 1, d); returns ({functional: values}, trapezoid gap)."""
-    got, gap, _ = runner.grid_values([runner.SWEEP_TABLE[sweep]], states, F,
-                                     denoms or {})
+    got, gap = runner.sweep_values([runner.SWEEP_TABLE[sweep]],
+                                   calc.grid_sums(states, F), denoms or {})
     return {functional: v for (_, functional), v in got.items()}, gap
 
 
@@ -161,10 +161,9 @@ class TestForwardAndTrapezoid:
         # |trap - fwd - half covariation| / max(1, |trap|)
         g, x = arrays
         F = pointwise(x, x[..., 0], g)
-        got, gap, _ = runner.grid_values([runner.SWEEP_TABLE["trapezoid"]],
-                                         x, F, {})
+        got, gap = row_values("trapezoid", F, x)
         assert gap <= runner.TRAPEZOID_TOL
-        np.testing.assert_array_equal(got[("trapezoid", "trapezoid")],
+        np.testing.assert_array_equal(got["trapezoid"],
                                       calc.trapezoid_sum(F.gradient(x), x))
 
     def test_shape_mismatch(self):
@@ -225,14 +224,17 @@ class TestOnePass:
         denoms = dict.fromkeys(
             ["prop1", "prop3"] + [f"prop2_k{k}"
                                   for k in range(states.shape[-1])], 1.0)
+        ends = F.value(states[:, [0, -1]]).T
         for block in (1, 3, 64, 1024):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(calc, "_BLOCK_ROWS", block)
-                sums = calc.grid_sums(states, F, set(ref))
-                got, _, finite = runner.grid_values(rows, states, F, denoms)
+                sums = calc.grid_sums(states, F)
+            got, _ = runner.sweep_values(rows, sums, denoms)
+            assert set(sums) == set(ref) | {"v", "finite"}
             for term, want in ref.items():
                 assert same_bytes(sums[term], want), (term, block)
-            assert sums["finite"].all() and finite.all()
+            assert same_bytes(sums["v"], ends), block
+            assert sums["finite"].all()
             assert same_bytes(got[("qv", "qv")], ref["qv"])
             assert same_bytes(got[("forward", "forward")], ref["fwd"])
             assert same_bytes(got[("trapezoid", "trapezoid")], ref["trap"])
@@ -242,22 +244,39 @@ class TestOnePass:
                                   abs_k)
 
     def test_one_compensated_loop_per_grid(self, monkeypatch):
-        loops = []
-        kahan_rows = calc._kahan_rows
+        loops, calls, passes = [], {"in": 0, "out": 0}, []
+        kahan_rows, grid_sums = calc._kahan_rows, calc.grid_sums
 
         def counted(blocks, shape):
             loops.append(shape)
             return kahan_rows(blocks, shape)
 
+        def in_pass(*args):
+            passes.append(True)
+            try:
+                return grid_sums(*args)
+            finally:
+                passes.pop()
+
         monkeypatch.setattr(calc, "_kahan_rows", counted)
+        monkeypatch.setattr(calc, "grid_sums", in_pass)
         monkeypatch.setattr(runner, "BATCH_PATHS", 16)
         scn = runner.load_scenario(dict(SIN_CONFIG, n_paths=40,
                                         sweeps=list(runner.PATH_SWEEPS)))
-        denoms = runner.gate_scenario(scn)[1]
-        loops.clear()
-        runner.evaluate_chunk(scn, 0, 40, denoms)
-        # three batches of one grid per order
+        value = scn.F.value
+
+        def counted_value(x):
+            calls["in" if passes else "out"] += 1
+            return value(x)
+
+        scn = dataclasses.replace(
+            scn, F=dataclasses.replace(scn.F, value=counted_value))
+        runner.evaluate_chunk(scn, 0, 40)
+        # three batches of one grid per order, and F once per block of
+        # each grid, all inside the pass
         assert len(loops) == 3 * len(scn.orders)
+        blocks = sum(-(-2 ** n // calc._BLOCK_ROWS) for n in scn.orders)
+        assert calls == {"in": 3 * blocks, "out": 0}
 
 
 def qv_root(v):
@@ -344,7 +363,7 @@ class TestItoResidual:
                  n_paths=1), out_dir=str(tmp_path))
         scn = dataclasses.replace(scn, F=F)
         with pytest.raises(Error, match="path 0: logabs"):
-            runner.evaluate_chunk(scn, 0, 1, {})
+            runner.evaluate_chunk(scn, 0, 1)
 
     def test_nonfinite_state_named_over_every_order(self, monkeypatch):
         # path 1's gradient is infinite only at fine index 1, which order
@@ -358,7 +377,7 @@ class TestItoResidual:
         monkeypatch.setattr(sampling, "generate_batch",
                             lambda *a, **kw: drawn.append(
                                 generate(*a, **kw)) or drawn[-1])
-        runner.evaluate_chunk(scn, 0, 3, {})
+        runner.evaluate_chunk(scn, 0, 3)
         bad = {drawn[0][1, 1].tobytes(), drawn[0][2, 0].tobytes()}
 
         def grad(x):
@@ -368,7 +387,7 @@ class TestItoResidual:
 
         F = dataclasses.replace(scn.F, gradient=grad)
         with pytest.raises(Error, match="path 1: sin1d"):
-            runner.evaluate_chunk(dataclasses.replace(scn, F=F), 0, 3, {})
+            runner.evaluate_chunk(dataclasses.replace(scn, F=F), 0, 3)
 
 
 class TestReports:

@@ -166,12 +166,10 @@ class TestEvaluateBudget:
     def chunk_peak(self, monkeypatch, extra=False):
         monkeypatch.setattr(runner, "BATCH_PATHS", self.B)
         scn = runner.load_scenario(self.CONFIG)
-        denoms = dict.fromkeys(
-            ["prop1", "prop3"] + [f"prop2_k{k}" for k in range(self.D)], 1.0)
 
         def call():
             held = np.ones(self.batch_shape()) if extra else None
-            return runner.evaluate_chunk(scn, 0, 3 * self.B, denoms), held
+            return runner.evaluate_chunk(scn, 0, 3 * self.B), held
         return traced_peak(call)[1]
 
     def batch_shape(self):

@@ -309,6 +309,11 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="sweeps"):
             runner.load_scenario(quad_config(sweeps=["qv", "turbo"]))
 
+    def test_sweep_listed_twice(self):
+        # ["qv", "qv"] would run like ["qv"] under another hash
+        with pytest.raises(ConfigError, match="sweeps: qv listed more"):
+            runner.load_scenario(quad_config(sweeps=["qv", "prop1", "qv"]))
+
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="scheme"):
             runner.load_scenario(quad_config(scheme="milstein"))
@@ -679,6 +684,33 @@ class TestRunScenario:
         man = runner.run_scenario(cfg, workers=8, out_dir=str(tmp_path))
         rows = report(man, "qv")
         assert rows[0][4] == 3
+        # the manifest records the three path chunks that ran
+        assert man.workers == 3
+        saved = json.loads((tmp_path / "manifest.json").read_text())
+        assert saved["workers"] == 3
+
+    def test_workers_without_path_sweeps(self, tmp_path):
+        man = runner.run_scenario(quad_config(sweeps=["potential"]),
+                                  workers=4, out_dir=str(tmp_path))
+        assert man.workers == 1
+
+    @pytest.mark.parametrize("cfg", [
+        quad_config(orders=[2, 5, 8], n_paths=24, potential={
+            "route": "grid", "kernel": {"box": [-11.0, 11.0], "h": 0.05}}),
+        dict(D2_ALL_SWEEPS, box=[-10.0, 10.0], quad_h=0.2, potential={
+            "route": "grid", "kernel": {"box": [-11.0, 11.0], "h": 0.2}})],
+        ids=["d1", "d2"])
+    def test_sweeps_do_not_depend_on_companions(self, tmp_path, cfg):
+        # every grid yields one fixed record of sums, so a sweep's report
+        # is the same bytes alone as beside all eight
+        together = runner.run_scenario(cfg, out_dir=str(tmp_path / "all"))
+        assert set(together.reports) == set(runner.PATH_SWEEPS)
+        for sweep in runner.PATH_SWEEPS:
+            alone = runner.run_scenario(dict(cfg, sweeps=[sweep]),
+                                        out_dir=str(tmp_path / sweep))
+            assert ((tmp_path / sweep / f"{sweep}.csv").read_bytes()
+                    == (tmp_path / "all" / f"{sweep}.csv").read_bytes()), sweep
+            assert alone.verdicts == {sweep: together.verdicts[sweep]}
 
     def test_linear_ito_residual_vanishes(self, tmp_path):
         cfg = quad_config(function={"name": "linear", "c": [2.0]},
@@ -1188,6 +1220,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: report file {report_path} ") and (
             err.count("\n") == 1)
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(quad_config(sweeps=["qv"])))
+        with pytest.raises(Error, match="workers"):
+            runner.run_scenario(str(path), workers=int(workers),
+                                out_dir=str(tmp_path / "o"))
+        assert cli_main(["run", str(path), "--workers", workers,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: workers: must be >= 1, got {workers}\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_function_exit_two(self, tmp_path, capsys):
