@@ -119,9 +119,9 @@ def grid_sums(states, F):
             np.abs(prod, out=out[:, 4 + d:])
             yield out
 
-    # a path whose F or g is not finite somewhere is reported by
-    # "finite", not by a warning from its sums
-    with np.errstate(invalid="ignore"):
+    # no warnings: a path whose F or g overflows or is not finite is
+    # reported by "finite", and a sum that overflows is not finite itself
+    with np.errstate(invalid="ignore", over="ignore"):
         s = _kahan_rows(blocks(), (4 + 2 * d, b))
     return {"qv": s[0], "fwd": s[1], "trap": s[2], "taylor": s[3],
             "cov": s[4:4 + d], "cov_abs": s[4 + d:], "v": np.stack(ends),

@@ -92,15 +92,18 @@ def _trap_rect(rows, U, pairs, hs=None, counts=None):
     pts = np.stack([g.ravel() for g in np.meshgrid(*sub, indexing="ij")],
                    axis=-1)
     part = np.asarray(rows(pts), dtype=float) * U(pts)
-    wt = functools.reduce(np.multiply.outer, weights)
-    full = np.zeros(wt.shape)
+    del pts
+    # the weights on the window only: the same products as the full
+    # box's outer product has there
+    wt = functools.reduce(np.multiply.outer,
+                          [w[s] for w, s in zip(weights, win)])
+    full = np.zeros(tuple(ax.shape[0] for ax in axes))
     sums = []
-    for row in part.reshape(len(part), *(ax.shape[0] for ax in sub)):
-        full[win] = row
-        # in place: off the window full stays 0; one contiguous 1-d sum
-        # over every node keeps numpy's pairwise blocking, so a row sums
-        # to the same bits as it would alone
-        full *= wt
+    for row in part.reshape(len(part), *wt.shape):
+        # off the window full stays 0; one contiguous 1-d sum over every
+        # node keeps numpy's pairwise blocking, so a row sums to the same
+        # bits as it would alone
+        full[win] = row * wt
         sums.append(full.ravel().sum())
     return np.array(sums)
 

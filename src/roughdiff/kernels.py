@@ -496,16 +496,25 @@ class PotentialField:
     def integral(self, box=None, h=None):
         """Trapezoid integral of U over a box (defaults to the stored
         grid extent)."""
-        if self.axes is not None and box is None:
-            axes, vals = self.axes, self.values
+        stored = self.axes is not None and box is None
+        if stored:
+            axes = self.axes
         elif box is None or h is None:
             raise Error("closed-form potentials need box and h")
         else:
             axes, _ = _axes_volumes(box, h, self.dim)
-            vals = self.grid(axes)
-        for ax in reversed(axes):
-            vals = np.trapezoid(vals, ax, axis=-1)
-        return float(vals)
+        # a block of rows at a time: each row's integral has the bits of
+        # the whole table's, without its table-sized temporaries
+        head, rest = axes[0], axes[1:]
+        block = LQ_ROW_BLOCK if rest else head.shape[0]
+        rows = np.empty(head.shape[0])
+        for i in range(0, head.shape[0], block):
+            vals = (self.values[i:i + block] if stored
+                    else self.grid([head[i:i + block], *rest]))
+            for ax in reversed(rest):
+                vals = np.trapezoid(vals, ax, axis=-1)
+            rows[i:i + block] = vals
+        return float(np.trapezoid(rows, head))
 
     def save(self, prefix):
         """Write <prefix>.csv, the grid of values (one line per x in 2-d),
@@ -714,14 +723,17 @@ def _terminal_states(field, nu, n, t_cap, step, rng):
     """
     T = rng.exponential(size=n)
     np.minimum(T, t_cap, out=T)
-    x0 = _sampling.sample_initial(nu, rng, n)
     if field.is_constant:
+        # a Dirac draws nothing, so its one point is added by broadcasting
+        x0 = (nu.points[0] if nu.kind == "dirac"
+              else _sampling.sample_initial(nu, rng, n))
         # x0 + sqrt(T) (z sqrt(2 a)), formed in z
         z = rng.standard_normal((n, field.dim))
         z *= np.sqrt(2.0 * field._diag_many(np.zeros((1, field.dim)))[0])
         z *= np.sqrt(T, out=T)[:, None]
         z += x0
         return z
+    x0 = _sampling.sample_initial(nu, rng, n)
     _sampling.check_em_field(field)
     # minus the step counts, so a stable sort puts the most steps first
     neg = np.divide(T, -step)
@@ -748,10 +760,29 @@ KDE_MAX_HALFWIDTH = 24.0
 
 def _median(samples):
     """np.median(samples, axis=0) bit for bit, by its own partition and
-    mean, without the NaN check that imports numpy.ma."""
+    mean, without the NaN check that imports numpy.ma.  Each column is
+    partitioned alone, so one column is copied at a time."""
     k = range((samples.shape[0] - 1) // 2, samples.shape[0] // 2 + 1)
-    return np.partition(samples, [*k, -1], axis=0)[k.start:k.stop].mean(
-        axis=0)
+    mid = np.empty((len(k), samples.shape[1]))
+    for j in range(samples.shape[1]):
+        mid[:, j] = np.partition(samples[:, j], [*k, -1])[k.start:k.stop]
+    return mid.mean(axis=0)
+
+
+def _bin_index(samples, edges):
+    """Each sample's bin as one flat index into the grid of ``edges``
+    padded by one outlier bin per side, built axis by axis in place by
+    np.histogramdd's rule: bin searchsorted(e, x, "right") on each axis,
+    a sample on the last edge moved one bin left."""
+    flat = np.zeros(samples.shape[0], dtype=np.intp)
+    for k, e in enumerate(edges):
+        x = samples[:, k]
+        idx = np.searchsorted(e, x, side="right")
+        idx[x == e[-1]] -= 1
+        flat *= e.shape[0] + 1
+        flat += idx
+        del idx
+    return flat
 
 
 def _kde_field(samples, bw, dim, params):
@@ -772,17 +803,21 @@ def _kde_field(samples, bw, dim, params):
     kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
     kern = np.exp(-0.5 * (kx / bw) ** 2)
     kern /= kern.sum() * bin_h
-    dens, edges = np.histogramdd(
-        samples, bins=[np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)])
-    dens /= samples.shape[0]
+    edges = [np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)]
+    n, padded = samples.shape[0], [e.shape[0] + 1 for e in edges]
+    flat = _bin_index(samples, edges)
     del samples
+    counts = np.bincount(flat, minlength=int(np.prod(padded)))
+    del flat
+    # counts are exact integers, so this has the bits of histogramdd's
+    # float table divided by n
+    dens = np.divide(counts.reshape(padded)[(slice(1, -1),) * dim], n)
     for k in range(dim):
-        # each line along axis k convolved into one preallocated output
-        lines, out = np.moveaxis(dens, k, -1), np.empty(dens.shape)
-        conv = np.moveaxis(out, k, -1)
+        # in place: each convolve reads its own line and returns a new
+        # array before the line is overwritten
+        lines = np.moveaxis(dens, k, -1)
         for i in np.ndindex(lines.shape[:-1]):
-            conv[i] = np.convolve(lines[i], kern, mode="same")
-        dens = out
+            lines[i] = np.convolve(lines[i], kern, mode="same")
     return PotentialField(route="monte-carlo-kde", dim=dim, params=params,
                           axes=[0.5 * (e[:-1] + e[1:]) for e in edges],
                           values=dens)
@@ -804,7 +839,9 @@ def _k0(z):
     """The modified Bessel function K0 at z >= 0 (inf at 0), in numpy
     alone."""
     z = np.asarray(z, dtype=float)
-    k = np.exp(-z) * (np.exp(-np.multiply.outer(z, _K0_C)) @ _K0_W)
+    # -(z c) is z (-c) exactly, so the table is exponentiated in place
+    e = np.multiply.outer(z, -_K0_C)
+    k = np.exp(-z) * (np.exp(e, out=e) @ _K0_W)
     return np.where(z > 0.0, k, np.inf)
 
 

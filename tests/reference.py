@@ -1,5 +1,6 @@
 """Exact references the kernel tests compare the engine against, the
-sparse finite-volume operator with its SuperLU solves, the one-point
+sparse finite-volume operator with its SuperLU solves, the KDE table by
+np.histogramdd and a second table per convolution, the one-point
 initial-law sampler the vectorized draw is pinned to, and the byte
 digest the catalog pins read.
 
@@ -65,6 +66,35 @@ def superlu_potential(field, nu, box, h):
     K = sparse.diags(vol) - flux_matrix(couplings, shape)
     lu = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
     return lu.solve(kernels._node_mass(nu, axes, h).ravel()).reshape(shape)
+
+
+def kde_field(samples, bw, dim, params):
+    """The Monte Carlo potential's table the direct way: the clipped
+    samples binned by np.histogramdd, the counts divided by n, then each
+    line along each axis convolved into a second table.  The KDE route
+    is checked against it bit for bit."""
+    bin_h = bw / 10.0 if dim == 1 else bw / 5.0
+    center = np.median(samples, axis=0)
+    samples = np.clip(samples, center - kernels.KDE_MAX_HALFWIDTH,
+                      center + kernels.KDE_MAX_HALFWIDTH)
+    lo = samples.min(axis=0) - 5.0 * bw
+    hi = samples.max(axis=0) + 5.0 * bw
+    kx = np.arange(-5 * bw, 5 * bw + bin_h / 2, bin_h)
+    kern = np.exp(-0.5 * (kx / bw) ** 2)
+    kern /= kern.sum() * bin_h
+    dens, edges = np.histogramdd(
+        samples, bins=[np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)])
+    dens /= samples.shape[0]
+    for k in range(dim):
+        lines, out = np.moveaxis(dens, k, -1), np.empty(dens.shape)
+        conv = np.moveaxis(out, k, -1)
+        for i in np.ndindex(lines.shape[:-1]):
+            conv[i] = np.convolve(lines[i], kern, mode="same")
+        dens = out
+    return kernels.PotentialField(route="monte-carlo-kde", dim=dim,
+                                  params=params,
+                                  axes=[0.5 * (e[:-1] + e[1:]) for e in edges],
+                                  values=dens)
 
 
 def _sample_axis(u, cum, edges):

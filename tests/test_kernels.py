@@ -17,8 +17,8 @@ from roughdiff import runner, sampling
 from roughdiff.errors import Error
 from roughdiff.fields import make_field
 
-from reference import (exact_brownian_kernel, flux_matrix, superlu_potential,
-                       tabulate_kernel)
+from reference import (exact_brownian_kernel, flux_matrix, kde_field,
+                       superlu_potential, tabulate_kernel)
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
 # 240 log-spaced times from 1e-4 to 8, snapped to steps of 1e-4 (at least
@@ -957,6 +957,68 @@ TINY_MC_RUN = {
     "potential": {"route": "monte-carlo", "n_samples": 100_000,
                   "step": 0.125, "t_cap": 2.0},
 }
+
+
+def kde_edges(samples, dim):
+    """The bin edges the KDE route builds for unclipped samples."""
+    bw = kn.KDE_BANDWIDTH[dim]
+    bin_h = bw / 10.0 if dim == 1 else bw / 5.0
+    lo = samples.min(axis=0) - 5.0 * bw
+    hi = samples.max(axis=0) + 5.0 * bw
+    return [np.arange(a, b + bin_h, bin_h) for a, b in zip(lo, hi)]
+
+
+@st.composite
+def kde_samples(draw):
+    """(n, d) samples in [-3, 3], which the KDE route does not clip, with
+    rows at -1 and 1 and, after them, rows exactly on interior bin edges
+    of the grid the route builds."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(0, 40))
+    base = np.concatenate([
+        np.full((1, d), -1.0), np.full((1, d), 1.0),
+        draw(hnp.arrays(float, (n, d), elements=st.floats(-3.0, 3.0)))])
+    # every edge in [-1, 1] lies inside the samples' range, so rows on
+    # them leave the edges as they are
+    on_edge = [e[(e >= -1.0) & (e <= 1.0)] for e in kde_edges(base, d)]
+    k = draw(st.integers(1, 8))
+    rows = np.array([[draw(st.sampled_from(list(e))) for e in on_edge]
+                     for _ in range(k)])
+    return np.concatenate([base, rows])
+
+
+class TestKdeBinning:
+    @settings(max_examples=40, deadline=None)
+    @given(kde_samples())
+    def test_table_equals_histogramdd_reference(self, samples):
+        d = samples.shape[1]
+        bw = kn.KDE_BANDWIDTH[d]
+        got = kn._kde_field(samples.copy(), bw, d, {})
+        want = kde_field(samples, bw, d, {})
+        assert got.values.tobytes() == want.values.tobytes()
+        assert [a.tobytes() for a in got.axes] == [
+            a.tobytes() for a in want.axes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bin_index_follows_histogramdd(self, data):
+        # samples on every edge, the last one included, and beyond both
+        # ends, where histogramdd drops them
+        d = data.draw(st.sampled_from([1, 2]))
+        edges = [np.sort(data.draw(hnp.arrays(
+            float, data.draw(st.integers(2, 12)), unique=True,
+            elements=st.floats(-5.0, 5.0)))) for _ in range(d)]
+        value = [st.one_of(st.sampled_from(list(e)), st.floats(-6.0, 6.0))
+                 for e in edges]
+        samples = np.array(data.draw(st.lists(
+            st.tuples(*value), min_size=1, max_size=30)))
+        samples = np.concatenate([samples, [[e[-1] for e in edges]]])
+        padded = [e.shape[0] + 1 for e in edges]
+        counts = np.bincount(kn._bin_index(samples, edges),
+                             minlength=int(np.prod(padded)))
+        core = counts.reshape(padded)[(slice(1, -1),) * d]
+        assert core.astype(float).tobytes() == (
+            np.histogramdd(samples, edges)[0].tobytes())
 
 
 class TestKdeCentre:

@@ -1,5 +1,5 @@
-"""Memory budgets of the Monte Carlo potential, the lattice walk and the
-path sweeps.
+"""Memory budgets of the Monte Carlo potential, the integrability gate,
+the lattice walk and the path sweeps.
 
 numpy reports every array allocation to tracemalloc, so the traced peak
 of a call is deterministic.  Each budget is a few copies of the call's
@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roughdiff import kernels as kn
+from roughdiff import integrability, kernels as kn
 from roughdiff import runner, sampling
 from roughdiff.fields import make_field
+from roughdiff.testfunctions import make_test_function
 
 
 def traced_peak(fn):
@@ -42,10 +43,11 @@ POTENTIALS = {
     "1d-euler": (make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0,
                             mollify=0.1),
                  sampling.dirac([0.0]), 2.0 ** -3, 2.0, 4.5),
-    # exact Gaussians: the samples, histogramdd's bin indices and its
-    # flat index
+    # exact Gaussians: the samples, then while binning them the flat bin
+    # index, one axis's bins and searchsorted's copy of that axis, half
+    # an array each
     "2d-exact": (make_field("constant-diagonal", values=[0.2, 0.05]),
-                 sampling.dirac([0.0, 0.0]), 2.0 ** -9, 16.0, 3.0),
+                 sampling.dirac([0.0, 0.0]), 2.0 ** -9, 16.0, 2.0),
 }
 
 
@@ -57,10 +59,11 @@ def potential_peak(case):
 
 
 def potential_budget(case, U):
-    """k n x d float64 arrays plus two tables (a convolution's input and
-    output)."""
+    """k n x d float64 arrays plus one table: the bin counts and the
+    density table are live together only once the samples are gone, and
+    the convolution runs in place."""
     field, *_, k = POTENTIALS[case]
-    return k * N * field.dim * 8 + 2 * U.values.nbytes
+    return k * N * field.dim * 8 + U.values.nbytes
 
 
 def hold_per_generator(monkeypatch, size):
@@ -85,6 +88,47 @@ class TestPotentialBudget:
         hold_per_generator(monkeypatch, N * POTENTIALS[case][0].dim)
         U, peak = potential_peak(case)
         assert peak > potential_budget(case, U)
+
+
+class TestGateBudget:
+    """The gate's quadrature on a 2-d box holds one table over every node
+    of the box, which its contiguous sums run over, and otherwise only
+    arrays on U's window."""
+
+    F = make_test_function("quadratic", dim=2)
+    BOX, H = [-25.0, 25.0], 0.1
+    AX = np.linspace(-4.0, 4.0, 161)
+    U = kn.PotentialField(route="table", dim=2, axes=[AX, AX],
+                          values=np.exp(-(AX[:, None] ** 2 + AX ** 2)))
+
+    def gate_peak(self):
+        return traced_peak(lambda: integrability.check_condition_1(
+            self.F, self.U, self.BOX, self.H))[1]
+
+    def full_box(self):
+        return 501 ** 2 * 8
+
+    def budget(self):
+        """The full-box table plus eight float arrays on the window: its
+        points (two), the rows, U, their product, the weights and one
+        weighted row, with room to spare."""
+        q = np.linspace(*self.BOX, 501)
+        window = np.prod([q[w].shape[0] for w in self.U.window([q, q])])
+        return self.full_box() + 8 * window * 8
+
+    def test_within_budget(self):
+        assert self.gate_peak() <= self.budget()
+
+    def test_one_extra_table_exceeds_it(self, monkeypatch):
+        # one more full-box table, held for the whole gate, as a weight
+        # table over every node costs
+        held, real = [], kn.PotentialField.__call__
+
+        def call(U, pts):
+            held.append(np.ones(self.full_box() // 8))
+            return real(U, pts)
+        monkeypatch.setattr(kn.PotentialField, "__call__", call)
+        assert self.gate_peak() > self.budget()
 
 
 class TestLatticeBudget:

@@ -1234,19 +1234,32 @@ class TestCli:
             f"error: workers: must be >= 1, got {workers}\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_nonfinite_function_exit_two(self, tmp_path, capsys):
+    def huge_config(self, tmp_path):
         # F = c x overflows at the start point; nothing redraws the path
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(quad_config(
             function={"name": "linear", "c": [1e308]},
             law={"kind": "dirac", "point": [2.0]}, sweeps=["qv"],
             allow_unverified=True, n_paths=3, orders=[2])))
+        return path
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_function_exit_two(self, tmp_path, capsys):
+        path = self.huge_config(tmp_path)
         with pytest.raises(Error, match="path 0: linear"):
             runner.run_scenario(str(path), out_dir=str(tmp_path / "o"))
         assert cli_main(["run", str(path), "--out-dir",
                          str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: path 0: linear ")
+
+    def test_nonfinite_function_one_stderr_line(self, tmp_path, cli):
+        # the overflow is the refusal's to report, not numpy's warnings'
+        proc = cli("run", str(self.huge_config(tmp_path)), "--out-dir",
+                   str(tmp_path / "o"), cwd=tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: path 0: linear ")
 
     def test_kernel_subcommand(self, tmp_path, cli):
         cfg = {
