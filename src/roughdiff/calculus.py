@@ -3,7 +3,8 @@
 All sums are compensated (Kahan) and run in a fixed term order, so results
 are bitwise reproducible and independent of how paths were batched.  The
 engine computes every functional of one dyadic grid in one pass,
-:func:`grid_sums`: it takes the states and the test function F, walks the
+:class:`GridPass`, fed the grid's states block by block as a sampler
+gives them out (:func:`grid_sums` is its one-block case): it walks the
 grid's increments in time-major blocks of rows, evaluates F and grad F on
 each block, writes every term of the block into one buffer, and runs one
 compensated loop over the buffer's rows in time order.  The result is one
@@ -11,8 +12,8 @@ fixed record per grid, whatever the caller reports from it.  F must be
 pointwise over leading axes, as every catalog entry is: its value at a
 state depends on that state alone, so a block's values are those of the
 whole grid.  Every term is elementwise, so the bytes depend neither on the
-block size nor on the batch size, and a path batch never holds F or grad F
-beyond one block.  The lone functionals :func:`quadratic_variation`,
+block sizes nor on the batch size, and a path batch never holds F or
+grad F beyond one block.  The lone functionals :func:`quadratic_variation`,
 :func:`covariation`, :func:`forward_sum` and :func:`trapezoid_sum` are the
 references the tests hold that pass to, bit for bit; each accepts a single
 sample (time axis only) or a batch with leading axes.  A time axis must
@@ -34,24 +35,24 @@ from .errors import Error
 _BLOCK_ROWS = 64
 
 
-def _kahan_rows(blocks, shape):
-    """Compensated sum of every row of every block, in order: the one
-    compensated loop.  ``blocks`` yields arrays whose rows have ``shape``."""
-    s = np.zeros(shape)
-    c = np.zeros_like(s)
+def _kahan_rows(blocks, s, c):
+    """Compensated sum of every row of every block, in order, onto the sum
+    ``s`` with compensation ``c``: the one compensated loop.  ``blocks``
+    yields arrays whose rows have the shape of s; returns the new (s, c)."""
     for block in blocks:
         for row in block:
             y = row - c
             t = s + y
             c = (t - s) - y
             s = t
-    return s
+    return s, c
 
 
 def kahan_sum(terms):
     """Compensated sum along the last axis, fixed left-to-right term order."""
     a = np.asarray(terms, dtype=float)
-    s = _kahan_rows([np.moveaxis(a, -1, 0)], a.shape[:-1])
+    s, _ = _kahan_rows([np.moveaxis(a, -1, 0)], np.zeros(a.shape[:-1]),
+                       np.zeros(a.shape[:-1]))
     return s if s.ndim else float(s)
 
 
@@ -62,14 +63,99 @@ def _check_dyadic(length, what="values"):
     return m
 
 
+class GridPass:
+    """The compensated pass over one dyadic grid of B paths in d
+    dimensions, fed the grid's states block by block.
+
+    Each :meth:`feed` takes the next consecutive states (B, k, d), any k,
+    strided or not.  F and g = grad F are evaluated once per state, on
+    contiguous time-major copies of at most _BLOCK_ROWS + 1 states; the
+    pass carries each term's sum and compensation, the finite mask, F at
+    the first state, and the last state with its F and g, so an increment
+    may straddle two feeds.  Every term is elementwise and the rows are
+    summed in time order, so the bytes of :meth:`record` depend neither on
+    how the states were split nor on B.
+    """
+
+    def __init__(self, F, b, d):
+        self.F, self.d = F, d
+        # rows: qv, fwd, trap, taylor, then d rows of cov and of cov_abs
+        self.s = np.zeros((4 + 2 * d, b))
+        self.c = np.zeros_like(self.s)
+        self.finite = np.ones(b, dtype=bool)
+        self.first = None   # F at the grid's first state
+        self.last = None    # (x, F, g) at the last state fed, each (1, B, ...)
+        self.fed = 0        # states fed so far
+
+    def feed(self, states):
+        """Take the grid's next states (B, k, d), in time order."""
+        # no warnings: a path whose F or g overflows or is not finite is
+        # reported by "finite", and so is a sum that overflows
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.s, self.c = _kahan_rows(self._terms(states), self.s, self.c)
+        self.fed += states.shape[1]
+
+    def _terms(self, x):
+        """Yield the term rows of each time-major block of increments, in
+        one buffer of at most _BLOCK_ROWS rows."""
+        b, k, d = x.shape
+        buf = np.empty((min(_BLOCK_ROWS, k), 4 + 2 * d, b))
+        j = 0
+        while j < k:
+            head = 0 if self.last is None else 1
+            take = min(_BLOCK_ROWS + 1 - head, k - j)
+            xt = np.empty((head + take, b, d))
+            xt[head:] = x[:, j:j + take].transpose(1, 0, 2)
+            vt, gt = self.F.value(xt[head:]), self.F.gradient(xt[head:])
+            if head:
+                xt[:1] = self.last[0]
+                vt = np.concatenate([self.last[1], vt])
+                gt = np.concatenate([self.last[2], gt])
+            else:
+                self.first = vt[0].copy()
+            np.logical_and(self.finite, np.isfinite(vt).all(axis=0)
+                           & np.isfinite(gt).all(axis=(0, 2)), out=self.finite)
+            self.last = (xt[-1:].copy(), vt[-1:].copy(), gt[-1:].copy())
+            j += take
+            if xt.shape[0] > 1:
+                yield _increment_terms(buf[:xt.shape[0] - 1], xt, vt, gt)
+
+    def record(self):
+        """The grid's record: see :func:`grid_sums`."""
+        _check_dyadic(self.fed, "states")
+        s, d = self.s, self.d
+        return {"qv": s[0], "fwd": s[1], "trap": s[2], "taylor": s[3],
+                "cov": s[4:4 + d], "cov_abs": s[4 + d:],
+                "v": np.stack([self.first, self.last[1][0]]),
+                "finite": self.finite & np.isfinite(s).all(axis=0)}
+
+
+def _increment_terms(out, xt, vt, gt):
+    """Write into ``out`` (rows - 1, 4 + 2d, B) the terms of the increments
+    of time-major states xt (rows, B, d) with F values vt and gradients
+    gt; returns out."""
+    d = xt.shape[-1]
+    dv = vt[1:] - vt[:-1]
+    dx = xt[1:] - xt[:-1]
+    np.multiply(dv, dv, out=out[:, 0])
+    gdx = (gt[:-1] * dx).sum(axis=-1)
+    out[:, 1] = gdx
+    mid = 0.5 * (gt[:-1] + gt[1:])
+    out[:, 2] = (mid * dx).sum(axis=-1)
+    np.abs(dv - gdx, out=out[:, 3])
+    prod = ((gt[1:] - gt[:-1]) * dx).transpose(0, 2, 1)
+    out[:, 4:4 + d] = prod
+    np.abs(prod, out=out[:, 4 + d:])
+    return out
+
+
 def grid_sums(states, F):
-    """Compensated sums of every term over one dyadic grid.
+    """Compensated sums of every term over one dyadic grid: the one-block
+    case of :class:`GridPass`.
 
     states: (B, 2^n + 1, d); F: a test function whose ``value`` and
-    ``gradient`` are pointwise over leading axes.  F and g = grad F are
-    evaluated block by block on contiguous time-major copies of the states.
-    The terms of increment i, with dF = F_{i+1} - F_i and
-    dx = x_{i+1} - x_i:
+    ``gradient`` are pointwise over leading axes.  The terms of increment
+    i, with dF = F_{i+1} - F_i and dx = x_{i+1} - x_i:
 
       "qv"       dF^2                         (quadratic_variation of F)
       "fwd"      g_i . dx                     (forward_sum)
@@ -80,52 +166,17 @@ def grid_sums(states, F):
 
     Returns the grid's record: {term: (B,) sums, or (d, B) for "cov" and
     "cov_abs"}, equal bit for bit to the lone references named above on F
-    and g at the states; "v": (2, B) F at the grid's first and last states,
-    read from the pass's first and last blocks; and "finite": (B,) True
-    where F and g are finite at every state.  The d-axis sums run over the
-    last axis of time-major (rows, B, d) blocks, the order NumPy gives the
-    references' (B, rows, d) products.
+    and g at the states; "v": (2, B) F at the grid's first and last
+    states; and "finite": (B,) True where F and g are finite at every
+    state and every sum over the grid is finite.  The d-axis sums run over
+    the last axis of time-major (rows, B, d) blocks, the order NumPy gives
+    the references' (B, rows, d) products.
     """
     x = np.asarray(states, dtype=float)
-    m = _check_dyadic(x.shape[-2], "states")
-    b, d = x.shape[0], x.shape[-1]
-    # buffer rows: qv, fwd, trap, taylor, then d rows of cov and of cov_abs
-    buf = np.empty((min(_BLOCK_ROWS, m), 4 + 2 * d, b))
-    finite = np.ones(b, dtype=bool)
-    ends = [None, None]
-
-    def blocks():
-        for i0 in range(0, m, _BLOCK_ROWS):
-            i1 = min(i0 + _BLOCK_ROWS, m)
-            out = buf[:i1 - i0]
-            xt = np.ascontiguousarray(x[:, i0:i1 + 1].transpose(1, 0, 2))
-            vt = F.value(xt)
-            gt = F.gradient(xt)
-            np.logical_and(finite, np.isfinite(vt).all(axis=0)
-                           & np.isfinite(gt).all(axis=(0, 2)), out=finite)
-            if i0 == 0:
-                ends[0] = vt[0]
-            ends[1] = vt[-1]
-            dv = vt[1:] - vt[:-1]
-            dx = xt[1:] - xt[:-1]
-            np.multiply(dv, dv, out=out[:, 0])
-            gdx = (gt[:-1] * dx).sum(axis=-1)
-            out[:, 1] = gdx
-            mid = 0.5 * (gt[:-1] + gt[1:])
-            out[:, 2] = (mid * dx).sum(axis=-1)
-            np.abs(dv - gdx, out=out[:, 3])
-            prod = ((gt[1:] - gt[:-1]) * dx).transpose(0, 2, 1)
-            out[:, 4:4 + d] = prod
-            np.abs(prod, out=out[:, 4 + d:])
-            yield out
-
-    # no warnings: a path whose F or g overflows or is not finite is
-    # reported by "finite", and a sum that overflows is not finite itself
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = _kahan_rows(blocks(), (4 + 2 * d, b))
-    return {"qv": s[0], "fwd": s[1], "trap": s[2], "taylor": s[3],
-            "cov": s[4:4 + d], "cov_abs": s[4 + d:], "v": np.stack(ends),
-            "finite": finite}
+    _check_dyadic(x.shape[-2], "states")
+    p = GridPass(F, x.shape[0], x.shape[-1])
+    p.feed(x)
+    return p.record()
 
 
 def quadratic_variation(values):
@@ -202,3 +253,18 @@ def mean_stderr(values):
         var = kahan_sum((v - np.expand_dims(m, -1)) ** 2) / (n - 1)
         se = np.sqrt(var / n)
     return (float(m), float(se)) if v.ndim == 1 else (m, se)
+
+
+def streamed_mean_stderr(blocks, n):
+    """mean_stderr, bit for bit, of n samples given out in blocks, without
+    the table that stacks them.
+
+    ``blocks()`` yields (k, ...) arrays, each holding the next k samples
+    of every functional, and is called twice: one compensated pass sums
+    the samples for the mean, the next sums their squared deviations from
+    it.  Returns two arrays over the functionals."""
+    m = _kahan_rows(blocks(), 0.0, 0.0)[0] / n
+    if n < 2:
+        return m, np.zeros_like(m)
+    squares = _kahan_rows(((v - m) ** 2 for v in blocks()), 0.0, 0.0)[0]
+    return m, np.sqrt(squares / (n - 1) / n)

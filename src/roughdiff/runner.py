@@ -11,11 +11,13 @@ initial law's potential dies in seconds, not minutes.
 Per-path sums are a bitwise-deterministic function of (scenario,
 path_id): workers receive contiguous path_id chunks and return one fixed
 record of sums per dyadic grid (calculus.grid_sums), whatever sweeps are
-listed.  The reduction joins the records in path_id order, then applies
-the sweep table, the gate's denominators and the trapezoid gap once over
-every path.  Each of these is elementwise per path, and every reduction
-is a fixed-order compensated sum, so neither the worker count nor the
-companion sweeps can change a byte of the emitted CSVs.
+listed.  The reduction walks the records in path_id order, a block of
+paths at a time, applies the sweep table, the gate's denominators and the
+trapezoid gap to each path, and streams the values through two
+compensated passes.  Each of these is elementwise per path, and every
+reduction is a fixed-order compensated sum, so neither the worker count,
+the batch and block sizes nor the companion sweeps can change a byte of
+the emitted CSVs.
 """
 
 from __future__ import annotations
@@ -572,44 +574,53 @@ def gate_scenario(scn):
 
 # ---------------------------------------------------------------- evaluation
 
-def _joined(records):
-    """One grid_sums record over the paths of ``records``, in order."""
-    return {key: np.concatenate([r[key] for r in records], axis=-1)
-            for key in records[0]}
-
-
 def evaluate_chunk(scn, start, stop):
     """The grid_sums record of each order's grid for path_ids in
     [start, stop).
 
-    Paths are drawn BATCH_PATHS at a time; a batch's working set is its
-    states, since grid_sums evaluates F block by block, and each batch is
-    released before the next is drawn.  Returns {n: record}, each array's
-    last axis indexed by path_id - start.  Raises Error naming the first
-    path whose F or grad F is not finite at a recorded state.
+    Paths are drawn BATCH_PATHS at a time, and a batch's states arrive in
+    time blocks (sampling.generate_batch); each block is fed to one
+    calculus.GridPass per order, which takes the block's rows on its own
+    grid, and is released before the next is drawn.  So the working set is
+    one block of states, and F and grad F live one pass block of rows at a
+    time.  Returns {n: record}, each array's last axis indexed by path_id -
+    start.  Raises Error naming the first path whose F or grad F is not
+    finite at a recorded state, or whose sum over a grid is not finite.
     """
     orders = scn.orders
     n_top = max(orders)
     stride = round(scn.horizon / scn.fine_step) // 2 ** n_top
     F = scn.F
-    records = {n: [] for n in orders}
+    out = dict.fromkeys(orders)
 
     for b0 in range(start, stop, BATCH_PATHS):
         b1 = min(b0 + BATCH_PATHS, stop)
-        states = sampling.generate_batch(
-            scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step,
-            scn.seed, range(b0, b1), stride=stride,
-            scheme_params=scn.cfg["scheme_params"])
         # the top order first: its grid holds every recorded state
-        for n in reversed(orders):
-            p = calculus.grid_sums(states[:, ::2 ** (n_top - n), :], F)
-            if not p["finite"].all():
+        passes = {n: calculus.GridPass(F, b1 - b0, scn.field.dim)
+                  for n in reversed(orders)}
+        row = 0   # the block's first row on the top order's grid
+        for block in sampling.generate_batch(
+                scn.scheme, scn.field, scn.law, scn.horizon, scn.fine_step,
+                scn.seed, range(b0, b1), stride=stride,
+                scheme_params=scn.cfg["scheme_params"]):
+            for n, p in passes.items():
+                step = 2 ** (n_top - n)
+                p.feed(block[:, -row % step::step])
+            row += block.shape[1]
+            del block   # released before the next block is drawn
+        for n, p in passes.items():
+            rec = p.record()
+            if not rec["finite"].all():
                 raise Error(
-                    f"path {b0 + int(np.argmax(~p['finite']))}: {F.name} or "
-                    "its gradient is not finite at a recorded state")
-            records[n].append(p)
-        del states
-    return {n: _joined(parts) for n, parts in records.items()}
+                    f"path {b0 + int(np.argmax(~rec['finite']))}: {F.name} "
+                    "or its gradient is not finite at a recorded state, or "
+                    "a sum over its grid is not")
+            if out[n] is None:
+                out[n] = {k: np.empty(v.shape[:-1] + (stop - start,), v.dtype)
+                          for k, v in rec.items()}
+            for k, v in rec.items():
+                out[n][k][..., b0 - start:b1 - start] = v
+    return out
 
 
 def _chunk_entry(spec_json, start, stop):
@@ -725,21 +736,34 @@ _KERNEL_SWEEPS = {"aronson": _run_aronson, "potential": _run_potential}
 def _path_sweep_reports(scn, chunks, denoms):
     """Reduce the chunks' records into (CSV rows, verdict, artifacts) per
     sweep: the sweep table, the denominators and the trapezoid gap apply
-    once, over every path of each order."""
+    once per path.  The per-path values are made BATCH_PATHS paths at a
+    time, in path_id order, and streamed twice through compensated sums
+    (calculus.streamed_mean_stderr), so no table of every path's values
+    is built."""
     table = [row for s, row in SWEEP_TABLE.items() if s in scn.sweeps]
-    values, trap_violation = {}, 0.0
-    for n in scn.orders:
-        got, gap = sweep_values(table, _joined([c[n] for c in chunks]),
-                                denoms)
-        for (sweep, functional), arr in got.items():
-            values[(sweep, functional, n)] = arr
-        trap_violation = max(trap_violation, gap)
+    keys, gaps = [], [0.0]
+
+    def blocks():
+        """(paths, functionals) values of each block of paths."""
+        for chunk in chunks:
+            for a in range(0, chunk[scn.orders[0]]["finite"].shape[0],
+                           BATCH_PATHS):
+                got = {}
+                for n in scn.orders:
+                    p = {k: v[..., a:a + BATCH_PATHS]
+                         for k, v in chunk[n].items()}
+                    vals, gap = sweep_values(table, p, denoms)
+                    got.update(((s, f, n), v) for (s, f), v in vals.items())
+                    gaps.append(gap)
+                keys[:] = got
+                yield np.stack(list(got.values()), axis=-1)
+
+    means, ses = calculus.streamed_mean_stderr(blocks, scn.n_paths)
+    trap_violation = max(gaps)
     rows = {s: [] for s in scn.sweeps if s in PATH_SWEEPS}
-    stacked = np.stack(list(values.values()))
-    means, ses = calculus.mean_stderr(stacked)
-    for (sweep, functional, n), mean, se in zip(values, means, ses):
+    for (sweep, functional, n), mean, se in zip(keys, means, ses):
         rows[sweep].append((functional, n, float(mean), float(se),
-                            stacked.shape[1]))
+                            scn.n_paths))
     out = {}
     for s, sweep_rows in rows.items():
         sweep_rows.sort(key=lambda r: (r[0], r[1]))

@@ -29,6 +29,9 @@ import numpy as np
 from .errors import Error
 
 MAX_ORDER = 24
+# bytes of recorded states per block a batch is given out in: a batch
+# holds one block at a time, and states do not depend on it
+BLOCK_BYTES = 4 << 20
 # Euler-Maruyama steps of noise drawn per path at a time: a (B, 512, d)
 # block; each path reads its own stream in order, so states do not depend
 # on it
@@ -248,44 +251,81 @@ def em_step(field, x, xi, fine_step):
     return x + (drift * fine_step + noise * np.sqrt(fine_step))
 
 
-def _em_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                     stride=1):
-    """Euler-Maruyama batch; returns states of shape (B, T', d) at times
-    i * stride * fine_step, including both endpoints."""
+def _block_rows(b, d):
+    """Recorded rows per block of a (b, T', d) batch: BLOCK_BYTES of
+    states, and at least one row."""
+    return max(1, BLOCK_BYTES // (b * d * 8))
+
+
+def _em_blocks(field, law, horizon, fine_step, seed, path_ids, stride=1):
+    """Euler-Maruyama batch: the states at times i * stride * fine_step,
+    both endpoints included, as consecutive (B, r, d) blocks of
+    _block_rows rows, the last one shorter.  The field, the step and the
+    law are checked here, before the first block is asked for."""
     check_em_field(field)
     nsteps = _nsteps(horizon, fine_step, stride)
-    d = field.dim
     gens = [path_rng(seed, pid) for pid in path_ids]
-    B = len(gens)
-    x = _start_points(law, gens, d)
-    out = np.empty((B, nsteps // stride + 1, d))
-    out[:, 0] = x
-
+    x = _start_points(law, gens, field.dim)
+    rows = _block_rows(len(gens), field.dim)
     if field.is_constant:
         # constant coefficients: zero drift and independent
         # Gaussian increments, so one draw per recorded step is exact in law
         sig = np.sqrt(2.0 * field._diag_many(x[:1])[0])  # (d,)
-        scale = sig * np.sqrt(stride * fine_step)
-        for b, g in enumerate(gens):
-            # scaled row by row: a contiguous (T', d) row by a (d,) vector
-            # needs no buffers, where the whole strided batch takes three
-            g.standard_normal(out=out[b, 1:])
-            out[b, 1:] *= scale
-        return np.add.accumulate(out, axis=1, out=out)
+        return _constant_blocks(gens, x, sig * np.sqrt(stride * fine_step),
+                                nsteps // stride + 1, rows)
+    return _stepped_blocks(field, gens, x, fine_step, nsteps, stride, rows)
 
-    xi = np.empty((B, _CHUNK_STEPS, d))
-    done = 0
-    while done < nsteps:
-        take = min(_CHUNK_STEPS, nsteps - done)
+
+def _constant_blocks(gens, x, scale, T, rows):
+    """The running sums of the start x and each path's scaled normals.
+
+    Block by block, each path draws its block's normals from its own
+    stream and scales them; the block's first row adds the previous
+    block's last, and np.add.accumulate runs on.  These are the additions,
+    in order, of one accumulate over the whole batch."""
+    for r0 in range(0, T, rows):
+        out = np.empty((len(gens), min(rows, T - r0), x.shape[1]))
+        head = 0 if r0 else 1   # the first block starts at x
+        if head:
+            out[:, 0] = x
         for b, g in enumerate(gens):
-            g.standard_normal(out=xi[b, :take])
-        for j in range(take):
-            x = em_step(field, x, xi[:, j], fine_step)
-            i = done + j + 1
-            if i % stride == 0:
-                out[:, i // stride] = x
-        done += take
-    return out
+            # scaled row by row: a contiguous (r, d) row by a (d,) vector
+            # needs no buffers, where the whole strided block takes three
+            g.standard_normal(out=out[b, head:])
+            out[b, head:] *= scale
+        if r0:
+            np.add(last, out[:, 0], out=out[:, 0])
+        np.add.accumulate(out, axis=1, out=out)
+        last = out[:, -1].copy()
+        yield out
+        del out   # the next block is drawn without this one
+
+
+def _stepped_blocks(field, gens, x, fine_step, nsteps, stride, rows):
+    """Every fine step of a non-constant field, each recorded row written
+    into the block being filled, which is given out once full."""
+    B, d = x.shape
+    left = nsteps // stride + 1   # recorded rows not yet given out
+    xi = np.empty((B, _CHUNK_STEPS, d))
+    out, filled = None, 0
+    for i in range(nsteps + 1):   # x is the state after i fine steps
+        if i % stride == 0:
+            if out is None:
+                out = np.empty((B, min(rows, left), d))
+            out[:, filled] = x
+            filled += 1
+            if filled == out.shape[1]:
+                left -= filled
+                yield out
+                # the next block is allocated without this one
+                out, filled = None, 0
+        if i == nsteps:
+            break
+        j = i % _CHUNK_STEPS
+        if j == 0:
+            for b, g in enumerate(gens):
+                g.standard_normal(out=xi[b, :min(_CHUNK_STEPS, nsteps - i)])
+        x = em_step(field, x, xi[:, j], fine_step)
 
 
 def lattice_jump_rate(field, h, fine_step):
@@ -423,14 +463,26 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     return out
 
 
-_SAMPLERS = {"euler-maruyama": _em_batch_states,
-             "lattice": _lattice_batch_states}
+def _lattice_blocks(field, law, horizon, fine_step, seed, path_ids,
+                    stride=1, h=0.05):
+    """The walk's states, drawn whole, given out in blocks of rows."""
+    out = _lattice_batch_states(field, law, horizon, fine_step, seed,
+                                path_ids, stride=stride, h=h)
+    rows = _block_rows(out.shape[0], out.shape[2])
+    return (out[:, r0:r0 + rows] for r0 in range(0, out.shape[1], rows))
+
+
+_SAMPLERS = {"euler-maruyama": _em_blocks, "lattice": _lattice_blocks}
 
 
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
                    stride=1, scheme_params=None):
-    """Batched states (B, T', d) for either scheme, at stride multiples;
-    ``scheme_params`` are its keyword arguments (h of the lattice)."""
+    """The batch's states at stride multiples for either scheme, both
+    endpoints included, as an iterator over consecutive, non-overlapping
+    (B, r, d) blocks of time rows, r = _block_rows(B, d) in all but the
+    last; ``scheme_params`` are the scheme's keyword arguments (h of the
+    lattice).  Arguments are checked on the call, not on the first
+    block."""
     if scheme not in _SAMPLERS:
         raise Error(f"unknown scheme {scheme!r}")
     return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,

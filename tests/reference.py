@@ -1,8 +1,9 @@
 """Exact references the kernel tests compare the engine against, the
 sparse finite-volume operator with its SuperLU solves, the KDE table by
 np.histogramdd and a second table per convolution, the one-point
-initial-law sampler the vectorized draw is pinned to, and the byte
-digest the catalog pins read.
+initial-law sampler the vectorized draw is pinned to, the constant-field
+Euler-Maruyama batch in one accumulate that the sampler's blocks are
+pinned to, and the byte digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
 file name does not match ``test_*.py``, so pytest imports it only where a
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from roughdiff import kernels
+from roughdiff import kernels, sampling
 
 
 def exact_brownian_kernel(dim, t, x, y):
@@ -131,6 +132,30 @@ def sample_initial(law, rng):
     cum2 = np.cumsum(cond / cond.sum())
     x2 = _sample_axis(u2, cum2, law.edges[1])
     return np.array([x1, x2])
+
+
+def joined(blocks):
+    """A batch's states (B, T', d): the blocks a sampler gives out, joined
+    along time."""
+    return np.concatenate(list(blocks), axis=1)
+
+
+def em_constant_states(field, law, horizon, fine_step, seed, path_ids,
+                       stride=1):
+    """A constant-field Euler-Maruyama batch (B, T', d) made whole: each
+    path's scaled normals drawn in one call, then one np.add.accumulate
+    over every recorded step of the batch."""
+    nsteps = sampling._nsteps(horizon, fine_step, stride)
+    gens = [sampling.path_rng(seed, pid) for pid in path_ids]
+    x = sampling._start_points(law, gens, field.dim)
+    out = np.empty((len(gens), nsteps // stride + 1, field.dim))
+    out[:, 0] = x
+    scale = np.sqrt(2.0 * field._diag_many(x[:1])[0]) * np.sqrt(
+        stride * fine_step)
+    for b, g in enumerate(gens):
+        g.standard_normal(out=out[b, 1:])
+        out[b, 1:] *= scale
+    return np.add.accumulate(out, axis=1, out=out)
 
 
 def pin_digest(arr):

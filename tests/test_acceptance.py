@@ -17,7 +17,7 @@ from roughdiff import calculus, integrability, kernels, sampling
 from roughdiff.fields import MollifiedField, make_field
 from roughdiff.testfunctions import make_test_function
 
-from reference import exact_brownian_kernel, tabulate_kernel
+from reference import exact_brownian_kernel, joined, tabulate_kernel
 
 HORIZON = 1.0
 
@@ -44,9 +44,9 @@ def _batched_states(field, law, seed, n_paths, n_top, margin, batch=250,
     stride = 2 ** margin
     for lo in range(0, n_paths, batch):
         ids = list(range(lo, min(lo + batch, n_paths)))
-        yield sampling.generate_batch(scheme, field, law, HORIZON, fine,
-                                      seed, ids, stride=stride,
-                                      scheme_params=scheme_params)
+        yield joined(sampling.generate_batch(
+            scheme, field, law, HORIZON, fine, seed, ids, stride=stride,
+            scheme_params=scheme_params))
 
 
 # ------------------------------------------------------------ criterion 1

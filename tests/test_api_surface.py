@@ -24,12 +24,14 @@ import roughdiff
 
 SRC = pathlib.Path(roughdiff.__file__).parent
 # test-only references still in src/: the benchmark's tracer
-# (perfbench/tracer.py) looks the four calculus functionals up by name in
-# roughdiff.calculus, and CovariationResult is what covariation returns;
-# every other reference lives in tests/reference.py
+# (perfbench/tracer.py) looks the four calculus functionals and
+# mean_stderr up by name in roughdiff.calculus, and CovariationResult is
+# what covariation returns; grid_sums is the one-shot GridPass that fed
+# passes are checked against, and mean_stderr the stacked table the
+# streamed reduction is; every other reference lives in tests/reference.py
 REFERENCE_IMPLEMENTATIONS = {
-    "CovariationResult", "covariation", "forward_sum", "quadratic_variation",
-    "trapezoid_sum",
+    "CovariationResult", "covariation", "forward_sum", "grid_sums",
+    "mean_stderr", "quadratic_variation", "trapezoid_sum",
 }
 
 

@@ -17,15 +17,17 @@ from roughdiff import testfunctions
 from roughdiff.fields import make_field
 from roughdiff.testfunctions import make_test_function
 
+from reference import joined
+
 
 def em_paths(count, fine_step, seed, stride, horizon=1.0, dim=1):
     """States (count, T, dim) of identity-field EM paths from the origin,
     path ids 0..count-1, recorded every ``stride`` fine steps."""
     field = make_field("identity", dim=dim)
     law = sampling.dirac(np.zeros(dim))
-    return sampling.generate_batch("euler-maruyama", field, law, horizon,
-                                   fine_step, seed, list(range(count)),
-                                   stride=stride)
+    return joined(sampling.generate_batch(
+        "euler-maruyama", field, law, horizon, fine_step, seed,
+        list(range(count)), stride=stride))
 
 
 def row_values(sweep, F, states, denoms=None):
@@ -245,21 +247,21 @@ class TestOnePass:
 
     def test_one_compensated_loop_per_grid(self, monkeypatch):
         loops, calls, passes = [], {"in": 0, "out": 0}, []
-        kahan_rows, grid_sums = calc._kahan_rows, calc.grid_sums
+        kahan_rows, feed = calc._kahan_rows, calc.GridPass.feed
 
-        def counted(blocks, shape):
-            loops.append(shape)
-            return kahan_rows(blocks, shape)
+        def counted(blocks, s, c):
+            loops.append(s.shape)
+            return kahan_rows(blocks, s, c)
 
         def in_pass(*args):
             passes.append(True)
             try:
-                return grid_sums(*args)
+                return feed(*args)
             finally:
                 passes.pop()
 
         monkeypatch.setattr(calc, "_kahan_rows", counted)
-        monkeypatch.setattr(calc, "grid_sums", in_pass)
+        monkeypatch.setattr(calc.GridPass, "feed", in_pass)
         monkeypatch.setattr(runner, "BATCH_PATHS", 16)
         scn = runner.load_scenario(dict(SIN_CONFIG, n_paths=40,
                                         sweeps=list(runner.PATH_SWEEPS)))
@@ -272,11 +274,60 @@ class TestOnePass:
         scn = dataclasses.replace(
             scn, F=dataclasses.replace(scn.F, value=counted_value))
         runner.evaluate_chunk(scn, 0, 40)
-        # three batches of one grid per order, and F once per block of
-        # each grid, all inside the pass
+        # three batches of one time block each, fed to one pass per
+        # order, and F once per pass block of each grid, all inside the
+        # pass
         assert len(loops) == 3 * len(scn.orders)
         blocks = sum(-(-2 ** n // calc._BLOCK_ROWS) for n in scn.orders)
         assert calls == {"in": 3 * blocks, "out": 0}
+
+
+class TestFedPass:
+    """A GridPass fed a grid's states in blocks, of any sizes and empty
+    ones included, gives grid_sums' record bit for bit, and the runner's
+    time blocks move no byte of a chunk's records."""
+
+    @PROPERTY
+    @given(grid_batches(), st.data())
+    def test_random_splits_match_one_shot(self, batch, data):
+        states, F = batch
+        t = states.shape[1]
+        cuts = sorted(data.draw(st.lists(st.integers(0, t), max_size=8)))
+        fed = calc.GridPass(F, states.shape[0], states.shape[-1])
+        for a, b in zip([0, *cuts], [*cuts, t]):
+            fed.feed(states[:, a:b])
+        got, want = fed.record(), calc.grid_sums(states, F)
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert same_bytes(got[key], value), key
+
+    def test_sums_that_overflow_are_not_finite(self):
+        # F and g are finite at every state, but dF^2 overflows
+        F = make_test_function("linear", c=[1e200])
+        states = np.array([[[0.0], [1.0], [2.0]], [[0.0], [0.0], [0.0]]])
+        sums = calc.grid_sums(states, F)
+        assert sums["finite"].tolist() == [False, True]
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.sampled_from(["constant", "stepped", "lattice"]),
+           rows=st.integers(1, 40))
+    def test_time_blocks_move_no_record(self, case, rows):
+        # orders 1 and 3 take every 64th and 16th row of the top grid, so
+        # most blocks hold none or one of their states
+        cfg = {**SIN_CONFIG, "orders": [1, 3, 7], "n_paths": 5,
+               "sweeps": ["qv"], **{
+                   "stepped": {"field": {"name": "smooth-sine", "dim": 1}},
+                   "lattice": {"scheme": "lattice", "fine_margin": 5,
+                               "scheme_params": {"h": 0.25}},
+               }.get(case, {})}
+        scn = runner.load_scenario(cfg)
+        want = runner.evaluate_chunk(scn, 0, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_BYTES", rows * 5 * 8)
+            got = runner.evaluate_chunk(scn, 0, 5)
+        for n, record in want.items():
+            for key, value in record.items():
+                assert same_bytes(got[n][key], value), (n, key)
 
 
 def qv_root(v):
@@ -376,7 +427,7 @@ class TestItoResidual:
         drawn, generate = [], sampling.generate_batch
         monkeypatch.setattr(sampling, "generate_batch",
                             lambda *a, **kw: drawn.append(
-                                generate(*a, **kw)) or drawn[-1])
+                                joined(generate(*a, **kw))) or drawn[-1:])
         runner.evaluate_chunk(scn, 0, 3)
         bad = {drawn[0][1, 1].tobytes(), drawn[0][2, 0].tobytes()}
 
@@ -407,6 +458,56 @@ class TestReports:
         means, ses = calc.mean_stderr(v)
         for row, m, se in zip(v, means, ses):
             assert same_bytes([m, se], calc.mean_stderr(row))
+
+
+def stacked_reports(scn, chunks, denoms):
+    """{(functional, n): (mean, stderr)} by calculus.mean_stderr of the
+    stacked (functionals, paths) table of the joined chunks."""
+    table = [row for s, row in runner.SWEEP_TABLE.items() if s in scn.sweeps]
+    keys, values = [], []
+    for n in scn.orders:
+        record = {k: np.concatenate([c[n][k] for c in chunks], axis=-1)
+                  for k in chunks[0][n]}
+        got, _ = runner.sweep_values(table, record, denoms)
+        keys += [(f, n) for _, f in got]
+        values += got.values()
+    means, ses = calc.mean_stderr(np.stack(values))
+    return {key: (float(m), float(se))
+            for key, m, se in zip(keys, means, ses)}
+
+
+class TestStreamedReduction:
+    """The reduction streams the per-path values through two compensated
+    passes and gives calculus.mean_stderr of their stacked table, bit for
+    bit."""
+
+    @PROPERTY
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40),
+                                            st.integers(1, 4)),
+                      elements=st.floats(-1e6, 1e6)), st.data())
+    def test_blocks_match_the_stacked_table(self, v, data):
+        n = v.shape[0]
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        got = calc.streamed_mean_stderr(
+            lambda: (v[a:b] for a, b in zip([0, *cuts], [*cuts, n])), n)
+        assert same_bytes(got, calc.mean_stderr(v.T))
+
+    @pytest.mark.parametrize("spans", [[(0, 1)], [(0, 2)], [(0, 1), (1, 2)],
+                                       [(0, 4), (4, 5), (5, 11)]])
+    def test_reports_match_mean_stderr(self, spans, monkeypatch):
+        # three paths per block, so blocks split the chunks unevenly
+        monkeypatch.setattr(runner, "BATCH_PATHS", 3)
+        scn = runner.load_scenario(dict(
+            SIN_CONFIG, n_paths=spans[-1][1], orders=[2, 4],
+            sweeps=list(runner.PATH_SWEEPS), allow_unverified=True))
+        denoms = {"prop1": 0.6, "prop2_k0": 0.625, "prop3": 1.5}
+        chunks = [runner.evaluate_chunk(scn, a, b) for a, b in spans]
+        want = stacked_reports(scn, chunks, denoms)
+        out = runner._path_sweep_reports(scn, chunks, denoms)
+        got = {(f, n): (m, se) for rows, _, _ in out.values()
+               for f, n, m, se, count in rows}
+        assert got == want
+        assert all(same_bytes(got[k], want[k]) for k in want)
 
 
 # the prop sweeps of sin(X) for a standard start at the origin, d = 1,

@@ -1,5 +1,5 @@
 """Memory budgets of the Monte Carlo potential, the integrability gate,
-the lattice walk and the path sweeps.
+the lattice walk, the path sweeps and their reduction.
 
 numpy reports every array allocation to tracemalloc, so the traced peak
 of a call is deterministic.  Each budget is a few copies of the call's
@@ -7,6 +7,7 @@ sample arrays; a copy held for the whole call, which is what a
 reintroduced temporary or a reference kept too long costs, must exceed it.
 """
 
+import operator
 import tracemalloc
 
 import numpy as np
@@ -165,37 +166,48 @@ class TestLatticeBudget:
         assert peak > self.budget(out)
 
 
+def drained(blocks):
+    """Take every block and keep none, not even while the next is drawn:
+    the largest block's nbytes."""
+    return max(map(operator.attrgetter("nbytes"), blocks))
+
+
 class TestEulerBatchBudget:
-    """A constant-field Euler-Maruyama batch holds its states and little
-    else: each path's row is scaled where it is drawn."""
+    """A constant-field Euler-Maruyama batch holds one time block of its
+    states and little else: each path's block row is scaled where it is
+    drawn, and a block is released before the next is drawn."""
 
     FIELD = make_field("identity", dim=2)
     B = 16
+    BLOCK_BYTES = 128 << 10   # 512 of the batch's 1,025 rows
 
-    def batch_peak(self):
-        return traced_peak(lambda: sampling._em_batch_states(
-            self.FIELD, sampling.dirac([0.0, 0.0]), 1.0, 2.0 ** -10, 11,
-            list(range(self.B))))
+    def batch_peak(self, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", self.BLOCK_BYTES)
+        return traced_peak(lambda: drained(sampling.generate_batch(
+            "euler-maruyama", self.FIELD, sampling.dirac([0.0, 0.0]), 1.0,
+            2.0 ** -10, 11, list(range(self.B)))))
 
-    def test_within_budget(self):
-        out, peak = self.batch_peak()
-        assert peak <= 1.25 * out.nbytes
+    def test_within_budget(self, monkeypatch):
+        block, peak = self.batch_peak(monkeypatch)
+        assert block == self.BLOCK_BYTES
+        assert peak <= 1.25 * block
 
     def test_one_extra_batch_exceeds_it(self, monkeypatch):
-        # one more path's worth of states per generator, held for the
-        # whole call: one batch more in all
-        out, _ = self.batch_peak()
-        hold_per_generator(monkeypatch, out[0].size)
-        _, peak = self.batch_peak()
-        assert peak > 1.25 * out.nbytes
+        # one more path's worth of states (1,025 rows by 2 axes) per
+        # generator, held for the whole call: one batch more in all
+        hold_per_generator(monkeypatch, 1025 * 2)
+        block, peak = self.batch_peak(monkeypatch)
+        assert peak > 1.25 * block
 
 
 class TestEvaluateBudget:
-    """The path sweeps hold one batch of states at a time: F and grad F
-    live one block of rows at a time, and a batch is released before the
-    next one is drawn."""
+    """The path sweeps hold one time block of states at a time: a batch
+    is given out in blocks, each fed to every order's pass and released
+    before the next is drawn, and F and grad F live one pass block of
+    rows at a time."""
 
-    B, N_TOP, D = 16, 10, 2
+    B, N_TOP, D = 16, 12, 2
+    BLOCK_BYTES = 256 << 10   # 1,024 of the batch's 4,097 rows
     CONFIG = {
         "field": {"name": "identity", "dim": D},
         "function": {"name": "quadratic", "dim": D},
@@ -209,25 +221,96 @@ class TestEvaluateBudget:
 
     def chunk_peak(self, monkeypatch, extra=False):
         monkeypatch.setattr(runner, "BATCH_PATHS", self.B)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", self.BLOCK_BYTES)
         scn = runner.load_scenario(self.CONFIG)
 
         def call():
-            held = np.ones(self.batch_shape()) if extra else None
+            held = np.ones(self.BLOCK_BYTES // 8) if extra else None
             return runner.evaluate_chunk(scn, 0, 3 * self.B), held
         return traced_peak(call)[1]
 
-    def batch_shape(self):
-        return (self.B, 2 ** self.N_TOP + 1, self.D)
-
     def budget(self):
-        """Two and a half batches of states: the batch itself and the
-        pass's 64-row blocks, under one batch at this size."""
-        return 2.5 * np.prod(self.batch_shape()) * 8
+        """Two and a half time blocks: the block itself and the pass's
+        64-row blocks with their terms, about one time block at this
+        size; a batch is four."""
+        return 2.5 * self.BLOCK_BYTES
 
     def test_within_budget(self, monkeypatch):
         assert self.chunk_peak(monkeypatch) <= self.budget()
 
-    def test_one_extra_batch_exceeds_it(self, monkeypatch):
-        # one more (B, T, d) array, held for the whole call, as keeping a
-        # batch's F and grad F or its states while the next is drawn costs
+    def test_one_extra_block_exceeds_it(self, monkeypatch):
+        # one more time block, held for the whole call, as keeping a block
+        # while the next is drawn costs
         assert self.chunk_peak(monkeypatch, extra=True) > self.budget()
+
+
+class TestDeepOrderBudget:
+    """At a deep order the path sweeps' working set is a few time blocks,
+    not the batch: 4 paths to order 14 in 2-d are 1 MB of states, and the
+    traced peak stays within three 64 KiB blocks."""
+
+    BLOCK_BYTES = 64 << 10
+    CONFIG = {
+        "field": {"name": "constant-diagonal", "values": [0.2, 0.05]},
+        "function": {"name": "quadratic", "dim": 2},
+        "law": {"kind": "dirac", "point": [0.0, 0.0]},
+        "orders": [4, 8, 12, 14],
+        "n_paths": 4,
+        "seed": 3,
+        "sweeps": ["qv", "covariation", "trapezoid"],
+        "allow_unverified": True,
+    }
+
+    def chunk_peak(self, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", self.BLOCK_BYTES)
+        scn = runner.load_scenario(self.CONFIG)
+        return traced_peak(lambda: runner.evaluate_chunk(scn, 0, 4))[1]
+
+    def test_within_three_blocks(self, monkeypatch):
+        assert self.chunk_peak(monkeypatch) <= 3 * self.BLOCK_BYTES
+
+    def test_a_whole_batch_exceeds_it(self, monkeypatch):
+        # the batch's blocks all held at once, as drawing it whole costs
+        generate = sampling.generate_batch
+        monkeypatch.setattr(sampling, "generate_batch",
+                            lambda *a, **kw: list(generate(*a, **kw)))
+        assert self.chunk_peak(monkeypatch) > 3 * self.BLOCK_BYTES
+
+
+class TestReductionBudget:
+    """The reduction makes the per-path values BATCH_PATHS paths at a time
+    and streams them through its two compensated passes: with all eight
+    path sweeps over 2,000 paths it holds less than one table of every
+    path's values, where stacking them held three."""
+
+    CONFIG = {
+        "field": {"name": "identity", "dim": 1},
+        "function": {"name": "quadratic", "dim": 1},
+        "law": {"kind": "dirac", "point": [0.0]},
+        "orders": [1, 2, 3, 4],
+        "n_paths": 2000,
+        "seed": 1,
+        "sweeps": list(runner.PATH_SWEEPS),
+        "allow_unverified": True,
+    }
+    DENOMS = {"prop1": 1.0, "prop2_k0": 1.0, "prop3": 1.0}
+    # eight values per path per order, over four orders
+    TABLE = 2000 * 8 * 4 * 8
+
+    def reduction_peak(self, extra=False):
+        scn = runner.load_scenario(self.CONFIG)
+        chunks = [runner.evaluate_chunk(scn, 0, 1000),
+                  runner.evaluate_chunk(scn, 1000, 2000)]
+
+        def call():
+            held = np.ones(self.TABLE // 8) if extra else None
+            return runner._path_sweep_reports(scn, chunks, self.DENOMS), held
+        return traced_peak(call)[1]
+
+    def test_within_one_table(self):
+        assert self.reduction_peak() <= self.TABLE
+
+    def test_one_table_exceeds_it(self):
+        # the stacked table of every path's values, held for the whole
+        # reduction
+        assert self.reduction_peak(extra=True) > self.TABLE

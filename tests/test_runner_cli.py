@@ -1261,6 +1261,24 @@ class TestCli:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: path 0: linear ")
 
+    def test_overflowing_sum_exit_two(self, tmp_path, cli):
+        # F = c x and its gradient are finite at every state, but dF^2
+        # overflows, so the qv sum over the grid is not a number: the
+        # path is refused, not reported as a nan mean
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(quad_config(
+            function={"name": "linear", "c": [1e200]},
+            law={"kind": "dirac", "point": [0.0]}, sweeps=["qv"],
+            allow_unverified=True, n_paths=8, orders=[2, 3])))
+        proc = cli("run", str(path), "--out-dir", str(tmp_path / "o"),
+                   cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: path 0: linear ")
+        assert "or a sum over its grid" in lines[0]
+        assert not (tmp_path / "o" / "qv.csv").exists()
+
     def test_kernel_subcommand(self, tmp_path, cli):
         cfg = {
             "field": {"name": "identity", "dim": 1},

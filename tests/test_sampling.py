@@ -12,20 +12,21 @@ from scipy import stats
 from roughdiff import fields, sampling
 from roughdiff.errors import Error
 
+from reference import em_constant_states, joined
 from reference import sample_initial as one_point_draw
 
 
 def em_path(f, law, horizon, fine_step, seed, path_id):
     """States (T, d) of one Euler-Maruyama path."""
-    return sampling.generate_batch("euler-maruyama", f, law, horizon,
-                                   fine_step, seed, [path_id])[0]
+    return joined(sampling.generate_batch("euler-maruyama", f, law, horizon,
+                                          fine_step, seed, [path_id]))[0]
 
 
 def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
     """States (T, d) of one lattice-walk path."""
-    return sampling.generate_batch("lattice", f, law, horizon, fine_step,
-                                   seed, [path_id],
-                                   scheme_params={"h": h})[0]
+    return joined(sampling.generate_batch("lattice", f, law, horizon,
+                                          fine_step, seed, [path_id],
+                                          scheme_params={"h": h}))[0]
 
 
 def _walk(field, law, horizon=1.0, fine_step=2.0 ** -12, seed=3,
@@ -253,9 +254,9 @@ class TestDeterminism:
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0, mollify=0.1)
         law = sampling.dirac([0.0])
         args = (f, law, 1.0, 2.0 ** -8, 7)
-        together = sampling._em_batch_states(*args, [0, 1, 2])
+        together = joined(sampling._em_blocks(*args, [0, 1, 2]))
         for pid in range(3):
-            alone = sampling._em_batch_states(*args, [pid])
+            alone = joined(sampling._em_blocks(*args, [pid]))
             np.testing.assert_array_equal(alone[0], together[pid])
 
     def test_lattice_batch_independent_of_grouping(self):
@@ -271,9 +272,9 @@ class TestDeterminism:
         # non-constant fields take every fine step whatever the stride
         f = fields.make_field("smooth-sine", dim=1)
         law = sampling.dirac([0.0])
-        full = sampling._em_batch_states(f, law, 1.0, 2.0 ** -8, 7, [0, 1])
-        coarse = sampling._em_batch_states(f, law, 1.0, 2.0 ** -8, 7, [0, 1],
-                                           stride=16)
+        full = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -8, 7, [0, 1]))
+        coarse = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -8, 7,
+                                            [0, 1], stride=16))
         np.testing.assert_array_equal(full[:, ::16], coarse)
 
 
@@ -285,9 +286,9 @@ class TestEulerMaruyama:
         a = np.array([1.5, 0.75])
         f = fields.make_field("constant-diagonal", values=a.tolist())
         dt = 2.0 ** -10
-        states = sampling._em_batch_states(
+        states = joined(sampling._em_blocks(
             f, sampling.dirac([0.5, -0.25]), 0.25, dt, 5, list(range(200)),
-            stride=stride)
+            stride=stride))
         np.testing.assert_array_equal(states[:, 0], [[0.5, -0.25]] * 200)
         inc = np.diff(states, axis=1)
         assert inc.shape == (200, 256 // stride, 2)
@@ -302,8 +303,8 @@ class TestEulerMaruyama:
     def test_brownian_moments(self):
         f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
-        states = sampling._em_batch_states(f, law, 1.0, 2.0 ** -10, 21,
-                                           list(range(2000)), stride=1024)
+        states = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -10, 21,
+                                            list(range(2000)), stride=1024))
         final = states[:, -1, 0]
         assert abs(final.mean()) < 0.1
         assert final.var() == pytest.approx(2.0, abs=0.15)
@@ -337,9 +338,9 @@ class TestEulerMaruyama:
         # SHA-256 of the states, taken while fields were still evaluated
         # as (N, d, d) matrices; their diagonals must not move a bit
         f, law = EM_BATCHES[case]
-        states = sampling.generate_batch("euler-maruyama", f, law, 0.5,
-                                         2.0 ** -9, 11, list(range(4)),
-                                         stride=8)
+        states = joined(sampling.generate_batch(
+            "euler-maruyama", f, law, 0.5, 2.0 ** -9, 11, list(range(4)),
+            stride=8))
         assert states.shape == (4, 33, f.dim)
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
             EM_SHA256[case])
@@ -353,10 +354,65 @@ class TestEulerMaruyama:
         runs = []
         for chunk in (1, 7, sampling._CHUNK_STEPS, 4096):
             monkeypatch.setattr(sampling, "_CHUNK_STEPS", chunk)
-            runs.append(sampling._em_batch_states(
+            runs.append(joined(sampling._em_blocks(
                 f, law, 1100 * 2.0 ** -11, 2.0 ** -11, 11, list(range(5)),
-                stride=4).tobytes())
+                stride=4)).tobytes())
         assert runs[1:] == runs[:-1]
+
+
+class TestTimeBlocks:
+    """A batch is given out in consecutive time blocks of _block_rows
+    rows; joined, they are the batch's states whatever BLOCK_BYTES is."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(sorted(EM_BATCHES)),
+           block_bytes=st.integers(1, 4 * 33 * 2 * 8 + 64))
+    def test_stepped_blocks_keep_pinned_bytes(self, case, block_bytes):
+        f, law = EM_BATCHES[case]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_BYTES", block_bytes)
+            states = joined(sampling.generate_batch(
+                "euler-maruyama", f, law, 0.5, 2.0 ** -9, 11, list(range(4)),
+                stride=8))
+        assert hashlib.sha256(states.tobytes()).hexdigest() == (
+            EM_SHA256[case])
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3),
+           stride=st.sampled_from([1, 4, 32]),
+           paths=st.integers(1, 5),
+           block_bytes=st.integers(1, 5 * 65 * 3 * 8 + 64),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_constant_blocks_match_one_accumulate(self, values, stride, paths,
+                                                  block_bytes, seed):
+        f = fields.make_field("constant-diagonal", values=values)
+        law = sampling.dirac(np.linspace(-1.0, 1.0, len(values)))
+        args = (f, law, 0.5, 2.0 ** -7 / stride, seed, list(range(paths)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_BYTES", block_bytes)
+            blocks = list(sampling.generate_batch("euler-maruyama", *args,
+                                                  stride=stride))
+        want = em_constant_states(*args, stride=stride)
+        assert joined(blocks).tobytes() == want.tobytes()
+        rows = max(1, block_bytes // (paths * len(values) * 8))
+        assert [b.shape[1] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].shape[1] <= rows
+
+    def test_lattice_blocks_slice_the_walk(self, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 6 * 2 * 8 * 10)
+        f = fields.make_field("checkerboard", cell=0.5, dim=2, **_CB)
+        blocks = list(sampling.generate_batch(
+            "lattice", f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 3,
+            list(range(6)), stride=32, scheme_params={"h": 0.125}))
+        assert [b.shape[1] for b in blocks] == [10] * 25 + [7]
+        np.testing.assert_array_equal(joined(blocks), _walk(
+            f, sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13, stride=32))
+
+    def test_arguments_checked_on_the_call(self):
+        f = fields.make_field("identity", dim=1)
+        with pytest.raises(Error, match="does not divide the horizon"):
+            sampling.generate_batch("euler-maruyama", f, sampling.dirac([0.0]),
+                                    1.0, 0.3, 0, [0])
 
 
 class TestLattice:
@@ -419,8 +475,8 @@ class TestLattice:
         lat = np.empty(n)
         for lo in range(0, n, 2000):
             ids = list(range(lo, lo + 2000))
-            em[lo:lo + 2000] = sampling._em_batch_states(
-                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T)[:, -1, 0]
+            em[lo:lo + 2000] = joined(sampling._em_blocks(
+                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T))[:, -1, 0]
             lat[lo:lo + 2000] = sampling._lattice_batch_states(
                 f, law, 1.0, 2.0 ** -14, 99, ids, stride=T, h=0.05)[:, -1, 0]
         assert stats.ks_2samp(em, lat).pvalue > 0.01
