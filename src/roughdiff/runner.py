@@ -28,6 +28,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
@@ -623,10 +625,49 @@ def evaluate_chunk(scn, start, stop):
     return out
 
 
-def _chunk_entry(spec_json, start, stop):
-    """Worker entry point; rebuilds the scenario from its canonical JSON."""
-    scn = load_scenario(json.loads(spec_json))
-    return evaluate_chunk(scn, start, stop)
+def _evaluate_spans(scn, spans):
+    """evaluate_chunk(scn, a, b) for each span (a, b) of path_ids.  With
+    more than one span, each runs in a forked child that inherits the
+    loaded scenario and pickles (ok, result or exception) into its own
+    pipe.  The results are read in span order and a child's exception is
+    re-raised unchanged, so a failing run ends as a one-worker run does.
+    Every child is killed and reaped on the way out.  One span, or a
+    platform without os.fork, runs in this process, span after span."""
+    if len(spans) == 1 or not hasattr(os, "fork"):
+        return [evaluate_chunk(scn, a, b) for a, b in spans]
+    kids = []   # (pid, read end of its pipe)
+    try:
+        for a, b in spans:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the child: no atexit handlers, no stdout flush
+                try:
+                    try:
+                        got = (True, evaluate_chunk(scn, a, b))
+                    except BaseException as exc:
+                        got = (False, exc)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(got, fh, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            kids.append((pid, os.fdopen(r, "rb")))
+        chunks = []
+        for (a, b), (_, fh) in zip(spans, kids):
+            try:
+                ok, got = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise Error(f"paths {a} to {b - 1}: the worker exited "
+                            "without a result") from None
+            if not ok:
+                raise got
+            chunks.append(got)
+        return chunks
+    finally:
+        for pid, fh in kids:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------- manifest
@@ -796,23 +837,14 @@ def run_scenario(config, workers=1, out_dir=None, seed_override=None):
     # the manifest's workers: the path chunks that ran
     chunked = 1
     if any(s in PATH_SWEEPS for s in scn.sweeps):
-        spec_json = canonical_json(scn.spec)
         n = scn.n_paths
         w = min(int(workers), n)
         bounds = np.linspace(0, n, w + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:])
                  if b > a]
         chunked = len(spans)
-        if chunked == 1:
-            chunks = [evaluate_chunk(scn, 0, n)]
-        else:
-            # a one-worker run never loads the multiprocessing machinery
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=chunked) as pool:
-                futs = [pool.submit(_chunk_entry, spec_json, a, b)
-                        for a, b in spans]
-                chunks = [f.result() for f in futs]
-        results.update(_path_sweep_reports(scn, chunks, denoms))
+        results.update(_path_sweep_reports(
+            scn, _evaluate_spans(scn, spans), denoms))
     for s, run in _KERNEL_SWEEPS.items():
         if s in scn.sweeps:
             results[s] = run(scn, U, incidents)

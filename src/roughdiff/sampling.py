@@ -192,6 +192,24 @@ def _invert(law, u):
 
 # ---------------------------------------------------------------- rng plumbing
 
+@functools.cache
+def _keyed_seed():
+    """The ISeedSequence type that hands Philox a given key: Philox(key=...)
+    would first draw OS entropy for a SeedSequence that the key then
+    overrides.  Built on first use, so importing this module loads no
+    numpy.random, and a run whose paths are drawn in forked workers never
+    loads it in the parent."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key   # Philox asks for its key, 2 uint64 words
+
+    return PhiloxKey
+
+
 def path_rng(seed, path_id, attempt=0):
     """Counter-based generator for one path.
 
@@ -205,7 +223,7 @@ def path_rng(seed, path_id, attempt=0):
     # the key must be an explicit uint64 array: a plain int list would be
     # inferred as float64 above 2^63 and silently drop the low key bits
     key = np.array([hi, int(path_id)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_keyed_seed()(key)))
 
 
 def _nsteps(horizon, fine_step, stride):

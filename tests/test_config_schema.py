@@ -179,7 +179,8 @@ class TestScenarioHashProperties:
         again = runner.load_scenario(scn.spec)
         assert again.spec == scn.spec
         assert again.hash == scn.hash
-        # workers rebuild from the canonical JSON, every number a float
-        worker = runner.load_scenario(
+        # the spec read back from canonical JSON, every number a float,
+        # loads to the same config
+        reread = runner.load_scenario(
             json.loads(runner.canonical_json(scn.spec)))
-        assert worker.cfg == {**scn.cfg, "name": None, "out_dir": None}
+        assert reread.cfg == {**scn.cfg, "name": None, "out_dir": None}

@@ -555,7 +555,7 @@ class TestScenarioHash:
                                              n_paths=40.0, fine_margin=2.0))
         assert a.hash == b.hash
         assert (b.n_paths, b.seed, b.spec["fine_margin"]) == (40, 11, 2)
-        # workers rebuild scenarios from canonical JSON, orders as floats
+        # a canonical JSON copy, orders as floats, loads to the same scenario
         c = runner.load_scenario(_canonical_copy(quad_config(seed=11)))
         assert c.orders == a.orders
         assert c.hash == a.hash
@@ -693,6 +693,40 @@ class TestRunScenario:
         man = runner.run_scenario(quad_config(sweeps=["potential"]),
                                   workers=4, out_dir=str(tmp_path))
         assert man.workers == 1
+
+    def test_spans_run_serially_without_fork(self, tmp_path, monkeypatch,
+                                             quad_run):
+        monkeypatch.delattr(os, "fork")
+        man = runner.run_scenario(quad_config(), workers=3,
+                                  out_dir=str(tmp_path))
+        assert man.workers == 3
+        for sweep in runner.PATH_SWEEPS:
+            assert ((tmp_path / f"{sweep}.csv").read_bytes() == open(
+                os.path.join(quad_run.out_dir, f"{sweep}.csv"), "rb").read())
+
+    @pytest.mark.parametrize("over", [
+        {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
+         "scheme": "lattice", "scheme_params": {"h": 0.125},
+         "fine_margin": 6},
+        {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0,
+                   "cell": 0.25, "mollify": 0.1},
+         "law": {"kind": "dirac", "point": [0.1]}, "fine_margin": 4},
+    ], ids=["lattice-checkerboard", "em-mollified"])
+    def test_worker_count_never_changes_bytes_either_sampler(self, tmp_path,
+                                                             over):
+        # 31 paths: three workers take uneven spans of 10, 10 and 11
+        cfg = quad_config(n_paths=31, allow_unverified=True, sweeps=[
+            "qv", "covariation", "forward", "trapezoid", "ito_residual"],
+            **over)
+        got = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            man = runner.run_scenario(cfg, workers=workers, out_dir=str(out))
+            assert man.workers == workers
+            got[workers] = {f: (out / f).read_bytes()
+                            for f in man.reports.values()}
+        assert len(got[1]) == 5
+        assert got[1] == got[2] == got[3]
 
     @pytest.mark.parametrize("cfg", [
         quad_config(orders=[2, 5, 8], n_paths=24, potential={
@@ -1261,6 +1295,40 @@ class TestCli:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: path 0: linear ")
 
+    def test_failing_worker_ends_like_one_worker(self, tmp_path, cli):
+        # path 0 overflows in the first of two forked workers: the same
+        # exit code and stderr line as one worker, and no child left over
+        path = self.huge_config(tmp_path)
+        procs = [cli("run", str(path), "--workers", w, "--out-dir",
+                     str(tmp_path / f"o{w}"), cwd=tmp_path)
+                 for w in ("1", "2")]
+        assert [p.returncode for p in procs] == [2, 2]
+        assert procs[1].stderr == procs[0].stderr
+        assert len(procs[1].stderr.splitlines()) == 1, procs[1].stderr
+        with pytest.raises(Error, match="^path 0: linear "):
+            runner.run_scenario(str(path), workers=2,
+                                out_dir=str(tmp_path / "in-process"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_without_result_names_its_span(self, tmp_path,
+                                                  monkeypatch):
+        real = runner.evaluate_chunk
+
+        def dies_past_path_0(scn, start, stop):
+            if start > 0:
+                os._exit(3)
+            return real(scn, start, stop)
+
+        monkeypatch.setattr(runner, "evaluate_chunk", dies_past_path_0)
+        cfg = quad_config(n_paths=3, orders=[2], sweeps=["qv"],
+                          allow_unverified=True)
+        with pytest.raises(Error, match="^paths 1 to 2: the worker exited "
+                                        "without a result$"):
+            runner.run_scenario(cfg, workers=2, out_dir=str(tmp_path))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_overflowing_sum_exit_two(self, tmp_path, cli):
         # F = c x and its gradient are finite at every state, but dF^2
         # overflows, so the qv sum over the grid is not a number: the
@@ -1331,6 +1399,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == os.path.abspath(roughdiff.__file__)
 
+    def test_two_workers_load_no_executor(self, tmp_path, run_python):
+        """A run's workers are forked directly: two of them bring in
+        neither concurrent.futures nor multiprocessing, and the run's own
+        process, which draws no path, loads no numpy.random."""
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(quad_config(n_paths=8, orders=[2, 3])))
+        proc = run_python(
+            "-c", "import sys; from roughdiff import runner; "
+                  "man = runner.run_scenario(sys.argv[1], workers=2, "
+                  "out_dir=sys.argv[2]); "
+                  "assert man.workers == 2, man.workers; "
+                  "loaded = [m for m in ('concurrent.futures', "
+                  "'multiprocessing', 'numpy.random') if m in sys.modules]; "
+                  "assert not loaded, loaded",
+            str(path), str(tmp_path / "o"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
     def test_runner_import_defers_scipy(self, tmp_path, run_python):
         """Loading the runner pulls in no scipy, which no route of the
         package imports."""
@@ -1341,8 +1426,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_defers_process_pool(self, tmp_path, run_python):
-        """Loading the package pulls in no multiprocessing; only a run with
-        more than one worker chunk starts a process pool."""
+        """Loading the package pulls in no multiprocessing."""
         proc = run_python(
             "-c", "import roughdiff, roughdiff.cli, sys; "
                   "assert 'multiprocessing' not in sys.modules; "

@@ -250,6 +250,25 @@ class TestDeterminism:
         again = sampling.path_rng(7, 0, attempt=1).standard_normal(4)
         np.testing.assert_array_equal(base, again)
 
+    @pytest.mark.parametrize("seed, path_id, attempt", [
+        (2 ** 63, 0, 0), (2 ** 64 - 1, 5, 0), (7, 2 ** 63 + 11, 1),
+        (3, 1, 1), (3, 1, 3)])
+    def test_stream_is_philox_keyed_directly(self, seed, path_id, attempt):
+        # the key-only seeding draws no OS entropy; the streams must equal
+        # Philox(key=...)'s bit for bit, high key words above 2^63 included
+        hi = (seed + attempt * sampling._ATTEMPT_STRIDE) % 2 ** 64
+        assert hi >= 2 ** 63
+        key = np.array([hi, path_id], dtype=np.uint64)
+        got = sampling.path_rng(seed, path_id, attempt)
+        want = np.random.Generator(np.random.Philox(key=key))
+        for draw in ("standard_normal", "standard_exponential", "random"):
+            np.testing.assert_array_equal(getattr(got, draw)(1000),
+                                          getattr(want, draw)(1000))
+        for word in ("key", "counter"):
+            np.testing.assert_array_equal(
+                got.bit_generator.state["state"][word],
+                want.bit_generator.state["state"][word])
+
     def test_batch_independent_of_grouping(self):
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0, mollify=0.1)
         law = sampling.dirac([0.0])
