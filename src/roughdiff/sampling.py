@@ -10,8 +10,10 @@ Two schemes approximate the process generated by L = div(a grad):
   position forward.  The walk runs in look-ahead windows: each round
   guesses every live path's next jumps from its last known rates, checks
   them with one field call at all the guessed positions, and keeps the
-  jumps up to the first wrong guess.  The states are those of the
-  one-jump-at-a-time walk, bit for bit, whatever the window size.
+  jumps up to the first wrong guess.  It pauses at the end of each time
+  block it gives out and resumes there.  The states are those of the
+  one-jump-at-a-time walk, bit for bit, whatever the window, draw or
+  block size.
 
 Randomness is counter-based: every path owns the Philox stream keyed by
 (seed, path_id), so path i is a bitwise-deterministic function of
@@ -38,6 +40,9 @@ BLOCK_BYTES = 4 << 20
 _CHUNK_STEPS = 512
 _ATTEMPT_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit constant, attempt offset
 _LOOKAHEAD = 12  # lattice jumps per window; 8-16 measured fastest
+# lattice jumps whose words a path draws at a time, beyond one window; each
+# path reads its own stream in order, so states do not depend on it
+_DRAW_JUMPS = 256
 
 
 def fine_step_for(horizon, n_max, margin=4):
@@ -357,47 +362,54 @@ def lattice_jump_rate(field, h, fine_step):
     return rate
 
 
-def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
-                          stride=1, h=0.05):
-    """Continuous-time lattice walk batch, recorded on the uniform grid.
-
-    Each round moves every live path by a window of up to ``_LOOKAHEAD``
-    jumps.  A path reads its next exponentials and uniforms from its own
-    columns and guesses the window's choices from the rates at its last
-    pre-jump position (equal rates at the start), which fixes the window's
-    pre-jump positions; one field call gives the true rates at all of
-    them.  The jumps up to and including the first whose true choice
-    differs from the guess, or whose arrival passes the horizon, are kept
-    and their output slots written.  A kept jump sees the position, rates,
-    time and choice of the one-jump-at-a-time walk through the same
-    floating-point operations, so the states do not depend on the window
-    size, and a window of 1 is that walk.
-    """
+def _lattice_blocks(field, law, horizon, fine_step, seed, path_ids,
+                    stride=1, h=0.05):
+    """Continuous-time lattice walk batch: the states at times
+    i * stride * fine_step, both endpoints included, as consecutive
+    (B, r, d) blocks of _block_rows rows, the last one shorter.  The step,
+    the embedding and the law are checked here, before the first block is
+    asked for."""
     nsteps = _nsteps(horizon, fine_step, stride)
-    d = field.dim
-    max_rate = lattice_jump_rate(field, h, fine_step)
-
+    lattice_jump_rate(field, h, fine_step)
     gens = [path_rng(seed, pid) for pid in path_ids]
-    B = len(gens)
-    x = _start_points(law, gens, d)
-    dt_out = fine_step * stride
-    T = nsteps // stride + 1
-    out = np.empty((B, T, d))
+    x = _start_points(law, gens, field.dim)
+    return _walk_blocks(field, gens, x, horizon, fine_step * stride,
+                        nsteps // stride + 1, h)
 
-    # pre-drawn randomness blocks; column j of a path drives its jump j
-    mean_jumps = max_rate * horizon
-    block = max(64, int(mean_jumps * 1.25 + 8.0 * np.sqrt(mean_jumps) + 16))
-    expo = unif = np.empty((B, 0))
 
-    K = _LOOKAHEAD
+def _walk_blocks(field, gens, x, horizon, dt_out, T, h):
+    """The walk from starts x, recorded every dt_out on T slots.
+
+    Jump j of a path reads the words 2j and 2j+1 of its stream after the
+    start: the clock -log1p(-u) of the first (the inversion of numpy's
+    method="inv" exponential) and the choice u of the second.  Each path
+    holds the next _DRAW_JUMPS + _LOOKAHEAD jumps' words and draws more,
+    in stream order, when a window would run past them.
+
+    Each round moves every moving path by a window of up to ``_LOOKAHEAD``
+    jumps.  A path guesses the window's choices from the rates at its last
+    pre-jump position (equal rates at the start, its own after a pause),
+    which fixes the window's pre-jump positions; one field call gives the
+    true rates at all of them.  The jumps up to and including the first whose true choice
+    differs from the guess, whose arrival passes the horizon, or whose
+    first later slot lies past the block are kept and their output slots
+    written.  A path stopped by the block takes the jumps before that one,
+    writes its position up to the block's end and pauses: the next block
+    starts its window at that jump, from the time, position and column
+    the whole walk has there.  A kept jump sees the position, rates, time
+    and choice of the one-jump-at-a-time walk through the same
+    floating-point operations, so the states depend on neither the
+    window, the draw nor the block size, and a window of 1 is that walk.
+    """
+    B, d = x.shape
+    K, C = _LOOKAHEAD, _DRAW_JUMPS
     window = np.arange(K)
-    # the live paths: their rows of out and their state
-    ids = np.arange(B)
+    # each path's state where it paused: time, the rates its choices are
+    # guessed from (equal at the start), and the column of its next words
     t = np.zeros(B)
-    nf = np.zeros(B, dtype=np.int64)      # first output slot not written
-    used = np.zeros(B, dtype=np.int64)    # jumps taken, columns consumed
-    guess = np.ones((B, 2 * d))           # rates the choices are guessed from
-    flat_out = out.reshape(B * T, d)
+    guess = np.ones((B, 2 * d))
+    col = np.full(B, C + K)   # the words buffer starts spent
+    words = np.empty((B, C + K, 2))
     # the 2d half-step neighbours: rows +e_0, -e_0, +e_1, -e_1, ...
     shifts = np.zeros((2 * d, 1, 1, d))
     shifts[0::2, 0, 0] = np.eye(d) * (h / 2.0)
@@ -407,87 +419,96 @@ def _lattice_batch_states(field, law, horizon, fine_step, seed, path_ids,
     moves[0::2][np.eye(d, dtype=bool)] = h
     moves[1::2][np.eye(d, dtype=bool)] = -h
 
-    while ids.size:
-        n = ids.size
-        while used.max() + K > expo.shape[1]:
-            new_e = np.empty((B, block))
-            new_u = np.empty((B, block))
-            for b, g in enumerate(gens):
-                g.standard_exponential(out=new_e[b])
-                g.random(out=new_u[b])
-            if expo.shape[1]:
-                new_e = np.concatenate([expo, new_e], axis=1)
-                new_u = np.concatenate([unif, new_u], axis=1)
-            expo, unif = new_e, new_u
-        rows, cols = ids[:, None], used[:, None] + window
-        unif_w = unif[rows, cols]
+    rows = _block_rows(B, d)
+    for r0 in range(0, T, rows):
+        r1 = min(r0 + rows, T)
+        out = np.empty((B, r1 - r0, d))
+        flat_out = out.reshape(-1, d)
+        # the paths still moving in this block, with their state and their
+        # first output slot not written
+        ids = np.arange(B)
+        xs, ts, gs, cs = x.copy(), t.copy(), guess.copy(), col.copy()
+        nf = np.full(B, r0)
+        while ids.size:
+            n = ids.size
+            for i in np.flatnonzero(cs > C).tolist():
+                b, keep = ids[i], C + K - cs[i]   # keep < K columns unread
+                words[b, :keep] = words[b, cs[i]:]
+                gens[b].random(out=words[b, keep:])
+                cs[i] = 0
+            w = words[ids[:, None], cs[:, None] + window]
+            choice = w[..., 1]
 
-        # guessed choices, and the pre-jump positions they lead through
-        gsum = np.cumsum(guess, axis=1)
-        ug = unif_w * gsum[:, -1:]
-        mg = sum(ug >= gsum[:, j, None] for j in range(2 * d - 1))
-        pre = np.add.accumulate(
-            np.concatenate([x[:, None], moves[mg[:, :-1]]], axis=1), axis=1)
+            # guessed choices, and the pre-jump positions they lead through
+            gsum = np.cumsum(gs, axis=1)
+            ug = choice * gsum[:, -1:]
+            mg = sum(ug >= gsum[:, j, None] for j in range(2 * d - 1))
+            pre = np.add.accumulate(
+                np.concatenate([xs[:, None], moves[mg[:, :-1]]], axis=1),
+                axis=1)
 
-        # one field evaluation at the 2d half-step neighbours of every
-        # position; jump j moves along axis j // 2 and its rate is that
-        # diagonal entry
-        diag = field._diag_many((pre + shifts).reshape(2 * d * n * K, d))
-        diag = diag.reshape(2 * d, n, K, d)
-        rates = np.empty((n, K, 2 * d))
-        for j in range(2 * d):
-            rates[..., j] = diag[j, ..., j // 2]
-        rates /= h ** 2
-        total = rates.sum(axis=-1)
-        arrive = np.add.accumulate(np.concatenate(
-            [t[:, None], expo[rows, cols] / total], axis=1), axis=1)[:, 1:]
-        crossed = arrive > horizon
-        csum = np.cumsum(rates, axis=-1)
-        u = unif_w * total
-        m = np.minimum(sum(u >= csum[..., j] for j in range(2 * d)), 2 * d - 1)
+            # one field evaluation at the 2d half-step neighbours of every
+            # position; jump j moves along axis j // 2 and its rate is that
+            # diagonal entry
+            diag = field._diag_many((pre + shifts).reshape(2 * d * n * K, d))
+            diag = diag.reshape(2 * d, n, K, d)
+            rates = np.empty((n, K, 2 * d))
+            for j in range(2 * d):
+                rates[..., j] = diag[j, ..., j // 2]
+            rates /= h ** 2
+            total = rates.sum(axis=-1)
+            # the time before each jump and, last, after the window
+            clock = np.add.accumulate(np.concatenate(
+                [ts[:, None], -np.log1p(-w[..., 0]) / total], axis=1), axis=1)
+            arrive = clock[:, 1:]
+            crossed = arrive > horizon
+            csum = np.cumsum(rates, axis=-1)
+            u = choice * total
+            m = sum(u >= csum[..., j] for j in range(2 * d - 1))
 
-        # keep the jumps up to the first wrong guess or horizon crossing
-        stop = crossed | (m != mg)
-        stop[:, -1] = True
-        r = np.arange(n)
-        last = stop.argmax(axis=1)
+            # the first slot after each arrival; keep the jumps up to the
+            # first wrong guess, horizon crossing or slot past the block
+            idx_excl = np.ceil(np.minimum(arrive, horizon + dt_out) / dt_out)
+            idx_excl = np.minimum(idx_excl.astype(np.int64), T)
+            idx_excl[crossed] = T
+            stop = crossed | (m != mg) | (idx_excl > r1)
+            stop[:, -1] = True
+            r = np.arange(n)
+            last = stop.argmax(axis=1)
 
-        # record the pre-jump position on every output slot before the
-        # arrival: slot s takes that of the first kept jump with idx_excl > s
-        idx_excl = np.ceil(np.minimum(arrive, horizon + dt_out) / dt_out)
-        idx_excl = np.minimum(idx_excl.astype(np.int64), T)
-        idx_excl[crossed] = T
-        end = idx_excl[r, last]
-        count = end - nf
-        if count.any():
-            # ids increase, so the keys are sorted and slot s of a path,
-            # flat index ids * T + s, finds the first of that path's jumps
-            base = ids * T
-            key = np.minimum(idx_excl, end[:, None]) + base[:, None]
-            slot = np.repeat(base + nf - (np.cumsum(count) - count),
-                             count) + np.arange(count.sum())
-            k = np.searchsorted(key.ravel(), slot, side="right")
-            flat_out[slot] = pre.reshape(n * K, d)[k]
+            # record each kept jump's pre-jump position on its run of slots,
+            # from the previous jump's first slot after arrival (nf for the
+            # first) to its own, cut at the block's end or at the stop: a
+            # path's runs fill its slots nf to end in order
+            end = np.minimum(idx_excl[r, last], r1)
+            count = end - nf
+            if count.any():
+                runs = np.diff(np.minimum(idx_excl, end[:, None]), axis=1,
+                               prepend=nf[:, None])
+                first = ids * (r1 - r0) - r0 + nf   # flat slot of nf
+                slot = np.repeat(first - (np.cumsum(count) - count),
+                                 count) + np.arange(count.sum())
+                flat_out[slot] = np.repeat(pre.reshape(n * K, d),
+                                           runs.ravel(), axis=0)
 
-        # take the last kept jump for paths still inside the horizon
-        go = ~crossed[r, last]
-        r, last = r[go], last[go]
-        x = pre[r, last] + moves[m[r, last]]
-        t = arrive[r, last]
-        nf = end[r]
-        used = used[r] + last + 1
-        guess = rates[r, last]
-        ids = ids[r]
-    return out
-
-
-def _lattice_blocks(field, law, horizon, fine_step, seed, path_ids,
-                    stride=1, h=0.05):
-    """The walk's states, drawn whole, given out in blocks of rows."""
-    out = _lattice_batch_states(field, law, horizon, fine_step, seed,
-                                path_ids, stride=stride, h=h)
-    rows = _block_rows(out.shape[0], out.shape[2])
-    return (out[:, r0:r0 + rows] for r0 in range(0, out.shape[1], rows))
+            # take the kept jumps, the last one unless it passes the
+            # horizon, where the path ends, or the block, where it pauses
+            # after the ones before it
+            go = ~crossed[r, last] & (idx_excl[r, last] <= r1)
+            if r1 < T and not go.all():
+                p, k = ~go, last[~go]
+                x[ids[p]] = pre[p, k]
+                t[ids[p]] = clock[p, k]
+                guess[ids[p]] = rates[p, k]
+                col[ids[p]] = cs[p] + k
+            r, last = r[go], last[go]
+            ids, nf = ids[go], end[go]
+            xs = pre[r, last] + moves[m[r, last]]
+            ts = arrive[r, last]
+            gs = rates[r, last]
+            cs = cs[r] + last + 1
+        yield out
+        del out, flat_out   # the next block is written without this one
 
 
 _SAMPLERS = {"euler-maruyama": _em_blocks, "lattice": _lattice_blocks}

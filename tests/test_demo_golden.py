@@ -50,13 +50,13 @@ GOLDEN = {
         "aronson.csv":
             "1a29537dcb4979bf40917ef85149ff184e2104d88baf0bd57a7f026f8ad4e0f5",
         "covariation.csv":
-            "d7c2f8a883599dcc17a1b7ffbdde7bb7da59a11d86fd11a0644bd5dd14f2bfaa",
+            "dfe02367696154b92550feaf6e26c1e7bf5fd5b8467625e3ac87f30c1e4ed15c",
         "kernel.csv":
             "eb017ca147de96722fe91b358b0f4abe5bbe4d2256469230d0e89fc5d4b8a58f",
         "kernel.json":
             "389665d98026f160aec184384cc7b0ce1df101c0f0b363abdefdbac6b3f54d93",
         "qv.csv":
-            "85e5ee25df52f7aa31f0b8c228c6fa0fb0e8c5ca7e18f7d076f139733e9a3cb6",
+            "4e27f9f538918d877cf522f3be26c078ccef7e6dc9f793a5796ea8d633ced2fd",
     },
 }
 

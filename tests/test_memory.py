@@ -132,44 +132,96 @@ class TestGateBudget:
         assert self.gate_peak() > self.budget()
 
 
-class TestLatticeBudget:
-    """The walk holds one block of exponentials and one of uniforms per
-    path, beyond its output."""
-
-    FIELD = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
-    H, FINE, B = 0.0625, 2.0 ** -15, 50
-
-    def walk_peak(self):
-        return traced_peak(lambda: sampling._lattice_batch_states(
-            self.FIELD, sampling.dirac([0.0, 0.0]), 1.0, self.FINE, 3,
-            list(range(self.B)), stride=128, h=self.H))
-
-    def block(self):
-        """Columns of the walk's random block: the mean jump count at the
-        maximal rate over the unit horizon plus a margin, as
-        _lattice_batch_states sizes it."""
-        mean = sampling.lattice_jump_rate(self.FIELD, self.H, self.FINE)
-        return max(64, int(mean * 1.25 + 8.0 * np.sqrt(mean) + 16))
-
-    def budget(self, out):
-        return out.nbytes + 2.5 * self.B * self.block() * 8
-
-    def test_within_budget(self):
-        out, peak = self.walk_peak()
-        assert peak <= self.budget(out)
-
-    def test_one_extra_block_exceeds_it(self, monkeypatch):
-        # one more (B, block) array, held for the whole walk, as
-        # concatenating the first blocks onto empty arrays made
-        hold_per_generator(monkeypatch, self.block())
-        out, peak = self.walk_peak()
-        assert peak > self.budget(out)
-
-
 def drained(blocks):
     """Take every block and keep none, not even while the next is drawn:
     the largest block's nbytes."""
     return max(map(operator.attrgetter("nbytes"), blocks))
+
+
+class TestLatticeBudget:
+    """The walk holds one time block, each path's buffer of words and the
+    arrays of one round of windows; 50 paths in 2-d are one block."""
+
+    FIELD = make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0, dim=2)
+    H, FINE, B, D = 0.0625, 2.0 ** -15, 50, 2
+
+    def walk_peak(self):
+        return traced_peak(lambda: drained(sampling.generate_batch(
+            "lattice", self.FIELD, sampling.dirac([0.0, 0.0]), 1.0,
+            self.FINE, 3, list(range(self.B)), stride=128,
+            scheme_params={"h": self.H})))
+
+    def buffers(self):
+        """Two words for each of a path's _DRAW_JUMPS + _LOOKAHEAD jumps."""
+        jumps = sampling._DRAW_JUMPS + sampling._LOOKAHEAD
+        return self.B * jumps * 2 * 8
+
+    def budget(self, block):
+        """The block, the buffers, and ten arrays of a round's field
+        points, the 2d neighbours of _LOOKAHEAD positions a path, for the
+        window's temporaries and the generators."""
+        points = self.B * 2 * self.D * sampling._LOOKAHEAD
+        return block + self.buffers() + 10 * points * self.D * 8
+
+    def test_within_budget(self):
+        block, peak = self.walk_peak()
+        assert block == self.B * 257 * self.D * 8
+        assert peak <= self.budget(block)
+
+    def test_one_extra_block_exceeds_it(self, monkeypatch):
+        # one more of the random blocks the walk once drew whole, 2,938
+        # columns a path sized from the maximal jump rate, held for the
+        # whole walk
+        hold_per_generator(monkeypatch, 2938)
+        block, peak = self.walk_peak()
+        assert peak > self.budget(block)
+
+    def test_one_extra_buffer_exceeds_it(self, monkeypatch):
+        # each path's buffer held twice, as keeping the spent words while
+        # the next are drawn costs
+        hold_per_generator(monkeypatch, self.buffers() // (8 * self.B))
+        block, peak = self.walk_peak()
+        assert peak > self.budget(block)
+
+
+class TestDeepLatticeBudget:
+    """At a deep order the lattice walk pauses at each time block's end,
+    so 4 paths to order 14 in 2-d, 1 MB of states, stay within three
+    64 KiB blocks and the paths' buffers of words."""
+
+    BLOCK_BYTES = 64 << 10
+    CONFIG = {
+        "field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0, "cell": 1.0,
+                  "dim": 2},
+        "function": {"name": "quadratic", "dim": 2},
+        "law": {"kind": "dirac", "point": [0.0, 0.0]},
+        "orders": [4, 8, 12, 14],
+        "n_paths": 4,
+        "seed": 3,
+        "scheme": "lattice",
+        "scheme_params": {"h": 0.0625},
+        "sweeps": ["qv", "covariation", "trapezoid"],
+        "allow_unverified": True,
+    }
+
+    def chunk_peak(self, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", self.BLOCK_BYTES)
+        scn = runner.load_scenario(self.CONFIG)
+        return traced_peak(lambda: runner.evaluate_chunk(scn, 0, 4))[1]
+
+    def budget(self):
+        jumps = sampling._DRAW_JUMPS + sampling._LOOKAHEAD
+        return 3 * self.BLOCK_BYTES + 4 * jumps * 2 * 8
+
+    def test_within_budget(self, monkeypatch):
+        assert self.chunk_peak(monkeypatch) <= self.budget()
+
+    def test_a_whole_batch_exceeds_it(self, monkeypatch):
+        # the batch's blocks all held at once, as walking it whole costs
+        generate = sampling.generate_batch
+        monkeypatch.setattr(sampling, "generate_batch",
+                            lambda *a, **kw: list(generate(*a, **kw)))
+        assert self.chunk_peak(monkeypatch) > self.budget()
 
 
 class TestEulerBatchBudget:

@@ -22,6 +22,19 @@ def em_path(f, law, horizon, fine_step, seed, path_id):
                                           fine_step, seed, [path_id]))[0]
 
 
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts the uniforms its ``random`` draws."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.words = 0
+
+    def random(self, *args, **kwargs):
+        u = super().random(*args, **kwargs)
+        self.words += np.size(u)
+        return u
+
+
 def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
     """States (T, d) of one lattice-walk path."""
     return joined(sampling.generate_batch("lattice", f, law, horizon,
@@ -31,9 +44,9 @@ def lattice_path(f, law, horizon, fine_step, seed, path_id, h=0.05):
 
 def _walk(field, law, horizon=1.0, fine_step=2.0 ** -12, seed=3,
           path_ids=range(6), stride=16, h=0.125):
-    return sampling._lattice_batch_states(
-        field, law, horizon, fine_step, seed, list(path_ids), stride=stride,
-        h=h)
+    return joined(sampling.generate_batch(
+        "lattice", field, law, horizon, fine_step, seed, list(path_ids),
+        stride=stride, scheme_params={"h": h}))
 
 
 _CB = {"lo": 0.5, "hi": 2.0}
@@ -59,38 +72,38 @@ WALKS = {
     "1d-mollified": lambda **kw: _walk(
         fields.make_field("checkerboard", cell=0.25, mollify=0.1, **_CB),
         sampling.dirac([0.0]), **kw),
-    # few expected jumps, so the 64-column minimum block is the block and
-    # a wide window reads past it
+    # about 640 jumps a path over four time units, so windows straddle
+    # two refills of the draw buffer
     "horizon-4": lambda **kw: _walk(
         fields.make_field("checkerboard", cell=1.5, **_CB),
-        sampling.dirac([0.25]), horizon=4.0, fine_step=2.0 ** -8, h=1.0,
-        **kw),
+        sampling.dirac([0.25]), horizon=4.0, **kw),
     "signed-zero-start": lambda **kw: _walk(
         fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
         sampling.dirac([-0.0, 0.3]), fine_step=2.0 ** -13, stride=32, **kw),
-    # the Philox key path_rng(seed, pid, attempt=2) reads, above 2^63
-    "attempt-2": lambda seed=3, **kw: _walk(
+    # the Philox key path_rng(seed, pid, attempt=2) reads, above 2^63 at
+    # the pinned seed
+    "attempt-2": lambda seed=2 ** 63, **kw: _walk(
         fields.make_field("checkerboard", cell=0.5, dim=2, **_CB),
         sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13, stride=32,
         seed=(seed + 2 * sampling._ATTEMPT_STRIDE) % 2 ** 64, **kw),
 }
 WALK_SHA256 = {
     "1d-checkerboard":
-        "e2b2580a8d2be1322913724908f6db4c920a45c2ab55784fbec3980c562a421f",
+        "4d4d706af7a5e3180c3a0838836ed15d87030c0a4fdc27b52dc5d3ce269b5fb8",
     "1d-mollified":
-        "f9e31d7ccd65ca899848905a8c94a870e7ce6e741aaab55275114857aa4de2c7",
+        "b8edcb0d61b4ff329469eb6fb91c87fbd384dea551eccc6ec70ceb2ad0626ddb",
     "2d-grid-density":
-        "acc516f31032cdf6a1a94892b8a0ba729d9eba5b542844e6d0f7acc5d8a91144",
+        "58d43ef91cb6530d88f94875781776f2a34c3f1225f84b3190ef04ef54a4e096",
     "3d-checkerboard":
-        "629b463e07e5f7c702be5068175397294d9aa6998d6f53152bdcfb6b98d47d84",
+        "014488969d870ceb92e7388d736aca0d9a6665fb2f96ca8d5bde3c1c537d4968",
     "4d-smooth-sine":
-        "abd4d492db95a344f3eda57da2794f383579246c86a2c1610cbe16b72c814354",
+        "39f88b2283a40e888b25a0be9c2701dc53bc4710815264ad3bc75843bd44193a",
     "attempt-2":
-        "43869631b1c7e088a50f699a31736987b8755387a87293b4f1f41fa39adb4fa2",
+        "51a11c787b09adaeb11562c02a3fc2492cc9ffe24fa457917d6a7754675b412f",
     "signed-zero-start":
-        "80d1084cea9296a299b119095609dccd83df59f57e8a91993e0c5d658ff6ba2c",
+        "01d72dfa0eecad0b0f0dca372058e8df18f03aeae502bd9c9d476507a0e26920",
     "horizon-4":
-        "533ea82674df12db6b7808111b263f976ee147b1c3935e43ddb495a223d7307b",
+        "f02d19d0847ea1342398cfe0f0f1a7222fbc2e8bc549e142160e8afcff091e6c",
 }
 
 # Euler-Maruyama batches whose bytes are pinned; every step goes through
@@ -282,9 +295,9 @@ class TestDeterminism:
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0)
         law = sampling.dirac([0.0])
         args = (f, law, 1.0, 2.0 ** -12, 7)
-        together = sampling._lattice_batch_states(*args, [0, 1, 2], h=0.125)
+        together = joined(sampling._lattice_blocks(*args, [0, 1, 2], h=0.125))
         for pid in range(3):
-            alone = sampling._lattice_batch_states(*args, [pid], h=0.125)
+            alone = joined(sampling._lattice_blocks(*args, [pid], h=0.125))
             np.testing.assert_array_equal(alone[0], together[pid])
 
     def test_stride_recording_consistent(self):
@@ -417,15 +430,33 @@ class TestTimeBlocks:
         assert [b.shape[1] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= blocks[-1].shape[1] <= rows
 
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(sorted(WALKS)),
+           block_bytes=st.integers(1, 6 * 3 * 8 * 40),
+           window=st.integers(1, 16), draw=st.integers(1, 300))
+    def test_lattice_blocks_join_to_the_one_block_walk(self, case,
+                                                       block_bytes, window,
+                                                       draw):
+        # a path pauses at each block's end and resumes from the same time
+        # and column, so the joined blocks are the pinned one-block walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_BYTES", block_bytes)
+            mp.setattr(sampling, "_LOOKAHEAD", window)
+            mp.setattr(sampling, "_DRAW_JUMPS", draw)
+            states = WALKS[case]()
+        assert hashlib.sha256(states.tobytes()).hexdigest() == (
+            WALK_SHA256[case])
+
     def test_lattice_blocks_slice_the_walk(self, monkeypatch):
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", 6 * 2 * 8 * 10)
         f = fields.make_field("checkerboard", cell=0.5, dim=2, **_CB)
+        whole = _walk(f, sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13,
+                      stride=32)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 6 * 2 * 8 * 10)
         blocks = list(sampling.generate_batch(
             "lattice", f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 3,
             list(range(6)), stride=32, scheme_params={"h": 0.125}))
         assert [b.shape[1] for b in blocks] == [10] * 25 + [7]
-        np.testing.assert_array_equal(joined(blocks), _walk(
-            f, sampling.dirac([0.1, -0.2]), fine_step=2.0 ** -13, stride=32))
+        np.testing.assert_array_equal(joined(blocks), whole)
 
     def test_arguments_checked_on_the_call(self):
         f = fields.make_field("identity", dim=1)
@@ -445,24 +476,90 @@ class TestLattice:
         assert p.shape[0] == 2 ** 12 + 1
 
     def test_2d_checkerboard_batch_bytes(self):
-        # SHA-256 of the states, taken before the 2d neighbour rates were
-        # evaluated in one field call; that call must not move a bit
+        # SHA-256 of the states, taken when each jump first read two words
+        # of its path's stream
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=0.5, dim=2)
-        states = sampling._lattice_batch_states(
+        states = joined(sampling._lattice_blocks(
             f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 17,
-            list(range(8)), stride=2 ** 5, h=0.125)
+            list(range(8)), stride=2 ** 5, h=0.125))
         assert states.shape == (8, 257, 2)
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
-            "6f6ec3e3b510ff97544b69c32c4a4ac99870346c4783c06472ea644f7d1861ae")
+            "d17908e86f1beb2c8864550f7bd06e338ca6f6e06d57425051379a35b4d896e4")
 
     @pytest.mark.parametrize("case", sorted(WALKS))
     def test_walk_bytes(self, case, monkeypatch):
-        # SHA-256 of the states, taken before the walk moved in look-ahead
-        # windows; no window size may move a bit
-        for window in (sampling._LOOKAHEAD, 1, 64):
+        # SHA-256 of the states, taken when each jump first read two words
+        # of its path's stream; no window or draw size may move a bit
+        for window, draw in [(sampling._LOOKAHEAD, sampling._DRAW_JUMPS),
+                             (1, 1), (64, 1), (12, 7)]:
             monkeypatch.setattr(sampling, "_LOOKAHEAD", window)
+            monkeypatch.setattr(sampling, "_DRAW_JUMPS", draw)
             assert hashlib.sha256(WALKS[case]().tobytes()).hexdigest() == (
-                WALK_SHA256[case]), window
+                WALK_SHA256[case]), (window, draw)
+
+    def test_attempt_2_key_is_above_2_63(self, monkeypatch):
+        # the pinned attempt-2 walk reads keys whose high word has its top
+        # bit set, which a float round-trip of the key would lose
+        keys, real = [], sampling.path_rng
+
+        def path_rng(*args, **kwargs):
+            g = real(*args, **kwargs)
+            keys.append(int(g.bit_generator.state["state"]["key"][0]))
+            return g
+        monkeypatch.setattr(sampling, "path_rng", path_rng)
+        WALKS["attempt-2"]()
+        assert keys and all(key >> 63 == 1 for key in keys)
+
+    @pytest.mark.parametrize("case", ["horizon-4", "2d-grid-density"])
+    def test_draws_less_than_a_buffer_unread(self, case):
+        # with no draw beyond a window of one jump, a path draws the two
+        # words of each jump it looks at, the crossing one included: the
+        # words every walk reads.  Any other sizes draw those words and
+        # less than one buffer of _DRAW_JUMPS + _LOOKAHEAD jumps beyond
+        def words(draw, window):
+            gens, real = [], sampling.path_rng
+
+            def path_rng(*args, **kwargs):
+                gens.append(CountingGenerator(
+                    real(*args, **kwargs).bit_generator))
+                return gens[-1]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampling, "path_rng", path_rng)
+                mp.setattr(sampling, "_DRAW_JUMPS", draw)
+                mp.setattr(sampling, "_LOOKAHEAD", window)
+                WALKS[case]()
+            return np.array([g.words for g in gens])
+        read = words(0, 1)
+        assert read.min() > 2 * sampling._DRAW_JUMPS   # a refill was needed
+        for draw, window in [(sampling._DRAW_JUMPS, sampling._LOOKAHEAD),
+                             (1, 12), (7, 64), (300, 1)]:
+            extra = words(draw, window) - read
+            assert extra.min() >= 0
+            assert extra.max() < 2 * (draw + window)
+
+    def test_clock_law(self, monkeypatch):
+        # a 1-d identity walk at h = 1/8 jumps at the Poisson rate 2 / h^2
+        # with +-h equally likely, so E X_1^2 = h^2 E jumps = 2.  In windows
+        # of one jump a path evaluates the field at its 2 neighbours once
+        # per jump and once at the one past the horizon, which counts them
+        h, n, batch = 0.125, 20_000, 2_000
+        f = fields.make_field("identity", dim=1)
+        points, real = [0], f._diag_many
+
+        def diag(pts):
+            points[0] += pts.shape[0]
+            return real(pts)
+        monkeypatch.setattr(f, "_diag_many", diag)
+        monkeypatch.setattr(sampling, "_LOOKAHEAD", 1)
+        sq = np.concatenate([joined(sampling.generate_batch(
+            "lattice", f, sampling.dirac([0.0]), 1.0, 2.0 ** -11, 5,
+            list(range(lo, lo + batch)), stride=2 ** 11,
+            scheme_params={"h": h}))[:, -1, 0] ** 2
+            for lo in range(0, n, batch)])
+        assert abs(sq.mean() - 2.0) <= 4.0 * sq.std(ddof=1) / np.sqrt(n)
+        rate = 2.0 / h ** 2
+        jumps = points[0] / (2 * n) - 1.0
+        assert abs(jumps - rate) <= 4.0 * np.sqrt(rate / n)
 
     @settings(max_examples=12, deadline=None)
     @given(case=st.sampled_from(sorted(WALKS)),
@@ -496,7 +593,7 @@ class TestLattice:
             ids = list(range(lo, lo + 2000))
             em[lo:lo + 2000] = joined(sampling._em_blocks(
                 f, law, 1.0, 2.0 ** -14, 99, ids, stride=T))[:, -1, 0]
-            lat[lo:lo + 2000] = sampling._lattice_batch_states(
-                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T, h=0.05)[:, -1, 0]
+            lat[lo:lo + 2000] = joined(sampling._lattice_blocks(
+                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T, h=0.05))[:, -1, 0]
         assert stats.ks_2samp(em, lat).pvalue > 0.01
         assert lat.var() == pytest.approx(2.0, rel=0.1)
