@@ -4,10 +4,10 @@ All sums are compensated (Kahan) and run in a fixed term order, so results
 are bitwise reproducible and independent of how paths were batched.  The
 engine computes every functional of one dyadic grid in one pass,
 :class:`GridPass`, fed the grid's states block by block as a sampler
-gives them out (:func:`grid_sums` is its one-block case): it walks the
-grid's increments in time-major blocks of rows, evaluates F and grad F on
-each block, writes every term of the block into one buffer, and runs one
-compensated loop over the buffer's rows in time order.  The result is one
+gives them out: it walks the grid's increments in time-major blocks of
+rows, evaluates F and grad F on each block, writes every term of the
+block into one buffer, and runs one compensated loop over the buffer's
+rows in time order.  The result is one
 fixed record per grid, whatever the caller reports from it.  F must be
 pointwise over leading axes, as every catalog entry is: its value at a
 state depends on that state alone, so a block's values are those of the
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import Error
 
-# increments per time-major block of grid_sums; bytes do not depend on it
+# increments per time-major block of a GridPass; bytes do not depend on it
 _BLOCK_ROWS = 64
 
 
@@ -121,7 +121,24 @@ class GridPass:
                 yield _increment_terms(buf[:xt.shape[0] - 1], xt, vt, gt)
 
     def record(self):
-        """The grid's record: see :func:`grid_sums`."""
+        """The grid's record, once every state is fed.  The terms of
+        increment i, with dF = F_{i+1} - F_i and dx = x_{i+1} - x_i:
+
+          "qv"       dF^2                         (quadratic_variation of F)
+          "fwd"      g_i . dx                     (forward_sum)
+          "trap"     (g_i + g_{i+1})/2 . dx       (trapezoid_sum)
+          "taylor"   |dF - g_i . dx|              (the Taylor remainder)
+          "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
+          "cov_abs"  |dg_k dx_k|                  (its abs_value)
+
+        Returns {term: (B,) sums, or (d, B) for "cov" and "cov_abs"},
+        equal bit for bit to the lone references named above on F and g
+        at the states; "v": (2, B) F at the grid's first and last states;
+        and "finite": (B,) True where F and g are finite at every state
+        and every sum over the grid is finite.  The d-axis sums run over
+        the last axis of time-major (rows, B, d) blocks, the order NumPy
+        gives the references' (B, rows, d) products.
+        """
         _check_dyadic(self.fed, "states")
         s, d = self.s, self.d
         return {"qv": s[0], "fwd": s[1], "trap": s[2], "taylor": s[3],
@@ -147,36 +164,6 @@ def _increment_terms(out, xt, vt, gt):
     out[:, 4:4 + d] = prod
     np.abs(prod, out=out[:, 4 + d:])
     return out
-
-
-def grid_sums(states, F):
-    """Compensated sums of every term over one dyadic grid: the one-block
-    case of :class:`GridPass`.
-
-    states: (B, 2^n + 1, d); F: a test function whose ``value`` and
-    ``gradient`` are pointwise over leading axes.  The terms of increment
-    i, with dF = F_{i+1} - F_i and dx = x_{i+1} - x_i:
-
-      "qv"       dF^2                         (quadratic_variation of F)
-      "fwd"      g_i . dx                     (forward_sum)
-      "trap"     (g_i + g_{i+1})/2 . dx       (trapezoid_sum)
-      "taylor"   |dF - g_i . dx|              (the Taylor remainder)
-      "cov"      dg_k dx_k, one per axis k    (covariation(g_k, x_k).value)
-      "cov_abs"  |dg_k dx_k|                  (its abs_value)
-
-    Returns the grid's record: {term: (B,) sums, or (d, B) for "cov" and
-    "cov_abs"}, equal bit for bit to the lone references named above on F
-    and g at the states; "v": (2, B) F at the grid's first and last
-    states; and "finite": (B,) True where F and g are finite at every
-    state and every sum over the grid is finite.  The d-axis sums run over
-    the last axis of time-major (rows, B, d) blocks, the order NumPy gives
-    the references' (B, rows, d) products.
-    """
-    x = np.asarray(states, dtype=float)
-    _check_dyadic(x.shape[-2], "states")
-    p = GridPass(F, x.shape[0], x.shape[-1])
-    p.feed(x)
-    return p.record()
 
 
 def quadratic_variation(values):

@@ -247,7 +247,6 @@ def check_box_mass(U, box, h, dim):
 class ConditionResult:
     """Verdict of a weighted integrability condition."""
 
-    kind: str
     finite: bool
     value: float | None
     ladder: LadderResult | None = None
@@ -270,8 +269,7 @@ class ConditionResult:
 
 
 def _condition_1(lad):
-    return ConditionResult(kind="condition_1", finite=lad.finite,
-                           value=lad.value, ladder=lad)
+    return ConditionResult(finite=lad.finite, value=lad.value, ladder=lad)
 
 
 def check_condition_1(F, U, box, h):
@@ -309,7 +307,7 @@ def check_condition_2(F, U, box, h):
                              for l in ladders]).reshape(d, d)
     finite = bool(entry_finite.all())
     value = float(entry_values.sum()) if finite else None
-    return ConditionResult(kind="condition_2", finite=finite, value=value,
+    return ConditionResult(finite=finite, value=value,
                            entry_values=entry_values,
                            entry_finite=entry_finite, entry_ladders=ladders,
                            components=[_condition_1(l) for l in lads[:d]])

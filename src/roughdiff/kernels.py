@@ -496,25 +496,13 @@ class PotentialField:
     def integral(self, box=None, h=None):
         """Trapezoid integral of U over a box (defaults to the stored
         grid extent)."""
-        stored = self.axes is not None and box is None
-        if stored:
-            axes = self.axes
-        elif box is None or h is None:
+        if self.axes is not None and box is None:
+            return _trapezoid(self.axes, lambda i, j: self.values[i:j])
+        if box is None or h is None:
             raise Error("closed-form potentials need box and h")
-        else:
-            axes, _ = _axes_volumes(box, h, self.dim)
-        # a block of rows at a time: each row's integral has the bits of
-        # the whole table's, without its table-sized temporaries
-        head, rest = axes[0], axes[1:]
-        block = LQ_ROW_BLOCK if rest else head.shape[0]
-        rows = np.empty(head.shape[0])
-        for i in range(0, head.shape[0], block):
-            vals = (self.values[i:i + block] if stored
-                    else self.grid([head[i:i + block], *rest]))
-            for ax in reversed(rest):
-                vals = np.trapezoid(vals, ax, axis=-1)
-            rows[i:i + block] = vals
-        return float(np.trapezoid(rows, head))
+        axes, _ = _axes_volumes(box, h, self.dim)
+        return _trapezoid(axes, lambda i, j: self.grid([axes[0][i:j],
+                                                       *axes[1:]]))
 
     def save(self, prefix):
         """Write <prefix>.csv, the grid of values (one line per x in 2-d),
@@ -528,6 +516,25 @@ class PotentialField:
             "h": float(self.axes[0][1] - self.axes[0][0]),
             "params": self.params,
         })
+
+
+def _trapezoid(axes, rows_of, lo=0, hi=None):
+    """Trapezoid integral over the tensor grid of ``axes`` of the table
+    whose rows i:j along the first axis are ``rows_of(i, j)``, for the
+    rows in [lo, hi); the others integrate to 0.  A block of LQ_ROW_BLOCK
+    rows at a time: each row is integrated on its own, so the bits are
+    the whole table's, without its table-sized temporaries."""
+    head, rest = axes[0], axes[1:]
+    hi = head.shape[0] if hi is None else hi
+    block = LQ_ROW_BLOCK if rest else head.shape[0]
+    rows = np.zeros(head.shape[0])
+    for i in range(lo, hi, block):
+        j = min(i + block, hi)
+        vals = rows_of(i, j)
+        for ax in reversed(rest):
+            vals = np.trapezoid(vals, ax, axis=-1)
+        rows[i:j] = vals
+    return float(np.trapezoid(rows, head))
 
 
 def _axis_cells(ax, q):
@@ -866,23 +873,19 @@ def potential_Lq_norm(U, nu, box, h=0.01):
     """
     R = hull_gap(nu, box, interior=True)
     axes, _ = _axes_volumes(box, h, U.dim)
-    head, rest = axes[0], axes[1:]
     # U is evaluated on its window only and zero-filled to the full
     # width, so each point and each row integral is computed as on the
     # whole grid; rows off the window integrate to 0
     win = U.window(axes)
     cols = (slice(None), *win[1:])
-    inner = [ax[w] for ax, w in zip(rest, win[1:])]
-    block = LQ_ROW_BLOCK if rest else head.shape[0]
-    rows = np.zeros(head.shape[0])
-    for i in range(win[0].start, win[0].stop, block):
-        j = min(i + block, win[0].stop)
-        vals = np.zeros((j - i, *(ax.shape[0] for ax in rest)))
-        vals[cols] = np.maximum(U.grid([head[i:j], *inner]), 0.0) ** 2.0
-        for ax in reversed(rest):
-            vals = np.trapezoid(vals, ax, axis=-1)
-        rows[i:j] = vals
-    box_value = float(np.trapezoid(rows, head))
+    inner = [ax[w] for ax, w in zip(axes[1:], win[1:])]
+
+    def squares(i, j):
+        vals = np.zeros((j - i, *(ax.shape[0] for ax in axes[1:])))
+        vals[cols] = np.maximum(U.grid([axes[0][i:j], *inner]), 0.0) ** 2.0
+        return vals
+
+    box_value = _trapezoid(axes, squares, win[0].start, win[0].stop)
 
     M = ENVELOPE_M
     if U.dim == 1:

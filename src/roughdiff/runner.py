@@ -10,7 +10,7 @@ initial law's potential dies in seconds, not minutes.
 
 Per-path sums are a bitwise-deterministic function of (scenario,
 path_id): workers receive contiguous path_id chunks and return one fixed
-record of sums per dyadic grid (calculus.grid_sums), whatever sweeps are
+record of sums per dyadic grid (calculus.GridPass), whatever sweeps are
 listed.  The reduction walks the records in path_id order, a block of
 paths at a time, applies the sweep table, the gate's denominators and the
 trapezoid gap to each path, and streams the values through two
@@ -52,7 +52,7 @@ CSV_HEADER = "functional,n,mean,stderr,count"
 class PathSweep:
     """One path sweep.  ``functional`` and ``denom`` hold ``{k}`` when the
     sweep reports one functional per axis k.  ``value(p, k)`` reads one
-    dyadic grid's record ``p`` (see calculus.grid_sums); the result is
+    dyadic grid's record ``p`` (see calculus.GridPass.record); the result is
     divided by the gate_scenario denominator ``denom`` if there is one.
     ``gate`` is the integrability condition (1 or 2) the sweep relies on,
     and ``verdict`` is "report", "trapezoid" (gap within TRAPEZOID_TOL) or
@@ -117,7 +117,7 @@ RATIO_SWEEPS = frozenset(s for s, row in SWEEP_TABLE.items() if row.denom)
 def sweep_values(rows, p, denoms):
     """Per-path values of the rows' functionals on one dyadic grid.
 
-    p: the grid's record (see calculus.grid_sums) over B paths; denoms:
+    p: the grid's record (see calculus.GridPass.record) over B paths; denoms:
     the gate_scenario denominators.  Returns ({(sweep, functional): (B,)
     array}, gap), where gap is the largest relative distance of the
     trapezoid sum from forward + half covariation.  Every value is
@@ -439,6 +439,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
         _checked("orders", sampling.fine_step_for, cfg["horizon"],
                  orders[-1], cfg["fine_margin"])
 
+    # the sweeps run and report the same in any order, so they hash in
+    # table order
+    given["sweeps"] = sorted(cfg["sweeps"], key=SWEEPS.index)
     spec = _canon({k: v for k, v in given.items()
                    if k not in ("name", "out_dir")})
     digest = scenario_hash(spec)
@@ -462,9 +465,6 @@ def load_scenario(config, out_dir=None, seed_override=None):
                               f"dimension {field.dim}")
     if paths and scn.scheme == "euler-maruyama":
         _checked("scheme", sampling.check_em_field, field)
-    if paths and scn.scheme == "lattice":
-        _checked("scheme_params.h", sampling.lattice_jump_rate, field,
-                 cfg["scheme_params"]["h"], scn.fine_step)
     route = cfg["potential"]["route"]
     if "potential" in sweeps or paths and not _gate_skipped(
             sweeps, scn.allow_unverified):
@@ -472,8 +472,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
             _checked("potential.route", sampling.check_em_field, field)
         if route == "closed-form":
             _checked("potential.route", kernels.check_closed_form, field, law)
-        # a tabulated U (read bilinearly), the Monte Carlo bandwidths, the
-        # quadrature and the L^2 tail all stop at d = 2
+        # the table read (1-d or bilinear), the Monte Carlo bandwidths and
+        # the L^2 tail stop at d = 2; the quadrature runs in any d
         if field.dim > 2:
             raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
                               f"got d = {field.dim}")
@@ -577,7 +577,7 @@ def gate_scenario(scn):
 # ---------------------------------------------------------------- evaluation
 
 def evaluate_chunk(scn, start, stop):
-    """The grid_sums record of each order's grid for path_ids in
+    """The GridPass record of each order's grid for path_ids in
     [start, stop).
 
     Paths are drawn BATCH_PATHS at a time, and a batch's states arrive in

@@ -6,14 +6,14 @@ Two schemes approximate the process generated by L = div(a grad):
   for smooth or mollified fields;
 * a continuous-time lattice walk on x0 + h Z^d with edge-midpoint
   conductances a_kk(x +/- h e_k / 2) / h^2, for fields of any roughness,
-  resampled onto the same uniform fine grid by carrying the last
-  position forward.  The walk runs in look-ahead windows: each round
-  guesses every live path's next jumps from its last known rates, checks
-  them with one field call at all the guessed positions, and keeps the
-  jumps up to the first wrong guess.  It pauses at the end of each time
-  block it gives out and resumes there.  The states are those of the
-  one-jump-at-a-time walk, bit for bit, whatever the window, draw or
-  block size.
+  recorded at the same times by carrying the last position forward, so
+  its states do not depend on the fine step.  The walk runs in
+  look-ahead windows: each round guesses every live path's next jumps
+  from its last known rates, checks them with one field call at all the
+  guessed positions, and keeps the jumps up to the first wrong guess.
+  It pauses at the end of each time block it gives out and resumes
+  there.  The states are those of the one-jump-at-a-time walk, bit for
+  bit, whatever the window, draw or block size.
 
 Randomness is counter-based: every path owns the Philox stream keyed by
 (seed, path_id), so path i is a bitwise-deterministic function of
@@ -48,10 +48,11 @@ _DRAW_JUMPS = 256
 def fine_step_for(horizon, n_max, margin=4):
     """Simulation step ``margin`` dyadic levels below the finest grid.
 
-    Non-constant Euler-Maruyama fields and the lattice walk take every
-    fine step.  Constant-field Euler-Maruyama paths have independent
-    Gaussian increments and no drift, so they draw one increment per
-    recorded step and the margin costs them nothing.
+    Only non-constant Euler-Maruyama fields take every fine step.
+    Constant-field Euler-Maruyama paths have independent Gaussian
+    increments and no drift, so they draw one increment per recorded
+    step, and the lattice walk runs in continuous time: neither's states
+    depend on the margin.
     """
     if not (0 <= n_max + margin <= MAX_ORDER):
         raise Error(
@@ -280,16 +281,11 @@ def _block_rows(b, d):
     return max(1, BLOCK_BYTES // (b * d * 8))
 
 
-def _em_blocks(field, law, horizon, fine_step, seed, path_ids, stride=1):
-    """Euler-Maruyama batch: the states at times i * stride * fine_step,
-    both endpoints included, as consecutive (B, r, d) blocks of
-    _block_rows rows, the last one shorter.  The field, the step and the
-    law are checked here, before the first block is asked for."""
+def _em_blocks(field, gens, x, horizon, fine_step, nsteps, stride):
+    """Euler-Maruyama blocks from the starts x; the field is checked on
+    the call."""
     check_em_field(field)
-    nsteps = _nsteps(horizon, fine_step, stride)
-    gens = [path_rng(seed, pid) for pid in path_ids]
-    x = _start_points(law, gens, field.dim)
-    rows = _block_rows(len(gens), field.dim)
+    rows = _block_rows(*x.shape)
     if field.is_constant:
         # constant coefficients: zero drift and independent
         # Gaussian increments, so one draw per recorded step is exact in law
@@ -351,34 +347,9 @@ def _stepped_blocks(field, gens, x, fine_step, nsteps, stride, rows):
         x = em_step(field, x, xi[:, j], fine_step)
 
 
-def lattice_jump_rate(field, h, fine_step):
-    """Largest total jump rate 2 d lam / h^2 of the walk; raises
-    Error unless a fine step holds at most 0.1 expected jumps."""
-    rate = 2.0 * field.dim * field.lam / h ** 2
-    if rate * fine_step > 0.1 + 1e-12:
-        raise Error(
-            f"embedding too coarse: max jump rate {rate:.3g} * fine step "
-            f"{fine_step:.3g} exceeds 0.1; enlarge h or refine the grid")
-    return rate
-
-
-def _lattice_blocks(field, law, horizon, fine_step, seed, path_ids,
-                    stride=1, h=0.05):
-    """Continuous-time lattice walk batch: the states at times
-    i * stride * fine_step, both endpoints included, as consecutive
-    (B, r, d) blocks of _block_rows rows, the last one shorter.  The step,
-    the embedding and the law are checked here, before the first block is
-    asked for."""
-    nsteps = _nsteps(horizon, fine_step, stride)
-    lattice_jump_rate(field, h, fine_step)
-    gens = [path_rng(seed, pid) for pid in path_ids]
-    x = _start_points(law, gens, field.dim)
-    return _walk_blocks(field, gens, x, horizon, fine_step * stride,
-                        nsteps // stride + 1, h)
-
-
-def _walk_blocks(field, gens, x, horizon, dt_out, T, h):
-    """The walk from starts x, recorded every dt_out on T slots.
+def _walk_blocks(field, gens, x, horizon, fine_step, nsteps, stride, h):
+    """The continuous-time lattice walk from starts x, recorded every
+    stride fine steps.
 
     Jump j of a path reads the words 2j and 2j+1 of its stream after the
     start: the clock -log1p(-u) of the first (the inversion of numpy's
@@ -390,19 +361,21 @@ def _walk_blocks(field, gens, x, horizon, dt_out, T, h):
     jumps.  A path guesses the window's choices from the rates at its last
     pre-jump position (equal rates at the start, its own after a pause),
     which fixes the window's pre-jump positions; one field call gives the
-    true rates at all of them.  The jumps up to and including the first whose true choice
-    differs from the guess, whose arrival passes the horizon, or whose
-    first later slot lies past the block are kept and their output slots
-    written.  A path stopped by the block takes the jumps before that one,
-    writes its position up to the block's end and pauses: the next block
-    starts its window at that jump, from the time, position and column
-    the whole walk has there.  A kept jump sees the position, rates, time
-    and choice of the one-jump-at-a-time walk through the same
-    floating-point operations, so the states depend on neither the
-    window, the draw nor the block size, and a window of 1 is that walk.
+    true rates at all of them.  The jumps up to and including the first
+    whose true choice differs from the guess, whose arrival passes the
+    horizon, or whose first later slot lies past the block are kept and
+    their output slots written.  A path stopped by the block takes the
+    jumps before that one, writes its position up to the block's end and
+    pauses: the next block starts its window at that jump, from the time,
+    position and column the whole walk has there.  A kept jump sees the
+    position, rates, time and choice of the one-jump-at-a-time walk
+    through the same floating-point operations, so the states depend on
+    neither the window, the draw nor the block size, and a window of 1 is
+    that walk.
     """
     B, d = x.shape
     K, C = _LOOKAHEAD, _DRAW_JUMPS
+    dt_out, T = fine_step * stride, nsteps // stride + 1
     window = np.arange(K)
     # each path's state where it paused: time, the rates its choices are
     # guessed from (equal at the start), and the column of its next words
@@ -511,7 +484,7 @@ def _walk_blocks(field, gens, x, horizon, dt_out, T, h):
         del out, flat_out   # the next block is written without this one
 
 
-_SAMPLERS = {"euler-maruyama": _em_blocks, "lattice": _lattice_blocks}
+_SAMPLERS = {"euler-maruyama": _em_blocks, "lattice": _walk_blocks}
 
 
 def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
@@ -520,9 +493,13 @@ def generate_batch(scheme, field, law, horizon, fine_step, seed, path_ids,
     endpoints included, as an iterator over consecutive, non-overlapping
     (B, r, d) blocks of time rows, r = _block_rows(B, d) in all but the
     last; ``scheme_params`` are the scheme's keyword arguments (h of the
-    lattice).  Arguments are checked on the call, not on the first
+    lattice).  The step, the law and the field are checked, and each
+    path's start drawn from its own stream, on the call, not on the first
     block."""
     if scheme not in _SAMPLERS:
         raise Error(f"unknown scheme {scheme!r}")
-    return _SAMPLERS[scheme](field, law, horizon, fine_step, seed, path_ids,
-                             stride=stride, **(scheme_params or {}))
+    nsteps = _nsteps(horizon, fine_step, stride)
+    gens = [path_rng(seed, pid) for pid in path_ids]
+    x = _start_points(law, gens, field.dim)
+    return _SAMPLERS[scheme](field, gens, x, horizon, fine_step, nsteps,
+                             stride, **(scheme_params or {}))

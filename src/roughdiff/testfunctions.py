@@ -2,7 +2,7 @@
 
 Every entry evaluates in batch: ``value`` maps (..., d) arrays of points to
 (...) values, ``gradient`` to (..., d), ``hessian`` to (..., d, d), each
-pointwise over the leading axes, which calculus.grid_sums relies on when it
+pointwise over the leading axes, which calculus.GridPass relies on when it
 evaluates F one block of path states at a time.  Entries
 whose second derivatives blow up somewhere (the |x|^(1+alpha) family) still
 provide the a.e.-defined hessian and declare the bad points in
@@ -28,7 +28,6 @@ class TestFunction:
     gradient: callable
     hessian: callable
     singular_points: list = dc_field(default_factory=list)
-    params: dict = dc_field(default_factory=dict)
 
 
 def _pts(x, dim):
@@ -119,8 +118,7 @@ def linear(c):
         return np.zeros(x.shape + (d,))
 
     return TestFunction(name="linear", dim=d, value=value,
-                        gradient=gradient, hessian=hessian,
-                        params={"c": c.tolist()})
+                        gradient=gradient, hessian=hessian)
 
 
 def quadratic(dim=1):
@@ -136,8 +134,7 @@ def quadratic(dim=1):
         return 2.0 * _eye(_pts(x, dim))
 
     return TestFunction(name="quadratic", dim=dim,
-                        value=value, gradient=gradient, hessian=hessian,
-                        params={"dim": dim})
+                        value=value, gradient=gradient, hessian=hessian)
 
 
 def sin1d():
@@ -178,8 +175,7 @@ def abs_power(alpha):
 
     return TestFunction(name="abs_power", dim=1, value=value,
                         gradient=gradient, hessian=hessian,
-                        singular_points=[np.zeros(1)],
-                        params={"alpha": float(alpha)})
+                        singular_points=[np.zeros(1)])
 
 
 def radial_power(alpha, dim=2):
@@ -216,8 +212,7 @@ def radial_power(alpha, dim=2):
 
     return TestFunction(name="radial_power", dim=dim,
                         value=value, gradient=gradient, hessian=hessian,
-                        singular_points=[np.zeros(dim)],
-                        params={"alpha": float(alpha), "dim": dim})
+                        singular_points=[np.zeros(dim)])
 
 
 def bump(dim=1):
@@ -248,8 +243,7 @@ def bump(dim=1):
         return c1[..., None, None] * outer + c2[..., None, None] * _eye(x)
 
     return TestFunction(name="bump", dim=dim, value=value,
-                        gradient=gradient, hessian=hessian,
-                        params={"dim": dim})
+                        gradient=gradient, hessian=hessian)
 
 
 # config parameters of each entry as runner.Key tuples, ``...`` marking a

@@ -30,11 +30,19 @@ def em_paths(count, fine_step, seed, stride, horizon=1.0, dim=1):
         list(range(count)), stride=stride))
 
 
+def grid_record(states, F):
+    """The record of a GridPass fed a whole grid's states (B, 2^n + 1, d)
+    at once."""
+    p = calc.GridPass(F, states.shape[0], states.shape[-1])
+    p.feed(states)
+    return p.record()
+
+
 def row_values(sweep, F, states, denoms=None):
     """The engine's per-path values of one sweep row on raw states
     (B, 2^n + 1, d); returns ({functional: values}, trapezoid gap)."""
     got, gap = runner.sweep_values([runner.SWEEP_TABLE[sweep]],
-                                   calc.grid_sums(states, F), denoms or {})
+                                   grid_record(states, F), denoms or {})
     return {functional: v for (_, functional), v in got.items()}, gap
 
 
@@ -200,7 +208,7 @@ def same_bytes(a, b):
 
 
 def lone_references(states, values, grads):
-    """Every grid_sums term from the lone functionals."""
+    """Every GridPass term from the lone functionals."""
     covs = [calc.covariation(grads[..., k], states[..., k])
             for k in range(states.shape[-1])]
     dx = np.diff(states, axis=-2)
@@ -214,8 +222,8 @@ def lone_references(states, values, grads):
 
 
 class TestOnePass:
-    """grid_sums and the engine's sweep rows against the lone references,
-    bit for bit, at every block size."""
+    """A GridPass fed a whole grid and the engine's sweep rows against the
+    lone references, bit for bit, at every block size."""
 
     @PROPERTY
     @given(grid_batches())
@@ -230,7 +238,7 @@ class TestOnePass:
         for block in (1, 3, 64, 1024):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(calc, "_BLOCK_ROWS", block)
-                sums = calc.grid_sums(states, F)
+                sums = grid_record(states, F)
             got, _ = runner.sweep_values(rows, sums, denoms)
             assert set(sums) == set(ref) | {"v", "finite"}
             for term, want in ref.items():
@@ -284,8 +292,8 @@ class TestOnePass:
 
 class TestFedPass:
     """A GridPass fed a grid's states in blocks, of any sizes and empty
-    ones included, gives grid_sums' record bit for bit, and the runner's
-    time blocks move no byte of a chunk's records."""
+    ones included, gives the record of one feed bit for bit, and the
+    runner's time blocks move no byte of a chunk's records."""
 
     @PROPERTY
     @given(grid_batches(), st.data())
@@ -296,7 +304,7 @@ class TestFedPass:
         fed = calc.GridPass(F, states.shape[0], states.shape[-1])
         for a, b in zip([0, *cuts], [*cuts, t]):
             fed.feed(states[:, a:b])
-        got, want = fed.record(), calc.grid_sums(states, F)
+        got, want = fed.record(), grid_record(states, F)
         assert set(got) == set(want)
         for key, value in want.items():
             assert same_bytes(got[key], value), key
@@ -305,7 +313,7 @@ class TestFedPass:
         # F and g are finite at every state, but dF^2 overflows
         F = make_test_function("linear", c=[1e200])
         states = np.array([[[0.0], [1.0], [2.0]], [[0.0], [0.0], [0.0]]])
-        sums = calc.grid_sums(states, F)
+        sums = grid_record(states, F)
         assert sums["finite"].tolist() == [False, True]
 
     @settings(max_examples=12, deadline=None)

@@ -200,7 +200,8 @@ class TestDivergence:
         # samplers refuse it at entry, before any step
         law = sampling.dirac([0.0])
         with pytest.raises(Error, match="needs a smooth or mollified field"):
-            sampling._em_blocks(step_field(), law, 1.0, 2.0 ** -8, 0, [0])
+            sampling.generate_batch("euler-maruyama", step_field(), law, 1.0,
+                                    2.0 ** -8, 0, [0])
         with pytest.raises(Error, match="needs a smooth or mollified field"):
             kernels._terminal_states(step_field(), law, 10, 16.0, 2.0 ** -8,
                                      np.random.default_rng(0))

@@ -143,7 +143,6 @@ class TestConditionChecks:
         assert res.finite
         np.testing.assert_allclose(res.value, 4.0 * (1.0 - np.exp(-10.0)),
                                    atol=1e-3)
-        assert res.kind == "condition_1"
 
     def test_hessian_condition_quadratic_1d(self):
         F = make_test_function("quadratic", dim=1)
@@ -237,7 +236,6 @@ class TestOnePass:
 
         assert len(res.components) == F.dim
         for k, comp in enumerate(res.components):
-            assert comp.kind == "condition_1"
             self._same(comp.ladder,
                        lone(lambda H: (H[..., k, :] ** 2).sum(-1)))
         for i, lad in enumerate(res.entry_ladders):

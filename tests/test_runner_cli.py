@@ -104,6 +104,12 @@ D2_ALL_SWEEPS_CONDITIONS_SHA256 = (
     "53094055c88c85deb000eda045f685aa75982179e9cdc185a870c629895f7db5")
 ABS_POWER_CONDITIONS_SHA256 = (
     "18873ede163ce49bd9c47e51f21a6084ef91c6805471c209063e2bc2518056f0")
+# the gated rough lattice run on the grid route: the gate reads the 1-d
+# table of U by linear interpolation, the ratio divides by its integral
+GATED_GRID_CONDITIONS_SHA256 = (
+    "59ec68035ac23b3ea7dcd5d939ac96fd49681370534bb3e30d5687698d1da109")
+GATED_GRID_PROP1_SHA256 = (
+    "ac67c43fbbf3477ea4767919ee46e40a012087ae21045f4e5673afbb7558092c")
 D2_ALL_SWEEPS_SHA256 = {
     "covariation.csv":
         "707eee52d65a9a38e94eb075312cfe42fcc98857403235ace107dc25b818bc4b",
@@ -161,12 +167,7 @@ D1_ALL_SWEEPS_SHA256 = {
 
 KERNEL_CFG = {"box": [-4.0, 4.0], "h": 0.05, "dt": 5e-4, "times": [0.25],
               "candidates": [2.0, 4.0]}
-# a lattice walk on the default h and fine_margin: 2 lam / h^2 jumps per
-# unit time times the fine step 2^-7 exceeds 0.1
-COARSE_LATTICE = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
-                  "scheme": "lattice", "orders": [2, 3], "fine_margin": 4,
-                  "sweeps": ["qv"], "allow_unverified": True}
-# a gated rough-field run: the walk embeds, and the default potential
+# a gated rough-field run on the lattice walk: the default potential
 # route is monte-carlo, which cannot run on a rough field
 GATED_ROUGH = {"field": {"name": "checkerboard", "lo": 0.5, "hi": 2.0},
                "scheme": "lattice", "scheme_params": {"h": 0.0625},
@@ -431,7 +432,6 @@ class TestLoadScenario:
                              "scheme_params": {"h": "abc"}}),
         ("box", {"box": "abc"}),
         ("box", {"box": [[-10.0, 10.0]] * 2}),
-        ("scheme_params.h", COARSE_LATTICE),
         ("potential.route", GATED_ROUGH),
     ] + LOAD_RULES, ids=["mollify", "diagonal", "alpha", "density-shape",
             "edges-decreasing",
@@ -444,7 +444,7 @@ class TestLoadScenario:
             "kernel-unknown-key", "scheme-params-unknown-key",
             "fractional-field-dim", "kernel-h-string", "kernel-box-number",
             "n-samples-string", "lattice-h-string", "box-string", "box-axes",
-            "lattice-too-coarse", "rough-monte-carlo"] + LOAD_RULE_IDS)
+            "rough-monte-carlo"] + LOAD_RULE_IDS)
     def test_error_names_its_key(self, key, over):
         with pytest.raises(ConfigError) as err:
             runner.load_scenario(quad_config(**over))
@@ -755,8 +755,6 @@ class TestRunScenario:
         assert man.all_pass()
 
     def test_lattice_scheme_runs(self, tmp_path):
-        # the walk embeds in the fine grid by thinning, so the jump rate
-        # 2 lam / h^2 caps the usable fine step; margin 9 gets us there
         cfg = quad_config(
             field={"name": "checkerboard", "lo": 0.5, "hi": 2.0},
             function={"name": "linear", "c": [1.0]},
@@ -774,6 +772,11 @@ class TestRunScenario:
         man = runner.run_scenario(cfg, out_dir=str(tmp_path))
         assert man.conditions["condition_1"]["finite"]
         assert man.verdicts == {"qv": "REPORT", "prop1": "PASS"}
+        got = hashlib.sha256(json.dumps(man.conditions, sort_keys=True)
+                             .encode()).hexdigest()
+        assert got == GATED_GRID_CONDITIONS_SHA256
+        got = hashlib.sha256((tmp_path / "prop1.csv").read_bytes()).hexdigest()
+        assert got == GATED_GRID_PROP1_SHA256
 
     def test_condition_1_violation(self, tmp_path, monkeypatch):
         # no catalog function fails condition 1 (gradients of |x|^(1+a)
@@ -1161,7 +1164,8 @@ class TestCli:
         ("kernel.h", {"kernel": dict(KERNEL_CFG, h="abc"),
                       "sweeps": ["aronson"]}),
         ("allow_unverified", {"allow_unverified": "no"}),
-        ("scheme_params.h", COARSE_LATTICE),
+        ("scheme_params.h", {"scheme": "lattice",
+                             "scheme_params": {"h": 0.0}}),
     ] + LOAD_RULES)
     def test_config_type_error_exit_two(self, tmp_path, cli, key, over):
         path = tmp_path / "bad.json"

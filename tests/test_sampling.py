@@ -285,28 +285,29 @@ class TestDeterminism:
     def test_batch_independent_of_grouping(self):
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0, mollify=0.1)
         law = sampling.dirac([0.0])
-        args = (f, law, 1.0, 2.0 ** -8, 7)
-        together = joined(sampling._em_blocks(*args, [0, 1, 2]))
+        args = ("euler-maruyama", f, law, 1.0, 2.0 ** -8, 7)
+        together = joined(sampling.generate_batch(*args, [0, 1, 2]))
         for pid in range(3):
-            alone = joined(sampling._em_blocks(*args, [pid]))
+            alone = joined(sampling.generate_batch(*args, [pid]))
             np.testing.assert_array_equal(alone[0], together[pid])
 
     def test_lattice_batch_independent_of_grouping(self):
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0)
         law = sampling.dirac([0.0])
-        args = (f, law, 1.0, 2.0 ** -12, 7)
-        together = joined(sampling._lattice_blocks(*args, [0, 1, 2], h=0.125))
+        args = ("lattice", f, law, 1.0, 2.0 ** -12, 7)
+        h = {"scheme_params": {"h": 0.125}}
+        together = joined(sampling.generate_batch(*args, [0, 1, 2], **h))
         for pid in range(3):
-            alone = joined(sampling._lattice_blocks(*args, [pid], h=0.125))
+            alone = joined(sampling.generate_batch(*args, [pid], **h))
             np.testing.assert_array_equal(alone[0], together[pid])
 
     def test_stride_recording_consistent(self):
         # non-constant fields take every fine step whatever the stride
         f = fields.make_field("smooth-sine", dim=1)
         law = sampling.dirac([0.0])
-        full = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -8, 7, [0, 1]))
-        coarse = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -8, 7,
-                                            [0, 1], stride=16))
+        args = ("euler-maruyama", f, law, 1.0, 2.0 ** -8, 7, [0, 1])
+        full = joined(sampling.generate_batch(*args))
+        coarse = joined(sampling.generate_batch(*args, stride=16))
         np.testing.assert_array_equal(full[:, ::16], coarse)
 
 
@@ -318,9 +319,9 @@ class TestEulerMaruyama:
         a = np.array([1.5, 0.75])
         f = fields.make_field("constant-diagonal", values=a.tolist())
         dt = 2.0 ** -10
-        states = joined(sampling._em_blocks(
-            f, sampling.dirac([0.5, -0.25]), 0.25, dt, 5, list(range(200)),
-            stride=stride))
+        states = joined(sampling.generate_batch(
+            "euler-maruyama", f, sampling.dirac([0.5, -0.25]), 0.25, dt, 5,
+            list(range(200)), stride=stride))
         np.testing.assert_array_equal(states[:, 0], [[0.5, -0.25]] * 200)
         inc = np.diff(states, axis=1)
         assert inc.shape == (200, 256 // stride, 2)
@@ -335,8 +336,9 @@ class TestEulerMaruyama:
     def test_brownian_moments(self):
         f = fields.make_field("identity", dim=1)
         law = sampling.dirac([0.0])
-        states = joined(sampling._em_blocks(f, law, 1.0, 2.0 ** -10, 21,
-                                            list(range(2000)), stride=1024))
+        states = joined(sampling.generate_batch(
+            "euler-maruyama", f, law, 1.0, 2.0 ** -10, 21, list(range(2000)),
+            stride=1024))
         final = states[:, -1, 0]
         assert abs(final.mean()) < 0.1
         assert final.var() == pytest.approx(2.0, abs=0.15)
@@ -386,9 +388,9 @@ class TestEulerMaruyama:
         runs = []
         for chunk in (1, 7, sampling._CHUNK_STEPS, 4096):
             monkeypatch.setattr(sampling, "_CHUNK_STEPS", chunk)
-            runs.append(joined(sampling._em_blocks(
-                f, law, 1100 * 2.0 ** -11, 2.0 ** -11, 11, list(range(5)),
-                stride=4)).tobytes())
+            runs.append(joined(sampling.generate_batch(
+                "euler-maruyama", f, law, 1100 * 2.0 ** -11, 2.0 ** -11, 11,
+                list(range(5)), stride=4)).tobytes())
         assert runs[1:] == runs[:-1]
 
 
@@ -479,9 +481,9 @@ class TestLattice:
         # SHA-256 of the states, taken when each jump first read two words
         # of its path's stream
         f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=0.5, dim=2)
-        states = joined(sampling._lattice_blocks(
-            f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 17,
-            list(range(8)), stride=2 ** 5, h=0.125))
+        states = joined(sampling.generate_batch(
+            "lattice", f, sampling.dirac([0.1, -0.2]), 1.0, 2.0 ** -13, 17,
+            list(range(8)), stride=2 ** 5, scheme_params={"h": 0.125}))
         assert states.shape == (8, 257, 2)
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
             "d17908e86f1beb2c8864550f7bd06e338ca6f6e06d57425051379a35b4d896e4")
@@ -575,12 +577,6 @@ class TestLattice:
         for k in (2, 5, 64):
             np.testing.assert_array_equal(walk(k), one)
 
-    def test_embedding_gate(self):
-        f = fields.make_field("identity", dim=1)
-        with pytest.raises(ValueError):
-            lattice_path(f, sampling.dirac([0.0]), 1.0, 2.0 ** -6, seed=0,
-                         path_id=0, h=0.01)
-
     def test_final_marginals_match_em(self):
         # same generator, two schemes: two-sample KS at the 1% level
         f = fields.make_field("identity", dim=1)
@@ -591,9 +587,11 @@ class TestLattice:
         lat = np.empty(n)
         for lo in range(0, n, 2000):
             ids = list(range(lo, lo + 2000))
-            em[lo:lo + 2000] = joined(sampling._em_blocks(
-                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T))[:, -1, 0]
-            lat[lo:lo + 2000] = joined(sampling._lattice_blocks(
-                f, law, 1.0, 2.0 ** -14, 99, ids, stride=T, h=0.05))[:, -1, 0]
+            em[lo:lo + 2000] = joined(sampling.generate_batch(
+                "euler-maruyama", f, law, 1.0, 2.0 ** -14, 99, ids,
+                stride=T))[:, -1, 0]
+            lat[lo:lo + 2000] = joined(sampling.generate_batch(
+                "lattice", f, law, 1.0, 2.0 ** -14, 99, ids, stride=T,
+                scheme_params={"h": 0.05}))[:, -1, 0]
         assert stats.ks_2samp(em, lat).pvalue > 0.01
         assert lat.var() == pytest.approx(2.0, rel=0.1)
