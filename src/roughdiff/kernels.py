@@ -463,10 +463,8 @@ class PotentialField:
                 f"shape {pts.shape}")
         if self.fn is not None:
             return self.fn(pts)
-        if self.dim == 1:
-            return np.interp(pts[..., 0], self.axes[0], self.values,
-                             left=0.0, right=0.0)
-        return _bilinear(self.axes, self.values, pts)
+        return _read_table(self.axes, self.values,
+                           [pts[..., k] for k in range(self.dim)])
 
     def window(self, qaxes):
         """For each ascending query axis, the slice of its nodes where U
@@ -488,10 +486,9 @@ class PotentialField:
             grids = np.meshgrid(*qaxes, indexing="ij")
             pts = np.stack([g.ravel() for g in grids], axis=-1)
             return self.fn(pts).reshape(grids[0].shape)
-        if self.dim == 1:
-            return np.interp(qaxes[0], self.axes[0], self.values,
-                             left=0.0, right=0.0)
-        return _bilinear_grid(self.axes, self.values, qaxes)
+        return _read_table(self.axes, self.values, [
+            q.reshape([-1 if m == k else 1 for m in range(self.dim)])
+            for k, q in enumerate(qaxes)])
 
     def integral(self, box=None, h=None):
         """Trapezoid integral of U over a box (defaults to the stored
@@ -538,37 +535,39 @@ def _trapezoid(axes, rows_of, lo=0, hi=None):
 
 
 def _axis_cells(ax, q):
-    """(cell index, fraction, inside flag) of coordinates q on the uniform
-    axis ax: the one rule both bilinear evaluations use."""
+    """(cell index, fraction, inside flag) of coordinates q on the axis
+    ax, whose nodes (grid nodes, KDE bin centres) are uniform only to
+    rounding: the fraction is measured from ax[0] in units of the first
+    step, ax[1] - ax[0]."""
     u = (q - ax[0]) / (ax[1] - ax[0])
     i = np.clip(np.floor(u).astype(np.int64), 0, ax.shape[0] - 2)
     return i, np.clip(u - i, 0.0, 1.0), (q >= ax[0]) & (q <= ax[-1])
 
 
-def _blend(corner, fu, fv):
-    """The bilinear four-term sum over corner(di, dj), the values at cell
-    offset (di, dj); both evaluations share its order, and one corner
-    array at a time is live."""
-    return (corner(0, 0) * (1 - fu) * (1 - fv) + corner(1, 0) * fu * (1 - fv)
-            + corner(0, 1) * (1 - fu) * fv + corner(1, 1) * fu * fv)
-
-
-def _bilinear(axes, values, pts):
-    (i, fu, in0), (j, fv, in1) = (_axis_cells(ax, pts[..., k])
-                                  for k, ax in enumerate(axes))
-    out = _blend(lambda di, dj: values[i + di, j + dj], fu, fv)
-    return np.where(in0 & in1, out, 0.0)
-
-
-def _bilinear_grid(axes, values, qaxes):
-    """_bilinear on the tensor grid of qaxes, each axis's cells found
-    once: rows gathered by i, columns by j, the same bits."""
-    (i, fu, in0), (j, fv, in1) = (_axis_cells(ax, q)
-                                  for ax, q in zip(axes, qaxes))
-    rows = (values[i], values[i + 1])
-    out = _blend(lambda di, dj: rows[di].take(j + dj, axis=1),
-                 fu[:, None], fv)
-    return np.where(in0[:, None] & in1, out, 0.0)
+def _read_table(axes, values, coords):
+    """The d-linear read of the table ``values`` on ``axes`` at the points
+    whose k-th coordinates are coords[k], broadcast against each other
+    (point columns, or query axes shaped to span a tensor grid); 0 off the
+    table.  The 2^d corners are summed with the first axis varying
+    fastest, each corner's weights multiplied on in axis order, so points
+    and grids get the same bits; one corner is live at a time, read by a
+    take at the cells' flat index on a view of the flat table shifted by
+    the corner's offset."""
+    idx, frac, inside = zip(*(_axis_cells(ax, q)
+                              for ax, q in zip(axes, coords)))
+    strides = [int(np.prod(values.shape[k + 1:])) for k in range(len(axes))]
+    flat, cell = values.ravel(), sum(i * s for i, s in zip(idx, strides))
+    out = None
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        corner = corner[::-1]
+        term = flat[sum(o * s for o, s in zip(corner, strides)):].take(cell)
+        for f, o in zip(frac, corner):
+            term *= f if o else 1 - f
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.where(functools.reduce(np.logical_and, inside), out, 0.0)
 
 
 def resolvent_potential(source, nu, *, field=None, n_samples=200_000,

@@ -472,8 +472,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
             _checked("potential.route", sampling.check_em_field, field)
         if route == "closed-form":
             _checked("potential.route", kernels.check_closed_form, field, law)
-        # the table read (1-d or bilinear), the Monte Carlo bandwidths and
-        # the L^2 tail stop at d = 2; the quadrature runs in any d
+        # the Monte Carlo bandwidths, the L^2 tail and the box and quad_h
+        # defaults stop at d = 2; the read and the quadrature run in any d
         if field.dim > 2:
             raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
                               f"got d = {field.dim}")

@@ -3,7 +3,8 @@ sparse finite-volume operator with its SuperLU solves, the KDE table by
 np.histogramdd and a second table per convolution, the one-point
 initial-law sampler the vectorized draw is pinned to, the constant-field
 Euler-Maruyama batch in one accumulate that the sampler's blocks are
-pinned to, and the byte digest the catalog pins read.
+pinned to, the two-axis bilinear reads the d-linear table read is pinned
+to in 2-d, and the byte digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
 file name does not match ``test_*.py``, so pytest imports it only where a
@@ -96,6 +97,33 @@ def kde_field(samples, bw, dim, params):
                                   params=params,
                                   axes=[0.5 * (e[:-1] + e[1:]) for e in edges],
                                   values=dens)
+
+
+def _blend(corner, fu, fv):
+    """The bilinear four-term sum over corner(di, dj), the values at cell
+    offset (di, dj), in the order both bilinear reads share."""
+    return (corner(0, 0) * (1 - fu) * (1 - fv) + corner(1, 0) * fu * (1 - fv)
+            + corner(0, 1) * (1 - fu) * fv + corner(1, 1) * fu * fv)
+
+
+def bilinear(axes, values, pts):
+    """A 2-d table read at points (..., 2) by fancy indexing; 0 off the
+    table."""
+    (i, fu, in0), (j, fv, in1) = (kernels._axis_cells(ax, pts[..., k])
+                                  for k, ax in enumerate(axes))
+    out = _blend(lambda di, dj: values[i + di, j + dj], fu, fv)
+    return np.where(in0 & in1, out, 0.0)
+
+
+def bilinear_grid(axes, values, qaxes):
+    """bilinear on the tensor grid of qaxes, each axis's cells found once:
+    rows gathered by i, columns by j."""
+    (i, fu, in0), (j, fv, in1) = (kernels._axis_cells(ax, q)
+                                  for ax, q in zip(axes, qaxes))
+    rows = (values[i], values[i + 1])
+    out = _blend(lambda di, dj: rows[di].take(j + dj, axis=1),
+                 fu[:, None], fv)
+    return np.where(in0[:, None] & in1, out, 0.0)
 
 
 def _sample_axis(u, cum, edges):

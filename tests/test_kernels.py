@@ -17,8 +17,9 @@ from roughdiff import runner, sampling
 from roughdiff.errors import Error
 from roughdiff.fields import make_field
 
-from reference import (exact_brownian_kernel, flux_matrix, kde_field,
-                       superlu_potential, tabulate_kernel)
+from reference import (bilinear, bilinear_grid, exact_brownian_kernel,
+                       flux_matrix, kde_field, superlu_potential,
+                       tabulate_kernel)
 
 SPEC_CANDIDATES = [1.0, 2.0, 3.0, 3.6, 4.0, 8.0]
 # 240 log-spaced times from 1e-4 to 8, snapped to steps of 1e-4 (at least
@@ -1059,19 +1060,26 @@ def test_mollified_run_leaves_numpy_polynomial_unimported(run_python,
 
 
 @st.composite
-def tabulated_queries(draw, dim):
+def tabulated_queries(draw, dim, dyadic=False):
     """A tabulated potential on random uniform axes, and query axes that
-    reach past its edges and land exactly on its nodes."""
+    hold nodes, the last node and coordinates off the table.  On dyadic
+    axes (first node and step multiples of 1/16) every node sits at an
+    exact fraction of its cell."""
     axes, qaxes = [], []
     for _ in range(dim):
-        n, lo = draw(st.integers(2, 9)), draw(st.floats(-5.0, 5.0))
-        h = draw(st.floats(0.05, 2.0))
+        n = draw(st.integers(2, 9))
+        if dyadic:
+            lo = draw(st.integers(-80, 80)) / 16.0
+            h = draw(st.integers(1, 32)) / 16.0
+        else:
+            lo, h = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.05, 2.0))
         ax = lo + h * np.arange(n)
         node = st.sampled_from(list(ax))
         near = st.floats(ax[0] - 2.0 * h, ax[-1] + 2.0 * h)
         axes.append(ax)
         qaxes.append(np.array(draw(st.lists(st.one_of(node, near),
-                                            min_size=1, max_size=12))))
+                                            max_size=8))
+                              + [ax[-1], ax[0] - h, ax[-1] + h]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     values = np.random.default_rng(seed).uniform(
         -0.5, 2.0, tuple(ax.shape[0] for ax in axes))
@@ -1079,15 +1087,45 @@ def tabulated_queries(draw, dim):
                              values=values), qaxes
 
 
+def meshgrid_points(qaxes):
+    """The points (..., d) of the tensor grid of the query axes."""
+    return np.stack(np.meshgrid(*qaxes, indexing="ij"), axis=-1)
+
+
 class TestTensorGrid:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([1, 2]).flatmap(tabulated_queries))
+    @given(st.sampled_from([1, 2, 3]).flatmap(tabulated_queries))
     def test_grid_equals_pointwise(self, case):
         U, qaxes = case
-        grids = np.meshgrid(*qaxes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        assert np.array_equal(U.grid(qaxes),
-                              U(pts).reshape(grids[0].shape))
+        got, pts = U.grid(qaxes), meshgrid_points(qaxes)
+        assert_bits(got, U(pts))
+        lo, hi = (np.array([ax[end] for ax in U.axes]) for end in (0, -1))
+        off = np.any((pts < lo) | (pts > hi), axis=-1)
+        assert off.any() and np.all(got[off] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3]).flatmap(
+        lambda dim: tabulated_queries(dim, dyadic=True)))
+    def test_nodes_read_exactly(self, case):
+        U, _ = case
+        assert_bits(U.grid(U.axes), U.values)
+        assert_bits(U(meshgrid_points(U.axes)), U.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tabulated_queries(2))
+    def test_2d_read_is_bilinear(self, case):
+        U, qaxes = case
+        pts = meshgrid_points(qaxes)
+        assert_bits(U(pts), bilinear(U.axes, U.values, pts))
+        assert_bits(U.grid(qaxes), bilinear_grid(U.axes, U.values, qaxes))
+
+    def test_3d_grid_potential_reads_its_nodes(self):
+        U = kn.resolvent_potential(
+            "grid", sampling.dirac(np.zeros(3)),
+            field=make_field("identity", dim=3), box=(-3.0, 3.0), h=0.5)
+        assert U.values.shape == (13, 13, 13)
+        assert_bits(U(meshgrid_points(U.axes)), U.values)
+        assert_bits(U.grid(U.axes), U.values)
 
     def test_closed_form_grid(self, closed_potential):
         q = np.linspace(-3.0, 3.0, 61)

@@ -105,11 +105,12 @@ D2_ALL_SWEEPS_CONDITIONS_SHA256 = (
 ABS_POWER_CONDITIONS_SHA256 = (
     "18873ede163ce49bd9c47e51f21a6084ef91c6805471c209063e2bc2518056f0")
 # the gated rough lattice run on the grid route: the gate reads the 1-d
-# table of U by linear interpolation, the ratio divides by its integral
+# table of U by kernels._read_table's corner blend, the ratio divides by
+# its integral
 GATED_GRID_CONDITIONS_SHA256 = (
-    "59ec68035ac23b3ea7dcd5d939ac96fd49681370534bb3e30d5687698d1da109")
+    "fcaf149cbf1985e1faeaaae6d5cc667a3305297969ba5df9017db6fea3c43e46")
 GATED_GRID_PROP1_SHA256 = (
-    "ac67c43fbbf3477ea4767919ee46e40a012087ae21045f4e5673afbb7558092c")
+    "23725cca9ed227e166c71d6bb5e61f904c70b4411f78d81da41b8d3fa0ccad3b")
 D2_ALL_SWEEPS_SHA256 = {
     "covariation.csv":
         "707eee52d65a9a38e94eb075312cfe42fcc98857403235ace107dc25b818bc4b",

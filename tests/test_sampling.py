@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from roughdiff import fields, sampling
+from roughdiff import fields, kernels, sampling
 from roughdiff.errors import Error
 
 from reference import em_constant_states, joined
@@ -576,6 +577,34 @@ class TestLattice:
         one = walk(1)
         for k in (2, 5, 64):
             np.testing.assert_array_equal(walk(k), one)
+
+    @pytest.mark.parametrize("dim, n_paths", [(1, 20_000), (2, 10_000)])
+    def test_law_is_the_kernel_at_h(self, dim, n_paths):
+        # the walk jumps to x +- h e_k at rate a_kk(x +- h e_k / 2) / h^2,
+        # the finite-volume generator's rate at the same h, so X_1 on the
+        # nodes has the law of the kernel solved at the walk's own h; bins
+        # expecting fewer than 5 paths are pooled into one
+        h, box = 0.25, (-8.0, 8.0)
+        f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=1.0,
+                              dim=dim)
+        x0 = np.full(dim, 0.5)
+        ends = np.concatenate([joined(sampling.generate_batch(
+            "lattice", f, sampling.dirac(x0), 1.0, 1.0, 7,
+            list(range(lo, lo + 5_000)), scheme_params={"h": h}))[:, -1]
+            for lo in range(0, n_paths, 5_000)])
+        mass = (kernels.solve_kernel_pde(f, x0, box, h, [1.0], 0.01).values[0]
+                * functools.reduce(np.multiply.outer,
+                                   kernels._axes_volumes(box, h, dim)[1]))
+        node = np.round((ends - box[0]) / h).astype(np.int64)
+        assert node.min() >= 0 and node.max() < mass.shape[0]
+        seen = np.zeros(mass.shape)
+        np.add.at(seen, tuple(node.T), 1.0)
+        want = n_paths * mass / mass.sum()
+        small = want < 5.0
+        seen = np.append(seen[~small], seen[small].sum())
+        want = np.append(want[~small], want[small].sum())
+        chi2 = np.sum((seen - want) ** 2 / want)
+        assert stats.chi2.sf(chi2, seen.size - 1) >= 0.001
 
     def test_final_marginals_match_em(self):
         # same generator, two schemes: two-sample KS at the 1% level
