@@ -20,12 +20,16 @@ that takes an Euler-Maruyama step (non-constant and not rough) states its
 drift exactly in ``field.matrix_and_divergence(points)``, which returns the
 same diagonal together with div a, both (N, d).
 
-A mollified field sums its base over a fixed quadrature of shifts.  Over a
-checkerboard in d <= 2 every shift sees hi or lo by a parity, so both sums
-are tabulated once per parity pattern and a point reads one table row.
+A mollified field is its base convolved with the product bump
+phi(u) = prod_i (15/16)(1 - u_i^2)_+^2 of radius eps.  Each catalog entry
+states that convolution and its drift in closed form, in
+``mollified(pts, eps)`` next to its own formula, so the drift is the exact
+derivative of the diagonal.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,8 +65,8 @@ class CoefficientField:
     is_constant = False
 
     def _diag_many(self, pts):
-        # a contiguous copy: MollifiedField's einsum sums in an order set
-        # by its operands' strides, and a zero-stride view moves its bytes
+        # a contiguous copy, like every other field's diagonal, not a
+        # read-only zero-stride view
         return np.column_stack([self.scalar(pts)] * self.dim)
 
 
@@ -82,6 +86,10 @@ class ConstantDiagonalField(CoefficientField):
 
     def _diag_many(self, pts):
         return np.broadcast_to(self.values, pts.shape).copy()
+
+    def mollified(self, pts, eps):
+        """A constant is its own mollification, with no drift."""
+        return self._diag_many(pts), np.zeros_like(pts)
 
 
 class CheckerboardField(CoefficientField):
@@ -111,6 +119,33 @@ class CheckerboardField(CoefficientField):
         k = sum(np.floor(pts / self.cell).astype(np.int64).T)
         return np.where((k & 1) == 0, self.hi, self.lo)
 
+    def mollified(self, pts, eps):
+        """mid + amp prod_k w(x_k) and its drift amp w'(x_k) prod_{j != k}
+        w(x_j): the cell sign (-1)^(sum_k floor(x_k / cell)) is a product
+        over the axes, and so is the bump, so each axis convolves its own
+        sign into w (see _smoothed_sign)."""
+        c = self.cell
+        amp = 0.5 * (self.hi - self.lo)
+        # t = (x - c/2 over a period of two cells) / 2c, in [-1/2, 1/2];
+        # r = (|2 c t| - c/2) / eps is the cell sign times the distance to
+        # the nearest edge in radii, and its slope is sign(t) / eps
+        t = pts * (0.5 / c)
+        t += 0.25
+        t -= np.rint(t)
+        slope = np.copysign(1.875 * amp / eps, t)
+        r = np.abs(t, out=t)
+        r *= 2.0 * c / eps
+        r -= 0.5 * c / eps
+        w, dw = _smoothed_sign(r, c / eps)
+        dw *= slope
+        prod = w[:, :1]
+        for i in range(1, self.dim):
+            dw *= np.roll(w, -i, axis=1)
+            prod = prod * w[:, i:i + 1]
+        prod *= amp
+        prod += 0.5 * (self.hi + self.lo)
+        return prod.repeat(self.dim, axis=1), dw
+
 
 class SmoothSineField(CoefficientField):
     """a(x) = (1 + 0.5 sin(x_1)) Id, a smooth non-constant diagonal field."""
@@ -121,65 +156,79 @@ class SmoothSineField(CoefficientField):
         self.dim = int(dim)
         self.lam = 2.0  # values lie in [1/2, 3/2] and 3/2 <= 2
 
-    def scalar(self, pts):
-        return 1.0 + 0.5 * np.sin(pts[:, 0])
+    def scalar(self, pts, amp=0.5):
+        return 1.0 + amp * np.sin(pts[:, 0])
 
-    def matrix_and_divergence(self, pts):
-        """diag a(x) and div a(x) = (s'(x_1), 0, ..., 0), both (N, d)."""
+    def matrix_and_divergence(self, pts, amp=0.5):
+        """diag a(x) and div a(x) = (s'(x_1), 0, ..., 0), both (N, d), for
+        the sine's amplitude amp."""
         div = np.zeros_like(pts)
-        div[:, 0] = 0.5 * np.cos(pts[:, 0])
-        return self._diag_many(pts), div
+        div[:, 0] = amp * np.cos(pts[:, 0])
+        return np.column_stack([self.scalar(pts, amp)] * self.dim), div
+
+    def mollified(self, pts, eps):
+        """The bump's average of sin(x_1 - eps u_1) is m(eps) sin(x_1), with
+        m(eps) = int cos(eps t) (15/16)(1 - t^2)^2 dt over [-1, 1]
+        = 15 ((3 - eps^2) sin eps - 3 eps cos eps) / eps^5.  Below eps = 1
+        that form cancels, and its Taylor series, 1 - eps^2/14 + ..., whose
+        ninth term is under the rounding, is taken instead."""
+        if eps >= 1.0:
+            m = 15.0 * ((3.0 - eps * eps) * math.sin(eps)
+                        - 3.0 * eps * math.cos(eps)) / eps ** 5
+        else:
+            m = term = 1.0
+            for k in range(1, 9):
+                term *= -eps * eps / (2 * k * (2 * k + 5))
+                m += term
+        return self.matrix_and_divergence(pts, 0.5 * m)
 
 
-def _convolve(weights, vals):
-    """sum_k weights[k] vals[:, k], (M, d), for weights (K,) or (K, d) and
-    base diagonals at the quadrature shifts, (M, K, d).  einsum sums each
-    row from that row's values alone, so its bits do not depend on M."""
-    return np.einsum("k...,nk...->n...", weights, vals)
+def _smoothed_sign(r, rho):
+    """w and (8/15) dw/dr, for w the +-1 cell sign convolved with the 1-d
+    bump (15/16)(1 - u^2)_+^2 of radius eps, at r, the sign times the
+    distance to the nearest cell edge in radii; rho = cell / eps.
+
+    An edge r' radii away flips the sign, so it adds +-(G(r') - sign r'),
+    with G(r) = (15/8)(r - 2 r^3/3 + r^5/5) on [-1, 1] and +-1 beyond it,
+    twice the bump's mass on [0, r].  The nearest edge's sign r' cancels
+    the sign itself, and the edges a whole number j of cells off pair up,
+    which leaves w = G(r) + sum_j (-1)^j (G(r + j rho) + G(r - j rho)).
+    Once both edges of a pair lie a radius away their terms cancel, so
+    eps <= cell / 2 sums the nearest edge alone."""
+    w, dw = _edge_terms(r)
+    j = 1
+    while (j - 0.5) * rho < 1.0:
+        for rj in (r + j * rho, r - j * rho):
+            g, dg = _edge_terms(rj)
+            w += (-1) ** j * g
+            dw += (-1) ** j * dg
+        j += 1
+    return w, dw
 
 
-def _bump(u2):
-    """Bump profile (1 - |u|^2)^2 on the unit ball, 0 outside; u2 = |u|^2."""
-    return np.clip(1.0 - u2, 0.0, None) ** 2
-
-
-def _leggauss6():
-    """The nodes and weights of numpy.polynomial.legendre.leggauss(6),
-    written out exactly symmetric: importing numpy.polynomial would add
-    about 4 ms to each run with a mollified field."""
-    x = np.array([-0.9324695142031519, -0.6612093864662645,
-                  -0.2386191860831969, 0.2386191860831969,
-                  0.6612093864662645, 0.9324695142031519])
-    w = np.array([0.17132449237917027, 0.3607615730481387,
-                  0.46791393457269104, 0.46791393457269104,
-                  0.3607615730481387, 0.17132449237917027])
-    return x, w
+def _edge_terms(r):
+    """G(r) and (8/15) G'(r) = (1 - r^2)^2 at r clipped to [-1, 1]."""
+    r = np.maximum(r, -1.0)
+    np.minimum(r, 1.0, out=r)
+    r2 = r * r
+    g = r2 * 0.375
+    g -= 1.25
+    g *= r2
+    g += 1.875
+    g *= r
+    dg = np.subtract(1.0, r2, out=r2)
+    dg *= dg
+    return g, dg
 
 
 class MollifiedField(CoefficientField):
-    """Convolution of a base field against a normalized bump of radius eps.
+    """The base field convolved with the product bump of radius eps,
+    a * phi_eps with phi(u) = prod_i (15/16)(1 - u_i^2)_+^2.
 
-    The convolution integral is approximated by a fixed tensor quadrature,
-    six Gauss-Legendre nodes per axis, with the bump profile folded into the
-    weights and the total weight normalized to one.  Constants are therefore
-    reproduced exactly and the ellipticity interval is preserved (each
-    diagonal entry is a convex combination of base values).
-
-    The divergence comes from the identity d(a * phi) = a * (d phi): the
-    same nodes are reused with derivative-kernel weights, and
-    ``matrix_and_divergence`` returns both sums from one sweep over the
-    base field.  Differencing the quadrature-approximated convolution
-    instead would be ill-posed (it is piecewise constant in x).
-
-    A checkerboard base in d <= 2 is read from a table.  Its value at the
-    shift x - eps u of node u = (u_j1, ..., u_jd) is hi or lo by the parity
-    of sum_i floor((x_i - eps u_ji) / cell), the XOR of one bit per axis
-    and node coordinate.  The six bits of each axis form a 6-bit code, so
-    the quadrature sees one of 64^d patterns.  Both sums are taken once
-    per pattern at construction, through the same ``_convolve``, and a
-    point costs 6 d floors and a row lookup, with the quadrature's bits.
-    Other bases, and d >= 3, where the (64^d, 6^d, d) build array would
-    take 1.4 GB, sum the base values at every shift.
+    Every catalog field states that convolution and its gradient in closed
+    form, ``base.mollified(pts, eps)``, so the diagonal is exact, stays in
+    the base's ellipticity interval, and the drift is its derivative.  A
+    base with no closed form is refused.
     """
 
     smoothness = "mollified"
@@ -187,85 +236,27 @@ class MollifiedField(CoefficientField):
     def __init__(self, base, eps):
         if eps <= 0:
             raise Error(f"mollification radius must be > 0, got {eps}")
+        if not hasattr(base, "mollified"):
+            raise Error(f"{type(base).__name__} has no closed-form "
+                        "mollification")
         self.base = base
         self.eps = float(eps)
         self.dim = base.dim
         self.lam = base.lam
         self.feature_scale = base.feature_scale
 
-        x, w = _leggauss6()
-        grids = np.meshgrid(*([x] * self.dim), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)  # (K, d)
-        wtens = np.ones(nodes.shape[0])
-        for g in np.meshgrid(*([w] * self.dim), indexing="ij"):
-            wtens = wtens * g.ravel()
-        u2 = (nodes ** 2).sum(axis=1)
-        raw = wtens * _bump(u2)
-        z = raw.sum()
-        self.nodes = nodes
-        self.weights = raw / z
-        # derivative kernel: d_i phi(u) = -4 u_i (1 - |u|^2)_+
-        dphi = -4.0 * nodes * np.clip(1.0 - u2, 0.0, None)[:, None]
-        self.dweights = wtens[:, None] * dphi / (self.eps * z)  # (K, d)
-        self._tables = None
-        if isinstance(base, CheckerboardField) and self.dim <= 2:
-            self._shifts = (self.eps * x)[:, None]
-            # a code holds the bit of axis i and node coordinate j at
-            # 6 (d - 1 - i) + j
-            self._place = 1 << (6 * np.arange(self.dim - 1, -1, -1)[:, None]
-                                + np.arange(6)).ravel()
-            self._tables = self._parity_tables()
-
-    def _parity_tables(self):
-        """Both sums for every parity pattern, each (64^d, d)."""
-        d = self.dim
-        codes = np.arange(64 ** d)[:, None]
-        odd = np.zeros((64 ** d, 6 ** d), dtype=bool)
-        # node k = (j_1, ..., j_d) reads bit j_i of axis i's code
-        for bit in np.meshgrid(*self._place.reshape(d, 6), indexing="ij"):
-            odd ^= (codes & bit.ravel()) != 0
-        vals = np.where(odd, self.base.lo, self.base.hi)
-        # the contiguous (P, K, d) stack CheckerboardField._diag_many gives
-        vals = np.repeat(vals[:, :, None], d, axis=2)
-        return _convolve(self.weights, vals), _convolve(self.dweights, vals)
-
-    def _codes(self, pts):
-        """Each point's row in the parity tables, (N,)."""
-        # (d, 6, N), so each ufunc runs along the points; the cells are
-        # the ones CheckerboardField.scalar finds at x - eps u, bit for bit
-        cells = pts.T[:, None, :] - self._shifts
-        np.divide(cells, self.base.cell, out=cells)
-        np.floor(cells, out=cells)
-        bits = cells.astype(np.int64)
-        bits &= 1
-        return self._place @ bits.reshape(6 * self.dim, -1)
-
-    def _shifted_values(self, pts):
-        """Base-field diagonals at all quadrature shifts, (N, K, d)."""
-        n, k = pts.shape[0], self.nodes.shape[0]
-        shifted = pts[:, None, :] - self.eps * self.nodes[None, :, :]
-        vals = self.base._diag_many(shifted.reshape(n * k, self.dim))
-        return vals.reshape(n, k, self.dim)
-
     def _diag_many(self, pts):
-        if self._tables is not None:
-            return self._tables[0].take(self._codes(pts), axis=0)
-        return _convolve(self.weights, self._shifted_values(pts))
+        return self.base.mollified(pts, self.eps)[0]
 
     def matrix_and_divergence(self, pts):
-        """Both diag a(x) and div a(x) from one sweep over the base field."""
-        if self._tables is not None:
-            code = self._codes(pts)
-            a, div = self._tables
-            return a.take(code, axis=0), div.take(code, axis=0)
-        vals = self._shifted_values(pts)
-        return _convolve(self.weights, vals), _convolve(self.dweights, vals)
+        """diag a(x) and div a(x), the base's closed forms."""
+        return self.base.mollified(pts, self.eps)
 
 
 # config parameters of each entry as runner.Key tuples, ``...`` marking a
 # required one; the constructors check the ranges they need
 _DIM = ("integer", 1, 1)
-_MOLLIFY = ("number", None)
+_MOLLIFY = ("number", None, 0.0)
 PARAMS = {
     "identity": {"dim": _DIM, "mollify": _MOLLIFY},
     "constant-diagonal": {"values": ("list", ..., None, "number"),

@@ -4,7 +4,8 @@ np.histogramdd and a second table per convolution, the one-point
 initial-law sampler the vectorized draw is pinned to, the constant-field
 Euler-Maruyama batch in one accumulate that the sampler's blocks are
 pinned to, the two-axis bilinear reads the d-linear table read is pinned
-to in 2-d, and the byte digest the catalog pins read.
+to in 2-d, the mollified diagonal by piecewise Gauss-Legendre over the
+base's own values, and the byte digest the catalog pins read.
 
 Nothing in ``roughdiff`` reaches these, so they live with the tests.  The
 file name does not match ``test_*.py``, so pytest imports it only where a
@@ -192,3 +193,41 @@ def pin_digest(arr):
     arr = np.asarray(arr, dtype=float)
     return hashlib.sha256(np.where(np.isnan(arr), np.nan, arr).tobytes()
                           ).hexdigest()[:16]
+
+
+def gauss_pieces(breaks, nodes):
+    """Gauss-Legendre nodes and weights, ``nodes`` of each per piece
+    between consecutive ascending breaks."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def mollified_diagonal(base, eps, pts, nodes=3):
+    """(a * phi_eps)(x) at each point (N, d), phi(u) = prod_i (15/16)
+    (1 - u_i^2)_+^2, from the base's own values.  Each axis cuts [-1, 1]
+    where x_k - eps u_k crosses a cell edge of a checkerboard base, so the
+    base is constant on every box of pieces, and the bump, of degree 4 in
+    each u_k, is integrated exactly by 3-point Gauss-Legendre per piece; a
+    smooth base takes many nodes on the one piece instead."""
+    cell = getattr(base, "cell", None)
+    out = np.empty_like(pts)
+    for i, x in enumerate(pts):
+        us, ws = [], []
+        for xk in x:
+            cuts = []
+            if cell is not None:
+                n = np.arange(np.floor((xk - eps) / cell),
+                              np.ceil((xk + eps) / cell) + 1.0)
+                cuts = (xk - n * cell) / eps
+            breaks = np.unique(np.clip(np.r_[-1.0, 1.0, cuts], -1.0, 1.0))
+            u, w = gauss_pieces(breaks, nodes)
+            us.append(u)
+            ws.append(w * 15.0 / 16.0 * (1.0 - u * u) ** 2)
+        shifts = np.stack([g.ravel() for g in np.meshgrid(*us, indexing="ij")],
+                          axis=-1)
+        weight = np.prod([g.ravel() for g in np.meshgrid(*ws, indexing="ij")],
+                         axis=0)
+        out[i] = weight @ base._diag_many(x - eps * shifts)
+    return out

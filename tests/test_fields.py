@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from roughdiff import fields, kernels, sampling
 from roughdiff.errors import Error
 
+import reference
 from reference import pin_digest
 
 
@@ -76,8 +77,7 @@ def field_digests(name, mollify, params):
 
 
 def _pin_cases():
-    """Every catalog case, plain and mollified, and the 3-d checkerboard,
-    whose mollification sums the base at every shift."""
+    """Every catalog case, plain and mollified, and the 3-d checkerboard."""
     cases = {name: CATALOG_CASES[name] for name in sorted(fields.PARAMS)}
     cases["checkerboard"] += ({"lo": 0.5, "hi": 2.0, "dim": 3},)
     for name, all_params in cases.items():
@@ -90,33 +90,35 @@ def _pin_cases():
 
 PIN_CASES = dict(_pin_cases())
 # field bytes of every catalog entry, taken before the identity became
-# the constant diagonal of ones
+# the constant diagonal of ones; the mollified ones were re-taken when the
+# quadrature gave way to the closed forms, and a mollified constant now
+# has its base's bytes
 FIELD_PINS = {
-    "checkerboard-mollified-1d": ("1f3de3dbe19a4cc7", "1f3de3dbe19a4cc7",
-                                  "cc1f4d8a95d21b8b"),
-    "checkerboard-mollified-2d": ("f1ad1398c8440577", "f1ad1398c8440577",
-                                  "61df61a9ba5b7db4"),
-    "checkerboard-mollified-3d": ("d3d478595c6823aa", "d3d478595c6823aa",
-                                  "bf2949f31e524c90"),
+    "checkerboard-mollified-1d": ("13df13c60fae8e73", "13df13c60fae8e73",
+                                  "4a44425159077721"),
+    "checkerboard-mollified-2d": ("5130a17a0a2a963f", "5130a17a0a2a963f",
+                                  "f3d32ecf9b090f3a"),
+    "checkerboard-mollified-3d": ("4e0509534ed65a5b", "4e0509534ed65a5b",
+                                  "102879194a05e4c2"),
     "checkerboard-plain-1d": ("14683593da5f8417",),
     "checkerboard-plain-2d": ("8e58c0c29809f0c8",),
     "checkerboard-plain-3d": ("5dc9069e7a0e7735",),
     "constant-diagonal-mollified-1d": ("91e8b382892ace1d", "91e8b382892ace1d",
-                                       "48b47c4df7aed14e"),
-    "constant-diagonal-mollified-2d": ("f3fa9660f1a11ce8", "f3fa9660f1a11ce8",
-                                       "37b42934becb688d"),
+                                       "10eef285deef7a4b"),
+    "constant-diagonal-mollified-2d": ("f751299a4c535e8f", "f751299a4c535e8f",
+                                       "3fcb1e1041f63f75"),
     "constant-diagonal-plain-1d": ("91e8b382892ace1d",),
     "constant-diagonal-plain-2d": ("f751299a4c535e8f",),
     "identity-mollified-1d": ("29f6db545d43579d", "29f6db545d43579d",
-                              "40fff2a35ac3e5d0"),
-    "identity-mollified-2d": ("b7b673b5db77e129", "b7b673b5db77e129",
-                              "85c946d1e1c780a0"),
+                              "10eef285deef7a4b"),
+    "identity-mollified-2d": ("05aea69cdc71c93f", "05aea69cdc71c93f",
+                              "3fcb1e1041f63f75"),
     "identity-plain-1d": ("29f6db545d43579d",),
     "identity-plain-2d": ("05aea69cdc71c93f",),
-    "smooth-sine-mollified-1d": ("89b630c1f2719b02", "89b630c1f2719b02",
-                                 "639e33700511a9b0"),
-    "smooth-sine-mollified-2d": ("8b502fd0de9a17fd", "8b502fd0de9a17fd",
-                                 "4a2a4327e0d140d8"),
+    "smooth-sine-mollified-1d": ("5cb23bbddecbc7c2", "5cb23bbddecbc7c2",
+                                 "6de81a1aad767998"),
+    "smooth-sine-mollified-2d": ("4c9a4d9b178604d5", "4c9a4d9b178604d5",
+                                 "6626e0b63ac6bd02"),
     "smooth-sine-plain-1d": ("bc39f67cfff112f0", "bc39f67cfff112f0",
                              "793049069d051bb6"),
     "smooth-sine-plain-2d": ("7a58b53b5e2d417e", "7a58b53b5e2d417e",
@@ -206,13 +208,6 @@ class TestDivergence:
             kernels._terminal_states(step_field(), law, 10, 16.0, 2.0 ** -8,
                                      np.random.default_rng(0))
 
-    def test_mollified_affine_derivative_exact(self):
-        # the derivative-kernel quadrature reproduces affine slopes exactly
-        m = fields.MollifiedField(AffineField(), eps=0.1)
-        x = np.array([[0.0], [0.7], [-1.3]])
-        np.testing.assert_allclose(m.matrix_and_divergence(x)[1][:, 0], 0.5,
-                                   atol=1e-12)
-
     def test_mollified_constant_divergence_zero(self):
         m = fields.MollifiedField(fields.ConstantDiagonalField([1.3]), eps=0.2)
         np.testing.assert_allclose(
@@ -252,85 +247,94 @@ def test_drift_diagonal_is_the_diagonal(name, mollify, params):
     assert diag.tobytes() == f._diag_many(pts).tobytes()
 
 
+def test_base_without_closed_form_refused():
+    with pytest.raises(Error, match="AffineField has no closed-form"):
+        fields.MollifiedField(AffineField(), eps=0.1)
+
+
 @st.composite
-def mollified_checkerboards(draw):
-    """A mollified checkerboard in d = 1 or 2 with lo <= hi, a radius eps
-    that is often at least cell / 2, so one axis's six shifts cross
-    several cell edges, and N points that mix random coordinates of both
-    signs, +-0.0 and exact shifted edges k cell + eps u_j."""
-    dim = draw(st.sampled_from([1, 2]))
-    lo, hi = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=2,
-                                  max_size=2)))
-    cell = draw(st.floats(0.01, 3.0))
-    eps = cell * draw(st.one_of(st.floats(0.5, 4.0), st.floats(0.01, 0.5)))
-    field = fields.make_field("checkerboard", lo=lo, hi=hi, cell=cell,
-                              dim=dim, mollify=eps)
-    n = draw(st.sampled_from([1, 7, 8193]))
+def mollified_entries(draw):
+    """A mollified catalog entry in d = 1, 2 or 3 at radius eps, a ratio
+    of a cell (of a length scale, for the fields with no cells), and points
+    that mix random coordinates, cell edges, and edges plus or minus eps
+    or half a cell, with +-0.0."""
+    name = draw(st.sampled_from(sorted(fields.PARAMS)))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cell = draw(st.floats(0.05, 3.0))
+    eps = cell * draw(st.sampled_from([0.1, 0.3, 0.7, 2.5]))
+    params = {"dim": dim}
+    if name == "constant-diagonal":
+        params = {"values": draw(st.lists(st.floats(0.1, 10.0),
+                                          min_size=dim, max_size=dim))}
+    elif name == "checkerboard":
+        lo, hi = sorted(draw(st.lists(st.floats(0.1, 10.0), min_size=2,
+                                      max_size=2)))
+        params.update(lo=lo, hi=hi, cell=cell)
+    field = fields.make_field(name, mollify=eps, **params)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    u = np.unique(field.nodes)
+    n = 3
+    edges = rng.integers(-4, 4, (n, dim)) * cell
     choices = np.stack([
-        rng.uniform(-8.0 * cell, 8.0 * cell, (n, dim)),
-        rng.integers(-8, 8, (n, dim)) * cell + eps * rng.choice(u, (n, dim)),
+        rng.uniform(-4.0 * cell, 4.0 * cell, (n, dim)), edges,
+        edges + rng.choice([-eps, eps, 0.5 * cell], (n, dim)),
         rng.choice([0.0, -0.0], (n, dim))])
-    pts = np.take_along_axis(choices, rng.integers(0, 3, (1, n, dim)), 0)[0]
-    return field, pts
+    pts = np.take_along_axis(choices, rng.integers(0, 4, (1, n, dim)), 0)[0]
+    length = cell * draw(st.floats(0.1, 3.0))
+    return field, pts, length
 
 
-@settings(max_examples=40, deadline=None)
-@given(mollified_checkerboards())
-def test_parity_table_is_the_quadrature(case):
-    """A mollified checkerboard read from its parity tables gives the bits
-    of the quadrature over the base field at every shift."""
-    field, pts = case
-    assert field._tables is not None
-    table = field._diag_many(pts), *field.matrix_and_divergence(pts)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_tables", None)
-        quad = field._diag_many(pts), *field.matrix_and_divergence(pts)
-    for got, want in zip(table, quad):
-        assert got.tobytes() == want.tobytes()
+def _drift_integral(field, x, k, length):
+    """The integral of drift_k along axis k from x over ``length``, exact
+    to rounding: piecewise Gauss-Legendre between the points a cell edge
+    or eps from one, where a mollified checkerboard's drift is a
+    polynomial of degree 4, and on 64 pieces of a smooth field's."""
+    a, b = x[k], x[k] + length
+    cell, eps = getattr(field.base, "cell", None), field.eps
+    if cell is None:
+        t, w = reference.gauss_pieces(np.linspace(a, b, 65), 8)
+    else:
+        n = np.arange(np.floor((a - eps) / cell), np.ceil((b + eps) / cell)
+                      + 1.0)
+        cuts = (n[:, None] * cell + [-eps, 0.0, eps]).ravel()
+        t, w = reference.gauss_pieces(
+            np.unique(np.clip(np.r_[a, b, cuts], a, b)), 3)
+    pts = np.repeat(x[None, :], t.shape[0], axis=0)
+    pts[:, k] = t
+    return w @ field.matrix_and_divergence(pts)[1][:, k]
 
 
-@pytest.mark.parametrize("base, quadrature", [
-    (fields.CheckerboardField(0.5, 2.0, dim=1), False),
-    (fields.CheckerboardField(0.5, 2.0, dim=2), False),
-    (fields.CheckerboardField(0.5, 2.0, dim=3), True),
-    (fields.SmoothSineField(dim=1), True),
-    (fields.ConstantDiagonalField([2.0, 0.5]), True),
-], ids=["checkerboard-1d", "checkerboard-2d", "checkerboard-3d",
-        "smooth-sine", "constant"])
-def test_only_low_dimensional_checkerboards_use_a_table(
-        base, quadrature, monkeypatch):
-    """Other bases, and checkerboards in d >= 3, evaluate the base at
-    every quadrature shift; the table path never calls the base."""
-    calls = []
-    real = type(base)._diag_many
-
-    def counted(self, pts):
-        calls.append(pts.shape[0])
-        return real(self, pts)
-
-    monkeypatch.setattr(type(base), "_diag_many", counted)
-    m = fields.MollifiedField(base, eps=0.1)
-    pts = np.zeros((3, base.dim))
-    m._diag_many(pts)
-    m.matrix_and_divergence(pts)
-    assert len(calls) == (2 if quadrature else 0)
-
-
-def test_written_out_gauss_legendre_rule():
-    """The mollifier's nodes and weights are leggauss(6) made exactly
-    symmetric, as the quadrature computed them before, bit for bit."""
-    x, w = np.polynomial.legendre.leggauss(6)
-    nodes, weights = fields._leggauss6()
-    assert nodes.tobytes() == (0.5 * (x - x[::-1])).tobytes()
-    assert weights.tobytes() == (0.5 * (w + w[::-1])).tobytes()
+@settings(max_examples=60, deadline=None)
+@given(mollified_entries())
+def test_mollified_field_is_the_exact_convolution(case):
+    """Every mollified catalog entry's diagonal is the convolution the
+    oracle integrates from the base's own values, within 1e-12 (1e-9 for
+    smooth-sine), a mollified constant is its base bit for bit, and the
+    drift is the diagonal's derivative: along each axis its integral over
+    a segment is the change of a_kk."""
+    field, pts, length = case
+    base = field.base
+    smooth = field.feature_scale is None and not base.is_constant
+    want = reference.mollified_diagonal(base, field.eps, pts,
+                                        nodes=24 if smooth else 3)
+    diag, drift = field.matrix_and_divergence(pts)
+    np.testing.assert_allclose(diag, want, rtol=0,
+                               atol=1e-9 if smooth else 1e-12)
+    if base.is_constant:
+        assert diag.tobytes() == base._diag_many(pts).tobytes()
+        assert not drift.any()
+    for x in pts:
+        for k in range(field.dim):
+            end = x.copy()
+            end[k] += length
+            change = np.subtract(*field._diag_many(np.stack([end, x])))[k]
+            assert _drift_integral(field, x, k, length) == pytest.approx(
+                change, abs=1e-10)
 
 
 def test_3d_mollified_checkerboard_bytes():
-    """A 3-d mollified checkerboard builds no (64^3, 216, 3) table, and
-    its values keep their bytes (SHA-256 taken before the parity tables
-    were added)."""
+    """A 3-d mollified checkerboard builds nothing per field, and its
+    values keep their bytes (SHA-256 taken when the quadrature gave way to
+    the closed form)."""
     start = time.perf_counter()
     f = fields.make_field("checkerboard", lo=0.5, hi=2.0, cell=0.5, dim=3,
                           mollify=0.3)
@@ -341,4 +345,4 @@ def test_3d_mollified_checkerboard_bytes():
     diag, drift = f.matrix_and_divergence(pts)
     assert diag.tobytes() == f._diag_many(pts).tobytes()
     assert hashlib.sha256(diag.tobytes() + drift.tobytes()).hexdigest() == (
-        "598f03d9be3da7f88f1347de01d3720d8723fe0b8c93777046afe3091b4d3de9")
+        "cd8aba9091243252f6abcdcabac44c142d529742c041837bccec15027cdb7cc8")

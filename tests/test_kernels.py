@@ -817,22 +817,21 @@ class TestGridRoute:
         assert rel.max() < 5e-3
 
     def test_mollified_checkerboard_bytes(self):
-        # SHA-256s taken before the mollified checkerboard was read from
-        # its parity tables; the solver reads a at every face midpoint.  The
-        # potential's was re-taken when conjugate gradients replaced the
-        # SuperLU solve, which moved it by round-off
+        # SHA-256s taken when the mollified checkerboard's quadrature
+        # gave way to its closed form; the solver reads a at every face
+        # midpoint
         field = make_field("checkerboard", dim=2, lo=0.5, hi=2.0, cell=1.0,
                            mollify=0.1)
         U = grid_potential(DIRAC_2D, field, (-3.0, 3.0), 0.1)
         digest = hashlib.sha256(b"".join(ax.tobytes() for ax in U.axes)
                                 + U.values.tobytes())
         assert digest.hexdigest() == (
-            "645e578e27f0a23c977745c739eae2e958da3002e8ce8cb8a4175062f33b9f35")
+            "20e6152dcd58e2cb22d942d60f8b09ed155d6257edc51fe4018dda68f984b311")
         k = kn.solve_kernel_pde(field, [0.0, 0.0], (-3.0, 3.0), 0.1,
                                 times=[0.1, 0.4], dt=2e-3)
         digest = hashlib.sha256(k.times.tobytes() + k.values.tobytes())
         assert digest.hexdigest() == (
-            "40b7b2447911e6268af6bb1da7b391cbf1b97f042160818082213427c41c8e2c")
+            "bae8b21cd3a5d817ef51c913779dc94d177b3913e1db0f36f78ebc72d273cce1")
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="outside"):
@@ -878,12 +877,12 @@ class TestMonteCarloEuler:
             self._mc(rough)
 
     def test_table_bytes(self):
-        # SHA-256 of the tabulated potential, taken while fields were still
-        # evaluated as (N, d, d) matrices; the Euler sweep reads diagonals
+        # SHA-256 of the tabulated potential, taken when the mollified
+        # checkerboard's quadrature gave way to its closed form
         U = self._mc(self._mollified_checkerboard(), seed=4)
         digest = hashlib.sha256(U.axes[0].tobytes() + U.values.tobytes())
         assert digest.hexdigest() == (
-            "c18b9d666f7b58c0ebdf74a419ac39e2db7fabaf178ead9c36dc562c145304a6")
+            "bd540e9022f1b69fc5d5dcc3802710dc175693f4211173541ddf74b085697d89")
 
     def test_deterministic(self):
         a = self._mc(self._mollified_checkerboard(), seed=9)
@@ -1046,8 +1045,8 @@ class TestKdeCentre:
 
 def test_mollified_run_leaves_numpy_polynomial_unimported(run_python,
                                                           tmp_path):
-    """The mollifier's Gauss-Legendre rule is written out, so a run on a
-    mollified field does not import numpy.polynomial."""
+    """The mollified field is a closed form, so a run on one does not
+    import numpy.polynomial, which would add about 4 ms to each run."""
     code = ("import json, sys\n"
             "from roughdiff import runner\n"
             "runner.run_scenario(json.loads(sys.argv[1]),"

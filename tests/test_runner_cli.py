@@ -394,7 +394,7 @@ class TestLoadScenario:
             runner.load_scenario(cfg)
 
     @pytest.mark.parametrize("key, over", [
-        ("field", {"field": {"name": "identity", "mollify": -0.1}}),
+        ("field.mollify", {"field": {"name": "identity", "mollify": -0.1}}),
         ("field", {"field": {"name": "constant-diagonal",
                              "values": [-1.0]}}),
         ("function", {"function": {"name": "abs_power", "alpha": 0}}),
@@ -1152,7 +1152,7 @@ class TestCli:
     def test_construction_error_exit_two(self, tmp_path, cli):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(quad_config(
-            field={"name": "identity", "mollify": -0.1})))
+            field={"name": "constant-diagonal", "values": [-1.0]})))
         proc = cli("run", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: field:")

@@ -92,7 +92,7 @@ WALK_SHA256 = {
     "1d-checkerboard":
         "4d4d706af7a5e3180c3a0838836ed15d87030c0a4fdc27b52dc5d3ce269b5fb8",
     "1d-mollified":
-        "b8edcb0d61b4ff329469eb6fb91c87fbd384dea551eccc6ec70ceb2ad0626ddb",
+        "8c56fc2e947d40b630b103b145c0c59ec177e83d0443c002cc18f71b4465ac0b",
     "2d-grid-density":
         "58d43ef91cb6530d88f94875781776f2a34c3f1225f84b3190ef04ef54a4e096",
     "3d-checkerboard":
@@ -123,9 +123,9 @@ EM_BATCHES = {
 }
 EM_SHA256 = {
     "1d-mollified-checkerboard":
-        "c9ca2dbe7e00f5e1eff0d142d03aa09f177558e21268b71a63e8b53acccc35de",
+        "457aa2d0fc8d9ab07cb00e8932e50fa74babbdcaeb24048ce60b14c38f0f2482",
     "2d-mollified-checkerboard":
-        "3c80f010223980406ad4492c98db47db8e996fee74eea73ffe2493d87393aee5",
+        "3d447d58d1bd30dc4bb637e9514616dcf3638dbc6a6643e2043a78b710898c8a",
     "2d-smooth-sine":
         "87f9f4f8a718378cab93caf7284b199e9e5b52a1d85b64022b3b6e035378c9ef",
 }
@@ -371,7 +371,8 @@ class TestEulerMaruyama:
     @pytest.mark.parametrize("case", sorted(EM_BATCHES))
     def test_em_bytes(self, case):
         # SHA-256 of the states, taken while fields were still evaluated
-        # as (N, d, d) matrices; their diagonals must not move a bit
+        # as (N, d, d) matrices, the mollified ones re-taken when the
+        # quadrature gave way to the closed forms
         f, law = EM_BATCHES[case]
         states = joined(sampling.generate_batch(
             "euler-maruyama", f, law, 0.5, 2.0 ** -9, 11, list(range(4)),
@@ -492,7 +493,9 @@ class TestLattice:
     @pytest.mark.parametrize("case", sorted(WALKS))
     def test_walk_bytes(self, case, monkeypatch):
         # SHA-256 of the states, taken when each jump first read two words
-        # of its path's stream; no window or draw size may move a bit
+        # of its path's stream (1d-mollified re-taken when the quadrature
+        # gave way to the closed forms); no window or draw size may move a
+        # bit
         for window, draw in [(sampling._LOOKAHEAD, sampling._DRAW_JUMPS),
                              (1, 1), (64, 1), (12, 7)]:
             monkeypatch.setattr(sampling, "_LOOKAHEAD", window)
