@@ -39,13 +39,12 @@ from .errors import Error
 from . import sampling as _sampling
 
 KDE_BANDWIDTH = {1: 0.05, 2: 0.1}
-# M of the upper envelope that bounds the potential's tails
-ENVELOPE_M = 4.0
 # the Aronson fit ignores kernel values at or below this floor
 SANDWICH_FLOOR = 1e-12
 MIN_KDE_SAMPLES = 100_000
-# rows per field evaluation in the Monte Carlo Euler sweep and in the
-# L^2 quadrature; results do not depend on them, peak memory does
+# rows per field evaluation in the Monte Carlo Euler sweep and per block
+# of a table's trapezoid integrals; results do not depend on them, peak
+# memory does
 EULER_ROW_BLOCK = 2048
 LQ_ROW_BLOCK = 32
 # the kernel's Lanczos recurrence stops once the last Krylov coefficient of
@@ -282,14 +281,14 @@ def snap_times(times, dt):
 
 
 def source_node(axes, h, x0):
-    """The grid node x0 snaps to, which must be interior; x0 needs one
-    coordinate per axis."""
+    """The grid node x0 snaps to, which must be off the box's faces; x0
+    needs one coordinate per axis."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     idx = [int(round((c - ax[0]) / h)) for c, ax in zip(x0, axes)]
     if x0.shape != (len(axes),) or not all(
             0 < i < ax.shape[0] - 1 for i, ax in zip(idx, axes)):
         raise Error(f"source {x0.tolist()} is not a point of dimension "
-                    f"{len(axes)} that snaps to an interior node")
+                    f"{len(axes)} that snaps to a node off the box's faces")
     return np.array([ax[i] for ax, i in zip(axes, idx)])
 
 
@@ -490,23 +489,19 @@ class PotentialField:
             q.reshape([-1 if m == k else 1 for m in range(self.dim)])
             for k, q in enumerate(qaxes)])
 
-    def integral(self, box=None, h=None):
-        """Trapezoid integral of U over a box (defaults to the stored
-        grid extent)."""
-        if self.axes is not None and box is None:
-            return _trapezoid(self.axes, lambda i, j: self.values[i:j])
-        if box is None or h is None:
-            raise Error("closed-form potentials need box and h")
-        axes, _ = _axes_volumes(box, h, self.dim)
-        return _trapezoid(axes, lambda i, j: self.grid([axes[0][i:j],
-                                                       *axes[1:]]))
+    def integral(self):
+        """The integral of U: the trapezoid rule over a table's own nodes,
+        off which U is 0, or 1, the mass of the closed form."""
+        if self.axes is None:
+            return 1.0
+        return _trapezoid(self.axes, lambda i, j: self.values[i:j])
 
     def save(self, prefix):
         """Write <prefix>.csv, the grid of values (one line per x in 2-d),
         and the <prefix>.json sidecar."""
         if self.axes is None:
-            raise Error("only tabulated potentials serialize; "
-                        "tabulate the closed form on a grid first")
+            raise Error("only tabulated potentials serialize; the closed "
+                        "form has no table")
         _save_table(prefix, self.axes, self.values, {
             "kind": "potential",
             "route": self.route,
@@ -515,18 +510,17 @@ class PotentialField:
         })
 
 
-def _trapezoid(axes, rows_of, lo=0, hi=None):
+def _trapezoid(axes, rows_of):
     """Trapezoid integral over the tensor grid of ``axes`` of the table
-    whose rows i:j along the first axis are ``rows_of(i, j)``, for the
-    rows in [lo, hi); the others integrate to 0.  A block of LQ_ROW_BLOCK
-    rows at a time: each row is integrated on its own, so the bits are
-    the whole table's, without its table-sized temporaries."""
+    whose rows i:j along the first axis are ``rows_of(i, j)``.  A block
+    of LQ_ROW_BLOCK rows at a time: each row is integrated on its own, so
+    the bits are the whole table's, without its table-sized
+    temporaries."""
     head, rest = axes[0], axes[1:]
-    hi = head.shape[0] if hi is None else hi
     block = LQ_ROW_BLOCK if rest else head.shape[0]
     rows = np.zeros(head.shape[0])
-    for i in range(lo, hi, block):
-        j = min(i + block, hi)
+    for i in range(0, head.shape[0], block):
+        j = min(i + block, head.shape[0])
         vals = rows_of(i, j)
         for ax in reversed(rest):
             vals = np.trapezoid(vals, ax, axis=-1)
@@ -585,10 +579,10 @@ def resolvent_potential(source, nu, *, field=None, n_samples=200_000,
     if source == "closed-form":
         # (1 - a d^2/dx^2) U = delta_x0: U = e^(-|x - x0| / s) / (2 s),
         # s = sqrt(a); at a = 1 every operation by s is exact
-        s = np.sqrt(check_closed_form(field, nu))
+        s = float(np.sqrt(check_closed_form(field, nu)))
         x0 = float(nu.points[0, 0])
         return PotentialField(
-            route="closed-form", dim=1, params={"x0": x0},
+            route="closed-form", dim=1, params={"x0": x0, "s": s},
             fn=lambda pts: np.exp(-np.abs(pts[..., 0] - x0) / s) / (2.0 * s))
     if source == "monte-carlo":
         return _potential_from_samples(field, nu, n_samples, seed, step,
@@ -620,7 +614,7 @@ def _potential_from_solve(field, nu, box, h):
     BLAS thread count.  It stops at a residual of CG_TOL of V^-1/2 m and
     gives up after KRYLOV_MAX_PER_NODE steps per node.
     """
-    hull_gap(nu, box)
+    check_support(nu, box)
     axes, vols = fv_grid(field, box, h)
     couplings, vol, shape = _assemble_operator(field, axes, vols, h)
     B, diag = _stencil(couplings, vol, shape)
@@ -646,18 +640,13 @@ def _potential_from_solve(field, nu, box, h):
         p = z + (rz / rz_prev) * p
 
 
-def hull_gap(nu, box, interior=False):
-    """The least distance from the hull of nu's support to a face of box;
-    raises Error when the hull reaches outside the box or, with
-    ``interior``, touches a face."""
+def check_support(nu, box):
+    """Raise Error unless the hull of nu's support lies in box."""
     lo, hi = np.reshape(np.asarray(box, dtype=float), (-1, 2)).T
     a, b = nu.hull()
-    gap = float(min(np.min(a - lo), np.min(hi - b)))
-    if gap < 0.0 or interior and not gap > 0.0:
-        where = "interior of the box" if interior else "box"
+    if np.any(a < lo) or np.any(b > hi):
         raise Error(f"the initial law's support, {a.tolist()} to "
-                    f"{b.tolist()}, reaches outside the {where} {box}")
-    return gap
+                    f"{b.tolist()}, reaches outside the box {box}")
 
 
 def _node_mass(nu, axes, h):
@@ -831,70 +820,11 @@ def _kde_field(samples, bw, dim, params):
 
 # ------------------------------------------------------------- L^2 norm
 
-# trapezoid rule for K0(z) = e^-z int_0^inf exp(-z (cosh t - 1)) dt, with
-# cosh t - 1 = 2 sinh^2(t/2) so no digits cancel: the integrand is
-# analytic and decays doubly exponentially, so step 0.05 on [0, 20) is
-# exact to rounding (6e-16 relative) for z in [1e-3, 50]; beyond, the
-# error grows to 4e-6 at z = 600, where K0 < e^-600 adds nothing to a tail
-_K0_T = 0.05 * np.arange(400)
-_K0_C = 2.0 * np.sinh(0.5 * _K0_T) ** 2
-_K0_W = np.where(_K0_T == 0.0, 0.025, 0.05)
-
-
-def _k0(z):
-    """The modified Bessel function K0 at z >= 0 (inf at 0), in numpy
-    alone."""
-    z = np.asarray(z, dtype=float)
-    # -(z c) is z (-c) exactly, so the table is exponentiated in place
-    e = np.multiply.outer(z, -_K0_C)
-    k = np.exp(-z) * (np.exp(e, out=e) @ _K0_W)
-    return np.where(z > 0.0, k, np.inf)
-
-
-def _envelope_potential(r, M):
-    """Pointwise upper bound on U nu(x) in d = 2 at distance r from the
-    hull of nu's support, from the upper Gaussian envelope integrated
-    against e^(-s)."""
-    return 2.0 * M * _k0(2.0 * r / np.sqrt(M))
-
-
-def potential_Lq_norm(U, nu, box, h=0.01):
-    """The squared L^2 norm of U = U nu as (box value, tail bound): the
-    trapezoid integral of U^2 over the box, and an envelope bound on the
-    integral off it.
-
-    Off the box every point is at least R from the hull of nu's support,
-    R the gap from the hull to the nearest box face, and U there is at
-    most the upper envelope (M = ENVELOPE_M) at that distance.  The tail
-    integrates its square over the points at distance r >= R from the
-    hull: 2 of them per r in d = 1, a curve of length 2 pi r + P in d = 2
-    (Steiner's formula, P the hull's perimeter, 0 for a Dirac).
-    """
-    R = hull_gap(nu, box, interior=True)
-    axes, _ = _axes_volumes(box, h, U.dim)
-    # U is evaluated on its window only and zero-filled to the full
-    # width, so each point and each row integral is computed as on the
-    # whole grid; rows off the window integrate to 0
-    win = U.window(axes)
-    cols = (slice(None), *win[1:])
-    inner = [ax[w] for ax, w in zip(axes[1:], win[1:])]
-
-    def squares(i, j):
-        vals = np.zeros((j - i, *(ax.shape[0] for ax in axes[1:])))
-        vals[cols] = np.maximum(U.grid([axes[0][i:j], *inner]), 0.0) ** 2.0
-        return vals
-
-    box_value = _trapezoid(axes, squares, win[0].start, win[0].stop)
-
-    M = ENVELOPE_M
-    if U.dim == 1:
-        # closed form: 2 int_R^inf (M sqrt(pi))^2 e^(-4 r / sqrt M) dr
-        amp = (M * np.sqrt(np.pi)) ** 2.0
-        tail = 2.0 * amp * np.sqrt(M) / 4.0 * np.exp(-4.0 * R / np.sqrt(M))
-    else:
-        r = R * np.exp(np.linspace(0.0, 4.0, 400))
-        env = _envelope_potential(r, M) ** 2.0
-        a, b = nu.hull()
-        perimeter = 2.0 * float(np.sum(b - a))
-        tail = float(np.trapezoid(env * (2.0 * np.pi * r + perimeter), r))
-    return box_value, float(tail)
+def potential_Lq_norm(U):
+    """The squared L^2 norm of U = U nu: on a table, the trapezoid
+    integral of max(U, 0)^2 over its own nodes, off which U is 0; on the
+    closed form e^(-|x - x0| / s) / (2 s), exactly 1 / (4 s)."""
+    if U.axes is None:
+        return 0.25 / U.params["s"]
+    return _trapezoid(U.axes,
+                      lambda i, j: np.maximum(U.values[i:j], 0.0) ** 2.0)

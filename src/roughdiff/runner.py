@@ -210,16 +210,14 @@ def _default_potential(section, top):
 
 
 _GRID = {"box": Key("box", REQUIRED), "h": Key("number", REQUIRED, 0.0)}
-# every route: the potential sweep integrates U over box at step h
-_SWEEP = {"box": Key("box", [-10.0, 10.0]), "h": Key("number", 0.01, 0.0)}
 POTENTIAL_ROUTES = {
-    "closed-form": _SWEEP,
+    "closed-form": {},
     "monte-carlo": {"n_samples": Key("integer", 200_000,
                                      kernels.MIN_KDE_SAMPLES),
                     "seed": Key("integer", lambda s, top: top["seed"], 0),
                     "step": Key("number", 2.0 ** -9, 0.0),
-                    "t_cap": Key("number", 16.0, 0.0), **_SWEEP},
-    "grid": {"kernel": Key("object", REQUIRED, table=_GRID), **_SWEEP},
+                    "t_cap": Key("number", 16.0, 0.0)},
+    "grid": {"kernel": Key("object", REQUIRED, table=_GRID)},
 }
 KERNEL = {**_GRID, "dt": Key("number", REQUIRED, 0.0),
           "times": Key("list", REQUIRED, item=("number", None, 0.0)),
@@ -472,8 +470,9 @@ def load_scenario(config, out_dir=None, seed_override=None):
             _checked("potential.route", sampling.check_em_field, field)
         if route == "closed-form":
             _checked("potential.route", kernels.check_closed_form, field, law)
-        # the Monte Carlo bandwidths, the L^2 tail and the box and quad_h
-        # defaults stop at d = 2; the read and the quadrature run in any d
+        # the Monte Carlo bandwidths and the box and quad_h defaults stop
+        # at d = 2; the read, the grid solve and the sweep's integrals run
+        # in any d
         if field.dim > 2:
             raise ConfigError(f"potential.route: {route} covers d = 1 or 2, "
                               f"got d = {field.dim}")
@@ -481,7 +480,8 @@ def load_scenario(config, out_dir=None, seed_override=None):
             pk = cfg["potential"]["kernel"]
             _checked("potential.kernel.h", kernels.fv_grid, field, pk["box"],
                      pk["h"])
-            _checked("potential.kernel.box", kernels.hull_gap, law, pk["box"])
+            _checked("potential.kernel.box", kernels.check_support, law,
+                     pk["box"])
             # the gate integrates U over box, and U is 0 off the kernel grid
             lo, hi = np.reshape(pk["box"], (-1, 2)).T
             qlo, qhi = np.reshape(cfg["box"], (-1, 2)).T
@@ -490,13 +490,6 @@ def load_scenario(config, out_dir=None, seed_override=None):
                 raise ConfigError(
                     f"box: {cfg['box']} must lie inside potential.kernel.box "
                     f"{pk['box']}, where the grid route computes U")
-    if "potential" in sweeps:
-        # the L^2 tail is measured from the law's hull to the box faces
-        _checked("potential.box", kernels.hull_gap, law,
-                 cfg["potential"]["box"], interior=True)
-        # the sweep integrates U on the vertex grid of box at step h
-        _checked("potential.h", kernels._axes_volumes,
-                 cfg["potential"]["box"], cfg["potential"]["h"], field.dim)
     if "aronson" in sweeps:
         k = cfg["kernel"]
         axes, _ = _checked("kernel.h", kernels.fv_grid, field, k["box"],
@@ -515,7 +508,7 @@ def resolve_potential(scn):
     """Build the potential U nu the scenario's checks and sweeps rely on."""
     cfg = scn.cfg["potential"]
     route = cfg["route"]
-    # the route's own keys; box and h of the section are the sweep's
+    # the Monte Carlo keys, or the grid's kernel box and h
     kw = ({k: cfg[k] for k in ("n_samples", "seed", "step", "t_cap")}
           if route == "monte-carlo" else cfg.get("kernel", {}))
     return kernels.resolvent_potential(route, scn.law, field=scn.field, **kw)
@@ -752,16 +745,13 @@ def _run_aronson(scn, U, incidents):
 def _run_potential(scn, U, incidents):
     if U is None:
         U = resolve_potential(scn)
-    pbox, ph = scn.cfg["potential"]["box"], scn.cfg["potential"]["h"]
-    if U.axes is not None:
-        mass = U.integral()
-        count = int(np.prod([ax.shape[0] for ax in U.axes]))
-    else:
-        mass = U.integral(box=pbox, h=ph)
-        count = 1
-    box_l2, tail_l2 = kernels.potential_Lq_norm(U, scn.law, pbox, h=ph)
+    # each U is integrated where it is defined: a table over its own
+    # nodes, the closed form exactly
+    mass = U.integral()
+    count = (1 if U.axes is None
+             else int(np.prod([ax.shape[0] for ax in U.axes])))
     rows = [("potential_mass", 0, mass, 0.0, count),
-            ("potential_l2", 0, box_l2 + tail_l2, 0.0, count)]
+            ("potential_l2", 0, kernels.potential_Lq_norm(U), 0.0, count)]
     artifacts = {}
     if U.axes is not None:
         U.save(os.path.join(scn.out_dir, "potential_field"))

@@ -178,9 +178,7 @@ def test_c4_resolvent_potential_two_routes(potentials):
     for label, U in (("grid", grid), ("monte-carlo", mc)):
         sup = float((np.abs(U(pts) - exact) / exact).max())
         mass = U.integral()
-        box_l2, tail_l2 = kernels.potential_Lq_norm(
-            U, sampling.dirac([0.0]), (-10.0, 10.0), h=0.01)
-        l2 = box_l2 + tail_l2
+        l2 = kernels.potential_Lq_norm(U)
         ok &= sup <= 0.05 and abs(mass - 1.0) <= 0.02
         ok &= abs(l2 - 0.25) <= 0.02 * 0.25
         details.append(f"{label}: sup {sup:.4f}, mass {mass:.4f}, "

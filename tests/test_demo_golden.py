@@ -42,7 +42,7 @@ GOLDEN = {
         "ito_residual.csv":
             "0b94d2c625de63af2f56efc151d9cbeb5e60d46577336daef3187805ea0da3c3",
         "potential.csv":
-            "bb76813c932405636e5f8342e9de9bb1426e32c0e5e3283ef6da49d4bd825dc5",
+            "afe857c7392dea11412dc001295e25967bbd48f4ad14efd36095da6b5120e438",
         "trapezoid.csv":
             "d8f6357370c034bc641daa3b027a4365b3bd74c4ea5de92795d301e07b8eb37e",
     },

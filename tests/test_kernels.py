@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import integrate, sparse, special
+from scipy import integrate, sparse
 from scipy.sparse.linalg import splu
 
 from roughdiff import kernels as kn
@@ -545,6 +545,11 @@ class TestTableBytes:
             assert fh.read() == one_string_table(kde_2d.values)
         meta = assert_round_trip(prefix, kde_2d.values, kde_2d.axes)
         assert meta["route"] == "monte-carlo-kde"
+
+    def test_closed_form_does_not_save(self, closed_potential, tmp_path):
+        with pytest.raises(Error, match="the closed form has no table"):
+            closed_potential.save(str(tmp_path / "pot"))
+        assert not os.listdir(tmp_path)
 
 
 class TestResolventPotential:
@@ -1131,113 +1136,53 @@ class TestTensorGrid:
         assert np.array_equal(closed_potential.grid([q]),
                               closed_potential(q[:, None]))
 
-    def test_k0_reference_values(self):
-        # K0(0.1), K0(1), K0(10) to 20 digits (30-digit arithmetic)
-        ref = np.array([2.4270690247020165578, 0.42102443824070833334,
-                        1.7780062316167651811e-05])
-        got = kn._k0(np.array([0.1, 1.0, 10.0]))
-        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
-        assert kn._k0(np.zeros(2)).tolist() == [np.inf, np.inf]
 
-
-def full_width_box_value(U, box, h):
-    """The L^2 box quadrature before windows, kept as the reference: U on
-    every node, LQ_ROW_BLOCK rows at a time."""
-    axes, _ = kn._axes_volumes(box, h, U.dim)
-    head, rest = axes[0], axes[1:]
-    block = kn.LQ_ROW_BLOCK if rest else head.shape[0]
-    rows = []
-    for i in range(0, head.shape[0], block):
-        vals = np.maximum(U.grid([head[i:i + block], *rest]), 0.0) ** 2.0
-        for ax in reversed(rest):
-            vals = np.trapezoid(vals, ax, axis=-1)
-        rows.append(vals)
-    return float(np.trapezoid(np.concatenate(rows), head))
-
-
-# a table axis against the box (-3, 3): (lowest, highest first node)
-LQ_PLACEMENTS = {"inside": (-2.9, 0.0), "straddle": (-5.0, -3.1),
-                 "covers": (-6.0, -3.5), "miss": (3.05, 5.0)}
-
-
-@st.composite
-def placed_table(draw, dim, placement):
-    """A tabulated U of either sign on uniform axes placed against the
-    box (-3, 3); a "miss" axis leaves the window empty."""
-    lo_min, lo_max = LQ_PLACEMENTS[placement]
-    axes = []
-    for _ in range(dim):
-        h = draw(st.floats(0.1, 1.0))
-        n = draw(st.integers(2, 15))
-        lo = draw(st.floats(lo_min, lo_max))
-        if placement == "inside":
-            n = min(n, int(2.9 / h))
-        elif placement == "straddle":
-            n = max(n, int((-2.9 - lo) / h) + 2)
-        elif placement == "covers":
-            n = max(n, int((3.5 - lo) / h) + 2)
-        axes.append(lo + h * np.arange(n))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    values = np.random.default_rng(seed).uniform(
-        -0.5, 2.0, tuple(ax.shape[0] for ax in axes))
-    return kn.PotentialField(route="grid", dim=dim, axes=axes, values=values)
+def nested_trapezoid(axes, values):
+    """The trapezoid integral of a whole table, one np.trapezoid per axis
+    from the last."""
+    for ax in reversed(axes):
+        values = np.trapezoid(values, ax, axis=-1)
+    return float(values)
 
 
 class TestLqNorm:
-    @pytest.mark.parametrize("placement", sorted(LQ_PLACEMENTS))
-    @pytest.mark.parametrize("dim", [1, 2])
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_window_equals_full_width(self, dim, placement, data):
-        U = data.draw(placed_table(dim, placement))
-        box, h = (-3.0, 3.0), (0.01 if dim == 1 else 0.02)
-        nu = DIRAC_1D if dim == 1 else DIRAC_2D
-        got, _ = kn.potential_Lq_norm(U, nu, box, h=h)
-        assert got == full_width_box_value(U, box, h)
-        if placement == "miss":
-            assert got == 0.0
+    def test_l2_closed_form(self):
+        # e^(-|x - x0| / s) / (2 s), s = sqrt(a): mass 1 and L^2 1 / (4 s)
+        a, x0 = 2.5, 0.7
+        U = kn.resolvent_potential(
+            "closed-form", sampling.dirac([x0]),
+            field=make_field("constant-diagonal", values=[a]))
+        u = lambda x: float(U(np.array([x])))
+        for power, got in ((1, U.integral()), (2, kn.potential_Lq_norm(U))):
+            # split at the kink, x0
+            want = sum(integrate.quad(lambda x: u(x) ** power, lo, hi,
+                                      epsabs=0.0, epsrel=1e-12)[0]
+                       for lo, hi in ((-np.inf, x0), (x0, np.inf)))
+            assert abs(got - want) <= 1e-10 * want
+        assert kn.potential_Lq_norm(U) == 0.25 / np.sqrt(a)
 
-    def test_l2_closed_form(self, closed_potential):
-        value, tail = kn.potential_Lq_norm(closed_potential, DIRAC_1D,
-                                           (-10.0, 10.0), h=0.01)
-        np.testing.assert_allclose(value, 0.25, rtol=0.02)
-        assert tail < 1e-4
-        np.testing.assert_allclose(value + tail, 0.25, rtol=0.02)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3]).flatmap(tabulated_queries))
+    def test_table_l2_is_the_whole_table(self, case):
+        # the table's own nodes, values of either sign, in blocks of 1, 2
+        # and 3 rows or all at once
+        U, _ = case
+        want = nested_trapezoid(U.axes, np.maximum(U.values, 0.0) ** 2)
+        for block in (1, 2, 3, U.values.shape[0]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kn, "LQ_ROW_BLOCK", block)
+                assert kn.potential_Lq_norm(U) == want
 
     def test_2d_row_blocks_do_not_change_value(self, monkeypatch, kde_2d):
-        # 7 does not divide the 401 rows; 402 takes them in one block
+        # 7 does not divide the rows; one more than them is one block
         values = []
-        for block in (7, 402):
+        for block in (7, kde_2d.values.shape[0] + 1):
             monkeypatch.setattr(kn, "LQ_ROW_BLOCK", block)
-            values.append(kn.potential_Lq_norm(kde_2d, DIRAC_2D,
-                                               (-10.0, 10.0), h=0.05)[0])
+            values.append(kn.potential_Lq_norm(kde_2d))
         assert values[0] == values[1] > 0.0
 
-    @pytest.mark.parametrize("nu, R, perimeter", [
-        (sampling.dirac([3.0]), 7.0, 0.0),
-        (sampling.dirac([3.0, 0.0]), 7.0, 0.0),
-        (sampling.mixture([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]]), 9.0, 4.0),
-    ], ids=["dirac-1d", "dirac-2d", "mixture-2d"])
-    def test_tail_measured_from_the_hull(self, nu, R, perimeter):
-        # off the box every point is at least R from the law's hull; the
-        # points at distance r from it number 2 in d = 1 and fill a curve
-        # of length 2 pi r + perimeter in d = 2
-        dim = nu.dim
-        zero = kn.PotentialField(route="closed-form", dim=dim,
-                                 fn=lambda pts: np.zeros(pts.shape[0]))
-        value, tail = kn.potential_Lq_norm(zero, nu, (-10.0, 10.0), h=0.05)
-        M = kn.ENVELOPE_M
-        if dim == 1:
-            env = lambda r: 2.0 * (M * np.sqrt(np.pi)
-                                   * np.exp(-2.0 * r / np.sqrt(M))) ** 2
-        else:
-            env = lambda r: (2.0 * M * special.k0(2.0 * r / np.sqrt(M))) ** 2 \
-                * (2.0 * np.pi * r + perimeter)
-        want = integrate.quad(env, R, np.inf, epsabs=0.0, epsrel=1e-12)[0]
-        assert value == 0.0
-        # the 2-d trapezoid on a convex integrand errs upward, by 0.2%
-        assert want * (1.0 - 1e-9) <= tail <= want * 1.005
-
-    def test_box_must_hold_the_law(self, closed_potential):
-        with pytest.raises(ValueError, match="interior"):
-            kn.potential_Lq_norm(closed_potential, DIRAC_1D, (0.0, 10.0))
+    def test_3d_grid_potential(self):
+        U = grid_potential(sampling.dirac(np.zeros(3)),
+                           make_field("identity", dim=3), (-3.0, 3.0), 0.5)
+        assert abs(U.integral() - 1.0) <= 1e-12
+        assert 0.0 < kn.potential_Lq_norm(U) < np.inf
